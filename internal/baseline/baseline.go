@@ -14,10 +14,9 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"scalabletcc/internal/mem"
-	"scalabletcc/internal/obs"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/stats"
 	"scalabletcc/internal/verify"
@@ -111,12 +110,9 @@ func (r *Results) Summary() stats.Summary {
 
 // System is the assembled bus-based TCC machine.
 type System struct {
-	cfg    Config
-	kernel *sim.Kernel
-	prog   workload.Program
-
-	procs  []*proc
-	memory *mem.Memory
+	rival.Machine
+	cfg   Config
+	procs []*proc
 
 	// Ordered bus: one shared medium with FIFO occupancy.
 	busFree  sim.Time
@@ -127,25 +123,12 @@ type System struct {
 	tokenHeld  bool
 	tokenQueue []*proc
 
-	commitSeq  mem.Version // commit order stands in for TIDs
-	collectLog bool
-	commitLog  []verify.Record
-
-	// obsv, when non-nil, receives one typed obs.Event per protocol action
-	// (the lifecycle subset that exists on a bus machine: fills, commits,
-	// snoop invalidations, violations, overflows, barriers).
-	obsv obs.Observer
-
-	barrierCount int
-	running      int
-
-	totalCommits    uint64
-	totalViolations uint64
-	committedInstr  uint64
-	endTime         sim.Time
+	commitSeq mem.Version // commit order stands in for TIDs
 }
 
-// NewSystem builds a baseline machine for prog.
+// NewSystem builds a baseline machine for prog. Its observer sees the
+// lifecycle subset that exists on a bus machine: fills, commits, snoop
+// invalidations, violations, overflows, barriers.
 func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -153,11 +136,10 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 	if prog.Procs() != cfg.Procs {
 		return nil, fmt.Errorf("baseline: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
 	}
-	s := &System{
-		cfg:    cfg,
-		kernel: &sim.Kernel{},
-		prog:   prog,
-		memory: mem.NewMemory(cfg.Geometry),
+	s := &System{cfg: cfg}
+	s.Machine = rival.Machine{
+		Name: "baseline", Kernel: &sim.Kernel{}, Prog: prog, Geom: cfg.Geometry,
+		Memory: mem.NewMemory(cfg.Geometry), L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
@@ -165,39 +147,25 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 	return s, nil
 }
 
-// CollectCommitLog enables serializability logging.
-func (s *System) CollectCommitLog(on bool) { s.collectLog = on }
-
-// Observe attaches a protocol-event observer (nil detaches). Must be called
-// before Run; observation is passive.
-func (s *System) Observe(o obs.Observer) { s.obsv = o }
-
-// emit stamps the current cycle on e and hands it to the observer. Callers
-// nil-check s.obsv first.
-func (s *System) emit(e obs.Event) {
-	e.Cycle = uint64(s.kernel.Now())
-	s.obsv.Event(e)
-}
-
-// busSend schedules fn after the ordered bus carries a message of the given
-// size, modeling arbitration plus serialization.
-func (s *System) busSend(bytes int, fn func()) {
+// busSend delivers event code to p after the ordered bus carries a message
+// of the given size, modeling arbitration plus serialization.
+func (s *System) busSend(bytes int, p *proc, code uint32, a1 uint64) {
 	occupancy := sim.Time((bytes+s.cfg.BusBytesPerCycle-1)/s.cfg.BusBytesPerCycle) + s.cfg.BusArbitration
-	start := s.kernel.Now()
+	start := s.Kernel.Now()
 	if s.busFree > start {
 		start = s.busFree
 	}
 	s.busFree = start + occupancy
 	s.busBusy += occupancy
 	s.busBytes += uint64(bytes)
-	s.kernel.At(start+occupancy, fn)
+	s.Kernel.Post(start+occupancy, p, code, a1, 0)
 }
 
 // acquireToken queues p for the global commit token.
 func (s *System) acquireToken(p *proc) {
 	if !s.tokenHeld {
 		s.tokenHeld = true
-		s.kernel.After(s.cfg.BusArbitration, p.onToken)
+		s.Kernel.PostAfter(s.cfg.BusArbitration, p, prToken, 0, 0)
 		return
 	}
 	s.tokenQueue = append(s.tokenQueue, p)
@@ -211,76 +179,22 @@ func (s *System) releaseToken() {
 	}
 	next := s.tokenQueue[0]
 	s.tokenQueue = s.tokenQueue[1:]
-	s.kernel.After(s.cfg.BusArbitration, next.onToken)
+	s.Kernel.PostAfter(s.cfg.BusArbitration, next, prToken, 0, 0)
 }
-
-// barrier synchronizes phases.
-func (s *System) barrierArrive() {
-	s.barrierCount++
-	if s.barrierCount < s.cfg.Procs {
-		return
-	}
-	s.barrierCount = 0
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.After(1, pp.onBarrierRelease)
-	}
-}
-
-func (s *System) procDone() { s.running-- }
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	s.running = s.cfg.Procs
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.At(0, pp.start)
+	if err := s.Simulate(s.cfg.MaxCycles); err != nil {
+		return nil, err
 	}
-	for s.kernel.Pending() > 0 {
-		if s.cfg.MaxCycles > 0 && s.kernel.Now() > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("baseline: watchdog expired at cycle %d", s.kernel.Now())
-		}
-		s.kernel.StepCycle()
-	}
-	if s.running != 0 {
-		return nil, fmt.Errorf("baseline: deadlock with %d processors unfinished", s.running)
-	}
-	s.endTime = s.kernel.Now()
-	r := &Results{
-		Cycles:     s.endTime,
-		Commits:    s.totalCommits,
-		Violations: s.totalViolations,
-		Instr:      s.committedInstr,
+	return &Results{
+		Cycles:     s.Kernel.Now(),
+		Breakdown:  s.Breakdown(),
+		Commits:    s.Commits,
+		Violations: s.Violations,
+		Instr:      s.Instr,
 		BusBytes:   s.busBytes,
 		BusBusy:    s.busBusy,
-		CommitLog:  s.commitLog,
-	}
-	for _, p := range s.procs {
-		r.Breakdown = r.Breakdown.Plus(p.breakdown)
-	}
-	return r, nil
-}
-
-// AuditFinalMemory cross-checks memory against the TID-serial replay of the
-// commit log (bus commits write through, so every committed word must be in
-// the memory banks). Requires CollectCommitLog.
-func (s *System) AuditFinalMemory() error {
-	if !s.collectLog {
-		return fmt.Errorf("baseline: AuditFinalMemory requires CollectCommitLog")
-	}
-	ideal := verify.FinalMemory(s.commitLog)
-	addrs := make([]mem.Addr, 0, len(ideal))
-	for a := range ideal {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	g := s.cfg.Geometry
-	for _, a := range addrs {
-		got := s.memory.Line(g.Line(a))[g.WordIndex(a)]
-		if got != ideal[a] {
-			return fmt.Errorf("baseline: final memory mismatch at %#x: memory has version %d, replay requires %d",
-				uint64(a), uint64(got), uint64(ideal[a]))
-		}
-	}
-	return nil
+		CommitLog:  s.CommitLog,
+	}, nil
 }

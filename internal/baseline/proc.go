@@ -5,138 +5,98 @@ import (
 	"scalabletcc/internal/cache"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/obs"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/tid"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
 type procState int
 
+// Processor states within a transaction (the Arg of a KViolation event).
 const (
 	stRunning procState = iota
 	stWaitLoad
 	stWaitToken
-	stBarrier
-	stDone
 )
+
+// Processor opcodes, after the driver's (rival.Thread.Handle).
+const (
+	prToken   = rival.OpProtocol + iota // the commit token was granted
+	prCommit                            // a1 = commit sequence: the write-set broadcast finished
+	prMissReq                           // a1 = epoch: the miss request crossed the bus
+	prMissMem                           // a1 = epoch: memory access done, reply over the bus
+	prFill                              // a1 = epoch: the fill reply arrived
+)
+
+// wline is one line of a committing write-set.
+type wline struct {
+	base  mem.Addr
+	words bits.WordMask
+}
 
 // proc is one bus-based TCC processor: execute speculatively, grab the
 // commit token, broadcast the write-set over the ordered bus.
 type proc struct {
+	rival.Thread
 	sys *System
-	id  int
-
-	cache *cache.Cache
-	l1    *cache.TagArray
-
-	progPhase int
-	txIdx     int
-	ops       []workload.Op
-	opIdx     int
 
 	state      procState
-	epoch      uint64
-	txStart    sim.Time
-	missStart  sim.Time
 	commitWait sim.Time
-	pendUseful uint64
-	pendMiss   uint64
 
-	readSet mem.ReadSet
-
-	idleStart sim.Time
-	breakdown stats.Breakdown
-	commits   uint64
+	// wset is the committing write-set, reused across commits: only the
+	// token holder commits, so one broadcast per processor is in flight.
+	wset     []wline
+	addWrite func(*cache.Line) // pre-bound collector for wset
 }
 
 func newProc(s *System, id int) *proc {
-	return &proc{
-		sys:   s,
-		id:    id,
-		cache: cache.New(s.cfg.Geometry, s.cfg.L2Size, s.cfg.L2Ways),
-		l1:    cache.NewTagArray(s.cfg.Geometry, s.cfg.L1Size, s.cfg.L1Ways),
-		state: stDone,
-	}
-}
-
-func (p *proc) guard(fn func()) func() {
-	e := p.epoch
-	return func() {
-		if p.epoch == e {
-			fn()
+	p := &proc{sys: s}
+	p.Init(&s.Machine, id, p, s.cfg.L1Size, s.cfg.L1Ways, s.cfg.L2Size, s.cfg.L2Ways)
+	p.addWrite = func(l *cache.Line) {
+		if l.SM.Any() {
+			p.wset = append(p.wset, wline{base: l.Base, words: l.SM})
 		}
 	}
+	return p
 }
 
-func (p *proc) start() {
-	p.progPhase = 0
-	p.txIdx = 0
-	p.beginTx()
-}
-
-func (p *proc) beginTx() {
-	if p.txIdx >= p.sys.prog.TxCount(p.id, p.progPhase) {
-		p.state = stBarrier
-		p.idleStart = p.sys.kernel.Now()
-		if p.sys.obsv != nil {
-			p.sys.emit(obs.Event{Kind: obs.KBarrier, Node: p.id, Peer: -1, Arg: int64(p.progPhase)})
-		}
-		p.sys.barrierArrive()
-		return
+// HandleEvent dispatches the processor's events and bus deliveries.
+func (p *proc) HandleEvent(code uint32, a1, a2 uint64) {
+	switch {
+	case !p.Handle(code, a1, a2):
+	case code == prToken:
+		p.onToken()
+	case code == prCommit:
+		p.onCommit(mem.Version(a1))
+	case a1 != p.Epoch: // a continuation of a violated attempt
+	case code == prMissReq:
+		p.sys.Kernel.PostAfter(p.sys.cfg.MemLatency, p, prMissMem, p.Epoch, 0)
+	case code == prMissMem:
+		p.sys.busSend(16+p.sys.Geom.LineSize, p, prFill, p.Epoch)
+	case code == prFill:
+		p.onFill(p.sys.Geom.Line(p.Ops[p.OpIdx].Addr))
+	default:
+		panic("baseline: unknown processor event")
 	}
-	p.ops = p.sys.prog.Tx(p.id, p.progPhase, p.txIdx).Ops
-	p.startAttempt()
 }
 
-func (p *proc) startAttempt() {
+// StartAttempt begins (or restarts) the transaction.
+func (p *proc) StartAttempt() {
 	p.state = stRunning
-	p.opIdx = 0
-	p.txStart = p.sys.kernel.Now()
-	p.pendUseful = 0
-	p.pendMiss = 0
-	p.readSet.Reset()
-	p.step()
+	p.ResetAttempt()
+	p.Step()
 }
 
-func (p *proc) step() {
-	if p.opIdx >= len(p.ops) {
-		p.beginCommit()
-		return
-	}
-	op := p.ops[p.opIdx]
-	switch op.Kind {
-	case workload.Compute:
-		p.opIdx++
-		p.pendUseful += uint64(op.Cycles)
-		p.sys.kernel.After(sim.Time(op.Cycles), p.guard(p.step))
-	case workload.Load:
-		p.doAccess(op.Addr, false)
-	case workload.Store:
-		p.doAccess(op.Addr, true)
-	}
-}
-
-// doAccess performs a load or a speculative store; misses fetch the line
-// from shared memory over the bus.
-func (p *proc) doAccess(a mem.Addr, write bool) {
-	g := p.sys.cfg.Geometry
-	base := g.Line(a)
-	w := g.WordIndex(a)
-	line := p.cache.Lookup(base)
-	if line != nil && (line.VW.Has(w) || write) {
-		lat := p.sys.cfg.L2Latency
-		if p.l1.Access(base) {
-			lat = p.sys.cfg.L1Latency
-		}
-		p.finishAccess(line, w, a, write)
-		p.opIdx++
-		p.pendUseful++
-		if lat > 1 {
-			p.pendMiss += uint64(lat - 1)
-		}
-		p.sys.kernel.After(lat, p.guard(p.step))
+// Access performs a load or a speculative store; misses fetch the line from
+// shared memory over the bus.
+func (p *proc) Access(op workload.Op) {
+	g := p.sys.Geom
+	base := g.Line(op.Addr)
+	w := g.WordIndex(op.Addr)
+	write := op.Kind == workload.Store
+	if line := p.Cache.Lookup(base); line != nil && (line.VW.Has(w) || write) {
+		p.finishAccess(line, w, op.Addr, write)
+		p.FinishLocal(base)
 		return
 	}
 	// Miss: bus request + memory access + bus reply (write-allocate). The
@@ -144,29 +104,23 @@ func (p *proc) doAccess(a mem.Addr, write bool) {
 	// linearizes fills with commit broadcasts, so a fill can never carry
 	// data older than a commit the processor failed to snoop.
 	p.state = stWaitLoad
-	p.missStart = p.sys.kernel.Now()
-	req := 16
-	resp := 16 + p.sys.cfg.Geometry.LineSize
-	p.sys.busSend(req, p.guard(func() {
-		p.sys.kernel.After(p.sys.cfg.MemLatency, p.guard(func() {
-			p.sys.busSend(resp, p.guard(func() {
-				p.onFill(base, p.sys.memory.ReadLine(base))
-			}))
-		}))
-	}))
+	p.MissStart = p.sys.Kernel.Now()
+	p.sys.busSend(16, p, prMissReq, p.Epoch)
 }
 
-func (p *proc) onFill(base mem.Addr, data []mem.Version) {
-	g := p.sys.cfg.Geometry
-	line := p.cache.Peek(base)
+// onFill installs the line the current load or store missed on.
+func (p *proc) onFill(base mem.Addr) {
+	g := p.sys.Geom
+	data := p.sys.Memory.Line(base)
+	line := p.Cache.Peek(base)
 	if line == nil {
 		var victim *cache.Victim
-		line, victim = p.cache.Insert(base, data)
+		line, victim = p.Cache.Insert(base, data)
 		if victim != nil {
-			if p.sys.obsv != nil {
-				p.sys.emit(obs.Event{Kind: obs.KOverflow, Node: p.id, Peer: -1, Addr: uint64(victim.Base)})
+			if p.sys.Obsv != nil {
+				p.sys.Emit(obs.Event{Kind: obs.KOverflow, Node: p.ID, Peer: -1, Addr: uint64(victim.Base)})
 			}
-			p.l1.Invalidate(victim.Base)
+			p.L1.Invalidate(victim.Base)
 			// Write-through commits: committed data is always in shared
 			// memory, so clean and dirty victims alike are dropped.
 		}
@@ -178,37 +132,33 @@ func (p *proc) onFill(base mem.Addr, data []mem.Version) {
 		}
 		line.VW = bits.All(g.WordsPerLine())
 	}
-	if p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KFill, Node: p.id, Peer: -1, Addr: uint64(base)})
+	if p.sys.Obsv != nil {
+		p.sys.Emit(obs.Event{Kind: obs.KFill, Node: p.ID, Peer: -1, Addr: uint64(base)})
 	}
-	op := p.ops[p.opIdx]
-	w := g.WordIndex(op.Addr)
-	p.finishAccess(line, w, op.Addr, op.Kind == workload.Store)
-	p.pendMiss += uint64(p.sys.kernel.Now() - p.missStart)
-	p.pendUseful++
-	p.opIdx++
+	op := p.Ops[p.OpIdx]
+	p.finishAccess(line, g.WordIndex(op.Addr), op.Addr, op.Kind == workload.Store)
 	p.state = stRunning
-	p.sys.kernel.After(1, p.guard(p.step))
+	p.FinishMiss()
 }
 
 func (p *proc) finishAccess(line *cache.Line, w int, a mem.Addr, write bool) {
 	if write {
 		line.SM = line.SM.Set(w)
 		line.VW = line.VW.Set(w)
-		p.cache.Track(line)
+		p.Cache.Track(line)
 		return
 	}
 	if !line.SM.Has(w) {
 		line.SR = line.SR.Set(w)
-		p.cache.Track(line)
-		p.readSet.Add(a, line.Data[w])
+		p.Cache.Track(line)
+		p.ReadSet.Add(a, line.Data[w])
 	}
 }
 
-// beginCommit requests the global commit token.
-func (p *proc) beginCommit() {
+// Commit requests the global commit token.
+func (p *proc) Commit() {
 	p.state = stWaitToken
-	p.commitWait = p.sys.kernel.Now()
+	p.commitWait = p.sys.Kernel.Now()
 	p.sys.acquireToken(p)
 }
 
@@ -220,94 +170,53 @@ func (p *proc) onToken() {
 		p.sys.releaseToken()
 		return
 	}
-	g := p.sys.cfg.Geometry
+	g := p.sys.Geom
 	p.sys.commitSeq++
-	seq := p.sys.commitSeq
-
-	type wline struct {
-		base  mem.Addr
-		words bits.WordMask
-	}
-	var wset []wline
-	p.cache.ForEachSpeculative(func(l *cache.Line) {
-		if l.SM.Any() {
-			wset = append(wset, wline{base: l.Base, words: l.SM})
-		}
-	})
+	p.wset = p.wset[:0]
+	p.Cache.ForEachSpeculative(p.addWrite)
 
 	// Serialize the whole write-set over the bus: addresses + data words.
 	bytes := 16
-	for _, wl := range wset {
+	for _, wl := range p.wset {
 		bytes += 16 + wl.words.Count()*g.WordSize
 	}
-	p.sys.busSend(bytes, func() {
-		if p.sys.obsv != nil {
-			p.sys.emit(obs.Event{Kind: obs.KCommit, Node: p.id, Peer: -1, TID: uint64(seq), Arg: int64(p.readSet.Len())})
-		}
-		var record *verify.Record
-		if p.sys.collectLog {
-			record = &verify.Record{
-				TID:    tid.TID(seq),
-				Proc:   p.id,
-				Reads:  p.readSet.Map(),
-				Writes: make(map[mem.Addr]mem.Version),
-			}
-		}
-		for _, wl := range wset {
-			data := make([]mem.Version, g.WordsPerLine())
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if wl.words.Has(w) {
-					data[w] = seq
-					if record != nil {
-						record.Writes[g.WordAddr(wl.base, w)] = seq
-					}
-				}
-			}
-			p.sys.memory.WriteWords(wl.base, uint64(wl.words), data)
-			if p.sys.obsv != nil {
-				p.sys.emit(obs.Event{Kind: obs.KCommitLine, Node: p.id, Peer: -1, TID: uint64(seq),
-					Addr: uint64(wl.base), Words: uint64(wl.words)})
-			}
-			// Snoop: every other processor checks the broadcast against its
-			// speculative state.
-			for _, q := range p.sys.procs {
-				if q != p {
-					q.snoop(wl.base, wl.words, seq)
-				}
-			}
-		}
-		// Write-through: committed lines stay clean and unowned.
-		p.cache.CommitTxWriteThrough(seq)
+	p.sys.busSend(bytes, p, prCommit, uint64(p.sys.commitSeq))
+}
 
-		if record != nil {
-			p.sys.commitLog = append(p.sys.commitLog, *record)
+// onCommit applies the broadcast write-set once it has crossed the bus:
+// write through to memory, snoop every other processor, release the token.
+func (p *proc) onCommit(seq mem.Version) {
+	s := p.sys
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KCommit, Node: p.ID, Peer: -1, TID: uint64(seq), Arg: int64(p.ReadSet.Len())})
+	}
+	record := p.NewRecord(seq)
+	for _, wl := range p.wset {
+		p.RecordWrites(record, wl.base, wl.words, seq)
+		s.Memory.SetWords(wl.base, uint64(wl.words), seq)
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KCommitLine, Node: p.ID, Peer: -1, TID: uint64(seq),
+				Addr: uint64(wl.base), Words: uint64(wl.words)})
 		}
-		var instr uint64
-		for _, op := range p.ops {
-			if op.Kind == workload.Compute {
-				instr += uint64(op.Cycles)
-			} else {
-				instr++
+		// Snoop: every other processor checks the broadcast against its
+		// speculative state.
+		for _, q := range s.procs {
+			if q != p {
+				q.snoop(wl.base, wl.words, seq)
 			}
 		}
-		p.breakdown.Add(stats.Useful, p.pendUseful)
-		p.breakdown.Add(stats.CacheMiss, p.pendMiss)
-		p.breakdown.Add(stats.Commit, uint64(p.sys.kernel.Now()-p.commitWait))
-		p.commits++
-		p.sys.totalCommits++
-		p.sys.committedInstr += instr
-
-		p.sys.releaseToken()
-		p.epoch++
-		p.txIdx++
-		p.sys.kernel.After(1, p.beginTx)
-	})
+	}
+	// Write-through: committed lines stay clean and unowned.
+	p.Cache.CommitTxWriteThrough(seq)
+	s.Log(record)
+	s.releaseToken()
+	p.Retire(s.Kernel.Now() - p.commitWait)
 }
 
 // snoop checks a committed line broadcast against this processor's
 // speculative state (the ordered bus makes this synchronous).
 func (p *proc) snoop(base mem.Addr, words bits.WordMask, seq mem.Version) {
-	line := p.cache.Peek(base)
+	line := p.Cache.Peek(base)
 	if line == nil {
 		return
 	}
@@ -315,13 +224,13 @@ func (p *proc) snoop(base mem.Addr, words bits.WordMask, seq mem.Version) {
 	if p.sys.cfg.LineGranularity {
 		overlap = line.SR.Any() && words.Any()
 	}
-	if p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KInv, Node: p.id, Peer: -1, Addr: uint64(base), Words: uint64(words),
+	if p.sys.Obsv != nil {
+		p.sys.Emit(obs.Event{Kind: obs.KInv, Node: p.ID, Peer: -1, Addr: uint64(base), Words: uint64(words),
 			TID: uint64(seq), SR: uint64(line.SR), SM: uint64(line.SM)})
 	}
 	if overlap {
-		p.cache.Invalidate(base)
-		p.l1.Invalidate(base)
+		p.Cache.Invalidate(base)
+		p.L1.Invalidate(base)
 		p.violate()
 		return
 	}
@@ -329,19 +238,15 @@ func (p *proc) snoop(base mem.Addr, words bits.WordMask, seq mem.Version) {
 		line.VW = line.SM
 		return
 	}
-	p.cache.Invalidate(base)
-	p.l1.Invalidate(base)
+	p.Cache.Invalidate(base)
+	p.L1.Invalidate(base)
 }
 
 func (p *proc) violate() {
-	if p.state == stBarrier || p.state == stDone {
+	if p.Waiting {
 		return // no speculative state outside a transaction
 	}
-	now := p.sys.kernel.Now()
-	p.sys.totalViolations++
-	if p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KViolation, Node: p.id, Peer: -1, Arg: int64(p.state)})
-	}
+	p.NoteViolation(int64(p.state))
 	if p.state == stWaitToken {
 		// Abandon the pending token request by filtering ourselves out.
 		q := p.sys.tokenQueue[:0]
@@ -352,21 +257,8 @@ func (p *proc) violate() {
 		}
 		p.sys.tokenQueue = q
 	}
-	p.breakdown.Add(stats.Violation, uint64(now-p.txStart))
-	p.epoch++
-	p.cache.RollbackTx()
+	p.EndAttempt()
+	p.Cache.RollbackTx()
 	p.state = stRunning
-	p.sys.kernel.After(p.sys.cfg.ViolationRestartCost, p.guard(p.startAttempt))
-}
-
-func (p *proc) onBarrierRelease() {
-	p.breakdown.Add(stats.Idle, uint64(p.sys.kernel.Now()-p.idleStart))
-	p.progPhase++
-	p.txIdx = 0
-	if p.progPhase >= p.sys.prog.Phases() {
-		p.state = stDone
-		p.sys.procDone()
-		return
-	}
-	p.beginTx()
+	p.Retry(p.sys.cfg.ViolationRestartCost)
 }

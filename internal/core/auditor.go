@@ -291,12 +291,15 @@ const faultTIDMargin = 1 << 20
 // exists to catch. Call before Run. The run then fails with the
 // "skip-vector-bounds" invariant at the next event touching that directory.
 func (s *System) InjectSkipVectorFault(at sim.Time, dir int) {
-	s.kernel.At(at, func() {
-		d := s.dirs[dir]
-		t := s.vendor.Issued() + faultTIDMargin
-		if t <= uint64(d.nstid) {
-			t = uint64(d.nstid) + faultTIDMargin
-		}
-		d.done.Set(int(t - uint64(d.nstid)))
-	})
+	s.kernel.Post(at, s, sysFault, uint64(dir), 0)
+}
+
+// injectSkipVectorFault applies the fault InjectSkipVectorFault scheduled.
+func (s *System) injectSkipVectorFault(dir int) {
+	d := s.dirs[dir]
+	t := s.vendor.Issued() + faultTIDMargin
+	if t <= uint64(d.nstid) {
+		t = uint64(d.nstid) + faultTIDMargin
+	}
+	d.done.Set(int(t - uint64(d.nstid)))
 }

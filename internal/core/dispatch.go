@@ -19,8 +19,9 @@ import (
 
 // System opcodes.
 const (
-	// sysMsg delivers a protocol message; a1 is the protoMsg pool index.
-	sysMsg uint32 = iota
+	sysMsg    uint32 = iota // a1 = protoMsg pool index: deliver a protocol message
+	sysSample               // take an occupancy sample and re-arm
+	sysFault                // a1 = directory: inject a Skip Vector fault
 )
 
 // Processor opcodes. Continuations that belong to one transaction attempt
@@ -186,10 +187,16 @@ func (s *System) copyLine(node int, src []mem.Version) []mem.Version {
 // argument below is a field load evaluated before the handler body runs, and
 // m is never dereferenced after a handler returns.
 func (s *System) HandleEvent(code uint32, a1, a2 uint64) {
-	if code != sysMsg {
+	switch code {
+	case sysMsg:
+		s.dispatchMsg(int32(a1))
+	case sysSample:
+		s.sampleTick()
+	case sysFault:
+		s.injectSkipVectorFault(int(a1))
+	default:
 		panic("core: unknown system event")
 	}
-	s.dispatchMsg(int32(a1))
 }
 
 // dispatchMsg hands an arrived message to its consumer: the shared tail of

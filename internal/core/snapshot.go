@@ -33,8 +33,8 @@ import (
 // event, victim, or line any future step chooses, so a restored System is
 // behaviourally identical without being bit-identical in memory. Features
 // that hold state outside this snapshot (the invariant auditor, TAPE
-// profiling, the periodic sampler — the last also schedules closure events
-// the kernel cannot serialize) are rejected for checkpointable runs.
+// profiling, the periodic sampler's link-busy baseline) are rejected for
+// checkpointable runs.
 
 // Checkpoint schema identification.
 const (
@@ -281,7 +281,7 @@ func (s *System) checkpointable() error {
 	case s.tape != nil:
 		return fmt.Errorf("core: checkpoints require TAPE profiling off")
 	case s.sampleEvery > 0:
-		return fmt.Errorf("core: checkpoints require the occupancy sampler off (it schedules closure events)")
+		return fmt.Errorf("core: checkpoints require the occupancy sampler off (its state is not in the checkpoint)")
 	}
 	return nil
 }

@@ -267,7 +267,7 @@ func (s *System) sampleTick() {
 	}
 	so.Sample(smp)
 	if s.kernel.Pending() > 0 {
-		s.kernel.At(s.kernel.Now()+s.sampleEvery, s.sampleTick)
+		s.kernel.PostAfter(s.sampleEvery, s, sysSample, 0, 0)
 	}
 }
 
@@ -465,7 +465,7 @@ func (s *System) Run() (*Results, error) {
 			s.kernel.Post(0, p, prStart, 0, 0)
 		}
 		if s.sampleEvery > 0 {
-			s.kernel.At(s.sampleEvery, s.sampleTick)
+			s.kernel.Post(s.sampleEvery, s, sysSample, 0, 0)
 		}
 	}
 	// Batch dispatch: StepCycle drains each simulated cycle's events in one

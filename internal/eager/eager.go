@@ -32,11 +32,12 @@ package eager
 
 import (
 	"fmt"
-	"sort"
 
+	"scalabletcc/internal/bits"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/stats"
 	"scalabletcc/internal/verify"
@@ -139,46 +140,39 @@ func (r *Results) Summary() stats.Summary {
 type lineDir struct {
 	version mem.Version
 	writer  int // registered writing processor, -1 when none
-	readers map[int]struct{}
+	readers bits.NodeSet
+}
+
+// release drops id's reader and writer registrations.
+func (d *lineDir) release(id int) {
+	d.readers.Clear(id)
+	if d.writer == id {
+		d.writer = -1
+	}
 }
 
 func (d *lineDir) readersOtherThan(id int) bool {
-	if len(d.readers) == 0 {
-		return false
-	}
-	if len(d.readers) > 1 {
-		return true
-	}
-	_, self := d.readers[id]
-	return !self
+	n := d.readers.Count()
+	return n > 1 || (n == 1 && !d.readers.Has(id))
+}
+
+// homeDir is one home's registration table: dense entries behind an
+// address index.
+type homeDir struct {
+	idx   mem.AddrIndex
+	lines []lineDir
 }
 
 // System is the assembled eager machine.
 type System struct {
-	cfg    Config
-	kernel *sim.Kernel
-	net    *mesh.Network
-	prog   workload.Program
+	rival.Machine
+	cfg   Config
+	procs []*proc
+	dirs  []homeDir
 
-	procs  []*proc
-	memmap *mem.Map
-	memory *mem.Memory
-	dirs   []map[mem.Addr]*lineDir
-
-	commitSeq mem.Version // the TID vendor at node 0
-
-	collectLog bool
-	commitLog  []verify.Record
-	obsv       obs.Observer
-
-	barrierCount int
-	running      int
-
-	totalCommits    uint64
-	totalViolations uint64
-	committedInstr  uint64
-	nacksRead       uint64
-	nacksWrite      uint64
+	commitSeq  mem.Version // the TID vendor at node 0
+	nacksRead  uint64
+	nacksWrite uint64
 }
 
 // NewSystem builds an eager machine for prog.
@@ -190,121 +184,149 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 		return nil, fmt.Errorf("eager: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
 	}
 	k := &sim.Kernel{}
-	s := &System{
-		cfg:    cfg,
-		kernel: k,
-		net:    mesh.New(k, cfg.Procs, cfg.Mesh),
-		prog:   prog,
-		memmap: mem.NewMap(cfg.Geometry, cfg.Procs),
-		memory: mem.NewMemory(cfg.Geometry),
-		dirs:   make([]map[mem.Addr]*lineDir, cfg.Procs),
+	s := &System{cfg: cfg, dirs: make([]homeDir, cfg.Procs)}
+	s.Machine = rival.Machine{
+		Name: "eager", Kernel: k, Prog: prog, Geom: cfg.Geometry, Memory: mem.NewMemory(cfg.Geometry),
+		L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
+		Net: mesh.New(k, cfg.Procs, cfg.Mesh), Map: mem.NewMap(cfg.Geometry, cfg.Procs),
+		DirLatency: cfg.DirLatency, MemLatency: cfg.MemLatency, Server: s,
 	}
-	for i := range s.dirs {
-		s.dirs[i] = make(map[mem.Addr]*lineDir)
-	}
-	prog.PreMap(s.memmap)
+	prog.PreMap(s.Map)
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
 	}
 	return s, nil
 }
 
-// CollectCommitLog enables serializability logging.
-func (s *System) CollectCommitLog(on bool) { s.collectLog = on }
-
-// Observe attaches a protocol-event observer (nil detaches). Must be called
-// before Run; observation is passive.
-func (s *System) Observe(o obs.Observer) { s.obsv = o }
-
-// emit stamps the current cycle on e and hands it to the observer. Callers
-// nil-check s.obsv first.
-func (s *System) emit(e obs.Event) {
-	e.Cycle = uint64(s.kernel.Now())
-	s.obsv.Event(e)
-}
-
-// home returns the line's home node under first-touch mapping.
-func (s *System) home(base mem.Addr, toucher int) int {
-	return s.memmap.Home(base, toucher)
-}
-
 // dir returns (allocating if needed) the line's registration entry at home.
+// The pointer is valid until the next dir call.
 func (s *System) dir(home int, base mem.Addr) *lineDir {
-	d := s.dirs[home][base]
-	if d == nil {
-		d = &lineDir{writer: -1, readers: make(map[int]struct{})}
-		s.dirs[home][base] = d
+	h := &s.dirs[home]
+	if i, ok := h.idx.Get(base); ok {
+		return &h.lines[i]
 	}
-	return d
+	h.idx.Set(base, int32(len(h.lines)))
+	h.lines = append(h.lines, lineDir{writer: -1})
+	return &h.lines[len(h.lines)-1]
 }
 
-// barrier synchronizes phases.
-func (s *System) barrierArrive() {
-	s.barrierCount++
-	if s.barrierCount < s.cfg.Procs {
-		return
+// System opcodes.
+const (
+	sysTID uint32 = iota // a1 = proc: grant a commit TID
+)
+
+// Request kinds (rival.Msg.Kind).
+const (
+	reqRead    uint8 = iota // register a reader, maybe send data
+	reqWrite                // register the writer
+	reqCommit               // write back a group's data and release it (acked)
+	reqRelease              // abort: release a group's registrations (fire-and-forget)
+)
+
+// HandleEvent runs the TID vendor.
+func (s *System) HandleEvent(code uint32, a1, a2 uint64) {
+	if code != sysTID {
+		panic("eager: unknown system event")
 	}
-	s.barrierCount = 0
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.After(1, pp.onBarrierRelease)
+	s.commitSeq++
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: int(a1), TID: uint64(s.commitSeq)})
 	}
+	s.Reply(0, int(a1), mesh.ClassCommit, prTID, uint64(s.commitSeq))
 }
 
-func (s *System) procDone() { s.running-- }
+// Serve executes request i at its home after the registration-table access
+// (rival.Server).
+func (s *System) Serve(i int32) {
+	m := s.Msg(i)
+	id := m.Proc
+	switch m.Kind {
+	case reqRead:
+		if s.serveRead(i, m) {
+			return // the record lives on as the data reply
+		}
+	case reqWrite:
+		base := s.Geom.Line(m.Addr)
+		d := s.dir(m.Home, base)
+		if (d.writer >= 0 && d.writer != id) || d.readersOtherThan(id) {
+			s.nacksWrite++
+			if s.Obsv != nil {
+				s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: id, Addr: uint64(base), Arg: 1})
+			}
+			s.Reply(m.Home, id, mesh.ClassCommit, prAbort, abortWriteConflict)
+			break
+		}
+		d.writer = id
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KMark, Node: m.Home, Peer: id, Addr: uint64(base)})
+		}
+		s.Reply(m.Home, id, mesh.ClassCommit, prWriteAck, uint64(m.Addr))
+	case reqCommit:
+		for j, base := range m.Bases {
+			d := s.dir(m.Home, base)
+			if w := m.Masks[j]; w.Any() {
+				s.Memory.SetWords(base, uint64(w), m.Version)
+				d.version = m.Version
+				if s.Obsv != nil {
+					s.Emit(obs.Event{Kind: obs.KCommitLine, Node: m.Home, Peer: id,
+						TID: uint64(m.Version), Addr: uint64(base), Words: uint64(w)})
+				}
+			}
+			d.release(id)
+		}
+		s.Reply(m.Home, id, mesh.ClassCommit, prCommitAck, 0)
+	case reqRelease:
+		for _, base := range m.Bases {
+			s.dir(m.Home, base).release(id)
+		}
+	}
+	s.FreeMsg(i)
+}
+
+// serveRead registers a reader unless a foreign writer holds the line, and
+// answers with a NACK, a registration-only confirmation, or the line data,
+// snapshotted with its version under the registration (no writer can
+// intervene). It reports whether record i lives on as the data reply.
+func (s *System) serveRead(i int32, m *rival.Msg) bool {
+	id := m.Proc
+	base := s.Geom.Line(m.Addr)
+	d := s.dir(m.Home, base)
+	if d.writer >= 0 && d.writer != id {
+		s.nacksRead++
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: id, Addr: uint64(base)})
+		}
+		s.Reply(m.Home, id, mesh.ClassMiss, prAbort, abortReadConflict)
+		return false
+	}
+	d.readers.Set(id)
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KLoad, Node: m.Home, Peer: id, Addr: uint64(base),
+			TID: uint64(d.version)})
+	}
+	if m.Valid && m.CachedV == d.version {
+		// The requester's copy is current: registration-only reply.
+		s.Reply(m.Home, id, mesh.ClassMiss, rival.OpReadValid, uint64(m.Addr))
+		return false
+	}
+	s.ReplyData(i, base, d.version)
+	return true
+}
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	s.running = s.cfg.Procs
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.At(0, pp.start)
+	if err := s.Simulate(s.cfg.MaxCycles); err != nil {
+		return nil, err
 	}
-	for s.kernel.Pending() > 0 {
-		if s.cfg.MaxCycles > 0 && s.kernel.Now() > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("eager: watchdog expired at cycle %d", s.kernel.Now())
-		}
-		s.kernel.StepCycle()
-	}
-	if s.running != 0 {
-		return nil, fmt.Errorf("eager: deadlock with %d processors unfinished", s.running)
-	}
-	r := &Results{
-		Cycles:     s.kernel.Now(),
-		Commits:    s.totalCommits,
-		Violations: s.totalViolations,
-		Instr:      s.committedInstr,
+	return &Results{
+		Cycles:     s.Kernel.Now(),
+		Breakdown:  s.Breakdown(),
+		Commits:    s.Commits,
+		Violations: s.Violations,
+		Instr:      s.Instr,
 		NacksRead:  s.nacksRead,
 		NacksWrite: s.nacksWrite,
-		Traffic:    s.net.Stats(),
-		CommitLog:  s.commitLog,
-	}
-	for _, p := range s.procs {
-		r.Breakdown = r.Breakdown.Plus(p.breakdown)
-	}
-	return r, nil
-}
-
-// AuditFinalMemory cross-checks memory against the TID-serial replay of the
-// commit log (commit write-backs are write-through, so every committed word
-// must be in the memory banks). Requires CollectCommitLog.
-func (s *System) AuditFinalMemory() error {
-	if !s.collectLog {
-		return fmt.Errorf("eager: AuditFinalMemory requires CollectCommitLog")
-	}
-	ideal := verify.FinalMemory(s.commitLog)
-	addrs := make([]mem.Addr, 0, len(ideal))
-	for a := range ideal {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	g := s.cfg.Geometry
-	for _, a := range addrs {
-		got := s.memory.Line(g.Line(a))[g.WordIndex(a)]
-		if got != ideal[a] {
-			return fmt.Errorf("eager: final memory mismatch at %#x: memory has version %d, replay requires %d",
-				uint64(a), uint64(got), uint64(ideal[a]))
-		}
-	}
-	return nil
+		Traffic:    s.Net.Stats(),
+		CommitLog:  s.CommitLog,
+	}, nil
 }

@@ -1,23 +1,12 @@
 package eager
 
 import (
-	"scalabletcc/internal/bits"
-	"scalabletcc/internal/cache"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/tid"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
-)
-
-// Message sizing: a header-only message (requests, acks, NACKs, TID
-// operations) and the per-line address overhead inside batched messages.
-const (
-	msgHdr   = 16
-	lineAddr = 8
 )
 
 // Abort reasons (the Arg of a KViolation event).
@@ -26,390 +15,99 @@ const (
 	abortWriteConflict        // write NACKed by foreign readers or a writer
 )
 
-type procState int
-
+// Processor opcodes, after the driver's (rival.Thread.Handle). All carry the
+// attempt epoch in a1.
 const (
-	stRunning   procState = iota
-	stWaitRead            // waiting for a read registration / data reply
-	stWaitWrite           // waiting for a write registration ack
-	stWaitTID             // commit: waiting for the TID vendor
-	stCommit              // commit: waiting for write-back/release acks
-	stBackoff
-	stBarrier
-	stDone
+	prAbort     = rival.OpProtocol + iota // a2 = abort reason: a home NACKed
+	prWriteAck                            // a2 = word address: registered as the writer
+	prTID                                 // a2 = commit TID
+	prCommitAck                           // a home applied the commit
 )
 
-// txLine is one line's per-transaction state: which registrations this
-// transaction holds at the line's home, and the buffered write mask.
-type txLine struct {
-	read    bool // registered as a reader (local copy is protected)
-	write   bool // registered as the writer
-	written bits.WordMask
-}
-
-// homeGroup batches one message's lines for a single home.
-type homeGroup struct {
-	home  int
-	bases []mem.Addr
-}
-
 // proc is one eager-HTM processor: every first access announces itself to
-// the line's home, conflicts abort the requester immediately.
+// the line's home, conflicts abort the requester immediately. Its lines are
+// the ones it holds registrations on; TxLine.Read marks a reader
+// registration (the local copy is protected), TxLine.Write the writer's.
 type proc struct {
+	rival.Thread
 	sys *System
-	id  int
 
-	cache   *cache.Cache
-	l1      *cache.TagArray
-	lineVer map[mem.Addr]mem.Version // version of each locally cached line
-	rng     *sim.RNG
-
-	progPhase int
-	txIdx     int
-	ops       []workload.Op
-	opIdx     int
-
-	state     procState
-	epoch     uint64
-	attempts  int
-	txStart   sim.Time
-	missStart sim.Time
-	commitAt  sim.Time
-
-	pendUseful uint64
-	pendMiss   uint64
-
-	lines   map[mem.Addr]*txLine
-	order   []mem.Addr
-	readSet mem.ReadSet
-
+	commitAt    sim.Time
 	tid         mem.Version
+	groups      []rival.HomeGroup // registered lines grouped by home (commit, abort)
 	pendingAcks int
-
-	idleStart sim.Time
-	breakdown stats.Breakdown
-	commits   uint64
 }
 
 func newProc(s *System, id int) *proc {
-	return &proc{
-		sys:     s,
-		id:      id,
-		cache:   cache.New(s.cfg.Geometry, s.cfg.L2Size, s.cfg.L2Ways),
-		l1:      cache.NewTagArray(s.cfg.Geometry, s.cfg.L1Size, s.cfg.L1Ways),
-		lineVer: make(map[mem.Addr]mem.Version),
-		rng:     sim.NewRNG(s.cfg.Seed).Derive(0xEA6E, uint64(id)),
-		state:   stDone,
-	}
+	p := &proc{sys: s}
+	p.Init(&s.Machine, id, p, s.cfg.L1Size, s.cfg.L1Ways, s.cfg.L2Size, s.cfg.L2Ways)
+	p.RNG = sim.NewRNG(s.cfg.Seed).Derive(0xEA6E, uint64(id))
+	return p
 }
 
-func (p *proc) guard(fn func()) func() {
-	e := p.epoch
-	return func() {
-		if p.epoch == e {
-			fn()
-		}
-	}
-}
-
-func (p *proc) start() {
-	p.progPhase = 0
-	p.txIdx = 0
-	p.beginTx()
-}
-
-func (p *proc) beginTx() {
-	if p.txIdx >= p.sys.prog.TxCount(p.id, p.progPhase) {
-		p.state = stBarrier
-		p.idleStart = p.sys.kernel.Now()
-		if p.sys.obsv != nil {
-			p.sys.emit(obs.Event{Kind: obs.KBarrier, Node: p.id, Peer: -1, Arg: int64(p.progPhase)})
-		}
-		p.sys.barrierArrive()
+// HandleEvent dispatches the processor's events; stale replies are dropped.
+func (p *proc) HandleEvent(code uint32, a1, a2 uint64) {
+	if !p.Handle(code, a1, a2) || a1 != p.Epoch {
 		return
 	}
-	p.ops = p.sys.prog.Tx(p.id, p.progPhase, p.txIdx).Ops
-	p.attempts = 0
-	p.startAttempt()
-}
-
-func (p *proc) startAttempt() {
-	p.state = stRunning
-	p.opIdx = 0
-	p.txStart = p.sys.kernel.Now()
-	p.pendUseful = 0
-	p.pendMiss = 0
-	p.readSet.Reset()
-	p.lines = make(map[mem.Addr]*txLine, len(p.lines)+1)
-	p.order = p.order[:0]
-	p.step()
-}
-
-func (p *proc) step() {
-	if p.opIdx >= len(p.ops) {
-		p.beginCommit()
-		return
-	}
-	op := p.ops[p.opIdx]
-	switch op.Kind {
-	case workload.Compute:
-		p.opIdx++
-		p.pendUseful += uint64(op.Cycles)
-		p.sys.kernel.After(sim.Time(op.Cycles), p.guard(p.step))
-	case workload.Load:
-		p.doLoad(op.Addr)
-	case workload.Store:
-		p.doStore(op.Addr)
+	switch code {
+	case prAbort:
+		p.abort(int(a2))
+	case prWriteAck:
+		base := p.sys.Geom.Line(mem.Addr(a2))
+		tl := p.Lines.Line(base)
+		tl.Write = true
+		tl.Written = tl.Written.Set(p.sys.Geom.WordIndex(mem.Addr(a2)))
+		p.FinishRemote(base)
+	case prTID:
+		p.onTID(mem.Version(a2))
+	case prCommitAck:
+		p.pendingAcks--
+		if p.pendingAcks == 0 {
+			p.finishCommit()
+		}
+	default:
+		panic("eager: unknown processor event")
 	}
 }
 
-// register returns (allocating if needed) the per-transaction state for a
-// line this transaction holds a registration on.
-func (p *proc) register(base mem.Addr) *txLine {
-	tl := p.lines[base]
-	if tl == nil {
-		tl = &txLine{}
-		p.lines[base] = tl
-		p.order = append(p.order, base)
-	}
-	return tl
+// StartAttempt begins (or retries) the transaction.
+func (p *proc) StartAttempt() {
+	p.ResetAttempt()
+	p.Step()
 }
 
-// logRead records the first-read version of a word.
-func (p *proc) logRead(a mem.Addr, v mem.Version) {
-	if p.readSet.Add(a, v) && p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KRead, Node: p.id, Peer: -1, Addr: uint64(a), Arg: int64(v)})
-	}
-}
-
-// finishLocal completes an access served from local state.
-func (p *proc) finishLocal(base mem.Addr) {
-	lat := p.sys.cfg.L2Latency
-	if p.l1.Access(base) {
-		lat = p.sys.cfg.L1Latency
-	}
-	p.pendUseful++
-	if lat > 1 {
-		p.pendMiss += uint64(lat - 1)
-	}
-	p.opIdx++
-	p.sys.kernel.After(lat, p.guard(p.step))
-}
-
-// doLoad performs a transactional read. The first access of a line
-// registers this processor as a reader at the line's home; registration is
-// held until commit/abort, so later accesses of the line are local.
-func (p *proc) doLoad(a mem.Addr) {
-	g := p.sys.cfg.Geometry
-	base := g.Line(a)
-	w := g.WordIndex(a)
-	tl := p.lines[base]
-	if tl != nil {
-		if tl.written.Has(w) {
-			// Own buffered write: excluded from the read log.
-			p.finishLocal(base)
+// Access performs a load or a store. The first load of a line registers
+// this processor as a reader at the line's home; registration is held until
+// commit/abort, so later loads of the line are local. A registered but
+// evicted line, or one this transaction only writes (which may hold a stale
+// copy from an earlier transaction), is refetched under the registration.
+// The first store to a line requests write registration at the home; later
+// stores are buffered locally.
+func (p *proc) Access(op workload.Op) {
+	base := p.sys.Geom.Line(op.Addr)
+	if op.Kind == workload.Store {
+		if tl := p.Lines.Lookup(base); tl != nil && tl.Write {
+			tl.Written = tl.Written.Set(p.sys.Geom.WordIndex(op.Addr))
+			p.FinishLocal(base)
 			return
 		}
-		if tl.read {
-			if line := p.cache.Lookup(base); line != nil {
-				p.logRead(a, line.Data[w])
-				p.finishLocal(base)
-				return
-			}
-			// Registered but evicted: refetch (the home cannot conflict
-			// with its own registrant).
-		}
-		// A line this transaction only writes may still hold a stale copy
-		// from an earlier transaction — fetch current data under the
-		// registration.
-	}
-	p.remoteRead(a, base, w)
-}
-
-// remoteRead registers the read at the line's home; a registered foreign
-// writer NACKs it (requester loses).
-func (p *proc) remoteRead(a, base mem.Addr, w int) {
-	s := p.sys
-	p.state = stWaitRead
-	p.missStart = s.kernel.Now()
-	home := s.home(base, p.id)
-	cachedV, hasVer := p.lineVer[base]
-	valid := hasVer && p.cache.Peek(base) != nil
-
-	s.net.Send(p.id, home, msgHdr, mesh.ClassMiss, func() {
-		s.kernel.After(s.cfg.DirLatency, func() {
-			d := s.dir(home, base)
-			if d.writer >= 0 && d.writer != p.id {
-				s.nacksRead++
-				if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id, Addr: uint64(base)})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.abort(abortReadConflict)
-				}))
-				return
-			}
-			d.readers[p.id] = struct{}{}
-			if s.obsv != nil {
-				s.emit(obs.Event{Kind: obs.KLoad, Node: home, Peer: p.id, Addr: uint64(base),
-					TID: uint64(d.version)})
-			}
-			if valid && cachedV == d.version {
-				// The requester's copy is current: registration-only reply.
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.onReadValid(a, base, w)
-				}))
-				return
-			}
-			// Data reply, snapshotted with its version under the
-			// registration (no writer can intervene).
-			data := s.memory.ReadLine(base)
-			v := d.version
-			s.kernel.After(s.cfg.MemLatency, func() {
-				s.net.Send(home, p.id, msgHdr+s.cfg.Geometry.LineSize, mesh.ClassMiss, p.guard(func() {
-					p.onReadData(a, base, w, data, v)
-				}))
-			})
-		})
-	})
-}
-
-// onReadValid completes a first read whose cached copy was confirmed
-// current at registration time.
-func (p *proc) onReadValid(a, base mem.Addr, w int) {
-	p.register(base).read = true
-	line := p.cache.Lookup(base)
-	p.logRead(a, line.Data[w])
-	p.finishRemoteAccess(base)
-}
-
-// onReadData installs arriving line data and completes the read.
-func (p *proc) onReadData(a, base mem.Addr, w int, data []mem.Version, v mem.Version) {
-	g := p.sys.cfg.Geometry
-	line := p.cache.Peek(base)
-	if line == nil {
-		var victim *cache.Victim
-		line, victim = p.cache.Insert(base, data)
-		if victim != nil {
-			if p.sys.obsv != nil {
-				p.sys.emit(obs.Event{Kind: obs.KOverflow, Node: p.id, Peer: -1, Addr: uint64(victim.Base)})
-			}
-			p.l1.Invalidate(victim.Base)
-			delete(p.lineVer, victim.Base)
-		}
-	} else {
-		copy(line.Data, data)
-	}
-	line.VW = bits.All(g.WordsPerLine())
-	p.lineVer[base] = v
-	p.register(base).read = true
-	if p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KFill, Node: p.id, Peer: -1, Addr: uint64(base), TID: uint64(v)})
-	}
-	p.logRead(a, line.Data[w])
-	p.finishRemoteAccess(base)
-}
-
-func (p *proc) finishRemoteAccess(base mem.Addr) {
-	p.l1.Access(base)
-	p.pendMiss += uint64(p.sys.kernel.Now() - p.missStart)
-	p.pendUseful++
-	p.opIdx++
-	p.state = stRunning
-	p.sys.kernel.After(1, p.guard(p.step))
-}
-
-// doStore buffers the write locally once this processor is the line's
-// registered writer; the first store to a line requests write registration
-// at the home.
-func (p *proc) doStore(a mem.Addr) {
-	g := p.sys.cfg.Geometry
-	base := g.Line(a)
-	w := g.WordIndex(a)
-	tl := p.lines[base]
-	if tl != nil && tl.write {
-		tl.written = tl.written.Set(w)
-		p.finishLocal(base)
+		p.SendWord(reqWrite, op.Addr, mesh.ClassCommit)
 		return
 	}
-	p.remoteWrite(base, w)
-}
-
-// remoteWrite registers this processor as the line's writer; a foreign
-// writer or any foreign reader NACKs it (requester loses).
-func (p *proc) remoteWrite(base mem.Addr, w int) {
-	s := p.sys
-	p.state = stWaitWrite
-	p.missStart = s.kernel.Now()
-	home := s.home(base, p.id)
-
-	s.net.Send(p.id, home, msgHdr, mesh.ClassCommit, func() {
-		s.kernel.After(s.cfg.DirLatency, func() {
-			d := s.dir(home, base)
-			if (d.writer >= 0 && d.writer != p.id) || d.readersOtherThan(p.id) {
-				s.nacksWrite++
-				if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id, Addr: uint64(base),
-						Arg: 1})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-					p.abort(abortWriteConflict)
-				}))
-				return
-			}
-			d.writer = p.id
-			if s.obsv != nil {
-				s.emit(obs.Event{Kind: obs.KMark, Node: home, Peer: p.id, Addr: uint64(base)})
-			}
-			s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-				p.onWriteAck(base, w)
-			}))
-		})
-	})
-}
-
-func (p *proc) onWriteAck(base mem.Addr, w int) {
-	tl := p.register(base)
-	tl.write = true
-	tl.written = tl.written.Set(w)
-	p.finishRemoteAccess(base)
-}
-
-// groupByHome batches every registered line into one group per home,
-// preserving first-touch order for determinism.
-func (p *proc) groupByHome() []homeGroup {
-	var out []homeGroup
-	idx := make(map[int]int)
-	for _, base := range p.order {
-		home := p.sys.home(base, p.id)
-		gi, ok := idx[home]
-		if !ok {
-			gi = len(out)
-			idx[home] = gi
-			out = append(out, homeGroup{home: home})
-		}
-		out[gi].bases = append(out[gi].bases, base)
+	if !p.ReadLocal(op.Addr, base, false) {
+		p.SendRead(reqRead, op.Addr, base)
 	}
-	return out
 }
 
-// beginCommit takes a TID from the vendor at node 0. The TID is granted
-// while every registration is still held, so real-time commit order equals
-// TID order.
-func (p *proc) beginCommit() {
-	p.commitAt = p.sys.kernel.Now()
-	p.state = stWaitTID
-	s := p.sys
-	s.net.Send(p.id, 0, msgHdr, mesh.ClassCommit, func() {
-		s.commitSeq++
-		t := s.commitSeq
-		if s.obsv != nil {
-			s.emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: p.id, TID: uint64(t)})
-		}
-		s.net.Send(0, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-			p.onTID(t)
-		}))
-	})
+func registered(*rival.TxLine) bool { return true }
+
+// Commit takes a TID from the vendor at node 0. The TID is granted while
+// every registration is still held, so real-time commit order equals TID
+// order.
+func (p *proc) Commit() {
+	p.commitAt = p.sys.Kernel.Now()
+	p.sys.Net.SendEvent(p.ID, 0, rival.MsgHdr, mesh.ClassCommit, p.sys, sysTID, uint64(p.ID), 0)
 }
 
 // onTID writes the write-set back home (data tagged with the TID) and
@@ -417,103 +115,19 @@ func (p *proc) beginCommit() {
 // only after its commit is globally visible.
 func (p *proc) onTID(t mem.Version) {
 	s := p.sys
-	g := s.cfg.Geometry
 	p.tid = t
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KCommit, Node: p.id, Peer: -1, TID: uint64(t),
-			Arg: int64(p.readSet.Len())})
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KCommit, Node: p.ID, Peer: -1, TID: uint64(t),
+			Arg: int64(p.ReadSet.Len())})
 	}
-	var record *verify.Record
-	if s.collectLog {
-		record = &verify.Record{
-			TID:    tid.TID(t),
-			Proc:   p.id,
-			Reads:  p.readSet.Map(),
-			Writes: make(map[mem.Addr]mem.Version),
-		}
+	record := p.NewRecord(t)
+	p.groups = p.GroupByHome(p.groups, registered)
+	p.pendingAcks = len(p.groups)
+	for gi := range p.groups {
+		p.SendCommit(reqCommit, &p.groups[gi], t)
 	}
-	groups := p.groupByHome()
-	p.state = stCommit
-	p.pendingAcks = len(groups)
-	for gi := range groups {
-		grp := groups[gi]
-		bytes := msgHdr
-		masks := make([]bits.WordMask, len(grp.bases))
-		anyWrite := false
-		for i, base := range grp.bases {
-			masks[i] = p.lines[base].written
-			bytes += lineAddr + masks[i].Count()*g.WordSize
-			if masks[i].Any() {
-				anyWrite = true
-			}
-		}
-		class := mesh.ClassCommit
-		if anyWrite {
-			class = mesh.ClassWriteBack
-		}
-		home := grp.home
-		bases := grp.bases
-		s.net.Send(p.id, home, bytes, class, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				for i, base := range bases {
-					d := s.dir(home, base)
-					if masks[i].Any() {
-						data := make([]mem.Version, g.WordsPerLine())
-						for w := 0; w < g.WordsPerLine(); w++ {
-							if masks[i].Has(w) {
-								data[w] = t
-							}
-						}
-						s.memory.WriteWords(base, uint64(masks[i]), data)
-						d.version = t
-						if s.obsv != nil {
-							s.emit(obs.Event{Kind: obs.KCommitLine, Node: home, Peer: p.id,
-								TID: uint64(t), Addr: uint64(base), Words: uint64(masks[i])})
-						}
-					}
-					delete(d.readers, p.id)
-					if d.writer == p.id {
-						d.writer = -1
-					}
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(p.onCommitAck))
-			})
-		})
-	}
-	// Update the local copies of written lines that were fetched this
-	// transaction: unwritten words still match memory, written words now
-	// carry the TID, so the copy is current at version t.
-	for _, base := range p.order {
-		tl := p.lines[base]
-		if !tl.written.Any() {
-			continue
-		}
-		if record != nil {
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if tl.written.Has(w) {
-					record.Writes[g.WordAddr(base, w)] = t
-				}
-			}
-		}
-		if line := p.cache.Peek(base); line != nil && tl.read {
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if tl.written.Has(w) {
-					line.Data[w] = t
-				}
-			}
-			p.lineVer[base] = t
-		}
-	}
-	if record != nil {
-		s.commitLog = append(s.commitLog, *record)
-	}
-	if p.pendingAcks == 0 {
-		p.finishCommit()
-	}
-}
-
-func (p *proc) onCommitAck() {
-	p.pendingAcks--
+	p.CommitLines(record, t)
+	s.Log(record)
 	if p.pendingAcks == 0 {
 		p.finishCommit()
 	}
@@ -521,27 +135,10 @@ func (p *proc) onCommitAck() {
 
 func (p *proc) finishCommit() {
 	s := p.sys
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KCommitDone, Node: p.id, Peer: -1, TID: uint64(p.tid)})
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KCommitDone, Node: p.ID, Peer: -1, TID: uint64(p.tid)})
 	}
-	var instr uint64
-	for _, op := range p.ops {
-		if op.Kind == workload.Compute {
-			instr += uint64(op.Cycles)
-		} else {
-			instr++
-		}
-	}
-	p.breakdown.Add(stats.Useful, p.pendUseful)
-	p.breakdown.Add(stats.CacheMiss, p.pendMiss)
-	p.breakdown.Add(stats.Commit, uint64(s.kernel.Now()-p.commitAt))
-	p.commits++
-	s.totalCommits++
-	s.committedInstr += instr
-
-	p.epoch++
-	p.txIdx++
-	s.kernel.After(1, p.beginTx)
+	p.Retire(s.Kernel.Now() - p.commitAt)
 }
 
 // abort releases every registration this attempt holds (fire-and-forget:
@@ -549,51 +146,10 @@ func (p *proc) finishCommit() {
 // this processor to the same home), then retries after randomized bounded
 // exponential backoff.
 func (p *proc) abort(reason int) {
-	s := p.sys
-	s.totalViolations++
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KViolation, Node: p.id, Peer: -1, Arg: int64(reason)})
+	p.NoteViolation(int64(reason))
+	p.groups = p.GroupByHome(p.groups, registered)
+	for gi := range p.groups {
+		p.SendGroup(reqRelease, &p.groups[gi])
 	}
-	for _, grp := range p.groupByHome() {
-		home := grp.home
-		bases := grp.bases
-		s.net.Send(p.id, home, msgHdr+lineAddr*len(bases), mesh.ClassCommit, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				for _, base := range bases {
-					d := s.dir(home, base)
-					delete(d.readers, p.id)
-					if d.writer == p.id {
-						d.writer = -1
-					}
-				}
-			})
-		})
-	}
-	p.breakdown.Add(stats.Violation, uint64(s.kernel.Now()-p.txStart))
-	p.epoch++
-	p.attempts++
-	shift := p.attempts - 1
-	if shift > 16 {
-		shift = 16
-	}
-	b := s.cfg.BackoffBase << uint(shift)
-	if b > s.cfg.BackoffMax {
-		b = s.cfg.BackoffMax
-	}
-	d := sim.Time(1 + p.rng.Intn(int(b)))
-	p.breakdown.Add(stats.Violation, uint64(d))
-	p.state = stBackoff
-	s.kernel.After(d, p.guard(p.startAttempt))
-}
-
-func (p *proc) onBarrierRelease() {
-	p.breakdown.Add(stats.Idle, uint64(p.sys.kernel.Now()-p.idleStart))
-	p.progPhase++
-	p.txIdx = 0
-	if p.progPhase >= p.sys.prog.Phases() {
-		p.state = stDone
-		p.sys.procDone()
-		return
-	}
-	p.beginTx()
+	p.Backoff(p.sys.cfg.BackoffBase, p.sys.cfg.BackoffMax)
 }

@@ -161,6 +161,17 @@ func (m *Memory) WriteWords(base Addr, mask uint64, data []Version) {
 	}
 }
 
+// SetWords stores version v into the masked words of the line at base: a
+// committed write-back whose data words all carry the committer's version.
+func (m *Memory) SetWords(base Addr, mask uint64, v Version) {
+	dst := m.Line(base)
+	for i := range dst {
+		if mask&(1<<uint(i)) != 0 {
+			dst[i] = v
+		}
+	}
+}
+
 // MergeMonotonic stores each masked word only if it is at least as new as
 // what memory holds, and returns the number of words accepted. This is the
 // word-granular form of the paper's TID-tagged write-back rule: data

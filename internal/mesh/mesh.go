@@ -181,12 +181,6 @@ func abs(v int) int {
 	return v
 }
 
-// route performs the traffic accounting and the hop-by-hop link walk for one
-// message injected now and returns its arrival time at dst.
-func (n *Network) route(src, dst, bytes int, class Class) sim.Time {
-	return n.RouteAt(n.k.Now(), src, dst, bytes, class)
-}
-
 // RouteAt performs the traffic accounting and the hop-by-hop link walk for
 // one message injected at time now and returns its arrival time at dst. It
 // allocates nothing. The explicit injection time exists for the sharded
@@ -251,34 +245,14 @@ func (n *Network) RouteAt(now sim.Time, src, dst, bytes int, class Class) sim.Ti
 	return arrival
 }
 
-// Send schedules delivery of a message of the given size and class from src
-// to dst, calling deliver at arrival time. Messages between the same pair
-// sent in time order arrive in order (FIFO links, deterministic routing)
-// unless Jitter is configured. Closure form; hot paths use SendEvent.
-func (n *Network) Send(src, dst, bytes int, class Class, deliver func()) {
-	n.k.At(n.route(src, dst, bytes, class), deliver)
-}
-
-// SendEvent is the allocation-free form of Send: at arrival time the kernel
-// runs h.HandleEvent(code, a1, a2). Message payloads larger than the two
-// argument words live in sender-owned pooled records referenced by index.
+// SendEvent schedules delivery of a message of the given size and class from
+// src to dst: at arrival time the kernel runs h.HandleEvent(code, a1, a2).
+// Messages between the same pair sent in time order arrive in order (FIFO
+// links, deterministic routing) unless Jitter is configured. Payloads larger
+// than the two argument words live in sender-owned pooled records referenced
+// by index. Allocation-free.
 func (n *Network) SendEvent(src, dst, bytes int, class Class, h sim.Handler, code uint32, a1, a2 uint64) {
-	n.k.Post(n.route(src, dst, bytes, class), h, code, a1, a2)
-}
-
-// mcast adapts a per-destination delivery function to the typed event form,
-// so a Multicast allocates one adapter per call instead of one closure per
-// destination.
-type mcast struct{ deliver func(dst int) }
-
-func (m *mcast) HandleEvent(code uint32, a1, a2 uint64) { m.deliver(int(a1)) }
-
-// Multicast sends an identical message to every destination in dsts.
-func (n *Network) Multicast(src int, dsts []int, bytes int, class Class, deliver func(dst int)) {
-	h := &mcast{deliver: deliver}
-	for _, dst := range dsts {
-		n.SendEvent(src, dst, bytes, class, h, 0, uint64(dst), 0)
-	}
+	n.k.Post(n.RouteAt(n.k.Now(), src, dst, bytes, class), h, code, a1, a2)
 }
 
 // MulticastEvent sends an identical message to every destination in dsts,

@@ -2,11 +2,24 @@ package mesh
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"scalabletcc/internal/sim"
 )
+
+// fn adapts a plain function to a sim.Handler, so tests can observe a
+// delivery with a closure.
+type fn func()
+
+func (f fn) HandleEvent(code uint32, a1, a2 uint64) { f() }
+
+// send is SendEvent with a closure delivery.
+func send(n *Network, src, dst, bytes int, class Class, f func()) {
+	n.SendEvent(src, dst, bytes, class, fn(f), 0, 0, 0)
+}
 
 func testNet(nodes int, hop sim.Time) (*sim.Kernel, *Network) {
 	k := &sim.Kernel{}
@@ -50,8 +63,8 @@ func TestHopsManhattan(t *testing.T) {
 func TestLatencyScalesWithDistance(t *testing.T) {
 	k, n := testNet(16, 3)
 	var tNear, tFar sim.Time
-	n.Send(0, 1, 8, ClassMiss, func() { tNear = k.Now() })
-	n.Send(0, 15, 8, ClassMiss, func() { tFar = k.Now() })
+	send(n, 0, 1, 8, ClassMiss, func() { tNear = k.Now() })
+	send(n, 0, 15, 8, ClassMiss, func() { tFar = k.Now() })
 	k.Run(0)
 	if tFar <= tNear {
 		t.Fatalf("far delivery (%d) not slower than near (%d)", tFar, tNear)
@@ -65,7 +78,7 @@ func TestLatencyScalesWithDistance(t *testing.T) {
 func TestLocalDelivery(t *testing.T) {
 	k, n := testNet(4, 3)
 	var at sim.Time
-	n.Send(2, 2, 100, ClassCommit, func() { at = k.Now() })
+	send(n, 2, 2, 100, ClassCommit, func() { at = k.Now() })
 	k.Run(0)
 	if at != 1 {
 		t.Fatalf("local delivery at %d, want LocalLatency=1", at)
@@ -76,8 +89,8 @@ func TestContentionSerializes(t *testing.T) {
 	k, n := testNet(4, 1)
 	// Two large messages over the same link: the second must queue.
 	var t1, t2 sim.Time
-	n.Send(0, 1, 64, ClassMiss, func() { t1 = k.Now() })
-	n.Send(0, 1, 64, ClassMiss, func() { t2 = k.Now() })
+	send(n, 0, 1, 64, ClassMiss, func() { t1 = k.Now() })
+	send(n, 0, 1, 64, ClassMiss, func() { t2 = k.Now() })
 	k.Run(0)
 	if t2 <= t1 {
 		t.Fatalf("second message (%d) not delayed behind first (%d)", t2, t1)
@@ -93,7 +106,7 @@ func TestFIFOPerPair(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		idx := i
-		n.Send(0, 8, 16+idx%3*8, ClassCommit, func() { order = append(order, idx) })
+		send(n, 0, 8, 16+idx%3*8, ClassCommit, func() { order = append(order, idx) })
 	}
 	k.Run(0)
 	for i := range order {
@@ -114,8 +127,8 @@ func TestJitterInjection(t *testing.T) {
 	}
 	n := New(k, 4, cfg)
 	var order []int
-	n.Send(0, 3, 8, ClassMiss, func() { order = append(order, 0) })
-	n.Send(0, 3, 8, ClassMiss, func() { order = append(order, 1) })
+	send(n, 0, 3, 8, ClassMiss, func() { order = append(order, 0) })
+	send(n, 0, 3, 8, ClassMiss, func() { order = append(order, 1) })
 	k.Run(0)
 	if order[0] != 1 || order[1] != 0 {
 		t.Fatalf("jitter did not reorder: %v", order)
@@ -136,7 +149,7 @@ func runSeededTraffic(mk func(k *sim.Kernel) *Network, seed int64, msgs int) []s
 		src := r.Intn(16)
 		dst := r.Intn(16)
 		bytes := 8 + r.Intn(64)
-		n.Send(src, dst, bytes, ClassMiss, func() { arrivals[i] = k.Now() })
+		send(n, src, dst, bytes, ClassMiss, func() { arrivals[i] = k.Now() })
 		// Interleave sends with partial drains so queued link state at
 		// send time varies, exercising contention paths too.
 		if r.Intn(4) == 0 {
@@ -197,10 +210,10 @@ func TestDeterminismTorusAndJitter(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	k, n := testNet(4, 1)
-	n.Send(0, 1, 100, ClassMiss, func() {})
-	n.Send(1, 2, 50, ClassWriteBack, func() {})
-	n.Send(2, 0, 25, ClassCommit, func() {})
-	n.Multicast(3, []int{0, 1, 2}, 10, ClassCommit, func(int) {})
+	send(n, 0, 1, 100, ClassMiss, func() {})
+	send(n, 1, 2, 50, ClassWriteBack, func() {})
+	send(n, 2, 0, 25, ClassCommit, func() {})
+	n.MulticastEvent(3, []int{0, 1, 2}, 10, ClassCommit, &countHandler{}, 0, 0)
 	k.Run(0)
 	s := n.Stats()
 	if s.BytesByClass[ClassMiss] != 100 {
@@ -255,7 +268,7 @@ func TestDeliveryProperty(t *testing.T) {
 				minLat = 1
 			}
 			lo := k.Now() + minLat
-			n.Send(src, dst, 8, ClassMiss, func() {
+			send(n, src, dst, 8, ClassMiss, func() {
 				delivered++
 				if k.Now() < lo {
 					panic("delivered too early")
@@ -276,7 +289,7 @@ func TestHopLatencySweepMonotonic(t *testing.T) {
 	for _, hop := range []sim.Time{1, 2, 4, 8} {
 		k, n := testNet(16, hop)
 		var at sim.Time
-		n.Send(0, 15, 8, ClassMiss, func() { at = k.Now() })
+		send(n, 0, 15, 8, ClassMiss, func() { at = k.Now() })
 		k.Run(0)
 		if at < prev {
 			t.Fatalf("hop=%d delivered at %d, faster than previous %d", hop, at, prev)
@@ -298,7 +311,7 @@ func TestTorusHalvesWorstCase(t *testing.T) {
 		t.Fatalf("torus Hops(0,3) = %d, want 1 (wraparound)", got)
 	}
 	var at sim.Time
-	n.Send(0, 15, 8, ClassMiss, func() { at = k.Now() })
+	send(n, 0, 15, 8, ClassMiss, func() { at = k.Now() })
 	k.Run(0)
 	// 2 hops * 3 cycles + 1 cycle serialization = 7.
 	if at != 7 {
@@ -329,7 +342,7 @@ func TestTorusDeliveryProperty(t *testing.T) {
 		delivered := 0
 		for _, p := range pairs {
 			src, dst := int(p%16), int(p/16%16)
-			n.Send(src, dst, 8, ClassMiss, func() { delivered++ })
+			send(n, src, dst, 8, ClassMiss, func() { delivered++ })
 		}
 		k.Run(0)
 		return delivered == len(pairs)
@@ -344,42 +357,40 @@ type countHandler struct{ n int }
 
 func (c *countHandler) HandleEvent(code uint32, a1, a2 uint64) { c.n++ }
 
-// TestSendEventMatchesSend pins the typed path to the closure path: same
-// message sequence, same delivery times.
-func TestSendEventMatchesSend(t *testing.T) {
+// arrivalLog records each typed delivery's time under its a1 key and the
+// order keys arrived in.
+type arrivalLog struct {
+	k     *sim.Kernel
+	at    map[uint64]sim.Time
+	order []uint64
+}
+
+func (l *arrivalLog) HandleEvent(code uint32, a1, a2 uint64) {
+	l.at[a1] = l.k.Now()
+	l.order = append(l.order, a1)
+}
+
+// TestSendEventMatchesRouteAt pins typed delivery to the routing model: each
+// message arrives exactly at the time RouteAt computes for the same send
+// sequence on an identical network.
+func TestSendEventMatchesRouteAt(t *testing.T) {
 	script := []struct{ src, dst, bytes int }{
 		{0, 15, 8}, {3, 3, 64}, {12, 1, 40}, {0, 15, 8}, {7, 8, 16},
 	}
-	var closureTimes []sim.Time
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		for _, m := range script {
-			n.Send(m.src, m.dst, m.bytes, ClassMiss, func() { closureTimes = append(closureTimes, k.Now()) })
-		}
-		k.Run(0)
+	ref := New(&sim.Kernel{}, 16, DefaultConfig(16))
+	k := &sim.Kernel{}
+	n := New(k, 16, DefaultConfig(16))
+	log := &arrivalLog{k: k, at: map[uint64]sim.Time{}}
+	for i, m := range script {
+		n.SendEvent(m.src, m.dst, m.bytes, ClassMiss, log, 0, uint64(i), 0)
 	}
-	var typedTimes []sim.Time
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		h := &countHandler{}
-		for _, m := range script {
-			n.SendEvent(m.src, m.dst, m.bytes, ClassMiss, h, 0, 0, 0)
-			typedTimes = append(typedTimes, 0) // placeholder, filled below
-		}
-		i := 0
-		for k.Step() {
-			typedTimes[i] = k.Now()
-			i++
-		}
-		if h.n != len(script) {
-			t.Fatalf("delivered %d, want %d", h.n, len(script))
-		}
+	k.Run(0)
+	if len(log.order) != len(script) {
+		t.Fatalf("delivered %d, want %d", len(log.order), len(script))
 	}
-	for i := range closureTimes {
-		if closureTimes[i] != typedTimes[i] {
-			t.Fatalf("delivery %d: closure at %d, typed at %d", i, closureTimes[i], typedTimes[i])
+	for i, m := range script {
+		if want := ref.RouteAt(0, m.src, m.dst, m.bytes, ClassMiss); log.at[uint64(i)] != want {
+			t.Fatalf("delivery %d at %d, RouteAt says %d", i, log.at[uint64(i)], want)
 		}
 	}
 }
@@ -407,34 +418,31 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMulticastEventOrder: typed multicast must deliver in the same order as
-// the closure form (per-destination sends in dsts order).
+// TestMulticastEventOrder: typed multicast is one send per destination in
+// dsts order, so each destination (a1) arrives at its RouteAt time for that
+// sequence, and same-time arrivals keep dsts order.
 func TestMulticastEventOrder(t *testing.T) {
-	dsts := []int{3, 7, 1, 12}
-	var closureOrder []int
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		n.Multicast(0, dsts, 16, ClassCommit, func(dst int) { closureOrder = append(closureOrder, dst) })
-		k.Run(0)
+	dsts := []int{3, 12, 6, 1, 9, 15}
+	ref := New(&sim.Kernel{}, 16, DefaultConfig(16))
+	want := make(map[uint64]sim.Time)
+	for _, d := range dsts {
+		want[uint64(d)] = ref.RouteAt(0, 0, d, 16, ClassCommit)
 	}
-	var typedOrder []int
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		var got []int
-		h := &mcast{deliver: func(dst int) { got = append(got, dst) }}
-		n.MulticastEvent(0, dsts, 16, ClassCommit, h, 0, 0)
-		k.Run(0)
-		typedOrder = got
+	k := &sim.Kernel{}
+	n := New(k, 16, DefaultConfig(16))
+	log := &arrivalLog{k: k, at: map[uint64]sim.Time{}}
+	n.MulticastEvent(0, dsts, 16, ClassCommit, log, 0, 0)
+	k.Run(0)
+	order := make([]uint64, len(dsts))
+	for i, d := range dsts {
+		order[i] = uint64(d)
 	}
-	if len(closureOrder) != len(typedOrder) {
-		t.Fatalf("delivered %v vs %v", closureOrder, typedOrder)
+	sort.SliceStable(order, func(i, j int) bool { return want[order[i]] < want[order[j]] })
+	if !reflect.DeepEqual(log.order, order) {
+		t.Fatalf("delivery order %v, want %v", log.order, order)
 	}
-	for i := range closureOrder {
-		if closureOrder[i] != typedOrder[i] {
-			t.Fatalf("order %v vs %v", closureOrder, typedOrder)
-		}
+	if !reflect.DeepEqual(log.at, want) {
+		t.Fatalf("delivery times %v, RouteAt says %v", log.at, want)
 	}
 }
 
@@ -448,19 +456,6 @@ func BenchmarkMeshSendEvent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.SendEvent(i%16, (i+7)%16, 40, ClassMiss, h, 0, 0, 0)
-		k.Run(0)
-	}
-}
-
-// BenchmarkMeshSendClosure measures the closure shim for comparison.
-func BenchmarkMeshSendClosure(b *testing.B) {
-	k := &sim.Kernel{}
-	n := New(k, 16, DefaultConfig(16))
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send(i%16, (i+7)%16, 40, ClassMiss, fn)
 		k.Run(0)
 	}
 }

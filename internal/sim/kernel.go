@@ -7,12 +7,12 @@
 // they model occupancy/contention by keeping "next free" timestamps and
 // scheduling work at max(now, nextFree).
 //
-// Events come in two forms. The hot path is the typed form (Post/PostAfter):
-// a Handler receiver plus a small opcode and two word-sized arguments, stored
-// by value in the queue so steady-state scheduling allocates nothing. The
-// closure form (At/After) is kept as a thin compatibility shim for cold paths
-// and tests; both forms share one queue and one sequence counter, so mixing
-// them cannot perturb execution order.
+// Every event is typed (Post/PostAfter): a Handler receiver plus a small
+// opcode and two word-sized arguments, stored by value in the queue so
+// steady-state scheduling allocates nothing, and nameable by a snapshot.
+// Payloads larger than two words live in component-owned pooled records
+// whose index travels in an argument. There is deliberately no closure
+// form: a captured closure allocates per event and cannot be checkpointed.
 //
 // The queue is a two-level bucketed timing wheel. Nearly every event this
 // simulator schedules lands within a short horizon of the current cycle —
@@ -58,16 +58,14 @@ type Handler interface {
 	HandleEvent(code uint32, a1, a2 uint64)
 }
 
-// event is one scheduled unit of work, ordered by (at, seq). Exactly one of
-// h and fn is set: h+code+args for the typed hot path, fn for the closure
-// compatibility shim.
+// event is one scheduled unit of work, ordered by (at, seq): at time at,
+// h.HandleEvent(code, a1, a2) runs.
 type event struct {
 	at   Time
 	seq  uint64
 	a1   uint64
 	a2   uint64
 	h    Handler
-	fn   func()
 	code uint32
 }
 
@@ -130,22 +128,21 @@ func (k *Kernel) Pending() int {
 // Scheduling in the past is a programming error and panics: protocol
 // components must never violate causality, and silently clamping would hide
 // bugs. Wheel-resident events are written field-by-field into their slab
-// node — the scalar payload takes no write barriers, only the one handler
-// (or closure) pointer does — instead of bulk-copying an event value.
-func (k *Kernel) schedule(t Time, h Handler, fn func(), code uint32, a1, a2 uint64) {
+// node — the scalar payload takes no write barriers, only the handler
+// pointer does — instead of bulk-copying an event value.
+func (k *Kernel) schedule(t Time, h Handler, code uint32, a1, a2 uint64) {
 	if t < k.now {
 		panic("sim: event scheduled in the past")
 	}
 	k.seq++
 	if t-k.base >= wheelSize {
-		k.overPush(event{at: t, seq: k.seq, h: h, fn: fn, code: code, a1: a1, a2: a2})
+		k.overPush(event{at: t, seq: k.seq, h: h, code: code, a1: a1, a2: a2})
 		return
 	}
 	nd := &k.nodes[k.bucketNode(t)-1]
 	nd.ev.at = t
 	nd.ev.seq = k.seq
 	nd.ev.h = h
-	nd.ev.fn = fn
 	nd.ev.code = code
 	nd.ev.a1 = a1
 	nd.ev.a2 = a2
@@ -250,13 +247,12 @@ func (k *Kernel) drainBucket() {
 
 // take reads the event fields out of slab node n and recycles it before
 // dispatch: the handler may post new events, and the node must already be
-// reusable. Only the reference-carrying fields need dropping; payload words
-// are overwritten on reuse.
-func (k *Kernel) take(n int32) (h Handler, fn func(), code uint32, a1, a2 uint64) {
+// reusable. Only the handler reference needs dropping; payload words are
+// overwritten on reuse.
+func (k *Kernel) take(n int32) (h Handler, code uint32, a1, a2 uint64) {
 	nd := &k.nodes[n-1]
-	h, fn, code, a1, a2 = nd.ev.h, nd.ev.fn, nd.ev.code, nd.ev.a1, nd.ev.a2
+	h, code, a1, a2 = nd.ev.h, nd.ev.code, nd.ev.a1, nd.ev.a2
 	nd.ev.h = nil
-	nd.ev.fn = nil
 	nd.next = k.free
 	k.free = n
 	return
@@ -276,10 +272,10 @@ func (k *Kernel) peekTime() (Time, bool) {
 	return 0, false
 }
 
-// Post schedules a typed event: at time t, h.HandleEvent(code, a1, a2) runs.
-// This is the allocation-free hot path — the event is stored by value.
+// Post schedules an event: at time t, h.HandleEvent(code, a1, a2) runs. The
+// event is stored by value, so scheduling allocates nothing.
 func (k *Kernel) Post(t Time, h Handler, code uint32, a1, a2 uint64) {
-	k.schedule(t, h, nil, code, a1, a2)
+	k.schedule(t, h, code, a1, a2)
 }
 
 // PostAfter schedules a typed event d cycles from now.
@@ -287,28 +283,16 @@ func (k *Kernel) PostAfter(d Time, h Handler, code uint32, a1, a2 uint64) {
 	k.Post(k.now+d, h, code, a1, a2)
 }
 
-// At schedules fn to run at absolute time t. Closure form; cold paths only.
-func (k *Kernel) At(t Time, fn func()) {
-	k.schedule(t, nil, fn, 0, 0, 0)
-}
-
-// After schedules fn to run d cycles from now.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
 // Step executes the single earliest pending event and reports whether one
 // existed.
 func (k *Kernel) Step() bool {
 	if k.curIdx >= len(k.cur) && !k.refill() {
 		return false
 	}
-	h, fn, code, a1, a2 := k.take(k.cur[k.curIdx])
+	h, code, a1, a2 := k.take(k.cur[k.curIdx])
 	k.curIdx++
 	k.nRun++
-	if h != nil {
-		h.HandleEvent(code, a1, a2)
-	} else {
-		fn()
-	}
+	h.HandleEvent(code, a1, a2)
 	return true
 }
 
@@ -323,14 +307,10 @@ func (k *Kernel) StepCycle() bool {
 	}
 	for {
 		for k.curIdx < len(k.cur) {
-			h, fn, code, a1, a2 := k.take(k.cur[k.curIdx])
+			h, code, a1, a2 := k.take(k.cur[k.curIdx])
 			k.curIdx++
 			k.nRun++
-			if h != nil {
-				h.HandleEvent(code, a1, a2)
-			} else {
-				fn()
-			}
+			h.HandleEvent(code, a1, a2)
 		}
 		// Handlers may have posted back into the current cycle; its ring
 		// bucket is the only one that can hold time == now.
@@ -423,8 +403,8 @@ func (k *Kernel) overPush(e event) {
 }
 
 // overPop removes and returns the minimum event (sift-down). The vacated
-// tail slot is zeroed so the heap's backing array does not retain closures
-// or handler references past migration.
+// tail slot is zeroed so the heap's backing array does not retain handler
+// references past migration.
 func (k *Kernel) overPop() event {
 	top := k.over[0]
 	n := len(k.over) - 1

@@ -81,7 +81,7 @@ func (h *logHandler) HandleEvent(code uint32, a1, a2 uint64) {
 
 // modelOp is one step of a generated scheduler script.
 type modelOp struct {
-	kind  byte // 0 At(closure), 1 Post(typed), 2 Step, 3 RunUntil, 4 Run(limit)
+	kind  byte // 0 Post(absolute), 1 PostAfter(relative), 2 Step, 3 RunUntil, 4 Run(limit)
 	delta Time
 	limit uint64
 }
@@ -101,8 +101,8 @@ func modelScript(r *rand.Rand, n int) []modelOp {
 }
 
 // TestKernelMatchesReferenceModel drives the Kernel and the reference
-// scheduler through identical random scripts of At/Post/Step/Run/RunUntil
-// calls and requires identical execution logs, clocks, and counters.
+// scheduler through identical random scripts of Post/PostAfter/Step/Run/
+// RunUntil calls and requires identical execution logs, clocks, and counters.
 func TestKernelMatchesReferenceModel(t *testing.T) {
 	check := func(seed int64, n int) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -119,7 +119,7 @@ func TestKernelMatchesReferenceModel(t *testing.T) {
 			case 0:
 				eid := id
 				id++
-				k.At(k.Now()+op.delta, func() { kLog = append(kLog, eid) })
+				k.Post(k.Now()+op.delta, h, 0, uint64(eid), 0)
 				ref.at(ref.now+op.delta, eid)
 			case 1:
 				eid := id
@@ -408,22 +408,6 @@ func BenchmarkKernelPostStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.PostAfter(3, p, 0, 0, 0)
-		k.Step()
-	}
-}
-
-// BenchmarkKernelClosure measures the closure compatibility shim for
-// comparison with the typed path.
-func BenchmarkKernelClosure(b *testing.B) {
-	var k Kernel
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		k.At(Time(i), fn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.After(3, fn)
 		k.Step()
 	}
 }

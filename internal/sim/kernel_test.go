@@ -5,13 +5,19 @@ import (
 	"testing/quick"
 )
 
+// fn adapts a plain function to a Handler, so these tests can schedule
+// arbitrary checks as typed events.
+type fn func()
+
+func (f fn) HandleEvent(code uint32, a1, a2 uint64) { f() }
+
 func TestKernelOrdering(t *testing.T) {
 	var k Kernel
 	var got []int
-	k.At(10, func() { got = append(got, 1) })
-	k.At(5, func() { got = append(got, 0) })
-	k.At(10, func() { got = append(got, 2) }) // same time: schedule order
-	k.At(20, func() { got = append(got, 3) })
+	k.Post(10, fn(func() { got = append(got, 1) }), 0, 0, 0)
+	k.Post(5, fn(func() { got = append(got, 0) }), 0, 0, 0)
+	k.Post(10, fn(func() { got = append(got, 2) }), 0, 0, 0) // same time: schedule order
+	k.Post(20, fn(func() { got = append(got, 3) }), 0, 0, 0)
 	if !k.Run(0) {
 		t.Fatal("Run did not drain")
 	}
@@ -32,10 +38,10 @@ func TestKernelOrdering(t *testing.T) {
 func TestKernelAfterNesting(t *testing.T) {
 	var k Kernel
 	var times []Time
-	k.At(3, func() {
+	k.Post(3, fn(func() {
 		times = append(times, k.Now())
-		k.After(7, func() { times = append(times, k.Now()) })
-	})
+		k.PostAfter(7, fn(func() { times = append(times, k.Now()) }), 0, 0, 0)
+	}), 0, 0, 0)
 	k.Run(0)
 	if len(times) != 2 || times[0] != 3 || times[1] != 10 {
 		t.Fatalf("times = %v, want [3 10]", times)
@@ -44,14 +50,14 @@ func TestKernelAfterNesting(t *testing.T) {
 
 func TestKernelPastSchedulingPanics(t *testing.T) {
 	var k Kernel
-	k.At(10, func() {
+	k.Post(10, fn(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
-	})
+		k.Post(5, fn(func() {}), 0, 0, 0)
+	}), 0, 0, 0)
 	k.Run(0)
 }
 
@@ -59,7 +65,7 @@ func TestKernelRunLimit(t *testing.T) {
 	var k Kernel
 	n := 0
 	for i := 0; i < 10; i++ {
-		k.At(Time(i), func() { n++ })
+		k.Post(Time(i), fn(func() { n++ }), 0, 0, 0)
 	}
 	if k.Run(4) {
 		t.Fatal("Run(4) claimed to drain")
@@ -80,7 +86,7 @@ func TestKernelRunUntil(t *testing.T) {
 	var fired []Time
 	for _, ti := range []Time{5, 10, 15, 20} {
 		tt := ti
-		k.At(tt, func() { fired = append(fired, tt) })
+		k.Post(tt, fn(func() { fired = append(fired, tt) }), 0, 0, 0)
 	}
 	if k.RunUntil(12) {
 		t.Fatal("RunUntil(12) claimed to drain")
@@ -114,7 +120,7 @@ func TestKernelMonotonicProperty(t *testing.T) {
 		var times []Time
 		for _, d := range delays {
 			at := Time(d)
-			k.At(at, func() { times = append(times, k.Now()) })
+			k.Post(at, fn(func() { times = append(times, k.Now()) }), 0, 0, 0)
 		}
 		k.Run(0)
 		for i := 1; i < len(times); i++ {

@@ -15,15 +15,8 @@ import (
 // the sequence counter past every restored event, so newly posted events
 // sort after everything replayed.
 //
-// Only typed events (Handler + code + args) are snapshotable. Closure events
-// capture arbitrary program state the snapshot cannot name; PendingEvents
-// reports ErrClosureEvent if one is pending, and callers gate features that
-// schedule closures (sampler ticks, auditor probes) out of checkpointable
-// runs.
-
-// ErrClosureEvent reports a pending closure-form event, which cannot be
-// serialized.
-var ErrClosureEvent = errors.New("sim: pending closure event cannot be snapshot")
+// Every event is (Handler, code, a1, a2), so every pending event has a
+// snapshot form; the caller decides which handlers and payloads it can name.
 
 // PendingEvent is one not-yet-dispatched event in snapshot form. H is the
 // live handler reference: the caller maps it to a stable component identity
@@ -39,16 +32,13 @@ type PendingEvent struct {
 
 // PendingEvents returns every pending event ordered by (At, Seq). It fails
 // if the kernel is mid-cycle (drain buffer not consumed — callers must cut
-// at a cycle boundary) or if any pending event is a closure.
+// at a cycle boundary).
 func (k *Kernel) PendingEvents() ([]PendingEvent, error) {
 	if k.curIdx < len(k.cur) {
 		return nil, errors.New("sim: kernel not quiescent (events pending in the current cycle)")
 	}
 	out := make([]PendingEvent, 0, k.inWheel+len(k.over))
 	add := func(e *event) error {
-		if e.fn != nil {
-			return ErrClosureEvent
-		}
 		if e.h == nil {
 			return errors.New("sim: pending event has no handler")
 		}

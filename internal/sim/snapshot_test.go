@@ -84,14 +84,6 @@ func TestKernelSnapshotRestoreReplaysIdentically(t *testing.T) {
 	}
 }
 
-func TestPendingEventsRejectsClosures(t *testing.T) {
-	var k Kernel
-	k.At(5, func() {})
-	if _, err := k.PendingEvents(); err != ErrClosureEvent {
-		t.Fatalf("want ErrClosureEvent, got %v", err)
-	}
-}
-
 func TestRestoreValidation(t *testing.T) {
 	h := &recHandler{}
 	var k Kernel

@@ -1,23 +1,12 @@
 package tl2
 
 import (
-	"scalabletcc/internal/bits"
-	"scalabletcc/internal/cache"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/tid"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
-)
-
-// Message sizing: a header-only message (requests, acks, NACKs, clock
-// operations) and the per-line address overhead inside batched messages.
-const (
-	msgHdr   = 16
-	lineAddr = 8
 )
 
 // Abort reasons (the Arg of a KViolation event).
@@ -28,404 +17,109 @@ const (
 	abortValidate          // read-set validation failed against rv
 )
 
-type procState int
-
+// Processor opcodes, after the driver's (rival.Thread.Handle). All carry the
+// attempt epoch in a1.
 const (
-	stClockRV procState = iota // waiting for the begin-of-tx clock sample
-	stRunning
-	stWaitRead // waiting for a home's version check / data reply
-	stLocking  // commit: waiting for write-lock acks
-	stClockWV  // commit: waiting for the clock increment
-	stValidate // commit: waiting for validation acks
-	stBackoff
-	stBarrier
-	stDone
+	prRV           = rival.OpProtocol + iota // a2 = rv: begin-of-tx clock sample
+	prAbort                                  // a2 = abort reason: a home refused the read
+	prLockResp                               // a2 = 1 if the home locked the group
+	prWV                                     // a2 = wv: commit timestamp
+	prValidateResp                           // a2 = 1 if the home validated the group
 )
 
-// txLine is one line's per-transaction state: whether its home timestamp
-// was checked this attempt, and the locally buffered write mask.
-type txLine struct {
-	fetched bool
-	written bits.WordMask
-}
-
-// homeGroup batches one commit-phase message's lines for a single home.
-type homeGroup struct {
-	home   int
-	bases  []mem.Addr
-	locked bool // lock phase: this home's all-or-nothing acquisition succeeded
-}
-
 // proc is one TL2 processor: instrumented reads, buffered writes, and the
-// lock → clock → validate → write-back commit sequence.
+// lock → clock → validate → write-back commit sequence. Its TxLine.Read
+// marks a line whose home timestamp was checked this attempt.
 type proc struct {
+	rival.Thread
 	sys *System
-	id  int
 
-	cache   *cache.Cache
-	l1      *cache.TagArray
-	lineVer map[mem.Addr]mem.Version // timestamp of each locally cached line
-	rng     *sim.RNG
-
-	progPhase int
-	txIdx     int
-	ops       []workload.Op
-	opIdx     int
-
-	state     procState
-	epoch     uint64
-	attempts  int
-	txStart   sim.Time
 	beginCost sim.Time // cycles spent sampling rv at begin
-	missStart sim.Time
 	commitAt  sim.Time
+	rv        mem.Version
+	wv        mem.Version
 
-	pendUseful uint64
-	pendMiss   uint64
-
-	rv      mem.Version
-	wv      mem.Version
-	lines   map[mem.Addr]*txLine
-	order   []mem.Addr
-	readSet mem.ReadSet
-
-	groups      []homeGroup // commit write-set, grouped by home
-	vgroups     []homeGroup // validation read-set, grouped by home
+	groups      []rival.HomeGroup // commit write-set, grouped by home
+	vgroups     []rival.HomeGroup // validation read-set, grouped by home
 	pendingAcks int
 	nacked      bool
-
-	idleStart sim.Time
-	breakdown stats.Breakdown
-	commits   uint64
 }
 
 func newProc(s *System, id int) *proc {
-	return &proc{
-		sys:     s,
-		id:      id,
-		cache:   cache.New(s.cfg.Geometry, s.cfg.L2Size, s.cfg.L2Ways),
-		l1:      cache.NewTagArray(s.cfg.Geometry, s.cfg.L1Size, s.cfg.L1Ways),
-		lineVer: make(map[mem.Addr]mem.Version),
-		rng:     sim.NewRNG(s.cfg.Seed).Derive(0x712, uint64(id)),
-		state:   stDone,
-	}
+	p := &proc{sys: s}
+	p.Init(&s.Machine, id, p, s.cfg.L1Size, s.cfg.L1Ways, s.cfg.L2Size, s.cfg.L2Ways)
+	p.RNG = sim.NewRNG(s.cfg.Seed).Derive(0x712, uint64(id))
+	return p
 }
 
-func (p *proc) guard(fn func()) func() {
-	e := p.epoch
-	return func() {
-		if p.epoch == e {
-			fn()
-		}
-	}
-}
-
-func (p *proc) start() {
-	p.progPhase = 0
-	p.txIdx = 0
-	p.beginTx()
-}
-
-func (p *proc) beginTx() {
-	if p.txIdx >= p.sys.prog.TxCount(p.id, p.progPhase) {
-		p.state = stBarrier
-		p.idleStart = p.sys.kernel.Now()
-		if p.sys.obsv != nil {
-			p.sys.emit(obs.Event{Kind: obs.KBarrier, Node: p.id, Peer: -1, Arg: int64(p.progPhase)})
-		}
-		p.sys.barrierArrive()
+// HandleEvent dispatches the processor's events; stale replies are dropped.
+func (p *proc) HandleEvent(code uint32, a1, a2 uint64) {
+	if !p.Handle(code, a1, a2) || a1 != p.Epoch {
 		return
 	}
-	p.ops = p.sys.prog.Tx(p.id, p.progPhase, p.txIdx).Ops
-	p.attempts = 0
-	p.startAttempt()
+	switch code {
+	case prRV:
+		p.rv = mem.Version(a2)
+		p.beginCost = p.sys.Kernel.Now() - p.TxStart
+		p.Step()
+	case prAbort:
+		p.abort(int(a2))
+	case prLockResp:
+		p.onLockResp(a2 != 0)
+	case prWV:
+		p.onWV(mem.Version(a2))
+	case prValidateResp:
+		p.onValidateResp(a2 != 0)
+	default:
+		panic("tl2: unknown processor event")
+	}
 }
 
-// startAttempt begins (or retries) the transaction: reset speculative
+// StartAttempt begins (or retries) the transaction: reset speculative
 // bookkeeping and sample the global version clock for rv.
-func (p *proc) startAttempt() {
-	p.state = stClockRV
-	p.opIdx = 0
-	p.txStart = p.sys.kernel.Now()
-	p.pendUseful = 0
-	p.pendMiss = 0
-	p.readSet.Reset()
-	p.lines = make(map[mem.Addr]*txLine, len(p.lines)+1)
-	p.order = p.order[:0]
-
-	s := p.sys
-	s.net.Send(p.id, 0, msgHdr, mesh.ClassCommit, p.guard(func() {
-		rv := s.clock
-		s.clockReads++
-		if s.obsv != nil {
-			s.emit(obs.Event{Kind: obs.KProbeResp, Node: 0, Peer: p.id, TID: uint64(rv)})
-		}
-		s.net.Send(0, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-			p.rv = rv
-			p.beginCost = s.kernel.Now() - p.txStart
-			p.state = stRunning
-			p.step()
-		}))
-	}))
+func (p *proc) StartAttempt() {
+	p.ResetAttempt()
+	p.sys.Net.SendEvent(p.ID, 0, rival.MsgHdr, mesh.ClassCommit, p.sys, sysClockRead, uint64(p.ID), p.Epoch)
 }
 
-func (p *proc) step() {
-	if p.opIdx >= len(p.ops) {
-		p.beginCommit()
+// Access performs a load or a store. The first load of a line in an attempt
+// pays a version check at the line's home (TL2's read instrumentation);
+// later loads are local, which is sound because any commit to the line
+// after the check carries a timestamp above rv and commit-time validation
+// aborts this transaction. An evicted line is re-checked at home, where a
+// timestamp above rv means an intervening commit. Stores are buffered
+// locally; TL2 contacts the write-set homes only at commit.
+func (p *proc) Access(op workload.Op) {
+	base := p.sys.Geom.Line(op.Addr)
+	if op.Kind == workload.Store {
+		tl := p.Lines.Line(base)
+		tl.Written = tl.Written.Set(p.sys.Geom.WordIndex(op.Addr))
+		p.FinishLocal(base)
 		return
 	}
-	op := p.ops[p.opIdx]
-	switch op.Kind {
-	case workload.Compute:
-		p.opIdx++
-		p.pendUseful += uint64(op.Cycles)
-		p.sys.kernel.After(sim.Time(op.Cycles), p.guard(p.step))
-	case workload.Load:
-		p.doLoad(op.Addr)
-	case workload.Store:
-		p.doStore(op.Addr)
+	if !p.ReadLocal(op.Addr, base, true) {
+		p.SendRead(reqRead, op.Addr, base)
 	}
 }
 
-// line returns (allocating if needed) the per-transaction state for base.
-func (p *proc) line(base mem.Addr) *txLine {
-	tl := p.lines[base]
-	if tl == nil {
-		tl = &txLine{}
-		p.lines[base] = tl
-		p.order = append(p.order, base)
-	}
-	return tl
-}
+func written(tl *rival.TxLine) bool { return tl.Written.Any() }
+func read(tl *rival.TxLine) bool    { return tl.Read }
 
-// logRead records the first-read version of a word.
-func (p *proc) logRead(a mem.Addr, v mem.Version) {
-	if p.readSet.Add(a, v) && p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KRead, Node: p.id, Peer: -1, Addr: uint64(a), Arg: int64(v)})
-	}
-}
-
-// finishLocal completes an access served from local state.
-func (p *proc) finishLocal(base mem.Addr) {
-	lat := p.sys.cfg.L2Latency
-	if p.l1.Access(base) {
-		lat = p.sys.cfg.L1Latency
-	}
-	p.pendUseful++
-	if lat > 1 {
-		p.pendMiss += uint64(lat - 1)
-	}
-	p.opIdx++
-	p.sys.kernel.After(lat, p.guard(p.step))
-}
-
-// doLoad performs a transactional read. The first access of a line in an
-// attempt pays a version check at the line's home (TL2's read
-// instrumentation); later accesses are local, which is sound because any
-// commit to the line after the check carries a timestamp above rv and
-// commit-time validation aborts this transaction.
-func (p *proc) doLoad(a mem.Addr) {
-	g := p.sys.cfg.Geometry
-	base := g.Line(a)
-	w := g.WordIndex(a)
-	tl := p.lines[base]
-	if tl != nil {
-		if tl.written.Has(w) {
-			// Own buffered write: excluded from the read log.
-			p.finishLocal(base)
-			return
-		}
-		if tl.fetched {
-			if line := p.cache.Lookup(base); line != nil {
-				p.logRead(a, line.Data[w])
-				p.finishLocal(base)
-				return
-			}
-			// Evicted mid-transaction: re-check at home (a timestamp
-			// above rv now means an intervening commit — abort there).
-			tl.fetched = false
-		}
-	}
-	p.remoteRead(a, base, w)
-}
-
-// remoteRead checks (and if the local copy is stale, fetches) a line at its
-// home.
-func (p *proc) remoteRead(a, base mem.Addr, w int) {
-	s := p.sys
-	p.state = stWaitRead
-	p.missStart = s.kernel.Now()
-	home := s.home(base, p.id)
-	cachedV, hasVer := p.lineVer[base]
-	valid := hasVer && p.cache.Peek(base) != nil
-
-	s.net.Send(p.id, home, msgHdr, mesh.ClassMiss, func() {
-		s.kernel.After(s.cfg.DirLatency, func() {
-			m := s.meta(home, base)
-			if m.lockedBy >= 0 && m.lockedBy != p.id {
-				if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id, Addr: uint64(base)})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.abort(abortReadLocked)
-				}))
-				return
-			}
-			if m.version > p.rv {
-				if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id, Addr: uint64(base),
-						TID: uint64(m.version)})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.abort(abortReadStale)
-				}))
-				return
-			}
-			if s.obsv != nil {
-				s.emit(obs.Event{Kind: obs.KLoad, Node: home, Peer: p.id, Addr: uint64(base),
-					TID: uint64(m.version)})
-			}
-			if valid && cachedV == m.version {
-				// The requester's copy is current: timestamp-only reply.
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.onReadValid(a, base, w)
-				}))
-				return
-			}
-			// Data reply: snapshot the line together with its timestamp so
-			// a concurrent write-back cannot slip between check and read.
-			data := s.memory.ReadLine(base)
-			v := m.version
-			s.kernel.After(s.cfg.MemLatency, func() {
-				s.net.Send(home, p.id, msgHdr+s.cfg.Geometry.LineSize, mesh.ClassMiss, p.guard(func() {
-					p.onReadData(a, base, w, data, v)
-				}))
-			})
-		})
-	})
-}
-
-// onReadValid completes a first read whose cached copy was confirmed
-// current by the home's timestamp.
-func (p *proc) onReadValid(a, base mem.Addr, w int) {
-	p.line(base).fetched = true
-	line := p.cache.Lookup(base)
-	p.logRead(a, line.Data[w])
-	p.finishRemoteRead(base)
-}
-
-// onReadData installs arriving line data and completes the read.
-func (p *proc) onReadData(a, base mem.Addr, w int, data []mem.Version, v mem.Version) {
-	g := p.sys.cfg.Geometry
-	line := p.cache.Peek(base)
-	if line == nil {
-		var victim *cache.Victim
-		line, victim = p.cache.Insert(base, data)
-		if victim != nil {
-			if p.sys.obsv != nil {
-				p.sys.emit(obs.Event{Kind: obs.KOverflow, Node: p.id, Peer: -1, Addr: uint64(victim.Base)})
-			}
-			p.l1.Invalidate(victim.Base)
-			delete(p.lineVer, victim.Base)
-		}
-	} else {
-		copy(line.Data, data)
-	}
-	line.VW = bits.All(g.WordsPerLine())
-	p.lineVer[base] = v
-	p.line(base).fetched = true
-	if p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KFill, Node: p.id, Peer: -1, Addr: uint64(base), TID: uint64(v)})
-	}
-	p.logRead(a, line.Data[w])
-	p.finishRemoteRead(base)
-}
-
-func (p *proc) finishRemoteRead(base mem.Addr) {
-	p.l1.Access(base)
-	p.pendMiss += uint64(p.sys.kernel.Now() - p.missStart)
-	p.pendUseful++
-	p.opIdx++
-	p.state = stRunning
-	p.sys.kernel.After(1, p.guard(p.step))
-}
-
-// doStore buffers a write locally; TL2 contacts the write-set homes only at
-// commit.
-func (p *proc) doStore(a mem.Addr) {
-	g := p.sys.cfg.Geometry
-	base := g.Line(a)
-	tl := p.line(base)
-	tl.written = tl.written.Set(g.WordIndex(a))
-	p.finishLocal(base)
-}
-
-// groupByHome batches the given lines into one group per home, preserving
-// first-touch order for determinism.
-func (p *proc) groupByHome(want func(*txLine) bool) []homeGroup {
-	var out []homeGroup
-	idx := make(map[int]int)
-	for _, base := range p.order {
-		if !want(p.lines[base]) {
-			continue
-		}
-		home := p.sys.home(base, p.id)
-		gi, ok := idx[home]
-		if !ok {
-			gi = len(out)
-			idx[home] = gi
-			out = append(out, homeGroup{home: home})
-		}
-		out[gi].bases = append(out[gi].bases, base)
-	}
-	return out
-}
-
-// beginCommit starts the commit sequence: acquire write locks at the
-// write-set homes (all-or-nothing per home, in parallel).
-func (p *proc) beginCommit() {
-	p.commitAt = p.sys.kernel.Now()
-	p.groups = p.groupByHome(func(tl *txLine) bool { return tl.written.Any() })
+// Commit starts the commit sequence: acquire write locks at the write-set
+// homes (all-or-nothing per home, in parallel).
+func (p *proc) Commit() {
+	p.commitAt = p.sys.Kernel.Now()
+	p.groups = p.GroupByHome(p.groups, written)
 	if len(p.groups) == 0 {
 		// Read-only transaction: still acquire a unique wv and validate, so
 		// every transaction appears in the commit log with a unique TID.
 		p.requestWV()
 		return
 	}
-	p.state = stLocking
 	p.pendingAcks = len(p.groups)
 	p.nacked = false
-	s := p.sys
 	for gi := range p.groups {
-		g := &p.groups[gi]
-		bytes := msgHdr + lineAddr*len(g.bases)
-		home := g.home
-		s.net.Send(p.id, home, bytes, mesh.ClassCommit, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				ok := true
-				for _, base := range g.bases {
-					m := s.meta(home, base)
-					if m.lockedBy >= 0 && m.lockedBy != p.id {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					for _, base := range g.bases {
-						s.meta(home, base).lockedBy = p.id
-						if s.obsv != nil {
-							s.emit(obs.Event{Kind: obs.KMark, Node: home, Peer: p.id, Addr: uint64(base)})
-						}
-					}
-				} else if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id})
-				}
-				g.locked = ok
-				s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-					p.onLockResp(ok)
-				}))
-			})
-		})
+		p.SendGroup(reqLock, &p.groups[gi]).Group = gi
 	}
 }
 
@@ -449,43 +143,17 @@ func (p *proc) onLockResp(ok bool) {
 // (fire-and-forget: per-pair FIFO delivery orders the release before any
 // later request from this processor to the same home).
 func (p *proc) releaseLocks() {
-	s := p.sys
 	for gi := range p.groups {
-		g := p.groups[gi]
-		if !g.locked {
-			continue
+		if p.groups[gi].Locked {
+			p.SendGroup(reqRelease, &p.groups[gi])
 		}
-		bytes := msgHdr + lineAddr*len(g.bases)
-		home := g.home
-		bases := g.bases
-		s.net.Send(p.id, home, bytes, mesh.ClassCommit, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				for _, base := range bases {
-					if m := s.meta(home, base); m.lockedBy == p.id {
-						m.lockedBy = -1
-					}
-				}
-			})
-		})
 	}
 }
 
 // requestWV increments the global version clock at node 0 and returns the
 // new value as this transaction's commit timestamp.
 func (p *proc) requestWV() {
-	p.state = stClockWV
-	s := p.sys
-	s.net.Send(p.id, 0, msgHdr, mesh.ClassCommit, func() {
-		s.clock++
-		s.clockAdvances++
-		wv := s.clock
-		if s.obsv != nil {
-			s.emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: p.id, TID: uint64(wv)})
-		}
-		s.net.Send(0, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-			p.onWV(wv)
-		}))
-	})
+	p.sys.Net.SendEvent(p.ID, 0, rival.MsgHdr, mesh.ClassCommit, p.sys, sysClockAdvance, uint64(p.ID), 0)
 }
 
 func (p *proc) onWV(wv mem.Version) {
@@ -496,43 +164,15 @@ func (p *proc) onWV(wv mem.Version) {
 		p.finishCommit()
 		return
 	}
-	p.vgroups = p.groupByHome(func(tl *txLine) bool { return tl.fetched })
+	p.vgroups = p.GroupByHome(p.vgroups, read)
 	if len(p.vgroups) == 0 {
 		p.finishCommit()
 		return
 	}
-	p.state = stValidate
 	p.pendingAcks = len(p.vgroups)
 	p.nacked = false
-	s := p.sys
 	for gi := range p.vgroups {
-		g := p.vgroups[gi]
-		bytes := msgHdr + lineAddr*len(g.bases)
-		home := g.home
-		bases := g.bases
-		s.net.Send(p.id, home, bytes, mesh.ClassCommit, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				ok := true
-				for _, base := range bases {
-					m := s.meta(home, base)
-					if m.version > p.rv || (m.lockedBy >= 0 && m.lockedBy != p.id) {
-						ok = false
-						break
-					}
-				}
-				if s.obsv != nil {
-					arg := int64(0)
-					if ok {
-						arg = 1
-					}
-					s.emit(obs.Event{Kind: obs.KProbeResp, Node: home, Peer: p.id,
-						Words: uint64(len(bases)), Arg: arg})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-					p.onValidateResp(ok)
-				}))
-			})
-		})
+		p.SendGroup(reqValidate, &p.vgroups[gi])
 	}
 }
 
@@ -559,137 +199,26 @@ func (p *proc) onValidateResp(ok bool) {
 // lands.
 func (p *proc) finishCommit() {
 	s := p.sys
-	g := s.cfg.Geometry
 	wv := p.wv
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KCommit, Node: p.id, Peer: -1, TID: uint64(wv),
-			Arg: int64(p.readSet.Len())})
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KCommit, Node: p.ID, Peer: -1, TID: uint64(wv),
+			Arg: int64(p.ReadSet.Len())})
 	}
-	var record *verify.Record
-	if s.collectLog {
-		record = &verify.Record{
-			TID:    tid.TID(wv),
-			Proc:   p.id,
-			Reads:  p.readSet.Map(),
-			Writes: make(map[mem.Addr]mem.Version),
-		}
-	}
+	record := p.NewRecord(wv)
 	for gi := range p.groups {
-		grp := p.groups[gi]
-		bytes := msgHdr
-		for _, base := range grp.bases {
-			bytes += lineAddr + p.lines[base].written.Count()*g.WordSize
-		}
-		masks := make([]bits.WordMask, len(grp.bases))
-		for i, base := range grp.bases {
-			masks[i] = p.lines[base].written
-		}
-		home := grp.home
-		bases := grp.bases
-		s.net.Send(p.id, home, bytes, mesh.ClassWriteBack, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				for i, base := range bases {
-					data := make([]mem.Version, g.WordsPerLine())
-					for w := 0; w < g.WordsPerLine(); w++ {
-						if masks[i].Has(w) {
-							data[w] = wv
-						}
-					}
-					s.memory.WriteWords(base, uint64(masks[i]), data)
-					m := s.meta(home, base)
-					m.version = wv
-					m.lockedBy = -1
-					if s.obsv != nil {
-						s.emit(obs.Event{Kind: obs.KCommitLine, Node: home, Peer: p.id,
-							TID: uint64(wv), Addr: uint64(base), Words: uint64(masks[i])})
-					}
-				}
-			})
-		})
+		p.SendCommit(reqWriteBack, &p.groups[gi], wv)
 	}
-	// Update the local copies of written lines: unwritten words still match
-	// memory, written words now carry wv, so the copy is current at wv.
-	for _, base := range p.order {
-		tl := p.lines[base]
-		if !tl.written.Any() {
-			continue
-		}
-		if record != nil {
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if tl.written.Has(w) {
-					record.Writes[g.WordAddr(base, w)] = wv
-				}
-			}
-		}
-		if line := p.cache.Peek(base); line != nil && tl.fetched {
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if tl.written.Has(w) {
-					line.Data[w] = wv
-				}
-			}
-			p.lineVer[base] = wv
-		}
+	p.CommitLines(record, wv)
+	s.Log(record)
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KCommitDone, Node: p.ID, Peer: -1, TID: uint64(wv)})
 	}
-	if record != nil {
-		s.commitLog = append(s.commitLog, *record)
-	}
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KCommitDone, Node: p.id, Peer: -1, TID: uint64(wv)})
-	}
-
-	var instr uint64
-	for _, op := range p.ops {
-		if op.Kind == workload.Compute {
-			instr += uint64(op.Cycles)
-		} else {
-			instr++
-		}
-	}
-	p.breakdown.Add(stats.Useful, p.pendUseful)
-	p.breakdown.Add(stats.CacheMiss, p.pendMiss)
-	p.breakdown.Add(stats.Commit, uint64(s.kernel.Now()-p.commitAt)+uint64(p.beginCost))
-	p.commits++
-	s.totalCommits++
-	s.committedInstr += instr
-
-	p.epoch++
-	p.txIdx++
-	s.kernel.After(1, p.beginTx)
+	p.Retire(s.Kernel.Now() - p.commitAt + p.beginCost)
 }
 
 // abort rolls the attempt back and retries after randomized bounded
 // exponential backoff.
 func (p *proc) abort(reason int) {
-	s := p.sys
-	s.totalViolations++
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KViolation, Node: p.id, Peer: -1, Arg: int64(reason)})
-	}
-	p.breakdown.Add(stats.Violation, uint64(s.kernel.Now()-p.txStart))
-	p.epoch++
-	p.attempts++
-	shift := p.attempts - 1
-	if shift > 16 {
-		shift = 16
-	}
-	b := p.sys.cfg.BackoffBase << uint(shift)
-	if b > p.sys.cfg.BackoffMax {
-		b = p.sys.cfg.BackoffMax
-	}
-	d := sim.Time(1 + p.rng.Intn(int(b)))
-	p.breakdown.Add(stats.Violation, uint64(d))
-	p.state = stBackoff
-	s.kernel.After(d, p.guard(p.startAttempt))
-}
-
-func (p *proc) onBarrierRelease() {
-	p.breakdown.Add(stats.Idle, uint64(p.sys.kernel.Now()-p.idleStart))
-	p.progPhase++
-	p.txIdx = 0
-	if p.progPhase >= p.sys.prog.Phases() {
-		p.state = stDone
-		p.sys.procDone()
-		return
-	}
-	p.beginTx()
+	p.NoteViolation(int64(reason))
+	p.Backoff(p.sys.cfg.BackoffBase, p.sys.cfg.BackoffMax)
 }

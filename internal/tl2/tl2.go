@@ -30,11 +30,11 @@ package tl2
 
 import (
 	"fmt"
-	"sort"
 
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/stats"
 	"scalabletcc/internal/verify"
@@ -139,32 +139,23 @@ type lineMeta struct {
 	lockedBy int // locking processor, -1 when free
 }
 
+// homeMeta is one home's metadata table: dense entries behind an address
+// index.
+type homeMeta struct {
+	idx   mem.AddrIndex
+	lines []lineMeta
+}
+
 // System is the assembled TL2 machine.
 type System struct {
-	cfg    Config
-	kernel *sim.Kernel
-	net    *mesh.Network
-	prog   workload.Program
-
-	procs  []*proc
-	memmap *mem.Map
-	memory *mem.Memory
-	dirs   []map[mem.Addr]*lineMeta
+	rival.Machine
+	cfg   Config
+	procs []*proc
+	dirs  []homeMeta
 
 	clock         mem.Version // the global version clock, hosted at node 0
 	clockReads    uint64
 	clockAdvances uint64
-
-	collectLog bool
-	commitLog  []verify.Record
-	obsv       obs.Observer
-
-	barrierCount int
-	running      int
-
-	totalCommits    uint64
-	totalViolations uint64
-	committedInstr  uint64
 }
 
 // NewSystem builds a TL2 machine for prog.
@@ -176,122 +167,192 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 		return nil, fmt.Errorf("tl2: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
 	}
 	k := &sim.Kernel{}
-	s := &System{
-		cfg:    cfg,
-		kernel: k,
-		net:    mesh.New(k, cfg.Procs, cfg.Mesh),
-		prog:   prog,
-		memmap: mem.NewMap(cfg.Geometry, cfg.Procs),
-		memory: mem.NewMemory(cfg.Geometry),
-		dirs:   make([]map[mem.Addr]*lineMeta, cfg.Procs),
+	s := &System{cfg: cfg, dirs: make([]homeMeta, cfg.Procs)}
+	s.Machine = rival.Machine{
+		Name: "tl2", Kernel: k, Prog: prog, Geom: cfg.Geometry, Memory: mem.NewMemory(cfg.Geometry),
+		L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
+		Net: mesh.New(k, cfg.Procs, cfg.Mesh), Map: mem.NewMap(cfg.Geometry, cfg.Procs),
+		DirLatency: cfg.DirLatency, MemLatency: cfg.MemLatency, Server: s,
 	}
-	for i := range s.dirs {
-		s.dirs[i] = make(map[mem.Addr]*lineMeta)
-	}
-	prog.PreMap(s.memmap)
+	prog.PreMap(s.Map)
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
 	}
 	return s, nil
 }
 
-// CollectCommitLog enables serializability logging.
-func (s *System) CollectCommitLog(on bool) { s.collectLog = on }
-
-// Observe attaches a protocol-event observer (nil detaches). Must be called
-// before Run; observation is passive.
-func (s *System) Observe(o obs.Observer) { s.obsv = o }
-
-// emit stamps the current cycle on e and hands it to the observer. Callers
-// nil-check s.obsv first.
-func (s *System) emit(e obs.Event) {
-	e.Cycle = uint64(s.kernel.Now())
-	s.obsv.Event(e)
-}
-
-// home returns the line's home node under first-touch mapping.
-func (s *System) home(base mem.Addr, toucher int) int {
-	return s.memmap.Home(base, toucher)
-}
-
-// meta returns (allocating if needed) the line's metadata entry at home.
+// meta returns (allocating if needed) the line's metadata entry at home. The
+// pointer is valid until the next meta call.
 func (s *System) meta(home int, base mem.Addr) *lineMeta {
-	m := s.dirs[home][base]
-	if m == nil {
-		m = &lineMeta{lockedBy: -1}
-		s.dirs[home][base] = m
+	h := &s.dirs[home]
+	if i, ok := h.idx.Get(base); ok {
+		return &h.lines[i]
 	}
-	return m
+	h.idx.Set(base, int32(len(h.lines)))
+	h.lines = append(h.lines, lineMeta{lockedBy: -1})
+	return &h.lines[len(h.lines)-1]
 }
 
-// barrier synchronizes phases.
-func (s *System) barrierArrive() {
-	s.barrierCount++
-	if s.barrierCount < s.cfg.Procs {
-		return
+// System opcodes: the global version clock at node 0.
+const (
+	sysClockRead    uint32 = iota // a1 = proc, a2 = epoch: sample the clock for rv
+	sysClockAdvance               // a1 = proc: increment the clock for wv
+)
+
+// Request kinds (rival.Msg.Kind).
+const (
+	reqRead      uint8 = iota // first read of a line: version check, maybe data
+	reqLock                   // commit: lock a group's lines
+	reqRelease                // abort: unlock a locked group (fire-and-forget)
+	reqValidate               // commit: validate a group's read timestamps
+	reqWriteBack              // commit: write data tagged wv, unlock (fire-and-forget)
+)
+
+func b2u(ok bool) uint64 {
+	if ok {
+		return 1
 	}
-	s.barrierCount = 0
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.After(1, pp.onBarrierRelease)
+	return 0
+}
+
+// HandleEvent runs the version clock.
+func (s *System) HandleEvent(code uint32, a1, a2 uint64) {
+	p := s.procs[a1]
+	switch code {
+	case sysClockRead:
+		if p.Epoch != a2 {
+			return
+		}
+		s.clockReads++
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KProbeResp, Node: 0, Peer: p.ID, TID: uint64(s.clock)})
+		}
+		s.Reply(0, p.ID, mesh.ClassCommit, prRV, uint64(s.clock))
+	case sysClockAdvance:
+		s.clock++
+		s.clockAdvances++
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: p.ID, TID: uint64(s.clock)})
+		}
+		s.Reply(0, p.ID, mesh.ClassCommit, prWV, uint64(s.clock))
+	default:
+		panic("tl2: unknown system event")
 	}
 }
 
-func (s *System) procDone() { s.running-- }
+// Serve executes request i at its home after the metadata access
+// (rival.Server).
+func (s *System) Serve(i int32) {
+	m := s.Msg(i)
+	p := s.procs[m.Proc]
+	switch m.Kind {
+	case reqRead:
+		if s.serveRead(i, m, p) {
+			return // the record lives on as the data reply
+		}
+	case reqLock:
+		ok := true
+		for _, base := range m.Bases {
+			if lm := s.meta(m.Home, base); lm.lockedBy >= 0 && lm.lockedBy != p.ID {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			for _, base := range m.Bases {
+				s.meta(m.Home, base).lockedBy = p.ID
+				if s.Obsv != nil {
+					s.Emit(obs.Event{Kind: obs.KMark, Node: m.Home, Peer: p.ID, Addr: uint64(base)})
+				}
+			}
+		} else if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: p.ID})
+		}
+		p.groups[m.Group].Locked = ok
+		s.Reply(m.Home, p.ID, mesh.ClassCommit, prLockResp, b2u(ok))
+	case reqRelease:
+		for _, base := range m.Bases {
+			if lm := s.meta(m.Home, base); lm.lockedBy == p.ID {
+				lm.lockedBy = -1
+			}
+		}
+	case reqValidate:
+		ok := true
+		for _, base := range m.Bases {
+			lm := s.meta(m.Home, base)
+			if lm.version > p.rv || (lm.lockedBy >= 0 && lm.lockedBy != p.ID) {
+				ok = false
+				break
+			}
+		}
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KProbeResp, Node: m.Home, Peer: p.ID,
+				Words: uint64(len(m.Bases)), Arg: int64(b2u(ok))})
+		}
+		s.Reply(m.Home, p.ID, mesh.ClassCommit, prValidateResp, b2u(ok))
+	case reqWriteBack:
+		for j, base := range m.Bases {
+			s.Memory.SetWords(base, uint64(m.Masks[j]), m.Version)
+			lm := s.meta(m.Home, base)
+			lm.version = m.Version
+			lm.lockedBy = -1
+			if s.Obsv != nil {
+				s.Emit(obs.Event{Kind: obs.KCommitLine, Node: m.Home, Peer: p.ID,
+					TID: uint64(m.Version), Addr: uint64(base), Words: uint64(m.Masks[j])})
+			}
+		}
+	}
+	s.FreeMsg(i)
+}
+
+// serveRead checks a first read against the line's lock and timestamp and
+// answers with a NACK, a timestamp-only confirmation, or the line data. It
+// reports whether record i lives on as the data reply.
+func (s *System) serveRead(i int32, m *rival.Msg, p *proc) bool {
+	base := s.Geom.Line(m.Addr)
+	lm := s.meta(m.Home, base)
+	if lm.lockedBy >= 0 && lm.lockedBy != p.ID {
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: p.ID, Addr: uint64(base)})
+		}
+		s.Reply(m.Home, p.ID, mesh.ClassMiss, prAbort, abortReadLocked)
+		return false
+	}
+	if lm.version > p.rv {
+		if s.Obsv != nil {
+			s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: p.ID, Addr: uint64(base),
+				TID: uint64(lm.version)})
+		}
+		s.Reply(m.Home, p.ID, mesh.ClassMiss, prAbort, abortReadStale)
+		return false
+	}
+	if s.Obsv != nil {
+		s.Emit(obs.Event{Kind: obs.KLoad, Node: m.Home, Peer: p.ID, Addr: uint64(base),
+			TID: uint64(lm.version)})
+	}
+	if m.Valid && m.CachedV == lm.version {
+		// The requester's copy is current: timestamp-only reply.
+		s.Reply(m.Home, p.ID, mesh.ClassMiss, rival.OpReadValid, uint64(m.Addr))
+		return false
+	}
+	s.ReplyData(i, base, lm.version)
+	return true
+}
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	s.running = s.cfg.Procs
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.At(0, pp.start)
+	if err := s.Simulate(s.cfg.MaxCycles); err != nil {
+		return nil, err
 	}
-	for s.kernel.Pending() > 0 {
-		if s.cfg.MaxCycles > 0 && s.kernel.Now() > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("tl2: watchdog expired at cycle %d", s.kernel.Now())
-		}
-		s.kernel.StepCycle()
-	}
-	if s.running != 0 {
-		return nil, fmt.Errorf("tl2: deadlock with %d processors unfinished", s.running)
-	}
-	r := &Results{
-		Cycles:        s.kernel.Now(),
-		Commits:       s.totalCommits,
-		Violations:    s.totalViolations,
-		Instr:         s.committedInstr,
+	return &Results{
+		Cycles:        s.Kernel.Now(),
+		Breakdown:     s.Breakdown(),
+		Commits:       s.Commits,
+		Violations:    s.Violations,
+		Instr:         s.Instr,
 		ClockReads:    s.clockReads,
 		ClockAdvances: s.clockAdvances,
-		Traffic:       s.net.Stats(),
-		CommitLog:     s.commitLog,
-	}
-	for _, p := range s.procs {
-		r.Breakdown = r.Breakdown.Plus(p.breakdown)
-	}
-	return r, nil
-}
-
-// AuditFinalMemory cross-checks memory against the TID-serial replay of the
-// commit log: every word the replay says was written must hold that version
-// in the memory banks (TL2 write-backs are write-through at commit, so no
-// committed state may linger in caches). Requires CollectCommitLog.
-func (s *System) AuditFinalMemory() error {
-	if !s.collectLog {
-		return fmt.Errorf("tl2: AuditFinalMemory requires CollectCommitLog")
-	}
-	ideal := verify.FinalMemory(s.commitLog)
-	addrs := make([]mem.Addr, 0, len(ideal))
-	for a := range ideal {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	g := s.cfg.Geometry
-	for _, a := range addrs {
-		got := s.memory.Line(g.Line(a))[g.WordIndex(a)]
-		if got != ideal[a] {
-			return fmt.Errorf("tl2: final memory mismatch at %#x: memory has version %d, replay requires %d",
-				uint64(a), uint64(got), uint64(ideal[a]))
-		}
-	}
-	return nil
+		Traffic:       s.Net.Stats(),
+		CommitLog:     s.CommitLog,
+	}, nil
 }

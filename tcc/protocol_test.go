@@ -224,3 +224,33 @@ func TestSummaryProtocolJSON(t *testing.T) {
 		t.Fatalf("untagged summary wire form changed:\n got %s\nwant %s", data, want)
 	}
 }
+
+// TestRivalAllocationCeiling pins the rival protocols to allocation-free
+// typed event dispatch: on the BenchmarkProtocols workload (hotspot, 8
+// procs, scale 0.25, seed 1) each must allocate at least 10x less per run
+// than BENCH_protocols_gate.json recorded for it while it scheduled closures.
+func TestRivalAllocationCeiling(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Seed = 1
+	prog := MustProfile("hotspot").Scale(0.25).Build(cfg.Procs, cfg.Seed)
+	for _, c := range []struct {
+		protocol string
+		recorded float64 // allocs/op with closure dispatch
+	}{
+		{"tl2", 83290},
+		{"eager", 41767},
+		{"baseline", 74965},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(3, func() {
+			_, err = RunProtocol(c.protocol, cfg, prog)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.protocol, err)
+		}
+		if allocs > c.recorded/10 {
+			t.Errorf("%s allocates %.0f times per run, ceiling %.0f (a tenth of the closure-dispatch %.0f)",
+				c.protocol, allocs, c.recorded/10, c.recorded)
+		}
+	}
+}
