@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -192,6 +194,79 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	if !bytes.Equal(daemonSum.Bytes(), directSum.Bytes()) {
 		t.Fatalf("daemon summary %s\n  direct %s", daemonSum.Bytes(), directSum.Bytes())
+	}
+}
+
+// readSSE returns the raw bytes of a job's SSE stream, read to its end.
+func readSSE(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("events: %s", resp.Status)
+	}
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestDaemonSpilledStreamReplays requires the SSE stream of a finished job,
+// whose event log the queue has spilled to <id>.events.jsonl, to be
+// byte-identical to the stream a subscriber attached before the job started
+// received live.
+func TestDaemonSpilledStreamReplays(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	exec := func(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
+		<-release
+		return tcc.ExecuteJob(ctx, spec, jc)
+	}
+	q := runner.NewQueue(runner.Config{Capacity: 4, Workers: 1, StateDir: dir, Validate: tcc.ValidateJobSpec}, exec)
+	srv := httptest.NewServer(runner.NewServer(q))
+	t.Cleanup(func() {
+		srv.Close()
+		q.Shutdown()
+	})
+
+	st, code := postSpec(t, srv, runSpecHotspot())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release) // the subscriber is attached before the first event
+	live := readSSE(t, resp)
+	if got := waitTerminal(t, q, st.ID); got.State != runner.StateDone {
+		t.Fatalf("job retired as %q (%s)", got.State, got.Error)
+	}
+
+	spilled, err := os.ReadFile(filepath.Join(dir, st.ID+".events.jsonl"))
+	if err != nil {
+		t.Fatalf("finished job's event log was not spilled: %v", err)
+	}
+	var want bytes.Buffer
+	for _, line := range bytes.SplitAfter(spilled, []byte("\n")) {
+		if len(line) > 0 {
+			fmt.Fprintf(&want, "data: %s\n", line)
+		}
+	}
+	want.WriteString("event: done\ndata: {\"k\":\"job-done\",\"state\":\"done\"}\n\n")
+	if !bytes.Equal(live, want.Bytes()) {
+		t.Fatalf("live SSE (%d bytes) does not frame the spilled log (%d bytes)", len(live), len(spilled))
+	}
+	if cur, _ := q.Status(st.ID); cur.EventBytes != len(spilled) {
+		t.Fatalf("status reports %d event bytes, spill file holds %d", cur.EventBytes, len(spilled))
+	}
+
+	resp, err = http.Get(srv.URL + "/v1/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay := readSSE(t, resp); !bytes.Equal(replay, live) {
+		t.Fatalf("SSE of the spilled job (%d bytes) differs from the live stream (%d bytes)", len(replay), len(live))
 	}
 }
 

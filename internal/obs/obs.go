@@ -4,8 +4,9 @@
 // lifecycle actions around it (fills, violations, overflow evictions,
 // barriers) — to a pluggable Observer. Sinks shipped with the package:
 //
-//   - JSONLWriter: a machine-parseable JSON-lines stream (schema
-//     "scalabletcc/events", versioned);
+//   - JSONLStream: a machine-parseable JSON-lines stream (schema
+//     "scalabletcc/events", versioned), one Write per line; JSONLWriter is
+//     the same stream behind a bufio.Writer;
 //   - RingBuffer: a bounded in-memory tail for debugging;
 //   - Counter: a per-kind counting aggregator whose totals reconcile with a
 //     run's Results counters;

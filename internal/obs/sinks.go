@@ -30,64 +30,19 @@ type sampleLine struct {
 	Sample
 }
 
-// JSONLWriter streams events (and sampler records) as JSON lines. The first
+// JSONLStream streams events (and sampler records) as JSON lines. The first
 // line is a schema header; every following line carries a "k" discriminator —
 // an event kind name, or "sample" for a sampler record. Output depends only
 // on the event sequence, so equal-seed runs produce byte-identical streams.
 //
-// The writer buffers internally; call Flush when the run completes. Write
-// errors are sticky and reported by Flush.
-type JSONLWriter struct {
-	w      *bufio.Writer
-	err    error
-	header bool
-}
-
-// NewJSONL returns a writer streaming to w.
-func NewJSONL(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: bufio.NewWriter(w)}
-}
-
-func (j *JSONLWriter) line(v any) {
-	if j.err != nil {
-		return
-	}
-	if !j.header {
-		j.header = true
-		j.line(streamHeader{StreamSchema, StreamVersion})
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		j.err = fmt.Errorf("obs: marshal event: %w", err)
-		return
-	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		j.err = err
-	}
-}
-
-// Event writes one event line.
-func (j *JSONLWriter) Event(e Event) { j.line(e) }
-
-// Sample writes one sampler line, discriminated by "k":"sample".
-func (j *JSONLWriter) Sample(s Sample) { j.line(sampleLine{"sample", s}) }
-
-// Flush drains the buffer and returns the first error encountered.
-func (j *JSONLWriter) Flush() error {
-	if err := j.w.Flush(); j.err == nil {
-		j.err = err
-	}
-	return j.err
-}
-
-// JSONLStream produces the exact byte stream JSONLWriter does — same header,
-// same per-line encoding — but hands each complete line to w the moment it
-// is produced instead of buffering. It is the live-streaming sink: writing
-// into a runner.StreamLog line by line lets SSE subscribers tail a running
-// job, while a file target still sees byte-identical output. Write errors
-// are sticky and reported by Err.
+// Each Event or Sample call hands one complete line to w in a single Write,
+// the moment it is produced: writing into a runner.StreamLog line by line
+// lets SSE subscribers tail a running job. Event lines are encoded into a
+// buffer the stream reuses, so w must not retain the slice it is handed
+// (the io.Writer contract). Write errors are sticky and reported by Err.
 type JSONLStream struct {
 	w      io.Writer
+	buf    []byte
 	err    error
 	header bool
 }
@@ -105,32 +60,73 @@ func ResumeJSONLStream(w io.Writer) *JSONLStream {
 	return &JSONLStream{w: w, header: true}
 }
 
-func (j *JSONLStream) line(v any) {
-	if j.err != nil {
-		return
-	}
-	if !j.header {
+// ready reports whether the stream can take another line, writing the
+// schema header first if this is the first line.
+func (j *JSONLStream) ready() bool {
+	if j.err == nil && !j.header {
 		j.header = true
-		j.line(streamHeader{StreamSchema, StreamVersion})
+		j.marshalLine(streamHeader{StreamSchema, StreamVersion})
 	}
+	return j.err == nil
+}
+
+// marshalLine writes v's json.Marshal encoding as one line: the path for
+// the rare header and sample lines.
+func (j *JSONLStream) marshalLine(v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		j.err = fmt.Errorf("obs: marshal event: %w", err)
 		return
 	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	j.write(append(b, '\n'))
+}
+
+func (j *JSONLStream) write(line []byte) {
+	if _, err := j.w.Write(line); err != nil {
 		j.err = err
 	}
 }
 
 // Event writes one event line.
-func (j *JSONLStream) Event(e Event) { j.line(e) }
+func (j *JSONLStream) Event(e Event) {
+	if j.ready() {
+		j.buf = append(appendEvent(j.buf[:0], e), '\n')
+		j.write(j.buf)
+	}
+}
 
 // Sample writes one sampler line, discriminated by "k":"sample".
-func (j *JSONLStream) Sample(s Sample) { j.line(sampleLine{"sample", s}) }
+func (j *JSONLStream) Sample(s Sample) {
+	if j.ready() {
+		j.marshalLine(sampleLine{"sample", s})
+	}
+}
 
 // Err returns the first write or encode error encountered.
 func (j *JSONLStream) Err() error { return j.err }
+
+// JSONLWriter is a JSONLStream over a buffered writer, for file targets
+// that need no line-at-a-time delivery: the bytes are the same, only the
+// flushing discipline differs. Call Flush when the run completes; it
+// reports the first error encountered.
+type JSONLWriter struct {
+	JSONLStream
+	bw *bufio.Writer
+}
+
+// NewJSONL returns a buffered writer streaming to w.
+func NewJSONL(w io.Writer) *JSONLWriter {
+	bw := bufio.NewWriter(w)
+	return &JSONLWriter{JSONLStream: JSONLStream{w: bw}, bw: bw}
+}
+
+// Flush drains the buffer and returns the first error encountered.
+func (j *JSONLWriter) Flush() error {
+	if err := j.bw.Flush(); j.err == nil {
+		j.err = err
+	}
+	return j.err
+}
 
 // ---------------------------------------------------------------------------
 // Bounded ring buffer.

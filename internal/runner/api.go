@@ -161,26 +161,34 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	var partial []byte // bytes after the last newline seen so far
+	// One wake-up's frames are built in frames and sent with one Write and
+	// one Flush. partial holds the bytes after the last newline seen so far;
+	// data read from the log is a read-only view, so a partial line is
+	// copied out before the next read.
+	var frames, partial []byte
 	off := 0
 	for {
 		data, closed, err := log.Wait(r.Context(), off)
 		if err != nil {
-			return // client went away
+			return // client went away, or the spilled log is unreadable
 		}
 		off += len(data)
-		partial = append(partial, data...)
+		if len(partial) > 0 {
+			partial = append(partial, data...)
+			data = partial
+		}
+		frames = frames[:0]
 		for {
-			i := bytes.IndexByte(partial, '\n')
+			i := bytes.IndexByte(data, '\n')
 			if i < 0 {
 				break
 			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", partial[:i]); err != nil {
-				return
-			}
-			partial = partial[i+1:]
+			frames = append(frames, "data: "...)
+			frames = append(frames, data[:i]...)
+			frames = append(frames, "\n\n"...)
+			data = data[i+1:]
 		}
-		flusher.Flush()
+		partial = append(partial[:0], data...)
 		if closed {
 			// A trailing partial line means the writer was abandoned
 			// mid-line; it is not a valid events line, so drop it.
@@ -189,8 +197,15 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 			if st != nil {
 				state = st.State
 			}
-			fmt.Fprintf(w, "event: done\ndata: {\"k\":\"job-done\",\"state\":%q}\n\n", state)
+			frames = fmt.Appendf(frames, "event: done\ndata: {\"k\":\"job-done\",\"state\":%q}\n\n", state)
+		}
+		if len(frames) > 0 {
+			if _, err := w.Write(frames); err != nil {
+				return
+			}
 			flusher.Flush()
+		}
+		if closed {
 			return
 		}
 	}

@@ -165,6 +165,17 @@ func (cw *CheckpointWriter) Append(entry any) error {
 	return cw.appendJSON(entry)
 }
 
+// AppendRaw writes one pre-encoded entry line — the concatenation of pieces,
+// which must be one compact JSON value holding no newline — and fsyncs it.
+// A producer that already holds encoded bytes frames them around its own
+// fields and passes the pieces, sparing Append's second encoding pass and
+// any copy into a joined line.
+func (cw *CheckpointWriter) AppendRaw(pieces ...[]byte) error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	return cw.writeLine(pieces...)
+}
+
 // appendJSON marshals, writes, and syncs one line; callers hold cw.mu (or
 // own the writer exclusively, as CreateCheckpoint does).
 func (cw *CheckpointWriter) appendJSON(v any) error {
@@ -176,13 +187,25 @@ func (cw *CheckpointWriter) appendJSON(v any) error {
 		cw.err = fmt.Errorf("runner: encode checkpoint entry: %w", err)
 		return cw.err
 	}
-	data = append(data, '\n')
-	if _, err := cw.w.Write(data); err == nil {
-		if err = cw.w.Flush(); err == nil {
-			err = cw.f.Sync()
-		}
+	return cw.writeLine(data)
+}
+
+// writeLine writes pieces and a newline, flushes and syncs; callers hold
+// cw.mu. bufio.Writer errors are sticky, so the Flush reports any failed
+// piece write.
+func (cw *CheckpointWriter) writeLine(pieces ...[]byte) error {
+	if cw.err != nil {
+		return cw.err
 	}
-	if err != nil && cw.err == nil {
+	for _, p := range pieces {
+		cw.w.Write(p)
+	}
+	cw.w.WriteByte('\n')
+	err := cw.w.Flush()
+	if err == nil {
+		err = cw.f.Sync()
+	}
+	if err != nil {
 		cw.err = err
 	}
 	return cw.err

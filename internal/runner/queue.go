@@ -137,7 +137,8 @@ type Config struct {
 	// JobTimeout bounds each job's wall-clock time (0 = none).
 	JobTimeout time.Duration
 	// StateDir, when set, persists specs, checkpoint manifests, and final
-	// results so jobs survive a daemon restart (see Recover).
+	// results so jobs survive a daemon restart (see Recover), and holds
+	// finished jobs' event streams spilled out of memory.
 	StateDir string
 	// Validate, when set, vets every spec at admission (tcc.ValidateJobSpec
 	// checks profile/protocol/experiment names against the registries).
@@ -358,15 +359,18 @@ func (q *Queue) Cancel(id string) error {
 		q.mu.Unlock()
 		return fmt.Errorf("runner: unknown job %q", id)
 	}
+	// Only the first Cancel of a queued job retires it; userCanceled also
+	// keeps a worker from starting it meanwhile.
+	retire := j.status.State == StateQueued && !j.userCanceled
 	j.userCanceled = true
 	var cancel context.CancelFunc
-	switch j.status.State {
-	case StateQueued:
-		q.finishLocked(j, StateCanceled, nil, errors.New("canceled before start"))
-	case StateRunning:
+	if j.status.State == StateRunning {
 		cancel = j.cancel
 	}
 	q.mu.Unlock()
+	if retire {
+		q.finish(j, StateCanceled, nil, errors.New("canceled before start"))
+	}
 	if cancel != nil {
 		cancel()
 	}
@@ -412,7 +416,7 @@ func (q *Queue) worker() {
 // runJob executes one job under the cancellation/timeout guard.
 func (q *Queue) runJob(j *job) {
 	q.mu.Lock()
-	if j.status.State != StateQueued {
+	if j.status.State != StateQueued || j.userCanceled {
 		q.mu.Unlock()
 		return // canceled while queued
 	}
@@ -493,9 +497,7 @@ func (q *Queue) runJob(j *job) {
 		q.mu.Unlock()
 		return
 	}
-	q.mu.Lock()
-	q.finishLocked(j, state, res, err)
-	q.mu.Unlock()
+	q.finish(j, state, res, err)
 }
 
 // interruptState classifies a context interruption: user cancel, wall-clock
@@ -519,27 +521,44 @@ func (q *Queue) interruptState(j *job, ctx context.Context, err error) (string, 
 	}
 }
 
-// finishLocked retires a job; callers hold q.mu.
-func (q *Queue) finishLocked(j *job, state string, res *JobResult, err error) {
+// finish retires a job; callers do not hold q.mu. With a state directory
+// the outcome is persisted and the event log spilled before the terminal
+// state is published, all outside q.mu so other clients never wait on the
+// disk: Recover keys on the outcome file, so a job must never show as
+// terminal before that file exists.
+func (q *Queue) finish(j *job, state string, res *JobResult, err error) {
 	now := time.Now()
-	j.status.State = state
-	j.status.Finished = &now
+	q.mu.Lock()
+	st := j.status
+	q.mu.Unlock()
+	st.State = state
+	st.Finished = &now
 	if err != nil {
-		j.status.Error = err.Error()
+		st.Error = err.Error()
 	}
-	j.result = res
-	j.log.Close()
 	if q.cfg.StateDir != "" {
 		// Persistence failures must not wedge the queue; surface them in
-		// the job's error field instead.
-		if perr := q.persistOutcome(j); perr != nil && j.status.Error == "" {
-			j.status.Error = perr.Error()
+		// the job's error field instead. A log that fails to spill stays
+		// in memory.
+		if perr := q.persistOutcome(j.id, st, res); perr != nil && st.Error == "" {
+			st.Error = perr.Error()
+		}
+		if serr := j.log.Spill(q.eventsPath(j.id)); serr != nil && st.Error == "" {
+			st.Error = serr.Error()
 		}
 	}
+	q.mu.Lock()
+	j.status.State, j.status.Finished, j.status.Error = st.State, st.Finished, st.Error
+	j.result = res
+	j.log.Close()
+	q.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------
-// Persistence: <state>/<id>.spec.json, <id>.ckpt.jsonl, <id>.outcome.json.
+// Persistence: <state>/<id>.spec.json, <id>.ckpt.jsonl, <id>.outcome.json,
+// and <id>.events.jsonl — a finished job's event stream, spilled out of
+// memory; it is read only by the process that ran the job, to serve later
+// event-stream reads.
 
 type persistedOutcome struct {
 	Status JobStatus  `json:"status"`
@@ -561,12 +580,17 @@ func (q *Queue) persistSpec(j *job) error {
 	return nil
 }
 
-func (q *Queue) persistOutcome(j *job) error {
-	data, err := json.MarshalIndent(persistedOutcome{Status: j.status, Result: j.result}, "", "  ")
+// eventsPath is the spill file of one job's finished event stream.
+func (q *Queue) eventsPath(id string) string {
+	return filepath.Join(q.cfg.StateDir, id+".events.jsonl")
+}
+
+func (q *Queue) persistOutcome(id string, st JobStatus, res *JobResult) error {
+	data, err := json.MarshalIndent(persistedOutcome{Status: st, Result: res}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runner: persist outcome: %w", err)
 	}
-	path := filepath.Join(q.cfg.StateDir, j.id+".outcome.json")
+	path := filepath.Join(q.cfg.StateDir, id+".outcome.json")
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("runner: persist outcome: %w", err)
 	}

@@ -134,7 +134,7 @@ func TestQueueCancelRunningAndQueued(t *testing.T) {
 	}
 	// The stream log must be closed for terminal jobs.
 	log, _ := q.Events(running.ID)
-	if _, closed := log.ReadFrom(0); !closed {
+	if _, closed, _ := log.ReadFrom(0); !closed {
 		t.Fatal("canceled job's stream must be closed")
 	}
 }
@@ -225,7 +225,7 @@ func TestStreamLogFollowsAndCloses(t *testing.T) {
 	if _, err := l.Write([]byte("line1\n")); err != nil {
 		t.Fatal(err)
 	}
-	data, closed := l.ReadFrom(0)
+	data, closed, _ := l.ReadFrom(0)
 	if string(data) != "line1\n" || closed {
 		t.Fatalf("got %q closed=%v", data, closed)
 	}
@@ -245,7 +245,7 @@ func TestStreamLogFollowsAndCloses(t *testing.T) {
 	if n, err := l.Write([]byte("dropped\n")); err != nil || n != 8 {
 		t.Fatalf("post-close write must succeed silently, got n=%d err=%v", n, err)
 	}
-	data, closed = l.ReadFrom(0)
+	data, closed, _ = l.ReadFrom(0)
 	if string(data) != "line1\nline2\n" || !closed {
 		t.Fatalf("final state %q closed=%v", data, closed)
 	}
@@ -316,5 +316,89 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	entries, _ = LoadCheckpoint(path, "abc123")
 	if len(entries) != 4 || string(entries[3]) != `{"index":4}` {
 		t.Fatalf("append after crash must extend the valid prefix, got %q", entries)
+	}
+}
+
+// With a state directory, finishing a job writes its outcome and spills its
+// event log outside the queue lock, before the terminal state is published:
+// no client may see a job terminal whose outcome file (which Recover keys
+// on) does not exist yet. A queued job canceled from several goroutines at
+// once is retired exactly once and never starts.
+func TestQueueTerminalStateFollowsPersistence(t *testing.T) {
+	dir := t.TempDir()
+	ex := newBlockingExecutor()
+	q := NewQueue(Config{Capacity: 8, Workers: 1, StateDir: dir}, ex.exec)
+	defer q.Shutdown()
+	var ids []string
+	for i := 0; i < 4; i++ {
+		st, err := q.Submit(runSpec(fmt.Sprintf("job%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	stop := make(chan struct{})
+	var pollers sync.WaitGroup
+	for p := 0; p < 3; p++ {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, st := range q.List() {
+					if st.State != StateDone && st.State != StateCanceled {
+						continue
+					}
+					if _, err := os.Stat(filepath.Join(dir, st.ID+".outcome.json")); err != nil {
+						t.Errorf("job %s shows %s before its outcome is persisted", st.ID, st.State)
+						return
+					}
+					if st.State == StateDone {
+						if _, err := os.Stat(filepath.Join(dir, st.ID+".events.jsonl")); err != nil {
+							t.Errorf("job %s shows done before its event log is spilled", st.ID)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+
+	var cancels sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		cancels.Add(1)
+		go func() {
+			defer cancels.Done()
+			if err := q.Cancel(ids[3]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	cancels.Wait()
+	if st, _ := q.Status(ids[3]); st.State != StateCanceled {
+		t.Fatalf("canceled queued job is %s", st.State)
+	}
+	for range ids[:3] {
+		id := <-ex.started
+		if id == ids[3] {
+			t.Fatalf("job %s started after it was canceled", id)
+		}
+		close(ex.gate(id))
+		waitState(t, q, id, StateDone)
+	}
+	close(stop)
+	pollers.Wait()
+
+	for _, id := range ids[:3] {
+		log, _ := q.Events(id)
+		data, closed, err := log.ReadFrom(0)
+		if want := fmt.Sprintf("{\"k\":\"hello\",\"job\":%q}\n", id); err != nil || !closed || string(data) != want {
+			t.Fatalf("spilled log of %s: %q closed=%v err=%v", id, data, closed, err)
+		}
 	}
 }

@@ -10,17 +10,22 @@
 package tcc
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"sync"
 
+	"scalabletcc/internal/obs"
 	"scalabletcc/internal/runner"
 )
 
 // runCheckpointEntry is one line of a run job's checkpoint manifest: the
 // cycle of the quiescent cut, the number of event-stream bytes emitted
-// before it, and the kernel snapshot itself.
+// before it, and the kernel snapshot itself. save frames the same bytes by
+// hand around the already-encoded snapshot.
 type runCheckpointEntry struct {
 	Cycle      uint64          `json:"cycle"`
 	EventBytes int64           `json:"event_bytes"`
@@ -41,6 +46,39 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// sidecarWriter buffers the event-stream copy in the sidecar file, so the
+// stream costs one write(2) per cut rather than one per line. It is locked
+// because runGuarded abandons, rather than stops, a canceled run: its
+// simulation goroutine may still be writing when close runs.
+type sidecarWriter struct {
+	mu sync.Mutex
+	f  *os.File
+	w  *bufio.Writer
+}
+
+func (s *sidecarWriter) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Write(p)
+}
+
+// Flush writes the buffered lines to the file.
+func (s *sidecarWriter) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.w.Flush()
+}
+
+// Close flushes and closes the file. Errors are dropped: a resume trusts
+// the sidecar only up to a durable entry's event_bytes, which save already
+// flushed.
+func (s *sidecarWriter) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.w.Flush()
+	s.f.Close()
+}
+
 // runCheckpointer owns one run job's checkpoint lifecycle: resuming from the
 // manifest's latest snapshot, replaying the event-stream prefix, and
 // appending a durable entry at each cut.
@@ -50,9 +88,15 @@ type runCheckpointer struct {
 	sys     *System // restored machine; nil = start fresh
 	prefix  []byte  // event-stream bytes emitted before the resumed cut
 
-	cw      *runner.CheckpointWriter
-	sidecar *os.File
+	cw *runner.CheckpointWriter
+	// appendEntry makes one manifest line durable: cw.AppendRaw, or in a
+	// test a wrapper that inspects the files at that instant.
+	appendEntry func(pieces ...[]byte) error
+	// sidecar holds the stream copy; save flushes it before each manifest
+	// append, so a durable entry's event_bytes are on disk.
+	sidecar *sidecarWriter
 	counter *countingWriter
+	head    []byte // reused manifest-entry framing
 }
 
 // newRunCheckpointer loads any resumable state at jc.CheckpointPath and
@@ -82,6 +126,7 @@ func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext,
 	if err != nil {
 		return nil, err
 	}
+	rc.appendEntry = rc.cw.AppendRaw
 	if wantEvents {
 		f, err := os.OpenFile(eventSidecar(path), os.O_WRONLY|os.O_CREATE, 0o644)
 		if err == nil {
@@ -95,9 +140,25 @@ func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext,
 			rc.cw.Close()
 			return nil, fmt.Errorf("tcc: event sidecar: %w", err)
 		}
-		rc.sidecar = f
+		rc.sidecar = &sidecarWriter{f: f, w: bufio.NewWriter(f)}
 	}
 	return rc, nil
+}
+
+// stream replays the event-stream prefix emitted before the resumed cut into
+// sink and returns the JSONL stream for the rest of the run. Its lines go
+// through the offset counter into both sink and the sidecar (which already
+// holds the prefix). The checkpointer must have been opened with
+// wantEvents.
+func (rc *runCheckpointer) stream(sink io.Writer) (*obs.JSONLStream, error) {
+	rc.counter = &countingWriter{w: io.MultiWriter(sink, rc.sidecar), n: int64(len(rc.prefix))}
+	if len(rc.prefix) == 0 {
+		return obs.NewJSONLStream(rc.counter), nil
+	}
+	if _, err := sink.Write(rc.prefix); err != nil {
+		return nil, fmt.Errorf("tcc: replay event-stream prefix: %w", err)
+	}
+	return obs.ResumeJSONLStream(rc.counter), nil
 }
 
 // loadLatest restores the manifest's newest snapshot, falling back to a
@@ -131,7 +192,10 @@ func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program
 	rc.sys, rc.prefix, rc.resumed = sys, prefix, true
 }
 
-// save appends one durable manifest entry for the snapshot at a cut.
+// save appends one durable manifest entry for the snapshot at a cut. The
+// line is framed by hand around the encoded snapshot; raw is compact,
+// HTML-escaped json.Marshal output, so the bytes equal
+// json.Marshal(runCheckpointEntry{...}).
 func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	raw, err := json.Marshal(ck)
 	if err != nil {
@@ -145,10 +209,22 @@ func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	}
 	var n int64
 	if rc.counter != nil {
+		// The resume path trusts a durable entry's event_bytes to be in the
+		// sidecar, so the sidecar is flushed before the entry is appended.
+		if err := rc.sidecar.Flush(); err != nil {
+			return fmt.Errorf("tcc: event sidecar: %w", err)
+		}
 		n = rc.counter.n
 	}
-	return rc.cw.Append(runCheckpointEntry{Cycle: cycle, EventBytes: n, Checkpoint: raw})
+	rc.head = append(rc.head[:0], `{"cycle":`...)
+	rc.head = strconv.AppendUint(rc.head, cycle, 10)
+	rc.head = append(rc.head, `,"event_bytes":`...)
+	rc.head = strconv.AppendInt(rc.head, n, 10)
+	rc.head = append(rc.head, `,"checkpoint":`...)
+	return rc.appendEntry(rc.head, raw, closeBrace)
 }
+
+var closeBrace = []byte("}")
 
 func (rc *runCheckpointer) close() {
 	if rc.cw != nil {

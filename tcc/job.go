@@ -356,23 +356,12 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 		observers = append(observers, opts.Observer)
 	}
 	if sink != nil {
-		w := sink
 		if rc != nil {
-			// Replay the stream prefix emitted before the resumed cut, then
-			// route new lines through the offset counter into both the live
-			// sink and the sidecar (which already holds the prefix).
-			if len(rc.prefix) > 0 {
-				if _, err := sink.Write(rc.prefix); err != nil {
-					return nil, fmt.Errorf("tcc: replay event-stream prefix: %w", err)
-				}
+			if stream, err = rc.stream(sink); err != nil {
+				return nil, err
 			}
-			rc.counter = &countingWriter{w: io.MultiWriter(sink, rc.sidecar), n: int64(len(rc.prefix))}
-			w = rc.counter
-		}
-		if rc != nil && len(rc.prefix) > 0 {
-			stream = obs.ResumeJSONLStream(w)
 		} else {
-			stream = obs.NewJSONLStream(w)
+			stream = obs.NewJSONLStream(sink)
 		}
 		observers = append(observers, stream)
 	}

@@ -144,7 +144,10 @@ func TestExecuteJobStreamsToJobContext(t *testing.T) {
 	if res.Kind != tcc.JobKindRun || res.Protocol != "tcc" {
 		t.Fatalf("result: %+v", res)
 	}
-	data, _ := jc.Log.ReadFrom(0)
+	data, _, err := jc.Log.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.HasPrefix(data, []byte(`{"schema":"scalabletcc/events","version":1}`)) {
 		t.Fatalf("daemon path must stream events into the job log, got %q", data[:min(len(data), 80)])
 	}
