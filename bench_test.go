@@ -252,17 +252,16 @@ func BenchmarkWriteBackCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedKernel measures the epoch-parallel kernel against the
-// sequential engine on a 64-processor hotspot run (the workload the sharding
-// work targets: one contended directory, every commit crossing the mesh).
-// "seq" is the sequential kernel (Shards = 0); the shardsN variants run the
-// same program on the epoch engine with N workers (the name avoids a
-// trailing -N, which bench-output parsers read as the GOMAXPROCS suffix).
-// Every shardsN variant
-// must report the same sim-cycles — worker-count independence is the
-// engine's contract — so the interesting spread is ns/op: the epoch
-// machinery's overhead at one worker, and whatever parallelism the host's
-// cores can redeem at four.
+// BenchmarkShardedKernel measures the epoch kernel against the sequential
+// engine on a 64-processor hotspot run (the workload the sharding work
+// targets: one contended directory, every commit crossing the mesh). "seq"
+// is the sequential kernel (Shards = 0); the shardsN variants run the same
+// program on the epoch engine with Shards = N (the name avoids a trailing
+// -N, which bench-output parsers read as the GOMAXPROCS suffix). Every
+// shardsN variant must report the same sim-cycles — shard-count
+// independence is the engine's contract — and, since every window runs on
+// one goroutine, the same cost; the interesting spread is ns/op, the epoch
+// machinery's overhead over the sequential kernel.
 func BenchmarkShardedKernel(b *testing.B) {
 	prof := tcc.MustProfile("hotspot").Scale(0.1)
 	for _, sh := range []int{0, 1, 4} {

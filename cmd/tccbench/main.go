@@ -18,9 +18,10 @@
 // Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 protocols baseline
 // granularity probes writeback scaling dircache hotpath all
 //
-// The scaling experiment sweeps the sharded simulation kernel's worker
-// count (-shards) over the -procs grid and reports wall-clock speedups;
-// its cells run sequentially so the timings are honest.
+// The scaling experiment sweeps the sharded simulation kernel's shard
+// count (-shards) over the -procs grid, checks that every count simulates
+// identical results and reports wall-clock ratios; its cells run
+// sequentially so the timings are honest.
 //
 // The hotpath experiment reruns the perf gate's microbenchmark workloads
 // (simulator throughput, commit latency, abort latency) with their pinned
@@ -64,7 +65,7 @@ func main() {
 		verify   = flag.Bool("verify", false, "run the serializability oracle on every run")
 		protos   = flag.String("protocol", "", "comma-separated protocols for the head-to-head sweep (default: full registry; list prints it)")
 		hops     = flag.String("hops", "", "comma-separated cycles/hop for fig8 (default 1,2,4,8)")
-		shards   = flag.String("shards", "", "comma-separated worker counts for the scaling experiment (default 1,2,4,8)")
+		shards   = flag.String("shards", "", "comma-separated shard counts for the scaling experiment (default 1,2,4,8)")
 		parallel = flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS)")
 		jsonFlag = flag.Bool("json", false, "emit the machine-readable report (JSON)")
 		outFile  = flag.String("out", "", "write the JSON report to FILE (implies -json)")

@@ -46,7 +46,7 @@ func main() {
 		gran     = flag.String("granularity", "word", "conflict detection granularity: word|line")
 		retain   = flag.Int("retain", 8, "violations before TID retention (0 disables)")
 		wt       = flag.Bool("writethrough", false, "ship data with commit marks instead of write-back")
-		shards   = flag.Int("shards", 0, "run the epoch-parallel sharded kernel with N workers (0 = sequential; results are worker-count independent)")
+		shards   = flag.Int("shards", 0, "run the sharded epoch kernel with N shards (0 = sequential; results are shard-count independent)")
 		verify   = flag.Bool("verify", false, "check serializability of the commit log")
 		basel    = flag.Bool("baseline", false, "run the bus-based small-scale TCC instead")
 		tape     = flag.Bool("tape", false, "profile conflicts (TAPE): print the most damaging lines")

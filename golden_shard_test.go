@@ -9,16 +9,14 @@ import (
 	"scalabletcc/tcc"
 )
 
-// The sharded-kernel golden fixture pins the epoch-parallel engine's
-// observable behaviour the same way testdata/golden.json pins the sequential
-// kernel's. The defining property of the sharded engine is worker-count
-// independence: the simulated outcome is a function of the epoch structure
+// The sharded-kernel golden fixture pins the epoch engine's observable
+// behaviour the same way testdata/golden.json pins the sequential kernel's.
+// The defining property of the sharded engine is shard-count independence: the simulated outcome is a function of the epoch structure
 // (window = HopLatency) only, so every Shards >= 1 value must produce a
 // byte-identical run — same cycles, same statistics, same typed event stream
 // in the same order. The test replays each fixture cell at shard counts
 // 1/2/4/8 and requires all of them to match the recorded fingerprint
-// exactly; run under -race this also shakes out synchronization bugs in the
-// epoch barrier.
+// exactly.
 //
 // Regenerate with:
 //
@@ -44,7 +42,7 @@ type goldenShardCell struct {
 }
 
 // runGoldenShardCell executes one canonical configuration on the sharded
-// engine with the given worker count and fills in the measured half.
+// engine with the given shard count and fills in the measured half.
 func runGoldenShardCell(t *testing.T, c goldenShardCell, shards int) goldenShardCell {
 	t.Helper()
 	prog := tcc.MustProfile(c.App).Scale(c.Scale).Build(c.Procs, c.Seed)
@@ -81,9 +79,9 @@ func goldenShardConfigs() []goldenShardCell {
 	}
 }
 
-// goldenShardCounts are the worker counts every cell is replayed at. 1 is
-// the degenerate single-worker run of the epoch engine (not the sequential
-// kernel); 8 exceeds the smaller cell's natural parallelism.
+// goldenShardCounts are the shard counts every cell is replayed at. 1 is the
+// smallest run of the epoch engine (not the sequential kernel); 8 equals the
+// smaller cell's processor count.
 func goldenShardCounts() []int { return []int{1, 2, 4, 8} }
 
 func TestGoldenShardFixture(t *testing.T) {
@@ -124,7 +122,7 @@ func TestGoldenShardFixture(t *testing.T) {
 		}
 	}
 
-	// Worker-count independence: every shard count reproduces the shards=1
+	// Shard-count independence: every shard count reproduces the shards=1
 	// fingerprint byte for byte. Procs must stay divisible by the count.
 	for i, c := range goldenShardConfigs() {
 		for _, n := range goldenShardCounts()[1:] {
@@ -140,8 +138,8 @@ func TestGoldenShardFixture(t *testing.T) {
 }
 
 // TestGoldenShardReplayStable runs the contended cell twice at shards=4 and
-// requires identical fingerprints: epoch-parallel execution must not leak
-// scheduling nondeterminism into results even across goroutine lifetimes.
+// requires identical fingerprints: the epoch engine must carry no state
+// from one run into the next.
 func TestGoldenShardReplayStable(t *testing.T) {
 	c := goldenShardConfigs()[0]
 	a := runGoldenShardCell(t, c, 4)

@@ -81,15 +81,15 @@ type Config struct {
 	// Shards selects the execution engine. Zero (the default) runs the
 	// whole machine on one global timing wheel — the legacy sequential
 	// kernel, bit-identical to every previous release. A positive value
-	// runs the epoch-parallel sharded kernel with that many workers: each
-	// node owns a timing wheel, nodes advance in lockstep windows of
-	// HopLatency cycles, and cross-node effects merge deterministically at
-	// window boundaries. The simulated outcome depends only on the window
-	// structure, never on the worker count, so every Shards >= 1 value
-	// produces byte-identical results; the worker count is purely a
-	// wall-clock knob. Shards must tile the mesh: it is rejected unless it
-	// divides Procs evenly. Sharded runs do not support the sampler, TAPE
-	// profiling, or the invariant auditor.
+	// runs the sharded epoch kernel: each node owns a timing wheel, nodes
+	// advance in lockstep windows of HopLatency cycles, and cross-node
+	// effects merge deterministically at window boundaries. The simulated
+	// outcome depends only on the window structure, so every Shards >= 1
+	// value produces byte-identical results at the same cost: the windows
+	// are too small to pay for worker goroutines (see sim.ShardExec), so
+	// they all run on the calling one. Shards must tile the mesh: it is
+	// rejected unless it divides Procs evenly. Sharded runs do not support
+	// the sampler, TAPE profiling, or the invariant auditor.
 	Shards int
 }
 

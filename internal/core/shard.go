@@ -30,14 +30,13 @@ import (
 //   - commit/violation statistics aggregate into per-port counters and
 //     histograms, merged once after the run.
 //
-// At each window boundary the merge phase — serial, and therefore race-free
-// — replays the window's captured sends through the mesh link model in
-// canonical (time, node, capture order) order, delivers them into the
-// destination nodes' kernels, applies barrier and vendor bookkeeping, and
-// flushes observer events in the same canonical order. Because the window
-// structure, the capture order within a node, and the canonical merge order
-// are all functions of simulated behaviour alone, the outcome is
-// bit-identical for every worker count.
+// At each window boundary the merge phase replays the window's captured
+// sends through the mesh link model in canonical (time, node, capture
+// order) order, delivers them into the destination nodes' kernels, applies
+// barrier and vendor bookkeeping, and flushes observer events in the same
+// canonical order. Because the window structure, the capture order within
+// a node, and the canonical merge order are all functions of simulated
+// behaviour alone, the outcome is bit-identical for every Shards value.
 //
 // The lookahead argument: a cross-node message sent at time t occupies at
 // least one cycle per link and travels at least one hop, so it arrives at
@@ -63,8 +62,8 @@ type sendEffect struct {
 }
 
 // nodePort is one node's membrane between its private kernel and the rest
-// of the machine. During the parallel phase only the owning node touches
-// it; during the merge phase only the (serial) merger does.
+// of the machine. During a window only the owning node's handlers touch
+// it; during the merge phase only the merger does.
 type nodePort struct {
 	sys  *System
 	node int
@@ -203,10 +202,10 @@ func (np *nodePort) noteCommit(p *Processor, instr uint64) {
 
 // premapProgram freezes the first-touch page map by walking the whole
 // program in canonical (phase, proc, tx, op) order before execution starts.
-// Sequential mode homes pages at their true first access; under parallel
-// execution that order would race and depend on scheduling, so the sharded
-// engine fixes homing up front — every runtime Home lookup is then a
-// read-only hit, safe from any goroutine.
+// Sequential mode homes pages at their true first access; the sharded
+// engine runs each node's whole window before the next node's, so that
+// order would depend on how the run is cut into windows. It fixes homing up
+// front instead — every runtime Home lookup is then a read-only hit.
 func (s *System) premapProgram() {
 	for ph := 0; ph < s.prog.Phases(); ph++ {
 		for pr := 0; pr < s.cfg.Procs; pr++ {
@@ -223,7 +222,7 @@ func (s *System) premapProgram() {
 	}
 }
 
-// runSharded executes the program on the epoch-parallel engine.
+// runSharded executes the program on the epoch engine.
 func (s *System) runSharded() (*Results, error) {
 	if s.tape != nil {
 		return nil, fmt.Errorf("core: TAPE conflict profiling requires Shards = 0 (sequential kernel)")
@@ -244,16 +243,15 @@ func (s *System) runSharded() (*Results, error) {
 	for i, np := range s.ports {
 		ks[i] = np.k
 	}
-	ex := &sim.ShardExec{
-		Ks:      ks,
-		Workers: s.cfg.Shards,
-		Window:  s.cfg.Mesh.HopLatency,
-		Merge:   s.mergeWindow,
+	s.shardEx = &sim.ShardExec{
+		Ks:     ks,
+		Window: s.cfg.Mesh.HopLatency,
+		Merge:  s.mergeWindow,
 	}
 	if s.cfg.MaxCycles > 0 || s.ckFn != nil {
-		// Check runs serially at the start of each epoch, after the previous
+		// Check runs at the start of each epoch, after the previous
 		// window's merge — the sharded engine's quiescent cut.
-		ex.Check = func(now sim.Time) error {
+		s.shardEx.Check = func(now sim.Time) error {
 			if s.cfg.MaxCycles > 0 && now > s.cfg.MaxCycles {
 				return fmt.Errorf("core: watchdog expired at cycle %d (%d procs still running)",
 					now, s.running)
@@ -261,7 +259,7 @@ func (s *System) runSharded() (*Results, error) {
 			return s.maybeCheckpoint(now)
 		}
 	}
-	if err := ex.Run(); err != nil {
+	if err := s.shardEx.Run(); err != nil {
 		return nil, err
 	}
 	for _, np := range s.ports {
@@ -351,7 +349,7 @@ func (s *System) mergeWindow(start, end sim.Time, active []int) {
 		for _, p := range s.procs {
 			// Sequential mode releases one cycle after the last arrival;
 			// here the window boundary is the deterministic stand-in.
-			s.ports[p.id].k.Post(end+1, p, prBarrierRelease, 0, 0)
+			s.shardEx.Post(p.id, end+1, p, prBarrierRelease, 0, 0)
 		}
 	}
 
@@ -396,7 +394,7 @@ func (s *System) deliverSend(e *sendEffect) {
 		s.ports[src].releaseBuf(e.msg.data)
 		e.msg.data = nil
 	}
-	dp.k.Post(arrival, dp, portMsg, uint64(i), 0)
+	s.shardEx.Post(dst, arrival, dp, portMsg, uint64(i), 0)
 }
 
 // mergePortStats folds the per-node statistics into the System aggregates

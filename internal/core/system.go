@@ -39,6 +39,9 @@ type System struct {
 	// choke point below branches on it. See shard.go.
 	ports  []*nodePort
 	nodeKs []sim.Kernel
+	// shardEx is the executor running the node kernels; merge-phase posts
+	// go through it (ShardExec.Post) so its peek cache stays exact.
+	shardEx *sim.ShardExec
 	// Merge-phase scratch: the (typically few) ports that captured sends or
 	// observer events in the current window, rebuilt each merge so the
 	// per-cycle replay loops never sweep the full port set (see mergeWindow).

@@ -43,7 +43,7 @@ type Options struct {
 	Seed         uint64   // simulation seed (must be >= 1)
 	Verify       bool     // run the serializability oracle on every run
 	HopLatencies []int    // Figure 8 sweep; empty = {1, 2, 4, 8}
-	Shards       []int    // scaling-experiment worker counts; empty = {1, 2, 4, 8}
+	Shards       []int    // scaling-experiment shard counts; empty = {1, 2, 4, 8}
 
 	// Parallel is the number of worker goroutines independent simulations
 	// are fanned across; 1 runs the matrix sequentially.

@@ -1,11 +1,12 @@
 // The sharded-kernel scaling study: the first measurement the simulator
 // makes about itself rather than the protocol. Every (procs, shards) cell
-// runs the same workload on the epoch-parallel kernel with a different
-// worker count; simulated results must be identical down the shard axis
-// (worker-count independence is the engine's contract, and this experiment
+// runs the same workload on the sharded epoch kernel with a different
+// Shards value; simulated results must be identical down the shard axis
+// (shard-count independence is the engine's contract, and this experiment
 // enforces it on every run), so the only thing that varies is wall-clock
-// time — the shard-count speedup curve that makes 256-1024-proc meshes
-// practical to simulate.
+// time. Every window runs on one goroutine whatever the Shards value (see
+// sim.ShardExec), so the curve is flat up to host noise; the sweep keeps
+// the engine's cost and its independence contract measured side by side.
 
 package experiments
 
@@ -25,7 +26,7 @@ type ScalingCell struct {
 	Cycles uint64
 	Wall   time.Duration
 	// Speedup is wall-clock speedup vs the same (app, procs) at the first
-	// shard count of the sweep (normally 1 worker).
+	// shard count of the sweep (normally 1).
 	Speedup    float64
 	Commits    uint64
 	Violations uint64
@@ -56,11 +57,10 @@ func scalingJobs(o Options) ([]Job, error) {
 	return jobs, nil
 }
 
-// Scaling sweeps the sharded kernel's worker count over opts.Procs x
+// Scaling sweeps the sharded kernel's Shards value over opts.Procs x
 // opts.Shards. Cells run strictly sequentially whatever opts.Parallel says:
-// each cell is itself a multi-goroutine run, and overlapping cells would
-// make every wall-clock number measure scheduler contention instead of the
-// engine.
+// overlapping cells would make every wall-clock number measure scheduler
+// contention instead of the engine.
 func Scaling(opts Options) ([]ScalingCell, error) {
 	if err := opts.Normalize(); err != nil {
 		return nil, err

@@ -113,9 +113,9 @@ type MachineSpec struct {
 	StarveRetain      *int `json:"starve_retain,omitempty"`
 	RepeatedProbing   bool `json:"repeated_probing,omitempty"`
 	WriteThrough      bool `json:"write_through,omitempty"`
-	// Shards selects the epoch-parallel sharded execution engine with that
-	// many workers (tcc protocol only; 0 = the sequential kernel). Results
-	// are independent of the worker count.
+	// Shards selects the sharded epoch execution engine (tcc protocol
+	// only; 0 = the sequential kernel). Results are independent of the
+	// value.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -130,7 +130,7 @@ type SweepSpec struct {
 	Procs       []int    `json:"procs,omitempty"`
 	// Hops is the Figure 8 cycles-per-hop sweep list.
 	Hops []int `json:"hops,omitempty"`
-	// Shards is the sharded-kernel worker-count axis for the scaling
+	// Shards is the sharded-kernel shard-count axis for the scaling
 	// experiment (0 entries keep the experiment's default grid).
 	Shards []int `json:"shards,omitempty"`
 	// MaxProcs is the machine size for table3/fig8/fig9/ablations; 0 keeps

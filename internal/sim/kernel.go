@@ -360,18 +360,25 @@ func (k *Kernel) RunUntil(deadline Time) bool {
 // RunWindow executes events with at-time <= deadline, like RunUntil, but
 // never advances the clock past the last executed event: a drained kernel
 // keeps now at the last dispatched cycle, so Now() reads as "time of the
-// last event here", not "end of the last window". The epoch-parallel
-// executor (ShardExec) relies on this — the maximum Now() across kernels
+// last event here", not "end of the last window". The epoch executor
+// (ShardExec) relies on this — the maximum Now() across kernels
 // after a run is then the global last-event cycle, independent of how the
 // run was cut into windows.
 func (k *Kernel) RunWindow(deadline Time) {
-	for {
-		t, ok := k.peekTime()
-		if !ok || t > deadline {
-			return
-		}
+	t, ok := k.peekTime()
+	k.runWindowFrom(t, ok, deadline)
+}
+
+// runWindowFrom is RunWindow given the kernel's current earliest pending
+// time (t, ok). It returns the earliest pending time left after the window
+// (false if the kernel drained), which it computes anyway to stop; the
+// sharded executor keeps it as its peek-cache entry.
+func (k *Kernel) runWindowFrom(t Time, ok bool, deadline Time) (Time, bool) {
+	for ok && t <= deadline {
 		k.StepCycle()
+		t, ok = k.peekTime()
 	}
+	return t, ok
 }
 
 // ---------------------------------------------------------------------------

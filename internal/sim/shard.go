@@ -4,73 +4,70 @@
 // directly to a mesh machine: if every cross-kernel interaction takes at
 // least L cycles to arrive, then inside any window [T, T+L-1] the kernels
 // cannot affect each other — an effect produced at time t >= T lands at
-// t + L >= T + L, strictly after the window. So the executor may run every
-// kernel's window worth of events in parallel, then apply the captured
+// t + L >= T + L, strictly after the window. So the executor may run each
+// kernel's window worth of events on its own, then apply the captured
 // cross-kernel effects serially in a canonical order, and the outcome is
-// identical to a sequential interleaving. Crucially, the epoch geometry
-// (window start = global minimum pending time, end = start + L - 1) depends
-// only on event times, never on the worker count, so a run is bit-identical
-// whether one goroutine or sixteen execute the windows.
+// identical to a sequential interleaving. The epoch geometry (window start =
+// global minimum pending time, end = start + L - 1) depends only on event
+// times.
+//
+// The windows run one after another on the calling goroutine. They are far
+// too small to pay for a handoff to other goroutines: with the mesh's
+// 3-cycle lookahead a window runs 9-14 events at 64 processors, and on a
+// 1024-processor barnes run only 33 of 380k windows reach 512 events. A
+// parked worker pool that took just the windows above a size grain (tried
+// at 64 to 512 events) never beat running them inline, so there is none
+// (DESIGN.md §27).
 package sim
 
-import (
-	"runtime"
-	"sync/atomic"
-)
+// none is the peek-cache value of a drained kernel.
+const none = ^Time(0)
 
 // ShardExec advances a set of independent kernels in lockstep epochs of
-// Window cycles. Within an epoch the kernels run concurrently (up to
-// Workers goroutines); between epochs the Merge callback runs serially and
-// is the only place cross-kernel effects may be exchanged — every event it
-// posts must land strictly after the epoch (the lookahead contract).
+// Window cycles. Each epoch runs every kernel with events in the window;
+// then the Merge callback is the only place cross-kernel effects may be
+// exchanged — every event it posts must land strictly after the epoch (the
+// lookahead contract) and must go through Post, which keeps the executor's
+// peek cache exact.
 //
 // The zero value is not usable; fill in Ks, Window, and Merge. Run may be
-// called again after it returns, but never concurrently with itself.
+// called again after it returns.
 type ShardExec struct {
 	// Ks are the kernels, typically one per simulated node. Their index
 	// order is the canonical serial order Merge should use.
 	Ks []*Kernel
-	// Workers is the number of goroutines executing epoch windows
-	// (including the caller); values < 1 and values > len(Ks) are clamped.
-	// The output is identical for every value — Workers is purely a
-	// wall-clock knob.
-	Workers int
 	// Window is the lookahead L in cycles: the minimum cross-kernel
 	// latency. Must be >= 1.
 	Window Time
-	// Check, when non-nil, runs serially at the start of each epoch with
-	// the epoch's first cycle; a non-nil error aborts the run (watchdog
-	// hook).
+	// Check, when non-nil, runs at the start of each epoch with the epoch's
+	// first cycle; a non-nil error aborts the run (watchdog hook).
 	Check func(now Time) error
-	// Merge, when non-nil, runs serially after each epoch's parallel phase
-	// with the epoch's inclusive [start, end] bounds and the ascending
-	// indices of the kernels that ran the window. Only those kernels'
-	// components can have captured cross-kernel effects during the epoch,
-	// so a merge need not visit any other kernel's state.
+	// Merge, when non-nil, runs after each epoch's windows with the epoch's
+	// inclusive [start, end] bounds and the ascending indices of the kernels
+	// that ran the window. Only those kernels' components can have captured
+	// cross-kernel effects during the epoch, so a merge need not visit any
+	// other kernel's state.
 	Merge func(start, end Time, active []int)
 
-	// Peek cache, valid across epochs: a kernel's earliest pending time can
-	// only change when it runs a window (it is then in active and marked
-	// stale) or when Merge schedules into it (its seq counter moves past
-	// seqs[i]). Everything else reuses peeks[i], so an epoch costs one
-	// compare per idle kernel instead of one queue scan.
-	peeks  []Time   // per-kernel pending time, ^0 if drained
-	seqs   []uint64 // kernel's schedule counter when peeks[i] was taken
-	stale  []bool   // kernel ran last window; peeks[i] is invalid
-	active []int    // scratch: kernels with work in the current epoch
+	// peeks[i] is kernel i's earliest pending time (none if drained), kept
+	// exact without rescanning: a kernel's queue changes only when it runs
+	// a window (runKernel stores the time the window stopped at) or when
+	// Merge posts into it (Post lowers the entry). Run seeds it once.
+	peeks  []Time
+	active []int // scratch: kernels with work in the current epoch
 }
 
-// runState is the per-Run synchronization block. It is heap-allocated per
-// Run call so that a straggling worker from a previous run (already told to
-// stop, but not yet descheduled) can never observe — let alone corrupt —
-// the next run's epoch counters.
-type runState struct {
-	exec     *ShardExec
-	deadline Time
-	epoch    atomic.Uint64 // bumped to publish a new window to workers
-	next     atomic.Int64  // work-stealing cursor into exec.active
-	busy     atomic.Int64  // workers still inside the current window
-	stop     atomic.Bool
+// Post schedules an event into kernel i during Merge — at time t,
+// h.HandleEvent(code, a1, a2) runs on that kernel — and keeps the peek
+// cache exact. Every Merge-phase post must come through here: a direct
+// Kernel.Post behind the cache's back makes Run panic. Posts made before
+// Run (initial events, a restored checkpoint) go straight into the kernels;
+// Run peeks every kernel once when it starts.
+func (e *ShardExec) Post(i int, t Time, h Handler, code uint32, a1, a2 uint64) {
+	e.Ks[i].Post(t, h, code, a1, a2)
+	if t < e.peeks[i] {
+		e.peeks[i] = t
+	}
 }
 
 // Run executes epochs until every kernel drains, or Check returns an error.
@@ -78,34 +75,24 @@ func (e *ShardExec) Run() error {
 	if e.Window < 1 {
 		panic("sim: ShardExec.Window must be >= 1")
 	}
-	nw := e.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if nw > len(e.Ks) {
-		nw = len(e.Ks)
-	}
 	if cap(e.peeks) < len(e.Ks) {
 		e.peeks = make([]Time, len(e.Ks))
-		e.seqs = make([]uint64, len(e.Ks))
-		e.stale = make([]bool, len(e.Ks))
 	}
 	e.peeks = e.peeks[:len(e.Ks)]
-	e.seqs = e.seqs[:len(e.Ks)]
-	e.stale = e.stale[:len(e.Ks)]
-	for i := range e.stale {
-		e.stale[i] = true // a previous Run may have left stale cache entries
-	}
-	r := &runState{exec: e}
-	if nw > 1 {
-		for i := 0; i < nw-1; i++ {
-			go r.workerLoop()
+	for i, k := range e.Ks {
+		e.peeks[i] = none
+		if t, ok := k.peekTime(); ok {
+			e.peeks[i] = t
 		}
-		defer r.stop.Store(true)
 	}
 	for {
 		start, ok := e.beginEpoch()
 		if !ok {
+			for _, k := range e.Ks {
+				if k.Pending() != 0 {
+					panic("sim: kernel holds events the ShardExec peek cache never saw (post with ShardExec.Post)")
+				}
+			}
 			return nil
 		}
 		if e.Check != nil {
@@ -114,7 +101,9 @@ func (e *ShardExec) Run() error {
 			}
 		}
 		end := start + e.Window - 1
-		e.runWindow(r, end, nw)
+		for _, i := range e.active {
+			e.runKernel(i, end)
+		}
 		if e.Merge != nil {
 			e.Merge(start, end, e.active)
 		}
@@ -123,91 +112,37 @@ func (e *ShardExec) Run() error {
 
 // beginEpoch finds the epoch start (the global minimum pending time) and
 // collects the kernels with events inside the window. Both are functions of
-// event times alone, so the epoch structure is identical for every worker
-// count.
+// event times alone.
 func (e *ShardExec) beginEpoch() (Time, bool) {
-	const none = ^Time(0)
-	peeks := e.peeks
-	start, found := none, false
-	for i, k := range e.Ks {
-		if e.stale[i] || k.seq != e.seqs[i] {
-			if t, ok := k.peekTime(); ok {
-				peeks[i] = t
-			} else {
-				peeks[i] = none
-			}
-			e.seqs[i] = k.seq
-			e.stale[i] = false
-		}
-		if t := peeks[i]; t != none && (!found || t < start) {
-			start, found = t, true
-		}
+	start := none
+	for _, t := range e.peeks {
+		start = min(start, t)
 	}
-	if !found {
+	if start == none {
 		return 0, false
 	}
 	end := start + e.Window - 1
 	e.active = e.active[:0]
-	for i := range peeks {
-		if peeks[i] <= end {
+	for i, t := range e.peeks {
+		if t <= end {
 			e.active = append(e.active, i)
-			e.stale[i] = true // this kernel runs the window; re-peek next epoch
 		}
 	}
 	return start, true
 }
 
-// runWindow executes the active kernels' events up to end. With one worker
-// (or one active kernel) it runs inline; otherwise the caller participates
-// alongside the worker pool and then spins until every worker has left the
-// window, which is the happens-before edge that makes the subsequent serial
-// Merge race-free.
-func (e *ShardExec) runWindow(r *runState, end Time, nw int) {
-	if nw <= 1 || len(e.active) == 1 {
-		for _, i := range e.active {
-			e.Ks[i].RunWindow(end)
-		}
-		return
+// runKernel runs kernel i's window up to end and refreshes peeks[i] from
+// where the window stopped. The kernel's first pending time must be the
+// cached one; anything else means an event was posted behind the cache,
+// which would silently reorder the run.
+func (e *ShardExec) runKernel(i int, end Time) {
+	k := e.Ks[i]
+	t, ok := k.peekTime()
+	if !ok || t != e.peeks[i] {
+		panic("sim: kernel's next event differs from the ShardExec peek cache (post with ShardExec.Post)")
 	}
-	r.deadline = end
-	r.next.Store(0)
-	r.busy.Store(int64(nw - 1))
-	r.epoch.Add(1) // publishes deadline + active to the spinning workers
-	r.work()
-	for r.busy.Load() != 0 {
-		runtime.Gosched()
+	if t, ok = k.runWindowFrom(t, ok, end); !ok {
+		t = none
 	}
-}
-
-// work drains the active-kernel list through the shared cursor. Dynamic
-// pulling (rather than static striping) is what absorbs hotspot imbalance:
-// a kernel with 100x the events of its peers just means its worker pulls
-// fewer other kernels.
-func (r *runState) work() {
-	e := r.exec
-	for {
-		i := r.next.Add(1) - 1
-		if i >= int64(len(e.active)) {
-			return
-		}
-		e.Ks[e.active[i]].RunWindow(r.deadline)
-	}
-}
-
-func (r *runState) workerLoop() {
-	seen := uint64(0)
-	for {
-		for {
-			if r.stop.Load() {
-				return
-			}
-			if p := r.epoch.Load(); p != seen {
-				seen = p
-				break
-			}
-			runtime.Gosched()
-		}
-		r.work()
-		r.busy.Add(-1)
-	}
+	e.peeks[i] = t
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -185,9 +186,12 @@ func (tn *toyNode) HandleEvent(code uint32, a1, a2 uint64) {
 	})
 }
 
-// runToySharded executes the toy program on per-node kernels with the given
-// worker count and returns the per-node traces.
-func runToySharded(seed uint64, nodes int, workers int) [][]toyRec {
+// runToyOn executes the toy program on fresh per-node kernels under ex
+// (replacing its Ks and Merge, keeping Window and Check) and returns
+// the per-node traces. Merge delivers cross-node sends through ex.Post; with
+// bypass it posts straight into the destination kernel instead — the
+// cache-contract violation Run must refuse.
+func runToyOn(ex *ShardExec, seed uint64, nodes int, bypass bool) ([][]toyRec, error) {
 	ks := make([]Kernel, nodes)
 	tns := make([]*toyNode, nodes)
 	ksp := make([]*Kernel, nodes)
@@ -200,28 +204,28 @@ func runToySharded(seed uint64, nodes int, workers int) [][]toyRec {
 		ks[i].Post(Time(toyMix(seed, uint64(i), 7)%5), tn, 0, 3<<32|uint64(i), 0)
 	}
 	cursors := make([]int, nodes)
-	ex := &ShardExec{
-		Ks:      ksp,
-		Workers: workers,
-		Window:  toyWindow,
-		// Only active nodes can have captured sends this window (the Merge
-		// contract); the trailing cursor check below would catch any send a
-		// non-active node somehow held back.
-		Merge: func(start, end Time, active []int) {
-			for t := start; t <= end; t++ {
-				for _, i := range active {
-					tn := tns[i]
-					for cursors[i] < len(tn.out) && tn.out[cursors[i]].at == t {
-						s := tn.out[cursors[i]]
-						cursors[i]++
+	ex.Ks = ksp
+	// Only active nodes can have captured sends this window (the Merge
+	// contract); the trailing cursor check below would catch any send a
+	// non-active node somehow held back.
+	ex.Merge = func(start, end Time, active []int) {
+		for t := start; t <= end; t++ {
+			for _, i := range active {
+				tn := tns[i]
+				for cursors[i] < len(tn.out) && tn.out[cursors[i]].at == t {
+					s := tn.out[cursors[i]]
+					cursors[i]++
+					if bypass {
 						ks[s.dst].Post(s.at+s.delay, tns[s.dst], 0, s.a1, 0)
+					} else {
+						ex.Post(s.dst, s.at+s.delay, tns[s.dst], 0, s.a1, 0)
 					}
 				}
 			}
-		},
+		}
 	}
 	if err := ex.Run(); err != nil {
-		panic(err)
+		return nil, err
 	}
 	for i, tn := range tns {
 		if cursors[i] != len(tn.out) {
@@ -231,6 +235,16 @@ func runToySharded(seed uint64, nodes int, workers int) [][]toyRec {
 	traces := make([][]toyRec, nodes)
 	for i, tn := range tns {
 		traces[i] = tn.trace
+	}
+	return traces, nil
+}
+
+// runToySharded executes the toy program on a new executor and returns the
+// per-node traces.
+func runToySharded(seed uint64, nodes int) [][]toyRec {
+	traces, err := runToyOn(&ShardExec{Window: toyWindow}, seed, nodes, false)
+	if err != nil {
+		panic(err)
 	}
 	return traces
 }
@@ -317,23 +331,14 @@ func tracesEqual(a, b [][]toyRec) error {
 }
 
 // TestShardedKernelEquivalenceQuick drives random toy programs and checks
-// the two halves of the sharded-execution contract: (1) worker-count
-// independence — per-node traces are identical for 1 vs several workers;
-// (2) simulation equivalence — the sharded run executes exactly the same
+// the sharded-execution contract: the sharded run executes exactly the same
 // (time, node, payload) event multiset as a single shared kernel (ordering
 // within a cycle is the one degree of freedom the merge is allowed).
 func TestShardedKernelEquivalenceQuick(t *testing.T) {
-	f := func(seed uint64, nodesRaw uint8, workersRaw uint8) bool {
-		nodes := 2 + int(nodesRaw%7)     // 2..8
-		workers := 2 + int(workersRaw%3) // 2..4
-		serial := runToySharded(seed, nodes, 1)
-		par := runToySharded(seed, nodes, workers)
-		if err := tracesEqual(serial, par); err != nil {
-			t.Logf("seed %d nodes %d workers %d: worker-count dependence: %v", seed, nodes, workers, err)
-			return false
-		}
+	f := func(seed uint64, nodesRaw uint8) bool {
+		nodes := 2 + int(nodesRaw%7) // 2..8
 		ref := flattenSorted(runToyReference(seed, nodes))
-		shr := flattenSorted(serial)
+		shr := flattenSorted(runToySharded(seed, nodes))
 		if len(ref) != len(shr) {
 			t.Logf("seed %d nodes %d: event count %d vs reference %d", seed, nodes, len(shr), len(ref))
 			return false
@@ -355,14 +360,47 @@ func TestShardedKernelEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// TestShardExecRepeatedRuns exercises Run-after-Run on the same executor
-// (fresh kernels) to pin the per-run worker isolation.
+// TestShardExecRepeatedRuns runs one executor several times over fresh
+// kernels, to pin that each Run re-seeds its peek cache rather than
+// trusting the previous run's entries.
 func TestShardExecRepeatedRuns(t *testing.T) {
+	want := runToySharded(42, 5)
+	ex := &ShardExec{Window: toyWindow}
 	for round := 0; round < 3; round++ {
-		got := runToySharded(42, 5, 4)
-		want := runToySharded(42, 5, 1)
+		got, err := runToyOn(ex, 42, 5, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := tracesEqual(want, got); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestShardExecPostBehindCachePanics: a Merge that posts with Kernel.Post
+// instead of ShardExec.Post leaves the peek cache stale, which would
+// silently reorder the run. Run must refuse it loudly — when a kernel's next
+// event differs from the cached one, or at the end, when the cache says
+// everything drained but a kernel still holds events. The seeds cover both.
+func TestShardExecPostBehindCachePanics(t *testing.T) {
+	seen := map[string]bool{}
+	for seed := uint64(1); seed <= 5; seed++ {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				switch {
+				case strings.Contains(msg, "differs from the ShardExec peek cache"):
+					seen["next event"] = true
+				case strings.Contains(msg, "peek cache never saw"):
+					seen["drained"] = true
+				default:
+					t.Errorf("seed %d: recovered %q, want a peek-cache panic", seed, msg)
+				}
+			}()
+			runToyOn(&ShardExec{Window: toyWindow}, seed, 6, true)
+		}()
+	}
+	if !seen["next event"] || !seen["drained"] {
+		t.Errorf("panics seen %v, want both the next-event and the drained check", seen)
 	}
 }

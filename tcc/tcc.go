@@ -137,14 +137,15 @@ type Config struct {
 
 	// Shards selects the execution engine. Zero (the default) runs the whole
 	// machine on one global timing wheel — the sequential kernel. A positive
-	// value runs the epoch-parallel sharded kernel with that many workers:
-	// every node advances on its own timing wheel in lockstep windows of
-	// HopLatency cycles, and cross-node effects merge deterministically at
-	// window boundaries. Results depend only on the window structure, never
-	// on the worker count — every Shards >= 1 value is byte-identical — so
-	// Shards is purely a wall-clock knob for large meshes. It must divide
-	// Procs evenly. Sharded runs do not support EnableSampler,
-	// EnableConflictProfiler, or AuditFinalMemory.
+	// value runs the sharded epoch kernel: every node advances on its own
+	// timing wheel in lockstep windows of HopLatency cycles, and cross-node
+	// effects merge deterministically at window boundaries. Results depend
+	// only on the window structure — every Shards >= 1 value is
+	// byte-identical — and so does the cost: the windows (a few to a few
+	// hundred events each, up to 1024 nodes) are too small to pay for
+	// worker goroutines, so every window runs on the calling one whatever
+	// the value. It must divide Procs evenly. Sharded runs do not
+	// support EnableSampler, EnableConflictProfiler, or AuditFinalMemory.
 	Shards int
 
 	// Seed drives every pseudo-random choice; equal seeds give bit-identical
@@ -260,7 +261,7 @@ func (s *System) RunCheckpointed(every uint64, fn func(*Checkpoint) error) (*Res
 // RestoreSystem rebuilds a machine from a Checkpoint and resumes it on the
 // next Run. cfg must describe the same machine shape (processor count,
 // geometry, execution engine); timing knobs (hop/memory/directory latency,
-// link bandwidth, MaxCycles, starvation retention, shard worker count) may
+// link bandwidth, MaxCycles, starvation retention, shard count) may
 // differ — they apply from the cut onward, which is what job forking edits.
 func RestoreSystem(cfg Config, prog Program, ck *Checkpoint) (*System, error) {
 	cc, err := cfg.compile()
