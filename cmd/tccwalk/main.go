@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,19 +38,24 @@ func main() {
 		}
 		return
 	}
-
-	script, ok := scenario.ByName(*name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tccwalk: unknown scenario %q (try -list)\n", *name)
+	if err := run(os.Stdout, *name); err != nil {
+		fmt.Fprintln(os.Stderr, "tccwalk:", err)
 		os.Exit(1)
+	}
+}
+
+// run replays the named scenario and writes the walkthrough to w.
+func run(w io.Writer, name string) error {
+	script, ok := scenario.ByName(name)
+	if !ok {
+		return fmt.Errorf("unknown scenario %q (try -list)", name)
 	}
 
 	cfg := core.DefaultConfig(script.Procs())
 	cfg.MaxCycles = 10_000_000
 	sys, err := core.NewSystem(cfg, script)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tccwalk:", err)
-		os.Exit(1)
+		return err
 	}
 	sys.CollectCommitLog(true)
 	sys.Observe(obs.NewTraceAdapter(func(f string, args ...any) {
@@ -58,26 +64,25 @@ func main() {
 		if strings.Contains(line, "p2 ") && !strings.Contains(line, "COMMIT") {
 			return
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}))
 
-	fmt.Printf("=== %s on a %d-node Scalable TCC machine ===\n", script.ScriptName, script.Procs())
-	fmt.Printf("addresses: %#x homed at dir0, %#x at dir1, %#x at dir2\n\n",
+	fmt.Fprintf(w, "=== %s on a %d-node Scalable TCC machine ===\n", script.ScriptName, script.Procs())
+	fmt.Fprintf(w, "addresses: %#x homed at dir0, %#x at dir1, %#x at dir2\n\n",
 		scenario.AddrD0, scenario.AddrD1, scenario.AddrD2)
 
 	res, err := sys.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tccwalk:", err)
-		os.Exit(1)
+		return err
 	}
 
-	fmt.Printf("\n=== outcome ===\n")
-	fmt.Printf("cycles: %d   commits: %d   violations: %d   owner forwards: %d\n",
+	fmt.Fprintf(w, "\n=== outcome ===\n")
+	fmt.Fprintf(w, "cycles: %d   commits: %d   violations: %d   owner forwards: %d\n",
 		res.Cycles, res.Commits, res.Violations, res.Forwards)
-	if v := verify.Check(res.CommitLog); len(v) == 0 {
-		fmt.Println("serializability: OK — the committed reads match the TID-serial order")
-	} else {
-		fmt.Printf("serializability: %d VIOLATIONS (protocol bug)\n", len(v))
-		os.Exit(1)
+	if v := verify.Check(res.CommitLog); len(v) != 0 {
+		fmt.Fprintf(w, "serializability: %d VIOLATIONS (protocol bug)\n", len(v))
+		return fmt.Errorf("%d serializability violations", len(v))
 	}
+	fmt.Fprintln(w, "serializability: OK — the committed reads match the TID-serial order")
+	return nil
 }
