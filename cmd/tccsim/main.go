@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"scalabletcc/internal/cliflag"
 	"scalabletcc/internal/mesh"
@@ -48,10 +47,7 @@ func main() {
 		wt       = flag.Bool("writethrough", false, "ship data with commit marks instead of write-back")
 		shards   = flag.Int("shards", 0, "run the sharded epoch kernel with N shards (0 = sequential; results are shard-count independent)")
 		verify   = flag.Bool("verify", false, "check serializability of the commit log")
-		basel    = flag.Bool("baseline", false, "run the bus-based small-scale TCC instead")
 		tape     = flag.Bool("tape", false, "profile conflicts (TAPE): print the most damaging lines")
-		trace    = flag.Bool("trace", false, "print every protocol event to stderr (very verbose)")
-		traceFor = flag.String("tracefilter", "", "only print trace lines containing this substring")
 		traceOut = flag.String("trace-json", "", "write every protocol event as JSON Lines to this file (- for stdout)")
 		sample   = flag.Uint64("sample", 0, "with -trace-json: emit a machine-occupancy sample every N cycles")
 		ckpt     = flag.String("checkpoint", "", "checkpoint manifest path: snapshot into it as the run progresses, resume from it when rerun")
@@ -86,17 +82,26 @@ func main() {
 		effScale = 1e-12
 	}
 
+	r := *retain
 	spec := tcc.NewJobSpec(tcc.JobKindRun)
 	spec.Run = &tcc.RunSpec{
-		App:    *app,
-		Procs:  *procs,
-		Scale:  effScale,
-		Seed:   *seed,
-		Verify: *verify,
+		App:      *app,
+		Protocol: *protocol,
+		Procs:    *procs,
+		Scale:    effScale,
+		Seed:     *seed,
+		Verify:   *verify,
+		Machine: &tcc.MachineSpec{
+			HopLatency:      *hop,
+			LineGranularity: *gran == "line",
+			StarveRetain:    &r,
+			WriteThrough:    *wt,
+			Shards:          *shards,
+		},
 	}
 	opts := &tcc.RunJobOptions{EventWriter: sink}
 
-	scalable := !*basel && *protocol == "tcc"
+	scalable := *protocol == "tcc"
 	if (*ckpt != "") != (*ckptN > 0) {
 		exitOn(fmt.Errorf("-checkpoint and -checkpoint-every go together"))
 	}
@@ -107,39 +112,9 @@ func main() {
 		spec.Run.CheckpointEvery = *ckptN
 		opts.CheckpointPath = *ckpt
 	}
-	switch {
-	case *basel:
-		if *sample > 0 {
-			exitOn(fmt.Errorf("-sample requires the scalable machine (drop -baseline)"))
-		}
-		if *shards > 0 {
-			exitOn(fmt.Errorf("-shards requires the scalable machine (drop -baseline)"))
-		}
-		// The bus machine takes only (app, procs, scale, seed, verify): the
-		// mesh knobs below have no bus equivalent, as ever.
-		spec.Run.Protocol = "baseline"
-	default:
-		r := *retain
-		spec.Run.Machine = &tcc.MachineSpec{
-			HopLatency:      *hop,
-			LineGranularity: *gran == "line",
-			StarveRetain:    &r,
-			WriteThrough:    *wt,
-			Shards:          *shards,
-		}
-		spec.Run.Protocol = *protocol
-	}
 	if scalable {
-		// -trace, -tape, and -sample apply to the scalable machine only;
-		// registry protocols ignore them, as the pre-job CLI always has.
-		if *trace {
-			opts.Observer = tcc.TraceObserver(func(f string, args ...any) {
-				line := fmt.Sprintf(f, args...)
-				if *traceFor == "" || strings.Contains(line, *traceFor) {
-					fmt.Fprintln(os.Stderr, line)
-				}
-			})
-		}
+		// -tape and -sample apply to the scalable machine only; registry
+		// protocols ignore them, as the pre-job CLI always has.
 		opts.ConflictProfile = *tape
 		if *sample > 0 {
 			if sink == nil {
@@ -152,57 +127,45 @@ func main() {
 	out, err := tcc.RunJob(context.Background(), spec, opts)
 	exitOn(err)
 
-	switch {
-	case *basel:
-		res := out.Proto.Baseline
-		fmt.Printf("bus-based TCC: %s on %d procs\n", prof.Name, *procs)
-		fmt.Printf("  cycles      %d\n", res.Cycles)
-		fmt.Printf("  commits     %d, violations %d\n", res.Commits, res.Violations)
-		fmt.Printf("  bus         %d bytes, busy %d cycles (%.1f%%)\n",
-			res.BusBytes, res.BusBusy, 100*float64(res.BusBusy)/float64(res.Cycles))
-		printBreakdown(res.Breakdown)
-		if *verify {
-			reportVerify(out.Result.Violations)
-		}
-	case !scalable:
+	if !scalable {
 		printRegistry(*protocol, prof, *procs, out, *verify)
-	default:
-		res := out.Proto.Scalable
-		fmt.Printf("Scalable TCC: %s on %d procs (%s granularity)\n", prof.Name, *procs, *gran)
-		fmt.Printf("  cycles        %d\n", res.Cycles)
-		fmt.Printf("  commits       %d, violations %d, committed instr %d\n",
-			res.Commits, res.Violations, res.Instr)
-		printBreakdown(res.Breakdown)
-		fmt.Printf("  tx fingerprint (p90): %d instr, rd %d B, wr %d B, %d dirs/commit\n",
-			res.TxInstrP90, res.RdSetBytesP90, res.WrSetBytesP90, res.DirsPerCommitP90)
-		fmt.Printf("  directories   occupancy p90 %d cycles, working set p90 %d entries\n",
-			res.DirOccupancyP90, res.DirWorkingSetP90)
-		fmt.Printf("  traffic       %.4f B/instr (commit %.4f, miss %.4f, wb %.4f, shared %.4f)\n",
-			res.BytesPerInstr(),
-			res.ClassBytesPerInstr(mesh.ClassCommit),
-			res.ClassBytesPerInstr(mesh.ClassMiss),
-			res.ClassBytesPerInstr(mesh.ClassWriteBack),
-			res.ClassBytesPerInstr(mesh.ClassShared))
-		fmt.Printf("  cache         %d misses, %d evictions, %d spills, %d invalidations\n",
-			res.CacheStats.Misses, res.CacheStats.Evictions, res.CacheStats.Spills,
-			res.CacheStats.Invalidations)
-		fmt.Printf("  protocol      %d stalled loads, %d owner forwards, %d dropped write-backs\n",
-			res.StalledLoads, res.Forwards, res.DroppedWBs)
-		if profiler := out.Profiler; profiler != nil {
-			fmt.Printf("  TAPE          %d violations, %d wasted cycles\n",
-				profiler.TotalViolations(), profiler.WastedCycles())
-			for _, r := range profiler.Top(10) {
-				fmt.Printf("    %s\n", r)
-			}
-			if starved := profiler.Starved(uint64(*retain)); *retain > 0 && len(starved) > 0 {
-				for _, sr := range starved {
-					fmt.Printf("    starvation: proc %d hit a streak of %d retries\n", sr.Proc, sr.WorstStreak)
-				}
+		return
+	}
+	res := out.Proto.Scalable
+	fmt.Printf("Scalable TCC: %s on %d procs (%s granularity)\n", prof.Name, *procs, *gran)
+	fmt.Printf("  cycles        %d\n", res.Cycles)
+	fmt.Printf("  commits       %d, violations %d, committed instr %d\n",
+		res.Commits, res.Violations, res.Instr)
+	printBreakdown(res.Breakdown)
+	fmt.Printf("  tx fingerprint (p90): %d instr, rd %d B, wr %d B, %d dirs/commit\n",
+		res.TxInstrP90, res.RdSetBytesP90, res.WrSetBytesP90, res.DirsPerCommitP90)
+	fmt.Printf("  directories   occupancy p90 %d cycles, working set p90 %d entries\n",
+		res.DirOccupancyP90, res.DirWorkingSetP90)
+	fmt.Printf("  traffic       %.4f B/instr (commit %.4f, miss %.4f, wb %.4f, shared %.4f)\n",
+		res.BytesPerInstr(),
+		res.ClassBytesPerInstr(mesh.ClassCommit),
+		res.ClassBytesPerInstr(mesh.ClassMiss),
+		res.ClassBytesPerInstr(mesh.ClassWriteBack),
+		res.ClassBytesPerInstr(mesh.ClassShared))
+	fmt.Printf("  cache         %d misses, %d evictions, %d spills, %d invalidations\n",
+		res.CacheStats.Misses, res.CacheStats.Evictions, res.CacheStats.Spills,
+		res.CacheStats.Invalidations)
+	fmt.Printf("  protocol      %d stalled loads, %d owner forwards, %d dropped write-backs\n",
+		res.StalledLoads, res.Forwards, res.DroppedWBs)
+	if profiler := out.Profiler; profiler != nil {
+		fmt.Printf("  TAPE          %d violations, %d wasted cycles\n",
+			profiler.TotalViolations(), profiler.WastedCycles())
+		for _, r := range profiler.Top(10) {
+			fmt.Printf("    %s\n", r)
+		}
+		if starved := profiler.Starved(uint64(*retain)); *retain > 0 && len(starved) > 0 {
+			for _, sr := range starved {
+				fmt.Printf("    starvation: proc %d hit a streak of %d retries\n", sr.Proc, sr.WorstStreak)
 			}
 		}
-		if *verify {
-			reportVerify(out.Result.Violations)
-		}
+	}
+	if *verify {
+		reportVerify(out.Result.Violations)
 	}
 }
 

@@ -58,10 +58,10 @@ func run(w io.Writer, name string) error {
 		return err
 	}
 	sys.CollectCommitLog(true)
-	sys.Observe(obs.NewTraceAdapter(func(f string, args ...any) {
-		line := fmt.Sprintf(f, args...)
+	sys.Observe(obs.FuncObserver(func(e obs.Event) {
+		line, ok := obs.Line(e)
 		// The walkthrough hides background noise on the helper processor.
-		if strings.Contains(line, "p2 ") && !strings.Contains(line, "COMMIT") {
+		if !ok || (strings.Contains(line, "p2 ") && !strings.Contains(line, "COMMIT")) {
 			return
 		}
 		fmt.Fprintln(w, line)

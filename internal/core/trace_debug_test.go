@@ -10,7 +10,7 @@ import (
 )
 
 // TestTraceHotLine is a debugging aid: it observes protocol events on the
-// hot line and dumps them (in the legacy trace rendering) when the oracle
+// hot line and dumps them (rendered with obs.Line) when the oracle
 // finds a stale read.
 func TestTraceHotLine(t *testing.T) {
 	prof := workload.Hotspot().Scale(0.25)
@@ -24,7 +24,7 @@ func TestTraceHotLine(t *testing.T) {
 	sys.CollectCommitLog(true)
 	var lines []string
 	sys.Observe(obs.FuncObserver(func(e obs.Event) {
-		s, ok := obs.LegacyLine(e)
+		s, ok := obs.Line(e)
 		if !ok {
 			return
 		}

@@ -44,7 +44,7 @@ func baselineJobs(o Options) ([]Job, error) {
 		for _, procs := range o.Procs {
 			jobs = append(jobs,
 				Job{App: app, Procs: procs},
-				Job{App: app, Procs: procs, Baseline: true})
+				Job{App: app, Procs: procs, Protocol: "baseline"})
 		}
 	}
 	return jobs, nil
@@ -64,11 +64,11 @@ func BaselineComparison(opts Options) ([]BaselineCell, error) {
 	}
 	var cells []BaselineCell
 	for i := 0; i < len(jobs); i += 2 {
-		res, bres := outs[i].Results, outs[i+1].Baseline
+		res, bres := outs[i].Results, outs[i+1].Proto.Baseline
 		pair := i / 2
 		first := i - 2*(pair%len(opts.Procs)) // the app's first sweep point
 		scalBase := uint64(outs[first].Results.Cycles)
-		busBase := uint64(outs[first+1].Baseline.Cycles)
+		busBase := uint64(outs[first+1].Proto.Baseline.Cycles)
 		cells = append(cells, BaselineCell{
 			App:             jobs[i].App,
 			Procs:           jobs[i].Procs,

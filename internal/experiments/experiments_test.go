@@ -168,6 +168,47 @@ func TestBaselineComparison(t *testing.T) {
 	}
 }
 
+// TestBaselineVerifiesBusCells: with Verify, the A1 bus cells run through
+// the registry, collect a commit log and pass the serializability check.
+func TestBaselineVerifiesBusCells(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.05
+	opts.Procs = []int{1, 8}
+	opts.Apps = []string{"commitbound"}
+	opts.Verify = true
+	if err := opts.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := baselineJobs(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := opts.runMatrix("baseline", jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bus int
+	for i, j := range jobs {
+		if j.protocol() != "baseline" {
+			continue
+		}
+		bus++
+		pr := outs[i].Proto
+		if pr == nil || pr.Baseline == nil {
+			t.Fatalf("%s %dp: bus cell did not run through the registry", j.App, j.Procs)
+		}
+		if len(pr.CommitLog) == 0 {
+			t.Fatalf("%s %dp: bus cell collected no commit log to verify", j.App, j.Procs)
+		}
+		if v := pr.Verify(); len(v) != 0 {
+			t.Fatalf("%s %dp: %d serializability violations", j.App, j.Procs, len(v))
+		}
+	}
+	if bus != 2 {
+		t.Fatalf("%d bus cells, want 2", bus)
+	}
+}
+
 func TestGranularityAblation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = 0.25

@@ -37,8 +37,7 @@ type Cell struct {
 	// small-scale TCC), or a registry protocol name ("tl2", "eager").
 	Machine string `json:"machine"`
 	// Protocol is the registry name of the machine model ("tcc",
-	// "baseline", "tl2", "eager"). v1 documents lack it; DecodeReport
-	// fills it from Machine.
+	// "baseline", "tl2", "eager").
 	Protocol string `json:"protocol"`
 	// Config holds the experiment's knob settings for this cell (for
 	// example {"hop_latency": 4}); absent means the default machine.
@@ -204,36 +203,4 @@ func (rep *Report) Write(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// DecodeReport reads a bench-sweep document of any supported version. v1
-// cells predate the protocol tag; their Protocol is derived from Machine
-// ("scalable" was the only non-baseline machine), so downstream consumers
-// can key on Protocol regardless of the document's age.
-func DecodeReport(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("experiments: decode report: %w", err)
-	}
-	if rep.Schema != ReportSchema {
-		return nil, fmt.Errorf("experiments: unexpected schema %q (want %q)", rep.Schema, ReportSchema)
-	}
-	switch rep.Version {
-	case 1:
-		for i := range rep.Cells {
-			if rep.Cells[i].Protocol != "" {
-				continue
-			}
-			if rep.Cells[i].Machine == "baseline" {
-				rep.Cells[i].Protocol = "baseline"
-			} else {
-				rep.Cells[i].Protocol = "tcc"
-			}
-		}
-	case ReportVersion:
-		// current
-	default:
-		return nil, fmt.Errorf("experiments: unsupported report version %d (max %d)", rep.Version, ReportVersion)
-	}
-	return &rep, nil
 }

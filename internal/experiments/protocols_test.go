@@ -136,44 +136,3 @@ func TestReportV2PinnedBytes(t *testing.T) {
 		t.Errorf("v2 report bytes changed:\n got: %s\nwant: %s", got, want)
 	}
 }
-
-// DecodeReport accepts v1 documents (no protocol tag) and derives Protocol
-// from the old two-value machine field; current documents pass through, and
-// future versions are rejected.
-func TestDecodeReportVersions(t *testing.T) {
-	const v1 = `{
-  "schema": "scalabletcc/bench-sweep",
-  "version": 1,
-  "seed": 1,
-  "scale": 1,
-  "parallel": 1,
-  "cells": [
-    {"experiment": "fig7", "app": "barnes", "procs": 8, "machine": "scalable",
-     "speedup_vs_base": 1, "summary": {"v":1,"cycles":10,"instructions":4,"commits":2,"violations":0,"breakdown":{"useful":1,"cache_miss":0,"idle":0,"commit":0,"violation":0}}},
-    {"experiment": "baseline", "app": "commitbound", "procs": 8, "machine": "baseline",
-     "speedup_vs_base": 1, "summary": {"v":1,"cycles":10,"instructions":4,"commits":2,"violations":0,"breakdown":{"useful":1,"cache_miss":0,"idle":0,"commit":0,"violation":0}}}
-  ]
-}`
-	rep, err := DecodeReport(strings.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cells[0].Protocol != "tcc" || rep.Cells[1].Protocol != "baseline" {
-		t.Errorf("v1 protocols derived as %q, %q", rep.Cells[0].Protocol, rep.Cells[1].Protocol)
-	}
-
-	v2 := strings.Replace(v1, `"version": 1`, `"version": 2`, 1)
-	if _, err := DecodeReport(strings.NewReader(v2)); err != nil {
-		t.Errorf("current version rejected: %v", err)
-	}
-
-	v9 := strings.Replace(v1, `"version": 1`, `"version": 9`, 1)
-	if _, err := DecodeReport(strings.NewReader(v9)); err == nil {
-		t.Error("future version accepted")
-	}
-
-	bad := strings.Replace(v1, ReportSchema, "other/schema", 1)
-	if _, err := DecodeReport(strings.NewReader(bad)); err == nil {
-		t.Error("foreign schema accepted")
-	}
-}

@@ -2,11 +2,11 @@ package obs
 
 import "fmt"
 
-// LegacyLine renders the events that existed in the simulator's original
-// printf trace in exactly the old format, reporting ok=false for kinds the
-// printf trace never had. The deprecated SetTrace adapter is built on it, so
-// walkthrough output (cmd/tccwalk) is byte-identical to the printf era.
-func LegacyLine(e Event) (line string, ok bool) {
+// Line renders one event as a human-readable trace line, reporting ok=false
+// for the kinds it has no text form for (fills, probes, invalidation acks,
+// commit-done, flush requests, overflows, barriers). cmd/tccwalk prints
+// the Section 2.2 walkthroughs with it.
+func Line(e Event) (line string, ok bool) {
 	switch e.Kind {
 	case KTIDGrant:
 		return fmt.Sprintf("[%d] vendor grants T%d to p%d", e.Cycle, e.TID, e.Peer), true
@@ -38,25 +38,4 @@ func LegacyLine(e Event) (line string, ok bool) {
 		return fmt.Sprintf("[%d] p%d VIOLATE phase=%d tid=%d", e.Cycle, e.Node, e.Arg, e.TID), true
 	}
 	return "", false
-}
-
-type traceAdapter struct {
-	fn func(format string, args ...any)
-}
-
-// NewTraceAdapter adapts a printf-style hook to the event stream: the legacy
-// event subset is rendered with LegacyLine and handed to fn as ("%s", line).
-// It exists to keep the deprecated System.SetTrace API working; new code
-// should implement Observer directly.
-func NewTraceAdapter(fn func(format string, args ...any)) Observer {
-	if fn == nil {
-		return nil
-	}
-	return traceAdapter{fn: fn}
-}
-
-func (t traceAdapter) Event(e Event) {
-	if line, ok := LegacyLine(e); ok {
-		t.fn("%s", line)
-	}
 }

@@ -11,8 +11,8 @@
 //   - Counter: a per-kind counting aggregator whose totals reconcile with a
 //     run's Results counters;
 //   - Tee: fan-out to several sinks;
-//   - NewTraceAdapter: the deprecated printf-trace compatibility shim, which
-//     formats the legacy event subset exactly as the old SetTrace hook did.
+//   - FuncObserver: a plain function as an Observer; with Line it renders
+//     events as human-readable trace text.
 //
 // A SampleObserver additionally receives periodic Samples — time-series of
 // directory NSTID lag, outstanding marks, directory-cache occupancy, and

@@ -211,7 +211,7 @@ func TestTee(t *testing.T) {
 	}
 }
 
-func TestLegacyLineFormats(t *testing.T) {
+func TestLineFormats(t *testing.T) {
 	cases := []struct {
 		e    Event
 		want string
@@ -246,38 +246,20 @@ func TestLegacyLineFormats(t *testing.T) {
 			"[21] p2 VIOLATE phase=2 tid=0"},
 	}
 	for _, c := range cases {
-		got, ok := LegacyLine(c.e)
+		got, ok := Line(c.e)
 		if !ok {
-			t.Fatalf("LegacyLine rejected %v", c.e.Kind)
+			t.Fatalf("Line rejected %v", c.e.Kind)
 		}
 		if got != c.want {
-			t.Errorf("LegacyLine(%v):\n got  %q\n want %q", c.e.Kind, got, c.want)
+			t.Errorf("Line(%v):\n got  %q\n want %q", c.e.Kind, got, c.want)
 		}
 	}
-	// Kinds the printf trace never had must be rejected, so the SetTrace
-	// adapter's output stays byte-identical to the old hook's.
+	// Kinds with no text form must be rejected, so the tccwalk
+	// walkthroughs stay byte-identical.
 	for _, k := range []Kind{KFill, KProbe, KInvAck, KCommitDone, KFlush, KFlushInv, KOverflow, KBarrier} {
-		if line, ok := LegacyLine(Event{Kind: k}); ok {
-			t.Errorf("LegacyLine accepted non-legacy kind %v: %q", k, line)
+		if line, ok := Line(Event{Kind: k}); ok {
+			t.Errorf("Line accepted textless kind %v: %q", k, line)
 		}
-	}
-}
-
-func TestTraceAdapter(t *testing.T) {
-	if NewTraceAdapter(nil) != nil {
-		t.Fatal("nil hook must yield a nil observer")
-	}
-	var lines []string
-	a := NewTraceAdapter(func(f string, args ...any) {
-		if f != "%s" || len(args) != 1 {
-			t.Fatalf("adapter called with f=%q args=%v", f, args)
-		}
-		lines = append(lines, args[0].(string))
-	})
-	a.Event(Event{Cycle: 5, Kind: KTIDGrant, Node: 0, Peer: 2, TID: 7})
-	a.Event(Event{Cycle: 6, Kind: KProbe, Node: 0, Peer: 2, TID: 7}) // non-legacy: silent
-	if len(lines) != 1 || lines[0] != "[5] vendor grants T7 to p2" {
-		t.Fatalf("adapter lines = %q", lines)
 	}
 }
 

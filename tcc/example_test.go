@@ -24,20 +24,20 @@ func Example() {
 	// serializable: true
 }
 
-// ExampleRunBaseline compares the scalable design against the original
+// ExampleRunProtocol compares the scalable design against the original
 // bus-based TCC on the same workload.
-func ExampleRunBaseline() {
+func ExampleRunProtocol() {
 	prof := tcc.MustProfile("commitbound").Scale(0.02)
 
 	scal, err := tcc.Run(tcc.DefaultConfig(8), prof.Build(8, 1))
 	if err != nil {
 		panic(err)
 	}
-	bus, err := tcc.RunBaseline(tcc.DefaultBaselineConfig(8), prof.Build(8, 1))
+	bus, err := tcc.RunProtocol("baseline", tcc.DefaultConfig(8), prof.Build(8, 1))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("both finished:", scal.Commits == bus.Commits)
+	fmt.Println("both finished:", scal.Commits == bus.Summary.Commits)
 	// Output:
 	// both finished: true
 }

@@ -164,8 +164,7 @@ type RunJobOptions struct {
 	// jobs). When nil, events stream to the JobContext's StreamLog if one is
 	// attached, else observation is off.
 	EventWriter io.Writer
-	// Observer is an extra event observer teed ahead of the JSONL stream
-	// (tccsim's -trace rendering).
+	// Observer is an extra event observer teed ahead of the JSONL stream.
 	Observer Observer
 	// ConflictProfile attaches the TAPE conflict profiler (run jobs on the
 	// scalable machine).

@@ -166,24 +166,6 @@ func TestCounterReconciles(t *testing.T) {
 	}
 }
 
-// TestSetTraceAdapter: the deprecated printf hook still fires, built on the
-// typed stream.
-func TestSetTraceAdapter(t *testing.T) {
-	cfg := DefaultConfig(4)
-	sys, err := NewSystem(cfg, obsProgram(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines int
-	sys.SetTrace(func(format string, args ...any) { lines++ })
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 {
-		t.Fatal("SetTrace adapter produced no lines")
-	}
-}
-
 // TestSamplerNeedsSampleObserver: EnableSampler must reject observers that
 // cannot receive samples, and a zero interval.
 func TestSamplerNeedsSampleObserver(t *testing.T) {
@@ -208,31 +190,33 @@ func TestSamplerNeedsSampleObserver(t *testing.T) {
 	}
 }
 
-// TestBaselineObserve: the baseline machine's event stream reconciles with
-// its results, and NewBaselineSystem matches RunBaseline exactly.
+// TestBaselineObserve: the registry's baseline machine emits an event
+// stream that reconciles with its results, and observing it does not change
+// the run.
 func TestBaselineObserve(t *testing.T) {
-	cfg := DefaultBaselineConfig(4)
+	cfg := DefaultConfig(4)
 	prog := obsProgram(4)
 
-	one, err := RunBaseline(cfg, prog)
+	one, err := RunProtocol("baseline", cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sys, err := NewBaselineSystem(cfg, prog)
+	sys, err := NewSystemFor("baseline", cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCountingObserver()
 	sys.Observe(c)
-	two, err := sys.Run()
+	res, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	two := res.Baseline
 
-	if one.Cycles != two.Cycles || one.Commits != two.Commits {
-		t.Fatalf("NewBaselineSystem diverges from RunBaseline: %d/%d vs %d/%d",
-			one.Cycles, one.Commits, two.Cycles, two.Commits)
+	if one.Baseline.Cycles != two.Cycles || one.Baseline.Commits != two.Commits {
+		t.Fatalf("observed baseline run diverges from unobserved: %d/%d vs %d/%d",
+			one.Baseline.Cycles, one.Baseline.Commits, two.Cycles, two.Commits)
 	}
 	if c.Count(EvCommit) != two.Commits {
 		t.Errorf("baseline Commit events = %d, want %d", c.Count(EvCommit), two.Commits)
@@ -245,18 +229,15 @@ func TestBaselineObserve(t *testing.T) {
 	}
 }
 
-// TestBaselineConfigValidate: the new Validate mirrors Config.Validate.
+// TestBaselineConfigValidate: the registry rejects a config that derives a
+// malformed bus machine.
 func TestBaselineConfigValidate(t *testing.T) {
-	if err := DefaultBaselineConfig(4).Validate(); err != nil {
-		t.Fatalf("default baseline config invalid: %v", err)
+	if _, err := NewSystemFor("baseline", DefaultConfig(4), obsProgram(4)); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
-	var zero BaselineConfig
-	if zero.Validate() == nil {
-		t.Fatal("zero BaselineConfig validated")
-	}
-	bad := DefaultBaselineConfig(4)
-	bad.BusBytesPerCycle = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero-bandwidth baseline config validated")
+	bad := DefaultConfig(4)
+	bad.LinkBytesPerCycle = 0
+	if _, err := NewSystemFor("baseline", bad, obsProgram(4)); err == nil {
+		t.Fatal("zero-bandwidth baseline config accepted")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"scalabletcc/internal/baseline"
 	"scalabletcc/internal/eager"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/tl2"
@@ -234,31 +235,30 @@ func rejectShards(protocol string, cfg Config) error {
 
 // --- baseline (bus-based small-scale TCC) ---
 
-type protoBaseline struct{ sys *BaselineSystem }
+type protoBaseline struct{ sys *baseline.System }
 
 // baselineFromConfig derives the bus machine from the unified Config: the
-// ordered bus gets the bandwidth of two mesh links (matching the historical
-// DefaultBaselineConfig default of 16 B/cycle at the default link width).
-func baselineFromConfig(c Config) BaselineConfig {
-	return BaselineConfig{
-		Procs:            c.Procs,
-		BusBytesPerCycle: 2 * c.LinkBytesPerCycle,
-		MemLatency:       c.MemLatency,
-		LineGranularity:  c.LineGranularity,
-		Seed:             c.Seed,
-		MaxCycles:        c.MaxCycles,
-		CollectCommitLog: c.CollectCommitLog,
-	}
+// ordered bus gets the bandwidth of two mesh links (16 B/cycle at the
+// default link width). baseline.NewSystem validates the result.
+func baselineFromConfig(c Config) baseline.Config {
+	bc := baseline.DefaultConfig(c.Procs)
+	bc.BusBytesPerCycle = 2 * c.LinkBytesPerCycle
+	bc.MemLatency = sim.Time(c.MemLatency)
+	bc.LineGranularity = c.LineGranularity
+	bc.Seed = c.Seed
+	bc.MaxCycles = sim.Time(c.MaxCycles)
+	return bc
 }
 
 func buildBaselineProto(cfg Config, prog Program) (ProtocolSystem, error) {
 	if err := rejectShards("baseline", cfg); err != nil {
 		return nil, err
 	}
-	sys, err := NewBaselineSystem(baselineFromConfig(cfg), prog)
+	sys, err := baseline.NewSystem(baselineFromConfig(cfg), prog)
 	if err != nil {
 		return nil, err
 	}
+	sys.CollectCommitLog(cfg.CollectCommitLog)
 	return &protoBaseline{sys: sys}, nil
 }
 
@@ -276,7 +276,7 @@ func (p *protoBaseline) Run() (*ProtocolResults, error) {
 }
 
 func (p *protoBaseline) Observe(o Observer)      { p.sys.Observe(o) }
-func (p *protoBaseline) AuditFinalMemory() error { return p.sys.inner.AuditFinalMemory() }
+func (p *protoBaseline) AuditFinalMemory() error { return p.sys.AuditFinalMemory() }
 
 // --- tl2 (lazy STM) ---
 

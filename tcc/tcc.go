@@ -296,22 +296,6 @@ func (s *System) EnableConflictProfiler() *ConflictProfiler { return s.inner.Ena
 // observer attached the hot path reduces to a nil check.
 func (s *System) Observe(o Observer) { s.inner.Observe(o) }
 
-// SetTrace installs a printf-style trace hook rendering the legacy
-// line-oriented trace format.
-//
-// Deprecated: SetTrace is a thin adapter over Observe for callers that
-// consumed the original printf stream (e.g. cmd/tccwalk). New code should
-// use Observe with a typed Observer; the typed stream covers strictly more
-// of the protocol than the legacy format. Calling SetTrace replaces any
-// observer installed with Observe, and vice versa.
-func (s *System) SetTrace(fn func(format string, args ...any)) {
-	if fn == nil {
-		s.inner.Observe(nil)
-		return
-	}
-	s.inner.Observe(obs.NewTraceAdapter(fn))
-}
-
 // EnableSampler schedules a periodic read-only sample of machine occupancy
 // (NSTID lag, outstanding marks, directory-cache occupancy, per-link mesh
 // utilization) every `every` cycles. The attached observer must implement
@@ -379,7 +363,7 @@ func MustProfile(name string) Profile {
 // fast and must not mutate shared state; they run synchronously inside the
 // simulation loop. The package ships three sinks — NewJSONLObserver,
 // NewRingObserver, NewCountingObserver — plus TeeObservers to combine them
-// and TraceObserver for printf-style rendering.
+// and FuncObserver to wrap a plain function.
 type Observer = obs.Observer
 
 // SampleObserver is an Observer that additionally receives periodic
@@ -455,96 +439,3 @@ func NewCountingObserver() *CountingObserver { return obs.NewCounter() }
 // TeeObservers fans events out to several observers in order; nils are
 // skipped. Samples reach the members that implement SampleObserver.
 func TeeObservers(list ...Observer) Observer { return obs.Tee(list...) }
-
-// TraceObserver renders legacy-format trace lines through fn (the printf
-// stream SetTrace used to produce), for composing with other observers via
-// TeeObservers.
-func TraceObserver(fn func(format string, args ...any)) Observer { return obs.NewTraceAdapter(fn) }
-
-// BaselineConfig parameterizes the bus-based small-scale TCC machine.
-type BaselineConfig struct {
-	Procs            int
-	BusBytesPerCycle int // ordered-bus bandwidth (default 16)
-	MemLatency       int
-	LineGranularity  bool
-	Seed             uint64
-	MaxCycles        uint64
-	CollectCommitLog bool
-}
-
-// DefaultBaselineConfig returns the bus machine matching DefaultConfig's
-// node parameters.
-func DefaultBaselineConfig(procs int) BaselineConfig {
-	return BaselineConfig{Procs: procs, BusBytesPerCycle: 16, MemLatency: 100, Seed: 1}
-}
-
-// compile converts the public baseline configuration to the internal form
-// and validates it (same single-conversion contract as Config.compile).
-func (c BaselineConfig) compile() (baseline.Config, error) {
-	bc := baseline.DefaultConfig(c.Procs)
-	bc.BusBytesPerCycle = c.BusBytesPerCycle
-	bc.MemLatency = sim.Time(c.MemLatency)
-	bc.LineGranularity = c.LineGranularity
-	bc.Seed = c.Seed
-	bc.MaxCycles = sim.Time(c.MaxCycles)
-	if err := bc.Validate(); err != nil {
-		return baseline.Config{}, err
-	}
-	return bc, nil
-}
-
-// Validate reports whether the baseline configuration is well-formed.
-func (c BaselineConfig) Validate() error {
-	_, err := c.compile()
-	return err
-}
-
-// BaselineSystem is an assembled bus-based small-scale TCC machine, the
-// baseline counterpart of System.
-type BaselineSystem struct {
-	inner *baseline.System
-}
-
-// NewBaselineSystem builds a baseline machine running prog under cfg.
-//
-// Deprecated: the baseline is a registry protocol; new code should use
-// NewSystemFor("baseline", cfg, prog), which derives the bus machine from
-// the unified Config. NewBaselineSystem remains for callers that need the
-// bus-specific knobs of BaselineConfig and behaves exactly as before.
-func NewBaselineSystem(cfg BaselineConfig, prog Program) (*BaselineSystem, error) {
-	bc, err := cfg.compile()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := baseline.NewSystem(bc, prog)
-	if err != nil {
-		return nil, err
-	}
-	sys.CollectCommitLog(cfg.CollectCommitLog)
-	return &BaselineSystem{inner: sys}, nil
-}
-
-// Run executes the program to completion.
-func (s *BaselineSystem) Run() (*BaselineResults, error) { return s.inner.Run() }
-
-// Observe attaches a typed protocol-event observer (nil detaches); the
-// baseline machine emits the lifecycle subset that exists on a bus design
-// (fills, commits, snoop invalidations, violations, overflows, barriers).
-// Call before Run.
-func (s *BaselineSystem) Observe(o Observer) { s.inner.Observe(o) }
-
-// RunBaseline executes prog on the bus-based small-scale TCC design.
-//
-// Deprecated: use RunProtocol("baseline", cfg, prog); see NewBaselineSystem.
-func RunBaseline(cfg BaselineConfig, prog Program) (*BaselineResults, error) {
-	s, err := NewBaselineSystem(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// VerifyBaseline replays a baseline run's commit log.
-func VerifyBaseline(r *BaselineResults) []SerializabilityViolation {
-	return verify.Check(r.CommitLog)
-}
