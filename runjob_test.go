@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 
 	"scalabletcc/tcc"
@@ -59,7 +60,7 @@ func runJobGoldenProtoCell(t *testing.T, c goldenProtoCell) goldenProtoCell {
 	spec := tcc.NewJobSpec(tcc.JobKindRun)
 	spec.Run = &tcc.RunSpec{
 		App: c.App, Procs: c.Procs, Scale: c.Scale, Seed: c.Seed,
-		Protocol: c.Protocol,
+		Protocol: c.Protocol, Machine: c.Machine,
 	}
 	eh := newEventHasher()
 	out, err := tcc.RunJob(context.Background(), spec, &tcc.RunJobOptions{Observer: eh.observer()})
@@ -71,14 +72,7 @@ func runJobGoldenProtoCell(t *testing.T, c goldenProtoCell) goldenProtoCell {
 	c.Commits = res.Summary.Commits
 	c.Violations = res.Summary.Violations
 	c.Instr = res.Summary.Instructions
-	switch {
-	case res.TL2 != nil:
-		c.Bytes = res.TL2.Traffic.TotalBytes()
-	case res.Eager != nil:
-		c.Bytes = res.Eager.Traffic.TotalBytes()
-	default:
-		t.Fatalf("%s: result carries no %s detail", c.Name, c.Protocol)
-	}
+	c.Bytes = protoBytes(t, c, res)
 	c.Events = eh.n
 	c.EventHash = eh.sum()
 	return c
@@ -116,9 +110,9 @@ func TestRunJobMatchesGoldenProtocolFixture(t *testing.T) {
 	for _, w := range want {
 		got := runJobGoldenProtoCell(t, goldenProtoCell{
 			Name: w.Name, Protocol: w.Protocol, App: w.App,
-			Procs: w.Procs, Scale: w.Scale, Seed: w.Seed,
+			Procs: w.Procs, Scale: w.Scale, Seed: w.Seed, Machine: w.Machine,
 		})
-		if got != w {
+		if !reflect.DeepEqual(got, w) {
 			t.Errorf("RunJob diverged from golden cell %s:\n  want %+v\n  got  %+v", w.Name, w, got)
 		}
 	}
