@@ -13,8 +13,7 @@
 package baseline
 
 import (
-	"fmt"
-
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
@@ -23,57 +22,9 @@ import (
 	"scalabletcc/internal/workload"
 )
 
-// Config parameterizes the bus-based machine. The cache hierarchy matches
-// the scalable design so only the commit architecture differs.
-type Config struct {
-	Procs    int
-	Geometry mem.Geometry
-
-	L1Size, L1Ways int
-	L1Latency      sim.Time
-	L2Size, L2Ways int
-	L2Latency      sim.Time
-
-	BusBytesPerCycle int      // ordered bus bandwidth
-	BusArbitration   sim.Time // cycles to win the bus for one message
-	MemLatency       sim.Time
-
-	LineGranularity      bool
-	ViolationRestartCost sim.Time
-	Seed                 uint64
-	MaxCycles            sim.Time
-}
-
-// DefaultConfig mirrors core.DefaultConfig's node parameters with a shared
-// bus in place of the mesh.
-func DefaultConfig(procs int) Config {
-	return Config{
-		Procs:                procs,
-		Geometry:             mem.DefaultGeometry(),
-		L1Size:               32 << 10,
-		L1Ways:               4,
-		L1Latency:            1,
-		L2Size:               512 << 10,
-		L2Ways:               8,
-		L2Latency:            6,
-		BusBytesPerCycle:     16,
-		BusArbitration:       3,
-		MemLatency:           100,
-		ViolationRestartCost: 5,
-		Seed:                 1,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Procs <= 0 {
-		return fmt.Errorf("baseline: Config.Procs must be positive, got %d", c.Procs)
-	}
-	if c.BusBytesPerCycle <= 0 {
-		return fmt.Errorf("baseline: Config.BusBytesPerCycle must be positive, got %d", c.BusBytesPerCycle)
-	}
-	return c.Geometry.Validate()
-}
+// busArbitration is the cycles a message waits to win the bus, and the
+// cycles the commit token takes to reach its next holder.
+const busArbitration sim.Time = 3
 
 // Results mirrors the scalable system's result shape where meaningful.
 type Results struct {
@@ -111,7 +62,6 @@ func (r *Results) Summary() stats.Summary {
 // System is the assembled bus-based TCC machine.
 type System struct {
 	rival.Machine
-	cfg   Config
 	procs []*proc
 
 	// Ordered bus: one shared medium with FIFO occupancy.
@@ -126,20 +76,15 @@ type System struct {
 	commitSeq mem.Version // commit order stands in for TIDs
 }
 
-// NewSystem builds a baseline machine for prog. Its observer sees the
-// lifecycle subset that exists on a bus machine: fills, commits, snoop
-// invalidations, violations, overflows, barriers.
-func NewSystem(cfg Config, prog workload.Program) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+// NewSystem builds a baseline machine for prog on the shared machine cfg,
+// with an ordered bus of twice the mesh link width in place of the mesh.
+// Its observer sees the lifecycle subset that exists on a bus machine:
+// fills, commits, snoop invalidations, violations, overflows, barriers.
+func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
+	s := &System{}
+	var err error
+	if s.Machine, err = rival.NewMachine("baseline", cfg, prog, nil); err != nil {
 		return nil, err
-	}
-	if prog.Procs() != cfg.Procs {
-		return nil, fmt.Errorf("baseline: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
-	}
-	s := &System{cfg: cfg}
-	s.Machine = rival.Machine{
-		Name: "baseline", Kernel: &sim.Kernel{}, Prog: prog, Geom: cfg.Geometry,
-		Memory: mem.NewMemory(cfg.Geometry), L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
@@ -150,7 +95,8 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 // busSend delivers event code to p after the ordered bus carries a message
 // of the given size, modeling arbitration plus serialization.
 func (s *System) busSend(bytes int, p *proc, code uint32, a1 uint64) {
-	occupancy := sim.Time((bytes+s.cfg.BusBytesPerCycle-1)/s.cfg.BusBytesPerCycle) + s.cfg.BusArbitration
+	width := 2 * s.Cfg.Mesh.LinkBytes
+	occupancy := sim.Time((bytes+width-1)/width) + busArbitration
 	start := s.Kernel.Now()
 	if s.busFree > start {
 		start = s.busFree
@@ -165,7 +111,7 @@ func (s *System) busSend(bytes int, p *proc, code uint32, a1 uint64) {
 func (s *System) acquireToken(p *proc) {
 	if !s.tokenHeld {
 		s.tokenHeld = true
-		s.Kernel.PostAfter(s.cfg.BusArbitration, p, prToken, 0, 0)
+		s.Kernel.PostAfter(busArbitration, p, prToken, 0, 0)
 		return
 	}
 	s.tokenQueue = append(s.tokenQueue, p)
@@ -179,12 +125,12 @@ func (s *System) releaseToken() {
 	}
 	next := s.tokenQueue[0]
 	s.tokenQueue = s.tokenQueue[1:]
-	s.Kernel.PostAfter(s.cfg.BusArbitration, next, prToken, 0, 0)
+	s.Kernel.PostAfter(busArbitration, next, prToken, 0, 0)
 }
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	if err := s.Simulate(s.cfg.MaxCycles); err != nil {
+	if err := s.Simulate(); err != nil {
 		return nil, err
 	}
 	return &Results{

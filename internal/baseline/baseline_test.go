@@ -3,13 +3,14 @@ package baseline
 import (
 	"testing"
 
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
 func run(t *testing.T, prof workload.Profile, procs int) *Results {
 	t.Helper()
-	cfg := DefaultConfig(procs)
+	cfg := core.DefaultConfig(procs)
 	cfg.MaxCycles = 2_000_000_000
 	prog := prof.Build(procs, cfg.Seed)
 	sys, err := NewSystem(cfg, prog)
@@ -81,17 +82,16 @@ func TestBaselineDeterminism(t *testing.T) {
 }
 
 func TestBaselineConfigValidation(t *testing.T) {
-	cfg := DefaultConfig(0)
-	if err := cfg.Validate(); err == nil {
+	if _, err := NewSystem(core.DefaultConfig(0), workload.Barnes().Build(2, 1)); err == nil {
 		t.Fatal("zero procs validated")
 	}
-	cfg = DefaultConfig(2)
-	cfg.BusBytesPerCycle = 0
-	if err := cfg.Validate(); err == nil {
+	cfg := core.DefaultConfig(2)
+	cfg.Mesh.LinkBytes = 0 // the bus is two links wide
+	if _, err := NewSystem(cfg, workload.Barnes().Build(2, 1)); err == nil {
 		t.Fatal("zero bandwidth validated")
 	}
 	prog := workload.Barnes().Build(4, 1)
-	if _, err := NewSystem(DefaultConfig(2), prog); err == nil {
+	if _, err := NewSystem(core.DefaultConfig(2), prog); err == nil {
 		t.Fatal("proc-count mismatch accepted")
 	}
 }
@@ -100,8 +100,8 @@ func TestBaselineSnoopFalseSharing(t *testing.T) {
 	// Word-level snooping on the bus design must also avoid false-sharing
 	// violations, and line-level must suffer them — the same §3.1 contrast
 	// as the scalable design.
-	word := DefaultConfig(8)
-	line := DefaultConfig(8)
+	word := core.DefaultConfig(8)
+	line := core.DefaultConfig(8)
 	line.LineGranularity = true
 	prof := workload.FalseSharing().Scale(0.25)
 	wsys, err := NewSystem(word, prof.Build(8, 1))

@@ -51,7 +51,7 @@ type proc struct {
 
 func newProc(s *System, id int) *proc {
 	p := &proc{sys: s}
-	p.Init(&s.Machine, id, p, s.cfg.L1Size, s.cfg.L1Ways, s.cfg.L2Size, s.cfg.L2Ways)
+	p.Init(&s.Machine, id, p)
 	p.addWrite = func(l *cache.Line) {
 		if l.SM.Any() {
 			p.wset = append(p.wset, wline{base: l.Base, words: l.SM})
@@ -70,11 +70,11 @@ func (p *proc) HandleEvent(code uint32, a1, a2 uint64) {
 		p.onCommit(mem.Version(a1))
 	case a1 != p.Epoch: // a continuation of a violated attempt
 	case code == prMissReq:
-		p.sys.Kernel.PostAfter(p.sys.cfg.MemLatency, p, prMissMem, p.Epoch, 0)
+		p.sys.Kernel.PostAfter(p.sys.Cfg.MemLatency, p, prMissMem, p.Epoch, 0)
 	case code == prMissMem:
-		p.sys.busSend(16+p.sys.Geom.LineSize, p, prFill, p.Epoch)
+		p.sys.busSend(16+p.sys.Cfg.Geometry.LineSize, p, prFill, p.Epoch)
 	case code == prFill:
-		p.onFill(p.sys.Geom.Line(p.Ops[p.OpIdx].Addr))
+		p.onFill(p.sys.Cfg.Geometry.Line(p.Ops[p.OpIdx].Addr))
 	default:
 		panic("baseline: unknown processor event")
 	}
@@ -90,7 +90,7 @@ func (p *proc) StartAttempt() {
 // Access performs a load or a speculative store; misses fetch the line from
 // shared memory over the bus.
 func (p *proc) Access(op workload.Op) {
-	g := p.sys.Geom
+	g := p.sys.Cfg.Geometry
 	base := g.Line(op.Addr)
 	w := g.WordIndex(op.Addr)
 	write := op.Kind == workload.Store
@@ -110,7 +110,7 @@ func (p *proc) Access(op workload.Op) {
 
 // onFill installs the line the current load or store missed on.
 func (p *proc) onFill(base mem.Addr) {
-	g := p.sys.Geom
+	g := p.sys.Cfg.Geometry
 	data := p.sys.Memory.Line(base)
 	line := p.Cache.Peek(base)
 	if line == nil {
@@ -170,7 +170,7 @@ func (p *proc) onToken() {
 		p.sys.releaseToken()
 		return
 	}
-	g := p.sys.Geom
+	g := p.sys.Cfg.Geometry
 	p.sys.commitSeq++
 	p.wset = p.wset[:0]
 	p.Cache.ForEachSpeculative(p.addWrite)
@@ -221,7 +221,7 @@ func (p *proc) snoop(base mem.Addr, words bits.WordMask, seq mem.Version) {
 		return
 	}
 	overlap := line.SR.Overlaps(words)
-	if p.sys.cfg.LineGranularity {
+	if p.sys.Cfg.LineGranularity {
 		overlap = line.SR.Any() && words.Any()
 	}
 	if p.sys.Obsv != nil {
@@ -260,5 +260,5 @@ func (p *proc) violate() {
 	p.EndAttempt()
 	p.Cache.RollbackTx()
 	p.state = stRunning
-	p.Retry(p.sys.cfg.ViolationRestartCost)
+	p.Retry(p.sys.Cfg.ViolationRestartCost)
 }

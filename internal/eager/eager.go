@@ -31,9 +31,8 @@
 package eager
 
 import (
-	"fmt"
-
 	"scalabletcc/internal/bits"
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
@@ -43,68 +42,6 @@ import (
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
-
-// Config parameterizes the eager machine. The node parameters match the
-// scalable design so only the protocol differs.
-type Config struct {
-	Procs    int
-	Geometry mem.Geometry
-	Mesh     mesh.Config
-
-	L1Size, L1Ways int
-	L1Latency      sim.Time
-	L2Size, L2Ways int
-	L2Latency      sim.Time
-
-	// DirLatency is the registration-table access latency at a line's home;
-	// MemLatency is charged when a reply must carry line data.
-	DirLatency sim.Time
-	MemLatency sim.Time
-
-	// BackoffBase/BackoffMax bound the randomized exponential backoff an
-	// aborted transaction waits before retrying.
-	BackoffBase sim.Time
-	BackoffMax  sim.Time
-
-	Seed      uint64
-	MaxCycles sim.Time
-}
-
-// DefaultConfig mirrors core.DefaultConfig's node parameters with the
-// eager directory latencies on top.
-func DefaultConfig(procs int) Config {
-	return Config{
-		Procs:       procs,
-		Geometry:    mem.DefaultGeometry(),
-		Mesh:        mesh.DefaultConfig(procs),
-		L1Size:      32 << 10,
-		L1Ways:      4,
-		L1Latency:   1,
-		L2Size:      512 << 10,
-		L2Ways:      8,
-		L2Latency:   6,
-		DirLatency:  10,
-		MemLatency:  100,
-		BackoffBase: 16,
-		BackoffMax:  4096,
-		Seed:        1,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Procs <= 0 {
-		return fmt.Errorf("eager: Config.Procs must be positive, got %d", c.Procs)
-	}
-	if c.BackoffBase <= 0 {
-		return fmt.Errorf("eager: Config.BackoffBase must be positive, got %d", c.BackoffBase)
-	}
-	if c.BackoffMax < c.BackoffBase {
-		return fmt.Errorf("eager: Config.BackoffMax must be at least BackoffBase, got %d < %d",
-			c.BackoffMax, c.BackoffBase)
-	}
-	return c.Geometry.Validate()
-}
 
 // Results summarizes an eager run.
 type Results struct {
@@ -166,7 +103,6 @@ type homeDir struct {
 // System is the assembled eager machine.
 type System struct {
 	rival.Machine
-	cfg   Config
 	procs []*proc
 	dirs  []homeDir
 
@@ -175,23 +111,15 @@ type System struct {
 	nacksWrite uint64
 }
 
-// NewSystem builds an eager machine for prog.
-func NewSystem(cfg Config, prog workload.Program) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+// NewSystem builds an eager machine for prog on the shared machine cfg. A
+// line's registrations cost cfg.DirLatency at its home; cfg.MemLatency is
+// charged when a reply carries line data.
+func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
+	s := &System{dirs: make([]homeDir, cfg.Procs)}
+	var err error
+	if s.Machine, err = rival.NewMachine("eager", cfg, prog, s); err != nil {
 		return nil, err
 	}
-	if prog.Procs() != cfg.Procs {
-		return nil, fmt.Errorf("eager: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
-	}
-	k := &sim.Kernel{}
-	s := &System{cfg: cfg, dirs: make([]homeDir, cfg.Procs)}
-	s.Machine = rival.Machine{
-		Name: "eager", Kernel: k, Prog: prog, Geom: cfg.Geometry, Memory: mem.NewMemory(cfg.Geometry),
-		L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
-		Net: mesh.New(k, cfg.Procs, cfg.Mesh), Map: mem.NewMap(cfg.Geometry, cfg.Procs),
-		DirLatency: cfg.DirLatency, MemLatency: cfg.MemLatency, Server: s,
-	}
-	prog.PreMap(s.Map)
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
 	}
@@ -246,7 +174,7 @@ func (s *System) Serve(i int32) {
 			return // the record lives on as the data reply
 		}
 	case reqWrite:
-		base := s.Geom.Line(m.Addr)
+		base := s.Cfg.Geometry.Line(m.Addr)
 		d := s.dir(m.Home, base)
 		if (d.writer >= 0 && d.writer != id) || d.readersOtherThan(id) {
 			s.nacksWrite++
@@ -289,7 +217,7 @@ func (s *System) Serve(i int32) {
 // intervene). It reports whether record i lives on as the data reply.
 func (s *System) serveRead(i int32, m *rival.Msg) bool {
 	id := m.Proc
-	base := s.Geom.Line(m.Addr)
+	base := s.Cfg.Geometry.Line(m.Addr)
 	d := s.dir(m.Home, base)
 	if d.writer >= 0 && d.writer != id {
 		s.nacksRead++
@@ -315,7 +243,7 @@ func (s *System) serveRead(i int32, m *rival.Msg) bool {
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	if err := s.Simulate(s.cfg.MaxCycles); err != nil {
+	if err := s.Simulate(); err != nil {
 		return nil, err
 	}
 	return &Results{

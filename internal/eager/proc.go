@@ -40,8 +40,8 @@ type proc struct {
 
 func newProc(s *System, id int) *proc {
 	p := &proc{sys: s}
-	p.Init(&s.Machine, id, p, s.cfg.L1Size, s.cfg.L1Ways, s.cfg.L2Size, s.cfg.L2Ways)
-	p.RNG = sim.NewRNG(s.cfg.Seed).Derive(0xEA6E, uint64(id))
+	p.Init(&s.Machine, id, p)
+	p.RNG = sim.NewRNG(s.Cfg.Seed).Derive(0xEA6E, uint64(id))
 	return p
 }
 
@@ -54,10 +54,10 @@ func (p *proc) HandleEvent(code uint32, a1, a2 uint64) {
 	case prAbort:
 		p.abort(int(a2))
 	case prWriteAck:
-		base := p.sys.Geom.Line(mem.Addr(a2))
+		base := p.sys.Cfg.Geometry.Line(mem.Addr(a2))
 		tl := p.Lines.Line(base)
 		tl.Write = true
-		tl.Written = tl.Written.Set(p.sys.Geom.WordIndex(mem.Addr(a2)))
+		tl.Written = tl.Written.Set(p.sys.Cfg.Geometry.WordIndex(mem.Addr(a2)))
 		p.FinishRemote(base)
 	case prTID:
 		p.onTID(mem.Version(a2))
@@ -85,10 +85,10 @@ func (p *proc) StartAttempt() {
 // The first store to a line requests write registration at the home; later
 // stores are buffered locally.
 func (p *proc) Access(op workload.Op) {
-	base := p.sys.Geom.Line(op.Addr)
+	base := p.sys.Cfg.Geometry.Line(op.Addr)
 	if op.Kind == workload.Store {
 		if tl := p.Lines.Lookup(base); tl != nil && tl.Write {
-			tl.Written = tl.Written.Set(p.sys.Geom.WordIndex(op.Addr))
+			tl.Written = tl.Written.Set(p.sys.Cfg.Geometry.WordIndex(op.Addr))
 			p.FinishLocal(base)
 			return
 		}
@@ -151,5 +151,5 @@ func (p *proc) abort(reason int) {
 	for gi := range p.groups {
 		p.SendGroup(reqRelease, &p.groups[gi])
 	}
-	p.Backoff(p.sys.cfg.BackoffBase, p.sys.cfg.BackoffMax)
+	p.Backoff()
 }

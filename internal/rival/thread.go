@@ -69,15 +69,16 @@ type Thread struct {
 	groupOf []int32 // home -> 1 + group index while grouping, else 0
 }
 
-// Init wires t into m as processor id, driving protocol p, with L1 and L2
-// caches of the given geometry. Threads must be added in processor order.
-func (t *Thread) Init(m *Machine, id int, p Protocol, l1Size, l1Ways, l2Size, l2Ways int) {
+// Init wires t into m as processor id, driving protocol p, with the L1 and
+// L2 caches m's config shapes. Threads must be added in processor order.
+func (t *Thread) Init(m *Machine, id int, p Protocol) {
+	c := &m.Cfg
 	*t = Thread{
 		M:       m,
 		ID:      id,
 		p:       p,
-		Cache:   cache.New(m.Geom, l2Size, l2Ways),
-		L1:      cache.NewTagArray(m.Geom, l1Size, l1Ways),
+		Cache:   cache.New(c.Geometry, c.L2Size, c.L2Ways),
+		L1:      cache.NewTagArray(c.Geometry, c.L1Size, c.L1Ways),
 		LineVer: make(map[mem.Addr]mem.Version),
 		Waiting: true,
 		groupOf: make([]int32, m.Prog.Procs()),
@@ -179,9 +180,9 @@ func (t *Thread) Continue(d sim.Time) {
 // FinishLocal completes an access served by the local caches: an L1 hit,
 // or an L2 hit whose extra latency counts as miss time.
 func (t *Thread) FinishLocal(base mem.Addr) {
-	lat := t.M.L2Latency
+	lat := t.M.Cfg.L2Latency
 	if t.L1.Access(base) {
-		lat = t.M.L1Latency
+		lat = t.M.Cfg.L1Latency
 	}
 	t.PendUseful++
 	if lat > 1 {
@@ -233,19 +234,26 @@ func (t *Thread) Retry(d sim.Time) {
 	t.M.Kernel.PostAfter(d, t.p, OpStartAttempt, t.Epoch, 0)
 }
 
+// Bounds of the randomized exponential backoff the mesh rivals wait after
+// an abort.
+const (
+	backoffBase sim.Time = 16
+	backoffMax  sim.Time = 4096
+)
+
 // Backoff ends the attempt and retries after a randomized exponential
-// backoff: uniform in [1, min(base<<(attempts-1), max)], charged as
-// violation time.
-func (t *Thread) Backoff(base, max sim.Time) {
+// backoff: uniform in [1, min(backoffBase<<(attempts-1), backoffMax)],
+// charged as violation time.
+func (t *Thread) Backoff() {
 	t.EndAttempt()
 	t.Attempts++
 	shift := t.Attempts - 1
 	if shift > 16 {
 		shift = 16
 	}
-	b := base << uint(shift)
-	if b > max {
-		b = max
+	b := backoffBase << uint(shift)
+	if b > backoffMax {
+		b = backoffMax
 	}
 	d := sim.Time(1 + t.RNG.Intn(int(b)))
 	t.Breakdown.Add(stats.Violation, uint64(d))
@@ -272,9 +280,9 @@ func (t *Thread) RecordWrites(r *verify.Record, base mem.Addr, words bits.WordMa
 	if r == nil {
 		return
 	}
-	for w := 0; w < t.M.Geom.WordsPerLine(); w++ {
+	for w := 0; w < t.M.Cfg.Geometry.WordsPerLine(); w++ {
 		if words.Has(w) {
-			r.Writes[t.M.Geom.WordAddr(base, w)] = v
+			r.Writes[t.M.Cfg.Geometry.WordAddr(base, w)] = v
 		}
 	}
 }
@@ -363,7 +371,7 @@ func (t *Thread) SendRead(kind uint8, a, base mem.Addr) {
 func (t *Thread) SendWord(kind uint8, a mem.Addr, class mesh.Class) {
 	m := t.M
 	t.MissStart = m.Kernel.Now()
-	home := m.Map.Home(m.Geom.Line(a), t.ID)
+	home := m.Map.Home(m.Cfg.Geometry.Line(a), t.ID)
 	i, r := m.newMsg(kind, t.ID, home)
 	r.Addr = a
 	m.Net.SendEvent(t.ID, home, MsgHdr, class, m, mArrive, uint64(i), 0)
@@ -372,10 +380,10 @@ func (t *Thread) SendWord(kind uint8, a mem.Addr, class mesh.Class) {
 // onReadValid completes a first read whose cached copy the home confirmed
 // current.
 func (t *Thread) onReadValid(a mem.Addr) {
-	base := t.M.Geom.Line(a)
+	base := t.M.Cfg.Geometry.Line(a)
 	t.Lines.Line(base).Read = true
 	line := t.Cache.Lookup(base)
-	t.LogRead(a, line.Data[t.M.Geom.WordIndex(a)])
+	t.LogRead(a, line.Data[t.M.Cfg.Geometry.WordIndex(a)])
 	t.FinishRemote(base)
 }
 
@@ -383,7 +391,7 @@ func (t *Thread) onReadValid(a mem.Addr) {
 // first read of word a.
 func (t *Thread) onReadData(a mem.Addr, data []mem.Version, v mem.Version) {
 	m := t.M
-	base := m.Geom.Line(a)
+	base := m.Cfg.Geometry.Line(a)
 	line := t.Cache.Peek(base)
 	if line == nil {
 		var victim *cache.Victim
@@ -398,13 +406,13 @@ func (t *Thread) onReadData(a mem.Addr, data []mem.Version, v mem.Version) {
 	} else {
 		copy(line.Data, data)
 	}
-	line.VW = bits.All(m.Geom.WordsPerLine())
+	line.VW = bits.All(m.Cfg.Geometry.WordsPerLine())
 	t.LineVer[base] = v
 	t.Lines.Line(base).Read = true
 	if m.Obsv != nil {
 		m.Emit(obs.Event{Kind: obs.KFill, Node: t.ID, Peer: -1, Addr: uint64(base), TID: uint64(v)})
 	}
-	t.LogRead(a, line.Data[m.Geom.WordIndex(a)])
+	t.LogRead(a, line.Data[m.Cfg.Geometry.WordIndex(a)])
 	t.FinishRemote(base)
 }
 
@@ -467,7 +475,7 @@ func (t *Thread) SendCommit(kind uint8, g *HomeGroup, v mem.Version) {
 	for _, base := range g.Bases {
 		w := t.Lines.Lookup(base).Written
 		r.Masks = append(r.Masks, w)
-		bytes += LineAddr + w.Count()*m.Geom.WordSize
+		bytes += LineAddr + w.Count()*m.Cfg.Geometry.WordSize
 		if w.Any() {
 			class = mesh.ClassWriteBack
 		}
@@ -506,7 +514,7 @@ func (t *Thread) ReadLocal(a, base mem.Addr, drop bool) bool {
 	if tl == nil {
 		return false
 	}
-	w := t.M.Geom.WordIndex(a)
+	w := t.M.Cfg.Geometry.WordIndex(a)
 	if tl.Written.Has(w) {
 		// Own buffered write: excluded from the read log.
 		t.FinishLocal(base)

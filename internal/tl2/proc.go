@@ -47,8 +47,8 @@ type proc struct {
 
 func newProc(s *System, id int) *proc {
 	p := &proc{sys: s}
-	p.Init(&s.Machine, id, p, s.cfg.L1Size, s.cfg.L1Ways, s.cfg.L2Size, s.cfg.L2Ways)
-	p.RNG = sim.NewRNG(s.cfg.Seed).Derive(0x712, uint64(id))
+	p.Init(&s.Machine, id, p)
+	p.RNG = sim.NewRNG(s.Cfg.Seed).Derive(0x712, uint64(id))
 	return p
 }
 
@@ -90,10 +90,10 @@ func (p *proc) StartAttempt() {
 // timestamp above rv means an intervening commit. Stores are buffered
 // locally; TL2 contacts the write-set homes only at commit.
 func (p *proc) Access(op workload.Op) {
-	base := p.sys.Geom.Line(op.Addr)
+	base := p.sys.Cfg.Geometry.Line(op.Addr)
 	if op.Kind == workload.Store {
 		tl := p.Lines.Line(base)
-		tl.Written = tl.Written.Set(p.sys.Geom.WordIndex(op.Addr))
+		tl.Written = tl.Written.Set(p.sys.Cfg.Geometry.WordIndex(op.Addr))
 		p.FinishLocal(base)
 		return
 	}
@@ -220,5 +220,5 @@ func (p *proc) finishCommit() {
 // exponential backoff.
 func (p *proc) abort(reason int) {
 	p.NoteViolation(int64(reason))
-	p.Backoff(p.sys.cfg.BackoffBase, p.sys.cfg.BackoffMax)
+	p.Backoff()
 }

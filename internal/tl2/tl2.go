@@ -29,8 +29,7 @@
 package tl2
 
 import (
-	"fmt"
-
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
@@ -40,68 +39,6 @@ import (
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
-
-// Config parameterizes the TL2 machine. The node parameters match the
-// scalable design so only the protocol differs.
-type Config struct {
-	Procs    int
-	Geometry mem.Geometry
-	Mesh     mesh.Config
-
-	L1Size, L1Ways int
-	L1Latency      sim.Time
-	L2Size, L2Ways int
-	L2Latency      sim.Time
-
-	// DirLatency is the metadata (timestamp/lock table) access latency at a
-	// line's home; MemLatency is charged when a reply must carry line data.
-	DirLatency sim.Time
-	MemLatency sim.Time
-
-	// BackoffBase/BackoffMax bound the randomized exponential backoff an
-	// aborted transaction waits before retrying.
-	BackoffBase sim.Time
-	BackoffMax  sim.Time
-
-	Seed      uint64
-	MaxCycles sim.Time
-}
-
-// DefaultConfig mirrors core.DefaultConfig's node parameters with the STM
-// metadata latencies on top.
-func DefaultConfig(procs int) Config {
-	return Config{
-		Procs:       procs,
-		Geometry:    mem.DefaultGeometry(),
-		Mesh:        mesh.DefaultConfig(procs),
-		L1Size:      32 << 10,
-		L1Ways:      4,
-		L1Latency:   1,
-		L2Size:      512 << 10,
-		L2Ways:      8,
-		L2Latency:   6,
-		DirLatency:  10,
-		MemLatency:  100,
-		BackoffBase: 16,
-		BackoffMax:  4096,
-		Seed:        1,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Procs <= 0 {
-		return fmt.Errorf("tl2: Config.Procs must be positive, got %d", c.Procs)
-	}
-	if c.BackoffBase <= 0 {
-		return fmt.Errorf("tl2: Config.BackoffBase must be positive, got %d", c.BackoffBase)
-	}
-	if c.BackoffMax < c.BackoffBase {
-		return fmt.Errorf("tl2: Config.BackoffMax must be at least BackoffBase, got %d < %d",
-			c.BackoffMax, c.BackoffBase)
-	}
-	return c.Geometry.Validate()
-}
 
 // Results summarizes a TL2 run.
 type Results struct {
@@ -149,7 +86,6 @@ type homeMeta struct {
 // System is the assembled TL2 machine.
 type System struct {
 	rival.Machine
-	cfg   Config
 	procs []*proc
 	dirs  []homeMeta
 
@@ -158,23 +94,15 @@ type System struct {
 	clockAdvances uint64
 }
 
-// NewSystem builds a TL2 machine for prog.
-func NewSystem(cfg Config, prog workload.Program) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+// NewSystem builds a TL2 machine for prog on the shared machine cfg. A
+// line's timestamp and lock cost cfg.DirLatency at its home; cfg.MemLatency
+// is charged when a reply carries line data.
+func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
+	s := &System{dirs: make([]homeMeta, cfg.Procs)}
+	var err error
+	if s.Machine, err = rival.NewMachine("tl2", cfg, prog, s); err != nil {
 		return nil, err
 	}
-	if prog.Procs() != cfg.Procs {
-		return nil, fmt.Errorf("tl2: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
-	}
-	k := &sim.Kernel{}
-	s := &System{cfg: cfg, dirs: make([]homeMeta, cfg.Procs)}
-	s.Machine = rival.Machine{
-		Name: "tl2", Kernel: k, Prog: prog, Geom: cfg.Geometry, Memory: mem.NewMemory(cfg.Geometry),
-		L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
-		Net: mesh.New(k, cfg.Procs, cfg.Mesh), Map: mem.NewMap(cfg.Geometry, cfg.Procs),
-		DirLatency: cfg.DirLatency, MemLatency: cfg.MemLatency, Server: s,
-	}
-	prog.PreMap(s.Map)
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
 	}
@@ -309,7 +237,7 @@ func (s *System) Serve(i int32) {
 // answers with a NACK, a timestamp-only confirmation, or the line data. It
 // reports whether record i lives on as the data reply.
 func (s *System) serveRead(i int32, m *rival.Msg, p *proc) bool {
-	base := s.Geom.Line(m.Addr)
+	base := s.Cfg.Geometry.Line(m.Addr)
 	lm := s.meta(m.Home, base)
 	if lm.lockedBy >= 0 && lm.lockedBy != p.ID {
 		if s.Obsv != nil {
@@ -341,7 +269,7 @@ func (s *System) serveRead(i int32, m *rival.Msg, p *proc) bool {
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	if err := s.Simulate(s.cfg.MaxCycles); err != nil {
+	if err := s.Simulate(); err != nil {
 		return nil, err
 	}
 	return &Results{

@@ -177,7 +177,7 @@ func TestShardsValidation(t *testing.T) {
 	}
 
 	// Every non-tcc registry entry must reject the knob: a protocol added
-	// later without a rejectShards (or real support) decision fails here.
+	// later without a decision to reject the knob (or support it) fails here.
 	for _, info := range Protocols() {
 		if info.Name == "tcc" {
 			continue

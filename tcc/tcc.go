@@ -179,11 +179,16 @@ func DefaultConfig(procs int) Config {
 	}
 }
 
-// compile converts the public configuration to the core form and validates
-// it. Validation and construction share this single conversion, so the
-// config NewSystem builds is — by construction — the config Validate
+// compile converts the public configuration to the core form — the one
+// machine every protocol is built from — and validates it for the named
+// protocol. Validation and construction share this single conversion, so
+// the config a builder gets is, by construction, the config Validate
 // checked.
-func (c Config) compile() (core.Config, error) {
+func (c Config) compile(protocol string) (core.Config, error) {
+	if protocol != "tcc" && c.Shards != 0 {
+		return core.Config{}, fmt.Errorf("%s: Config.Shards is only supported by the tcc protocol, got %d",
+			protocol, c.Shards)
+	}
 	cc := core.DefaultConfig(c.Procs)
 	cc.Geometry = mem.Geometry{LineSize: c.LineSize, WordSize: 4, PageSize: 4096}
 	cc.L1Size, cc.L1Ways = c.L1Size, c.L1Ways
@@ -202,15 +207,16 @@ func (c Config) compile() (core.Config, error) {
 	cc.Shards = c.Shards
 	cc.Seed = c.Seed
 	cc.MaxCycles = sim.Time(c.MaxCycles)
-	if err := cc.Validate(); err != nil {
+	if err := cc.ValidateFor(protocol); err != nil {
 		return core.Config{}, err
 	}
 	return cc, nil
 }
 
-// Validate reports whether the configuration is well-formed.
+// Validate reports whether the configuration is a well-formed scalable
+// machine.
 func (c Config) Validate() error {
-	_, err := c.compile()
+	_, err := c.compile("tcc")
 	return err
 }
 
@@ -221,15 +227,20 @@ type System struct {
 
 // NewSystem builds a machine running prog under cfg.
 func NewSystem(cfg Config, prog Program) (*System, error) {
-	cc, err := cfg.compile()
+	cc, err := cfg.compile("tcc")
 	if err != nil {
 		return nil, err
 	}
+	return newSystem(cc, prog, cfg.CollectCommitLog)
+}
+
+// newSystem builds the scalable machine from a compiled config.
+func newSystem(cc core.Config, prog Program, collectLog bool) (*System, error) {
 	s, err := core.NewSystem(cc, prog)
 	if err != nil {
 		return nil, err
 	}
-	s.CollectCommitLog(cfg.CollectCommitLog)
+	s.CollectCommitLog(collectLog)
 	return &System{inner: s}, nil
 }
 
@@ -264,7 +275,7 @@ func (s *System) RunCheckpointed(every uint64, fn func(*Checkpoint) error) (*Res
 // link bandwidth, MaxCycles, starvation retention, shard count) may
 // differ — they apply from the cut onward, which is what job forking edits.
 func RestoreSystem(cfg Config, prog Program, ck *Checkpoint) (*System, error) {
-	cc, err := cfg.compile()
+	cc, err := cfg.compile("tcc")
 	if err != nil {
 		return nil, err
 	}
