@@ -449,3 +449,32 @@ func TestDaemonBackpressure(t *testing.T) {
 		t.Fatalf("healthz: %v %+v", err, h)
 	}
 }
+
+// TestDaemonRefusesCrashingMachines: a machine no model can be built or
+// run on is a 400 at submit, on every protocol, never a job that panics
+// the daemon.
+func TestDaemonRefusesCrashingMachines(t *testing.T) {
+	_, srv := newDaemon(t, runner.Config{})
+	machines := []string{
+		`{"l2_ways":3}`,
+		`{"l1_size":100}`,
+		`{"link_bytes_per_cycle":-1}`,
+		`{"hop_latency":-1}`,
+		`{"mem_latency":-1}`,
+		`{"dir_latency":-1}`,
+	}
+	for _, protocol := range tcc.ProtocolNames() {
+		for _, machine := range machines {
+			body := fmt.Sprintf(`{"schema":"scalabletcc/job","version":1,"kind":"run",`+
+				`"run":{"protocol":%q,"app":"hotspot","procs":4,"scale":0.05,"machine":%s}}`, protocol, machine)
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", protocol, machine, resp.StatusCode)
+			}
+		}
+	}
+}

@@ -151,16 +151,28 @@ type Cache struct {
 	ovW       int
 }
 
-// New builds a cache of sizeBytes with the given associativity.
-func New(geom mem.Geometry, sizeBytes, ways int) *Cache {
+// CheckShape reports an error unless sizeBytes of ways-way cache with
+// geom's line size divide into a whole, power-of-two number of sets — the
+// shape New and NewTagArray index by masking. geom must be valid.
+func CheckShape(geom mem.Geometry, sizeBytes, ways int) error {
 	nlines := sizeBytes / geom.LineSize
-	if ways <= 0 || nlines <= 0 || nlines%ways != 0 {
-		panic(fmt.Sprintf("cache: bad shape size=%d ways=%d line=%d", sizeBytes, ways, geom.LineSize))
+	if ways <= 0 || nlines <= 0 || sizeBytes%geom.LineSize != 0 || nlines%ways != 0 {
+		return fmt.Errorf("cache: %d bytes do not divide into %d-way sets of %d-byte lines",
+			sizeBytes, ways, geom.LineSize)
 	}
-	sets := nlines / ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: set count %d not a power of two", sets))
+	if sets := nlines / ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("cache: set count %d (%d bytes, %d ways) is not a power of two", sets, sizeBytes, ways)
 	}
+	return nil
+}
+
+// New builds a cache of sizeBytes with the given associativity. It panics
+// on a shape CheckShape rejects.
+func New(geom mem.Geometry, sizeBytes, ways int) *Cache {
+	if err := CheckShape(geom, sizeBytes, ways); err != nil {
+		panic(err.Error())
+	}
+	sets := sizeBytes / geom.LineSize / ways
 	c := &Cache{
 		geom:      geom,
 		sets:      sets,
@@ -781,16 +793,14 @@ type TagArray struct {
 	clock     uint64
 }
 
-// NewTagArray builds an L1 filter of sizeBytes.
+// NewTagArray builds an L1 filter of sizeBytes. It panics on a shape
+// CheckShape rejects.
 func NewTagArray(geom mem.Geometry, sizeBytes, ways int) *TagArray {
+	if err := CheckShape(geom, sizeBytes, ways); err != nil {
+		panic(err.Error())
+	}
 	nlines := sizeBytes / geom.LineSize
-	if ways <= 0 || nlines <= 0 || nlines%ways != 0 {
-		panic(fmt.Sprintf("cache: bad L1 shape size=%d ways=%d", sizeBytes, ways))
-	}
 	sets := nlines / ways
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: L1 set count %d not a power of two", sets))
-	}
 	return &TagArray{
 		geom:      geom,
 		sets:      sets,

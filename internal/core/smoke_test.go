@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"scalabletcc/internal/sim"
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
@@ -88,6 +89,16 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Mesh.Width = 1; c.Mesh.Height = 1 },
 		func(c *Config) { c.L2Size = 8 },
 		func(c *Config) { c.DeferredProbes = false; c.ReprobeDelay = 0 },
+		func(c *Config) { c.L2Ways = 3 },                     // 5461.33 sets
+		func(c *Config) { c.L1Size = 100 },                   // not a whole line
+		func(c *Config) { c.L1Size = 32<<10 + 4*32 },         // 257 sets
+		func(c *Config) { c.L1Ways = 0 },                     // no ways
+		func(c *Config) { c.Mesh.LinkBytes = -1 },            // mesh.New panics
+		func(c *Config) { c.Mesh.HopLatency = ^sim.Time(0) }, // -1, wrapped
+		func(c *Config) { c.MemLatency = ^sim.Time(0) },
+		func(c *Config) { c.DirLatency = ^sim.Time(0) },
+		func(c *Config) { c.DirCacheEntries = -1 },
+		func(c *Config) { c.StarveRetainAfter = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(8)
