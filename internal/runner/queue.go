@@ -459,13 +459,20 @@ func (q *Queue) runJob(j *job) {
 
 	// The fuzz-watchdog pattern: the executor runs in its own goroutine and
 	// is abandoned on cancellation or timeout — a wedged simulation cannot
-	// be preempted, only outwaited by its MaxCycles watchdog.
+	// be preempted, only outwaited by its MaxCycles watchdog. A panicking
+	// executor fails its job (persisted like any failure, so Recover does
+	// not replay it) instead of taking the daemon down.
 	type outcome struct {
 		res *JobResult
 		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				ch <- outcome{nil, fmt.Errorf("runner: executor panicked: %v", r)}
+			}
+		}()
 		res, err := q.exec(ctx, j.spec, jc)
 		ch <- outcome{res, err}
 	}()

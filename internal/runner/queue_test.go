@@ -220,6 +220,54 @@ func TestQueuePersistAndRecover(t *testing.T) {
 	}
 }
 
+// TestQueuePanicFailsJob: a panicking executor fails its job and leaves
+// the queue serving the next one, and the failure is persisted, so a
+// queue restarted over the same state dir does not run the job again.
+func TestQueuePanicFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	var mu sync.Mutex
+	runs := map[string]int{}
+	exec := func(ctx context.Context, spec *JobSpec, jc *JobContext) (*JobResult, error) {
+		mu.Lock()
+		runs[spec.Name]++
+		mu.Unlock()
+		if spec.Name == "boom" {
+			panic("model bug")
+		}
+		return &JobResult{Kind: spec.Kind}, nil
+	}
+	q := NewQueue(Config{Capacity: 4, Workers: 1, StateDir: dir}, exec)
+	boom, err := q.Submit(runSpec("boom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitState(t, q, boom.ID, StateFailed)
+	if !strings.Contains(st.Error, "model bug") {
+		t.Fatalf("failed job error %q lacks the panic text", st.Error)
+	}
+	next, err := q.Submit(runSpec("next"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, next.ID, StateDone)
+	q.Shutdown()
+
+	q2 := NewQueue(Config{Capacity: 4, Workers: 1, StateDir: dir}, exec)
+	defer q2.Shutdown()
+	ids, err := q2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 0 {
+		t.Fatalf("restarted queue recovered %v; the panicked job must stay failed", ids)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if runs["boom"] != 1 {
+		t.Fatalf("panicking job ran %d times, want 1", runs["boom"])
+	}
+}
+
 func TestStreamLogFollowsAndCloses(t *testing.T) {
 	l := NewStreamLog()
 	if _, err := l.Write([]byte("line1\n")); err != nil {
