@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"scalabletcc/internal/mem"
+	"scalabletcc/internal/verify"
 )
 
 // FinalMemoryView assembles the machine's end-of-run view of every word the
@@ -57,21 +57,9 @@ func (s *System) AuditFinalMemory() error {
 	if !s.collectLog {
 		return fmt.Errorf("core: AuditFinalMemory requires CollectCommitLog(true)")
 	}
-	ideal := make(map[mem.Addr]mem.Version)
-	records := append([]CommitRecord(nil), s.commitLog...)
-	sort.Slice(records, func(i, j int) bool { return records[i].TID < records[j].TID })
-	for _, r := range records {
-		for a, v := range r.Writes {
-			ideal[a] = v
-		}
-	}
+	ideal := verify.FinalMemory(s.commitLog)
 	got := s.FinalMemoryView()
-	var addrs []mem.Addr
-	for a := range ideal {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
+	for _, a := range verify.SortedAddrs(ideal) {
 		if got[a] != ideal[a] {
 			return fmt.Errorf("core: final memory mismatch at %#x: machine has version %d, TID-serial order requires %d",
 				a, got[a], ideal[a])

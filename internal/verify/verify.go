@@ -98,7 +98,7 @@ func Check(records []Record) []Violation {
 			continue
 		}
 		seen, prev = true, r.TID
-		for _, a := range sortedAddrs(r.Reads) {
+		for _, a := range SortedAddrs(r.Reads) {
 			if observed, expected := r.Reads[a], ideal[a]; observed != expected {
 				out = append(out, Violation{
 					Kind: ReadMismatch, TID: r.TID, Proc: r.Proc, Addr: a,
@@ -106,7 +106,7 @@ func Check(records []Record) []Violation {
 				})
 			}
 		}
-		for _, a := range sortedAddrs(r.Writes) {
+		for _, a := range SortedAddrs(r.Writes) {
 			v := r.Writes[a]
 			if v != mem.Version(r.TID) {
 				out = append(out, Violation{Kind: BadWriteVersion, TID: r.TID, Proc: r.Proc, Addr: a,
@@ -119,8 +119,9 @@ func Check(records []Record) []Violation {
 	return out
 }
 
-// sortedAddrs returns m's keys ascending, so replay output is deterministic.
-func sortedAddrs(m map[mem.Addr]mem.Version) []mem.Addr {
+// SortedAddrs returns m's keys ascending, so replay output and audits are
+// deterministic.
+func SortedAddrs(m map[mem.Addr]mem.Version) []mem.Addr {
 	if len(m) == 0 {
 		return nil
 	}
