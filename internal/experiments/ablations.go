@@ -34,53 +34,45 @@ type BaselineCell struct {
 	BusBusyFraction float64 // how saturated the baseline's commit bus is
 }
 
-// BaselineComparison runs both designs across the processor sweep. With no
-// explicit app list it uses the commit-intensity spectrum: commit-bound,
-// volrend (commit-heavy), equake (communication-heavy), SPECjbb (embarrassingly
-// parallel).
-func baselineJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr([]string{"commitbound", "volrend", "equake", "SPECjbb2000"}) {
-		for _, procs := range o.Procs {
-			jobs = append(jobs,
-				Job{App: app, Procs: procs},
-				Job{App: app, Procs: procs, Protocol: "baseline"})
+var baseline = matrix[[]BaselineCell]{
+	plan: plan{name: "baseline", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr([]string{"commitbound", "volrend", "equake", "SPECjbb2000"}) {
+			for _, procs := range o.Procs {
+				jobs = append(jobs,
+					Job{App: app, Procs: procs},
+					Job{App: app, Procs: procs, Protocol: "baseline"})
+			}
 		}
-	}
-	return jobs, nil
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]BaselineCell, error) {
+		var cells []BaselineCell
+		for i := 0; i < len(jobs); i += 2 {
+			res, bres := outs[i].Proto.Scalable, outs[i+1].Proto.Baseline
+			pair := i / 2
+			first := i - 2*(pair%len(o.Procs)) // the app's first sweep point
+			scalBase := uint64(outs[first].Proto.Scalable.Cycles)
+			busBase := uint64(outs[first+1].Proto.Baseline.Cycles)
+			cells = append(cells, BaselineCell{
+				App:             jobs[i].App,
+				Procs:           jobs[i].Procs,
+				ScalableCycles:  uint64(res.Cycles),
+				BaselineCycles:  uint64(bres.Cycles),
+				ScalableSpeedup: float64(scalBase) / float64(res.Cycles),
+				BaselineSpeedup: float64(busBase) / float64(bres.Cycles),
+				BusBusyFraction: float64(bres.BusBusy) / float64(bres.Cycles),
+			})
+		}
+		return cells, nil
+	},
 }
 
-func BaselineComparison(opts Options) ([]BaselineCell, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := baselineJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("baseline", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var cells []BaselineCell
-	for i := 0; i < len(jobs); i += 2 {
-		res, bres := outs[i].Results, outs[i+1].Proto.Baseline
-		pair := i / 2
-		first := i - 2*(pair%len(opts.Procs)) // the app's first sweep point
-		scalBase := uint64(outs[first].Results.Cycles)
-		busBase := uint64(outs[first+1].Proto.Baseline.Cycles)
-		cells = append(cells, BaselineCell{
-			App:             jobs[i].App,
-			Procs:           jobs[i].Procs,
-			ScalableCycles:  uint64(res.Cycles),
-			BaselineCycles:  uint64(bres.Cycles),
-			ScalableSpeedup: float64(scalBase) / float64(res.Cycles),
-			BaselineSpeedup: float64(busBase) / float64(bres.Cycles),
-			BusBusyFraction: float64(bres.BusBusy) / float64(bres.Cycles),
-		})
-	}
-	return cells, nil
-}
+// BaselineComparison runs both designs across the processor sweep. With no
+// explicit app list it uses the commit-intensity spectrum: commit-bound,
+// volrend (commit-heavy), equake (communication-heavy), SPECjbb
+// (embarrassingly parallel).
+func BaselineComparison(opts Options) ([]BaselineCell, error) { return baseline.run(opts) }
 
 // PrintBaseline renders the A1 ablation.
 func PrintBaseline(w io.Writer, cells []BaselineCell) {
@@ -108,50 +100,42 @@ type GranularityRow struct {
 	LineSlowdown   float64
 }
 
-// Granularity runs each app at opts.MaxProcs under both granularities. The
-// falseshare stress profile shows the extreme case.
-func granularityJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr([]string{"falseshare", "equake", "water-nsquared", "barnes"}) {
-		jobs = append(jobs,
-			Job{App: app, Procs: o.MaxProcs},
-			Job{
-				App:    app,
-				Procs:  o.MaxProcs,
-				Knobs:  map[string]any{"granularity": "line"},
-				Mutate: func(c *tcc.Config) { c.LineGranularity = true },
+var granularity = matrix[[]GranularityRow]{
+	plan: plan{name: "granularity", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr([]string{"falseshare", "equake", "water-nsquared", "barnes"}) {
+			jobs = append(jobs,
+				Job{App: app, Procs: o.MaxProcs},
+				Job{
+					App:    app,
+					Procs:  o.MaxProcs,
+					Knobs:  map[string]any{"granularity": "line"},
+					Mutate: func(c *tcc.Config) { c.LineGranularity = true },
+				})
+		}
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]GranularityRow, error) {
+		var rows []GranularityRow
+		for i := 0; i < len(jobs); i += 2 {
+			word, line := outs[i].Proto.Scalable, outs[i+1].Proto.Scalable
+			rows = append(rows, GranularityRow{
+				App:            jobs[i].App,
+				Procs:          o.MaxProcs,
+				WordViolations: word.Violations,
+				LineViolations: line.Violations,
+				WordCycles:     uint64(word.Cycles),
+				LineCycles:     uint64(line.Cycles),
+				LineSlowdown:   float64(line.Cycles) / float64(word.Cycles),
 			})
-	}
-	return jobs, nil
+		}
+		return rows, nil
+	},
 }
 
-func Granularity(opts Options) ([]GranularityRow, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := granularityJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("granularity", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []GranularityRow
-	for i := 0; i < len(jobs); i += 2 {
-		word, line := outs[i].Results, outs[i+1].Results
-		rows = append(rows, GranularityRow{
-			App:            jobs[i].App,
-			Procs:          opts.MaxProcs,
-			WordViolations: word.Violations,
-			LineViolations: line.Violations,
-			WordCycles:     uint64(word.Cycles),
-			LineCycles:     uint64(line.Cycles),
-			LineSlowdown:   float64(line.Cycles) / float64(word.Cycles),
-		})
-	}
-	return rows, nil
-}
+// Granularity runs each app at opts.MaxProcs under both granularities. The
+// falseshare stress profile shows the extreme case.
+func Granularity(opts Options) ([]GranularityRow, error) { return granularity.run(opts) }
 
 // PrintGranularity renders the A2 ablation.
 func PrintGranularity(w io.Writer, rows []GranularityRow) {
@@ -179,49 +163,41 @@ type ProbeRow struct {
 	RepeatedCommitBytes uint64
 }
 
-// Probes runs commit-bound workloads under both probe policies.
-func probesJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr([]string{"commitbound", "volrend", "equake"}) {
-		jobs = append(jobs,
-			Job{App: app, Procs: o.MaxProcs},
-			Job{
-				App:    app,
-				Procs:  o.MaxProcs,
-				Knobs:  map[string]any{"probing": "repeated"},
-				Mutate: func(c *tcc.Config) { c.RepeatedProbing = true },
+var probes = matrix[[]ProbeRow]{
+	plan: plan{name: "probes", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr([]string{"commitbound", "volrend", "equake"}) {
+			jobs = append(jobs,
+				Job{App: app, Procs: o.MaxProcs},
+				Job{
+					App:    app,
+					Procs:  o.MaxProcs,
+					Knobs:  map[string]any{"probing": "repeated"},
+					Mutate: func(c *tcc.Config) { c.RepeatedProbing = true },
+				})
+		}
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]ProbeRow, error) {
+		var rows []ProbeRow
+		for i := 0; i < len(jobs); i += 2 {
+			def, rep := outs[i].Proto.Scalable, outs[i+1].Proto.Scalable
+			rows = append(rows, ProbeRow{
+				App:                 jobs[i].App,
+				Procs:               o.MaxProcs,
+				DeferredCycles:      uint64(def.Cycles),
+				RepeatedCycles:      uint64(rep.Cycles),
+				RepeatedSlowdown:    float64(rep.Cycles) / float64(def.Cycles),
+				DeferredCommitBytes: def.Traffic.BytesByClass[0],
+				RepeatedCommitBytes: rep.Traffic.BytesByClass[0],
 			})
-	}
-	return jobs, nil
+		}
+		return rows, nil
+	},
 }
 
-func Probes(opts Options) ([]ProbeRow, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := probesJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("probes", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []ProbeRow
-	for i := 0; i < len(jobs); i += 2 {
-		def, rep := outs[i].Results, outs[i+1].Results
-		rows = append(rows, ProbeRow{
-			App:                 jobs[i].App,
-			Procs:               opts.MaxProcs,
-			DeferredCycles:      uint64(def.Cycles),
-			RepeatedCycles:      uint64(rep.Cycles),
-			RepeatedSlowdown:    float64(rep.Cycles) / float64(def.Cycles),
-			DeferredCommitBytes: def.Traffic.BytesByClass[0],
-			RepeatedCommitBytes: rep.Traffic.BytesByClass[0],
-		})
-	}
-	return rows, nil
-}
+// Probes runs commit-bound workloads under both probe policies.
+func Probes(opts Options) ([]ProbeRow, error) { return probes.run(opts) }
 
 // PrintProbes renders the A3 ablation.
 func PrintProbes(w io.Writer, rows []ProbeRow) {
@@ -247,47 +223,39 @@ type WriteBackRow struct {
 	TrafficAmplification float64
 }
 
-// WriteBack runs each app under both commit data policies.
-func writebackJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr([]string{"swim", "tomcatv", "radix", "barnes"}) {
-		jobs = append(jobs,
-			Job{App: app, Procs: o.MaxProcs},
-			Job{
-				App:    app,
-				Procs:  o.MaxProcs,
-				Knobs:  map[string]any{"commit_data": "write-through"},
-				Mutate: func(c *tcc.Config) { c.WriteThroughCommit = true },
+var writeback = matrix[[]WriteBackRow]{
+	plan: plan{name: "writeback", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr([]string{"swim", "tomcatv", "radix", "barnes"}) {
+			jobs = append(jobs,
+				Job{App: app, Procs: o.MaxProcs},
+				Job{
+					App:    app,
+					Procs:  o.MaxProcs,
+					Knobs:  map[string]any{"commit_data": "write-through"},
+					Mutate: func(c *tcc.Config) { c.WriteThroughCommit = true },
+				})
+		}
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]WriteBackRow, error) {
+		var rows []WriteBackRow
+		for i := 0; i < len(jobs); i += 2 {
+			wb, wt := outs[i].Proto.Scalable, outs[i+1].Proto.Scalable
+			rows = append(rows, WriteBackRow{
+				App:                  jobs[i].App,
+				Procs:                o.MaxProcs,
+				WriteBackBPI:         wb.BytesPerInstr(),
+				WriteThroughBPI:      wt.BytesPerInstr(),
+				TrafficAmplification: wt.BytesPerInstr() / wb.BytesPerInstr(),
 			})
-	}
-	return jobs, nil
+		}
+		return rows, nil
+	},
 }
 
-func WriteBack(opts Options) ([]WriteBackRow, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := writebackJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("writeback", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []WriteBackRow
-	for i := 0; i < len(jobs); i += 2 {
-		wb, wt := outs[i].Results, outs[i+1].Results
-		rows = append(rows, WriteBackRow{
-			App:                  jobs[i].App,
-			Procs:                opts.MaxProcs,
-			WriteBackBPI:         wb.BytesPerInstr(),
-			WriteThroughBPI:      wt.BytesPerInstr(),
-			TrafficAmplification: wt.BytesPerInstr() / wb.BytesPerInstr(),
-		})
-	}
-	return rows, nil
-}
+// WriteBack runs each app under both commit data policies.
+func WriteBack(opts Options) ([]WriteBackRow, error) { return writeback.run(opts) }
 
 // PrintWriteBack renders the A4 ablation.
 func PrintWriteBack(w io.Writer, rows []WriteBackRow) {
@@ -315,57 +283,47 @@ type DirCacheRow struct {
 	Slowdown float64 // vs the unbounded directory cache
 }
 
-// DirCache sweeps directory-cache capacities for apps with small and large
-// directory working sets. The unbounded configuration leads each app's
-// series as the normalization base.
 // dirCacheCapacities is the A5 sweep; the unbounded entry leads each series
 // as the normalization base.
 var dirCacheCapacities = []int{0, 8192, 1024, 128}
 
-func dircacheJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr([]string{"barnes", "radix", "SPECjbb2000"}) {
-		for _, entries := range dirCacheCapacities {
-			e := entries
-			jobs = append(jobs, Job{
-				App:    app,
-				Procs:  o.MaxProcs,
-				Knobs:  map[string]any{"dir_cache_entries": e},
-				Mutate: func(c *tcc.Config) { c.DirCacheEntries = e },
+var dircache = matrix[[]DirCacheRow]{
+	plan: plan{name: "dircache", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr([]string{"barnes", "radix", "SPECjbb2000"}) {
+			for _, entries := range dirCacheCapacities {
+				e := entries
+				jobs = append(jobs, Job{
+					App:    app,
+					Procs:  o.MaxProcs,
+					Knobs:  map[string]any{"dir_cache_entries": e},
+					Mutate: func(c *tcc.Config) { c.DirCacheEntries = e },
+				})
+			}
+		}
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]DirCacheRow, error) {
+		var rows []DirCacheRow
+		for i, j := range jobs {
+			res := outs[i].Proto.Scalable
+			base := outs[i-i%len(dirCacheCapacities)].Proto.Scalable // the unbounded run
+			rows = append(rows, DirCacheRow{
+				App:      j.App,
+				Procs:    o.MaxProcs,
+				Entries:  j.Knobs["dir_cache_entries"].(int),
+				Misses:   res.DirCacheMisses,
+				Cycles:   uint64(res.Cycles),
+				Slowdown: float64(res.Cycles) / float64(base.Cycles),
 			})
 		}
-	}
-	return jobs, nil
+		return rows, nil
+	},
 }
 
-func DirCache(opts Options) ([]DirCacheRow, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := dircacheJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	capacities := dirCacheCapacities
-	outs, err := opts.runMatrix("dircache", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []DirCacheRow
-	for i, j := range jobs {
-		res := outs[i].Results
-		base := outs[i-i%len(capacities)].Results // the unbounded run
-		rows = append(rows, DirCacheRow{
-			App:      j.App,
-			Procs:    opts.MaxProcs,
-			Entries:  j.Knobs["dir_cache_entries"].(int),
-			Misses:   res.DirCacheMisses,
-			Cycles:   uint64(res.Cycles),
-			Slowdown: float64(res.Cycles) / float64(base.Cycles),
-		})
-	}
-	return rows, nil
-}
+// DirCache sweeps directory-cache capacities for apps with small and large
+// directory working sets.
+func DirCache(opts Options) ([]DirCacheRow, error) { return dircache.run(opts) }
 
 // PrintDirCache renders the A5 ablation.
 func PrintDirCache(w io.Writer, rows []DirCacheRow) {

@@ -1,14 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 4), plus the ablations DESIGN.md calls out.
 //
-// Each experiment is a typed runner: it declares its job matrix (one Job
-// per (app, procs, config) cell), hands the matrix to internal/harness —
-// which fans the fully independent simulations across Options.Parallel
-// worker goroutines — and reduces the index-ordered results to typed rows.
-// Because results come back keyed by job index, never completion order,
-// the printed tables are byte-identical whatever the worker count. The
-// optional Recorder captures one machine-readable Cell per simulation for
-// the JSON sink. cmd/tccbench is a thin flag wrapper around this package.
+// Each experiment declares two things: its job matrix (one Job per
+// (app, procs, config) cell) and the reduction of the index-ordered results
+// to typed rows. One driver does the rest. It hands the matrix to
+// internal/harness, which fans the fully independent simulations across
+// Options.Parallel worker goroutines. Because results come back keyed by
+// job index, never completion order, the printed tables are byte-identical
+// whatever the worker count. Options.OnCell sees each finished cell, which
+// is how the sweep executor builds the machine-readable report.
+// cmd/tccbench is a thin flag wrapper around the sweep executor.
 package experiments
 
 import (
@@ -46,19 +47,16 @@ type Options struct {
 	Shards       []int    // scaling-experiment shard counts; empty = {1, 2, 4, 8}
 
 	// Parallel is the number of worker goroutines independent simulations
-	// are fanned across; 1 runs the matrix sequentially.
+	// are fanned across; 1 runs the matrix sequentially. Timed experiments
+	// always run one cell at a time.
 	Parallel int
 
 	// JobTimeout bounds each simulation's wall-clock time (0 = none).
 	JobTimeout time.Duration
 
 	// Progress, if non-nil, is called after each completed simulation with
-	// (completed, total). Calls arrive in completion order.
+	// (completed, total). Calls are serialized; completed counts up in order.
 	Progress func(done, total int)
-
-	// Record, if non-nil, receives one Cell per simulation for the
-	// machine-readable report.
-	Record *Recorder
 
 	// CountEvents attaches a counting observer to every run and reports
 	// per-kind protocol-event totals in RunResult.Events (and the JSON
@@ -74,9 +72,9 @@ type Options struct {
 
 	// OnCell, if non-nil, is called from the worker goroutine the moment one
 	// matrix cell completes successfully, with the experiment name and the
-	// cell's job index. The sweep-job executor uses it to append checkpoint
-	// entries, making each finished cell durable immediately. Implementations
-	// must be safe for concurrent use.
+	// cell's job index. The sweep executor uses it to collect the report's
+	// cells and to append checkpoint entries, making each finished cell
+	// durable immediately. Implementations must be safe for concurrent use.
 	OnCell func(experiment string, index int, j Job, out RunResult)
 }
 
@@ -186,12 +184,11 @@ type Job struct {
 	// example {"hop_latency": 4}); nil means the default machine.
 	Knobs map[string]any
 
-	// Mutate applies the variation to the scalable machine's config.
+	// Mutate applies the variation to the machine's config.
 	Mutate func(*tcc.Config)
 
 	// Protocol selects the machine model from the tcc protocol registry
-	// ("tcc", "baseline", "tl2", "eager"); empty runs the scalable design
-	// directly (identical to "tcc").
+	// ("tcc", "baseline", "tl2", "eager"); empty means "tcc".
 	Protocol string
 }
 
@@ -203,24 +200,17 @@ func (j Job) protocol() string {
 	return "tcc"
 }
 
-// RunResult is one executed Job; exactly one of Results/Proto is
-// non-nil. Events holds per-kind protocol-event totals when
-// Options.CountEvents is set. Wall is the cell's wall-clock time, set only
-// by experiments that run their cells sequentially (the scaling study) —
-// under a parallel matrix, per-cell wall time measures scheduler contention,
-// not the cell.
+// RunResult is one executed Job. Proto is the registry's result for every
+// protocol; detail only the paper's design has (traffic classes, Table 3
+// percentiles) is on Proto.Scalable. Events holds per-kind protocol-event
+// totals when Options.CountEvents is set. Wall is the cell's wall-clock
+// time, set only by timed experiments, whose cells run one at a time —
+// under a parallel matrix, per-cell wall time measures scheduler
+// contention, not the cell.
 type RunResult struct {
-	Results *tcc.Results
-	Proto   *tcc.ProtocolResults
-	Events  map[string]uint64
-	Wall    time.Duration
-}
-
-func (r RunResult) summary() tcc.Summary {
-	if r.Proto != nil {
-		return r.Proto.Summary
-	}
-	return r.Results.Summary()
+	Proto  *tcc.ProtocolResults
+	Events map[string]uint64
+	Wall   time.Duration
 }
 
 // runJob executes one matrix cell. The config is validated after the
@@ -231,44 +221,6 @@ func (o Options) runJob(j Job) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, fmt.Errorf("experiments: %w", err)
 	}
-	prof = prof.Scale(o.Scale)
-	var counter *tcc.CountingObserver
-	if o.CountEvents {
-		counter = tcc.NewCountingObserver()
-	}
-	events := func() map[string]uint64 {
-		if counter == nil {
-			return nil
-		}
-		return counter.ByName()
-	}
-	if j.Protocol != "" && j.Protocol != "tcc" {
-		cfg := tcc.DefaultConfig(j.Procs)
-		cfg.Seed = o.Seed
-		cfg.MaxCycles = watchdogCycles
-		cfg.CollectCommitLog = o.Verify
-		if j.Mutate != nil {
-			j.Mutate(&cfg)
-		}
-		sys, err := tcc.NewSystemFor(j.Protocol, cfg, prof.Build(j.Procs, cfg.Seed))
-		if err != nil {
-			return RunResult{}, fmt.Errorf("experiments: %s %s on %d procs: %w", j.Protocol, j.App, j.Procs, err)
-		}
-		if counter != nil {
-			sys.Observe(counter)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return RunResult{}, fmt.Errorf("experiments: %s %s on %d procs: %w", j.Protocol, j.App, j.Procs, err)
-		}
-		if o.Verify {
-			if viols := res.Verify(); len(viols) != 0 {
-				return RunResult{}, fmt.Errorf("experiments: %s %s on %d procs: %d serializability violations (first: %v)",
-					j.Protocol, j.App, j.Procs, len(viols), viols[0])
-			}
-		}
-		return RunResult{Proto: res, Events: events()}, nil
-	}
 	cfg := tcc.DefaultConfig(j.Procs)
 	cfg.Seed = o.Seed
 	cfg.MaxCycles = watchdogCycles
@@ -276,36 +228,80 @@ func (o Options) runJob(j Job) (RunResult, error) {
 	if j.Mutate != nil {
 		j.Mutate(&cfg)
 	}
-	sys, err := tcc.NewSystem(cfg, prof.Build(j.Procs, cfg.Seed))
+	cell := fmt.Sprintf("%s %s on %d procs", j.protocol(), j.App, j.Procs)
+	sys, err := tcc.NewSystemFor(j.protocol(), cfg, prof.Scale(o.Scale).Build(j.Procs, cfg.Seed))
 	if err != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s on %d procs: invalid config: %w", j.App, j.Procs, err)
+		return RunResult{}, fmt.Errorf("experiments: %s: invalid config: %w", cell, err)
 	}
-	if counter != nil {
+	var counter *tcc.CountingObserver
+	if o.CountEvents {
+		counter = tcc.NewCountingObserver()
 		sys.Observe(counter)
 	}
 	res, err := sys.Run()
 	if err != nil {
-		return RunResult{}, fmt.Errorf("experiments: %s on %d procs: %w", j.App, j.Procs, err)
+		return RunResult{}, fmt.Errorf("experiments: %s: %w", cell, err)
 	}
 	if o.Verify {
-		if viols := tcc.Verify(res); len(viols) != 0 {
-			return RunResult{}, fmt.Errorf("experiments: %s on %d procs: %d serializability violations (first: %v)",
-				j.App, j.Procs, len(viols), viols[0])
+		if viols := res.Verify(); len(viols) != 0 {
+			return RunResult{}, fmt.Errorf("experiments: %s: %d serializability violations (first: %v)",
+				cell, len(viols), viols[0])
 		}
 	}
-	return RunResult{Results: res, Events: events()}, nil
+	out := RunResult{Proto: res}
+	if counter != nil {
+		out.Events = counter.ByName()
+	}
+	return out, nil
 }
 
-// runMatrix fans one experiment's jobs across o.Parallel workers and
-// returns results ordered by job index — never completion order — so any
-// reduction or printing downstream is byte-identical to a sequential run.
-// Completed cells are also handed to o.Record for the JSON sink.
-func (o Options) runMatrix(experiment string, jobs []Job) ([]RunResult, error) {
-	outs, err := harness.Map(harness.Config{
-		Workers:    o.Parallel,
+// plan is what an experiment declares besides its reduction: its job
+// matrix, how its cells run, and its quirks.
+type plan struct {
+	name string
+	// jobs declares the matrix for normalized options; nil for the static
+	// tables, which run no simulation.
+	jobs func(o Options) []Job
+	// timed experiments run one cell at a time and stamp each with its
+	// wall-clock time: overlapping cells would time scheduler contention.
+	timed bool
+	// scale, when non-zero, pins the workload scale whatever Options.Scale
+	// says.
+	scale float64
+	// maxProcs, when non-zero, is the machine size a sweep uses when its
+	// spec leaves max_procs unset.
+	maxProcs int
+}
+
+// prepare normalizes o for the plan and declares its matrix.
+func (p plan) prepare(o Options) (Options, []Job, error) {
+	if p.scale != 0 {
+		o.Scale = p.scale
+	}
+	if err := o.Normalize(); err != nil {
+		return o, nil, err
+	}
+	var jobs []Job
+	if p.jobs != nil {
+		jobs = p.jobs(o)
+	}
+	return o, jobs, nil
+}
+
+// runMatrix is the one runner: it executes jobs[i] for every i in todo
+// through the harness and returns the results in todo order. Cells fan
+// across o.Parallel workers, or run one at a time in index order for a
+// timed plan, and each successful cell is handed to o.OnCell.
+func (o Options) runMatrix(p plan, jobs []Job, todo []int) ([]RunResult, error) {
+	workers := o.Parallel
+	if p.timed {
+		workers = 1
+	}
+	return harness.Map(harness.Config{
+		Workers:    workers,
 		Timeout:    o.JobTimeout,
 		OnProgress: o.Progress,
-	}, jobs, func(i int, j Job) (RunResult, error) {
+	}, todo, func(_ int, i int) (RunResult, error) {
 		if o.Ctx != nil {
 			select {
 			case <-o.Ctx.Done():
@@ -313,17 +309,50 @@ func (o Options) runMatrix(experiment string, jobs []Job) ([]RunResult, error) {
 			default:
 			}
 		}
-		out, err := o.runJob(j)
-		if err == nil && o.OnCell != nil {
-			o.OnCell(experiment, i, j, out)
+		start := time.Now()
+		out, err := o.runJob(jobs[i])
+		if err != nil {
+			return RunResult{}, err
 		}
-		return out, err
+		if p.timed {
+			out.Wall = time.Since(start)
+		}
+		if o.OnCell != nil {
+			o.OnCell(p.name, i, jobs[i], out)
+		}
+		return out, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// every lists the indices 0..n-1.
+func every(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	o.Record.add(experiment, jobs, outs)
-	return outs, nil
+	return idx
+}
+
+// matrix is one experiment's declaration: its plan and the reduction of
+// the index-ordered results to typed rows.
+type matrix[R any] struct {
+	plan
+	reduce func(o Options, jobs []Job, outs []RunResult) (R, error)
+}
+
+// run is the driver behind every typed runner: prepare the options, run
+// the whole matrix and reduce it.
+func (m matrix[R]) run(o Options) (R, error) {
+	var rows R
+	o, jobs, err := m.prepare(o)
+	if err != nil {
+		return rows, err
+	}
+	outs, err := o.runMatrix(m.plan, jobs, every(len(jobs)))
+	if err != nil {
+		return rows, err
+	}
+	return m.reduce(o, jobs, outs)
 }
 
 func newTab(w io.Writer) *tabwriter.Writer {
@@ -382,53 +411,49 @@ type Table3Row struct {
 	OccupancyP90     uint64
 }
 
-// table3Jobs declares the Table 3 matrix; o must be normalized.
-func table3Jobs(o Options) ([]Job, error) {
+// table3Jobs declares one cell per application at the top machine size;
+// Figure 9 runs the same matrix.
+func table3Jobs(o Options) []Job {
 	var jobs []Job
 	for _, app := range o.appsOr(allAppNames()) {
 		jobs = append(jobs, Job{App: app, Procs: o.MaxProcs})
 	}
-	return jobs, nil
+	return jobs
+}
+
+var table3 = matrix[[]Table3Row]{
+	// The paper reports Table 3 at 32 CPUs.
+	plan: plan{name: "table3", jobs: table3Jobs, maxProcs: 32},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]Table3Row, error) {
+		var rows []Table3Row
+		for i, j := range jobs {
+			res := outs[i].Proto.Scalable
+			var wrWordsPerTx float64
+			if res.Commits > 0 {
+				wrWordsPerTx = float64(res.WrSetBytesP90) / 4
+			}
+			ops := 0.0
+			if wrWordsPerTx > 0 {
+				ops = float64(res.TxInstrP90) / wrWordsPerTx
+			}
+			rows = append(rows, Table3Row{
+				App:              j.App,
+				TxInstrP90:       res.TxInstrP90,
+				WrSetKBP90:       float64(res.WrSetBytesP90) / 1024,
+				RdSetKBP90:       float64(res.RdSetBytesP90) / 1024,
+				OpsPerWordWr:     ops,
+				DirsPerCommitP90: res.DirsPerCommitP90,
+				WorkingSetP90:    res.DirWorkingSetP90,
+				OccupancyP90:     res.DirOccupancyP90,
+			})
+		}
+		return rows, nil
+	},
 }
 
 // Table3 measures each application's fingerprint at opts.MaxProcs (the
 // paper reports the 32-processor case).
-func Table3(opts Options) ([]Table3Row, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := table3Jobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("table3", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Table3Row
-	for i, j := range jobs {
-		res := outs[i].Results
-		var wrWordsPerTx float64
-		if res.Commits > 0 {
-			wrWordsPerTx = float64(res.WrSetBytesP90) / 4
-		}
-		ops := 0.0
-		if wrWordsPerTx > 0 {
-			ops = float64(res.TxInstrP90) / wrWordsPerTx
-		}
-		rows = append(rows, Table3Row{
-			App:              j.App,
-			TxInstrP90:       res.TxInstrP90,
-			WrSetKBP90:       float64(res.WrSetBytesP90) / 1024,
-			RdSetKBP90:       float64(res.RdSetBytesP90) / 1024,
-			OpsPerWordWr:     ops,
-			DirsPerCommitP90: res.DirsPerCommitP90,
-			WorkingSetP90:    res.DirWorkingSetP90,
-			OccupancyP90:     res.DirOccupancyP90,
-		})
-	}
-	return rows, nil
-}
+func Table3(opts Options) ([]Table3Row, error) { return table3.run(opts) }
 
 // PrintTable3 renders Table 3 rows.
 func PrintTable3(w io.Writer, rows []Table3Row) {
@@ -456,40 +481,31 @@ type Fig6Row struct {
 	CommitFraction float64
 }
 
-// fig6Jobs declares the Figure 6 matrix; o must be normalized.
-func fig6Jobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr(allAppNames()) {
-		jobs = append(jobs, Job{App: app, Procs: 1})
-	}
-	return jobs, nil
+var fig6 = matrix[[]Fig6Row]{
+	plan: plan{name: "fig6", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr(allAppNames()) {
+			jobs = append(jobs, Job{App: app, Procs: 1})
+		}
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]Fig6Row, error) {
+		var rows []Fig6Row
+		for i, j := range jobs {
+			res := outs[i].Proto.Scalable
+			rows = append(rows, Fig6Row{
+				App:            j.App,
+				Cycles:         uint64(res.Cycles),
+				Breakdown:      res.Breakdown,
+				CommitFraction: res.Breakdown.Fraction(stats.Commit),
+			})
+		}
+		return rows, nil
+	},
 }
 
 // Fig6 runs every application on one processor.
-func Fig6(opts Options) ([]Fig6Row, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := fig6Jobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("fig6", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig6Row
-	for i, j := range jobs {
-		res := outs[i].Results
-		rows = append(rows, Fig6Row{
-			App:            j.App,
-			Cycles:         uint64(res.Cycles),
-			Breakdown:      res.Breakdown,
-			CommitFraction: res.Breakdown.Fraction(stats.Commit),
-		})
-	}
-	return rows, nil
-}
+func Fig6(opts Options) ([]Fig6Row, error) { return fig6.run(opts) }
 
 // PrintFig6 renders Figure 6.
 func PrintFig6(w io.Writer, rows []Fig6Row) {
@@ -514,46 +530,37 @@ type Fig7Cell struct {
 	Violations uint64
 }
 
-// fig7Jobs declares the Figure 7 matrix; o must be normalized.
-func fig7Jobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr(allAppNames()) {
-		for _, procs := range o.Procs {
-			jobs = append(jobs, Job{App: app, Procs: procs})
+var fig7 = matrix[[]Fig7Cell]{
+	plan: plan{name: "fig7", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr(allAppNames()) {
+			for _, procs := range o.Procs {
+				jobs = append(jobs, Job{App: app, Procs: procs})
+			}
 		}
-	}
-	return jobs, nil
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]Fig7Cell, error) {
+		var cells []Fig7Cell
+		for i, j := range jobs {
+			res := outs[i].Proto.Scalable
+			base := outs[i-i%len(o.Procs)].Proto.Scalable // the app's first sweep point
+			cells = append(cells, Fig7Cell{
+				App:        j.App,
+				Procs:      j.Procs,
+				Cycles:     uint64(res.Cycles),
+				Speedup:    res.Speedup(base),
+				Breakdown:  res.Breakdown,
+				Violations: res.Violations,
+			})
+		}
+		return cells, nil
+	},
 }
 
 // Fig7 sweeps processor counts for every application; each app's first
 // sweep point is its normalization base.
-func Fig7(opts Options) ([]Fig7Cell, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := fig7Jobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("fig7", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var cells []Fig7Cell
-	for i, j := range jobs {
-		res := outs[i].Results
-		base := outs[i-i%len(opts.Procs)].Results // the app's first sweep point
-		cells = append(cells, Fig7Cell{
-			App:        j.App,
-			Procs:      j.Procs,
-			Cycles:     uint64(res.Cycles),
-			Speedup:    res.Speedup(base),
-			Breakdown:  res.Breakdown,
-			Violations: res.Violations,
-		})
-	}
-	return cells, nil
-}
+func Fig7(opts Options) ([]Fig7Cell, error) { return fig7.run(opts) }
 
 // PrintFig7 renders Figure 7: one row per (app, procs) with the speedup the
 // paper prints on top of each bar.
@@ -583,50 +590,41 @@ type Fig8Cell struct {
 	Breakdown      stats.Breakdown
 }
 
-// fig8Jobs declares the Figure 8 matrix; o must be normalized.
-func fig8Jobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr(allAppNames()) {
-		for _, hop := range o.HopLatencies {
-			h := hop
-			jobs = append(jobs, Job{
-				App:    app,
-				Procs:  o.MaxProcs,
-				Knobs:  map[string]any{"hop_latency": h},
-				Mutate: func(c *tcc.Config) { c.HopLatency = h },
+var fig8 = matrix[[]Fig8Cell]{
+	plan: plan{name: "fig8", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr(allAppNames()) {
+			for _, hop := range o.HopLatencies {
+				h := hop
+				jobs = append(jobs, Job{
+					App:    app,
+					Procs:  o.MaxProcs,
+					Knobs:  map[string]any{"hop_latency": h},
+					Mutate: func(c *tcc.Config) { c.HopLatency = h },
+				})
+			}
+		}
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]Fig8Cell, error) {
+		var cells []Fig8Cell
+		for i, j := range jobs {
+			res := outs[i].Proto.Scalable
+			base := outs[i-i%len(o.HopLatencies)].Proto.Scalable // the app's first hop point
+			cells = append(cells, Fig8Cell{
+				App:            j.App,
+				HopCycles:      j.Knobs["hop_latency"].(int),
+				Cycles:         uint64(res.Cycles),
+				SlowdownVsHop1: float64(res.Cycles) / float64(base.Cycles),
+				Breakdown:      res.Breakdown,
 			})
 		}
-	}
-	return jobs, nil
+		return cells, nil
+	},
 }
 
 // Fig8 sweeps mesh hop latency at opts.MaxProcs processors.
-func Fig8(opts Options) ([]Fig8Cell, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := fig8Jobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("fig8", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var cells []Fig8Cell
-	for i, j := range jobs {
-		res := outs[i].Results
-		base := outs[i-i%len(opts.HopLatencies)].Results // the app's first hop point
-		cells = append(cells, Fig8Cell{
-			App:            j.App,
-			HopCycles:      j.Knobs["hop_latency"].(int),
-			Cycles:         uint64(res.Cycles),
-			SlowdownVsHop1: float64(res.Cycles) / float64(base.Cycles),
-			Breakdown:      res.Breakdown,
-		})
-	}
-	return cells, nil
-}
+func Fig8(opts Options) ([]Fig8Cell, error) { return fig8.run(opts) }
 
 // PrintFig8 renders Figure 8.
 func PrintFig8(w io.Writer, cells []Fig8Cell) {
@@ -651,42 +649,27 @@ type Fig9Row struct {
 	Total          float64
 }
 
-// fig9Jobs declares the Figure 9 matrix; o must be normalized.
-func fig9Jobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr(allAppNames()) {
-		jobs = append(jobs, Job{App: app, Procs: o.MaxProcs})
-	}
-	return jobs, nil
+var fig9 = matrix[[]Fig9Row]{
+	plan: plan{name: "fig9", jobs: table3Jobs},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]Fig9Row, error) {
+		var rows []Fig9Row
+		for i, j := range jobs {
+			res := outs[i].Proto.Scalable
+			rows = append(rows, Fig9Row{
+				App:            j.App,
+				CommitOverhead: res.ClassBytesPerInstr(mesh.ClassCommit),
+				Miss:           res.ClassBytesPerInstr(mesh.ClassMiss),
+				WriteBack:      res.ClassBytesPerInstr(mesh.ClassWriteBack),
+				Shared:         res.ClassBytesPerInstr(mesh.ClassShared),
+				Total:          res.BytesPerInstr(),
+			})
+		}
+		return rows, nil
+	},
 }
 
 // Fig9 measures per-class network traffic at opts.MaxProcs processors.
-func Fig9(opts Options) ([]Fig9Row, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := fig9Jobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("fig9", jobs)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Fig9Row
-	for i, j := range jobs {
-		res := outs[i].Results
-		rows = append(rows, Fig9Row{
-			App:            j.App,
-			CommitOverhead: res.ClassBytesPerInstr(mesh.ClassCommit),
-			Miss:           res.ClassBytesPerInstr(mesh.ClassMiss),
-			WriteBack:      res.ClassBytesPerInstr(mesh.ClassWriteBack),
-			Shared:         res.ClassBytesPerInstr(mesh.ClassShared),
-			Total:          res.BytesPerInstr(),
-		})
-	}
-	return rows, nil
-}
+func Fig9(opts Options) ([]Fig9Row, error) { return fig9.run(opts) }
 
 // PrintFig9 renders Figure 9.
 func PrintFig9(w io.Writer, rows []Fig9Row) {

@@ -176,14 +176,11 @@ func TestBaselineVerifiesBusCells(t *testing.T) {
 	opts.Procs = []int{1, 8}
 	opts.Apps = []string{"commitbound"}
 	opts.Verify = true
-	if err := opts.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	jobs, err := baselineJobs(opts)
+	opts, jobs, err := baseline.prepare(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := opts.runMatrix("baseline", jobs)
+	outs, err := opts.runMatrix(baseline.plan, jobs, every(len(jobs)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,6 @@ const hotpathReps = 3
 // 16-processor mesh).
 const hotpathProcs = 16
 
-// hotpathBenchScale pins the bench workload size. The gate benches run
-// their profiles at 0.1 scale, and comparability with the recorded
-// BENCH_soa.json trajectory is this experiment's entire point, so the
-// matrix overrides Options.Scale (and ignores Apps/Procs/Seed) instead of
-// honoring them.
-const hotpathBenchScale = 0.1
-
 // HotpathRow is one bench's reduced measurement: the minimum wall time
 // across hotpathReps identical runs, the (deterministic) simulated
 // outcome, and the bench's headline metric.
@@ -68,93 +61,87 @@ func hotpathBenches() []hotpathBench {
 	}
 }
 
-// hotpathJobs declares the bench x repetition matrix; o must be normalized.
-// Seeds are pinned per bench (not taken from o) so the rows stay comparable
-// with the recorded baselines whatever the sweep-level seed.
-func hotpathJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, b := range hotpathBenches() {
-		for rep := 0; rep < hotpathReps; rep++ {
-			seed := b.seed
-			jobs = append(jobs, Job{
-				App:    b.app,
-				Procs:  hotpathProcs,
-				Knobs:  map[string]any{"bench": b.name, "rep": rep, "seed": int(seed)},
-				Mutate: func(c *tcc.Config) { c.Seed = seed },
-			})
+var hotpath = matrix[[]HotpathRow]{
+	// The gate benches run their profiles at 0.1 scale, and comparability
+	// with the recorded BENCH_soa.json trajectory is this experiment's
+	// entire point, so the plan pins Options.Scale (and the matrix ignores
+	// Apps/Procs/Seed) instead of honoring them.
+	plan: plan{name: "hotpath", timed: true, scale: 0.1, jobs: func(o Options) []Job {
+		// Seeds are pinned per bench (not taken from o) so the rows stay
+		// comparable with the recorded baselines whatever the sweep-level
+		// seed.
+		var jobs []Job
+		for _, b := range hotpathBenches() {
+			for rep := 0; rep < hotpathReps; rep++ {
+				seed := b.seed
+				jobs = append(jobs, Job{
+					App:    b.app,
+					Procs:  hotpathProcs,
+					Knobs:  map[string]any{"bench": b.name, "rep": rep, "seed": int(seed)},
+					Mutate: func(c *tcc.Config) { c.Seed = seed },
+				})
+			}
 		}
-	}
-	return jobs, nil
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]HotpathRow, error) {
+		benches := hotpathBenches()
+		rows := make([]HotpathRow, len(benches))
+		for bi, b := range benches {
+			var row HotpathRow
+			for rep := 0; rep < hotpathReps; rep++ {
+				out := outs[bi*hotpathReps+rep]
+				res := out.Proto.Scalable
+				if rep > 0 {
+					// Repetitions rerun the same seed, so the simulated outcome
+					// must be identical — a rep that diverges is a determinism
+					// bug, not noise, and fails the experiment.
+					if uint64(res.Cycles) != row.Cycles {
+						return nil, fmt.Errorf(
+							"experiments: hotpath %s rep %d simulated %d cycles, rep 0 simulated %d — repeated runs of one seed must be deterministic",
+							b.name, rep, res.Cycles, row.Cycles)
+					}
+					if out.Wall < row.Wall {
+						row.Wall = out.Wall
+					}
+					continue
+				}
+				row = HotpathRow{
+					Bench:      b.name,
+					App:        b.app,
+					Procs:      hotpathProcs,
+					Runs:       hotpathReps,
+					Wall:       out.Wall,
+					Cycles:     uint64(res.Cycles),
+					Commits:    res.Commits,
+					Violations: res.Violations,
+				}
+				switch b.name {
+				case "throughput":
+					row.Metric, row.Value = "sim-cycles/run", float64(res.Cycles)
+				case "commit":
+					var commitCycles uint64
+					for _, p := range res.PerProc {
+						commitCycles += p.Breakdown[stats.Commit]
+					}
+					row.Metric = "commit-cycles/tx"
+					if res.Commits > 0 {
+						row.Value = float64(commitCycles) / float64(res.Commits)
+					}
+				case "abort":
+					row.Metric, row.Value = "violations/run", float64(res.Violations)
+				}
+			}
+			rows[bi] = row
+		}
+		return rows, nil
+	},
 }
 
-// Hotpath reruns the gate benches and reduces each to one row. Cells run
-// strictly sequentially whatever opts.Parallel says — overlapping cells
-// would make the wall times measure scheduler contention, exactly as in the
-// scaling study.
-func Hotpath(opts Options) ([]HotpathRow, error) {
-	opts.Scale = hotpathBenchScale
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := hotpathJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrixTimed("hotpath", jobs)
-	if err != nil {
-		return nil, err
-	}
-	benches := hotpathBenches()
-	rows := make([]HotpathRow, len(benches))
-	for bi, b := range benches {
-		var row HotpathRow
-		for rep := 0; rep < hotpathReps; rep++ {
-			out := outs[bi*hotpathReps+rep]
-			res := out.Results
-			if rep > 0 {
-				// Repetitions rerun the same seed, so the simulated outcome
-				// must be identical — a rep that diverges is a determinism
-				// bug, not noise, and fails the experiment.
-				if uint64(res.Cycles) != row.Cycles {
-					return nil, fmt.Errorf(
-						"experiments: hotpath %s rep %d simulated %d cycles, rep 0 simulated %d — repeated runs of one seed must be deterministic",
-						b.name, rep, res.Cycles, row.Cycles)
-				}
-				if out.Wall < row.Wall {
-					row.Wall = out.Wall
-				}
-				continue
-			}
-			row = HotpathRow{
-				Bench:      b.name,
-				App:        b.app,
-				Procs:      hotpathProcs,
-				Runs:       hotpathReps,
-				Wall:       out.Wall,
-				Cycles:     uint64(res.Cycles),
-				Commits:    res.Commits,
-				Violations: res.Violations,
-			}
-			switch b.name {
-			case "throughput":
-				row.Metric, row.Value = "sim-cycles/run", float64(res.Cycles)
-			case "commit":
-				var commitCycles uint64
-				for _, p := range res.PerProc {
-					commitCycles += p.Breakdown[stats.Commit]
-				}
-				row.Metric = "commit-cycles/tx"
-				if res.Commits > 0 {
-					row.Value = float64(commitCycles) / float64(res.Commits)
-				}
-			case "abort":
-				row.Metric, row.Value = "violations/run", float64(res.Violations)
-			}
-		}
-		rows[bi] = row
-	}
-	return rows, nil
-}
+// Hotpath reruns the gate benches at their pinned shapes and reduces each
+// to one row. Cells run strictly sequentially whatever opts.Parallel says,
+// exactly as in the scaling study.
+func Hotpath(opts Options) ([]HotpathRow, error) { return hotpath.run(opts) }
 
 // PrintHotpath renders the hot-path trajectory, one row per gate bench.
 func PrintHotpath(w io.Writer, rows []HotpathRow) {

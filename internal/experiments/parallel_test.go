@@ -16,22 +16,16 @@ import (
 // same seed, and an identical machine-readable report.
 func TestParallelFig7Deterministic(t *testing.T) {
 	render := func(parallel int) (string, []byte) {
-		opts := tiny()
-		opts.Parallel = parallel
-		opts.Record = &Recorder{}
-		cells, err := Fig7(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		PrintFig7(&b, cells)
+		sw := tinySweep("fig7")
+		sw.Parallel = parallel
+		res, rep := sweep(t, sw)
 		// The report header records the worker count as provenance; the
 		// cells are the determinism claim.
-		rep, err := json.Marshal(opts.Record.Report(opts).Cells)
+		cells, err := json.Marshal(rep.Cells)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b.String(), rep
+		return res.Tables, cells
 	}
 	seqOut, seqJSON := render(1)
 	parOut, parJSON := render(8)
@@ -91,15 +85,11 @@ func TestNormalizeFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestRecorderReport: the JSON sink must cover every (app, procs) cell the
+// TestSweepReport: the JSON sink must cover every (app, procs) cell the
 // sweep ran, with the versioned schema and sane per-cell contents.
-func TestRecorderReport(t *testing.T) {
-	opts := tiny()
-	opts.Record = &Recorder{}
-	if _, err := Fig7(opts); err != nil {
-		t.Fatal(err)
-	}
-	rep := opts.Record.Report(opts)
+func TestSweepReport(t *testing.T) {
+	sw := tinySweep("fig7")
+	_, rep := sweep(t, sw)
 	if rep.Schema != ReportSchema || rep.Version != ReportVersion {
 		t.Fatalf("report header %q v%d", rep.Schema, rep.Version)
 	}
@@ -114,16 +104,20 @@ func TestRecorderReport(t *testing.T) {
 		}
 		got[key{c.App, c.Procs}] = c
 	}
-	for _, app := range opts.Apps {
-		for _, procs := range opts.Procs {
+	for _, app := range sw.Apps {
+		for _, procs := range sw.Procs {
 			c, ok := got[key{app, procs}]
 			if !ok {
 				t.Fatalf("report missing cell (%s, %d)", app, procs)
 			}
-			if c.Summary.Cycles == 0 || c.Summary.Commits == 0 {
-				t.Errorf("(%s, %d): empty summary %+v", app, procs, c.Summary)
+			var s tcc.Summary
+			if err := json.Unmarshal(c.Summary, &s); err != nil {
+				t.Fatal(err)
 			}
-			if c.Traffic == nil {
+			if s.Cycles == 0 || s.Commits == 0 {
+				t.Errorf("(%s, %d): empty summary %+v", app, procs, s)
+			}
+			if len(c.Traffic) == 0 {
 				t.Errorf("(%s, %d): missing traffic decomposition", app, procs)
 			}
 			if procs == 1 && (c.SpeedupVsBase < 0.999 || c.SpeedupVsBase > 1.001) {
@@ -170,28 +164,23 @@ func TestRecorderReport(t *testing.T) {
 	}
 }
 
-// TestRecorderBaselineCells: the A1 matrix records both machines, and the
-// baseline cells carry no mesh-traffic decomposition.
-func TestRecorderBaselineCells(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Scale = 0.05
-	opts.Procs = []int{1, 8}
-	opts.Apps = []string{"commitbound"}
-	opts.Record = &Recorder{}
-	if _, err := BaselineComparison(opts); err != nil {
-		t.Fatal(err)
-	}
+// TestSweepReportBaselineCells: the A1 matrix reports both machines, and
+// the baseline cells carry no mesh-traffic decomposition.
+func TestSweepReportBaselineCells(t *testing.T) {
+	sw := tinySweep("baseline")
+	sw.Apps = []string{"commitbound"}
+	_, rep := sweep(t, sw)
 	var scal, base int
-	for _, c := range opts.Record.Cells() {
+	for _, c := range rep.Cells {
 		switch c.Machine {
 		case "scalable":
 			scal++
-			if c.Traffic == nil {
+			if len(c.Traffic) == 0 {
 				t.Error("scalable cell lacks traffic")
 			}
 		case "baseline":
 			base++
-			if c.Traffic != nil {
+			if len(c.Traffic) != 0 {
 				t.Error("baseline cell has mesh traffic")
 			}
 		default:
@@ -199,7 +188,7 @@ func TestRecorderBaselineCells(t *testing.T) {
 		}
 	}
 	if scal != 2 || base != 2 {
-		t.Fatalf("recorded %d scalable + %d baseline cells", scal, base)
+		t.Fatalf("reported %d scalable + %d baseline cells", scal, base)
 	}
 }
 

@@ -27,59 +27,50 @@ type ProtoCell struct {
 	Breakdown  stats.Breakdown
 }
 
-// protocolsJobs declares the head-to-head matrix; o must be normalized.
-func protocolsJobs(o Options) ([]Job, error) {
-	var jobs []Job
-	for _, app := range o.appsOr([]string{"hotspot"}) {
-		for _, proto := range o.protocolsOr() {
-			for _, procs := range o.Procs {
-				jobs = append(jobs, Job{
-					App:      app,
-					Procs:    procs,
-					Protocol: proto,
-					Knobs:    map[string]any{"protocol": proto},
-				})
+var protocols = matrix[[]ProtoCell]{
+	plan: plan{name: "protocols", jobs: func(o Options) []Job {
+		var jobs []Job
+		for _, app := range o.appsOr([]string{"hotspot"}) {
+			for _, proto := range o.protocolsOr() {
+				for _, procs := range o.Procs {
+					jobs = append(jobs, Job{
+						App:      app,
+						Procs:    procs,
+						Protocol: proto,
+						Knobs:    map[string]any{"protocol": proto},
+					})
+				}
 			}
 		}
-	}
-	return jobs, nil
+		return jobs
+	}},
+	reduce: func(o Options, jobs []Job, outs []RunResult) ([]ProtoCell, error) {
+		cells := make([]ProtoCell, len(jobs))
+		for i, j := range jobs {
+			s := outs[i].Proto.Summary
+			base := outs[i-i%len(o.Procs)].Proto.Summary // the series' first sweep point
+			c := ProtoCell{
+				App:        j.App,
+				Protocol:   j.protocol(),
+				Procs:      j.Procs,
+				Cycles:     s.Cycles,
+				Commits:    s.Commits,
+				Violations: s.Violations,
+				Breakdown:  s.Breakdown,
+			}
+			if s.Cycles > 0 {
+				c.Speedup = float64(base.Cycles) / float64(s.Cycles)
+			}
+			cells[i] = c
+		}
+		return cells, nil
+	},
 }
 
 // ProtocolSweep runs opts.Apps (default: the fig7 contention workload,
 // hotspot) across opts.Procs for every protocol in opts.Protocols (default:
 // the full registry), all through the unified RunProtocol API.
-func ProtocolSweep(opts Options) ([]ProtoCell, error) {
-	if err := opts.Normalize(); err != nil {
-		return nil, err
-	}
-	jobs, err := protocolsJobs(opts)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := opts.runMatrix("protocols", jobs)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]ProtoCell, len(jobs))
-	for i, j := range jobs {
-		s := outs[i].summary()
-		base := outs[i-i%len(opts.Procs)].summary() // the series' first sweep point
-		c := ProtoCell{
-			App:        j.App,
-			Protocol:   j.protocol(),
-			Procs:      j.Procs,
-			Cycles:     s.Cycles,
-			Commits:    s.Commits,
-			Violations: s.Violations,
-			Breakdown:  s.Breakdown,
-		}
-		if s.Cycles > 0 {
-			c.Speedup = float64(base.Cycles) / float64(s.Cycles)
-		}
-		cells[i] = c
-	}
-	return cells, nil
-}
+func ProtocolSweep(opts Options) ([]ProtoCell, error) { return protocols.run(opts) }
 
 // PrintProtocolSweep renders the head-to-head table, one row per
 // (app, protocol, procs).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -16,7 +17,6 @@ func TestProtocolSweep(t *testing.T) {
 	opts.Procs = []int{1, 4}
 	opts.Apps = []string{"hotspot"}
 	opts.Verify = true
-	opts.Record = &Recorder{}
 	cells, err := ProtocolSweep(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +41,15 @@ func TestProtocolSweep(t *testing.T) {
 		}
 	}
 
-	// The recorder tags every cell with its protocol; the legacy machine
+	// The report tags every cell with its protocol; the legacy machine
 	// field keeps "scalable" for the paper's design.
-	for _, c := range opts.Record.Cells() {
+	sw := tinySweep("protocols")
+	sw.Apps, sw.Procs = opts.Apps, opts.Procs
+	_, rep := sweep(t, sw)
+	if len(rep.Cells) != len(cells) {
+		t.Fatalf("report has %d cells, sweep %d", len(rep.Cells), len(cells))
+	}
+	for _, c := range rep.Cells {
 		if c.Protocol == "" {
 			t.Errorf("cell without protocol tag: %+v", c)
 		}
@@ -53,7 +59,7 @@ func TestProtocolSweep(t *testing.T) {
 		if c.Protocol != "tcc" && c.Machine != c.Protocol {
 			t.Errorf("%s cell has machine %q", c.Protocol, c.Machine)
 		}
-		if c.Protocol != "baseline" && c.Traffic == nil {
+		if c.Protocol != "baseline" && len(c.Traffic) == 0 {
 			t.Errorf("%s cell lacks mesh traffic", c.Protocol)
 		}
 	}
@@ -79,6 +85,10 @@ func TestOptionsRejectUnknownProtocol(t *testing.T) {
 // BENCH_protocols.json parses. Field renames or reorderings are breaking
 // changes and must bump ReportVersion.
 func TestReportV2PinnedBytes(t *testing.T) {
+	summary, err := json.Marshal(tcc.Summary{Protocol: "tl2", Cycles: 10, Instructions: 4, Commits: 2, Violations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep := &Report{
 		Schema:   ReportSchema,
 		Version:  ReportVersion,
@@ -92,7 +102,7 @@ func TestReportV2PinnedBytes(t *testing.T) {
 			Machine:       "tl2",
 			Protocol:      "tl2",
 			SpeedupVsBase: 0.5,
-			Summary:       tcc.Summary{Protocol: "tl2", Cycles: 10, Instructions: 4, Commits: 2, Violations: 1},
+			Summary:       summary,
 		}},
 	}
 	var b strings.Builder

@@ -1,7 +1,7 @@
 // The experiment registry: one named entry per paper artifact, each
-// coupling its typed runner to its printer. cmd/tccbench resolves names
-// against this table instead of hard-coding a switch, and "all" is simply
-// the registry in order.
+// coupling its plan and reduction to its printer. cmd/tccbench resolves
+// names against this table instead of hard-coding a switch, and "all" is
+// simply the registry in order.
 
 package experiments
 
@@ -11,137 +11,59 @@ import (
 	"scalabletcc/tcc"
 )
 
-// Experiment is a named, runnable entry: Run executes the experiment's job
-// matrix under o and prints the ordered rows to w. Jobs, when non-nil,
-// declares the same matrix without running it — o must already be
-// normalized — which is what lets a checkpointed sweep resume exactly the
-// cells it has not finished.
+// Experiment is a named entry of the registry. Its plan declares the job
+// matrix (none for the static tables 1 and 2), and print reduces the
+// index-ordered results of the whole matrix and prints the rows.
 type Experiment struct {
 	Name  string
 	Title string
-	Run   func(o Options, w io.Writer) error
-	Jobs  func(o Options) ([]Job, error)
+	plan
+	print func(o Options, jobs []Job, outs []RunResult, w io.Writer) error
+}
+
+// show registers m under title, printing its reduced rows with print.
+func show[R any](m matrix[R], title string, print func(io.Writer, R)) Experiment {
+	return Experiment{Name: m.name, Title: title, plan: m.plan,
+		print: func(o Options, jobs []Job, outs []RunResult, w io.Writer) error {
+			rows, err := m.reduce(o, jobs, outs)
+			if err != nil {
+				return err
+			}
+			print(w, rows)
+			return nil
+		}}
+}
+
+// static registers a table that runs no simulation.
+func static(name, title string, print func(o Options, w io.Writer)) Experiment {
+	return Experiment{Name: name, Title: title, plan: plan{name: name},
+		print: func(o Options, _ []Job, _ []RunResult, w io.Writer) error {
+			print(o, w)
+			return nil
+		}}
 }
 
 // Registry returns every experiment in presentation order (tables, then
 // figures, then ablations).
 func Registry() []Experiment {
 	return []Experiment{
-		{"table1", "coherence-message vocabulary", func(o Options, w io.Writer) error {
-			Table1(w)
-			return nil
-		}, nil},
-		{"table2", "simulated-architecture parameters", func(o Options, w io.Writer) error {
-			if err := o.Normalize(); err != nil {
-				return err
-			}
+		static("table1", "coherence-message vocabulary", func(_ Options, w io.Writer) { Table1(w) }),
+		static("table2", "simulated-architecture parameters", func(o Options, w io.Writer) {
 			Table2(w, tcc.DefaultConfig(o.MaxProcs))
-			return nil
-		}, nil},
-		{"table3", "application fingerprints", func(o Options, w io.Writer) error {
-			rows, err := Table3(o)
-			if err != nil {
-				return err
-			}
-			PrintTable3(w, rows)
-			return nil
-		}, table3Jobs},
-		{"fig6", "single-processor breakdown", func(o Options, w io.Writer) error {
-			rows, err := Fig6(o)
-			if err != nil {
-				return err
-			}
-			PrintFig6(w, rows)
-			return nil
-		}, fig6Jobs},
-		{"fig7", "speedup scaling 1-64 CPUs", func(o Options, w io.Writer) error {
-			cells, err := Fig7(o)
-			if err != nil {
-				return err
-			}
-			PrintFig7(w, cells)
-			return nil
-		}, fig7Jobs},
-		{"fig8", "communication-latency sensitivity", func(o Options, w io.Writer) error {
-			cells, err := Fig8(o)
-			if err != nil {
-				return err
-			}
-			PrintFig8(w, cells)
-			return nil
-		}, fig8Jobs},
-		{"fig9", "remote traffic by class", func(o Options, w io.Writer) error {
-			rows, err := Fig9(o)
-			if err != nil {
-				return err
-			}
-			PrintFig9(w, rows)
-			return nil
-		}, fig9Jobs},
-		{"protocols", "protocol head-to-head: TCC vs baseline vs TL2 vs eager", func(o Options, w io.Writer) error {
-			cells, err := ProtocolSweep(o)
-			if err != nil {
-				return err
-			}
-			PrintProtocolSweep(w, cells)
-			return nil
-		}, protocolsJobs},
-		{"baseline", "bus-serialized commit vs parallel commit (A1)", func(o Options, w io.Writer) error {
-			cells, err := BaselineComparison(o)
-			if err != nil {
-				return err
-			}
-			PrintBaseline(w, cells)
-			return nil
-		}, baselineJobs},
-		{"granularity", "word vs line conflict detection (A2)", func(o Options, w io.Writer) error {
-			rows, err := Granularity(o)
-			if err != nil {
-				return err
-			}
-			PrintGranularity(w, rows)
-			return nil
-		}, granularityJobs},
-		{"probes", "deferred vs repeated probing (A3)", func(o Options, w io.Writer) error {
-			rows, err := Probes(o)
-			if err != nil {
-				return err
-			}
-			PrintProbes(w, rows)
-			return nil
-		}, probesJobs},
-		{"writeback", "write-back vs write-through commit (A4)", func(o Options, w io.Writer) error {
-			rows, err := WriteBack(o)
-			if err != nil {
-				return err
-			}
-			PrintWriteBack(w, rows)
-			return nil
-		}, writebackJobs},
-		{"scaling", "sharded-kernel wall-clock scaling (procs x shards)", func(o Options, w io.Writer) error {
-			cells, err := Scaling(o)
-			if err != nil {
-				return err
-			}
-			PrintScaling(w, cells)
-			return nil
-		}, scalingJobs},
-		{"dircache", "directory-cache capacity (A5)", func(o Options, w io.Writer) error {
-			rows, err := DirCache(o)
-			if err != nil {
-				return err
-			}
-			PrintDirCache(w, rows)
-			return nil
-		}, dircacheJobs},
-		{"hotpath", "simulator hot-path trajectory (gate benches, min-of-3 wall)", func(o Options, w io.Writer) error {
-			rows, err := Hotpath(o)
-			if err != nil {
-				return err
-			}
-			PrintHotpath(w, rows)
-			return nil
-		}, hotpathJobs},
+		}),
+		show(table3, "application fingerprints", PrintTable3),
+		show(fig6, "single-processor breakdown", PrintFig6),
+		show(fig7, "speedup scaling 1-64 CPUs", PrintFig7),
+		show(fig8, "communication-latency sensitivity", PrintFig8),
+		show(fig9, "remote traffic by class", PrintFig9),
+		show(protocols, "protocol head-to-head: TCC vs baseline vs TL2 vs eager", PrintProtocolSweep),
+		show(baseline, "bus-serialized commit vs parallel commit (A1)", PrintBaseline),
+		show(granularity, "word vs line conflict detection (A2)", PrintGranularity),
+		show(probes, "deferred vs repeated probing (A3)", PrintProbes),
+		show(writeback, "write-back vs write-through commit (A4)", PrintWriteBack),
+		show(scaling, "sharded-kernel wall-clock scaling (procs x shards)", PrintScaling),
+		show(dircache, "directory-cache capacity (A5)", PrintDirCache),
+		show(hotpath, "simulator hot-path trajectory (gate benches, min-of-3 wall)", PrintHotpath),
 	}
 }
 

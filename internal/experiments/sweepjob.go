@@ -5,12 +5,12 @@
 // A sweep job is checkpointable: when the runner provides a checkpoint
 // path, every completed matrix cell is appended to the manifest the moment
 // it finishes, and a restarted job resumes from the manifest instead of
-// recomputing. The resumed report is byte-identical to an uninterrupted
-// run's: checkpoint entries carry each cell's components as raw JSON (the
-// Summary wire form is lossy to decode, so it is never round-tripped
-// through structs), and the series-relative speedups are recomputed from
-// the checkpointed cycle counts by the same float computation the fresh
-// path uses.
+// recomputing. A fresh and a resumed sweep build the report the same way:
+// from the per-cell entries OnCell produces, collected in memory as they
+// finish and, on a resume, pre-loaded from the manifest. Entries carry each
+// cell's components as raw JSON (the Summary wire form is lossy to decode,
+// so it is never round-tripped through structs), and the series-relative
+// speedups are computed from the entries' cycle counts.
 
 package experiments
 
@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"scalabletcc/internal/harness"
 	"scalabletcc/internal/runner"
 	"scalabletcc/tcc"
 )
@@ -115,106 +114,12 @@ func sweepOptions(sw *runner.SweepSpec) Options {
 	return o
 }
 
-// sweepExpOptions applies the per-experiment quirks tccbench has always
-// had: Table 3 reports at 32 CPUs unless the caller pinned the machine
-// size, and the hotpath bench rows run at their pinned workload scale so
-// checkpoint resume reruns missing cells at the scale the fresh path used.
-func sweepExpOptions(base Options, sw *runner.SweepSpec, name string) Options {
-	o := base
-	if name == "table3" && sw.MaxProcs == 0 {
-		o.MaxProcs = 32 // the paper reports Table 3 at 32 CPUs
-	}
-	if name == "hotpath" {
-		o.Scale = hotpathBenchScale // comparability with BENCH_soa.json is the point
-	}
-	return o
-}
-
-// ckptCell is one checkpoint-manifest entry: everything needed to
-// reconstitute the cell's report bytes without re-running it. Summary,
-// Traffic, Config, and Events are stored as raw JSON because the Summary
-// wire form decodes lossily (breakdown fractions round); Cycles is
-// duplicated as a number so speedups can be recomputed exactly.
-type ckptCell struct {
-	Experiment string          `json:"experiment"`
-	Index      int             `json:"index"`
-	App        string          `json:"app"`
-	Procs      int             `json:"procs"`
-	Machine    string          `json:"machine"`
-	Protocol   string          `json:"protocol"`
-	Config     json.RawMessage `json:"config,omitempty"`
-	Cycles     uint64          `json:"cycles"`
-	WallMS     float64         `json:"wall_ms,omitempty"`
-	Summary    json.RawMessage `json:"summary"`
-	Traffic    json.RawMessage `json:"traffic,omitempty"`
-	Events     json.RawMessage `json:"events,omitempty"`
-}
-
-// checkpointEntry renders one completed cell into its manifest entry,
-// through the same cellParts the fresh report path uses.
-func checkpointEntry(experiment string, index int, j Job, out RunResult) (ckptCell, error) {
-	c := cellParts(experiment, j, out)
-	e := ckptCell{
-		Experiment: experiment,
-		Index:      index,
-		App:        c.App,
-		Procs:      c.Procs,
-		Machine:    c.Machine,
-		Protocol:   c.Protocol,
-		Cycles:     c.Summary.Cycles,
-		WallMS:     c.WallMS,
-	}
-	var err error
-	if len(c.Config) > 0 {
-		if e.Config, err = json.Marshal(c.Config); err != nil {
-			return e, err
-		}
-	}
-	if e.Summary, err = json.Marshal(c.Summary); err != nil {
-		return e, err
-	}
-	if c.Traffic != nil {
-		if e.Traffic, err = json.Marshal(c.Traffic); err != nil {
-			return e, err
-		}
-	}
-	if len(c.Events) > 0 {
-		if e.Events, err = json.Marshal(c.Events); err != nil {
-			return e, err
-		}
-	}
-	return e, nil
-}
-
-// rawCell mirrors Cell field-for-field (same JSON tags, same order) with
-// the lossy components held as raw JSON, so a resumed report marshals to
-// the same bytes as a fresh one.
-type rawCell struct {
-	Experiment    string          `json:"experiment"`
-	App           string          `json:"app"`
-	Procs         int             `json:"procs"`
-	Machine       string          `json:"machine"`
-	Protocol      string          `json:"protocol"`
-	Config        json.RawMessage `json:"config,omitempty"`
-	SpeedupVsBase float64         `json:"speedup_vs_base"`
-	WallMS        float64         `json:"wall_ms,omitempty"`
-	Summary       json.RawMessage `json:"summary"`
-	Traffic       json.RawMessage `json:"traffic,omitempty"`
-	Events        json.RawMessage `json:"events,omitempty"`
-}
-
-// rawReport mirrors Report the same way.
-type rawReport struct {
-	Schema   string    `json:"schema"`
-	Version  int       `json:"version"`
-	Seed     uint64    `json:"seed"`
-	Scale    float64   `json:"scale"`
-	Parallel int       `json:"parallel"`
-	Cells    []rawCell `json:"cells"`
-}
-
 // executeSweep is the "sweep" job executor: tccbench's experiment loop in
 // job form, with optional checkpointing when the runner provides a path.
+// Every experiment runs its missing cells through the one runner — on a
+// fresh sweep, all of them — and the report is assembled from the entries.
+// Tables need the whole matrix's results, so a resumed sweep (one that
+// found entries in its manifest) has Resumed set and no Tables.
 func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
 	sw := spec.Sweep
 	names, err := sweepNames(sw)
@@ -227,181 +132,80 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 	}
 	base := sweepOptions(sw)
 
-	var hash string
+	var done entries
+	var cw *runner.CheckpointWriter
+	resumed := false
 	if jc.CheckpointPath != "" {
-		if hash, err = spec.Hash(); err != nil {
-			return nil, err
-		}
-		entries, err := runner.LoadCheckpoint(jc.CheckpointPath, hash)
+		hash, err := spec.Hash()
 		if err != nil {
 			return nil, err
 		}
-		if len(entries) > 0 {
-			return resumeSweep(ctx, sw, jc.CheckpointPath, jc.ID, hash, progress, names, base, entries)
+		lines, err := runner.LoadCheckpoint(jc.CheckpointPath, hash)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	var cw *runner.CheckpointWriter
-	if jc.CheckpointPath != "" {
-		if cw, err = runner.CreateCheckpoint(jc.CheckpointPath, jc.ID, hash); err != nil {
+		for _, line := range lines {
+			var e entry
+			if json.Unmarshal(line, &e) == nil { // the spec-hash header vouched for the file; skip, don't trust
+				done.put(e, nil)
+				resumed = true
+			}
+		}
+		if cw, err = runner.AppendCheckpoint(jc.CheckpointPath, jc.ID, hash); err != nil {
 			return nil, err
 		}
 		defer cw.Close()
 	}
-	rec := &Recorder{}
+
+	var cells []Cell
 	var tables bytes.Buffer
 	for _, name := range names {
 		e, _ := ByName(name)
-		o := sweepExpOptions(base, sw, name)
-		o.Ctx = ctx
-		o.Record = rec
-		stage := name
-		o.Progress = func(done, total int) { progress(stage, done, total) }
-		if cw != nil {
-			o.OnCell = func(experiment string, index int, j Job, out RunResult) {
-				if entry, err := checkpointEntry(experiment, index, j, out); err == nil {
-					cw.Append(entry)
-				}
-			}
+		o := base
+		if e.maxProcs != 0 && sw.MaxProcs == 0 {
+			o.MaxProcs = e.maxProcs
 		}
-		fmt.Fprintf(&tables, "== %s ==\n", name)
-		if err := e.Run(o, &tables); err != nil {
-			return nil, err
-		}
-		fmt.Fprintln(&tables)
-	}
-	rep := rec.Report(base)
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		return nil, err
-	}
-	res := &runner.JobResult{Kind: runner.KindSweep, Report: buf.Bytes(), Cells: len(rep.Cells)}
-	if sw.Tables {
-		res.Tables = tables.String()
-	}
-	return res, nil
-}
-
-// resumeSweep rebuilds the report from checkpointed cells, running only the
-// matrix indices the manifest is missing. Tables are not reconstructed —
-// checkpoints carry report cells, not table rows — so a resumed result has
-// Resumed set and no Tables.
-func resumeSweep(ctx context.Context, sw *runner.SweepSpec, ckptPath, jobID, specHash string,
-	progress func(string, int, int), names []string, base Options, entries [][]byte) (*runner.JobResult, error) {
-	done := make(map[string]map[int]ckptCell)
-	for _, line := range entries {
-		var c ckptCell
-		if err := json.Unmarshal(line, &c); err != nil {
-			continue // the spec-hash header already vouched for the file; skip, don't trust
-		}
-		m := done[c.Experiment]
-		if m == nil {
-			m = make(map[int]ckptCell)
-			done[c.Experiment] = m
-		}
-		m[c.Index] = c
-	}
-	cw, err := runner.AppendCheckpoint(ckptPath, jobID, specHash)
-	if err != nil {
-		return nil, err
-	}
-	defer cw.Close()
-
-	var cells []rawCell
-	for _, name := range names {
-		e, _ := ByName(name)
-		if e.Jobs == nil {
-			continue // table1/table2 contribute no report cells
-		}
-		o := sweepExpOptions(base, sw, name)
-		if err := o.Normalize(); err != nil {
-			return nil, err
-		}
-		jobs, err := e.Jobs(o)
+		o, jobs, err := e.prepare(o)
 		if err != nil {
 			return nil, err
 		}
-		have := done[name]
-		var missingIdx []int
-		var missingJobs []Job
+		var todo []int
 		for i := range jobs {
-			if _, ok := have[i]; !ok {
-				missingIdx = append(missingIdx, i)
-				missingJobs = append(missingJobs, jobs[i])
+			if !done.has(name, i) {
+				todo = append(todo, i)
 			}
 		}
-		if len(missingJobs) > 0 {
-			completed := len(jobs) - len(missingJobs)
-			stage := name
-			outs, err := harness.Map(harness.Config{
-				Workers:    o.Parallel,
-				Timeout:    o.JobTimeout,
-				OnProgress: func(d, _ int) { progress(stage, completed+d, len(jobs)) },
-			}, missingJobs, func(k int, j Job) (RunResult, error) {
-				select {
-				case <-ctx.Done():
-					return RunResult{}, ctx.Err()
-				default:
-				}
-				out, err := o.runJob(j)
-				if err == nil {
-					if entry, eerr := checkpointEntry(name, missingIdx[k], j, out); eerr == nil {
-						cw.Append(entry) // durable before the harness even collects it
-					}
-				}
-				return out, err
-			})
-			if err != nil {
-				return nil, err
+		skipped := len(jobs) - len(todo)
+		o.Ctx = ctx
+		o.Progress = func(d, _ int) { progress(name, skipped+d, len(jobs)) }
+		o.OnCell = func(experiment string, i int, j Job, out RunResult) {
+			e, err := newEntry(experiment, i, j, out)
+			done.put(e, err)
+			if err == nil && cw != nil {
+				cw.Append(e)
 			}
-			if have == nil {
-				have = make(map[int]ckptCell)
-				done[name] = have
-			}
-			for k, out := range outs {
-				entry, err := checkpointEntry(name, missingIdx[k], missingJobs[k], out)
-				if err != nil {
-					return nil, err
-				}
-				have[missingIdx[k]] = entry
-			}
-		} else {
+		}
+		if len(todo) == 0 && len(jobs) > 0 {
 			progress(name, len(jobs), len(jobs))
 		}
-		// Reassemble this experiment's cells in index order, recomputing the
-		// series-relative speedups exactly as Recorder.add does: the base is
-		// the first cell of the same (app, protocol) series.
-		baseCycles := make(map[string]uint64)
-		for i := range jobs {
-			c, ok := have[i]
-			if !ok {
-				return nil, fmt.Errorf("experiments: resume: cell %d of %s is still missing", i, name)
-			}
-			key := c.App + "\x00" + c.Protocol
-			b, seen := baseCycles[key]
-			if !seen {
-				baseCycles[key] = c.Cycles
-				b = c.Cycles
-			}
-			rc := rawCell{
-				Experiment: name,
-				App:        c.App,
-				Procs:      c.Procs,
-				Machine:    c.Machine,
-				Protocol:   c.Protocol,
-				Config:     c.Config,
-				WallMS:     c.WallMS,
-				Summary:    c.Summary,
-				Traffic:    c.Traffic,
-				Events:     c.Events,
-			}
-			if c.Cycles > 0 {
-				rc.SpeedupVsBase = float64(b) / float64(c.Cycles)
-			}
-			cells = append(cells, rc)
+		outs, err := o.runMatrix(e.plan, jobs, todo)
+		if err != nil {
+			return nil, err
 		}
+		if !resumed {
+			fmt.Fprintf(&tables, "== %s ==\n", name)
+			if err := e.print(o, jobs, outs, &tables); err != nil {
+				return nil, err
+			}
+			fmt.Fprintln(&tables)
+		}
+		c, err := done.cells(name, len(jobs))
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, c...)
 	}
-	rep := rawReport{
+	rep := &Report{
 		Schema:   ReportSchema,
 		Version:  ReportVersion,
 		Seed:     base.Seed,
@@ -409,10 +213,13 @@ func resumeSweep(ctx context.Context, sw *runner.SweepSpec, ckptPath, jobID, spe
 		Parallel: base.Parallel,
 		Cells:    cells,
 	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("experiments: marshal resumed report: %w", err)
+	var buf bytes.Buffer
+	if err := rep.Write(&buf); err != nil {
+		return nil, err
 	}
-	data = append(data, '\n')
-	return &runner.JobResult{Kind: runner.KindSweep, Report: data, Cells: len(cells), Resumed: true}, nil
+	res := &runner.JobResult{Kind: runner.KindSweep, Report: buf.Bytes(), Cells: len(cells), Resumed: resumed}
+	if sw.Tables && !resumed {
+		res.Tables = tables.String()
+	}
+	return res, nil
 }

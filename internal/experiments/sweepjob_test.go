@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,6 +32,35 @@ func sweepSpec(t *testing.T) *runner.JobSpec {
 	return spec
 }
 
+// tinySweep is the sweep form of tiny(), for one experiment.
+func tinySweep(experiment string) *runner.SweepSpec {
+	return &runner.SweepSpec{
+		Experiments: []string{experiment},
+		Apps:        []string{"barnes", "equake"},
+		Procs:       []int{1, 8},
+		MaxProcs:    8,
+		Scale:       0.05,
+		Verify:      true,
+		Tables:      true,
+	}
+}
+
+// sweep runs sw through the sweep executor and decodes its report.
+func sweep(t *testing.T, sw *runner.SweepSpec) (*runner.JobResult, Report) {
+	t.Helper()
+	spec := runner.NewJobSpec(runner.KindSweep)
+	spec.Sweep = sw
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res := runSweep(t, spec, "")
+	var rep Report
+	if err := json.Unmarshal(res.Report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return res, rep
+}
+
 func runSweep(t *testing.T, spec *runner.JobSpec, ckpt string) *runner.JobResult {
 	t.Helper()
 	jc := runner.NewJobContext()
@@ -44,26 +74,26 @@ func runSweep(t *testing.T, spec *runner.JobSpec, ckpt string) *runner.JobResult
 }
 
 // A sweep resumed from a partial checkpoint manifest must produce the
-// byte-identical bench-sweep report an uninterrupted run produces — the
-// whole point of storing raw JSON components per cell.
+// report an uninterrupted run produces — the pinned one, wall times
+// masked — on every experiment: the manifest is cut in the middle of the
+// timed scaling study, so the resume replays the experiments before it,
+// reruns scaling's missing cells one at a time, and runs the rest.
 func TestSweepResumeMatchesUninterrupted(t *testing.T) {
-	spec := sweepSpec(t)
-	dir := t.TempDir()
-
-	uninterrupted := runSweep(t, spec, "")
-	if uninterrupted.Resumed || uninterrupted.Cells == 0 {
-		t.Fatalf("fresh run: %d cells, resumed=%v", uninterrupted.Cells, uninterrupted.Resumed)
-	}
-	if !strings.Contains(uninterrupted.Tables, "== fig7 ==") {
-		t.Fatalf("tables missing experiment framing: %q", uninterrupted.Tables[:min(len(uninterrupted.Tables), 80)])
+	spec := pinSpec(t)
+	want, err := os.ReadFile(pinReportPath)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// Run once with checkpointing to record a full manifest, then emulate a
-	// daemon killed mid-sweep by truncating it to the header plus a few
-	// entries. (Deterministic, unlike racing a real cancellation.)
-	ckpt := filepath.Join(dir, "sweep.ckpt.jsonl")
+	// daemon killed mid-sweep by truncating it. (Deterministic, unlike
+	// racing a real cancellation.)
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.jsonl")
 	full := runSweep(t, spec, ckpt)
-	if !bytes.Equal(full.Report, uninterrupted.Report) {
+	if full.Resumed || !strings.Contains(full.Tables, "== fig7 ==") {
+		t.Fatalf("fresh run: resumed=%v, tables %q", full.Resumed, full.Tables[:min(len(full.Tables), 80)])
+	}
+	if !bytes.Equal(maskReport(full.Report), want) {
 		t.Fatal("checkpointed fresh run must not change the report")
 	}
 	data, err := os.ReadFile(ckpt)
@@ -71,11 +101,17 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 5 {
-		t.Fatalf("manifest too short to truncate: %d lines", len(lines))
+	cut := 0
+	for i, ln := range lines[1:] {
+		if bytes.Contains(ln, []byte(`"experiment":"scaling"`)) {
+			cut = i + 2 // the header, every cell before scaling, and scaling's first cell
+			break
+		}
 	}
-	partial := bytes.Join(lines[:4], nil) // header + 3 cells
-	if err := os.WriteFile(ckpt, partial, 0o644); err != nil {
+	if cut == 0 || !bytes.Contains(lines[cut], []byte(`"experiment":"scaling"`)) {
+		t.Fatal("manifest has no scaling cell to cut after")
+	}
+	if err := os.WriteFile(ckpt, bytes.Join(lines[:cut], nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,21 +122,38 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	if resumed.Tables != "" {
 		t.Fatal("resumed runs drop tables (checkpoints carry cells, not rows)")
 	}
-	if resumed.Cells != uninterrupted.Cells {
-		t.Fatalf("resumed %d cells, uninterrupted %d", resumed.Cells, uninterrupted.Cells)
+	if resumed.Cells != full.Cells {
+		t.Fatalf("resumed %d cells, uninterrupted %d", resumed.Cells, full.Cells)
 	}
-	if !bytes.Equal(resumed.Report, uninterrupted.Report) {
-		t.Fatalf("resumed report differs from uninterrupted:\n--- uninterrupted\n%s\n--- resumed\n%s",
-			uninterrupted.Report, resumed.Report)
+	if got := maskReport(resumed.Report); !bytes.Equal(got, want) {
+		t.Fatalf("resumed report differs from uninterrupted:\n--- uninterrupted\n%s\n--- resumed\n%s", want, got)
 	}
 
 	// A manifest recorded under a different spec must be ignored, not
 	// replayed: the edited job recomputes from scratch.
-	edited := sweepSpec(t)
-	edited.Sweep.Seed = 4
-	res := runSweep(t, edited, ckpt)
-	if res.Resumed {
+	edited := runner.NewJobSpec(runner.KindSweep)
+	edited.Sweep = tinySweep("fig6")
+	if res := runSweep(t, edited, ckpt); res.Resumed {
 		t.Fatal("a spec change must invalidate the manifest")
+	}
+}
+
+// A timed experiment runs through the same harness as every other, so the
+// per-cell timeout applies to it.
+func TestSweepTimeoutCoversTimedExperiments(t *testing.T) {
+	spec := runner.NewJobSpec(runner.KindSweep)
+	spec.Sweep = &runner.SweepSpec{
+		Experiments: []string{"scaling"},
+		Apps:        []string{"barnes"},
+		Procs:       []int{16},
+		Shards:      []int{1, 2},
+		Scale:       0.1,
+		TimeoutMS:   1,
+	}
+	jc := runner.NewJobContext()
+	_, err := executeSweep(context.Background(), spec, jc)
+	if err == nil || !strings.Contains(err.Error(), "timed out after 1ms") {
+		t.Fatalf("want the harness timeout error, got %v", err)
 	}
 }
 
@@ -124,14 +177,13 @@ func TestSweepSpecResolution(t *testing.T) {
 		t.Fatalf("bad app must fail validation, got %v", err)
 	}
 
-	base := sweepOptions(&runner.SweepSpec{})
-	if o := sweepExpOptions(base, &runner.SweepSpec{}, "table3"); o.MaxProcs != 32 {
-		t.Fatalf("table3 defaults to 32 CPUs, got %d", o.MaxProcs)
-	}
-	if o := sweepExpOptions(base, &runner.SweepSpec{MaxProcs: 16}, "table3"); o.MaxProcs != 64 {
-		// base was built from a spec without MaxProcs; the quirk keys on the
-		// spec, so a pinned spec keeps base's value.
-		t.Fatalf("pinned MaxProcs must suppress the table3 quirk, got %d", o.MaxProcs)
+	// Table 3 reports at 32 CPUs unless the spec pins the machine size.
+	for _, c := range []struct{ pinned, want int }{{0, 32}, {16, 16}} {
+		sw := tinySweep("table3")
+		sw.Apps, sw.MaxProcs, sw.Scale = []string{"barnes"}, c.pinned, 0.02
+		if _, rep := sweep(t, sw); len(rep.Cells) != 1 || rep.Cells[0].Procs != c.want {
+			t.Fatalf("max_procs %d: table3 cells %+v, want one at %d CPUs", c.pinned, rep.Cells, c.want)
+		}
 	}
 }
 
