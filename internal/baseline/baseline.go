@@ -46,8 +46,8 @@ func (r *Results) Speedup(base *Results) float64 {
 	return float64(base.Cycles) / float64(r.Cycles)
 }
 
-// Summary returns the machine-independent digest shared with the scalable
-// design (the tcc.Summarizer interface).
+// Summary returns the machine-independent digest every protocol reports
+// (ProtocolResults.Summary).
 func (r *Results) Summary() stats.Summary {
 	return stats.Summary{
 		Protocol:     "baseline",

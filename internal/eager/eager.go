@@ -60,7 +60,7 @@ type Results struct {
 	CommitLog []verify.Record
 }
 
-// Summary returns the machine-independent digest (tcc.Summarizer).
+// Summary returns the machine-independent digest (ProtocolResults.Summary).
 func (r *Results) Summary() stats.Summary {
 	return stats.Summary{
 		Protocol:     "eager",

@@ -17,41 +17,49 @@ func TestProfileByNameErr(t *testing.T) {
 	}
 }
 
-// TestSummarizerSharedAccessor: both machines expose the same digest
-// through the Summarizer interface, with fields matching the full results.
-func TestSummarizerSharedAccessor(t *testing.T) {
+// TestProtocolSummaryMatchesResults: every protocol reports the same
+// digest shape through ProtocolResults.Summary, with fields matching its
+// typed results.
+func TestProtocolSummaryMatchesResults(t *testing.T) {
 	prof := MustProfile("commitbound").Scale(0.05)
-
-	res, err := Run(DefaultConfig(4), prof.Build(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := RunProtocol("baseline", DefaultConfig(4), prof.Build(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bres := pres.Baseline
-
-	for _, tc := range []struct {
-		name string
-		r    Summarizer
-	}{
-		{"scalable", res},
-		{"baseline", bres},
-	} {
-		s := tc.r.Summary()
+	for _, protocol := range ProtocolNames() {
+		pr, err := RunProtocol(protocol, DefaultConfig(4), prof.Build(4, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := pr.Summary
+		if s.Protocol != protocol || pr.Protocol != protocol {
+			t.Errorf("%s: summary tagged %q, results %q", protocol, s.Protocol, pr.Protocol)
+		}
 		if s.Cycles == 0 || s.Commits == 0 || s.Instructions == 0 {
-			t.Errorf("%s: empty summary %+v", tc.name, s)
+			t.Errorf("%s: empty summary %+v", protocol, s)
 		}
 		if s.Breakdown.Total() == 0 {
-			t.Errorf("%s: empty breakdown", tc.name)
+			t.Errorf("%s: empty breakdown", protocol)
 		}
-	}
-	if s := res.Summary(); s.Cycles != uint64(res.Cycles) || s.Commits != res.Commits ||
-		s.Violations != res.Violations || s.Instructions != res.Instr {
-		t.Errorf("scalable summary %+v does not match results", s)
-	}
-	if s := bres.Summary(); s.Cycles != uint64(bres.Cycles) || s.Commits != bres.Commits {
-		t.Errorf("baseline summary %+v does not match results", s)
+		var want Summary
+		switch {
+		case pr.Scalable != nil:
+			r := pr.Scalable
+			want = Summary{Protocol: "tcc", Cycles: uint64(r.Cycles), Instructions: r.Instr,
+				Commits: r.Commits, Violations: r.Violations, Breakdown: r.Breakdown}
+		case pr.Baseline != nil:
+			r := pr.Baseline
+			want = Summary{Protocol: "baseline", Cycles: uint64(r.Cycles), Instructions: r.Instr,
+				Commits: r.Commits, Violations: r.Violations, Breakdown: r.Breakdown}
+		case pr.TL2 != nil:
+			r := pr.TL2
+			want = Summary{Protocol: "tl2", Cycles: uint64(r.Cycles), Instructions: r.Instr,
+				Commits: r.Commits, Violations: r.Violations, Breakdown: r.Breakdown}
+		case pr.Eager != nil:
+			r := pr.Eager
+			want = Summary{Protocol: "eager", Cycles: uint64(r.Cycles), Instructions: r.Instr,
+				Commits: r.Commits, Violations: r.Violations, Breakdown: r.Breakdown}
+		default:
+			t.Fatalf("%s: no typed result", protocol)
+		}
+		if s != want {
+			t.Errorf("%s: summary %+v does not match results %+v", protocol, s, want)
+		}
 	}
 }

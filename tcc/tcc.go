@@ -66,20 +66,6 @@ type BaselineResults = baseline.Results
 // fractions), which the tccbench JSON sink builds on.
 type Summary = stats.Summary
 
-// Summarizer is satisfied by both machines' result types (Results and
-// BaselineResults), so code comparing the scalable and baseline designs
-// can plumb one digest instead of duplicating per-machine field access.
-type Summarizer interface {
-	Summary() Summary
-}
-
-var (
-	_ Summarizer = (*Results)(nil)
-	_ Summarizer = (*BaselineResults)(nil)
-	_ Summarizer = (*TL2Results)(nil)
-	_ Summarizer = (*EagerResults)(nil)
-)
-
 // SerializabilityViolation is a failure found by the commit-log oracle.
 type SerializabilityViolation = verify.Violation
 
