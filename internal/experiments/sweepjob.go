@@ -146,11 +146,12 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 		}
 		for _, line := range lines {
 			var e entry
-			if json.Unmarshal(line, &e) == nil { // the spec-hash header vouched for the file; skip, don't trust
-				done.put(e, nil)
-				resumed = true
+			if json.Unmarshal(line, &e) != nil {
+				continue // the spec-hash header vouched for the file; skip a bad line, don't trust it
 			}
+			done.put(e, nil)
 		}
+		resumed = len(lines) > 0
 		if cw, err = runner.AppendCheckpoint(jc.CheckpointPath, jc.ID, hash); err != nil {
 			return nil, err
 		}
@@ -179,10 +180,10 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 		o.Ctx = ctx
 		o.Progress = func(d, _ int) { progress(name, skipped+d, len(jobs)) }
 		o.OnCell = func(experiment string, i int, j Job, out RunResult) {
-			e, err := newEntry(experiment, i, j, out)
-			done.put(e, err)
+			ent, err := newEntry(experiment, i, j, out)
+			done.put(ent, err)
 			if err == nil && cw != nil {
-				cw.Append(e)
+				_ = cw.Append(ent) // a lost entry only makes a resume rerun the cell
 			}
 		}
 		if len(todo) == 0 && len(jobs) > 0 {
