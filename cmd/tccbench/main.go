@@ -33,6 +33,9 @@
 // registry (TCC, bus baseline, TL2 STM, eager HTM); -protocol narrows the
 // set, and -protocol list prints the registry.
 //
+// -timeout bounds each simulation's wall-clock time in every experiment,
+// the sequential scaling and hotpath cells included.
+//
 // With -json (implied by -out) the run also emits a versioned
 // machine-readable report — one cell per (app, procs, config) simulation —
 // to -out FILE, or to stdout (suppressing the tables) when no -out is
