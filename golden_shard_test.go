@@ -2,6 +2,8 @@ package scalabletcc
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +18,8 @@ import (
 // byte-identical run — same cycles, same statistics, same typed event stream
 // in the same order. The test replays each fixture cell at shard counts
 // 1/2/4/8 and requires all of them to match the recorded fingerprint
-// exactly.
+// exactly. The 64-processor rows (the benchmark's sharded-64p shape) skip
+// under -short.
 //
 // Regenerate with:
 //
@@ -39,7 +42,13 @@ type goldenShardCell struct {
 	Bytes      uint64  `json:"bytes"`
 	Events     uint64  `json:"events"`
 	EventHash  string  `json:"event_hash"`
+	// CommitLogHash is an FNV-1a 64 digest over the commit log, one line per
+	// record in log order: TID, processor, read and write footprints.
+	CommitLogHash string `json:"commit_log_hash"`
 }
+
+// long reports whether the cell is too slow for the -short tier.
+func (c goldenShardCell) long() bool { return c.Procs >= 64 }
 
 // runGoldenShardCell executes one canonical configuration on the sharded
 // engine with the given shard count and fills in the measured half.
@@ -48,6 +57,7 @@ func runGoldenShardCell(t *testing.T, c goldenShardCell, shards int) goldenShard
 	prog := tcc.MustProfile(c.App).Scale(c.Scale).Build(c.Procs, c.Seed)
 	cfg := tcc.DefaultConfig(c.Procs)
 	cfg.Shards = shards
+	cfg.CollectCommitLog = true
 	sys, err := tcc.NewSystem(cfg, prog)
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", c.Name, shards, err)
@@ -65,17 +75,25 @@ func runGoldenShardCell(t *testing.T, c goldenShardCell, shards int) goldenShard
 	c.Bytes = res.Traffic.TotalBytes()
 	c.Events = eh.n
 	c.EventHash = eh.sum()
+	h := fnv.New64a()
+	for _, r := range res.CommitLog {
+		fmt.Fprintf(h, "%d|%d|%v|%v\n", r.TID, r.Proc, r.Reads, r.Writes)
+	}
+	c.CommitLogHash = fmt.Sprintf("%016x", h.Sum64())
 	return c
 }
 
 // goldenShardConfigs are the canonical sharded runs: a contended hotspot run
 // (heavy cross-node commit traffic through one home directory — the worst
 // case for merge ordering) and a locality-friendly barnes run (mostly
-// node-local work — the worst case for idle-shard handling).
+// node-local work — the worst case for idle-shard handling), each also at
+// 64 processors and scale 0.1.
 func goldenShardConfigs() []goldenShardCell {
 	return []goldenShardCell{
 		{Name: "shard-hotspot-16p", App: "hotspot", Procs: 16, Scale: 0.25, Seed: 3},
 		{Name: "shard-barnes-8p", App: "barnes", Procs: 8, Scale: 0.05, Seed: 1},
+		{Name: "shard-hotspot-64p", App: "hotspot", Procs: 64, Scale: 0.1, Seed: 5},
+		{Name: "shard-barnes-64p", App: "barnes", Procs: 64, Scale: 0.1, Seed: 6},
 	}
 }
 
@@ -85,12 +103,19 @@ func goldenShardConfigs() []goldenShardCell {
 func goldenShardCounts() []int { return []int{1, 2, 4, 8} }
 
 func TestGoldenShardFixture(t *testing.T) {
-	var got []goldenShardCell
-	for _, c := range goldenShardConfigs() {
-		got = append(got, runGoldenShardCell(t, c, 1))
+	cfgs := goldenShardConfigs()
+	got := make([]goldenShardCell, len(cfgs))
+	for i, c := range cfgs {
+		if c.long() && testing.Short() {
+			continue
+		}
+		got[i] = runGoldenShardCell(t, c, 1)
 	}
 
 	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update records every row; run it without -short")
+		}
 		if err := os.MkdirAll(filepath.Dir(goldenShardPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -117,6 +142,9 @@ func TestGoldenShardFixture(t *testing.T) {
 		t.Fatalf("fixture has %d cells, run produced %d (regenerate with -update)", len(want), len(got))
 	}
 	for i := range want {
+		if cfgs[i].long() && testing.Short() {
+			continue
+		}
 		if want[i] != got[i] {
 			t.Errorf("sharded golden cell %s diverged:\n  want %+v\n  got  %+v", want[i].Name, want[i], got[i])
 		}
@@ -124,7 +152,10 @@ func TestGoldenShardFixture(t *testing.T) {
 
 	// Shard-count independence: every shard count reproduces the shards=1
 	// fingerprint byte for byte. Procs must stay divisible by the count.
-	for i, c := range goldenShardConfigs() {
+	for i, c := range cfgs {
+		if c.long() && testing.Short() {
+			continue
+		}
 		for _, n := range goldenShardCounts()[1:] {
 			if c.Procs%n != 0 {
 				continue
