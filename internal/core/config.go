@@ -80,17 +80,14 @@ type Config struct {
 	MaxCycles sim.Time
 
 	// Shards selects the execution engine. Zero (the default) runs the
-	// whole machine on one global timing wheel — the legacy sequential
-	// kernel, bit-identical to every previous release. A positive value
-	// runs the sharded epoch kernel: each node owns a timing wheel, nodes
-	// advance in lockstep windows of HopLatency cycles, and cross-node
-	// effects merge deterministically at window boundaries. The simulated
-	// outcome depends only on the window structure, so every Shards >= 1
-	// value produces byte-identical results at the same cost: the windows
-	// are too small to pay for worker goroutines (see sim.ShardExec), so
-	// they all run on the calling one. Shards must tile the mesh: it is
-	// rejected unless it divides Procs evenly. Sharded runs do not support
-	// the sampler, TAPE profiling, or the invariant auditor.
+	// sequential kernel, bit-identical to every previous release. A positive
+	// value runs the epoch engine on the same one kernel: the machine
+	// advances in windows of HopLatency cycles, and cross-node effects
+	// merge deterministically at window boundaries (shard.go). The outcome
+	// depends only on the window structure, so every Shards >= 1 value is
+	// byte-identical at the same cost; the value no longer splits anything.
+	// It must still divide Procs evenly. Epoch runs do not support the
+	// sampler, TAPE profiling, or the invariant auditor.
 	Shards int
 }
 

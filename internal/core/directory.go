@@ -106,10 +106,7 @@ type DirStats struct {
 
 // Directory is one node's directory controller plus its local memory bank.
 type Directory struct {
-	sys *System
-	// k is the kernel this directory's events run on: the global kernel in
-	// sequential mode, the node's own kernel under the sharded executor.
-	k    *sim.Kernel
+	sys  *System
 	node int
 
 	nstid tid.TID
@@ -161,7 +158,6 @@ type Directory struct {
 func newDirectory(sys *System, node int) *Directory {
 	return &Directory{
 		sys:    sys,
-		k:      sys.kernel,
 		node:   node,
 		nstid:  1,
 		memory: mem.NewMemory(sys.cfg.Geometry),
@@ -255,13 +251,13 @@ func (d *Directory) touchDirCache(base mem.Addr) {
 // pipeline stage runs.
 func (d *Directory) enqueueMsg(i int32) {
 	cost := d.sys.cfg.DirLatency
-	switch d.sys.msgAt(i).kind {
+	switch d.sys.msgs[i].kind {
 	case MsgCommit:
 		cost += sim.Time(len(d.markedLines))
 	case MsgInvAck:
 		cost = 1
 	}
-	k := d.k
+	k := d.sys.kernel
 	start := k.Now()
 	if d.nextFree > start {
 		start = d.nextFree
@@ -282,10 +278,10 @@ func (d *Directory) HandleEvent(code uint32, a1, a2 uint64) {
 	switch code {
 	case dirExec:
 		i := int32(a1)
-		d.exec(d.sys.msgAt(i))
+		d.exec(&d.sys.msgs[i])
 		if d.sys.aud != nil {
 			// Re-take the pointer: exec may have grown the slab.
-			d.sys.aud.onDirExec(d, d.sys.msgAt(i))
+			d.sys.aud.onDirExec(d, &d.sys.msgs[i])
 		}
 		d.sys.freeMsg(i)
 	case dirMemReady:
@@ -459,7 +455,7 @@ func (d *Directory) execMark(t tid.TID, base mem.Addr, words bits.WordMask, data
 	e.markWords |= words
 	if d.sys.cfg.WriteThroughCommit && data != nil {
 		if e.markData == nil {
-			buf := d.sys.acquireBuf(d.node)
+			buf := d.sys.acquireBuf()
 			for w := range buf {
 				buf[w] = 0
 			}
@@ -528,7 +524,7 @@ func (d *Directory) execCommit(t tid.TID, from int) {
 				// no owner is recorded.
 				d.memory.MergeMonotonic(base, uint64(words), e.markData)
 				if e.markData != nil {
-					d.sys.releaseBuf(d.node, e.markData)
+					d.sys.releaseBuf(e.markData)
 					e.markData = nil
 				}
 				e.owner = -1
@@ -627,7 +623,7 @@ func (d *Directory) execAbort(t tid.TID) {
 			e.marked = false
 			e.markWords = 0
 			if e.markData != nil {
-				d.sys.releaseBuf(d.node, e.markData)
+				d.sys.releaseBuf(e.markData)
 				e.markData = nil
 			}
 			d.wakeStalled(base)
@@ -700,8 +696,8 @@ func (d *Directory) serveLoad(addr mem.Addr, from int, reqTID tid.TID, first boo
 		// leaves for the requester after the memory access latency.
 		i, m := d.sys.newMsg(MsgLoadResp, d.node, from)
 		m.addr = base
-		m.data = d.sys.copyLine(d.node, d.memory.Line(base))
-		d.k.PostAfter(d.sys.cfg.MemLatency, d, dirMemReady, uint64(i), 0)
+		m.data = d.sys.copyLine(d.memory.Line(base))
+		d.sys.kernel.PostAfter(d.sys.cfg.MemLatency, d, dirMemReady, uint64(i), 0)
 	}
 }
 

@@ -58,33 +58,10 @@ type protoMsg struct {
 	flag   bool // write probe / write-back remove
 }
 
-// Pool-index encoding. In sequential mode an index is a plain slot into the
-// System's global slab. Under the sharded executor every node owns its own
-// slab (so allocation never crosses goroutines) and an index carries its
-// owner: node << portShift | slot.
-const (
-	portShift = 20
-	slotMask  = (1 << portShift) - 1
-)
-
-// msgAt resolves a pool index to its message record.
-func (s *System) msgAt(i int32) *protoMsg {
-	if s.ports != nil {
-		return &s.ports[i>>portShift].msgs[i&slotMask]
-	}
-	return &s.msgs[i]
-}
-
-// newMsg allocates a message record from the pool of the sending node (the
-// executing node — every allocation site allocates on behalf of src). The
-// returned pointer is valid only until the next pool allocation; callers
-// fill the payload fields and send immediately.
+// newMsg allocates a message record from the pool. The returned pointer is
+// valid only until the next pool allocation; callers fill the payload
+// fields and send immediately.
 func (s *System) newMsg(kind MsgKind, src, dst int) (int32, *protoMsg) {
-	if s.ports != nil {
-		i, m := s.ports[src].allocMsg()
-		m.kind, m.src, m.dst = kind, int32(src), int32(dst)
-		return i, m
-	}
 	var i int32
 	if n := len(s.msgFree); n > 0 {
 		i = s.msgFree[n-1]
@@ -101,18 +78,14 @@ func (s *System) newMsg(kind MsgKind, src, dst int) (int32, *protoMsg) {
 	return i, m
 }
 
-// freeMsg returns a message record (and its data buffer, if any) to the pool
-// that owns it. Only the data pointer is cleared; newMsg overwrites the whole
-// record on reallocation, so zeroing the rest here would be redundant work
-// per message.
+// freeMsg returns a message record (and its data buffer, if any) to the
+// pool. Only the data pointer is cleared; newMsg overwrites the whole record
+// on reallocation, so zeroing the rest here would be redundant work per
+// message.
 func (s *System) freeMsg(i int32) {
-	if s.ports != nil {
-		s.ports[i>>portShift].freeMsg(i & slotMask)
-		return
-	}
 	m := &s.msgs[i]
 	if m.data != nil {
-		s.releaseBuf(0, m.data)
+		s.releaseBuf(m.data)
 		m.data = nil
 	}
 	s.msgFree = append(s.msgFree, i)
@@ -121,32 +94,26 @@ func (s *System) freeMsg(i int32) {
 	}
 }
 
-// sendMsg routes message i to its destination node. In sequential mode the
-// mesh walk happens inline and the System handler dispatches the arrival.
-// Under the sharded executor the sending node may not touch the mesh (links
-// are shared, and the kernel clocks of other nodes have not reached this
-// point): a node-local message is posted straight into the node's own
-// kernel at LocalLatency (accounted on the node, folded into the traffic
-// stats at the end), while a cross-node message is captured — value plus
-// data snapshot — into the node's outbox for the serial merge phase to
-// route in canonical order.
+// sendMsg routes message i to its destination node: the mesh walk happens
+// inline and the System handler dispatches the arrival. Under the epoch
+// engine a cross-node message is instead captured by value, data buffer
+// included, into the window buffer, and the merge routes it at the window
+// boundary (shard.go); a node-local one takes the inline path, where the
+// mesh only counts its traffic.
 func (s *System) sendMsg(i int32) {
-	if s.ports != nil {
-		s.ports[i>>portShift].sendMsg(i)
-		return
-	}
 	m := &s.msgs[i]
 	s.msgCounts[m.kind]++
+	if s.win != nil && m.src != m.dst {
+		s.win.sends = append(s.win.sends, sendEffect{t: s.kernel.Now(), msg: *m})
+		m.data = nil
+		s.freeMsg(i)
+		return
+	}
 	s.net.SendEvent(int(m.src), int(m.dst), s.cfg.size(m.kind), class(m.kind), s, sysMsg, uint64(i), 0)
 }
 
-// acquireBuf returns a line-sized version buffer from the executing node's
-// pool (the node argument is ignored in sequential mode, which has one
-// global pool).
-func (s *System) acquireBuf(node int) []mem.Version {
-	if s.ports != nil {
-		return s.ports[node].acquireBuf()
-	}
+// acquireBuf returns a line-sized version buffer from the pool.
+func (s *System) acquireBuf() []mem.Version {
 	if s.aud != nil {
 		s.aud.onBufAcquire()
 	}
@@ -158,21 +125,17 @@ func (s *System) acquireBuf(node int) []mem.Version {
 	return make([]mem.Version, s.cfg.Geometry.WordsPerLine())
 }
 
-// releaseBuf returns a buffer to the executing node's pool.
-func (s *System) releaseBuf(node int, b []mem.Version) {
-	if s.ports != nil {
-		s.ports[node].releaseBuf(b)
-		return
-	}
+// releaseBuf returns a buffer to the pool.
+func (s *System) releaseBuf(b []mem.Version) {
 	s.bufFree = append(s.bufFree, b)
 	if s.aud != nil {
 		s.aud.onBufRelease()
 	}
 }
 
-// copyLine snapshots src into a pooled buffer of the executing node.
-func (s *System) copyLine(node int, src []mem.Version) []mem.Version {
-	b := s.acquireBuf(node)
+// copyLine snapshots src into a pooled buffer.
+func (s *System) copyLine(src []mem.Version) []mem.Version {
+	b := s.acquireBuf()
 	copy(b, src)
 	return b
 }
@@ -199,10 +162,9 @@ func (s *System) HandleEvent(code uint32, a1, a2 uint64) {
 	}
 }
 
-// dispatchMsg hands an arrived message to its consumer: the shared tail of
-// the sequential mesh handler above and the sharded per-node port handler.
+// dispatchMsg hands an arrived message to its consumer.
 func (s *System) dispatchMsg(i int32) {
-	m := s.msgAt(i)
+	m := &s.msgs[i]
 	switch m.kind {
 	case MsgLoadResp:
 		s.procs[m.dst].onLoadResp(m.addr, m.data)

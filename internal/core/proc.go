@@ -58,10 +58,7 @@ type ProcStats struct {
 // Sharing and Writing vectors, and the commit engine implementing the OCC
 // validation and commit phases.
 type Processor struct {
-	sys *System
-	// k is the kernel this processor's events run on: the global kernel in
-	// sequential mode, the node's own kernel under the sharded executor.
-	k    *sim.Kernel
+	sys  *System
 	id   int
 	prog workload.Program
 
@@ -122,7 +119,6 @@ func newProcessor(sys *System, id int, prog workload.Program) *Processor {
 	cfg := sys.cfg
 	p := &Processor{
 		sys:        sys,
-		k:          sys.kernel,
 		id:         id,
 		prog:       prog,
 		cache:      cache.New(cfg.Geometry, cfg.L2Size, cfg.L2Ways),
@@ -190,7 +186,7 @@ func (p *Processor) start() {
 func (p *Processor) beginTx() {
 	if p.txIdx >= p.prog.TxCount(p.id, p.progPhase) {
 		p.phase = phBarrier
-		p.idleStart = p.k.Now()
+		p.idleStart = p.sys.kernel.Now()
 		p.sys.barrier.arrive(p.id)
 		return
 	}
@@ -203,7 +199,7 @@ func (p *Processor) beginTx() {
 func (p *Processor) startAttempt() {
 	p.phase = phRunning
 	p.opIdx = 0
-	p.txStart = p.k.Now()
+	p.txStart = p.sys.kernel.Now()
 	p.pendUseful = 0
 	p.pendMiss = 0
 	p.readSet.Reset()
@@ -256,7 +252,7 @@ func (p *Processor) step() {
 	case workload.Compute:
 		p.opIdx++
 		p.pendUseful += uint64(op.Cycles)
-		p.k.PostAfter(sim.Time(op.Cycles), p, prStep, p.epoch, 0)
+		p.sys.kernel.PostAfter(sim.Time(op.Cycles), p, prStep, p.epoch, 0)
 	case workload.Load:
 		p.doLoad(op.Addr)
 	case workload.Store:
@@ -290,7 +286,7 @@ func (p *Processor) doLoad(a mem.Addr) {
 			p.pendMiss += uint64(lat - 1)
 		}
 		p.opIdx++
-		p.k.PostAfter(lat, p, prStep, p.epoch, 0)
+		p.sys.kernel.PostAfter(lat, p, prStep, p.epoch, 0)
 		return
 	}
 	// Miss (or partially invalidated line): fetch from the home directory.
@@ -334,7 +330,7 @@ func (p *Processor) gcFill(base mem.Addr) {
 
 func (p *Processor) issueMiss(a mem.Addr, home int) {
 	p.phase = phWaitLoad
-	p.missStart = p.k.Now()
+	p.missStart = p.sys.kernel.Now()
 	p.missLine = p.sys.cfg.Geometry.Line(a)
 	if t := p.fillAt(p.missLine); t != nil && t.refill {
 		return // an out-of-band refill of this line is already in flight
@@ -401,18 +397,18 @@ func (p *Processor) onLoadResp(base mem.Addr, data []mem.Version) {
 	}
 	g := p.sys.cfg.Geometry
 	op := p.ops[p.opIdx]
-	p.pendMiss += uint64(p.k.Now() - p.missStart)
+	p.pendMiss += uint64(p.sys.kernel.Now() - p.missStart)
 	p.phase = phRunning
 	if op.Kind == workload.Load {
 		w := g.WordIndex(op.Addr)
 		p.finishLoad(line, w, op.Addr)
 		p.pendUseful++
 		p.opIdx++
-		p.k.PostAfter(1, p, prStep, p.epoch, 0)
+		p.sys.kernel.PostAfter(1, p, prStep, p.epoch, 0)
 		return
 	}
 	// Store-allocate fill: re-dispatch the store, which now hits.
-	p.k.PostAfter(1, p, prStep, p.epoch, 0)
+	p.sys.kernel.PostAfter(1, p, prStep, p.epoch, 0)
 }
 
 // fillLine installs or merges arriving line data. Merging never overwrites
@@ -519,7 +515,7 @@ func (p *Processor) doStore(a mem.Addr) {
 	p.cache.Track(line)
 	p.pendUseful++
 	p.opIdx++
-	p.k.PostAfter(p.sys.cfg.L1Latency, p, prStep, p.epoch, 0)
+	p.sys.kernel.PostAfter(p.sys.cfg.L1Latency, p, prStep, p.epoch, 0)
 }
 
 // disposeVictim handles a line evicted by a fill: committed-dirty data is
@@ -551,7 +547,7 @@ func (p *Processor) writeBackData(base mem.Addr, words bits.WordMask, data []mem
 	m.addr = base
 	m.t = p.lastTID
 	m.words = words
-	m.data = p.sys.copyLine(p.id, data)
+	m.data = p.sys.copyLine(data)
 	m.flag = remove
 	p.sys.sendMsg(i)
 }
@@ -566,7 +562,7 @@ func (p *Processor) writeBackData(base mem.Addr, words bits.WordMask, data []mem
 // beginValidation snapshots the write-set, then acquires a TID.
 func (p *Processor) beginValidation() {
 	p.phase = phValidating
-	p.commitStart = p.k.Now()
+	p.commitStart = p.sys.kernel.Now()
 
 	// Snapshot the write-set grouped by home directory. The visitor is the
 	// pre-bound snapWrite closure so the per-commit walk allocates nothing.
@@ -593,7 +589,7 @@ func (p *Processor) onTIDResp(t tid.TID) {
 		// The requesting attempt violated while the request was in flight.
 		p.tidDisposals--
 		p.skipAll(t, false)
-		p.sys.vendorRetire(p.id, t)
+		p.sys.vendorRetire(t)
 		return
 	}
 	if !p.waitingTID {
@@ -702,7 +698,7 @@ func (p *Processor) reprobe(d int, write bool) {
 	if write {
 		a2 |= 1
 	}
-	p.k.PostAfter(p.sys.cfg.ReprobeDelay, p, prReprobe, p.epoch, a2)
+	p.sys.kernel.PostAfter(p.sys.cfg.ReprobeDelay, p, prReprobe, p.epoch, a2)
 }
 
 // sendMarks pre-commits the write-set lines homed at directory d.
@@ -721,7 +717,7 @@ func (p *Processor) sendMarks(d int) {
 		if p.sys.cfg.WriteThroughCommit {
 			// Ship the final committed versions with the mark.
 			line := p.cache.Peek(wl.base)
-			data := p.sys.acquireBuf(p.id)
+			data := p.sys.acquireBuf()
 			for w := range data {
 				switch {
 				case wl.words.Has(w):
@@ -794,12 +790,12 @@ func (p *Processor) doCommit() {
 			p.disposeVictim(&vic)
 		}
 	}
-	p.sys.vendorRetire(p.id, t)
+	p.sys.vendorRetire(t)
 	if p.sys.aud != nil {
 		p.sys.aud.onTxBoundary(p)
 	}
 
-	now := p.k.Now()
+	now := p.sys.kernel.Now()
 	var instr uint64
 	for _, op := range p.ops {
 		if op.Kind == workload.Compute {
@@ -822,7 +818,7 @@ func (p *Processor) doCommit() {
 	p.tid = tid.None
 	p.epoch++
 	p.txIdx++
-	p.k.PostAfter(1, p, prBeginTx, 0, 0)
+	p.sys.kernel.PostAfter(1, p, prBeginTx, 0, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -903,7 +899,7 @@ func (p *Processor) applyInv(fromDir int, line *cache.Line, base mem.Addr, words
 // directories as needed, rolls back the cache, accounts the wasted time,
 // and restarts.
 func (p *Processor) violateOn(cause mem.Addr, committer tid.TID) {
-	now := p.k.Now()
+	now := p.sys.kernel.Now()
 	if p.sys.tape != nil {
 		p.sys.tape.RecordViolation(cause, p.id, committer, uint64(now-p.txStart))
 		p.sys.tape.RecordStreak(p.id, uint64(p.attempt)+1)
@@ -913,7 +909,7 @@ func (p *Processor) violateOn(cause mem.Addr, committer tid.TID) {
 	}
 	p.stats.Violations++
 	p.attempt++
-	p.sys.noteViolation(p)
+	p.sys.noteViolation()
 
 	switch {
 	case p.waitingTID:
@@ -933,7 +929,7 @@ func (p *Processor) violateOn(cause mem.Addr, committer tid.TID) {
 			m.t = t
 			p.sys.sendMsg(i)
 		}
-		p.sys.vendorRetire(p.id, t)
+		p.sys.vendorRetire(t)
 	default:
 		// An early (starvation-mitigation) TID was granted and validation
 		// never started: no directory has heard anything about it, so it can
@@ -952,7 +948,7 @@ func (p *Processor) violateOn(cause mem.Addr, committer tid.TID) {
 	if !p.keepTID {
 		p.tid = tid.None
 	}
-	p.k.PostAfter(p.sys.cfg.ViolationRestartCost, p, prStartAttempt, p.epoch, 0)
+	p.sys.kernel.PostAfter(p.sys.cfg.ViolationRestartCost, p, prStartAttempt, p.epoch, 0)
 }
 
 // onFlushReq serves a directory's data request for an owned line: flush the
@@ -973,7 +969,7 @@ func (p *Processor) onFlushReq(fromDir int, base mem.Addr) {
 	line.OW = 0
 	i, m := p.sys.newMsg(MsgFlushResp, p.id, fromDir)
 	m.addr = base
-	m.data = p.sys.copyLine(p.id, line.Data)
+	m.data = p.sys.copyLine(line.Data)
 	p.sys.sendMsg(i)
 }
 
@@ -992,7 +988,7 @@ func (p *Processor) onFlushInv(fromDir int, base mem.Addr, committer tid.TID, wo
 	m.addr = base
 	m.words = oldOW
 	if line != nil && line.Dirty {
-		m.data = p.sys.copyLine(p.id, line.Data)
+		m.data = p.sys.copyLine(line.Data)
 	}
 	p.sys.sendMsg(i)
 
@@ -1009,12 +1005,12 @@ func (p *Processor) onFlushInv(fromDir int, base mem.Addr, committer tid.TID, wo
 
 // onBarrierRelease resumes the processor after a phase barrier.
 func (p *Processor) onBarrierRelease() {
-	p.stats.Breakdown.Add(stats.Idle, uint64(p.k.Now()-p.idleStart))
+	p.stats.Breakdown.Add(stats.Idle, uint64(p.sys.kernel.Now()-p.idleStart))
 	p.progPhase++
 	p.txIdx = 0
 	if p.progPhase >= p.prog.Phases() {
 		p.phase = phDone
-		p.sys.procDone(p.id)
+		p.sys.procDone()
 		return
 	}
 	p.beginTx()

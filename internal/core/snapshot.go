@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -17,15 +18,16 @@ import (
 // taken at a quiescent cut, from which a fresh System replays the remainder
 // of the run byte-identically.
 //
-// A quiescent cut is a point where every kernel is between dispatch batches:
-// sequentially, between StepCycle iterations of Run's loop; under the sharded
-// executor, inside a ShardExec.Check callback (the serial start of an epoch,
-// after the previous window's merge drained every port). At such a cut all
-// in-flight protocol messages are pool records referenced by exactly one
-// pending event — a sysMsg arrival, a dirExec pipeline stage, a prepared
-// dirMemReady response, or a portMsg delivery — so the snapshot inlines each
-// message payload into its event record and the restore re-allocates pool
-// slots in event order, rewriting the event argument to the new slot.
+// A quiescent cut is a point where the kernel is between dispatch batches:
+// sequentially, between StepCycle iterations of Run's loop; under the epoch
+// engine, at the start of a window, after the previous window's merge
+// drained the window buffer. At such a cut all in-flight protocol messages
+// are pool records referenced by exactly one pending event — a sysMsg
+// arrival, a dirExec pipeline stage, or a prepared dirMemReady response — so
+// the snapshot inlines each message payload into its event record and the
+// restore re-allocates pool slots in event order, rewriting the event
+// argument to the new slot. Both engines use the same layout: one kernel
+// clock and the System aggregates; Sharded records which engine wrote it.
 //
 // The snapshot captures only *observable* state. Allocator layout — pool
 // free-list order, slab capacities, slot numbers, arena watermarks, cache
@@ -42,7 +44,7 @@ const (
 	KernelCheckpointVersion = 1
 )
 
-// KernelClock is one kernel's clock state.
+// KernelClock is the kernel's clock state.
 type KernelClock struct {
 	Now  sim.Time `json:"now"`
 	Seq  uint64   `json:"seq"`
@@ -65,7 +67,7 @@ type MsgState struct {
 }
 
 // EventState is one pending kernel event. Handler identity is (Handler,
-// Node): "sys" is the System mesh handler, "proc"/"dir"/"port" name a node's
+// Node): "sys" is the System mesh handler, "proc"/"dir" name a node's
 // component. Events whose a1 is a message-pool index carry the message inline
 // in Msg; their A1 is rewritten at restore.
 type EventState struct {
@@ -215,26 +217,6 @@ type DirState struct {
 	CurBusy uint64   `json:"cur_busy,omitempty"`
 }
 
-// PortState is one node's sharded-engine port accounting (the statistics the
-// run-end merge folds into the System aggregates). The port's outbox, event
-// buffer, and barrier/retire captures are empty at the checkpoint cut and so
-// need no representation.
-type PortState struct {
-	MsgCounts      []uint64       `json:"msg_counts"`
-	Commits        uint64         `json:"commits"`
-	Violations     uint64         `json:"violations"`
-	Instr          uint64         `json:"instr"`
-	TxInstrH       []uint64       `json:"tx_instr_h,omitempty"`
-	RdSetH         []uint64       `json:"rd_set_h,omitempty"`
-	WrSetH         []uint64       `json:"wr_set_h,omitempty"`
-	DirsTouchedH   []uint64       `json:"dirs_touched_h,omitempty"`
-	CommitLog      []CommitRecord `json:"commit_log,omitempty"`
-	LocalBytes     []uint64       `json:"local_bytes"`
-	LocalMsgs      []uint64       `json:"local_msgs"`
-	LocalNodeBytes uint64         `json:"local_node_bytes"`
-	Done           int            `json:"done"`
-}
-
 // Checkpoint is the full machine state at a quiescent cut.
 type Checkpoint struct {
 	Schema  string `json:"schema"`
@@ -258,10 +240,10 @@ type Checkpoint struct {
 
 	Procs []ProcState `json:"proc_state"`
 	Dirs  []DirState  `json:"dir_state"`
-	Ports []PortState `json:"port_state,omitempty"`
+	// Ports is present only in checkpoints of the retired per-node layout,
+	// which Restore refuses.
+	Ports json.RawMessage `json:"port_state,omitempty"`
 
-	// Sequential-engine aggregates (the sharded engine keeps these per
-	// port until the run-end merge).
 	MsgCounts    []uint64       `json:"msg_counts,omitempty"`
 	Commits      uint64         `json:"commits,omitempty"`
 	Violations   uint64         `json:"violations,omitempty"`
@@ -294,8 +276,6 @@ func eventCarriesMsg(handler string, code uint32) bool {
 		return code == sysMsg
 	case "dir":
 		return code == dirExec || code == dirMemReady
-	case "port":
-		return code == portMsg
 	}
 	return false
 }
@@ -312,9 +292,9 @@ func msgState(m *protoMsg) *MsgState {
 	return ms
 }
 
-// installMsg allocates a pool slot on the owning node and fills it from ms,
-// returning the new index for the restored event's a1.
-func (s *System) installMsg(owner int, ms *MsgState) (int32, error) {
+// installMsg allocates a pool slot and fills it from ms, returning the new
+// index for the restored event's a1.
+func (s *System) installMsg(ms *MsgState) (int32, error) {
 	if ms.Kind < 0 || int(ms.Kind) >= NumMsgKinds {
 		return 0, fmt.Errorf("core: restore message has unknown kind %d", ms.Kind)
 	}
@@ -322,38 +302,25 @@ func (s *System) installMsg(owner int, ms *MsgState) (int32, error) {
 		return 0, fmt.Errorf("core: restore message payload has %d words, want %d",
 			len(ms.Data), s.cfg.Geometry.WordsPerLine())
 	}
-	var (
-		i int32
-		m *protoMsg
-	)
-	if s.ports != nil {
-		i, m = s.ports[owner].allocMsg()
-	} else {
-		s.msgs = append(s.msgs, protoMsg{})
-		i = int32(len(s.msgs) - 1)
-		m = &s.msgs[i]
-	}
-	m.kind, m.src, m.dst = ms.Kind, ms.Src, ms.Dst
+	i, m := s.newMsg(ms.Kind, int(ms.Src), int(ms.Dst))
 	m.addr, m.t, m.t2 = ms.Addr, ms.T, ms.T2
 	m.words, m.words2, m.flag = ms.Words, ms.Words2, ms.Flag
 	if ms.Data != nil {
-		b := s.acquireBuf(owner)
-		copy(b, ms.Data)
-		m.data = b
+		m.data = s.copyLine(ms.Data)
 	}
 	return i, nil
 }
 
-// captureKernel records one kernel's clock and pending events into ck.
-func (s *System) captureKernel(ki int, k *sim.Kernel, ck *Checkpoint) error {
-	now, seq, nRun := k.Clock()
-	ck.Kernels = append(ck.Kernels, KernelClock{Now: now, Seq: seq, NRun: nRun})
-	evs, err := k.PendingEvents()
+// captureKernel records the kernel's clock and pending events into ck.
+func (s *System) captureKernel(ck *Checkpoint) error {
+	now, seq, nRun := s.kernel.Clock()
+	ck.Kernels = []KernelClock{{Now: now, Seq: seq, NRun: nRun}}
+	evs, err := s.kernel.PendingEvents()
 	if err != nil {
-		return fmt.Errorf("core: kernel %d: %w", ki, err)
+		return fmt.Errorf("core: kernel: %w", err)
 	}
 	for _, ev := range evs {
-		es := EventState{Kernel: ki, At: ev.At, Seq: ev.Seq, Code: ev.Code, A1: ev.A1, A2: ev.A2, Node: -1}
+		es := EventState{At: ev.At, Seq: ev.Seq, Code: ev.Code, A1: ev.A1, A2: ev.A2, Node: -1}
 		switch h := ev.H.(type) {
 		case *System:
 			es.Handler = "sys"
@@ -361,13 +328,11 @@ func (s *System) captureKernel(ki int, k *sim.Kernel, ck *Checkpoint) error {
 			es.Handler, es.Node = "proc", h.id
 		case *Directory:
 			es.Handler, es.Node = "dir", h.node
-		case *nodePort:
-			es.Handler, es.Node = "port", h.node
 		default:
-			return fmt.Errorf("core: kernel %d holds an event for an unknown handler type %T", ki, ev.H)
+			return fmt.Errorf("core: kernel holds an event for an unknown handler type %T", ev.H)
 		}
 		if eventCarriesMsg(es.Handler, es.Code) {
-			es.Msg = msgState(s.msgAt(int32(ev.A1)))
+			es.Msg = msgState(&s.msgs[ev.A1])
 			es.A1 = 0 // re-assigned to the restored pool slot
 		}
 		ck.Events = append(ck.Events, es)
@@ -375,10 +340,9 @@ func (s *System) captureKernel(ki int, k *sim.Kernel, ck *Checkpoint) error {
 	return nil
 }
 
-// Snapshot captures the System's full state at a quiescent cut. Sequentially
-// the caller must be between StepCycle batches (Run's loop boundary); under
-// the sharded executor, inside a ShardExec.Check callback. RunCheckpointed
-// arranges both.
+// Snapshot captures the System's full state at a quiescent cut: between
+// StepCycle batches (Run's loop boundary), or under the epoch engine at a
+// window boundary. RunCheckpointed arranges both.
 func (s *System) Snapshot() (*Checkpoint, error) {
 	if err := s.checkpointable(); err != nil {
 		return nil, err
@@ -387,7 +351,7 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 		Schema:     KernelCheckpointSchema,
 		Version:    KernelCheckpointVersion,
 		NumProcs:   s.cfg.Procs,
-		Sharded:    s.ports != nil,
+		Sharded:    s.win != nil,
 		CollectLog: s.collectLog,
 
 		AddrMap: s.addrMap.Snapshot(),
@@ -397,48 +361,22 @@ func (s *System) Snapshot() (*Checkpoint, error) {
 	}
 	ck.VendorNext, ck.VendorOut = s.vendor.Snapshot()
 
-	if s.ports != nil {
-		running := s.cfg.Procs
-		for _, np := range s.ports {
-			if len(np.out) != 0 || len(np.events) != 0 || np.barriers != 0 || len(np.retires) != 0 {
-				return nil, fmt.Errorf("core: node %d port not drained — checkpoint cut is not at an epoch boundary", np.node)
-			}
-			if err := s.captureKernel(np.node, np.k, ck); err != nil {
-				return nil, err
-			}
-			ck.Ports = append(ck.Ports, PortState{
-				MsgCounts:      append([]uint64(nil), np.msgCounts[:]...),
-				Commits:        np.commits,
-				Violations:     np.violations,
-				Instr:          np.instr,
-				TxInstrH:       append([]uint64(nil), np.txInstrH.Values()...),
-				RdSetH:         append([]uint64(nil), np.rdSetH.Values()...),
-				WrSetH:         append([]uint64(nil), np.wrSetH.Values()...),
-				DirsTouchedH:   append([]uint64(nil), np.dirsTouchedH.Values()...),
-				CommitLog:      append([]CommitRecord(nil), np.commitLog...),
-				LocalBytes:     append([]uint64(nil), np.localBytes[:]...),
-				LocalMsgs:      append([]uint64(nil), np.localMsgs[:]...),
-				LocalNodeBytes: np.localNodeBytes,
-				Done:           np.done,
-			})
-			running -= np.done
-		}
-		ck.Running = running
-	} else {
-		if err := s.captureKernel(0, s.kernel, ck); err != nil {
-			return nil, err
-		}
-		ck.Running = s.running
-		ck.MsgCounts = append([]uint64(nil), s.msgCounts[:]...)
-		ck.Commits = s.totalCommits
-		ck.Violations = s.totalViolations
-		ck.Instr = s.committedInstr
-		ck.TxInstrH = append([]uint64(nil), s.txInstrH.Values()...)
-		ck.RdSetH = append([]uint64(nil), s.rdSetH.Values()...)
-		ck.WrSetH = append([]uint64(nil), s.wrSetH.Values()...)
-		ck.DirsTouchedH = append([]uint64(nil), s.dirsTouchedH.Values()...)
-		ck.CommitLog = append([]CommitRecord(nil), s.commitLog...)
+	if s.win != nil && !s.win.empty() {
+		return nil, fmt.Errorf("core: window buffer not drained — checkpoint cut is not at a window boundary")
 	}
+	if err := s.captureKernel(ck); err != nil {
+		return nil, err
+	}
+	ck.Running = s.running
+	ck.MsgCounts = append([]uint64(nil), s.msgCounts[:]...)
+	ck.Commits = s.totalCommits
+	ck.Violations = s.totalViolations
+	ck.Instr = s.committedInstr
+	ck.TxInstrH = append([]uint64(nil), s.txInstrH.Values()...)
+	ck.RdSetH = append([]uint64(nil), s.rdSetH.Values()...)
+	ck.WrSetH = append([]uint64(nil), s.wrSetH.Values()...)
+	ck.DirsTouchedH = append([]uint64(nil), s.dirsTouchedH.Values()...)
+	ck.CommitLog = append([]CommitRecord(nil), s.commitLog...)
 
 	for _, p := range s.procs {
 		ck.Procs = append(ck.Procs, p.snapshotState())
@@ -689,9 +627,7 @@ func (d *Directory) restoreState(ds *DirState) error {
 				return fmt.Errorf("core: dir %d restore mark data for %#x has %d words, want %d",
 					d.node, es.Base, len(es.MarkData), wpl)
 			}
-			buf := d.sys.acquireBuf(d.node)
-			copy(buf, es.MarkData)
-			e.markData = buf
+			e.markData = d.sys.copyLine(es.MarkData)
 		}
 		if len(es.PendingFrom) > 0 {
 			e.pendingFrom = append([]int(nil), es.PendingFrom...)
@@ -744,37 +680,28 @@ func (d *Directory) restoreState(ds *DirState) error {
 	return nil
 }
 
-// handlerFor resolves a restored event's handler identity and the node whose
-// message pool owns its payload (if any).
-func (s *System) handlerFor(es *EventState) (sim.Handler, int, error) {
+// handlerFor resolves a restored event's handler identity.
+func (s *System) handlerFor(es *EventState) (sim.Handler, error) {
 	switch es.Handler {
 	case "sys":
-		return s, 0, nil
+		return s, nil
 	case "proc":
 		if es.Node < 0 || es.Node >= len(s.procs) {
-			return nil, 0, fmt.Errorf("core: restore event for proc %d of %d", es.Node, len(s.procs))
+			return nil, fmt.Errorf("core: restore event for proc %d of %d", es.Node, len(s.procs))
 		}
-		return s.procs[es.Node], es.Node, nil
+		return s.procs[es.Node], nil
 	case "dir":
 		if es.Node < 0 || es.Node >= len(s.dirs) {
-			return nil, 0, fmt.Errorf("core: restore event for dir %d of %d", es.Node, len(s.dirs))
+			return nil, fmt.Errorf("core: restore event for dir %d of %d", es.Node, len(s.dirs))
 		}
-		return s.dirs[es.Node], es.Node, nil
-	case "port":
-		if s.ports == nil {
-			return nil, 0, fmt.Errorf("core: restore event for a port on the sequential engine")
-		}
-		if es.Node < 0 || es.Node >= len(s.ports) {
-			return nil, 0, fmt.Errorf("core: restore event for port %d of %d", es.Node, len(s.ports))
-		}
-		return s.ports[es.Node], es.Node, nil
+		return s.dirs[es.Node], nil
 	}
-	return nil, 0, fmt.Errorf("core: restore event has unknown handler kind %q", es.Handler)
+	return nil, fmt.Errorf("core: restore event has unknown handler kind %q", es.Handler)
 }
 
 // Restore installs a checkpoint into a freshly built System. The System must
 // have been constructed by NewSystem with the same processor count, geometry,
-// engine mode (sequential vs sharded), and program as the snapshot's; timing
+// engine (sequential or epoch), and program as the snapshot's; timing
 // knobs (latencies, bandwidths, watchdog) may differ — the snapshot stores
 // absolute times, which remain valid, and new knob values apply to everything
 // scheduled after the cut.
@@ -788,7 +715,12 @@ func (s *System) Restore(ck *Checkpoint) error {
 	if ck.NumProcs != s.cfg.Procs {
 		return fmt.Errorf("core: checkpoint of a %d-proc machine, config has %d", ck.NumProcs, s.cfg.Procs)
 	}
-	if ck.Sharded != (s.ports != nil) {
+	if len(ck.Kernels) > 1 || len(ck.Ports) > 0 {
+		return fmt.Errorf("core: checkpoint is in the retired per-node layout (%d kernel clocks, port_state %v): "+
+			"the epoch engine now runs on one kernel with the System's statistics, so this snapshot "+
+			"cannot be restored; rerun from the start", len(ck.Kernels), len(ck.Ports) > 0)
+	}
+	if ck.Sharded != (s.win != nil) {
 		return fmt.Errorf("core: checkpoint engine mode (sharded=%v) does not match config", ck.Sharded)
 	}
 	if err := s.checkpointable(); err != nil {
@@ -800,19 +732,12 @@ func (s *System) Restore(ck *Checkpoint) error {
 	if _, seq, nRun := s.kernel.Clock(); seq != 0 || nRun != 0 {
 		return fmt.Errorf("core: restore target has already executed events")
 	}
-	nk := 1
-	if s.ports != nil {
-		nk = s.cfg.Procs
-	}
-	if len(ck.Kernels) != nk {
-		return fmt.Errorf("core: checkpoint has %d kernel clocks, machine has %d", len(ck.Kernels), nk)
+	if len(ck.Kernels) != 1 {
+		return fmt.Errorf("core: checkpoint has %d kernel clocks, want 1", len(ck.Kernels))
 	}
 	if len(ck.Procs) != s.cfg.Procs || len(ck.Dirs) != s.cfg.Procs {
 		return fmt.Errorf("core: checkpoint has %d/%d proc/dir states, machine has %d",
 			len(ck.Procs), len(ck.Dirs), s.cfg.Procs)
-	}
-	if s.ports != nil && len(ck.Ports) != s.cfg.Procs {
-		return fmt.Errorf("core: checkpoint has %d port states, machine has %d", len(ck.Ports), s.cfg.Procs)
 	}
 
 	if err := s.addrMap.Restore(ck.AddrMap); err != nil {
@@ -839,54 +764,29 @@ func (s *System) Restore(ck *Checkpoint) error {
 		}
 	}
 
-	if s.ports != nil {
-		for i, np := range s.ports {
-			st := &ck.Ports[i]
-			if len(st.MsgCounts) != NumMsgKinds {
-				return fmt.Errorf("core: port %d restore has %d message counters, want %d", i, len(st.MsgCounts), NumMsgKinds)
-			}
-			if len(st.LocalBytes) != mesh.NumClasses || len(st.LocalMsgs) != mesh.NumClasses {
-				return fmt.Errorf("core: port %d restore has malformed local traffic counters", i)
-			}
-			copy(np.msgCounts[:], st.MsgCounts)
-			np.commits = st.Commits
-			np.violations = st.Violations
-			np.instr = st.Instr
-			np.txInstrH.Restore(st.TxInstrH)
-			np.rdSetH.Restore(st.RdSetH)
-			np.wrSetH.Restore(st.WrSetH)
-			np.dirsTouchedH.Restore(st.DirsTouchedH)
-			np.commitLog = append(np.commitLog, st.CommitLog...)
-			copy(np.localBytes[:], st.LocalBytes)
-			copy(np.localMsgs[:], st.LocalMsgs)
-			np.localNodeBytes = st.LocalNodeBytes
-			np.done = st.Done
-		}
-	} else {
-		if len(ck.MsgCounts) != NumMsgKinds {
-			return fmt.Errorf("core: checkpoint has %d message counters, want %d", len(ck.MsgCounts), NumMsgKinds)
-		}
-		copy(s.msgCounts[:], ck.MsgCounts)
-		s.totalCommits = ck.Commits
-		s.totalViolations = ck.Violations
-		s.committedInstr = ck.Instr
-		s.txInstrH.Restore(ck.TxInstrH)
-		s.rdSetH.Restore(ck.RdSetH)
-		s.wrSetH.Restore(ck.WrSetH)
-		s.dirsTouchedH.Restore(ck.DirsTouchedH)
-		s.commitLog = append(s.commitLog, ck.CommitLog...)
+	if len(ck.MsgCounts) != NumMsgKinds {
+		return fmt.Errorf("core: checkpoint has %d message counters, want %d", len(ck.MsgCounts), NumMsgKinds)
 	}
+	copy(s.msgCounts[:], ck.MsgCounts)
+	s.totalCommits = ck.Commits
+	s.totalViolations = ck.Violations
+	s.committedInstr = ck.Instr
+	s.txInstrH.Restore(ck.TxInstrH)
+	s.rdSetH.Restore(ck.RdSetH)
+	s.wrSetH.Restore(ck.WrSetH)
+	s.dirsTouchedH.Restore(ck.DirsTouchedH)
+	s.commitLog = append(s.commitLog, ck.CommitLog...)
 
-	// Rebuild the kernels: re-allocate each event's message (in event order,
+	// Rebuild the kernel: re-allocate each event's message (in event order,
 	// so pool growth is deterministic), rebind handlers, and install the
-	// per-kernel clock + pending set.
-	perK := make([][]sim.PendingEvent, nk)
+	// clock + pending set.
+	pending := make([]sim.PendingEvent, 0, len(ck.Events))
 	for i := range ck.Events {
 		es := &ck.Events[i]
-		if es.Kernel < 0 || es.Kernel >= nk {
-			return fmt.Errorf("core: restore event %d targets kernel %d of %d", i, es.Kernel, nk)
+		if es.Kernel != 0 {
+			return fmt.Errorf("core: restore event %d targets kernel %d of 1", i, es.Kernel)
 		}
-		h, owner, err := s.handlerFor(es)
+		h, err := s.handlerFor(es)
 		if err != nil {
 			return err
 		}
@@ -895,7 +795,7 @@ func (s *System) Restore(ck *Checkpoint) error {
 			if es.Msg == nil {
 				return fmt.Errorf("core: restore event %d (%s code %d) is missing its message payload", i, es.Handler, es.Code)
 			}
-			idx, err := s.installMsg(owner, es.Msg)
+			idx, err := s.installMsg(es.Msg)
 			if err != nil {
 				return err
 			}
@@ -903,17 +803,11 @@ func (s *System) Restore(ck *Checkpoint) error {
 		} else if es.Msg != nil {
 			return fmt.Errorf("core: restore event %d (%s code %d) carries an unexpected message", i, es.Handler, es.Code)
 		}
-		perK[es.Kernel] = append(perK[es.Kernel], pe)
+		pending = append(pending, pe)
 	}
-	for ki := 0; ki < nk; ki++ {
-		k := s.kernel
-		if s.ports != nil {
-			k = s.ports[ki].k
-		}
-		kc := ck.Kernels[ki]
-		if err := k.Restore(kc.Now, kc.Seq, kc.NRun, perK[ki]); err != nil {
-			return fmt.Errorf("core: kernel %d: %w", ki, err)
-		}
+	kc := ck.Kernels[0]
+	if err := s.kernel.Restore(kc.Now, kc.Seq, kc.NRun, pending); err != nil {
+		return fmt.Errorf("core: kernel: %w", err)
 	}
 
 	s.restored = true
@@ -946,13 +840,6 @@ func (s *System) RunCheckpointed(every sim.Time, fn func(*Checkpoint) error) (*R
 	}
 	s.ckEvery, s.ckFn = every, fn
 	now, _, _ := s.kernel.Clock()
-	if s.ports != nil {
-		for _, np := range s.ports {
-			if n, _, _ := np.k.Clock(); n > now {
-				now = n
-			}
-		}
-	}
 	s.ckNext = (now/every + 1) * every
 	defer func() { s.ckEvery, s.ckFn, s.ckNext = 0, nil, 0 }()
 	return s.Run()

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"scalabletcc/internal/obs"
@@ -256,6 +257,64 @@ func TestCheckpointGating(t *testing.T) {
 	cfgSharded.Shards = 2
 	if _, err := RestoreSystem(cfgSharded, prog, ck); err == nil {
 		t.Fatal("restore across engine modes did not fail")
+	}
+}
+
+// TestCheckpointRefusesPerNodeLayout: a checkpoint written by the retired
+// per-node layout of the epoch engine — one kernel clock per node, per-port
+// statistics under port_state — is refused with an error naming the
+// change, not restored with its per-port statistics silently dropped. The
+// checkpoints are doctored from a current sharded one.
+func TestCheckpointRefusesPerNodeLayout(t *testing.T) {
+	prof := workload.Hotspot().Scale(0.1)
+	const procs = 4
+	sharded := func(c *Config) { c.Shards = 2 }
+	ref, _, _, _ := ckRun(t, prof, procs, sharded, 0)
+	_, _, cks, _ := ckRun(t, prof, procs, sharded, ref.Cycles/3)
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints taken")
+	}
+	raw, err := json.Marshal(cks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(procs)
+	cfg.MaxCycles = 2_000_000_000
+	sharded(&cfg)
+	prog := prof.Build(procs, cfg.Seed)
+	if _, err := RestoreSystem(cfg, prog, cks[0]); err != nil {
+		t.Fatalf("undoctored checkpoint: %v", err)
+	}
+
+	for name, doctor := range map[string]func(map[string]any){
+		"kernel per node": func(m map[string]any) {
+			ks := m["kernels"].([]any)
+			for len(ks) < procs {
+				ks = append(ks, ks[0])
+			}
+			m["kernels"] = ks
+		},
+		"port_state": func(m map[string]any) {
+			m["port_state"] = []any{map[string]any{"commits": 1, "done": 0}}
+		},
+	} {
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		doctor(m)
+		doc, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ck Checkpoint
+		if err := json.Unmarshal(doc, &ck); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, err = RestoreSystem(cfg, prog, &ck)
+		if err == nil || !strings.Contains(err.Error(), "retired per-node layout") {
+			t.Errorf("%s: RestoreSystem = %v, want the per-node layout refusal", name, err)
+		}
 	}
 }
 

@@ -34,19 +34,9 @@ type System struct {
 	dirs    []*Directory
 	barrier *barrier
 
-	// Sharded execution (Config.Shards >= 1): one kernel and one port per
-	// node. ports == nil selects the sequential engine; every cross-node
-	// choke point below branches on it. See shard.go.
-	ports  []*nodePort
-	nodeKs []sim.Kernel
-	// shardEx is the executor running the node kernels; merge-phase posts
-	// go through it (ShardExec.Post) so its peek cache stays exact.
-	shardEx *sim.ShardExec
-	// Merge-phase scratch: the (typically few) ports that captured sends or
-	// observer events in the current window, rebuilt each merge so the
-	// per-cycle replay loops never sweep the full port set (see mergeWindow).
-	mergeSend  []*nodePort
-	mergeEvent []*nodePort
+	// win, non-nil under the epoch engine (Config.Shards >= 1), holds what
+	// the current window defers to its boundary. See shard.go.
+	win *window
 
 	vendor     *tid.Vendor
 	vendorNode int
@@ -135,13 +125,7 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 	}
 	prog.PreMap(s.addrMap)
 	if cfg.Shards > 0 {
-		s.nodeKs = make([]sim.Kernel, cfg.Procs)
-		s.ports = make([]*nodePort, cfg.Procs)
-		for i := 0; i < cfg.Procs; i++ {
-			s.ports[i] = &nodePort{sys: s, node: i, k: &s.nodeKs[i]}
-			s.procs[i].k = s.ports[i].k
-			s.dirs[i].k = s.ports[i].k
-		}
+		s.win = &window{}
 		s.premapProgram()
 	}
 	return s, nil
@@ -182,17 +166,14 @@ func (s *System) Observer() obs.Observer { return s.obsv }
 // emit stamps the current cycle on e and hands it to the observer. Callers
 // must nil-check s.obsv first so event construction stays off the
 // no-observer hot path. Every emission site sets e.Node to the executing
-// node, which is what lets the sharded engine route the event to that
-// node's buffer (flushed in canonical order at the window boundary) and
-// stamp it from that node's clock.
+// node, which is what lets the epoch engine buffer the event and flush it
+// in (cycle, node, emission) order at the window boundary.
 func (s *System) emit(e obs.Event) {
-	if s.ports != nil {
-		np := s.ports[e.Node]
-		e.Cycle = uint64(np.k.Now())
-		np.events = append(np.events, e)
+	e.Cycle = uint64(s.kernel.Now())
+	if s.win != nil {
+		s.win.events = append(s.win.events, e)
 		return
 	}
-	e.Cycle = uint64(s.kernel.Now())
 	s.obsv.Event(e)
 }
 
@@ -290,38 +271,27 @@ func (s *System) vendorIssue(requester int) {
 	s.sendMsg(i)
 }
 
-// vendorRetire retires a TID on behalf of the executing node. Sequentially
-// it applies immediately; under the sharded engine the vendor's map belongs
-// to node 0's parallel-phase context, so other nodes defer the retirement
-// to the window merge (retire order is commutative — TIDs are unique and
-// never reissued).
-func (s *System) vendorRetire(node int, t tid.TID) {
-	if s.ports != nil {
-		np := s.ports[node]
-		np.retires = append(np.retires, t)
+// vendorRetire retires a TID. Sequentially it applies immediately; the
+// epoch engine defers it to the window boundary (retire order is
+// commutative — TIDs are unique and never reissued).
+func (s *System) vendorRetire(t tid.TID) {
+	if s.win != nil {
+		s.win.retires = append(s.win.retires, t)
 		return
 	}
 	s.vendor.Retire(t)
 }
 
+// logCommit appends r to the commit log when it is collected. The epoch
+// engine's log is in window order until the run sorts it by TID.
 func (s *System) logCommit(r CommitRecord) {
-	if !s.collectLog {
-		return
+	if s.collectLog {
+		s.commitLog = append(s.commitLog, r)
 	}
-	if s.ports != nil {
-		np := s.ports[r.Proc]
-		np.commitLog = append(np.commitLog, r)
-		return
-	}
-	s.commitLog = append(s.commitLog, r)
 }
 
 // noteCommit aggregates the Table 3 fingerprint of a committed transaction.
 func (s *System) noteCommit(p *Processor, instr uint64) {
-	if s.ports != nil {
-		s.ports[p.id].noteCommit(p, instr)
-		return
-	}
 	s.totalCommits++
 	s.committedInstr += instr
 	s.txInstrH.Add(instr)
@@ -339,17 +309,13 @@ func (s *System) noteCommit(p *Processor, instr uint64) {
 	s.dirsTouchedH.Add(uint64(s.touched.Count()))
 }
 
-func (s *System) noteViolation(p *Processor) {
-	if s.ports != nil {
-		s.ports[p.id].violations++
-		return
-	}
-	s.totalViolations++
-}
+func (s *System) noteViolation() { s.totalViolations++ }
 
-func (s *System) procDone(node int) {
-	if s.ports != nil {
-		s.ports[node].done++
+// procDone counts a finished processor; the epoch engine applies the count
+// at the window boundary.
+func (s *System) procDone() {
+	if s.win != nil {
+		s.win.done++
 		return
 	}
 	s.running--
@@ -367,10 +333,10 @@ func (b *barrier) arrive(node int) {
 	if s.obsv != nil {
 		s.emit(obs.Event{Kind: obs.KBarrier, Node: node, Peer: -1, Arg: int64(s.procs[node].progPhase)})
 	}
-	if s.ports != nil {
+	if s.win != nil {
 		// Arrival counts are commutative; the window merge tallies them and
 		// posts the releases at the window boundary.
-		s.ports[node].barriers++
+		s.win.barriers++
 		return
 	}
 	b.arrived++
@@ -459,7 +425,7 @@ func (r *Results) ClassBytesPerInstr(c mesh.Class) float64 {
 // the watchdog expires or the simulation wedges (an event-drained kernel
 // with unfinished processors indicates a protocol deadlock).
 func (s *System) Run() (*Results, error) {
-	if s.ports != nil {
+	if s.win != nil {
 		return s.runSharded()
 	}
 	if !s.restored {

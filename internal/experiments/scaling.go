@@ -4,9 +4,10 @@
 // Shards value; simulated results must be identical down the shard axis
 // (shard-count independence is the engine's contract, and this experiment
 // enforces it on every run), so the only thing that varies is wall-clock
-// time. Every window runs on one goroutine whatever the Shards value (see
-// sim.ShardExec), so the curve is flat up to host noise; the sweep keeps
-// the engine's cost and its independence contract measured side by side.
+// time. The engine runs on the System's one kernel whatever the Shards
+// value (DESIGN.md §31), so the curve is flat up to host noise; the sweep
+// keeps the engine's cost and its independence contract measured side by
+// side.
 
 package experiments
 

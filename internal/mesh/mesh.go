@@ -183,11 +183,12 @@ func abs(v int) int {
 
 // RouteAt performs the traffic accounting and the hop-by-hop link walk for
 // one message injected at time now and returns its arrival time at dst. It
-// allocates nothing. The explicit injection time exists for the sharded
-// executor, whose merge phase replays an epoch's cross-node sends serially
-// in canonical order after the senders have already advanced past their
-// send times; with messages replayed in nondecreasing time order the link
-// reservations are identical to an inline walk.
+// allocates nothing. The explicit injection time exists for the epoch
+// engine, whose merge phase replays a window's cross-node sends in
+// canonical order after the kernel has already advanced past their send
+// times; with messages replayed in nondecreasing time order the link
+// reservations are identical to an inline walk. A node-local message
+// (src == dst) only counts traffic and arrives LocalLatency later.
 //
 // The per-hop direction is computed arithmetically (XY order, shortest way
 // around on a torus) rather than from a precomputed (position, destination)

@@ -113,9 +113,9 @@ type MachineSpec struct {
 	StarveRetain      *int `json:"starve_retain,omitempty"`
 	RepeatedProbing   bool `json:"repeated_probing,omitempty"`
 	WriteThrough      bool `json:"write_through,omitempty"`
-	// Shards selects the sharded epoch execution engine (tcc protocol
-	// only; 0 = the sequential kernel). Results are independent of the
-	// value.
+	// Shards selects the epoch execution engine (tcc protocol only; 0 = the
+	// sequential kernel). It runs on the same one kernel whatever the value,
+	// and results are independent of it. It excludes sample_every.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -258,8 +258,9 @@ func (k *Kernel) take(n int32) (h Handler, code uint32, a1, a2 uint64) {
 	return
 }
 
-// peekTime returns the earliest pending event time.
-func (k *Kernel) peekTime() (Time, bool) {
+// Next returns the earliest pending event time, and false if no event is
+// pending.
+func (k *Kernel) Next() (Time, bool) {
 	if k.curIdx < len(k.cur) {
 		return k.nodes[k.cur[k.curIdx]-1].ev.at, true
 	}
@@ -342,7 +343,7 @@ func (k *Kernel) Run(limit uint64) bool {
 // remain pending. Returns true if the queue drained.
 func (k *Kernel) RunUntil(deadline Time) bool {
 	for {
-		t, ok := k.peekTime()
+		t, ok := k.Next()
 		if !ok {
 			k.now = deadline
 			if deadline > k.base {
@@ -358,27 +359,14 @@ func (k *Kernel) RunUntil(deadline Time) bool {
 }
 
 // RunWindow executes events with at-time <= deadline, like RunUntil, but
-// never advances the clock past the last executed event: a drained kernel
-// keeps now at the last dispatched cycle, so Now() reads as "time of the
-// last event here", not "end of the last window". The epoch executor
-// (ShardExec) relies on this — the maximum Now() across kernels
-// after a run is then the global last-event cycle, independent of how the
-// run was cut into windows.
+// never advances the clock past the last executed event: Now() reads as
+// "time of the last event", not "end of the last window". The epoch engine
+// relies on this: Now() after its last window is the run's last-event
+// cycle, independent of how the run was cut into windows.
 func (k *Kernel) RunWindow(deadline Time) {
-	t, ok := k.peekTime()
-	k.runWindowFrom(t, ok, deadline)
-}
-
-// runWindowFrom is RunWindow given the kernel's current earliest pending
-// time (t, ok). It returns the earliest pending time left after the window
-// (false if the kernel drained), which it computes anyway to stop; the
-// sharded executor keeps it as its peek-cache entry.
-func (k *Kernel) runWindowFrom(t Time, ok bool, deadline Time) (Time, bool) {
-	for ok && t <= deadline {
+	for t, ok := k.Next(); ok && t <= deadline; t, ok = k.Next() {
 		k.StepCycle()
-		t, ok = k.peekTime()
 	}
-	return t, ok
 }
 
 // ---------------------------------------------------------------------------

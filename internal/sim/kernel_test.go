@@ -134,3 +134,114 @@ func TestKernelMonotonicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Pending / Next across the wheel-overflow horizon.
+
+// countHandler counts invocations; used where only occupancy matters.
+type countHandler struct{ n int }
+
+func (h *countHandler) HandleEvent(code uint32, a1, a2 uint64) { h.n++ }
+
+func TestPendingPeekAcrossOverflowHorizon(t *testing.T) {
+	var k Kernel
+	h := &countHandler{}
+
+	// One event in the dense ring, one exactly at the horizon edge (first
+	// overflow slot), and two far beyond it.
+	times := []Time{3, wheelSize - 1, wheelSize, wheelSize * 3, wheelSize*3 + 7}
+	for _, at := range times {
+		k.Post(at, h, 0, 0, 0)
+	}
+	if got, want := k.Pending(), len(times); got != want {
+		t.Fatalf("Pending() = %d, want %d", got, want)
+	}
+	if pt, ok := k.Next(); !ok || pt != 3 {
+		t.Fatalf("Next() = %d,%v, want 3,true", pt, ok)
+	}
+
+	// Drain one event at a time; after each, Next must be the next
+	// scheduled time and Pending the remaining count — including across the
+	// refills that migrate overflow-heap events into the ring as the wheel
+	// base advances past the horizon.
+	for i := range times {
+		if !k.StepCycle() {
+			t.Fatalf("StepCycle drained early at %d", i)
+		}
+		if got, want := k.Pending(), len(times)-i-1; got != want {
+			t.Fatalf("after %d steps: Pending() = %d, want %d", i+1, got, want)
+		}
+		pt, ok := k.Next()
+		if i == len(times)-1 {
+			if ok {
+				t.Fatalf("after draining: Next() = %d, want none", pt)
+			}
+			break
+		}
+		if !ok || pt != times[i+1] {
+			t.Fatalf("after %d steps: Next() = %d,%v, want %d,true", i+1, pt, ok, times[i+1])
+		}
+	}
+	if h.n != len(times) {
+		t.Fatalf("ran %d events, want %d", h.n, len(times))
+	}
+
+	// Same-cycle fan-in at an overflow time must count individually.
+	base := k.Now() + wheelSize + 11
+	for i := 0; i < 5; i++ {
+		k.Post(base, h, 0, uint64(i), 0)
+	}
+	if got := k.Pending(); got != 5 {
+		t.Fatalf("Pending() = %d, want 5", got)
+	}
+	if pt, ok := k.Next(); !ok || pt != base {
+		t.Fatalf("Next() = %d,%v, want %d,true", pt, ok, base)
+	}
+	k.StepCycle()
+	if got := k.Pending(); got != 0 {
+		t.Fatalf("Pending() after batch = %d, want 0", got)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Past-schedule panics at window boundaries.
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: expected past-schedule panic", name)
+		}
+	}()
+	fn()
+}
+
+// TestPastSchedulePanicAtEpochBoundary pins the guard the epoch merge
+// relies on: after the kernel has executed a window, inserting at or before
+// its last executed cycle panics, while the first legal merge time (after
+// the window) is accepted. RunWindow must also leave a drained kernel's
+// clock at its last event, not at the window end.
+func TestPastSchedulePanicAtEpochBoundary(t *testing.T) {
+	var k Kernel
+	h := &countHandler{}
+	k.Post(5, h, 0, 0, 0)
+	k.Post(7, h, 0, 0, 0)
+
+	const windowEnd = Time(9)
+	k.RunWindow(windowEnd)
+	if k.Now() != 7 {
+		t.Fatalf("Now() after drained window = %d, want last event cycle 7", k.Now())
+	}
+	// Merge inserting inside the already-executed range must panic...
+	mustPanic(t, "insert before last event", func() { k.Post(6, h, 0, 0, 0) })
+	// ...while the epoch contract's arrival times (strictly after the
+	// window) are fine, as is the idle remainder of the window itself.
+	k.Post(windowEnd+1, h, 0, 0, 0)
+	k.Post(8, h, 0, 0, 0) // legal only because RunWindow did not advance to 9
+
+	k.RunWindow(windowEnd + 1)
+	if h.n != 4 {
+		t.Fatalf("ran %d events, want 4", h.n)
+	}
+	mustPanic(t, "insert at boundary after run", func() { k.Post(windowEnd, h, 0, 0, 0) })
+}

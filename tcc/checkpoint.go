@@ -201,12 +201,7 @@ func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	if err != nil {
 		return fmt.Errorf("tcc: encode checkpoint: %w", err)
 	}
-	var cycle uint64
-	for _, kc := range ck.Kernels {
-		if uint64(kc.Now) > cycle {
-			cycle = uint64(kc.Now)
-		}
-	}
+	cycle := uint64(ck.Kernels[0].Now)
 	var n int64
 	if rc.counter != nil {
 		// The resume path trusts a durable entry's event_bytes to be in the

@@ -121,17 +121,15 @@ type Config struct {
 	// write-back protocol (traffic ablation).
 	WriteThroughCommit bool
 
-	// Shards selects the execution engine. Zero (the default) runs the whole
-	// machine on one global timing wheel — the sequential kernel. A positive
-	// value runs the sharded epoch kernel: every node advances on its own
-	// timing wheel in lockstep windows of HopLatency cycles, and cross-node
-	// effects merge deterministically at window boundaries. Results depend
-	// only on the window structure — every Shards >= 1 value is
-	// byte-identical — and so does the cost: the windows (a few to a few
-	// hundred events each, up to 1024 nodes) are too small to pay for
-	// worker goroutines, so every window runs on the calling one whatever
-	// the value. It must divide Procs evenly. Sharded runs do not
-	// support EnableSampler, EnableConflictProfiler, or AuditFinalMemory.
+	// Shards selects the execution engine. Zero (the default) runs the
+	// sequential kernel. A positive value runs the epoch engine: the machine
+	// advances on the same one timing wheel in windows of HopLatency cycles,
+	// and cross-node effects merge deterministically at window boundaries,
+	// so its timing differs slightly from the sequential kernel's. Results
+	// depend only on the window structure — every Shards >= 1 value is
+	// byte-identical at the same cost; nothing is split by the value. It
+	// must divide Procs evenly. Epoch runs do not support EnableSampler,
+	// EnableConflictProfiler, or AuditFinalMemory.
 	Shards int
 
 	// Seed drives every pseudo-random choice; equal seeds give bit-identical
