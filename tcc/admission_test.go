@@ -55,6 +55,32 @@ func TestAdmissionRejectsCrashingMachines(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectsShardedSampling: the epoch engine has no sampler, so
+// a run spec asking for both is refused at admission rather than failing
+// once it runs. The same spec on the sequential engine is admitted.
+func TestAdmissionRejectsShardedSampling(t *testing.T) {
+	for _, tc := range []struct {
+		machine string
+		admit   bool
+	}{
+		{`{"shards":2}`, false},
+		{`{"shards":0}`, true},
+	} {
+		spec, err := DecodeJobSpec([]byte(`{"schema":"scalabletcc/job","version":1,"kind":"run",` +
+			`"run":{"app":"hotspot","procs":4,"scale":0.05,"sample_every":500,"machine":` + tc.machine + `}}`))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.machine, err)
+		}
+		err = ValidateJobSpec(spec)
+		if tc.admit && err != nil {
+			t.Errorf("%s: refused: %v", tc.machine, err)
+		}
+		if !tc.admit && (err == nil || !strings.Contains(err.Error(), "sampling requires the sequential engine")) {
+			t.Errorf("%s: ValidateJobSpec = %v, want the sampler refusal", tc.machine, err)
+		}
+	}
+}
+
 // TestRunGuardedRecoversPanic: a simulation that panics on the guarded
 // goroutine fails its run instead of the process.
 func TestRunGuardedRecoversPanic(t *testing.T) {

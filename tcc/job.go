@@ -124,6 +124,10 @@ func validateRunSpec(r *RunSpec) error {
 			return fmt.Errorf("tcc: checkpointing and sampling are mutually exclusive (the sampler's phase is not part of the snapshot)")
 		}
 	}
+	if r.SampleEvery > 0 && r.Machine != nil && r.Machine.Shards > 0 {
+		return fmt.Errorf("tcc: sampling requires the sequential engine (shards 0); the epoch engine (shards %d) has no sampler",
+			r.Machine.Shards)
+	}
 	_, err := runConfig(r).compile(protocol)
 	return err
 }
