@@ -3,12 +3,10 @@
 
 Parses `go test -bench` output (one or more files, already -benchmem) and
 compares the best (minimum) ns/op per benchmark against the recorded
-baselines: the `after` blocks of BENCH_wheel.json (kernel/mesh hot paths),
-BENCH_protocols_gate.json (per-protocol simulator baselines),
-BENCH_shard.json (sequential vs epoch-parallel kernel), and BENCH_soa.json
-(third-generation fast path: throughput, commit, and abort latency — loaded
-last, so it supersedes same-named entries), falling back to the `after`
-block of BENCH_hotpath.json. Fails on
+baselines: the `after` blocks of BENCH_soa.json (kernel/mesh hot paths,
+throughput, commit and abort latency, per-protocol runs) and
+BENCH_shard.json (sequential vs epoch kernel). A benchmark has exactly one
+baseline: a name recorded in both files fails the gate. Fails on
 
   * ns/op more than THRESHOLD (default 15%) above the baseline, or
   * any allocation on the zero-alloc hot paths (kernel post/step, mesh send).
@@ -41,32 +39,20 @@ LINE = re.compile(
 def load_baselines():
     """Load recorded baselines, failing loudly on anything unexpected.
 
-    BENCH_wheel.json (kernel/mesh hot paths), BENCH_protocols_gate.json
-    (per-protocol simulator runs), BENCH_shard.json (sequential vs
-    epoch-parallel kernel), and BENCH_soa.json (third-generation fast path,
-    including the abort-latency gate) are REQUIRED: silently skipping a missing or
-    malformed file would turn the gate into a no-op that reports every
-    benchmark as "informational" and passes. Only BENCH_hotpath.json (a
-    superseded earlier baseline) is optional, and even it must parse if
-    present. Later files win where names collide.
+    Both files are REQUIRED: silently skipping a missing or malformed file
+    would turn the gate into a no-op that reports every benchmark as
+    "informational" and passes. A benchmark named in both files fails the
+    gate, because it would have two baselines.
     """
     base = {}
-    for name, required in (
-        ("BENCH_hotpath.json", False),
-        ("BENCH_wheel.json", True),
-        ("BENCH_protocols_gate.json", True),
-        ("BENCH_shard.json", True),
-        ("BENCH_soa.json", True),
-    ):
+    for name in ("BENCH_soa.json", "BENCH_shard.json"):
         path = os.path.join(REPO, name)
         if not os.path.exists(path):
-            if required:
-                sys.exit(
-                    f"bench_gate: required baseline {name} is missing at {path} — "
-                    "the gate cannot run without it (regenerate it or restore it "
-                    "from version control)"
-                )
-            continue
+            sys.exit(
+                f"bench_gate: required baseline {name} is missing at {path} — "
+                "the gate cannot run without it (regenerate it or restore it "
+                "from version control)"
+            )
         try:
             with open(path) as f:
                 doc = json.load(f)
@@ -78,9 +64,14 @@ def load_baselines():
         loaded = 0
         for bench, rec in after.items():
             if isinstance(rec, dict) and "ns_op" in rec:
+                if bench in base:
+                    sys.exit(
+                        f"bench_gate: {bench} is recorded in both {base[bench][1]} "
+                        f"and {name} — keep one baseline per benchmark"
+                    )
                 base[bench] = (float(rec["ns_op"]), name)
                 loaded += 1
-        if required and loaded == 0:
+        if loaded == 0:
             sys.exit(f"bench_gate: baseline {name} contains no usable benchmark records")
     return base
 
