@@ -71,6 +71,7 @@ type MsgState struct {
 // component. Events whose a1 is a message-pool index carry the message inline
 // in Msg; their A1 is rewritten at restore.
 type EventState struct {
+	// Kernel is always 0, the System's one kernel.
 	Kernel  int       `json:"kernel"`
 	At      sim.Time  `json:"at"`
 	Seq     uint64    `json:"seq"`
