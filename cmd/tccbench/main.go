@@ -16,25 +16,18 @@
 //	tccbench -exp all -verify
 //
 // Experiments: table1 table2 table3 fig6 fig7 fig8 fig9 protocols baseline
-// granularity probes writeback scaling dircache hotpath all
+// granularity probes writeback dircache all
 //
-// The scaling experiment sweeps the sharded simulation kernel's shard
-// count (-shards) over the -procs grid, checks that every count simulates
-// identical results and reports wall-clock ratios; its cells run
-// sequentially so the timings are honest.
-//
-// The hotpath experiment reruns the perf gate's microbenchmark workloads
-// (simulator throughput, commit latency, abort latency) with their pinned
-// shapes — 16 processors, 0.1 scale, the benches' own seeds, min-of-3 wall
-// time — so the BENCH_soa.json trajectory is reproducible by one command;
-// -apps/-procs/-scale/-seed do not apply to it.
+// Every experiment is a function of simulated cycles, so the tables and the
+// report are a pure function of the flags; only the report header's
+// "parallel" field records the worker count. Host time is measured by the
+// Go benchmarks and perfbench, not here (DESIGN.md §32).
 //
 // The protocols experiment runs the head-to-head sweep across the protocol
 // registry (TCC, bus baseline, TL2 STM, eager HTM); -protocol narrows the
 // set, and -protocol list prints the registry.
 //
-// -timeout bounds each simulation's wall-clock time in every experiment,
-// the sequential scaling and hotpath cells included.
+// -timeout bounds each simulation's wall-clock time.
 //
 // With -json (implied by -out) the run also emits a versioned
 // machine-readable report — one cell per (app, procs, config) simulation —
@@ -68,7 +61,6 @@ func main() {
 		verify   = flag.Bool("verify", false, "run the serializability oracle on every run")
 		protos   = flag.String("protocol", "", "comma-separated protocols for the head-to-head sweep (default: full registry; list prints it)")
 		hops     = flag.String("hops", "", "comma-separated cycles/hop for fig8 (default 1,2,4,8)")
-		shards   = flag.String("shards", "", "comma-separated shard counts for the scaling experiment (default 1,2,4,8)")
 		parallel = flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS)")
 		jsonFlag = flag.Bool("json", false, "emit the machine-readable report (JSON)")
 		outFile  = flag.String("out", "", "write the JSON report to FILE (implies -json)")
@@ -149,9 +141,6 @@ func main() {
 		fatal(err)
 	}
 	if sw.Hops, err = cliflag.ParseInts(*hops); err != nil {
-		fatal(err)
-	}
-	if sw.Shards, err = cliflag.ParseInts(*shards); err != nil {
 		fatal(err)
 	}
 	if *timeout > 0 {

@@ -395,6 +395,50 @@ func TestDaemonRestartResumesSweep(t *testing.T) {
 	}
 }
 
+// TestDaemonRecoverRefusesRetiredSweep: a sweep stored before the timed
+// experiments were retired fails at recovery with the reason persisted, and
+// the stored job after it still resumes.
+func TestDaemonRecoverRefusesRetiredSweep(t *testing.T) {
+	dir := t.TempDir()
+	specs := map[string]string{
+		"j000001": `{"schema":"scalabletcc/job","version":1,"kind":"sweep",
+			"sweep":{"experiments":["scaling","hotpath"],"procs":[1,2],"shards":[1,2],"scale":0.02}}`,
+		"j000002": `{"schema":"scalabletcc/job","version":1,"kind":"sweep",
+			"sweep":{"experiments":["fig6"],"apps":["hotspot"],"scale":0.02}}`,
+	}
+	for id, spec := range specs {
+		if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := runner.NewQueue(runner.Config{
+		Capacity: 4, Workers: 1, StateDir: dir, Validate: tcc.ValidateJobSpec,
+	}, tcc.ExecuteJob)
+	defer q.Shutdown()
+	recovered, err := q.Recover()
+	if len(recovered) != 1 || recovered[0] != "j000002" {
+		t.Fatalf("recovered %v, want [j000002]", recovered)
+	}
+	if err == nil || !strings.Contains(err.Error(), `"scaling"`) || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("want the named scaling refusal, got %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "j000001.outcome.json"))
+	if err != nil {
+		t.Fatalf("refused sweep must persist an outcome: %v", err)
+	}
+	var out struct{ Status runner.JobStatus }
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Status.State != runner.StateFailed || out.Status.Kind != runner.KindSweep ||
+		!strings.Contains(out.Status.Error, "removed") {
+		t.Fatalf("refused sweep outcome %+v", out.Status)
+	}
+	if got := waitTerminal(t, q, "j000002"); got.State != runner.StateDone {
+		t.Fatalf("recovered sweep retired as %q (%s)", got.State, got.Error)
+	}
+}
+
 // TestDaemonBackpressure fills the queue past capacity with real sweep jobs
 // and requires 429 + Retry-After from the HTTP layer.
 func TestDaemonBackpressure(t *testing.T) {

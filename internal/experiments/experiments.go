@@ -44,11 +44,9 @@ type Options struct {
 	Seed         uint64   // simulation seed (must be >= 1)
 	Verify       bool     // run the serializability oracle on every run
 	HopLatencies []int    // Figure 8 sweep; empty = {1, 2, 4, 8}
-	Shards       []int    // scaling-experiment shard counts; empty = {1, 2, 4, 8}
 
 	// Parallel is the number of worker goroutines independent simulations
-	// are fanned across; 1 runs the matrix sequentially. Timed experiments
-	// always run one cell at a time.
+	// are fanned across; 1 runs the matrix sequentially.
 	Parallel int
 
 	// JobTimeout bounds each simulation's wall-clock time (0 = none).
@@ -135,14 +133,6 @@ func (o *Options) Normalize() error {
 			return fmt.Errorf("experiments: hop latency %d is invalid", h)
 		}
 	}
-	if len(o.Shards) == 0 {
-		o.Shards = []int{1, 2, 4, 8}
-	}
-	for _, s := range o.Shards {
-		if s < 1 {
-			return fmt.Errorf("experiments: shard count %d is invalid", s)
-		}
-	}
 	return nil
 }
 
@@ -203,14 +193,10 @@ func (j Job) protocol() string {
 // RunResult is one executed Job. Proto is the registry's result for every
 // protocol; detail only the paper's design has (traffic classes, Table 3
 // percentiles) is on Proto.Scalable. Events holds per-kind protocol-event
-// totals when Options.CountEvents is set. Wall is the cell's wall-clock
-// time, set only by timed experiments, whose cells run one at a time —
-// under a parallel matrix, per-cell wall time measures scheduler
-// contention, not the cell.
+// totals when Options.CountEvents is set.
 type RunResult struct {
 	Proto  *tcc.ProtocolResults
 	Events map[string]uint64
-	Wall   time.Duration
 }
 
 // runJob executes one matrix cell. The config is validated after the
@@ -256,18 +242,12 @@ func (o Options) runJob(j Job) (RunResult, error) {
 }
 
 // plan is what an experiment declares besides its reduction: its job
-// matrix, how its cells run, and its quirks.
+// matrix and its quirks.
 type plan struct {
 	name string
 	// jobs declares the matrix for normalized options; nil for the static
 	// tables, which run no simulation.
 	jobs func(o Options) []Job
-	// timed experiments run one cell at a time and stamp each with its
-	// wall-clock time: overlapping cells would time scheduler contention.
-	timed bool
-	// scale, when non-zero, pins the workload scale whatever Options.Scale
-	// says.
-	scale float64
 	// maxProcs, when non-zero, is the machine size a sweep uses when its
 	// spec leaves max_procs unset.
 	maxProcs int
@@ -275,9 +255,6 @@ type plan struct {
 
 // prepare normalizes o for the plan and declares its matrix.
 func (p plan) prepare(o Options) (Options, []Job, error) {
-	if p.scale != 0 {
-		o.Scale = p.scale
-	}
 	if err := o.Normalize(); err != nil {
 		return o, nil, err
 	}
@@ -290,15 +267,11 @@ func (p plan) prepare(o Options) (Options, []Job, error) {
 
 // runMatrix is the one runner: it executes jobs[i] for every i in todo
 // through the harness and returns the results in todo order. Cells fan
-// across o.Parallel workers, or run one at a time in index order for a
-// timed plan, and each successful cell is handed to o.OnCell.
-func (o Options) runMatrix(p plan, jobs []Job, todo []int) ([]RunResult, error) {
-	workers := o.Parallel
-	if p.timed {
-		workers = 1
-	}
+// across o.Parallel workers, and each successful cell is handed to
+// o.OnCell under the experiment's name.
+func (o Options) runMatrix(name string, jobs []Job, todo []int) ([]RunResult, error) {
 	return harness.Map(harness.Config{
-		Workers:    workers,
+		Workers:    o.Parallel,
 		Timeout:    o.JobTimeout,
 		OnProgress: o.Progress,
 	}, todo, func(_ int, i int) (RunResult, error) {
@@ -309,16 +282,12 @@ func (o Options) runMatrix(p plan, jobs []Job, todo []int) ([]RunResult, error) 
 			default:
 			}
 		}
-		start := time.Now()
 		out, err := o.runJob(jobs[i])
 		if err != nil {
 			return RunResult{}, err
 		}
-		if p.timed {
-			out.Wall = time.Since(start)
-		}
 		if o.OnCell != nil {
-			o.OnCell(p.name, i, jobs[i], out)
+			o.OnCell(name, i, jobs[i], out)
 		}
 		return out, nil
 	})
@@ -348,7 +317,7 @@ func (m matrix[R]) run(o Options) (R, error) {
 	if err != nil {
 		return rows, err
 	}
-	outs, err := o.runMatrix(m.plan, jobs, every(len(jobs)))
+	outs, err := o.runMatrix(m.name, jobs, every(len(jobs)))
 	if err != nil {
 		return rows, err
 	}

@@ -180,7 +180,7 @@ func TestBaselineVerifiesBusCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := opts.runMatrix(baseline.plan, jobs, every(len(jobs)))
+	outs, err := opts.runMatrix(baseline.name, jobs, every(len(jobs)))
 	if err != nil {
 		t.Fatal(err)
 	}

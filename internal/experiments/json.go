@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"scalabletcc/internal/mesh"
 	"scalabletcc/tcc"
@@ -49,10 +48,6 @@ type Cell struct {
 	// (experiment, app, protocol) series — the 1-processor run in fig7,
 	// the 1-cycle-per-hop run in fig8, the unbounded cache in dircache.
 	SpeedupVsBase float64 `json:"speedup_vs_base"`
-	// WallMS is the cell's wall-clock time in milliseconds, present only for
-	// timed experiments (scaling, hotpath). Additive: ReportVersion is
-	// unchanged.
-	WallMS float64 `json:"wall_ms,omitempty"`
 	// Summary carries cycles, instructions, commits, violations, and the
 	// breakdown fractions in the versioned tcc.Summary wire form.
 	Summary json.RawMessage `json:"summary"`
@@ -108,7 +103,6 @@ type entry struct {
 	Protocol   string          `json:"protocol"`
 	Config     json.RawMessage `json:"config,omitempty"`
 	Cycles     uint64          `json:"cycles"`
-	WallMS     float64         `json:"wall_ms,omitempty"`
 	Summary    json.RawMessage `json:"summary"`
 	Traffic    json.RawMessage `json:"traffic,omitempty"`
 	Events     json.RawMessage `json:"events,omitempty"`
@@ -128,9 +122,6 @@ func newEntry(experiment string, index int, j Job, out RunResult) (entry, error)
 	}
 	if e.Protocol == "tcc" {
 		e.Machine = "scalable"
-	}
-	if out.Wall > 0 {
-		e.WallMS = float64(out.Wall) / float64(time.Millisecond)
 	}
 	var err error
 	raw := func(v any) json.RawMessage {
@@ -244,7 +235,6 @@ func (s *entries) cells(experiment string, n int) ([]Cell, error) {
 			Machine:    e.Machine,
 			Protocol:   e.Protocol,
 			Config:     e.Config,
-			WallMS:     e.WallMS,
 			Summary:    e.Summary,
 			Traffic:    e.Traffic,
 			Events:     e.Events,

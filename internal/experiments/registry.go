@@ -61,9 +61,7 @@ func Registry() []Experiment {
 		show(granularity, "word vs line conflict detection (A2)", PrintGranularity),
 		show(probes, "deferred vs repeated probing (A3)", PrintProbes),
 		show(writeback, "write-back vs write-through commit (A4)", PrintWriteBack),
-		show(scaling, "sharded-kernel wall-clock scaling (procs x shards)", PrintScaling),
 		show(dircache, "directory-cache capacity (A5)", PrintDirCache),
-		show(hotpath, "simulator hot-path trajectory (gate benches, min-of-3 wall)", PrintHotpath),
 	}
 }
 

@@ -30,6 +30,14 @@ func init() {
 	tcc.RegisterJobKind(runner.KindSweep, executeSweep, validateSweepSpec)
 }
 
+// retired names the experiments that timed the host instead of simulating
+// the paper, with where each measurement lives now (DESIGN.md §32). A spec
+// that still asks for one is refused by name rather than as unknown.
+var retired = map[string]string{
+	"scaling": "the epoch engine's cost is measured by BenchmarkShardedKernel (BENCH_shard.json) and perfbench's sim.shard_overhead, and shard-count independence is pinned by testdata/golden_shard.json",
+	"hotpath": "its gate benches run under go test -bench against BENCH_soa.json",
+}
+
 // sweepNames resolves the spec's experiment list: empty (or the single
 // entry "all") means the full registry, in registry order.
 func sweepNames(sw *runner.SweepSpec) ([]string, error) {
@@ -38,6 +46,9 @@ func sweepNames(sw *runner.SweepSpec) ([]string, error) {
 		return Names(), nil
 	}
 	for _, n := range names {
+		if why, ok := retired[n]; ok {
+			return nil, fmt.Errorf("experiments: experiment %q was removed (DESIGN.md §32): %s", n, why)
+		}
 		if _, ok := ByName(n); !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q (valid: %s, all)",
 				n, strings.Join(Names(), ", "))
@@ -74,10 +85,8 @@ func validateSweepSpec(spec *runner.JobSpec) error {
 			return fmt.Errorf("experiments: hop latency %d is invalid", h)
 		}
 	}
-	for _, s := range sw.Shards {
-		if s < 1 {
-			return fmt.Errorf("experiments: shard count %d is invalid", s)
-		}
+	if len(sw.Shards) > 0 {
+		return fmt.Errorf("experiments: sweep field shards was the axis of the scaling experiment, which was removed (DESIGN.md §32): %s", retired["scaling"])
 	}
 	if sw.MaxProcs < 0 || sw.Scale < 0 || sw.Parallel < 0 || sw.TimeoutMS < 0 {
 		return fmt.Errorf("experiments: sweep spec numeric fields must be non-negative")
@@ -93,7 +102,6 @@ func sweepOptions(sw *runner.SweepSpec) Options {
 	o.Protocols = sw.Protocols
 	o.Procs = append([]int(nil), sw.Procs...)
 	o.HopLatencies = append([]int(nil), sw.Hops...)
-	o.Shards = append([]int(nil), sw.Shards...)
 	if sw.MaxProcs > 0 {
 		o.MaxProcs = sw.MaxProcs
 	}
@@ -189,7 +197,7 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 		if len(todo) == 0 && len(jobs) > 0 {
 			progress(name, len(jobs), len(jobs))
 		}
-		outs, err := o.runMatrix(e.plan, jobs, todo)
+		outs, err := o.runMatrix(name, jobs, todo)
 		if err != nil {
 			return nil, err
 		}

@@ -74,10 +74,10 @@ func runSweep(t *testing.T, spec *runner.JobSpec, ckpt string) *runner.JobResult
 }
 
 // A sweep resumed from a partial checkpoint manifest must produce the
-// report an uninterrupted run produces — the pinned one, wall times
-// masked — on every experiment: the manifest is cut in the middle of the
-// timed scaling study, so the resume replays the experiments before it,
-// reruns scaling's missing cells one at a time, and runs the rest.
+// report an uninterrupted run produces — the pinned one — on every
+// experiment: the manifest is cut after dircache's first cell, so the
+// resume replays the experiments before it, reruns dircache's missing
+// cells, and runs the rest.
 func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	spec := pinSpec(t)
 	want, err := os.ReadFile(pinReportPath)
@@ -93,7 +93,7 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	if full.Resumed || !strings.Contains(full.Tables, "== fig7 ==") {
 		t.Fatalf("fresh run: resumed=%v, tables %q", full.Resumed, full.Tables[:min(len(full.Tables), 80)])
 	}
-	if !bytes.Equal(maskReport(full.Report), want) {
+	if !bytes.Equal(full.Report, want) {
 		t.Fatal("checkpointed fresh run must not change the report")
 	}
 	data, err := os.ReadFile(ckpt)
@@ -103,13 +103,13 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	cut := 0
 	for i, ln := range lines[1:] {
-		if bytes.Contains(ln, []byte(`"experiment":"scaling"`)) {
-			cut = i + 2 // the header, every cell before scaling, and scaling's first cell
+		if bytes.Contains(ln, []byte(`"experiment":"dircache"`)) {
+			cut = i + 2 // the header, every cell before dircache, and dircache's first cell
 			break
 		}
 	}
-	if cut == 0 || !bytes.Contains(lines[cut], []byte(`"experiment":"scaling"`)) {
-		t.Fatal("manifest has no scaling cell to cut after")
+	if cut == 0 || cut >= len(lines) || !bytes.Contains(lines[cut], []byte(`"experiment":"dircache"`)) {
+		t.Fatal("manifest has no second dircache cell to cut before")
 	}
 	if err := os.WriteFile(ckpt, bytes.Join(lines[:cut], nil), 0o644); err != nil {
 		t.Fatal(err)
@@ -125,8 +125,8 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	if resumed.Cells != full.Cells {
 		t.Fatalf("resumed %d cells, uninterrupted %d", resumed.Cells, full.Cells)
 	}
-	if got := maskReport(resumed.Report); !bytes.Equal(got, want) {
-		t.Fatalf("resumed report differs from uninterrupted:\n--- uninterrupted\n%s\n--- resumed\n%s", want, got)
+	if !bytes.Equal(resumed.Report, want) {
+		t.Fatalf("resumed report differs from uninterrupted:\n--- uninterrupted\n%s\n--- resumed\n%s", want, resumed.Report)
 	}
 
 	// A manifest recorded under a different spec must be ignored, not
@@ -138,15 +138,13 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// A timed experiment runs through the same harness as every other, so the
-// per-cell timeout applies to it.
-func TestSweepTimeoutCoversTimedExperiments(t *testing.T) {
+// The per-cell timeout applies to every cell of every experiment.
+func TestSweepTimeout(t *testing.T) {
 	spec := runner.NewJobSpec(runner.KindSweep)
 	spec.Sweep = &runner.SweepSpec{
-		Experiments: []string{"scaling"},
+		Experiments: []string{"fig7"},
 		Apps:        []string{"barnes"},
 		Procs:       []int{16},
-		Shards:      []int{1, 2},
 		Scale:       0.1,
 		TimeoutMS:   1,
 	}
@@ -154,6 +152,42 @@ func TestSweepTimeoutCoversTimedExperiments(t *testing.T) {
 	_, err := executeSweep(context.Background(), spec, jc)
 	if err == nil || !strings.Contains(err.Error(), "timed out after 1ms") {
 		t.Fatalf("want the harness timeout error, got %v", err)
+	}
+}
+
+// A spec written before the timed experiments were retired still decodes
+// (shards stays on the wire), but admission refuses it and says where each
+// measurement lives now; "all" means the remaining registry.
+func TestSweepRefusesRetiredInputs(t *testing.T) {
+	parentEra := []byte(`{"schema":"scalabletcc/job","version":1,"kind":"sweep",
+		"sweep":{"experiments":["fig7","scaling","hotpath"],"procs":[16],"shards":[1,2]}}`)
+	spec, err := runner.DecodeJobSpec(parentEra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = validateSweepSpec(spec)
+	if err == nil || !strings.Contains(err.Error(), `"scaling"`) ||
+		!strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "BENCH_shard.json") {
+		t.Fatalf("want the named scaling refusal, got %v", err)
+	}
+	spec.Sweep.Experiments = []string{"hotpath"}
+	if err = validateSweepSpec(spec); err == nil || !strings.Contains(err.Error(), `"hotpath"`) ||
+		!strings.Contains(err.Error(), "BENCH_soa.json") {
+		t.Fatalf("want the named hotpath refusal, got %v", err)
+	}
+	spec.Sweep.Experiments = []string{"fig7"}
+	if err = validateSweepSpec(spec); err == nil || !strings.Contains(err.Error(), "shards") ||
+		!strings.Contains(err.Error(), "removed") {
+		t.Fatalf("want the named shards refusal, got %v", err)
+	}
+	spec.Sweep.Shards = nil
+	if err = validateSweepSpec(spec); err != nil {
+		t.Fatalf("the spec without retired inputs must be admitted: %v", err)
+	}
+	for _, n := range Names() {
+		if n == "scaling" || n == "hotpath" {
+			t.Fatalf("registry still lists %q", n)
+		}
 	}
 }
 

@@ -247,14 +247,20 @@ func (q *Queue) checkpointPath(id string) string {
 	return filepath.Join(q.cfg.StateDir, id+".ckpt.jsonl")
 }
 
-func (q *Queue) submit(spec *JobSpec, id string, resumed bool, forkedFrom string) (*JobStatus, error) {
+// admit runs the checks every spec passes before it is queued.
+func (q *Queue) admit(spec *JobSpec) error {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if q.cfg.Validate != nil {
-		if err := q.cfg.Validate(spec); err != nil {
-			return nil, err
-		}
+		return q.cfg.Validate(spec)
+	}
+	return nil
+}
+
+func (q *Queue) submit(spec *JobSpec, id string, resumed bool, forkedFrom string) (*JobStatus, error) {
+	if err := q.admit(spec); err != nil {
+		return nil, err
 	}
 	q.mu.Lock()
 	select {
@@ -607,8 +613,11 @@ func (q *Queue) persistOutcome(id string, st JobStatus, res *JobResult) error {
 // Recover re-enqueues every persisted job that has a spec but no recorded
 // outcome — jobs that were queued or running when the previous daemon
 // stopped. Sweep jobs find their checkpoint manifest (same ID, same state
-// directory) and resume instead of recomputing. Returns the recovered IDs
-// in order.
+// directory) and resume instead of recomputing. A stored spec that no
+// longer decodes or passes admission (it names something since removed,
+// say) gets a failed outcome naming the reason, so it is reported once and
+// never retried, and recovery goes on with the rest. Returns the recovered
+// IDs in order, and every job that could not be recovered as one error.
 func (q *Queue) Recover() ([]string, error) {
 	if q.cfg.StateDir == "" {
 		return nil, nil
@@ -630,19 +639,10 @@ func (q *Queue) Recover() ([]string, error) {
 	}
 	sort.Strings(ids)
 	var recovered []string
+	var errs []error
 	for _, id := range ids {
-		if _, err := os.Stat(filepath.Join(q.cfg.StateDir, id+".outcome.json")); err == nil {
-			continue // finished in a previous life
-		}
-		data, err := os.ReadFile(filepath.Join(q.cfg.StateDir, id+".spec.json"))
-		if err != nil {
-			return recovered, fmt.Errorf("runner: recover %s: %w", id, err)
-		}
-		spec, err := DecodeJobSpec(data)
-		if err != nil {
-			return recovered, fmt.Errorf("runner: recover %s: %w", id, err)
-		}
-		// Keep the sequence counter ahead of recovered IDs.
+		// Keep the sequence counter ahead of every stored ID, so a new job
+		// never takes over a stored job's files.
 		var n int
 		if _, err := fmt.Sscanf(id, "j%06d", &n); err == nil {
 			q.mu.Lock()
@@ -651,10 +651,42 @@ func (q *Queue) Recover() ([]string, error) {
 			}
 			q.mu.Unlock()
 		}
+		if _, err := os.Stat(filepath.Join(q.cfg.StateDir, id+".outcome.json")); err == nil {
+			continue // finished in a previous life
+		}
+		data, err := os.ReadFile(filepath.Join(q.cfg.StateDir, id+".spec.json"))
+		if err != nil {
+			errs = append(errs, fmt.Errorf("runner: recover %s: %w", id, err))
+			continue // unreadable now, perhaps not at the next restart
+		}
+		spec, err := DecodeJobSpec(data)
+		if err == nil {
+			err = q.admit(spec)
+		}
+		if err != nil {
+			err = fmt.Errorf("runner: recover %s: %w", id, err)
+			errs = append(errs, err)
+			if perr := q.refuse(id, spec, err); perr != nil {
+				errs = append(errs, perr)
+			}
+			continue
+		}
 		if _, err := q.submit(spec, id, true, ""); err != nil {
-			return recovered, fmt.Errorf("runner: recover %s: %w", id, err)
+			errs = append(errs, fmt.Errorf("runner: recover %s: %w", id, err))
+			break // the queue is full or shut down: nothing later fits either
 		}
 		recovered = append(recovered, id)
 	}
-	return recovered, nil
+	return recovered, errors.Join(errs...)
+}
+
+// refuse persists a failed outcome for a stored job Recover cannot resume;
+// spec is nil when the stored spec did not decode.
+func (q *Queue) refuse(id string, spec *JobSpec, err error) error {
+	now := time.Now()
+	st := JobStatus{ID: id, State: StateFailed, Error: err.Error(), Created: now, Finished: &now}
+	if spec != nil {
+		st.Name, st.Kind = spec.Name, spec.Kind
+	}
+	return q.persistOutcome(id, st, nil)
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -217,6 +218,80 @@ func TestQueuePersistAndRecover(t *testing.T) {
 	}
 	for _, id := range append(ids, fresh.ID) {
 		close(ex2.gate(id))
+	}
+}
+
+// TestRecoverSkipsUnadmittableSpecs: a stored spec that no longer passes
+// admission or no longer decodes fails its own job, with the reason
+// persisted, and recovery goes on to the stored jobs after it.
+func TestRecoverSkipsUnadmittableSpecs(t *testing.T) {
+	dir := t.TempDir()
+	retired := runSpec("retired")
+	retired.Run.App = "retired-app"
+	for id, spec := range map[string]*JobSpec{"j000001": retired, "j000003": runSpec("valid")} {
+		data, err := spec.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "j000002.spec.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Capacity: 4, Workers: 1, StateDir: dir,
+		Validate: func(s *JobSpec) error {
+			if s.Run != nil && s.Run.App == "retired-app" {
+				return fmt.Errorf("profile %q was removed", s.Run.App)
+			}
+			return nil
+		},
+	}
+	exec := func(ctx context.Context, spec *JobSpec, jc *JobContext) (*JobResult, error) {
+		return &JobResult{Kind: spec.Kind}, nil
+	}
+
+	q := NewQueue(cfg, exec)
+	ids, err := q.Recover()
+	if len(ids) != 1 || ids[0] != "j000003" {
+		t.Fatalf("recovered %v, want [j000003]", ids)
+	}
+	if err == nil || !strings.Contains(err.Error(), "j000001") || !strings.Contains(err.Error(), "was removed") ||
+		!strings.Contains(err.Error(), "j000002") {
+		t.Fatalf("want both refusals reported, got %v", err)
+	}
+	for id, reason := range map[string]string{"j000001": "was removed", "j000002": "decode job spec"} {
+		data, rerr := os.ReadFile(filepath.Join(dir, id+".outcome.json"))
+		if rerr != nil {
+			t.Fatalf("refused job %s must persist an outcome: %v", id, rerr)
+		}
+		var out persistedOutcome
+		if rerr := json.Unmarshal(data, &out); rerr != nil {
+			t.Fatal(rerr)
+		}
+		if out.Status.ID != id || out.Status.State != StateFailed || !strings.Contains(out.Status.Error, reason) {
+			t.Fatalf("%s outcome %+v, want failed naming %q", id, out.Status, reason)
+		}
+	}
+	waitState(t, q, "j000003", StateDone)
+	fresh, err := q.Submit(runSpec("fresh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID != "j000004" {
+		t.Fatalf("fresh job took ID %s, want j000004 (after every stored ID)", fresh.ID)
+	}
+	waitState(t, q, fresh.ID, StateDone)
+	q.Shutdown()
+
+	// The refusals are outcomes now: the next restart neither retries nor
+	// reports them.
+	q2 := NewQueue(cfg, exec)
+	defer q2.Shutdown()
+	if ids, err := q2.Recover(); len(ids) != 0 || err != nil {
+		t.Fatalf("second restart recovered %v, err %v; want nothing", ids, err)
 	}
 }
 

@@ -130,8 +130,9 @@ type SweepSpec struct {
 	Procs       []int    `json:"procs,omitempty"`
 	// Hops is the Figure 8 cycles-per-hop sweep list.
 	Hops []int `json:"hops,omitempty"`
-	// Shards is the sharded-kernel shard-count axis for the scaling
-	// experiment (0 entries keep the experiment's default grid).
+	// Shards was the shard-count axis of the retired scaling experiment.
+	// It stays on the wire so strict decoding and existing spec hashes
+	// keep working; sweep admission refuses a non-empty value.
 	Shards []int `json:"shards,omitempty"`
 	// MaxProcs is the machine size for table3/fig8/fig9/ablations; 0 keeps
 	// the per-experiment default (64; table3 reports at 32).
