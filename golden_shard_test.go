@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"scalabletcc/internal/mem"
+	"scalabletcc/internal/verify"
 	"scalabletcc/tcc"
 )
 
@@ -77,10 +79,21 @@ func runGoldenShardCell(t *testing.T, c goldenShardCell, shards int) goldenShard
 	c.EventHash = eh.sum()
 	h := fnv.New64a()
 	for _, r := range res.CommitLog {
-		fmt.Fprintf(h, "%d|%d|%v|%v\n", r.TID, r.Proc, r.Reads, r.Writes)
+		fmt.Fprintf(h, "%d|%d|%v|%v\n", r.TID, r.Proc, wordMap(r.Reads), wordMap(r.Writes))
 	}
 	c.CommitLogHash = fmt.Sprintf("%016x", h.Sum64())
 	return c
+}
+
+// wordMap turns a record side into the address→version map the commit log
+// held when the hashes were recorded: fmt prints a map's keys sorted, so the
+// hash does not depend on the order a side lists its words in.
+func wordMap(w verify.Words) map[mem.Addr]mem.Version {
+	m := make(map[mem.Addr]mem.Version, len(w))
+	for _, s := range w {
+		m[s.Addr] = s.Version
+	}
+	return m
 }
 
 // goldenShardConfigs are the canonical sharded runs: a contended hotspot run

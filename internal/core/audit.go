@@ -57,12 +57,11 @@ func (s *System) AuditFinalMemory() error {
 	if !s.collectLog {
 		return fmt.Errorf("core: AuditFinalMemory requires CollectCommitLog(true)")
 	}
-	ideal := verify.FinalMemory(s.commitLog)
 	got := s.FinalMemoryView()
-	for _, a := range verify.SortedAddrs(ideal) {
-		if got[a] != ideal[a] {
+	for _, w := range verify.FinalMemory(s.commitLog) {
+		if got[w.Addr] != w.Version {
 			return fmt.Errorf("core: final memory mismatch at %#x: machine has version %d, TID-serial order requires %d",
-				a, got[a], ideal[a])
+				w.Addr, got[w.Addr], w.Version)
 		}
 	}
 	return nil

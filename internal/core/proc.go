@@ -10,6 +10,7 @@ import (
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/stats"
 	"scalabletcc/internal/tid"
+	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
@@ -764,21 +765,31 @@ func (p *Processor) doCommit() {
 	}
 
 	// Local finalization: committed versions, dirty/owned lines, log entry.
-	// The footprint record exists only for the serializability oracle, so its
-	// maps are built only when log collection is on.
+	// The footprint record exists only for the serializability oracle, so it
+	// is built only when log collection is on: the read set's samples in
+	// first-read order, then the written words line by line.
 	if p.sys.collectLog {
 		g := p.sys.cfg.Geometry
-		ws := make(map[mem.Addr]mem.Version)
+		r := CommitRecord{TID: t, Proc: p.id, Reads: append(verify.Words(nil), p.readSet.Samples()...)}
+		nw := 0
+		for _, d := range p.writeDirs {
+			for _, wl := range p.writeLines[d] {
+				nw += wl.words.Count()
+			}
+		}
+		if nw > 0 {
+			r.Writes = make(verify.Words, 0, nw)
+		}
 		for _, d := range p.writeDirs {
 			for _, wl := range p.writeLines[d] {
 				for w := 0; w < g.WordsPerLine(); w++ {
 					if wl.words.Has(w) {
-						ws[g.WordAddr(wl.base, w)] = mem.Version(t)
+						r.Writes = append(r.Writes, mem.ReadSample{Addr: g.WordAddr(wl.base, w), Version: mem.Version(t)})
 					}
 				}
 			}
 		}
-		p.sys.logCommit(CommitRecord{TID: t, Proc: p.id, Reads: p.readSet.Map(), Writes: ws})
+		p.sys.logCommit(r)
 	}
 
 	if p.sys.cfg.WriteThroughCommit {

@@ -84,6 +84,40 @@ func (x *AddrIndex) Set(a Addr, id int32) {
 	}
 }
 
+// Insert returns the id stored for a and true when a is present; otherwise
+// it stores id for a and returns id and false. It is Get then Set in one
+// probe sequence.
+func (x *AddrIndex) Insert(a Addr, id int32) (int32, bool) {
+	if 2*(x.n+1) > len(x.tab) {
+		x.grow()
+	}
+	mask := uint32(len(x.tab) - 1)
+	i := rsHash(a) & mask
+	for {
+		s := &x.tab[i]
+		if s.gen != x.gen {
+			s.addr, s.gen, s.id = a, x.gen, id
+			x.n++
+			return id, false
+		}
+		if s.addr == a {
+			return s.id, true
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// Reserve sizes the table so that n live entries fit without growing.
+func (x *AddrIndex) Reserve(n int) {
+	size := max(len(x.tab), aiMinTable)
+	for 2*n > size {
+		size *= 2
+	}
+	if size > len(x.tab) {
+		x.resize(size)
+	}
+}
+
 // Del removes a from the index and reports whether it was present.
 func (x *AddrIndex) Del(a Addr) bool {
 	if x.n == 0 {
@@ -122,15 +156,14 @@ func (x *AddrIndex) Del(a Addr) bool {
 	return true
 }
 
-// grow doubles the table (allocating the minimum size on first use) and
-// rehashes the live entries from the old table.
-func (x *AddrIndex) grow() {
+// grow doubles the table, allocating the minimum size on first use.
+func (x *AddrIndex) grow() { x.resize(max(2*len(x.tab), aiMinTable)) }
+
+// resize moves the live entries into a fresh table of n slots, a power of
+// two.
+func (x *AddrIndex) resize(n int) {
 	old := x.tab
 	oldGen := x.gen
-	n := 2 * len(old)
-	if n < aiMinTable {
-		n = aiMinTable
-	}
 	if x.gen == 0 {
 		x.gen = 1
 	}

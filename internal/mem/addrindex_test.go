@@ -41,9 +41,9 @@ func TestAddrIndexBasic(t *testing.T) {
 }
 
 // TestAddrIndexVsMap drives the index and a Go map through the same random
-// operation stream — inserts, overwrites, deletes, resets — and checks they
-// agree after every step. Line-stride addresses from a small range force
-// probe-chain collisions so backward-shift deletion is exercised.
+// operation stream — inserts, overwrites, deletes, resets, reservations —
+// and checks they agree after every step. Line-stride addresses from a small
+// range force probe-chain collisions so backward-shift deletion is exercised.
 func TestAddrIndexVsMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var x AddrIndex
@@ -54,11 +54,23 @@ func TestAddrIndexVsMap(t *testing.T) {
 		case op < 5: // insert/overwrite
 			a := Addr(rng.Intn(400)) * 32
 			v := int32(rng.Intn(1 << 20))
-			if _, ok := ref[a]; !ok {
+			old, had := ref[a]
+			if !had {
 				keys = append(keys, a)
 			}
-			ref[a] = v
-			x.Set(a, v)
+			if rng.Intn(2) == 0 {
+				ref[a] = v
+				x.Set(a, v)
+				break
+			}
+			// Insert keeps a present id and stores v only for a new key.
+			got, ok := x.Insert(a, v)
+			if ok != had || (had && got != old) || (!had && got != v) {
+				t.Fatalf("step %d: Insert(%d, %d) = %d,%v, want present %v (id %d)", step, a, v, got, ok, had, old)
+			}
+			if !had {
+				ref[a] = v
+			}
 		case op < 8: // delete (sometimes a missing key)
 			a := Addr(rng.Intn(500)) * 32
 			_, want := ref[a]
@@ -76,10 +88,17 @@ func TestAddrIndexVsMap(t *testing.T) {
 			if got != want || (got && gotV != wantV) {
 				t.Fatalf("step %d: Get(%d) = %d,%v, want %d,%v", step, a, gotV, got, wantV, want)
 			}
-		default: // occasional wholesale reset
+		default: // occasional wholesale reset, sometimes with a reservation
 			x.Reset()
 			ref = map[Addr]int32{}
 			keys = keys[:0]
+			if rng.Intn(2) == 0 {
+				n := rng.Intn(600)
+				x.Reserve(n)
+				if len(x.tab) < 2*n {
+					t.Fatalf("step %d: Reserve(%d) left %d slots", step, n, len(x.tab))
+				}
+			}
 		}
 		if x.Len() != len(ref) {
 			t.Fatalf("step %d: Len = %d, want %d", step, x.Len(), len(ref))

@@ -117,13 +117,3 @@ func (r *ReadSet) grow() {
 		r.tab[i] = rsSlot{addr: s.Addr, gen: r.gen, idx: int32(idx)}
 	}
 }
-
-// Map materializes the read-set as a map for the serializability oracle.
-// Allocates; callers gate it on log collection.
-func (r *ReadSet) Map() map[Addr]Version {
-	out := make(map[Addr]Version, len(r.list))
-	for _, s := range r.list {
-		out[s.Addr] = s.Version
-	}
-	return out
-}

@@ -166,13 +166,12 @@ func (m *Machine) AuditFinalMemory() error {
 	if !m.CollectLog {
 		return fmt.Errorf("%s: AuditFinalMemory requires CollectCommitLog", m.Name)
 	}
-	ideal := verify.FinalMemory(m.CommitLog)
 	g := m.Cfg.Geometry
-	for _, a := range verify.SortedAddrs(ideal) {
-		got := m.Memory.Line(g.Line(a))[g.WordIndex(a)]
-		if got != ideal[a] {
+	for _, w := range verify.FinalMemory(m.CommitLog) {
+		got := m.Memory.Line(g.Line(w.Addr))[g.WordIndex(w.Addr)]
+		if got != w.Version {
 			return fmt.Errorf("%s: final memory mismatch at %#x: memory has version %d, replay requires %d",
-				m.Name, uint64(a), uint64(got), uint64(ideal[a]))
+				m.Name, uint64(w.Addr), uint64(got), uint64(w.Version))
 		}
 	}
 	return nil

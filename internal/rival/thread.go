@@ -267,10 +267,9 @@ func (t *Thread) NewRecord(v mem.Version) *verify.Record {
 		return nil
 	}
 	return &verify.Record{
-		TID:    tid.TID(v),
-		Proc:   t.ID,
-		Reads:  t.ReadSet.Map(),
-		Writes: make(map[mem.Addr]mem.Version),
+		TID:   tid.TID(v),
+		Proc:  t.ID,
+		Reads: append(verify.Words(nil), t.ReadSet.Samples()...),
 	}
 }
 
@@ -282,7 +281,7 @@ func (t *Thread) RecordWrites(r *verify.Record, base mem.Addr, words bits.WordMa
 	}
 	for w := 0; w < t.M.Cfg.Geometry.WordsPerLine(); w++ {
 		if words.Has(w) {
-			r.Writes[t.M.Cfg.Geometry.WordAddr(base, w)] = v
+			r.Writes = append(r.Writes, mem.ReadSample{Addr: t.M.Cfg.Geometry.WordAddr(base, w), Version: v})
 		}
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"scalabletcc/internal/mem"
+	"scalabletcc/internal/verify"
 )
 
 func TestProtocolRegistry(t *testing.T) {
@@ -79,6 +82,44 @@ func TestCrossProtocolOracle(t *testing.T) {
 		}
 		if err := sys.AuditFinalMemory(); err != nil {
 			t.Errorf("%s: %v", info.Name, err)
+		}
+	}
+}
+
+// TestCommitRecordsHoldEachAddressOnce: every protocol logs a word at most
+// once per record side, which the flat replay relies on (DESIGN §33), and
+// leaves an empty side nil, as a decoded checkpoint has it.
+func TestCommitRecordsHoldEachAddressOnce(t *testing.T) {
+	cfg := DefaultConfig(8)
+	cfg.Seed = 3
+	cfg.CollectCommitLog = true
+	for _, app := range []string{"hotspot", "barnes"} {
+		prof := MustProfile(app).Scale(0.1)
+		for _, info := range Protocols() {
+			res, err := RunProtocol(info.Name, cfg, prof.Build(cfg.Procs, cfg.Seed))
+			if err != nil {
+				t.Fatalf("%s %s: %v", info.Name, app, err)
+			}
+			var reads, writes int
+			for _, r := range res.CommitLog {
+				for _, side := range []verify.Words{r.Reads, r.Writes} {
+					if side != nil && len(side) == 0 {
+						t.Fatalf("%s %s: T%d has an empty non-nil side", info.Name, app, r.TID)
+					}
+					seen := make(map[mem.Addr]bool, len(side))
+					for _, w := range side {
+						if seen[w.Addr] {
+							t.Fatalf("%s %s: T%d lists %#x twice on one side: %+v", info.Name, app, r.TID, w.Addr, r)
+						}
+						seen[w.Addr] = true
+					}
+				}
+				reads += len(r.Reads)
+				writes += len(r.Writes)
+			}
+			if reads == 0 || writes == 0 {
+				t.Fatalf("%s %s: log has %d reads and %d writes", info.Name, app, reads, writes)
+			}
 		}
 	}
 }
