@@ -8,6 +8,7 @@ import (
 
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/sim"
+	"scalabletcc/internal/tid"
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
@@ -22,8 +23,9 @@ func (l *eventLog) Event(e obs.Event) { l.evs = append(l.evs, e) }
 // ckRun executes prof on a fresh system configured by mutate, collecting the
 // commit log and event stream, checkpointing every `every` cycles (0 = plain
 // Run). It returns the results, the event stream, and every checkpoint taken
-// (after a JSON round-trip, so serialization is part of what the determinism
-// assertions cover) together with the event-stream length at each cut.
+// (after a round trip through the codec, checked against encoding/json, so
+// serialization is part of what the determinism assertions cover) together
+// with the event-stream length at each cut.
 func ckRun(t *testing.T, prof workload.Profile, procs int, mutate func(*Config),
 	every sim.Time) (*Results, []obs.Event, []*Checkpoint, []int) {
 	t.Helper()
@@ -48,15 +50,7 @@ func ckRun(t *testing.T, prof workload.Profile, procs int, mutate func(*Config),
 	var res *Results
 	if every > 0 {
 		res, err = sys.RunCheckpointed(every, func(ck *Checkpoint) error {
-			raw, err := json.Marshal(ck)
-			if err != nil {
-				return err
-			}
-			var back Checkpoint
-			if err := json.Unmarshal(raw, &back); err != nil {
-				return err
-			}
-			cks = append(cks, &back)
+			cks = append(cks, codecRoundTrip(t, ck))
 			cuts = append(cuts, len(log.evs))
 			return nil
 		})
@@ -347,5 +341,82 @@ func TestCheckpointPreRun(t *testing.T) {
 	}
 	if res.Commits != 0 || res.Cycles != 0 {
 		t.Fatalf("pre-run snapshot replayed work: %d commits over %d cycles", res.Commits, res.Cycles)
+	}
+}
+
+// TestRestoreRefusesMalformedCheckpoint: a checkpoint without network state,
+// or one naming a node outside the machine where the restored run would
+// index by it, is refused by Restore rather than panicking there or in the
+// run after it.
+func TestRestoreRefusesMalformedCheckpoint(t *testing.T) {
+	prof := workload.Hotspot().Scale(0.1)
+	const procs = 4
+	ref, _, _, _ := ckRun(t, prof, procs, nil, 0)
+	_, _, cks, _ := ckRun(t, prof, procs, nil, ref.Cycles/3)
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints taken")
+	}
+	raw := AppendCheckpoint(nil, cks[0])
+	cfg := DefaultConfig(procs)
+	cfg.MaxCycles = 2_000_000_000
+	prog := prof.Build(procs, cfg.Seed)
+
+	const far = 99
+	event := func(ck *Checkpoint, carriesMsg bool) *EventState {
+		for i := range ck.Events {
+			if es := &ck.Events[i]; (es.Msg != nil) == carriesMsg {
+				return es
+			}
+		}
+		t.Fatalf("checkpoint has no pending event with carriesMsg=%v", carriesMsg)
+		return nil
+	}
+	// sysEvent turns a pending event that carries no message into a System
+	// event with the given code, node and a1.
+	sysEvent := func(ck *Checkpoint, code uint32, node int, a1 uint64) {
+		es := event(ck, false)
+		*es = EventState{At: es.At, Seq: es.Seq, Handler: "sys", Code: code, Node: node, A1: a1}
+	}
+	for name, doctor := range map[string]func(*Checkpoint){
+		"no net":          func(ck *Checkpoint) { ck.Net = nil },
+		"message dst":     func(ck *Checkpoint) { event(ck, true).Msg.Dst = far },
+		"message src":     func(ck *Checkpoint) { event(ck, true).Msg.Src = -2 },
+		"sys event node":  func(ck *Checkpoint) { sysEvent(ck, sysSample, far, 0) },
+		"fault directory": func(ck *Checkpoint) { sysEvent(ck, sysFault, -1, far) },
+		"owner":           func(ck *Checkpoint) { ck.Dirs[0].Entries[0].Owner = far },
+		"sharers":         func(ck *Checkpoint) { ck.Dirs[0].Entries[0].Sharers = []uint64{1 << 40} },
+		"sharing vector":  func(ck *Checkpoint) { ck.Procs[1].SharingVec = []uint64{0, 1} },
+		"mark owner":      func(ck *Checkpoint) { ck.Dirs[1].MarkOwner = far },
+		"pending sender":  func(ck *Checkpoint) { ck.Dirs[0].Entries[0].PendingFrom = []int{0, far} },
+		"probe sender":    func(ck *Checkpoint) { ck.Dirs[2].Probes = append(ck.Dirs[2].Probes, ProbeState{T: 1, From: far}) },
+		"stalled load": func(ck *Checkpoint) {
+			ck.Dirs[3].Stalls = append(ck.Dirs[3].Stalls, StallState{Loads: []PendingLoadState{{From: far}}})
+		},
+		"outstanding owner": func(ck *Checkpoint) { ck.VendorOut = append(ck.VendorOut, tid.Outstanding{TID: 1, Node: far}) },
+	} {
+		ck, err := DecodeCheckpoint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doctor(ck)
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: RestoreSystem panicked: %v", name, p)
+				}
+			}()
+			if _, err := RestoreSystem(cfg, prog, ck); err == nil {
+				t.Errorf("%s: RestoreSystem accepted the checkpoint", name)
+			}
+		}()
+	}
+	// The same doctored bytes with "net" left out, as a manifest entry might
+	// hold them.
+	ck, err := DecodeCheckpoint([]byte(strings.Replace(string(raw), `"net":{`, `"zz":{`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreSystem(cfg, prog, ck); err == nil {
+		t.Error("a checkpoint without \"net\" restored")
 	}
 }

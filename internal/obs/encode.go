@@ -47,7 +47,7 @@ func appendEvent(b []byte, e Event) []byte {
 	}
 	if e.Set != "" {
 		b = append(b, `,"set":`...)
-		b = appendString(b, e.Set)
+		b = AppendString(b, e.Set)
 	}
 	return append(b, '}')
 }
@@ -61,12 +61,13 @@ func appendUintField(b []byte, key string, v uint64) []byte {
 	return strconv.AppendUint(b, v, 10)
 }
 
-// appendString appends s as a JSON string. Printable ASCII other than the
-// characters encoding/json escapes is copied verbatim; anything else (quote,
-// backslash, the HTML-sensitive <, > and &, control bytes, and every
-// non-ASCII byte, which covers invalid UTF-8 and U+2028/U+2029) falls back to
-// json.Marshal.
-func appendString(b []byte, s string) []byte {
+// AppendString appends s as a JSON string, byte-identical to json.Marshal(s).
+// Printable ASCII other than the characters encoding/json escapes is copied
+// verbatim; anything else (quote, backslash, the HTML-sensitive <, > and &,
+// control bytes, and every non-ASCII byte, which covers invalid UTF-8 and
+// U+2028/U+2029) falls back to json.Marshal. The kernel-checkpoint codec
+// writes its strings through it too.
+func AppendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20, c >= 0x80, c == '"', c == '\\', c == '<', c == '>', c == '&':

@@ -18,7 +18,12 @@ import (
 // MarshalJSON encodes w as a JSON object keyed by decimal address, in slice
 // order. An empty side is {}.
 func (w Words) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 2+24*len(w))
+	return w.AppendJSON(make([]byte, 0, 2+24*len(w))), nil
+}
+
+// AppendJSON appends the bytes MarshalJSON returns to b. The kernel-checkpoint
+// codec writes commit-log sides with it.
+func (w Words) AppendJSON(b []byte) []byte {
 	b = append(b, '{')
 	for i, s := range w {
 		if i > 0 {
@@ -29,7 +34,7 @@ func (w Words) MarshalJSON() ([]byte, error) {
 		b = append(b, '"', ':')
 		b = strconv.AppendUint(b, uint64(s.Version), 10)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 var errWordsSyntax = errors.New("verify: record side is not a JSON object of address to version")
