@@ -37,10 +37,11 @@ type checkpointHeader struct {
 }
 
 // scanCheckpoint walks the manifest bytes and returns the entry lines of the
-// valid prefix, the byte length of that prefix (header line included), and
-// whether the header matched (schema, version, spec hash). Scanning stops at
-// the first partial line (no terminating newline) or non-JSON line; entries
-// past that point are corruption, never trusted.
+// valid prefix (sub-slices of data, not copies), the byte length of that
+// prefix (header line included), and whether the header matched (schema,
+// version, spec hash). Scanning stops at the first partial line (no
+// terminating newline) or non-JSON line; entries past that point are
+// corruption, never trusted.
 func scanCheckpoint(data []byte, specHash string) (entries [][]byte, validLen int64, headerOK bool) {
 	rest := data
 	first := true
@@ -63,7 +64,7 @@ func scanCheckpoint(data []byte, specHash string) (entries [][]byte, validLen in
 			if len(ln) == 0 || !json.Valid(ln) {
 				break // corruption: keep the valid prefix only
 			}
-			entries = append(entries, append([]byte(nil), ln...))
+			entries = append(entries, ln[:len(ln):len(ln)])
 		}
 		validLen += int64(nl + 1)
 		rest = rest[nl+1:]

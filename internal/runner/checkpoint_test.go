@@ -28,35 +28,38 @@ func validHeader(job, hash string) string {
 	return string(h)
 }
 
-// TestCheckpointEdgeMatrix covers the manifest loader's degenerate inputs:
-// empty file, header-only file, wrong-version header, and a corrupt middle
-// line (valid prefix kept, suffix dropped).
-func TestCheckpointEdgeMatrix(t *testing.T) {
-	dir := t.TempDir()
-	hdr := validHeader("j000001", "h1")
-	wrongVer := func() string {
-		h, _ := json.Marshal(checkpointHeader{
-			Schema: CheckpointSchema, Version: CheckpointVersion + 1, Job: "j000001", SpecHash: "h1",
-		})
-		return string(h)
-	}()
+// edgeCase is one degenerate manifest image and what the loader makes of it
+// under spec hash "h1".
+type edgeCase struct {
+	name    string
+	data    []byte
+	want    int  // entry count from LoadCheckpoint
+	wantNil bool // loader must report "nothing to resume"
+}
 
-	cases := []struct {
-		name    string
-		data    []byte
-		want    int  // entry count from LoadCheckpoint
-		wantNil bool // loader must report "nothing to resume"
-	}{
+func edgeMatrix() []edgeCase {
+	hdr := validHeader("j000001", "h1")
+	wrongVer, _ := json.Marshal(checkpointHeader{
+		Schema: CheckpointSchema, Version: CheckpointVersion + 1, Job: "j000001", SpecHash: "h1",
+	})
+	return []edgeCase{
 		{name: "empty", data: nil, wantNil: true},
 		{name: "header-only", data: manifestBytes(hdr), want: 0},
-		{name: "wrong-version", data: manifestBytes(wrongVer, `{"i":0}`), wantNil: true},
+		{name: "wrong-version", data: manifestBytes(string(wrongVer), `{"i":0}`), wantNil: true},
 		{name: "non-json-header", data: manifestBytes("not json", `{"i":0}`), wantNil: true},
 		{name: "partial-header", data: []byte(`{"schema":"scalabletcc/job-ch`), wantNil: true},
 		{name: "corrupt-middle", data: manifestBytes(hdr, `{"i":0}`, `{"i":1,CORRUPT`, `{"i":2}`), want: 1},
 		{name: "blank-middle", data: manifestBytes(hdr, `{"i":0}`, ``, `{"i":2}`), want: 1},
 		{name: "partial-tail", data: append(manifestBytes(hdr, `{"i":0}`), []byte(`{"i":1`)...), want: 1},
 	}
-	for _, tc := range cases {
+}
+
+// TestCheckpointEdgeMatrix covers the manifest loader's degenerate inputs:
+// empty file, header-only file, wrong-version header, and a corrupt middle
+// line (valid prefix kept, suffix dropped).
+func TestCheckpointEdgeMatrix(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range edgeMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(dir, tc.name+".jsonl")
 			if tc.data != nil {
@@ -83,6 +86,58 @@ func TestCheckpointEdgeMatrix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzManifest holds the manifest loader to its contract on arbitrary
+// bytes: every entry it returns is JSON, the valid prefix ends on a newline,
+// and reopening the manifest for appending (which truncates it to that
+// prefix, or recreates it under a foreign or broken header) and appending
+// one entry reloads as the old entries plus the new one.
+func FuzzManifest(f *testing.F) {
+	for _, tc := range edgeMatrix() {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, validLen, ok := scanCheckpoint(data, "h1")
+		for _, e := range entries {
+			if !json.Valid(e) {
+				t.Fatalf("entry %q is not JSON", e)
+			}
+		}
+		if validLen < 0 || validLen > int64(len(data)) || validLen > 0 && data[validLen-1] != '\n' {
+			t.Fatalf("valid prefix of %d bytes does not end on a newline", validLen)
+		}
+		if !ok && (entries != nil || validLen != 0) {
+			t.Fatalf("refused manifest returned %d entries and a %d-byte prefix", len(entries), validLen)
+		}
+		path := filepath.Join(t.TempDir(), "m.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cw, err := AppendCheckpoint(path, "j000001", "h1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Append(map[string]int{"new": 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCheckpoint(path, "h1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(entries, []byte(`{"new":1}`))
+		if len(got) != len(want) {
+			t.Fatalf("reload has %d entries, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("reload entry %d is %q, want %q", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestAppendCheckpointValidatesHeader exercises the reopen path: a manifest

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -168,6 +169,97 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("resume from entry %d: stream (%d bytes) differs from the uninterrupted one (%d bytes)",
 				i, got.Len(), len(want))
+		}
+	}
+}
+
+// A fork copies the parent's latest snapshot into the child's manifest
+// without re-encoding it: the child's entry is byte-identical to
+// json.Marshal of the parent's entry with event_bytes 0. A parent entry
+// outside save's frame (here, with white space in the frame and in the
+// snapshot) takes the json.Unmarshal path and ends up identical too.
+func TestForkCopiesParentCheckpoint(t *testing.T) {
+	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
+	dir := t.TempDir()
+	parentCk := filepath.Join(dir, "parent.ckpt.jsonl")
+	if _, err := RunJob(context.Background(), spec,
+		&RunJobOptions{EventWriter: io.Discard, CheckpointPath: parentCk}); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(parentCk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loose := bytes.Replace(manifest, []byte(`"event_bytes":`), []byte(`"event_bytes": `), -1)
+	loose = bytes.Replace(loose, []byte(`"version":1,`), []byte(`"version": 1,`), -1)
+	for name, m := range map[string][]byte{"save's frame": manifest, "loose frame": loose} {
+		if err := os.WriteFile(parentCk, m, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(m, []byte("\n")), []byte("\n"))
+		var e runCheckpointEntry
+		if err := json.Unmarshal(lines[len(lines)-1], &e); err != nil {
+			t.Fatal(err)
+		}
+		e.EventBytes = 0
+		want, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		child := *spec
+		childRun := *spec.Run
+		child.Run = &childRun
+		childCk := filepath.Join(dir, "child.ckpt.jsonl")
+		if err := PrepareForkJob(spec, &child, parentCk, childCk, "child"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := os.ReadFile(childCk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		childLines := bytes.Split(bytes.TrimSuffix(got, []byte("\n")), []byte("\n"))
+		if len(childLines) != 2 || !bytes.Equal(childLines[1], want) {
+			t.Fatalf("%s: child entry differs from json.Marshal of the parent's entry", name)
+		}
+	}
+}
+
+// readEntry agrees with json.Unmarshal of the entry followed by json.Marshal
+// of its checkpoint, on save's frame and on every way out of it.
+func TestReadEntryMatchesUnmarshal(t *testing.T) {
+	for _, line := range []string{
+		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":[1,{"b":"}"}],"c":"\"{"}}`,
+		`{"cycle":0,"event_bytes":0,"checkpoint":{}}`,
+		`{"cycle": 12,"event_bytes":34,"checkpoint":{}}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":{ "a":1}}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":"<b>"}}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":"é"}}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":1},"checkpoint":{"b":2}}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":1},"extra":3}`,
+		`{"cycle":12,"event_bytes":-1,"checkpoint":{}}`,
+		`{"cycle":1e1,"event_bytes":3,"checkpoint":{}}`,
+		`{"event_bytes":34,"cycle":12,"checkpoint":{}}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":null}`,
+		`{"cycle":12,"event_bytes":34,"checkpoint":[1]}`,
+		`{"cycle":12,"event_bytes":34}`,
+		`{"cycle":99999999999999999999,"event_bytes":34,"checkpoint":{}}`,
+		`{"cycle":12,"event_bytes":9223372036854775808,"checkpoint":{}}`,
+	} {
+		var e runCheckpointEntry
+		wantErr := json.Unmarshal([]byte(line), &e)
+		var wantCk []byte
+		if wantErr == nil && len(e.Checkpoint) > 0 {
+			wantCk, _ = json.Marshal(e.Checkpoint)
+		}
+		cycle, n, ck, err := readEntry([]byte(line))
+		switch {
+		case wantCk == nil:
+			if err == nil {
+				t.Errorf("%s: read as %d/%d/%s, json.Unmarshal finds no snapshot", line, cycle, n, ck)
+			}
+		case err != nil || cycle != e.Cycle || n != e.EventBytes || !bytes.Equal(ck, wantCk):
+			t.Errorf("%s: read as %d/%d/%s (%v), want %d/%d/%s", line, cycle, n, ck, err, e.Cycle, e.EventBytes, wantCk)
 		}
 	}
 }

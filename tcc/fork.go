@@ -9,7 +9,6 @@
 package tcc
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 
@@ -48,11 +47,10 @@ func PrepareForkJob(parent, child *JobSpec, parentCk, childCk, childID string) e
 	if len(entries) == 0 {
 		return fmt.Errorf("tcc: parent job has no checkpoint snapshot to fork from yet")
 	}
-	var e runCheckpointEntry
-	if err := json.Unmarshal(entries[len(entries)-1], &e); err != nil || len(e.Checkpoint) == 0 {
+	cycle, _, raw, err := readEntry(entries[len(entries)-1])
+	if err != nil {
 		return fmt.Errorf("tcc: parent checkpoint entry is not a kernel snapshot")
 	}
-	e.EventBytes = 0 // the child's stream starts at the fork point
 
 	childHash, err := child.Hash()
 	if err != nil {
@@ -62,7 +60,9 @@ func PrepareForkJob(parent, child *JobSpec, parentCk, childCk, childID string) e
 	if err != nil {
 		return err
 	}
-	if err := cw.Append(e); err != nil {
+	// The parent's snapshot bytes are copied, not decoded; the child's stream
+	// starts at the fork point, so its event_bytes is 0.
+	if err := cw.AppendRaw(appendEntryHead(nil, cycle, 0), raw, closeBrace); err != nil {
 		cw.Close()
 		return err
 	}
