@@ -46,9 +46,25 @@ type CacheState struct {
 	Stats    Stats       `json:"stats"`
 }
 
-// Snapshot captures the cache's observable state.
+// Snapshot captures the cache's observable state. The lines' data words
+// share one allocation.
 func (c *Cache) Snapshot() *CacheState {
 	s := &CacheState{Clock: c.clock, Stats: c.stats}
+	n := len(c.ovLines)
+	for _, l := range c.wayLine {
+		if l != nil && l.Valid {
+			n++
+		}
+	}
+	wpl := c.geom.WordsPerLine()
+	slab := make([]mem.Version, 0, n*wpl)
+	copyData := func(d []mem.Version) []mem.Version {
+		slab = append(slab, d...)
+		return slab[len(slab)-len(d) : len(slab) : len(slab)]
+	}
+	if n > len(c.ovLines) {
+		s.Lines = make([]LineState, 0, n-len(c.ovLines))
+	}
 	for si := 0; si < c.sets; si++ {
 		b := c.setBlk[si]
 		if b < 0 {
@@ -64,7 +80,7 @@ func (c *Cache) Snapshot() *CacheState {
 				Set: si, Way: w, Base: l.Base, VW: l.VW,
 				Dirty: l.Dirty, OW: l.OW, SR: l.SR, SM: l.SM,
 				LRU: l.lru, Tracked: l.tracked,
-				Data: append([]mem.Version(nil), l.Data...),
+				Data: copyData(l.Data),
 			})
 		}
 	}
@@ -73,7 +89,7 @@ func (c *Cache) Snapshot() *CacheState {
 			Set: -1, Way: -1, Base: l.Base, VW: l.VW,
 			Dirty: l.Dirty, OW: l.OW, SR: l.SR, SM: l.SM,
 			LRU:  l.lru,
-			Data: append([]mem.Version(nil), l.Data...),
+			Data: copyData(l.Data),
 		})
 	}
 	return s

@@ -59,11 +59,16 @@ type LineImage struct {
 }
 
 // Snapshot returns every touched line in first-touch (position) order, so
-// restoring replays the original allocation sequence.
+// restoring replays the original allocation sequence. The lines' words share
+// one allocation.
 func (m *Memory) Snapshot() []LineImage {
 	out := make([]LineImage, m.idx.Len())
+	wpl := m.geom.WordsPerLine()
+	words := make([]Version, len(out)*wpl)
 	m.idx.ForEach(func(a Addr, id int32) {
-		out[id] = LineImage{Base: a, Words: append([]Version(nil), m.data[id]...)}
+		w := words[int(id)*wpl : int(id+1)*wpl : int(id+1)*wpl]
+		copy(w, m.data[id])
+		out[id] = LineImage{Base: a, Words: w}
 	})
 	return out
 }
