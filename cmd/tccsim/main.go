@@ -191,7 +191,7 @@ func printRegistry(name string, prof tcc.Profile, procs int, out *tcc.JobOutput,
 	case res.Baseline != nil:
 		fmt.Printf("  bus           %d bytes, busy %d cycles (%.1f%%)\n",
 			res.Baseline.BusBytes, res.Baseline.BusBusy,
-			100*float64(res.Baseline.BusBusy)/float64(res.Baseline.Cycles))
+			100*float64(res.Baseline.BusBusy)/float64(res.Summary.Cycles))
 	}
 	if verify {
 		reportVerify(out.Result.Violations)

@@ -99,12 +99,12 @@ func runGoldenCell(t *testing.T, c goldenCell) goldenCell {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		res := pres.Baseline
-		c.Cycles = uint64(res.Cycles)
-		c.Commits = res.Commits
-		c.Violations = res.Violations
-		c.Instr = res.Instr
-		c.Bytes = res.BusBytes
+		sum := pres.Summary
+		c.Cycles = sum.Cycles
+		c.Commits = sum.Commits
+		c.Violations = sum.Violations
+		c.Instr = sum.Instructions
+		c.Bytes = pres.Baseline.BusBytes
 	default:
 		t.Fatalf("%s: unknown system %q", c.Name, c.System)
 	}

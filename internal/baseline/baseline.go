@@ -17,8 +17,6 @@ import (
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/rival"
 	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
@@ -26,37 +24,11 @@ import (
 // cycles the commit token takes to reach its next holder.
 const busArbitration sim.Time = 3
 
-// Results mirrors the scalable system's result shape where meaningful.
+// Results holds the counters only the bus machine keeps; the run's digest
+// is the embedded Machine's Summary.
 type Results struct {
-	Cycles     sim.Time
-	Breakdown  stats.Breakdown
-	Commits    uint64
-	Violations uint64
-	Instr      uint64
-	BusBytes   uint64
-	BusBusy    sim.Time // cycles the bus was occupied
-	CommitLog  []verify.Record
-}
-
-// Speedup returns base's cycle count divided by r's.
-func (r *Results) Speedup(base *Results) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(base.Cycles) / float64(r.Cycles)
-}
-
-// Summary returns the machine-independent digest every protocol reports
-// (ProtocolResults.Summary).
-func (r *Results) Summary() stats.Summary {
-	return stats.Summary{
-		Protocol:     "baseline",
-		Cycles:       uint64(r.Cycles),
-		Instructions: r.Instr,
-		Commits:      r.Commits,
-		Violations:   r.Violations,
-		Breakdown:    r.Breakdown,
-	}
+	BusBytes uint64
+	BusBusy  sim.Time // cycles the bus was occupied
 }
 
 // System is the assembled bus-based TCC machine.
@@ -65,9 +37,8 @@ type System struct {
 	procs []*proc
 
 	// Ordered bus: one shared medium with FIFO occupancy.
-	busFree  sim.Time
-	busBusy  sim.Time
-	busBytes uint64
+	busFree sim.Time
+	res     Results // bus bytes and occupancy
 
 	// Commit token: FIFO arbiter.
 	tokenHeld  bool
@@ -102,8 +73,8 @@ func (s *System) busSend(bytes int, p *proc, code uint32, a1 uint64) {
 		start = s.busFree
 	}
 	s.busFree = start + occupancy
-	s.busBusy += occupancy
-	s.busBytes += uint64(bytes)
+	s.res.BusBusy += occupancy
+	s.res.BusBytes += uint64(bytes)
 	s.Kernel.Post(start+occupancy, p, code, a1, 0)
 }
 
@@ -128,19 +99,8 @@ func (s *System) releaseToken() {
 	s.Kernel.PostAfter(busArbitration, next, prToken, 0, 0)
 }
 
-// Run executes the program to completion.
-func (s *System) Run() (*Results, error) {
-	if err := s.Simulate(); err != nil {
-		return nil, err
-	}
-	return &Results{
-		Cycles:     s.Kernel.Now(),
-		Breakdown:  s.Breakdown(),
-		Commits:    s.Commits,
-		Violations: s.Violations,
-		Instr:      s.Instr,
-		BusBytes:   s.busBytes,
-		BusBusy:    s.busBusy,
-		CommitLog:  s.CommitLog,
-	}, nil
+// Results returns the run's bus counters. Call it after Simulate.
+func (s *System) Results() *Results {
+	r := s.res
+	return &r
 }

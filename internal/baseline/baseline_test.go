@@ -4,11 +4,18 @@ import (
 	"testing"
 
 	"scalabletcc/internal/core"
+	"scalabletcc/internal/stats"
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
-func run(t *testing.T, prof workload.Profile, procs int) *Results {
+// outcome is one finished run: the shared digest and the bus counters.
+type outcome struct {
+	stats.Summary
+	*Results
+}
+
+func run(t *testing.T, prof workload.Profile, procs int) outcome {
 	t.Helper()
 	cfg := core.DefaultConfig(procs)
 	cfg.MaxCycles = 2_000_000_000
@@ -18,15 +25,14 @@ func run(t *testing.T, prof workload.Profile, procs int) *Results {
 		t.Fatal(err)
 	}
 	sys.CollectCommitLog(true)
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatalf("Run(%s, %d): %v", prof.Name, procs, err)
+	if err := sys.Simulate(); err != nil {
+		t.Fatalf("Simulate(%s, %d): %v", prof.Name, procs, err)
 	}
-	if viols := verify.Check(res.CommitLog); len(viols) != 0 {
+	if viols := verify.Check(sys.CommitLog); len(viols) != 0 {
 		t.Fatalf("%s on %d procs: %d serializability violations, first: %v",
 			prof.Name, procs, len(viols), viols[0])
 	}
-	return res
+	return outcome{sys.Summary(), sys.Results()}
 }
 
 func TestBaselineSingleProc(t *testing.T) {
@@ -108,22 +114,20 @@ func TestBaselineSnoopFalseSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wres, err := wsys.Run()
-	if err != nil {
+	if err := wsys.Simulate(); err != nil {
 		t.Fatal(err)
 	}
 	lsys, err := NewSystem(line, prof.Build(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lres, err := lsys.Run()
-	if err != nil {
+	if err := lsys.Simulate(); err != nil {
 		t.Fatal(err)
 	}
-	if wres.Violations != 0 {
-		t.Fatalf("word-level bus snooping violated %d times on disjoint words", wres.Violations)
+	if n := wsys.Summary().Violations; n != 0 {
+		t.Fatalf("word-level bus snooping violated %d times on disjoint words", n)
 	}
-	if lres.Violations == 0 {
+	if lsys.Summary().Violations == 0 {
 		t.Fatal("line-level bus snooping saw no false-sharing violations")
 	}
 }
@@ -133,7 +137,7 @@ func TestBaselineBusBytesAccounted(t *testing.T) {
 	if res.BusBytes == 0 || res.BusBusy == 0 {
 		t.Fatal("bus accounting empty")
 	}
-	if res.Instr == 0 {
+	if res.Instructions == 0 {
 		t.Fatal("no committed instructions")
 	}
 }

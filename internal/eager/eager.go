@@ -37,39 +37,18 @@ import (
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/rival"
-	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
-// Results summarizes an eager run.
+// Results holds the counters only an eager machine keeps; the run's digest
+// is the embedded Machine's Summary.
 type Results struct {
-	Cycles     sim.Time
-	Breakdown  stats.Breakdown
-	Commits    uint64
-	Violations uint64 // aborted attempts (read and write NACKs)
-	Instr      uint64
-
 	// NacksRead/NacksWrite split the aborts by the request the directory
 	// refused.
 	NacksRead  uint64
 	NacksWrite uint64
 
-	Traffic   mesh.Stats
-	CommitLog []verify.Record
-}
-
-// Summary returns the machine-independent digest (ProtocolResults.Summary).
-func (r *Results) Summary() stats.Summary {
-	return stats.Summary{
-		Protocol:     "eager",
-		Cycles:       uint64(r.Cycles),
-		Instructions: r.Instr,
-		Commits:      r.Commits,
-		Violations:   r.Violations,
-		Breakdown:    r.Breakdown,
-	}
+	Traffic mesh.Stats
 }
 
 // lineDir is one line's conflict-tracking state at its home: the version of
@@ -106,9 +85,8 @@ type System struct {
 	procs []*proc
 	dirs  []homeDir
 
-	commitSeq  mem.Version // the TID vendor at node 0
-	nacksRead  uint64
-	nacksWrite uint64
+	commitSeq mem.Version // the TID vendor at node 0
+	res       Results     // the NACK counters; Results adds the traffic
 }
 
 // NewSystem builds an eager machine for prog on the shared machine cfg. A
@@ -177,7 +155,7 @@ func (s *System) Serve(i int32) {
 		base := s.Cfg.Geometry.Line(m.Addr)
 		d := s.dir(m.Home, base)
 		if (d.writer >= 0 && d.writer != id) || d.readersOtherThan(id) {
-			s.nacksWrite++
+			s.res.NacksWrite++
 			if s.Obsv != nil {
 				s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: id, Addr: uint64(base), Arg: 1})
 			}
@@ -220,7 +198,7 @@ func (s *System) serveRead(i int32, m *rival.Msg) bool {
 	base := s.Cfg.Geometry.Line(m.Addr)
 	d := s.dir(m.Home, base)
 	if d.writer >= 0 && d.writer != id {
-		s.nacksRead++
+		s.res.NacksRead++
 		if s.Obsv != nil {
 			s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: id, Addr: uint64(base)})
 		}
@@ -241,20 +219,9 @@ func (s *System) serveRead(i int32, m *rival.Msg) bool {
 	return true
 }
 
-// Run executes the program to completion.
-func (s *System) Run() (*Results, error) {
-	if err := s.Simulate(); err != nil {
-		return nil, err
-	}
-	return &Results{
-		Cycles:     s.Kernel.Now(),
-		Breakdown:  s.Breakdown(),
-		Commits:    s.Commits,
-		Violations: s.Violations,
-		Instr:      s.Instr,
-		NacksRead:  s.nacksRead,
-		NacksWrite: s.nacksWrite,
-		Traffic:    s.Net.Stats(),
-		CommitLog:  s.CommitLog,
-	}, nil
+// Results returns the run's eager counters. Call it after Simulate.
+func (s *System) Results() *Results {
+	r := s.res
+	r.Traffic = s.Net.Stats()
+	return &r
 }

@@ -49,19 +49,20 @@ var baseline = matrix[[]BaselineCell]{
 	reduce: func(o Options, jobs []Job, outs []RunResult) ([]BaselineCell, error) {
 		var cells []BaselineCell
 		for i := 0; i < len(jobs); i += 2 {
-			res, bres := outs[i].Proto.Scalable, outs[i+1].Proto.Baseline
+			res, bres := outs[i].Proto.Scalable, outs[i+1].Proto
 			pair := i / 2
 			first := i - 2*(pair%len(o.Procs)) // the app's first sweep point
 			scalBase := uint64(outs[first].Proto.Scalable.Cycles)
-			busBase := uint64(outs[first+1].Proto.Baseline.Cycles)
+			busBase := outs[first+1].Proto.Summary.Cycles
+			busCycles := bres.Summary.Cycles
 			cells = append(cells, BaselineCell{
 				App:             jobs[i].App,
 				Procs:           jobs[i].Procs,
 				ScalableCycles:  uint64(res.Cycles),
-				BaselineCycles:  uint64(bres.Cycles),
+				BaselineCycles:  busCycles,
 				ScalableSpeedup: float64(scalBase) / float64(res.Cycles),
-				BaselineSpeedup: float64(busBase) / float64(bres.Cycles),
-				BusBusyFraction: float64(bres.BusBusy) / float64(bres.Cycles),
+				BaselineSpeedup: float64(busBase) / float64(busCycles),
+				BusBusyFraction: float64(bres.Baseline.BusBusy) / float64(busCycles),
 			})
 		}
 		return cells, nil

@@ -104,8 +104,9 @@ func (c *Case) Config() core.Config {
 
 // ProtoConfig materializes the machine half of the case as the unified
 // tcc.Config used for non-tcc protocols. The registry derives a near-square
-// mesh from Procs, so the case's degenerate-chain mesh fields do not apply;
-// every other knob a model honors maps directly.
+// mesh from Procs, so MeshW/MeshH reach tcc cases only: a rival case's tape
+// records the drawn chain, but the case runs on the near-square mesh (DESIGN
+// §19 says why). Every other knob a model honors maps directly.
 func (c *Case) ProtoConfig() tcc.Config {
 	cfg := tcc.DefaultConfig(c.Procs)
 	cfg.Torus = c.Torus

@@ -26,7 +26,8 @@ var l1Menu = []int{512, 512, 1024, 2048, 8192, 32 << 10}
 // protocolMix is the default machine-model rotation: half the cases exercise
 // the paper's scalable design (the only model with the continuous auditor
 // and fault injection), the rest spread over the rival protocols so their
-// oracles see adversarial traffic too.
+// oracles see adversarial traffic too. Rival cases run on the registry's
+// near-square mesh: the chain meshes Gen draws reach tcc cases only.
 var protocolMix = []string{
 	"tcc", "tcc", "tcc", "tcc", "tcc",
 	"tl2", "tl2",
@@ -50,7 +51,8 @@ func Gen(rng *sim.RNG, protocols ...string) Case {
 	c.Name = fmt.Sprintf("gen-%x", c.Seed)
 
 	// Mesh: near-square, or a degenerate 1×N / N×1 chain that maximizes hop
-	// counts and link contention.
+	// counts and link contention. The draw is made and recorded for every
+	// protocol, but only a tcc case runs on it (ProtoConfig, DESIGN §19).
 	switch rng.Intn(4) {
 	case 0:
 		c.MeshW, c.MeshH = 1, c.Procs

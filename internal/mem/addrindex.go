@@ -6,10 +6,10 @@ package mem
 // caller keeps its values in a dense slice and this index resolves an address
 // to a slice position with one multiplicative hash and a short linear probe.
 //
-// Like ReadSet, the table is generation-tagged open addressing: Reset is O(1)
-// (bump the generation and every slot is stale at once), so per-transaction
-// indexes recycle their storage without clearing or rehashing. Unlike ReadSet
-// it also supports deletion — backward-shift removal keeps probe chains
+// The table is generation-tagged open addressing: Reset is O(1) (bump the
+// generation and every slot is stale at once), so per-transaction indexes —
+// ReadSet's among them — recycle their storage without clearing or
+// rehashing. Deletion is backward-shift removal, which keeps probe chains
 // intact without tombstones, so long-lived indexes never degrade.
 type AddrIndex struct {
 	tab []aiSlot // open-addressing table; len is a power of two
@@ -24,6 +24,12 @@ type aiSlot struct {
 }
 
 const aiMinTable = 64
+
+// rsHash spreads addresses (dense, stride-aligned) across the table; the
+// upper bits of a multiplicative hash feed the index.
+func rsHash(a Addr) uint32 {
+	return uint32((uint64(a) * 0x9E3779B97F4A7C15) >> 32)
+}
 
 // Len returns the number of live entries.
 func (x *AddrIndex) Len() int { return x.n }

@@ -127,3 +127,37 @@ func TestAddrIndexGenerationWrap(t *testing.T) {
 		t.Fatalf("Get after wrap = %d,%v, want 9,true", id, ok)
 	}
 }
+
+func TestReadSetFirstRead(t *testing.T) {
+	var r ReadSet
+	for round := 0; round < 3; round++ {
+		r.Reset()
+		if r.Len() != 0 {
+			t.Fatalf("round %d: Len after Reset = %d", round, r.Len())
+		}
+		for i := 0; i < 200; i++ {
+			if !r.Add(Addr(4*i), Version(i+round)) {
+				t.Fatalf("round %d: first Add(%d) reported a repeat", round, 4*i)
+			}
+		}
+		for i := 0; i < 200; i += 3 {
+			if r.Add(Addr(4*i), 999) {
+				t.Fatalf("round %d: repeated Add(%d) reported new", round, 4*i)
+			}
+		}
+		if r.Len() != 200 {
+			t.Fatalf("round %d: Len = %d, want 200", round, r.Len())
+		}
+		for i, s := range r.Samples() {
+			if s.Addr != Addr(4*i) || s.Version != Version(i+round) {
+				t.Fatalf("round %d: sample %d = %+v", round, i, s)
+			}
+			if v, ok := r.Get(s.Addr); !ok || v != s.Version {
+				t.Fatalf("round %d: Get(%d) = %d,%v, want %d,true", round, s.Addr, v, ok, s.Version)
+			}
+		}
+		if _, ok := r.Get(2); ok {
+			t.Fatalf("round %d: Get of an unread address succeeded", round)
+		}
+	}
+}

@@ -2,9 +2,9 @@
 // baseline — share, so each protocol package holds only what differs:
 //
 //   - Machine is the shell of a rival machine: kernel, program, memory,
-//     commit log, observer, phase barrier, run loop and final-memory audit,
-//     plus the pooled request records and home-side request pipeline of the
-//     mesh rivals (tl2 and eager).
+//     commit log, observer, phase barrier, run loop, run digest and
+//     final-memory audit, plus the pooled request records and home-side
+//     request pipeline of the mesh rivals (tl2 and eager).
 //   - Thread is one processor's transaction driver: program position,
 //     attempt epochs, local hits, miss completion, retirement, violation
 //     accounting and backoff, plus the per-attempt line table and home
@@ -129,13 +129,16 @@ func (m *Machine) Simulate() error {
 	return nil
 }
 
-// Breakdown sums the processors' cycle breakdowns.
-func (m *Machine) Breakdown() stats.Breakdown {
-	var b stats.Breakdown
+// Summary is the run's machine-independent digest: the clock, committed
+// work, aborted attempts and the processors' summed cycle breakdowns. Call
+// it after Simulate.
+func (m *Machine) Summary() stats.Summary {
+	s := stats.Summary{Protocol: m.Name, Cycles: uint64(m.Kernel.Now()),
+		Instructions: m.Instr, Commits: m.Commits, Violations: m.Violations}
 	for _, t := range m.threads {
-		b = b.Plus(t.Breakdown)
+		s.Breakdown = s.Breakdown.Plus(t.Breakdown)
 	}
-	return b
+	return s
 }
 
 // barrierArrive counts a processor into the phase barrier; the last arrival

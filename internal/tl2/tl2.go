@@ -34,39 +34,18 @@ import (
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/rival"
-	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
-// Results summarizes a TL2 run.
+// Results holds the counters only a TL2 machine keeps; the run's digest is
+// the embedded Machine's Summary.
 type Results struct {
-	Cycles     sim.Time
-	Breakdown  stats.Breakdown
-	Commits    uint64
-	Violations uint64 // aborted attempts (lock, validation, and read NACKs)
-	Instr      uint64
-
 	// ClockReads/ClockAdvances count round trips to the global version
 	// clock: one read per attempt, one increment per commit.
 	ClockReads    uint64
 	ClockAdvances uint64
 
-	Traffic   mesh.Stats
-	CommitLog []verify.Record
-}
-
-// Summary returns the machine-independent digest (ProtocolResults.Summary).
-func (r *Results) Summary() stats.Summary {
-	return stats.Summary{
-		Protocol:     "tl2",
-		Cycles:       uint64(r.Cycles),
-		Instructions: r.Instr,
-		Commits:      r.Commits,
-		Violations:   r.Violations,
-		Breakdown:    r.Breakdown,
-	}
+	Traffic mesh.Stats
 }
 
 // lineMeta is one line's STM metadata at its home: the timestamp of the
@@ -89,9 +68,8 @@ type System struct {
 	procs []*proc
 	dirs  []homeMeta
 
-	clock         mem.Version // the global version clock, hosted at node 0
-	clockReads    uint64
-	clockAdvances uint64
+	clock mem.Version // the global version clock, hosted at node 0
+	res   Results     // the clock counters; Results adds the traffic
 }
 
 // NewSystem builds a TL2 machine for prog on the shared machine cfg. A
@@ -151,14 +129,14 @@ func (s *System) HandleEvent(code uint32, a1, a2 uint64) {
 		if p.Epoch != a2 {
 			return
 		}
-		s.clockReads++
+		s.res.ClockReads++
 		if s.Obsv != nil {
 			s.Emit(obs.Event{Kind: obs.KProbeResp, Node: 0, Peer: p.ID, TID: uint64(s.clock)})
 		}
 		s.Reply(0, p.ID, mesh.ClassCommit, prRV, uint64(s.clock))
 	case sysClockAdvance:
 		s.clock++
-		s.clockAdvances++
+		s.res.ClockAdvances++
 		if s.Obsv != nil {
 			s.Emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: p.ID, TID: uint64(s.clock)})
 		}
@@ -267,20 +245,9 @@ func (s *System) serveRead(i int32, m *rival.Msg, p *proc) bool {
 	return true
 }
 
-// Run executes the program to completion.
-func (s *System) Run() (*Results, error) {
-	if err := s.Simulate(); err != nil {
-		return nil, err
-	}
-	return &Results{
-		Cycles:        s.Kernel.Now(),
-		Breakdown:     s.Breakdown(),
-		Commits:       s.Commits,
-		Violations:    s.Violations,
-		Instr:         s.Instr,
-		ClockReads:    s.clockReads,
-		ClockAdvances: s.clockAdvances,
-		Traffic:       s.Net.Stats(),
-		CommitLog:     s.CommitLog,
-	}, nil
+// Results returns the run's TL2 counters. Call it after Simulate.
+func (s *System) Results() *Results {
+	r := s.res
+	r.Traffic = s.Net.Stats()
+	return &r
 }

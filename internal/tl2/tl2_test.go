@@ -5,13 +5,20 @@ import (
 
 	"scalabletcc/internal/core"
 	"scalabletcc/internal/sim"
+	"scalabletcc/internal/stats"
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
+// outcome is one finished run: the shared digest and the TL2 counters.
+type outcome struct {
+	stats.Summary
+	*Results
+}
+
 // runProfile runs a (possibly scaled) profile on procs processors and checks
 // the serializability and final-memory oracles.
-func runProfile(t *testing.T, prof workload.Profile, procs int, mutate func(*core.Config)) *Results {
+func runProfile(t *testing.T, prof workload.Profile, procs int, mutate func(*core.Config)) outcome {
 	t.Helper()
 	cfg := core.DefaultConfig(procs)
 	cfg.MaxCycles = 2_000_000_000
@@ -24,18 +31,17 @@ func runProfile(t *testing.T, prof workload.Profile, procs int, mutate func(*cor
 		t.Fatalf("NewSystem: %v", err)
 	}
 	sys.CollectCommitLog(true)
-	res, err := sys.Run()
-	if err != nil {
-		t.Fatalf("Run(%s, %d procs): %v", prof.Name, procs, err)
+	if err := sys.Simulate(); err != nil {
+		t.Fatalf("Simulate(%s, %d procs): %v", prof.Name, procs, err)
 	}
-	if viols := verify.Check(res.CommitLog); len(viols) != 0 {
+	if viols := verify.Check(sys.CommitLog); len(viols) != 0 {
 		t.Fatalf("%s on %d procs: %d serializability violations (first %v)",
 			prof.Name, procs, len(viols), viols[0])
 	}
 	if err := sys.AuditFinalMemory(); err != nil {
 		t.Fatalf("%s on %d procs: %v", prof.Name, procs, err)
 	}
-	return res
+	return outcome{sys.Summary(), sys.Results()}
 }
 
 func TestSmokeSingleProc(t *testing.T) {
@@ -102,7 +108,7 @@ func TestClockAccounting(t *testing.T) {
 // TestDeterminism: identical configuration and seed must give bit-identical
 // results; a different seed must not.
 func TestDeterminism(t *testing.T) {
-	run := func(seed uint64) *Results {
+	run := func(seed uint64) outcome {
 		return runProfile(t, workload.Hotspot().Scale(0.25), 8, func(c *core.Config) { c.Seed = seed })
 	}
 	a, b, c := run(3), run(3), run(4)
@@ -164,7 +170,7 @@ func TestWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(); err == nil {
+	if err := sys.Simulate(); err == nil {
 		t.Fatal("watchdog did not fire")
 	}
 }

@@ -39,12 +39,12 @@ func runJobGoldenCell(t *testing.T, c goldenCell) goldenCell {
 		c.Instr = res.Instr
 		c.Bytes = res.Traffic.TotalBytes()
 	case "baseline":
-		res := out.Proto.Baseline
-		c.Cycles = uint64(res.Cycles)
-		c.Commits = res.Commits
-		c.Violations = res.Violations
-		c.Instr = res.Instr
-		c.Bytes = res.BusBytes
+		sum := out.Proto.Summary
+		c.Cycles = sum.Cycles
+		c.Commits = sum.Commits
+		c.Violations = sum.Violations
+		c.Instr = sum.Instructions
+		c.Bytes = out.Proto.Baseline.BusBytes
 	default:
 		t.Fatalf("%s: unknown system %q", c.Name, c.System)
 	}

@@ -139,24 +139,17 @@ func ExecuteJob(ctx context.Context, spec *JobSpec, jc *JobContext) (*JobResult,
 	if jc == nil {
 		jc = runner.NewJobContext()
 	}
-	if err := spec.Validate(); err != nil {
+	if err := ValidateJobSpec(spec); err != nil {
 		return nil, err
 	}
-	switch spec.Kind {
-	case JobKindRun:
-		out, err := executeRun(ctx, spec, jc, nil)
-		if err != nil {
-			return nil, err
-		}
-		return out.Result, nil
-	default:
-		jk, ok := jobKinds[spec.Kind]
-		if !ok {
-			return nil, fmt.Errorf("tcc: job kind %q is not runnable in this build (runnable: %s)",
-				spec.Kind, strings.Join(registeredKinds(), ", "))
-		}
-		return jk.exec(ctx, spec, jc)
+	if spec.Kind != JobKindRun {
+		return jobKinds[spec.Kind].exec(ctx, spec, jc)
 	}
+	out, err := executeRun(ctx, spec, jc, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out.Result, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -214,29 +207,18 @@ func RunJob(ctx context.Context, spec *JobSpec, opts *RunJobOptions) (*JobOutput
 		jc.Logf = opts.Logf
 	}
 	jc.CheckpointPath = opts.CheckpointPath
-	switch spec.Kind {
-	case JobKindRun:
+	if spec.Kind == JobKindRun {
 		return executeRun(ctx, spec, jc, opts)
-	default:
-		res, err := ExecuteJob(ctx, spec, jc)
-		if err != nil {
-			return nil, err
-		}
-		return &JobOutput{Result: res}, nil
 	}
+	res, err := jobKinds[spec.Kind].exec(ctx, spec, jc)
+	if err != nil {
+		return nil, err
+	}
+	return &JobOutput{Result: res}, nil
 }
 
 // ---------------------------------------------------------------------------
 // The built-in "run" kind.
-
-// samplerSystem and profilerSystem are the optional capabilities only the
-// scalable machine implements.
-type samplerSystem interface {
-	EnableSampler(every uint64) error
-}
-type profilerSystem interface {
-	EnableConflictProfiler() *ConflictProfiler
-}
 
 // runConfig expands a RunSpec into the machine Config: Table 2 defaults,
 // then the spec's non-zero overrides.
@@ -323,12 +305,6 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 
 	var rc *runCheckpointer
 	if r.CheckpointEvery > 0 {
-		if protocol != "tcc" {
-			return nil, fmt.Errorf("tcc: checkpointing requires the scalable machine (protocol %q has no snapshot support)", protocol)
-		}
-		if r.SampleEvery > 0 {
-			return nil, fmt.Errorf("tcc: checkpointing and sampling are mutually exclusive (the sampler's phase is not part of the snapshot)")
-		}
 		if opts != nil && opts.ConflictProfile {
 			return nil, fmt.Errorf("tcc: checkpointing and conflict profiling are mutually exclusive (the profiler's tallies are not part of the snapshot)")
 		}
@@ -343,15 +319,23 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 		defer rc.close()
 	}
 
+	// scal is the scalable machine (nil for a rival protocol): sampling,
+	// conflict profiling and checkpointing run on it directly.
+	var scal *System
 	var sys ProtocolSystem
-	if rc != nil && rc.sys != nil {
-		sys = &protoScalable{sys: rc.sys}
-	} else {
-		var err error
+	switch {
+	case rc != nil && rc.sys != nil:
+		scal = rc.sys
+	case protocol == "tcc":
+		scal, err = NewSystem(cfg, prog)
+	default:
 		sys, err = NewSystemFor(protocol, cfg, prog)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if scal != nil {
+		sys = &protoScalable{sys: scal}
 	}
 
 	var stream *obs.JSONLStream
@@ -374,36 +358,28 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 	}
 
 	if r.SampleEvery > 0 {
-		ss, ok := sys.(samplerSystem)
-		if !ok {
+		if scal == nil {
 			return nil, fmt.Errorf("tcc: sampling requires the scalable machine (protocol %q has no sampler)", protocol)
 		}
 		if stream == nil {
 			return nil, fmt.Errorf("tcc: sampling requires an event stream to write samples to")
 		}
-		if err := ss.EnableSampler(r.SampleEvery); err != nil {
+		if err := scal.EnableSampler(r.SampleEvery); err != nil {
 			return nil, err
 		}
 	}
 	var profiler *ConflictProfiler
 	if opts != nil && opts.ConflictProfile {
-		ps, ok := sys.(profilerSystem)
-		if !ok {
+		if scal == nil {
 			return nil, fmt.Errorf("tcc: conflict profiling requires the scalable machine (protocol %q has no profiler)", protocol)
 		}
-		profiler = ps.EnableConflictProfiler()
+		profiler = scal.EnableConflictProfiler()
 	}
 
 	var res *ProtocolResults
 	if rc != nil {
-		cr, ok := sys.(interface {
-			RunCheckpointed(every uint64, fn func(*Checkpoint) error) (*ProtocolResults, error)
-		})
-		if !ok {
-			return nil, fmt.Errorf("tcc: protocol %q does not support checkpointing", protocol)
-		}
 		res, err = runGuarded(ctx, func() (*ProtocolResults, error) {
-			return cr.RunCheckpointed(rc.every, rc.save)
+			return scalableResults(scal.RunCheckpointed(rc.every, rc.save))
 		})
 	} else {
 		res, err = runGuarded(ctx, sys.Run)

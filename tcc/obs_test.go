@@ -212,11 +212,11 @@ func TestBaselineObserve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two := res.Baseline
+	two := res.Summary
 
-	if one.Baseline.Cycles != two.Cycles || one.Baseline.Commits != two.Commits {
+	if one.Summary.Cycles != two.Cycles || one.Summary.Commits != two.Commits {
 		t.Fatalf("observed baseline run diverges from unobserved: %d/%d vs %d/%d",
-			one.Baseline.Cycles, one.Baseline.Commits, two.Cycles, two.Commits)
+			one.Summary.Cycles, one.Summary.Commits, two.Cycles, two.Commits)
 	}
 	if c.Count(EvCommit) != two.Commits {
 		t.Errorf("baseline Commit events = %d, want %d", c.Count(EvCommit), two.Commits)

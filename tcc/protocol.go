@@ -14,14 +14,17 @@ import (
 	"scalabletcc/internal/baseline"
 	"scalabletcc/internal/core"
 	"scalabletcc/internal/eager"
+	"scalabletcc/internal/rival"
 	"scalabletcc/internal/tl2"
 	"scalabletcc/internal/verify"
 )
 
-// TL2Results summarizes a TL2-style STM run.
+// TL2Results holds the counters only a TL2-style STM run keeps: version
+// clock round trips and mesh traffic.
 type TL2Results = tl2.Results
 
-// EagerResults summarizes an eager-detection HTM run.
+// EagerResults holds the counters only an eager-detection HTM run keeps:
+// NACK splits and mesh traffic.
 type EagerResults = eager.Results
 
 // ProtocolInfo describes one registered machine model.
@@ -47,8 +50,10 @@ type ProtocolSystem interface {
 // ProtocolResults is the common result shape RunProtocol returns for every
 // model: the protocol-tagged Summary digest, the commit log (when
 // collected), and exactly one non-nil typed result for callers that need
-// model-specific detail (directory traffic classes, bus occupancy, clock
-// contention, NACK splits).
+// model-specific detail. Summary and CommitLog are the run's only copy of
+// the digest and the log: a rival's typed result holds just the counters
+// that model alone keeps (bus occupancy, clock contention, NACK splits,
+// mesh traffic), while Scalable is the scalable machine's full Results.
 type ProtocolResults struct {
 	Protocol  string
 	Summary   Summary
@@ -194,28 +199,13 @@ func buildScalable(cc core.Config, prog Program, collectLog bool) (ProtocolSyste
 	return &protoScalable{sys: sys}, nil
 }
 
-func (p *protoScalable) Run() (*ProtocolResults, error) {
-	res, err := p.sys.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "tcc",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		Scalable:  res,
-	}, nil
-}
+func (p *protoScalable) Run() (*ProtocolResults, error) { return scalableResults(p.sys.Run()) }
 
 func (p *protoScalable) Observe(o Observer)      { p.sys.Observe(o) }
 func (p *protoScalable) AuditFinalMemory() error { return p.sys.AuditFinalMemory() }
 
-// RunCheckpointed surfaces kernel-level checkpointing through the
-// ProtocolSystem interface; like the sampler and profiler hooks, executeRun
-// discovers it via optional-interface assertion, so protocols without
-// snapshot support correctly fail the assertion.
-func (p *protoScalable) RunCheckpointed(every uint64, fn func(*Checkpoint) error) (*ProtocolResults, error) {
-	res, err := p.sys.RunCheckpointed(every, fn)
+// scalableResults wraps a scalable run's results (or its error).
+func scalableResults(res *Results, err error) (*ProtocolResults, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -227,89 +217,50 @@ func (p *protoScalable) RunCheckpointed(every uint64, fn func(*Checkpoint) error
 	}, nil
 }
 
-// EnableSampler and EnableConflictProfiler surface the scalable machine's
-// extra instrumentation through the ProtocolSystem interface; RunJob
-// discovers them via optional-interface assertion (they exist only on this
-// model, so other protocols correctly fail the assertion).
-func (p *protoScalable) EnableSampler(every uint64) error { return p.sys.EnableSampler(every) }
-func (p *protoScalable) EnableConflictProfiler() *ConflictProfiler {
-	return p.sys.EnableConflictProfiler()
+// --- the rivals: baseline, tl2 and eager ---
+
+// protoRival runs any rival machine. The embedded Machine supplies
+// Observe, AuditFinalMemory, the run and its digest; detail attaches the
+// protocol's own counters to the results.
+type protoRival struct {
+	*rival.Machine
+	detail func(*ProtocolResults)
 }
 
-// --- baseline (bus-based small-scale TCC) ---
+func newProtoRival(m *rival.Machine, collectLog bool, detail func(*ProtocolResults)) *protoRival {
+	m.CollectCommitLog(collectLog)
+	return &protoRival{Machine: m, detail: detail}
+}
 
-type protoBaseline struct{ *baseline.System }
+func (p *protoRival) Run() (*ProtocolResults, error) {
+	if err := p.Simulate(); err != nil {
+		return nil, err
+	}
+	res := &ProtocolResults{Protocol: p.Name, Summary: p.Summary(), CommitLog: p.CommitLog}
+	p.detail(res)
+	return res, nil
+}
 
 func buildBaseline(cc core.Config, prog Program, collectLog bool) (ProtocolSystem, error) {
 	sys, err := baseline.NewSystem(cc, prog)
 	if err != nil {
 		return nil, err
 	}
-	sys.CollectCommitLog(collectLog)
-	return &protoBaseline{sys}, nil
+	return newProtoRival(&sys.Machine, collectLog, func(r *ProtocolResults) { r.Baseline = sys.Results() }), nil
 }
-
-func (p *protoBaseline) Run() (*ProtocolResults, error) {
-	res, err := p.System.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "baseline",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		Baseline:  res,
-	}, nil
-}
-
-// --- tl2 (lazy STM) ---
-
-type protoTL2 struct{ *tl2.System }
 
 func buildTL2(cc core.Config, prog Program, collectLog bool) (ProtocolSystem, error) {
 	sys, err := tl2.NewSystem(cc, prog)
 	if err != nil {
 		return nil, err
 	}
-	sys.CollectCommitLog(collectLog)
-	return &protoTL2{sys}, nil
+	return newProtoRival(&sys.Machine, collectLog, func(r *ProtocolResults) { r.TL2 = sys.Results() }), nil
 }
-
-func (p *protoTL2) Run() (*ProtocolResults, error) {
-	res, err := p.System.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "tl2",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		TL2:       res,
-	}, nil
-}
-
-// --- eager (eager-detection HTM) ---
-
-type protoEager struct{ *eager.System }
 
 func buildEager(cc core.Config, prog Program, collectLog bool) (ProtocolSystem, error) {
 	sys, err := eager.NewSystem(cc, prog)
 	if err != nil {
 		return nil, err
 	}
-	sys.CollectCommitLog(collectLog)
-	return &protoEager{sys}, nil
-}
-
-func (p *protoEager) Run() (*ProtocolResults, error) {
-	res, err := p.System.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "eager",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		Eager:     res,
-	}, nil
+	return newProtoRival(&sys.Machine, collectLog, func(r *ProtocolResults) { r.Eager = sys.Results() }), nil
 }

@@ -57,7 +57,8 @@ type Program = workload.Program
 // traffic, and the Table 3 fingerprint percentiles.
 type Results = core.Results
 
-// BaselineResults summarizes a bus-based small-scale TCC run.
+// BaselineResults holds the counters only a bus-based small-scale TCC run
+// keeps: bus bytes and occupancy.
 type BaselineResults = baseline.Results
 
 // Summary is the machine-independent digest of one run — cycles, committed

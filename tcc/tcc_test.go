@@ -87,7 +87,7 @@ func TestRunBaselineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Baseline.Commits == 0 {
+	if res.Summary.Commits == 0 {
 		t.Fatal("baseline made no commits")
 	}
 	if len(res.CommitLog) == 0 {
