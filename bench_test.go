@@ -11,7 +11,11 @@
 package scalabletcc
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -353,6 +357,50 @@ func BenchmarkObserverCounting(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkObserverJSONL measures the same run streaming every event as
+// JSON Lines to a file, the -trace-json path. writes/op counts the stream's
+// writes to the file: whole-line blocks of 64 KiB, plus the final flush.
+func BenchmarkObserverJSONL(b *testing.B) {
+	prof := tcc.MustProfile("barnes").Scale(0.1)
+	cfg := tcc.DefaultConfig(16)
+	f, err := os.Create(filepath.Join(b.TempDir(), "events.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	w := &lineCountingWriter{w: f}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys, err := tcc.NewSystem(cfg, prof.Build(16, uint64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		jw := tcc.NewJSONLObserver(w)
+		sys.Observe(jw)
+		if _, err := sys.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if err := jw.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		w.lines-- // the schema header
+	}
+	b.ReportMetric(float64(w.lines)/float64(b.N), "events/op")
+	b.ReportMetric(float64(w.writes)/float64(b.N), "writes/op")
+}
+
+// lineCountingWriter counts the writes and lines passing through to w.
+type lineCountingWriter struct {
+	w             io.Writer
+	writes, lines int
+}
+
+func (c *lineCountingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	c.lines += bytes.Count(p, []byte("\n"))
+	return c.w.Write(p)
 }
 
 // BenchmarkCommitLatency isolates the commit path: a tiny-transaction

@@ -76,7 +76,7 @@ func TestJSONLStreamEventAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { s.Event(e) }); n != 0 {
 		t.Fatalf("JSONLStream.Event made %v allocations per event, want 0", n)
 	}
-	if err := s.Err(); err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -5,8 +5,8 @@
 // barriers) — to a pluggable Observer. Sinks shipped with the package:
 //
 //   - JSONLStream: a machine-parseable JSON-lines stream (schema
-//     "scalabletcc/events", versioned), one Write per line; JSONLWriter is
-//     the same stream behind a bufio.Writer;
+//     "scalabletcc/events", versioned), handed to its writer in blocks of
+//     whole lines: one Write per 64 KiB and one per Flush;
 //   - RingBuffer: a bounded in-memory tail for debugging;
 //   - Counter: a per-kind counting aggregator whose totals reconcile with a
 //     run's Results counters;

@@ -127,9 +127,9 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestJSONLWriter(t *testing.T) {
+func TestJSONLStreamLines(t *testing.T) {
 	var buf bytes.Buffer
-	j := NewJSONL(&buf)
+	j := NewJSONLStream(&buf)
 	j.Event(Event{Cycle: 1, Kind: KTIDGrant, Node: 0, Peer: 2, TID: 1})
 	j.Sample(Sample{Cycle: 100, NSTIDMin: 1, NSTIDMax: 3, TIDNext: 4, LagMax: 3})
 	if err := j.Flush(); err != nil {
@@ -168,24 +168,6 @@ func TestJSONLWriter(t *testing.T) {
 	}
 }
 
-type errWriter struct{}
-
-func (errWriter) Write(p []byte) (int, error) { return 0, errSentinel{} }
-
-type errSentinel struct{}
-
-func (errSentinel) Error() string { return "sink failed" }
-
-func TestJSONLWriterStickyError(t *testing.T) {
-	j := NewJSONL(errWriter{})
-	for i := 0; i < 10_000; i++ {
-		j.Event(Event{Cycle: uint64(i)})
-	}
-	if err := j.Flush(); err == nil {
-		t.Fatal("Flush swallowed the write error")
-	}
-}
-
 func TestTee(t *testing.T) {
 	if Tee() != nil || Tee(nil, nil) != nil {
 		t.Fatal("Tee of no live observers must be nil")
@@ -196,7 +178,7 @@ func TestTee(t *testing.T) {
 	}
 	r := NewRing(8)
 	var buf bytes.Buffer
-	j := NewJSONL(&buf)
+	j := NewJSONLStream(&buf)
 	fan := Tee(c, r, j)
 	fan.Event(Event{Kind: KCommit})
 	fan.Event(Event{Kind: KViolation})

@@ -1,14 +1,13 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 )
 
 // ---------------------------------------------------------------------------
-// JSONL writer.
+// JSONL stream.
 
 const (
 	// StreamSchema identifies the JSONL event-stream document type.
@@ -17,6 +16,11 @@ const (
 	// removed; additions keep the version.
 	StreamVersion = 1
 )
+
+// blockSize is the size at which a JSONLStream hands its buffered lines to
+// its writer. Large enough that a run's writes are few; small enough that
+// an SSE subscriber tailing a running job is never far behind.
+const blockSize = 64 << 10
 
 // streamHeader is the first line of every JSONL event stream.
 type streamHeader struct {
@@ -35,11 +39,12 @@ type sampleLine struct {
 // an event kind name, or "sample" for a sampler record. Output depends only
 // on the event sequence, so equal-seed runs produce byte-identical streams.
 //
-// Each Event or Sample call hands one complete line to w in a single Write,
-// the moment it is produced: writing into a runner.StreamLog line by line
-// lets SSE subscribers tail a running job. Event lines are encoded into a
-// buffer the stream reuses, so w must not retain the slice it is handed
-// (the io.Writer contract). Write errors are sticky and reported by Err.
+// Lines are buffered and handed to w in blocks of whole lines: one Write
+// once the block reaches 64 KiB, and one at each Flush. A run must call
+// Flush when it ends, and before it records how many bytes w has taken.
+// Event lines are encoded straight into the block, so a warm event
+// allocates nothing. Write errors are sticky; Flush reports the first
+// one.
 type JSONLStream struct {
 	w      io.Writer
 	buf    []byte
@@ -47,9 +52,9 @@ type JSONLStream struct {
 	header bool
 }
 
-// NewJSONLStream returns an unbuffered line-at-a-time writer streaming to w.
+// NewJSONLStream returns a stream writing to w, schema header first.
 func NewJSONLStream(w io.Writer) *JSONLStream {
-	return &JSONLStream{w: w}
+	return newStream(w, false)
 }
 
 // ResumeJSONLStream returns a stream continuing an existing
@@ -57,7 +62,13 @@ func NewJSONLStream(w io.Writer) *JSONLStream {
 // emitted (it lives in the replayed prefix a resumed run writes first), so
 // the next line written is an event, not a second header.
 func ResumeJSONLStream(w io.Writer) *JSONLStream {
-	return &JSONLStream{w: w, header: true}
+	return newStream(w, true)
+}
+
+// newStream sizes the buffer for a block plus the line that completes it,
+// so a warm stream never grows it.
+func newStream(w io.Writer, header bool) *JSONLStream {
+	return &JSONLStream{w: w, buf: make([]byte, 0, blockSize+blockSize/8), header: header}
 }
 
 // ready reports whether the stream can take another line, writing the
@@ -70,7 +81,7 @@ func (j *JSONLStream) ready() bool {
 	return j.err == nil
 }
 
-// marshalLine writes v's json.Marshal encoding as one line: the path for
+// marshalLine appends v's json.Marshal encoding as one line: the path for
 // the rare header and sample lines.
 func (j *JSONLStream) marshalLine(v any) {
 	b, err := json.Marshal(v)
@@ -78,20 +89,22 @@ func (j *JSONLStream) marshalLine(v any) {
 		j.err = fmt.Errorf("obs: marshal event: %w", err)
 		return
 	}
-	j.write(append(b, '\n'))
+	j.buf = append(append(j.buf, b...), '\n')
+	j.endLine()
 }
 
-func (j *JSONLStream) write(line []byte) {
-	if _, err := j.w.Write(line); err != nil {
-		j.err = err
+// endLine writes the block once a completed line has filled it.
+func (j *JSONLStream) endLine() {
+	if len(j.buf) >= blockSize {
+		j.Flush()
 	}
 }
 
 // Event writes one event line.
 func (j *JSONLStream) Event(e Event) {
 	if j.ready() {
-		j.buf = append(appendEvent(j.buf[:0], e), '\n')
-		j.write(j.buf)
+		j.buf = append(appendEvent(j.buf, e), '\n')
+		j.endLine()
 	}
 }
 
@@ -102,28 +115,12 @@ func (j *JSONLStream) Sample(s Sample) {
 	}
 }
 
-// Err returns the first write or encode error encountered.
-func (j *JSONLStream) Err() error { return j.err }
-
-// JSONLWriter is a JSONLStream over a buffered writer, for file targets
-// that need no line-at-a-time delivery: the bytes are the same, only the
-// flushing discipline differs. Call Flush when the run completes; it
-// reports the first error encountered.
-type JSONLWriter struct {
-	JSONLStream
-	bw *bufio.Writer
-}
-
-// NewJSONL returns a buffered writer streaming to w.
-func NewJSONL(w io.Writer) *JSONLWriter {
-	bw := bufio.NewWriter(w)
-	return &JSONLWriter{JSONLStream: JSONLStream{w: bw}, bw: bw}
-}
-
-// Flush drains the buffer and returns the first error encountered.
-func (j *JSONLWriter) Flush() error {
-	if err := j.bw.Flush(); j.err == nil {
-		j.err = err
+// Flush hands the buffered lines to the writer and returns the first write
+// or encode error encountered.
+func (j *JSONLStream) Flush() error {
+	if j.err == nil && len(j.buf) > 0 {
+		_, j.err = j.w.Write(j.buf)
+		j.buf = j.buf[:0]
 	}
 	return j.err
 }

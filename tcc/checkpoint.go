@@ -10,7 +10,6 @@
 package tcc
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -18,7 +17,6 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"sync"
 
 	"scalabletcc/internal/core"
 	"scalabletcc/internal/obs"
@@ -156,39 +154,6 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// sidecarWriter buffers the event-stream copy in the sidecar file, so the
-// stream costs one write(2) per cut rather than one per line. It is locked
-// because runGuarded abandons, rather than stops, a canceled run: its
-// simulation goroutine may still be writing when close runs.
-type sidecarWriter struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
-}
-
-func (s *sidecarWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
-}
-
-// Flush writes the buffered lines to the file.
-func (s *sidecarWriter) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Flush()
-}
-
-// Close flushes and closes the file. Errors are dropped: a resume trusts
-// the sidecar only up to a durable entry's event_bytes, which save already
-// flushed.
-func (s *sidecarWriter) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.w.Flush()
-	s.f.Close()
-}
-
 // runCheckpointer owns one run job's checkpoint lifecycle: resuming from the
 // manifest's latest snapshot, replaying the event-stream prefix, and
 // appending a durable entry at each cut.
@@ -202,10 +167,13 @@ type runCheckpointer struct {
 	// appendEntry makes one manifest line durable: cw.AppendRaw, or in a
 	// test a wrapper that inspects the files at that instant.
 	appendEntry func(pieces ...[]byte) error
-	// sidecar holds the stream copy; save flushes it before each manifest
-	// append, so a durable entry's event_bytes are on disk.
-	sidecar *sidecarWriter
+	// sidecar holds the stream copy. It takes the stream's blocks as they
+	// are written, and save flushes the stream before each manifest append,
+	// so a durable entry's event_bytes are on disk. An *os.File is safe
+	// under a Write from an abandoned run racing close.
+	sidecar *os.File
 	counter *countingWriter
+	events  *obs.JSONLStream
 	head    []byte // reused manifest-entry framing
 }
 
@@ -250,7 +218,7 @@ func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext,
 			rc.cw.Close()
 			return nil, fmt.Errorf("tcc: event sidecar: %w", err)
 		}
-		rc.sidecar = &sidecarWriter{f: f, w: bufio.NewWriter(f)}
+		rc.sidecar = f
 	}
 	return rc, nil
 }
@@ -263,12 +231,13 @@ func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext,
 func (rc *runCheckpointer) stream(sink io.Writer) (*obs.JSONLStream, error) {
 	rc.counter = &countingWriter{w: io.MultiWriter(sink, rc.sidecar), n: int64(len(rc.prefix))}
 	if len(rc.prefix) == 0 {
-		return obs.NewJSONLStream(rc.counter), nil
-	}
-	if _, err := sink.Write(rc.prefix); err != nil {
+		rc.events = obs.NewJSONLStream(rc.counter)
+	} else if _, err := sink.Write(rc.prefix); err != nil {
 		return nil, fmt.Errorf("tcc: replay event-stream prefix: %w", err)
+	} else {
+		rc.events = obs.ResumeJSONLStream(rc.counter)
 	}
-	return obs.ResumeJSONLStream(rc.counter), nil
+	return rc.events, nil
 }
 
 // loadLatest restores the manifest's newest snapshot, falling back to a
@@ -307,11 +276,11 @@ func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program
 // recycled buffer; the bytes equal json.Marshal(runCheckpointEntry{...}).
 func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	var n int64
-	if rc.counter != nil {
+	if rc.events != nil {
 		// The resume path trusts a durable entry's event_bytes to be in the
-		// sidecar, so the sidecar is flushed before the entry is appended.
-		if err := rc.sidecar.Flush(); err != nil {
-			return fmt.Errorf("tcc: event sidecar: %w", err)
+		// sidecar, so the stream is flushed before the entry is appended.
+		if err := rc.events.Flush(); err != nil {
+			return fmt.Errorf("tcc: event stream: %w", err)
 		}
 		n = rc.counter.n
 	}
@@ -340,6 +309,9 @@ func (rc *runCheckpointer) save(ck *Checkpoint) error {
 // buffer returned when four wait is dropped.
 var ckBufs = make(chan []byte, 4)
 
+// close closes the manifest and the sidecar. Errors are dropped: a resume
+// trusts the sidecar only up to a durable entry's event_bytes, which save
+// flushed before appending the entry.
 func (rc *runCheckpointer) close() {
 	if rc.cw != nil {
 		rc.cw.Close()

@@ -376,21 +376,26 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 		profiler = scal.EnableConflictProfiler()
 	}
 
-	var res *ProtocolResults
+	run := sys.Run
 	if rc != nil {
-		res, err = runGuarded(ctx, func() (*ProtocolResults, error) {
+		run = func() (*ProtocolResults, error) {
 			return scalableResults(scal.RunCheckpointed(rc.every, rc.save))
-		})
-	} else {
-		res, err = runGuarded(ctx, sys.Run)
+		}
 	}
+	// The stream's last block is flushed on the goroutine that ran the
+	// simulation, whether or not the run failed: a failed run keeps its
+	// stream, and an abandoned one never shares the stream with this one.
+	res, err := runGuarded(ctx, func() (*ProtocolResults, error) {
+		res, err := run()
+		if stream != nil {
+			if ferr := stream.Flush(); ferr != nil && err == nil {
+				err = fmt.Errorf("tcc: event stream: %w", ferr)
+			}
+		}
+		return res, err
+	})
 	if err != nil {
 		return nil, err
-	}
-	if stream != nil {
-		if err := stream.Err(); err != nil {
-			return nil, fmt.Errorf("tcc: event stream: %w", err)
-		}
 	}
 
 	result := &JobResult{Kind: JobKindRun, Protocol: protocol, Resumed: rc != nil && rc.resumed}

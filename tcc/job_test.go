@@ -170,3 +170,53 @@ func TestRunJobHonorsCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// A run the max_cycles watchdog stops keeps its stream: the last block is
+// flushed on the error path too. Both the CLI's EventWriter and the
+// daemon's StreamLog must end on a line and equal a direct run with the
+// same MaxCycles, flushed after its error.
+func TestFailedRunKeepsItsStream(t *testing.T) {
+	const maxCycles = 20_000
+	spec := hotspotSpec(4)
+	spec.Run.MaxCycles = maxCycles
+
+	cfg := tcc.DefaultConfig(4)
+	cfg.Seed, cfg.MaxCycles = 3, maxCycles
+	sys, err := tcc.NewSystem(cfg, tcc.MustProfile("hotspot").Scale(0.1).Build(4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var direct bytes.Buffer
+	jw := tcc.NewJSONLObserver(&direct)
+	sys.Observe(jw)
+	_, runErr := sys.Run()
+	if runErr == nil || !strings.Contains(runErr.Error(), "watchdog") {
+		t.Fatalf("direct run: want the watchdog error, got %v", runErr)
+	}
+	if err := jw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var viaJob bytes.Buffer
+	_, err = tcc.RunJob(context.Background(), spec, &tcc.RunJobOptions{EventWriter: &viaJob})
+	if err == nil || err.Error() != runErr.Error() {
+		t.Fatalf("run job: want %q, got %v", runErr, err)
+	}
+	jc := runner.NewJobContext()
+	jc.Log = runner.NewStreamLog()
+	if _, err := tcc.ExecuteJob(context.Background(), spec, jc); err == nil || err.Error() != runErr.Error() {
+		t.Fatalf("daemon path: want %q, got %v", runErr, err)
+	}
+	logged, _, err := jc.Log.ReadFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]byte{"EventWriter": viaJob.Bytes(), "StreamLog": logged} {
+		if len(got) == 0 || got[len(got)-1] != '\n' {
+			t.Fatalf("%s: stream of %d bytes does not end on a line", name, len(got))
+		}
+		if !bytes.Equal(got, direct.Bytes()) {
+			t.Fatalf("%s: stream of %d bytes differs from the direct run's %d", name, len(got), direct.Len())
+		}
+	}
+}

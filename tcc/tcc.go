@@ -412,12 +412,14 @@ const (
 )
 
 // JSONLObserver streams events (and samples) as JSON Lines with a versioned
-// schema header.
-type JSONLObserver = obs.JSONLWriter
+// schema header. It hands w whole lines in blocks of about 64 KiB, so call
+// Flush when the run finishes, whether or not Run returned an error; Flush
+// reports the first write error.
+type JSONLObserver = obs.JSONLStream
 
 // NewJSONLObserver returns an observer writing one JSON object per line to
 // w, preceded by a schema header. Call Flush when the run finishes.
-func NewJSONLObserver(w io.Writer) *JSONLObserver { return obs.NewJSONL(w) }
+func NewJSONLObserver(w io.Writer) *JSONLObserver { return obs.NewJSONLStream(w) }
 
 // RingObserver keeps the last N events in memory (flight-recorder style).
 type RingObserver = obs.RingBuffer
