@@ -162,33 +162,27 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	// One wake-up's frames are built in frames and sent with one Write and
-	// one Flush. partial holds the bytes after the last newline seen so far;
-	// data read from the log is a read-only view, so a partial line is
-	// copied out before the next read.
-	var frames, partial []byte
+	// one Flush: everything available is gathered, a block view at a time,
+	// and closed comes only with the last view. frames starts with room for
+	// two blocks of lines, more than a subscriber that keeps up gets at one
+	// wake-up. partial holds the bytes after the last newline seen so far,
+	// copied out of their view.
+	frames, partial := make([]byte, 0, 2*blockSize), []byte(nil)
 	off := 0
 	for {
 		data, closed, err := log.Wait(r.Context(), off)
+		frames = frames[:0]
+		for err == nil {
+			off += len(data)
+			frames, partial = appendFrames(frames, partial, data)
+			if closed || off >= log.Len() {
+				break
+			}
+			data, closed, err = log.Wait(r.Context(), off)
+		}
 		if err != nil {
 			return // client went away, or the spilled log is unreadable
 		}
-		off += len(data)
-		if len(partial) > 0 {
-			partial = append(partial, data...)
-			data = partial
-		}
-		frames = frames[:0]
-		for {
-			i := bytes.IndexByte(data, '\n')
-			if i < 0 {
-				break
-			}
-			frames = append(frames, "data: "...)
-			frames = append(frames, data[:i]...)
-			frames = append(frames, "\n\n"...)
-			data = data[i+1:]
-		}
-		partial = append(partial[:0], data...)
 		if closed {
 			// A trailing partial line means the writer was abandoned
 			// mid-line; it is not a valid events line, so drop it.
@@ -208,6 +202,22 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 		if closed {
 			return
 		}
+	}
+}
+
+// appendFrames appends a `data:` frame for each line that data completes.
+// partial is the start of a line begun in an earlier view; the bytes after
+// data's last newline are returned as the next partial.
+func appendFrames(frames, partial, data []byte) ([]byte, []byte) {
+	for {
+		i := bytes.IndexByte(data, '\n')
+		if i < 0 {
+			return frames, append(partial, data...)
+		}
+		frames = append(frames, "data: "...)
+		frames = append(append(frames, partial...), data[:i]...)
+		frames = append(frames, "\n\n"...)
+		partial, data = partial[:0], data[i+1:]
 	}
 }
 

@@ -7,6 +7,14 @@ import (
 	"sync"
 )
 
+// blockSize is the capacity of every StreamLog block, so block i holds
+// stream bytes [i*blockSize, (i+1)*blockSize). It is the size at which
+// obs.JSONLStream hands its writer a block of lines, so a job's stream
+// fills about one block per write. A write is split across blocks rather
+// than given a block of its own size, which the allocator would round up
+// to whole pages.
+const blockSize = 64 << 10
+
 // StreamLog is the append-only byte log a running job's event stream is
 // captured in. Writers append whole JSONL lines; any number of readers
 // follow from any offset, so an SSE subscriber that attaches mid-run
@@ -14,23 +22,29 @@ import (
 // a reader sees reconstructs the exact bytes the writer produced — the
 // byte-identity the `scalabletcc/events v1` framing promises.
 //
+// The bytes are held in blocks of blockSize that are never reallocated:
+// appends go into the tail block's spare capacity, and bytes below a
+// block's length are never rewritten. So a growing stream is copied once,
+// on its way in, and a reader's view of a block stays valid however much
+// is appended after it.
+//
 // Close marks the end of the stream; writes after Close are silently
 // dropped (an abandoned job goroutine may still be running — same policy
 // as harness and fuzz wall-clock guards).
 //
-// A finished log can be spilled to a file (Spill): the in-memory buffer is
+// A finished log can be spilled to a file (Spill): the in-memory blocks are
 // dropped and every later read is served from the file, so a daemon does
 // not hold every finished job's stream in memory.
 type StreamLog struct {
 	mu     sync.Mutex
-	buf    []byte // the appended bytes; nil once spilled
-	n      int    // bytes appended so far
-	path   string // spill file holding all n bytes; "" while in memory
-	sealed bool   // no more appends: set by Spill and Close
+	blocks [][]byte // the appended bytes, in order; nil once spilled
+	n      int      // bytes appended so far
+	path   string   // spill file holding all n bytes; "" while in memory
+	sealed bool     // no more appends: set by Spill and Close
 	closed bool
 	// notify is armed (made) by a reader that finds nothing to read, and
 	// closed and cleared by the next append or Close. A write nobody waits
-	// on allocates nothing.
+	// on allocates nothing unless it starts a block.
 	notify chan struct{}
 }
 
@@ -39,17 +53,25 @@ func NewStreamLog() *StreamLog {
 	return &StreamLog{}
 }
 
-// Write appends p. It never fails: after Close (or Spill) the bytes are
-// discarded but the write still reports success, so a late writer does not
-// error out.
+// Write appends p: it fills the tail block's spare capacity and starts a
+// new block whenever that is full. It never fails: after Close (or Spill)
+// the bytes are discarded but the write still reports success, so a late
+// writer does not error out.
 func (l *StreamLog) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.sealed {
 		return len(p), nil
 	}
-	l.buf = append(l.buf, p...)
-	l.n = len(l.buf)
+	for rest := p; len(rest) > 0; {
+		if l.n%blockSize == 0 { // no block yet, or the tail is full
+			l.blocks = append(l.blocks, make([]byte, 0, blockSize))
+		}
+		t := &l.blocks[len(l.blocks)-1]
+		m := copy((*t)[len(*t):blockSize], rest)
+		*t, rest = (*t)[:len(*t)+m], rest[m:]
+		l.n += m
+	}
 	l.wake()
 	return len(p), nil
 }
@@ -72,28 +94,46 @@ func (l *StreamLog) wake() {
 	}
 }
 
-// Spill seals the log against further appends, writes its bytes to path and
-// drops the in-memory buffer; reads from any offset are then served from
-// the file and Len is unchanged. Readers are not woken: the stream is only
+// Spill seals the log against further appends, writes its blocks in order
+// to path and drops them; reads from any offset are then served from the
+// file and Len is unchanged. Readers are not woken: the stream is only
 // complete once Close is called. An empty log writes no file. On a write
 // error the bytes stay in memory, still readable, and the error is
 // returned.
 func (l *StreamLog) Spill(path string) error {
 	l.mu.Lock()
 	l.sealed = true
-	data := l.buf
+	blocks := l.blocks
 	l.mu.Unlock()
-	if len(data) == 0 {
+	if len(blocks) == 0 {
 		return nil
 	}
-	// Sealed, so data is final and no one appends to it while it is written.
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Sealed, so the blocks are final and no one appends to them while
+	// they are written.
+	if err := writeBlocks(path, blocks); err != nil {
 		return fmt.Errorf("runner: spill event log: %w", err)
 	}
 	l.mu.Lock()
-	l.path, l.buf = path, nil
+	l.path, l.blocks = path, nil
 	l.mu.Unlock()
 	return nil
+}
+
+// writeBlocks writes the blocks' bytes, in order, to a new file at path.
+func writeBlocks(path string, blocks [][]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, b := range blocks {
+		if _, err = f.Write(b); err != nil {
+			break
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Len returns the number of bytes appended so far.
@@ -103,23 +143,27 @@ func (l *StreamLog) Len() int {
 	return l.n
 }
 
-// ReadFrom returns the bytes from offset off onward and whether the stream
-// is complete. An offset at or beyond the end returns nil data. The bytes
-// are a read-only view that later appends never change; an error means the
-// spill file could not be read.
+// ReadFrom returns all the bytes from offset off onward and whether the
+// stream is complete. An offset at or beyond the end returns nil data.
+// Bytes within one block are a read-only view that later appends never
+// change; bytes that span blocks, or come from a spill file, are a fresh
+// copy. An error means the spill file could not be read.
 func (l *StreamLog) ReadFrom(off int) (data []byte, closed bool, err error) {
 	l.mu.Lock()
-	return l.readUnlock(off)
+	return l.readUnlock(off, true)
 }
 
 // Wait blocks until there are bytes beyond off, the stream closes, or ctx
-// is done, then returns the new bytes (as ReadFrom does) and the closed
-// flag.
+// is done. It then returns a read-only view from off to the end of the
+// block holding off (from a spilled log, a copy of everything from off),
+// and closed, which is true only when the view ends the complete stream. A
+// reader that wants everything available calls Wait again from the new
+// offset while it is below Len; that call does not block.
 func (l *StreamLog) Wait(ctx context.Context, off int) (data []byte, closed bool, err error) {
 	for {
 		l.mu.Lock()
 		if off < l.n || l.closed {
-			return l.readUnlock(off)
+			return l.readUnlock(off, false)
 		}
 		if l.notify == nil {
 			l.notify = make(chan struct{})
@@ -134,22 +178,32 @@ func (l *StreamLog) Wait(ctx context.Context, off int) (data []byte, closed bool
 	}
 }
 
-// readUnlock is ReadFrom's body. Callers hold l.mu; it is released before
-// a spill file is read. In memory the bytes are a capacity-clipped view of
-// the buffer: bytes below the length are never rewritten, and the clip
-// keeps a caller's append out of the writer's spare capacity.
-func (l *StreamLog) readUnlock(off int) ([]byte, bool, error) {
+// readUnlock is the body of ReadFrom (all true: every block from off) and
+// Wait (all false: the block holding off). Callers hold l.mu; it is
+// released before a spill file is read. A view is clipped to its length,
+// so a caller's append cannot reach the tail block's spare capacity.
+func (l *StreamLog) readUnlock(off int, all bool) ([]byte, bool, error) {
 	closed, path, n := l.closed, l.path, l.n
-	var data []byte
-	if off < n && path == "" {
-		data = l.buf[off:n:n]
+	if off >= n {
+		l.mu.Unlock()
+		return nil, closed, nil
+	}
+	if path != "" {
+		l.mu.Unlock()
+		data, err := readSpill(path, off, n)
+		return data, closed, err
+	}
+	i := off / blockSize
+	b := l.blocks[i]
+	data := b[off%blockSize : len(b) : len(b)]
+	if all && off+len(data) < n {
+		data = append(make([]byte, 0, n-off), data...)
+		for _, b := range l.blocks[i+1:] {
+			data = append(data, b...)
+		}
 	}
 	l.mu.Unlock()
-	if off >= n || path == "" {
-		return data, closed, nil
-	}
-	data, err := readSpill(path, off, n)
-	return data, closed, err
+	return data, closed && off+len(data) == n, nil
 }
 
 // readSpill reads bytes [off, n) of a spill file.
