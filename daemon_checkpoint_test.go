@@ -23,8 +23,8 @@ import (
 // resumes into byte-identical results and event stream, and a finished run
 // forks into a child that reproduces the parent's remaining suffix.
 
-// ckptManifestEntry mirrors the wire form of one run-checkpoint manifest
-// line (the tcc package's runCheckpointEntry) for test-side inspection.
+// ckptManifestEntry reads the head of one run-checkpoint manifest line,
+// {"cycle":N,"event_bytes":M,"checkpoint":{…}}, for test-side inspection.
 type ckptManifestEntry struct {
 	Cycle      uint64 `json:"cycle"`
 	EventBytes int64  `json:"event_bytes"`

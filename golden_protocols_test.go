@@ -1,10 +1,6 @@
 package scalabletcc
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"scalabletcc/tcc"
@@ -130,38 +126,7 @@ func TestGoldenProtocolFixture(t *testing.T) {
 	for _, c := range goldenProtocolConfigs() {
 		got = append(got, runGoldenProtoCell(t, c))
 	}
-
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenProtocolsPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenProtocolsPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", goldenProtocolsPath)
-		return
-	}
-
-	buf, err := os.ReadFile(goldenProtocolsPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	var want []goldenProtoCell
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("fixture has %d cells, run produced %d (regenerate with -update)", len(want), len(got))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("golden cell %s diverged:\n  want %+v\n  got  %+v", want[i].Name, want[i], got[i])
-		}
-	}
+	checkFixture(t, goldenProtocolsPath, got, nil)
 }
 
 // TestGoldenProtocolReplayStable: the rival models' determinism must not

@@ -1,11 +1,8 @@
 package scalabletcc
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"scalabletcc/internal/mem"
@@ -125,43 +122,7 @@ func TestGoldenShardFixture(t *testing.T) {
 		got[i] = runGoldenShardCell(t, c, 1)
 	}
 
-	if *updateGolden {
-		if testing.Short() {
-			t.Fatal("-update records every row; run it without -short")
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenShardPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenShardPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", goldenShardPath)
-		return
-	}
-
-	buf, err := os.ReadFile(goldenShardPath)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	var want []goldenShardCell
-	if err := json.Unmarshal(buf, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("fixture has %d cells, run produced %d (regenerate with -update)", len(want), len(got))
-	}
-	for i := range want {
-		if cfgs[i].long() && testing.Short() {
-			continue
-		}
-		if want[i] != got[i] {
-			t.Errorf("sharded golden cell %s diverged:\n  want %+v\n  got  %+v", want[i].Name, want[i], got[i])
-		}
-	}
+	checkFixture(t, goldenShardPath, got, func(i int) bool { return !(cfgs[i].long() && testing.Short()) })
 
 	// Shard-count independence: every shard count reproduces the shards=1
 	// fingerprint byte for byte. Procs must stay divisible by the count.

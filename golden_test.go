@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"scalabletcc/tcc"
@@ -130,36 +131,53 @@ func TestGoldenFixture(t *testing.T) {
 	for _, c := range goldenConfigs() {
 		got = append(got, runGoldenCell(t, c))
 	}
+	checkFixture(t, goldenPath, got, nil)
+}
 
+// checkFixture compares got, row by row, with the golden fixture at path,
+// or rewrites the fixture from got under -update. ran reports whether row i
+// was run; a nil ran means every row was. A row that was not run (a long
+// row under -short) is not compared, and -update refuses to record a run
+// that skipped any.
+func checkFixture[T any](t *testing.T, path string, got []T, ran func(i int) bool) {
+	t.Helper()
+	if ran == nil {
+		ran = func(int) bool { return true }
+	}
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		for i := range got {
+			if !ran(i) {
+				t.Fatal("-update records every row; run it without -short")
+			}
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s", goldenPath)
+		t.Logf("wrote %s", path)
 		return
 	}
 
-	buf, err := os.ReadFile(goldenPath)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
 	}
-	var want []goldenCell
+	var want []T
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Fatalf("fixture has %d cells, run produced %d (regenerate with -update)", len(want), len(got))
+		t.Fatalf("%s has %d rows, run produced %d (regenerate with -update)", path, len(want), len(got))
 	}
 	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("golden cell %s diverged:\n  want %+v\n  got  %+v", want[i].Name, want[i], got[i])
+		if ran(i) && !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("%s row %d diverged:\n  want %+v\n  got  %+v", path, i, want[i], got[i])
 		}
 	}
 }

@@ -148,10 +148,11 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 		if err != nil {
 			return nil, err
 		}
-		lines, err := runner.LoadCheckpoint(jc.CheckpointPath, hash)
-		if err != nil {
+		var lines [][]byte
+		if lines, cw, err = runner.OpenCheckpoint(jc.CheckpointPath, jc.ID, hash); err != nil {
 			return nil, err
 		}
+		defer cw.Close()
 		for _, line := range lines {
 			var e entry
 			if json.Unmarshal(line, &e) != nil {
@@ -160,10 +161,6 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 			done.put(e, nil)
 		}
 		resumed = len(lines) > 0
-		if cw, err = runner.AppendCheckpoint(jc.CheckpointPath, jc.ID, hash); err != nil {
-			return nil, err
-		}
-		defer cw.Close()
 	}
 
 	var cells []Cell

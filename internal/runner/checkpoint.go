@@ -19,7 +19,7 @@ import (
 // The first line is a versioned header binding the manifest to one job spec
 // (by hash): a manifest recorded under a different spec is ignored rather
 // than replayed, so an edited job recomputes from scratch instead of mixing
-// stale cells in. AppendCheckpoint enforces the same binding on reopen.
+// stale cells in. OpenCheckpoint enforces the same binding on reopen.
 const (
 	// CheckpointSchema identifies the manifest document type.
 	CheckpointSchema = "scalabletcc/job-checkpoint"
@@ -81,7 +81,10 @@ func scanCheckpoint(data []byte, specHash string) (entries [][]byte, validLen in
 // differs from specHash also returns (nil, nil) — stale state is skipped,
 // not trusted — while an unreadable file is a real error. A trailing
 // partial line (crash mid-append) is dropped, and a corrupt line drops it
-// and everything after it: only the valid prefix is replayed.
+// and everything after it: only the valid prefix is replayed. It never
+// writes the file, so it can read a manifest another job is still
+// appending to (a fork's parent); a job resuming from its own manifest
+// opens it once with OpenCheckpoint instead.
 func LoadCheckpoint(path, specHash string) ([][]byte, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -125,38 +128,38 @@ func CreateCheckpoint(path, jobID, specHash string) (*CheckpointWriter, error) {
 	return cw, nil
 }
 
-// AppendCheckpoint reopens an existing manifest for appending more entries
-// (the resume path keeps extending the same file). It re-validates the file
-// before the first append: the header must bind to specHash — a manifest
-// recorded under a different spec (or an unreadable header) is recreated
-// rather than extended — and the file is truncated to its validated prefix,
-// so entries never land after a corrupt line where the next load would
-// silently discard them.
-func AppendCheckpoint(path, jobID, specHash string) (*CheckpointWriter, error) {
+// OpenCheckpoint opens the manifest at path to resume a job from it: it
+// returns the entry lines LoadCheckpoint would (sub-slices of one read of
+// the file) and a writer that appends after them. The header must bind the
+// file to specHash: a missing manifest, one recorded under a different spec,
+// or one with an unreadable header is recreated and yields no entries. A
+// matching manifest is truncated to its valid prefix, so entries never land
+// after a corrupt line where the next load would silently discard them.
+func OpenCheckpoint(path, jobID, specHash string) ([][]byte, *CheckpointWriter, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("runner: open checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("runner: open checkpoint: %w", err)
 	}
-	_, validLen, ok := scanCheckpoint(data, specHash)
+	entries, validLen, ok := scanCheckpoint(data, specHash)
 	if !ok {
-		// Missing file, foreign spec, or corrupt header: start clean.
-		return CreateCheckpoint(path, jobID, specHash)
+		cw, err := CreateCheckpoint(path, jobID, specHash)
+		return nil, cw, err
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("runner: open checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("runner: open checkpoint: %w", err)
 	}
 	if validLen < int64(len(data)) {
 		if err := f.Truncate(validLen); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("runner: truncate checkpoint to valid prefix: %w", err)
+			return nil, nil, fmt.Errorf("runner: truncate checkpoint to valid prefix: %w", err)
 		}
 	}
 	if _, err := f.Seek(validLen, 0); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("runner: seek checkpoint: %w", err)
+		return nil, nil, fmt.Errorf("runner: seek checkpoint: %w", err)
 	}
-	return &CheckpointWriter{f: f, w: bufio.NewWriter(f)}, nil
+	return entries, &CheckpointWriter{f: f, w: bufio.NewWriter(f)}, nil
 }
 
 // Append writes one entry line and fsyncs it.

@@ -90,9 +90,10 @@ func TestCheckpointEdgeMatrix(t *testing.T) {
 
 // FuzzManifest holds the manifest loader to its contract on arbitrary
 // bytes: every entry it returns is JSON, the valid prefix ends on a newline,
-// and reopening the manifest for appending (which truncates it to that
-// prefix, or recreates it under a foreign or broken header) and appending
-// one entry reloads as the old entries plus the new one.
+// reopening the manifest for appending (which truncates it to that prefix,
+// or recreates it under a foreign or broken header) returns exactly the
+// entries LoadCheckpoint returns, and appending one entry reloads as the
+// old entries plus the new one.
 func FuzzManifest(f *testing.F) {
 	for _, tc := range edgeMatrix() {
 		f.Add(tc.data)
@@ -114,9 +115,16 @@ func FuzzManifest(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := AppendCheckpoint(path, "j000001", "h1")
+		loaded, err := LoadCheckpoint(path, "h1")
 		if err != nil {
 			t.Fatal(err)
+		}
+		opened, cw, err := OpenCheckpoint(path, "j000001", "h1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalEntries(opened, loaded) {
+			t.Fatalf("OpenCheckpoint returned %q, LoadCheckpoint %q", opened, loaded)
 		}
 		if err := cw.Append(map[string]int{"new": 1}); err != nil {
 			t.Fatal(err)
@@ -128,23 +136,30 @@ func FuzzManifest(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := append(entries, []byte(`{"new":1}`))
-		if len(got) != len(want) {
-			t.Fatalf("reload has %d entries, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("reload entry %d is %q, want %q", i, got[i], want[i])
-			}
+		if want := append(entries, []byte(`{"new":1}`)); !equalEntries(got, want) {
+			t.Fatalf("reload is %q, want %q", got, want)
 		}
 	})
 }
 
-// TestAppendCheckpointValidatesHeader exercises the reopen path: a manifest
+// equalEntries reports whether a and b hold the same entry lines in order.
+func equalEntries(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOpenCheckpointValidatesHeader exercises the reopen path: a manifest
 // under a foreign spec hash (or with a broken header) is recreated, not
 // extended, and a matching manifest is extended after truncation to its
 // valid prefix.
-func TestAppendCheckpointValidatesHeader(t *testing.T) {
+func TestOpenCheckpointValidatesHeader(t *testing.T) {
 	dir := t.TempDir()
 
 	t.Run("foreign-spec-recreated", func(t *testing.T) {
@@ -152,9 +167,9 @@ func TestAppendCheckpointValidatesHeader(t *testing.T) {
 		if err := os.WriteFile(path, manifestBytes(validHeader("j000009", "other"), `{"i":0}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := AppendCheckpoint(path, "j000001", "h1")
-		if err != nil {
-			t.Fatal(err)
+		e, cw, err := OpenCheckpoint(path, "j000001", "h1")
+		if err != nil || e != nil {
+			t.Fatalf("foreign manifest reopened with %q err=%v", e, err)
 		}
 		if err := cw.Append(map[string]int{"i": 1}); err != nil {
 			t.Fatal(err)
@@ -164,7 +179,7 @@ func TestAppendCheckpointValidatesHeader(t *testing.T) {
 		if e, _ := LoadCheckpoint(path, "other"); e != nil {
 			t.Fatalf("stale manifest survived recreation: %q", e)
 		}
-		e, err := LoadCheckpoint(path, "h1")
+		e, err = LoadCheckpoint(path, "h1")
 		if err != nil || len(e) != 1 || string(e[0]) != `{"i":1}` {
 			t.Fatalf("recreated manifest: %q err=%v", e, err)
 		}
@@ -172,15 +187,15 @@ func TestAppendCheckpointValidatesHeader(t *testing.T) {
 
 	t.Run("missing-file-created", func(t *testing.T) {
 		path := filepath.Join(dir, "missing.jsonl")
-		cw, err := AppendCheckpoint(path, "j000002", "h2")
-		if err != nil {
-			t.Fatal(err)
+		e, cw, err := OpenCheckpoint(path, "j000002", "h2")
+		if err != nil || e != nil {
+			t.Fatalf("missing manifest opened with %q err=%v", e, err)
 		}
 		if err := cw.Append(map[string]int{"i": 7}); err != nil {
 			t.Fatal(err)
 		}
 		cw.Close()
-		e, err := LoadCheckpoint(path, "h2")
+		e, err = LoadCheckpoint(path, "h2")
 		if err != nil || len(e) != 1 {
 			t.Fatalf("created manifest: %q err=%v", e, err)
 		}
@@ -192,15 +207,15 @@ func TestAppendCheckpointValidatesHeader(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := AppendCheckpoint(path, "j000003", "h3")
-		if err != nil {
-			t.Fatal(err)
+		e, cw, err := OpenCheckpoint(path, "j000003", "h3")
+		if err != nil || len(e) != 1 || string(e[0]) != `{"i":0}` {
+			t.Fatalf("corrupt manifest reopened with %q err=%v", e, err)
 		}
 		if err := cw.Append(map[string]int{"i": 3}); err != nil {
 			t.Fatal(err)
 		}
 		cw.Close()
-		e, err := LoadCheckpoint(path, "h3")
+		e, err = LoadCheckpoint(path, "h3")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,9 +254,9 @@ func TestCheckpointCrashMidAppendRoundTrip(t *testing.T) {
 	f.Close()
 
 	// Resume: reopen, append two more entries, reload.
-	cw, err = AppendCheckpoint(path, "j000005", "h5")
-	if err != nil {
-		t.Fatal(err)
+	e, cw, err := OpenCheckpoint(path, "j000005", "h5")
+	if err != nil || len(e) != 5 {
+		t.Fatalf("reopen after the torn write: %d entries err=%v", len(e), err)
 	}
 	for i := 5; i < 7; i++ {
 		if err := cw.Append(map[string]int{"i": i}); err != nil {
@@ -251,7 +266,7 @@ func TestCheckpointCrashMidAppendRoundTrip(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e, err := LoadCheckpoint(path, "h5")
+	e, err = LoadCheckpoint(path, "h5")
 	if err != nil {
 		t.Fatal(err)
 	}

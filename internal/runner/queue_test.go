@@ -135,7 +135,7 @@ func TestQueueCancelRunningAndQueued(t *testing.T) {
 	}
 	// The stream log must be closed for terminal jobs.
 	log, _ := q.Events(running.ID)
-	if _, closed, _ := log.ReadFrom(0); !closed {
+	if _, closed := tail(t, log, 0); !closed {
 		t.Fatal("canceled job's stream must be closed")
 	}
 }
@@ -348,7 +348,7 @@ func TestStreamLogFollowsAndCloses(t *testing.T) {
 	if _, err := l.Write([]byte("line1\n")); err != nil {
 		t.Fatal(err)
 	}
-	data, closed, _ := l.ReadFrom(0)
+	data, closed := tail(t, l, 0)
 	if string(data) != "line1\n" || closed {
 		t.Fatalf("got %q closed=%v", data, closed)
 	}
@@ -368,7 +368,7 @@ func TestStreamLogFollowsAndCloses(t *testing.T) {
 	if n, err := l.Write([]byte("dropped\n")); err != nil || n != 8 {
 		t.Fatalf("post-close write must succeed silently, got n=%d err=%v", n, err)
 	}
-	data, closed, _ = l.ReadFrom(0)
+	data, closed = tail(t, l, 0)
 	if string(data) != "line1\nline2\n" || !closed {
 		t.Fatalf("final state %q closed=%v", data, closed)
 	}
@@ -428,9 +428,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// Resume path truncates the partial tail and appends to the same
 	// manifest; the new entry extends the valid prefix instead of landing
 	// after the corruption.
-	cw, err = AppendCheckpoint(path, "j000001", "abc123")
-	if err != nil {
-		t.Fatal(err)
+	entries, cw, err = OpenCheckpoint(path, "j000001", "abc123")
+	if err != nil || len(entries) != 3 {
+		t.Fatalf("reopen: %d entries err=%v", len(entries), err)
 	}
 	if err := cw.Append(entry{4}); err != nil {
 		t.Fatal(err)
@@ -519,9 +519,9 @@ func TestQueueTerminalStateFollowsPersistence(t *testing.T) {
 
 	for _, id := range ids[:3] {
 		log, _ := q.Events(id)
-		data, closed, err := log.ReadFrom(0)
-		if want := fmt.Sprintf("{\"k\":\"hello\",\"job\":%q}\n", id); err != nil || !closed || string(data) != want {
-			t.Fatalf("spilled log of %s: %q closed=%v err=%v", id, data, closed, err)
+		data, closed := tail(t, log, 0)
+		if want := fmt.Sprintf("{\"k\":\"hello\",\"job\":%q}\n", id); !closed || string(data) != want {
+			t.Fatalf("spilled log of %s: %q closed=%v", id, data, closed)
 		}
 	}
 }

@@ -143,16 +143,6 @@ func (l *StreamLog) Len() int {
 	return l.n
 }
 
-// ReadFrom returns all the bytes from offset off onward and whether the
-// stream is complete. An offset at or beyond the end returns nil data.
-// Bytes within one block are a read-only view that later appends never
-// change; bytes that span blocks, or come from a spill file, are a fresh
-// copy. An error means the spill file could not be read.
-func (l *StreamLog) ReadFrom(off int) (data []byte, closed bool, err error) {
-	l.mu.Lock()
-	return l.readUnlock(off, true)
-}
-
 // Wait blocks until there are bytes beyond off, the stream closes, or ctx
 // is done. It then returns a read-only view from off to the end of the
 // block holding off (from a spilled log, a copy of everything from off),
@@ -160,11 +150,8 @@ func (l *StreamLog) ReadFrom(off int) (data []byte, closed bool, err error) {
 // reader that wants everything available calls Wait again from the new
 // offset while it is below Len; that call does not block.
 func (l *StreamLog) Wait(ctx context.Context, off int) (data []byte, closed bool, err error) {
-	for {
-		l.mu.Lock()
-		if off < l.n || l.closed {
-			return l.readUnlock(off, false)
-		}
+	l.mu.Lock()
+	for off >= l.n && !l.closed {
 		if l.notify == nil {
 			l.notify = make(chan struct{})
 		}
@@ -175,33 +162,23 @@ func (l *StreamLog) Wait(ctx context.Context, off int) (data []byte, closed bool
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
+		l.mu.Lock()
 	}
-}
-
-// readUnlock is the body of ReadFrom (all true: every block from off) and
-// Wait (all false: the block holding off). Callers hold l.mu; it is
-// released before a spill file is read. A view is clipped to its length,
-// so a caller's append cannot reach the tail block's spare capacity.
-func (l *StreamLog) readUnlock(off int, all bool) ([]byte, bool, error) {
 	closed, path, n := l.closed, l.path, l.n
 	if off >= n {
 		l.mu.Unlock()
 		return nil, closed, nil
 	}
+	// The spill file is read outside the lock. A view is clipped to its
+	// length, so a caller's append cannot reach the tail block's spare
+	// capacity.
 	if path != "" {
 		l.mu.Unlock()
 		data, err := readSpill(path, off, n)
 		return data, closed, err
 	}
-	i := off / blockSize
-	b := l.blocks[i]
-	data := b[off%blockSize : len(b) : len(b)]
-	if all && off+len(data) < n {
-		data = append(make([]byte, 0, n-off), data...)
-		for _, b := range l.blocks[i+1:] {
-			data = append(data, b...)
-		}
-	}
+	b := l.blocks[off/blockSize]
+	data = b[off%blockSize : len(b) : len(b)]
 	l.mu.Unlock()
 	return data, closed && off+len(data) == n, nil
 }

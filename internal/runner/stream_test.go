@@ -61,9 +61,16 @@ func checkBlocks(t *testing.T, l *StreamLog) {
 }
 
 // tail reads l from off to its current end the way serveEvents gathers
-// one wake-up: Wait again while the offset is below Len.
+// one wake-up: Wait again while the offset is below Len. It reports
+// whether what it read ends the complete stream. It does not block: at or
+// past the end it returns nothing.
 func tail(t *testing.T, l *StreamLog, off int) (got []byte, closed bool) {
 	t.Helper()
+	if off >= l.Len() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return nil, l.closed
+	}
 	for {
 		data, c, err := l.Wait(context.Background(), off)
 		if err != nil {
@@ -91,8 +98,8 @@ func TestStreamLogWriteAllocs(t *testing.T) {
 }
 
 // Reads from every offset near a block boundary return the live bytes:
-// ReadFrom everything from the offset, Wait a view that ends at the end of
-// the offset's block, and views already handed out never change.
+// Wait a view that ends at the end of the offset's block, tail everything
+// from the offset, and views already handed out never change.
 func TestStreamLogReadsAcrossBlocks(t *testing.T) {
 	live := testStream(5*blockSize + 1234)
 	l := NewStreamLog()
@@ -112,10 +119,6 @@ func TestStreamLogReadsAcrossBlocks(t *testing.T) {
 	for k := 1; k < len(l.blocks); k++ {
 		start := k * blockSize
 		for off := start - 3; off <= start+3; off++ {
-			data, closed, err := l.ReadFrom(off)
-			if err != nil || closed || !bytes.Equal(data, live[off:]) {
-				t.Fatalf("ReadFrom(%d): %d bytes closed=%v err=%v, want %d bytes", off, len(data), closed, err, len(live)-off)
-			}
 			view, _, _ := l.Wait(context.Background(), off)
 			end := start
 			if off >= start {
@@ -124,14 +127,14 @@ func TestStreamLogReadsAcrossBlocks(t *testing.T) {
 			if !bytes.Equal(view, live[off:end]) {
 				t.Fatalf("Wait(%d) = %d bytes, want the %d to the end of its block", off, len(view), end-off)
 			}
-			if got, _ := tail(t, l, off); !bytes.Equal(got, live[off:]) {
-				t.Fatalf("tail from %d: %d bytes, want %d", off, len(got), len(live)-off)
+			if got, closed := tail(t, l, off); closed || !bytes.Equal(got, live[off:]) {
+				t.Fatalf("tail from %d: %d bytes closed=%v, want %d bytes", off, len(got), closed, len(live)-off)
 			}
 		}
 	}
 	for _, off := range []int{len(live), len(live) + 5} {
-		if data, _, _ := l.ReadFrom(off); data != nil {
-			t.Fatalf("ReadFrom(%d) past the end = %d bytes", off, len(data))
+		if data, _ := tail(t, l, off); data != nil {
+			t.Fatalf("tail from %d past the end = %d bytes", off, len(data))
 		}
 	}
 }
@@ -150,8 +153,8 @@ func TestStreamLogWriteLargerThanBlock(t *testing.T) {
 	}
 	l.Write(live[big:])
 	checkBlocks(t, l)
-	if data, _, _ := l.ReadFrom(0); !bytes.Equal(data, live) {
-		t.Fatalf("ReadFrom(0) = %d bytes, want %d", len(data), len(live))
+	if data, _ := tail(t, l, 0); !bytes.Equal(data, live) {
+		t.Fatalf("tail from 0 = %d bytes, want %d", len(data), len(live))
 	}
 }
 
@@ -207,9 +210,9 @@ func TestStreamLogSpillBlocks(t *testing.T) {
 		t.Fatalf("after spill: %d blocks, Len %d", len(l.blocks), l.Len())
 	}
 	for _, off := range offsets[1:] {
-		data, closed, err := l.ReadFrom(off)
-		if err != nil || closed || !bytes.Equal(data, live[off:]) {
-			t.Fatalf("ReadFrom(%d) from the spill: %d bytes closed=%v err=%v", off, len(data), closed, err)
+		data, closed := tail(t, l, off)
+		if closed || !bytes.Equal(data, live[off:]) {
+			t.Fatalf("tail from %d of the spill: %d bytes closed=%v", off, len(data), closed)
 		}
 	}
 	l.Close()
@@ -219,8 +222,8 @@ func TestStreamLogSpillBlocks(t *testing.T) {
 }
 
 // A reader that is mid-stream when the log spills sees the same bytes it
-// would have seen from memory, and ReadFrom and Len agree before and after
-// the spill.
+// would have seen from memory, and tail and Len agree before and after the
+// spill.
 func TestStreamLogSpillMidStream(t *testing.T) {
 	l := NewStreamLog()
 	var live bytes.Buffer
@@ -252,10 +255,7 @@ func TestStreamLogSpillMidStream(t *testing.T) {
 	offsets := []int{0, 1, 37, live.Len() / 2, live.Len() - 1, live.Len(), live.Len() + 5}
 	before := make([][]byte, len(offsets))
 	for i, o := range offsets {
-		data, _, err := l.ReadFrom(o)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data, _ := tail(t, l, o)
 		before[i] = bytes.Clone(data)
 	}
 	lenBefore := l.Len()
@@ -275,12 +275,8 @@ func TestStreamLogSpillMidStream(t *testing.T) {
 		t.Fatalf("Len %d after spill, %d before", l.Len(), lenBefore)
 	}
 	for i, o := range offsets {
-		data, closed, err := l.ReadFrom(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if closed || !bytes.Equal(data, before[i]) {
-			t.Fatalf("ReadFrom(%d) after spill = %d bytes closed=%v, before %d bytes", o, len(data), closed, len(before[i]))
+		if data, closed := tail(t, l, o); closed || !bytes.Equal(data, before[i]) {
+			t.Fatalf("tail from %d after spill = %d bytes closed=%v, before %d bytes", o, len(data), closed, len(before[i]))
 		}
 	}
 

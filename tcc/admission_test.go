@@ -81,6 +81,22 @@ func TestAdmissionRejectsShardedSampling(t *testing.T) {
 	}
 }
 
+// TestAdmissionRejectsRivalSampling: only the scalable machine has a
+// sampler, so a run spec asking a rival protocol to sample is refused at
+// admission (a 400 from tccd) instead of failing once its machine is built.
+func TestAdmissionRejectsRivalSampling(t *testing.T) {
+	for _, protocol := range []string{"tl2", "eager", "baseline"} {
+		spec, err := DecodeJobSpec([]byte(`{"schema":"scalabletcc/job","version":1,"kind":"run",` +
+			`"run":{"app":"hotspot","procs":4,"scale":0.05,"sample_every":500,"protocol":"` + protocol + `"}}`))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", protocol, err)
+		}
+		if err := ValidateJobSpec(spec); err == nil || !strings.Contains(err.Error(), "sampling requires the scalable machine") {
+			t.Errorf("%s: ValidateJobSpec = %v, want the sampler refusal", protocol, err)
+		}
+	}
+}
+
 // TestRunGuardedRecoversPanic: a simulation that panics on the guarded
 // goroutine fails its run instead of the process.
 func TestRunGuardedRecoversPanic(t *testing.T) {

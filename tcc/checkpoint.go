@@ -11,7 +11,6 @@ package tcc
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -23,18 +22,12 @@ import (
 	"scalabletcc/internal/runner"
 )
 
-// runCheckpointEntry is one line of a run job's checkpoint manifest: the
-// cycle of the quiescent cut, the number of event-stream bytes emitted
-// before it, and the kernel snapshot itself. save frames the same bytes by
-// hand around the snapshot, and readEntry reads that frame back by hand.
-type runCheckpointEntry struct {
-	Cycle      uint64          `json:"cycle"`
-	EventBytes int64           `json:"event_bytes"`
-	Checkpoint json.RawMessage `json:"checkpoint"`
-}
-
-// appendEntryHead appends the bytes of json.Marshal(runCheckpointEntry{...})
-// that precede the checkpoint.
+// appendEntryHead appends the bytes of a manifest entry that precede its
+// checkpoint. An entry is one line of a run job's checkpoint manifest:
+// {"cycle":N,"event_bytes":M,"checkpoint":{…}}, the cycle of the quiescent
+// cut, the number of event-stream bytes emitted before it, and the kernel
+// snapshot itself. save and PrepareForkJob write this frame and nothing
+// else, and readEntry reads only it.
 func appendEntryHead(b []byte, cycle uint64, eventBytes int64) []byte {
 	b = append(b, `{"cycle":`...)
 	b = strconv.AppendUint(b, cycle, 10)
@@ -45,14 +38,12 @@ func appendEntryHead(b []byte, cycle uint64, eventBytes int64) []byte {
 
 var closeBrace = []byte("}")
 
-// readEntry reads one manifest entry: the cut's cycle, its event-stream
-// offset, and the checkpoint as json.Marshal of the entry writes it, compact
-// and HTML-escaped. An entry in the frame save writes (the three keys in
-// order, plain decimal numbers, and a compact checkpoint object with nothing
-// to escape) yields its checkpoint as a sub-slice of line, unread. Any other
-// entry goes through json.Unmarshal, and its checkpoint through json.Marshal.
-// Lines come from runner.LoadCheckpoint, which has checked that each is
-// JSON; the frame check relies on that.
+// readEntry reads one manifest entry in the frame appendEntryHead starts:
+// the head with plain decimal numbers, then the checkpoint, which runs to
+// the line's final '}' and must start with '{'. The checkpoint comes back
+// unread, as a sub-slice of line: core.DecodeCheckpoint validates it on
+// resume, so bytes after the snapshot object fail there. Any other line is
+// refused, and a resume then recomputes from scratch.
 func readEntry(line []byte) (cycle uint64, eventBytes int64, ck []byte, err error) {
 	rest, ok := bytes.CutPrefix(line, []byte(`{"cycle":`))
 	if ok {
@@ -62,20 +53,10 @@ func readEntry(line []byte) (cycle uint64, eventBytes int64, ck []byte, err erro
 	if ok {
 		n, rest, ok = cutDecimal(rest, `,"checkpoint":`)
 	}
-	if ok && n <= math.MaxInt64 {
-		if end := compactObjectLen(rest); end > 0 && end == len(rest)-1 && rest[end] == '}' {
-			return cycle, int64(n), rest[:end], nil
-		}
+	if !ok || n > math.MaxInt64 || len(rest) < 2 || rest[0] != '{' || rest[len(rest)-1] != '}' {
+		return 0, 0, nil, fmt.Errorf("tcc: checkpoint entry is not in the manifest entry frame")
 	}
-	var e runCheckpointEntry
-	if err := json.Unmarshal(line, &e); err != nil {
-		return 0, 0, nil, err
-	}
-	if len(e.Checkpoint) == 0 {
-		return 0, 0, nil, fmt.Errorf("tcc: checkpoint entry holds no snapshot")
-	}
-	ck, err = json.Marshal(e.Checkpoint)
-	return e.Cycle, e.EventBytes, ck, err
+	return cycle, int64(n), rest[:len(rest)-1], nil
 }
 
 // cutDecimal reads the unsigned decimal at the start of b, which must be
@@ -91,54 +72,6 @@ func cutDecimal(b []byte, sep string) (uint64, []byte, bool) {
 	v, err := strconv.ParseUint(string(b[:i]), 10, 64)
 	return v, b[i+len(sep):], err == nil
 }
-
-// compactObjectLen returns the length of the JSON object at the start of b
-// if json.Marshal would copy it unchanged (no white space between tokens, no
-// <, > or &, no non-ASCII byte), or 0. b must begin with a JSON value.
-func compactObjectLen(b []byte) int {
-	if len(b) == 0 || b[0] != '{' {
-		return 0
-	}
-	depth, inString := 0, false
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if !frameByte[c] {
-			continue
-		}
-		switch {
-		case c >= 0x80, c == '<', c == '>', c == '&':
-			return 0
-		case inString:
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inString = false
-			}
-		case c == '"':
-			inString = true
-		case c == '{', c == '[':
-			depth++
-		case c == '}', c == ']':
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		default: // white space
-			return 0
-		}
-	}
-	return 0
-}
-
-// frameByte marks the bytes compactObjectLen acts on; it skips the rest.
-var frameByte = func() (t [256]bool) {
-	for _, c := range []byte("\"\\{}[]<>& \t\n\r") {
-		t[c] = true
-	}
-	for c := 0x80; c < len(t); c++ {
-		t[c] = true
-	}
-	return t
-}()
 
 // countingWriter tracks the logical event-stream offset (replayed prefix
 // plus everything written since) so each manifest entry can record where in
@@ -177,10 +110,11 @@ type runCheckpointer struct {
 	head    []byte // reused manifest-entry framing
 }
 
-// newRunCheckpointer loads any resumable state at jc.CheckpointPath and
-// opens the manifest (and, when the job streams events, the sidecar) for
-// appending. wantEvents says whether the job has an event sink attached —
-// without one there is no stream to preserve and the sidecar is skipped.
+// newRunCheckpointer opens the manifest at jc.CheckpointPath, restores its
+// newest snapshot if it has one, and opens the sidecar when the job
+// streams events. A manifest whose newest snapshot does not restore is
+// started over. wantEvents says whether the job has an event sink attached
+// — without one there is no stream to preserve and the sidecar is skipped.
 func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext, wantEvents bool) (*runCheckpointer, error) {
 	specHash, err := spec.Hash()
 	if err != nil {
@@ -188,22 +122,20 @@ func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext,
 	}
 	path := jc.CheckpointPath
 	rc := &runCheckpointer{every: spec.Run.CheckpointEvery}
-	entries, err := runner.LoadCheckpoint(path, specHash)
+	entries, cw, err := runner.OpenCheckpoint(path, jc.ID, specHash)
 	if err != nil {
 		return nil, err
 	}
 	if len(entries) > 0 {
 		rc.loadLatest(entries, cfg, prog, path, wantEvents, jc.Logf)
+		if !rc.resumed {
+			cw.Close()
+			if cw, err = runner.CreateCheckpoint(path, jc.ID, specHash); err != nil {
+				return nil, err
+			}
+		}
 	}
-
-	if rc.resumed {
-		rc.cw, err = runner.AppendCheckpoint(path, jc.ID, specHash)
-	} else {
-		rc.cw, err = runner.CreateCheckpoint(path, jc.ID, specHash)
-	}
-	if err != nil {
-		return nil, err
-	}
+	rc.cw = cw
 	rc.appendEntry = rc.cw.AppendRaw
 	if wantEvents {
 		f, err := os.OpenFile(eventSidecar(path), os.O_WRONLY|os.O_CREATE, 0o644)
@@ -273,7 +205,7 @@ func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program
 
 // save appends one durable manifest entry for the snapshot at a cut. The
 // line is framed by hand around the snapshot, which is encoded into a
-// recycled buffer; the bytes equal json.Marshal(runCheckpointEntry{...}).
+// recycled buffer.
 func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	var n int64
 	if rc.events != nil {

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/runner"
 )
 
@@ -26,6 +29,14 @@ func (m *marshalObserver) Event(e Event) {
 }
 
 const streamHeaderLine = `{"schema":"scalabletcc/events","version":1}` + "\n"
+
+// manifestEntry is the reference encoding of a run job's manifest entry:
+// save's frame is json.Marshal of it.
+type manifestEntry struct {
+	Cycle      uint64          `json:"cycle"`
+	EventBytes int64           `json:"event_bytes"`
+	Checkpoint json.RawMessage `json:"checkpoint"`
+}
 
 // checkpointedSpec returns a verified run spec whose checkpoint cadence puts
 // about four cuts in the run, and the stream of an uninterrupted run.
@@ -96,7 +107,7 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 	durable := rc.appendEntry
 	rc.appendEntry = func(pieces ...[]byte) error {
 		line := bytes.Join(pieces, nil)
-		var e runCheckpointEntry
+		var e manifestEntry
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatalf("manifest entry is not JSON: %v", err)
 		}
@@ -178,7 +189,7 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 // without re-encoding it: the child's entry is byte-identical to
 // json.Marshal of the parent's entry with event_bytes 0. A parent entry
 // outside save's frame (here, with white space in the frame and in the
-// snapshot) takes the json.Unmarshal path and ends up identical too.
+// snapshot) is refused.
 func TestForkCopiesParentCheckpoint(t *testing.T) {
 	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
 	dir := t.TempDir()
@@ -191,76 +202,128 @@ func TestForkCopiesParentCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose := bytes.Replace(manifest, []byte(`"event_bytes":`), []byte(`"event_bytes": `), -1)
-	loose = bytes.Replace(loose, []byte(`"version":1,`), []byte(`"version": 1,`), -1)
-	for name, m := range map[string][]byte{"save's frame": manifest, "loose frame": loose} {
-		if err := os.WriteFile(parentCk, m, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		lines := bytes.Split(bytes.TrimSuffix(m, []byte("\n")), []byte("\n"))
-		var e runCheckpointEntry
-		if err := json.Unmarshal(lines[len(lines)-1], &e); err != nil {
-			t.Fatal(err)
-		}
-		e.EventBytes = 0
-		want, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+	lines := bytes.Split(bytes.TrimSuffix(manifest, []byte("\n")), []byte("\n"))
+	var e manifestEntry
+	if err := json.Unmarshal(lines[len(lines)-1], &e); err != nil {
+		t.Fatal(err)
+	}
+	e.EventBytes = 0
+	want, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork := func() error {
 		child := *spec
 		childRun := *spec.Run
 		child.Run = &childRun
-		childCk := filepath.Join(dir, "child.ckpt.jsonl")
-		if err := PrepareForkJob(spec, &child, parentCk, childCk, "child"); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := os.ReadFile(childCk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		childLines := bytes.Split(bytes.TrimSuffix(got, []byte("\n")), []byte("\n"))
-		if len(childLines) != 2 || !bytes.Equal(childLines[1], want) {
-			t.Fatalf("%s: child entry differs from json.Marshal of the parent's entry", name)
+		return PrepareForkJob(spec, &child, parentCk, filepath.Join(dir, "child.ckpt.jsonl"), "child")
+	}
+	if err := fork(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "child.ckpt.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	childLines := bytes.Split(bytes.TrimSuffix(got, []byte("\n")), []byte("\n"))
+	if len(childLines) != 2 || !bytes.Equal(childLines[1], want) {
+		t.Fatal("child entry differs from json.Marshal of the parent's entry")
+	}
+
+	loose := bytes.Replace(manifest, []byte(`"event_bytes":`), []byte(`"event_bytes": `), -1)
+	loose = bytes.Replace(loose, []byte(`"version":1,`), []byte(`"version": 1,`), -1)
+	if err := os.WriteFile(parentCk, loose, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := fork(); err == nil || !strings.Contains(err.Error(), "not a kernel snapshot") {
+		t.Fatalf("fork from an entry outside save's frame: %v, want a refusal", err)
+	}
+}
+
+// readEntry reads save's frame, returning the checkpoint as the exact
+// sub-slice between "checkpoint": and the final '}', and refuses every
+// other line.
+func TestReadEntryFrame(t *testing.T) {
+	for _, tc := range []struct {
+		line      string
+		cycle     uint64
+		eventByte int64
+		ck        string // "" = refused
+	}{
+		{`{"cycle":12,"event_bytes":34,"checkpoint":{"a":[1,{"b":"}"}],"c":"\"{"}}`, 12, 34, `{"a":[1,{"b":"}"}],"c":"\"{"}`},
+		{`{"cycle":0,"event_bytes":0,"checkpoint":{}}`, 0, 0, `{}`},
+		{`{"cycle":18446744073709551615,"event_bytes":9223372036854775807,"checkpoint":{}}`,
+			math.MaxUint64, math.MaxInt64, `{}`},
+		// Bytes after the snapshot object stay in the checkpoint, where
+		// core.DecodeCheckpoint refuses them.
+		{`{"cycle":12,"event_bytes":34,"checkpoint":{"a":1},"extra":3}`, 12, 34, `{"a":1},"extra":3`},
+
+		{line: `{"cycle": 12,"event_bytes":34,"checkpoint":{}}`},
+		{line: `{ "cycle":12,"event_bytes":34,"checkpoint":{}}`},
+		{line: `{"cycle":12,"event_bytes":34,"checkpoint": {}}`},
+		{line: `{"cycle":12,"event_bytes":34,"checkpoint":{}} `},
+		{line: `{"event_bytes":34,"cycle":12,"checkpoint":{}}`},
+		{line: `{"cycle":12,"checkpoint":{},"event_bytes":34}`},
+		{line: `{"cycle":12,"event_bytes":-1,"checkpoint":{}}`},
+		{line: `{"cycle":1e1,"event_bytes":3,"checkpoint":{}}`},
+		{line: `{"cycle":12,"event_bytes":3.0,"checkpoint":{}}`},
+		{line: `{"cycle":012,"event_bytes":34,"checkpoint":{}}`},
+		{line: `{"cycle":99999999999999999999,"event_bytes":34,"checkpoint":{}}`},
+		{line: `{"cycle":12,"event_bytes":9223372036854775808,"checkpoint":{}}`},
+		{line: `{"cycle":12,"event_bytes":34,"checkpoint":null}`},
+		{line: `{"cycle":12,"event_bytes":34,"checkpoint":[1]}`},
+		{line: `{"cycle":12,"event_bytes":34}`},
+	} {
+		cycle, n, ck, err := readEntry([]byte(tc.line))
+		switch {
+		case tc.ck == "":
+			if err == nil {
+				t.Errorf("%s: read as %d/%d/%s, want a refusal", tc.line, cycle, n, ck)
+			}
+		case err != nil || cycle != tc.cycle || n != tc.eventByte || string(ck) != tc.ck:
+			t.Errorf("%s: read as %d/%d/%s (%v), want %d/%d/%s", tc.line, cycle, n, ck, err, tc.cycle, tc.eventByte, tc.ck)
 		}
 	}
 }
 
-// readEntry agrees with json.Unmarshal of the entry followed by json.Marshal
-// of its checkpoint, on save's frame and on every way out of it.
-func TestReadEntryMatchesUnmarshal(t *testing.T) {
-	for _, line := range []string{
-		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":[1,{"b":"}"}],"c":"\"{"}}`,
-		`{"cycle":0,"event_bytes":0,"checkpoint":{}}`,
-		`{"cycle": 12,"event_bytes":34,"checkpoint":{}}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":{ "a":1}}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":"<b>"}}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":"é"}}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":1},"checkpoint":{"b":2}}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":{"a":1},"extra":3}`,
-		`{"cycle":12,"event_bytes":-1,"checkpoint":{}}`,
-		`{"cycle":1e1,"event_bytes":3,"checkpoint":{}}`,
-		`{"event_bytes":34,"cycle":12,"checkpoint":{}}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":null}`,
-		`{"cycle":12,"event_bytes":34,"checkpoint":[1]}`,
-		`{"cycle":12,"event_bytes":34}`,
-		`{"cycle":99999999999999999999,"event_bytes":34,"checkpoint":{}}`,
-		`{"cycle":12,"event_bytes":9223372036854775808,"checkpoint":{}}`,
-	} {
-		var e runCheckpointEntry
-		wantErr := json.Unmarshal([]byte(line), &e)
-		var wantCk []byte
-		if wantErr == nil && len(e.Checkpoint) > 0 {
-			wantCk, _ = json.Marshal(e.Checkpoint)
-		}
-		cycle, n, ck, err := readEntry([]byte(line))
-		switch {
-		case wantCk == nil:
-			if err == nil {
-				t.Errorf("%s: read as %d/%d/%s, json.Unmarshal finds no snapshot", line, cycle, n, ck)
-			}
-		case err != nil || cycle != e.Cycle || n != e.EventBytes || !bytes.Equal(ck, wantCk):
-			t.Errorf("%s: read as %d/%d/%s (%v), want %d/%d/%s", line, cycle, n, ck, err, e.Cycle, e.EventBytes, wantCk)
-		}
+// A manifest entry with bytes after its snapshot object passes readEntry,
+// is refused by core.DecodeCheckpoint, and so makes a resume recompute from
+// scratch: the job is not resumed and its stream is the uninterrupted one.
+func TestResumeRecomputesPastTrailingBytes(t *testing.T) {
+	spec, want := checkpointedSpec(t, "hotspot", 4, 0.1)
+	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+	if _, err := RunJob(context.Background(), spec,
+		&RunJobOptions{EventWriter: io.Discard, CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := bytes.LastIndexByte(manifest[:len(manifest)-1], '\n') + 1
+	if _, _, ck, err := readEntry(manifest[last : len(manifest)-1]); err != nil {
+		t.Fatal(err)
+	} else if _, err := core.DecodeCheckpoint(ck); err != nil {
+		t.Fatalf("save's entry does not decode: %v", err)
+	}
+	edited := append(bytes.Clone(manifest[:len(manifest)-2]), `,"extra":3}`+"\n"...)
+	_, _, ck, err := readEntry(edited[last : len(edited)-1])
+	if err != nil {
+		t.Fatalf("readEntry refused the edited entry: %v", err)
+	}
+	if _, err := core.DecodeCheckpoint(ck); err == nil {
+		t.Fatal("DecodeCheckpoint accepted bytes after the snapshot object")
+	}
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	out, err := RunJob(context.Background(), spec, &RunJobOptions{EventWriter: &got, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Result.Resumed || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("resumed=%v, stream of %d bytes; want a recompute giving the %d uninterrupted bytes",
+			out.Result.Resumed, got.Len(), len(want))
 	}
 }

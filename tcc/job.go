@@ -124,9 +124,14 @@ func validateRunSpec(r *RunSpec) error {
 			return fmt.Errorf("tcc: checkpointing and sampling are mutually exclusive (the sampler's phase is not part of the snapshot)")
 		}
 	}
-	if r.SampleEvery > 0 && r.Machine != nil && r.Machine.Shards > 0 {
-		return fmt.Errorf("tcc: sampling requires the sequential engine (shards 0); the epoch engine (shards %d) has no sampler",
-			r.Machine.Shards)
+	if r.SampleEvery > 0 {
+		if protocol != "tcc" {
+			return fmt.Errorf("tcc: sampling requires the scalable machine (protocol %q has no sampler)", protocol)
+		}
+		if r.Machine != nil && r.Machine.Shards > 0 {
+			return fmt.Errorf("tcc: sampling requires the sequential engine (shards 0); the epoch engine (shards %d) has no sampler",
+				r.Machine.Shards)
+		}
 	}
 	_, err := runConfig(r).compile(protocol)
 	return err
@@ -358,9 +363,6 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 	}
 
 	if r.SampleEvery > 0 {
-		if scal == nil {
-			return nil, fmt.Errorf("tcc: sampling requires the scalable machine (protocol %q has no sampler)", protocol)
-		}
 		if stream == nil {
 			return nil, fmt.Errorf("tcc: sampling requires an event stream to write samples to")
 		}

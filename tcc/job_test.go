@@ -17,6 +17,21 @@ func hotspotSpec(procs int) *tcc.JobSpec {
 	return s
 }
 
+// readLog reads everything a job wrote to its event log through Wait, one
+// block at a time.
+func readLog(t *testing.T, l *runner.StreamLog) []byte {
+	t.Helper()
+	var data []byte
+	for len(data) < l.Len() {
+		view, _, err := l.Wait(context.Background(), len(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, view...)
+	}
+	return data
+}
+
 // RunJob's event stream must be byte-identical to the legacy direct path
 // (NewSystem + JSONLObserver) for the same config and seed — the
 // determinism contract the SSE path inherits.
@@ -144,10 +159,7 @@ func TestExecuteJobStreamsToJobContext(t *testing.T) {
 	if res.Kind != tcc.JobKindRun || res.Protocol != "tcc" {
 		t.Fatalf("result: %+v", res)
 	}
-	data, _, err := jc.Log.ReadFrom(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readLog(t, jc.Log)
 	if !bytes.HasPrefix(data, []byte(`{"schema":"scalabletcc/events","version":1}`)) {
 		t.Fatalf("daemon path must stream events into the job log, got %q", data[:min(len(data), 80)])
 	}
@@ -207,10 +219,7 @@ func TestFailedRunKeepsItsStream(t *testing.T) {
 	if _, err := tcc.ExecuteJob(context.Background(), spec, jc); err == nil || err.Error() != runErr.Error() {
 		t.Fatalf("daemon path: want %q, got %v", runErr, err)
 	}
-	logged, _, err := jc.Log.ReadFrom(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logged := readLog(t, jc.Log)
 	for name, got := range map[string][]byte{"EventWriter": viaJob.Bytes(), "StreamLog": logged} {
 		if len(got) == 0 || got[len(got)-1] != '\n' {
 			t.Fatalf("%s: stream of %d bytes does not end on a line", name, len(got))
