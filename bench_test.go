@@ -310,6 +310,30 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 }
 
+// BenchmarkPaperScaleCell is one pair of the paper-scale cells every
+// tccbench sweep and the perfbench paper-mix workload pay: swim and radix at
+// 32 processors, scale 0.05, commit log on and verified. At this size a run
+// is mostly warm-up, so B/op and allocs/op show what building and growing
+// the per-run tables (transaction buffers, read sets, memory banks, cache
+// tag tables, sharer sets) costs.
+func BenchmarkPaperScaleCell(b *testing.B) {
+	cfg := tcc.DefaultConfig(32)
+	cfg.CollectCommitLog = true
+	apps := []tcc.Profile{tcc.MustProfile("swim").Scale(0.05), tcc.MustProfile("radix").Scale(0.05)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, prof := range apps {
+			res, err := tcc.Run(cfg, prof.Build(32, cfg.Seed))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v := tcc.Verify(res); len(v) != 0 {
+				b.Fatalf("%s: %d serializability violations", prof.Name, len(v))
+			}
+		}
+	}
+}
+
 // BenchmarkObserverOff measures the simulator with no observer attached —
 // the baseline for the zero-overhead claim: disabled observation must cost
 // only a nil check on the emit paths. Compare sim-cycles/op and ns/op with

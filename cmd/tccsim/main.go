@@ -17,7 +17,9 @@
 // With -checkpoint/-checkpoint-every the run snapshots its full simulator
 // state into a crash-safe manifest every N cycles; rerunning the same
 // command after an interruption resumes from the latest snapshot and
-// produces byte-identical output to an uninterrupted run.
+// produces byte-identical output to an uninterrupted run. A resumed run says
+// on stderr at which cycle it resumed; a manifest it cannot resume from is
+// started over, with the reason on stderr.
 package main
 
 import (
@@ -99,7 +101,11 @@ func main() {
 			Shards:          *shards,
 		},
 	}
-	opts := &tcc.RunJobOptions{EventWriter: sink}
+	// Resume notes (the cycle resumed at, or why a manifest was started
+	// over) go to stderr, so stdout stays the run's digest.
+	opts := &tcc.RunJobOptions{EventWriter: sink, Logf: func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "tccsim: "+format+"\n", args...)
+	}}
 
 	scalable := *protocol == "tcc"
 	if (*ckpt != "") != (*ckptN > 0) {

@@ -37,46 +37,58 @@ func All(n int) WordMask {
 }
 
 // NodeSet is a set of node IDs, used for sharer lists and the per-processor
-// Sharing and Writing vectors. It grows on demand and the zero value is an
-// empty set.
+// Sharing and Writing vectors. Nodes 0–63 live in an inline word, so a set
+// on a machine of up to 64 nodes never touches the heap; only a set that
+// gains a node above 63 allocates, for the words that hold nodes 64 and up.
+// The zero value is an empty set.
 type NodeSet struct {
-	w []uint64
+	lo uint64   // nodes 0–63
+	hi []uint64 // hi[k] holds nodes 64(k+1) to 64(k+1)+63; nil until needed
 }
 
 // Set adds node i.
 func (s *NodeSet) Set(i int) {
-	idx := i >> 6
-	for len(s.w) <= idx {
-		s.w = append(s.w, 0)
+	if i < 64 {
+		s.lo |= 1 << uint(i)
+		return
 	}
-	s.w[idx] |= 1 << uint(i&63)
+	idx := i>>6 - 1
+	for len(s.hi) <= idx {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[idx] |= 1 << uint(i&63)
 }
 
 // Clear removes node i.
 func (s *NodeSet) Clear(i int) {
-	idx := i >> 6
-	if idx < len(s.w) {
-		s.w[idx] &^= 1 << uint(i&63)
+	if i < 64 {
+		s.lo &^= 1 << uint(i)
+		return
+	}
+	if idx := i>>6 - 1; idx < len(s.hi) {
+		s.hi[idx] &^= 1 << uint(i&63)
 	}
 }
 
 // Has reports whether node i is a member.
 func (s *NodeSet) Has(i int) bool {
-	idx := i >> 6
-	return idx < len(s.w) && s.w[idx]&(1<<uint(i&63)) != 0
+	if i < 64 {
+		return s.lo&(1<<uint(i)) != 0
+	}
+	idx := i>>6 - 1
+	return idx < len(s.hi) && s.hi[idx]&(1<<uint(i&63)) != 0
 }
 
 // Reset empties the set, retaining storage.
 func (s *NodeSet) Reset() {
-	for i := range s.w {
-		s.w[i] = 0
-	}
+	s.lo = 0
+	clear(s.hi)
 }
 
 // Count returns the number of members.
 func (s *NodeSet) Count() int {
-	n := 0
-	for _, w := range s.w {
+	n := bits.OnesCount64(s.lo)
+	for _, w := range s.hi {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -84,7 +96,10 @@ func (s *NodeSet) Count() int {
 
 // Empty reports whether the set has no members.
 func (s *NodeSet) Empty() bool {
-	for _, w := range s.w {
+	if s.lo != 0 {
+		return false
+	}
+	for _, w := range s.hi {
 		if w != 0 {
 			return false
 		}
@@ -94,22 +109,27 @@ func (s *NodeSet) Empty() bool {
 
 // Max returns the largest member, or -1 for an empty set.
 func (s *NodeSet) Max() int {
-	for wi := len(s.w) - 1; wi >= 0; wi-- {
-		if s.w[wi] != 0 {
-			return wi<<6 + 63 - bits.LeadingZeros64(s.w[wi])
+	for k := len(s.hi) - 1; k >= 0; k-- {
+		if s.hi[k] != 0 {
+			return (k+1)<<6 + 63 - bits.LeadingZeros64(s.hi[k])
 		}
 	}
-	return -1
+	return 63 - bits.LeadingZeros64(s.lo)
 }
 
 // ForEach calls fn for every member in ascending order.
 func (s *NodeSet) ForEach(fn func(i int)) {
-	for wi, w := range s.w {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi<<6 + b)
-			w &= w - 1
-		}
+	forEachBit(0, s.lo, fn)
+	for k, w := range s.hi {
+		forEachBit((k+1)<<6, w, fn)
+	}
+}
+
+// forEachBit calls fn(base+b) for every set bit b of w, ascending.
+func forEachBit(base int, w uint64, fn func(i int)) {
+	for w != 0 {
+		fn(base + bits.TrailingZeros64(w))
+		w &= w - 1
 	}
 }
 
@@ -122,9 +142,7 @@ func (s *NodeSet) Members() []int {
 
 // Clone returns an independent copy.
 func (s *NodeSet) Clone() NodeSet {
-	c := NodeSet{w: make([]uint64, len(s.w))}
-	copy(c.w, s.w)
-	return c
+	return NodeSet{lo: s.lo, hi: append([]uint64(nil), s.hi...)}
 }
 
 // String renders the set like {0 3 17}.

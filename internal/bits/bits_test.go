@@ -1,6 +1,7 @@
 package bits
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -246,5 +247,54 @@ func TestBitVecMaxSet(t *testing.T) {
 	v.Reset()
 	if v.MaxSet() != -1 {
 		t.Fatalf("after Reset MaxSet = %d, want -1", v.MaxSet())
+	}
+}
+
+// Words keeps the flat encoding — word k holds nodes 64k..64k+63, trailing
+// zero words trimmed — whether a node sits in the inline word or the heap
+// words, and LoadWords reads it back.
+func TestNodeSetWordsAcrossInlineWord(t *testing.T) {
+	members := []int{0, 63, 64, 1023}
+	var s NodeSet
+	want := make([]uint64, 1023/64+1)
+	for _, n := range members {
+		s.Set(n)
+		want[n/64] |= 1 << uint(n%64)
+	}
+	if got := s.Words(); !slices.Equal(got, want) {
+		t.Fatalf("Words = %#x, want %#x", got, want)
+	}
+	var r NodeSet
+	r.LoadWords(want)
+	if got := r.Members(); !slices.Equal(got, members) {
+		t.Fatalf("LoadWords members = %v, want %v", got, members)
+	}
+	r.Clear(1023)
+	if got := r.Words(); !slices.Equal(got, want[:2]) {
+		t.Fatalf("Words after Clear(1023) = %#x, want trimmed %#x", got, want[:2])
+	}
+	var lowOnly NodeSet
+	lowOnly.Set(5)
+	if got := lowOnly.Words(); !slices.Equal(got, []uint64{1 << 5}) {
+		t.Fatalf("inline-only Words = %#x", got)
+	}
+	var empty NodeSet
+	if empty.Words() != nil {
+		t.Fatal("empty set's Words is not nil")
+	}
+
+	c := s.Clone()
+	c.Clear(1023)
+	c.Clear(0)
+	c.Set(500)
+	if !slices.Equal(s.Members(), members) {
+		t.Fatalf("Clone shares storage: parent now %v", s.Members())
+	}
+	s.Reset()
+	if !s.Empty() || s.Count() != 0 || s.Max() != -1 || s.Words() != nil {
+		t.Fatalf("Reset left %v", s.Members())
+	}
+	if got := c.Members(); !slices.Equal(got, []int{63, 64, 500}) {
+		t.Fatalf("clone after parent Reset = %v", got)
 	}
 }

@@ -14,18 +14,20 @@
 // caches ... it is unlikely that these overflows will occur"); spills are
 // counted so experiments can report how rare they are.
 //
-// Storage layout (third-generation fast path, DESIGN §23): a set's tag
-// mirror materializes on the set's first touch, but line bodies (plus their
-// permanent data buffers) are carved from chunks one way at a time, on each
-// way's first fill — storage scales with filled lines, not touched sets,
-// which matters because low-occupancy workloads fill only a way or two of
-// most sets. The dense struct-of-arrays tag mirror (`tags`) keeps the
-// per-access set scan reading one contiguous cache line of tags instead of
-// striding through Line structs. Data buffers are slot-permanent, so a fill
-// copies words in place instead of shuffling pooled buffers. Overflow lines
-// are indexed by a generation-tagged open-addressing table (mem.AddrIndex)
-// and their data comes from a watermark arena, making abort O(footprint)
-// with a constant-time overflow wipe.
+// Storage layout (third-generation fast path, DESIGN §23; sized once,
+// §35): a set's block of tag-mirror and way-table slots materializes on
+// the set's first touch, carved from fixed 64-block chunks that never move
+// or regrow, but line bodies (plus their permanent data buffers) are carved
+// from 256-line chunks one way at a time, on each way's first fill —
+// storage scales with filled lines, not touched sets, which matters
+// because low-occupancy workloads fill only a way or two of most sets. The
+// dense struct-of-arrays tag mirror keeps the per-access set scan reading
+// one contiguous cache line of tags instead of striding through Line
+// structs. Data buffers are slot-permanent, so a fill copies words in place
+// instead of shuffling pooled buffers. Overflow lines are indexed by a
+// generation-tagged open-addressing table (mem.AddrIndex) and their data
+// comes from a watermark arena, making abort O(footprint) with a
+// constant-time overflow wipe.
 package cache
 
 import (
@@ -37,25 +39,27 @@ import (
 	"scalabletcc/internal/mem"
 )
 
-// Line is one cache line with TCC speculative state.
+// Line is one cache line with TCC speculative state. The fields run widest
+// first, so a Line packs into 88 bytes.
 type Line struct {
-	Base  mem.Addr
-	Valid bool          // line present
-	VW    bits.WordMask // per-word valid bits (partial invalidation support)
-	Dirty bool          // holds committed data newer than memory (we are the owner)
-	OW    bits.WordMask // owned words: committed words memory does not have yet
-	SR    bits.WordMask // words speculatively read by the current transaction
-	SM    bits.WordMask // words speculatively modified by the current transaction
-	Data  []mem.Version // per-word versions (stand-in for data)
-	lru   uint64
+	Base mem.Addr
+	VW   bits.WordMask // per-word valid bits (partial invalidation support)
+	OW   bits.WordMask // owned words: committed words memory does not have yet
+	SR   bits.WordMask // words speculatively read by the current transaction
+	SM   bits.WordMask // words speculatively modified by the current transaction
+	Data []mem.Version // per-word versions (stand-in for data)
+	lru  uint64
 
 	// idx is the line's logical slot index, set*ways+way (-1 for overflow
 	// lines): the deterministic ForEach order key. slot is the line's
-	// physical position in the tag mirror (block*ways+way; -1 for overflow).
-	// Both survive resets. tracked marks membership in the speculative-line
-	// list for the current transaction.
-	idx     int32
-	slot    int32
+	// physical position in the tag mirror (see Cache.setSlot; -1 for
+	// overflow). Both survive resets. tracked marks membership in the
+	// speculative-line list for the current transaction.
+	idx  int32
+	slot int32
+
+	Valid   bool // line present
+	Dirty   bool // holds committed data newer than memory (we are the owner)
 	tracked bool
 }
 
@@ -99,24 +103,44 @@ const invalidTag = ^mem.Addr(0)
 // cold way costs one chunk-carve, not one allocation.
 const chunkLines = 256
 
+// chunkBlocks is how many sets' blocks of tag-mirror and way-table slots
+// each slot chunk holds. A chunk is allocated whole on its first block's
+// claim and never moves or grows.
+const chunkBlocks = 64
+
+// slotChunk is chunkBlocks blocks of slots, block-major: block b's way w is
+// entry b*ways+w of both tables. One chunk holds both tables' headers, so a
+// set scan that hits loads one chunk record for its tags and its line.
+type slotChunk struct {
+	tags  []mem.Addr // dense tag mirror
+	lines []*Line    // way table; nil until the way first fills
+}
+
 // Cache is the authoritative private cache (the paper's 512 KB L2).
 //
-// Set storage is lazy twice over: `setBlk[set]` is -1 until the set's first
-// fill claims a block of `ways` tag-mirror and way-table slots, and each
-// way's Line body (plus its permanent data buffer) is carved from the
-// current chunk only when that way first fills. Only `setBlk` scales with
+// Set storage is lazy twice over: `setSlot[set]` is -1 until the set's
+// first fill claims a block of `ways` tag-mirror and way-table slots, and
+// each way's Line body (plus its permanent data buffer) is carved from the
+// current chunk only when that way first fills. Only `setSlot` scales with
 // the configured cache size; everything else scales with the filled
 // footprint, which is what makes constructing a 512 KB cache per benchmark
 // iteration nearly free.
+//
+// Blocks are handed out in claim order from fixed chunks of chunkBlocks
+// blocks, so no table is ever copied to grow. A slot number packs its
+// chunk above chunkShift and its offset in the chunk (block*ways+way)
+// below it; the chunk's slot count is rounded up to a power of two only in
+// the numbering, not in storage.
 type Cache struct {
 	geom      mem.Geometry
 	sets      int
 	ways      int
 	lineShift uint // log2(LineSize), for the set-index computation
 
-	setBlk  []int32    // set -> block id, -1 if the set was never filled
-	tags    []mem.Addr // dense tag mirror, block-major: tags[block*ways+way]
-	wayLine []*Line    // way table, same indexing; nil until the way first fills
+	setSlot    []int32     // set -> slot of its way 0, -1 if the set was never filled
+	chunks     []slotChunk // tag mirror and way table
+	chunkShift uint        // slot >> chunkShift is the slot's chunk
+	blocks     int         // blocks claimed
 
 	chunkFree []Line        // unused Line bodies in the current chunk
 	chunkSlab []mem.Version // unused data words in the current chunk
@@ -174,14 +198,15 @@ func New(geom mem.Geometry, sizeBytes, ways int) *Cache {
 	}
 	sets := sizeBytes / geom.LineSize / ways
 	c := &Cache{
-		geom:      geom,
-		sets:      sets,
-		ways:      ways,
-		lineShift: uint(stdbits.TrailingZeros(uint(geom.LineSize))),
-		setBlk:    make([]int32, sets),
+		geom:       geom,
+		sets:       sets,
+		ways:       ways,
+		lineShift:  uint(stdbits.TrailingZeros(uint(geom.LineSize))),
+		setSlot:    make([]int32, sets),
+		chunkShift: uint(stdbits.Len(uint(chunkBlocks*ways - 1))),
 	}
-	for i := range c.setBlk {
-		c.setBlk[i] = -1
+	for i := range c.setSlot {
+		c.setSlot[i] = -1
 	}
 	return c
 }
@@ -196,31 +221,60 @@ func (c *Cache) setIndex(base mem.Addr) int {
 	return int(uint64(base)>>c.lineShift) & (c.sets - 1)
 }
 
-// allocBlock gives set si its block of tag-mirror and way-table slots; Line
-// bodies stay unallocated until each way first fills.
+// allocBlock gives set si the next block of tag-mirror and way-table slots,
+// allocating a whole chunk when the last one is full; Line bodies stay
+// unallocated until each way first fills.
 func (c *Cache) allocBlock(si int) int32 {
-	b := int32(len(c.tags) / c.ways)
-	for i := 0; i < c.ways; i++ {
-		c.tags = append(c.tags, invalidTag)
-		c.wayLine = append(c.wayLine, nil)
+	ch, b := c.blocks/chunkBlocks, c.blocks%chunkBlocks
+	if b == 0 {
+		tags := make([]mem.Addr, chunkBlocks*c.ways)
+		for i := range tags {
+			tags[i] = invalidTag
+		}
+		c.chunks = append(c.chunks, slotChunk{tags: tags, lines: make([]*Line, chunkBlocks*c.ways)})
 	}
-	c.setBlk[si] = b
-	return b
+	c.blocks++
+	s := int32(ch<<c.chunkShift + b*c.ways)
+	c.setSlot[si] = s
+	return s
 }
 
-// block returns set si's block id, allocating its slots on first touch.
+// block returns set si's way-0 slot, allocating its block on first touch.
 func (c *Cache) block(si int) int32 {
-	b := c.setBlk[si]
-	if b < 0 {
-		b = c.allocBlock(si)
+	s := c.setSlot[si]
+	if s < 0 {
+		s = c.allocBlock(si)
 	}
-	return b
+	return s
+}
+
+// chunkAt returns slot s's chunk and its offset in that chunk.
+func (c *Cache) chunkAt(s int32) (*slotChunk, int) {
+	return &c.chunks[s>>c.chunkShift], int(s) & (1<<c.chunkShift - 1)
+}
+
+// setLines returns the way-table entries of the block at slot s.
+func (c *Cache) setLines(s int32) []*Line {
+	ch, off := c.chunkAt(s)
+	return ch.lines[off : off+c.ways : off+c.ways]
+}
+
+// tag returns the tag-mirror entry at slot s.
+func (c *Cache) tag(s int32) *mem.Addr {
+	ch, off := c.chunkAt(s)
+	return &ch.tags[off]
+}
+
+// wayLine returns the way-table entry at slot s.
+func (c *Cache) wayLine(s int32) *Line {
+	ch, off := c.chunkAt(s)
+	return ch.lines[off]
 }
 
 // allocLine carves a Line body (with its permanent data buffer) out of the
-// current chunk for the way at slot, and records it in the way table. Bodies
-// never move once carved.
-func (c *Cache) allocLine(si int, slot int32) *Line {
+// current chunk for way of set si, whose block is claimed, and records it
+// in the way table. Bodies never move once carved.
+func (c *Cache) allocLine(si, way int) *Line {
 	wpl := c.geom.WordsPerLine()
 	if len(c.chunkFree) == 0 {
 		c.chunkFree = make([]Line, chunkLines)
@@ -230,10 +284,9 @@ func (c *Cache) allocLine(si int, slot int32) *Line {
 	c.chunkFree = c.chunkFree[1:]
 	l.Data = c.chunkSlab[:wpl:wpl]
 	c.chunkSlab = c.chunkSlab[wpl:]
-	way := int(slot) % c.ways
 	l.idx = int32(si*c.ways + way)
-	l.slot = slot
-	c.wayLine[slot] = l
+	l.slot = c.setSlot[si] + int32(way)
+	c.setLines(c.setSlot[si])[way] = l
 	return l
 }
 
@@ -253,13 +306,11 @@ func (c *Cache) Lookup(base mem.Addr) *Line {
 // Peek returns the line holding base without touching LRU or counters.
 func (c *Cache) Peek(base mem.Addr) *Line {
 	si := c.setIndex(base)
-	if b := c.setBlk[si]; b >= 0 {
-		off := int(b) * c.ways
-		tags := c.tags[off : off+c.ways]
-		for i, t := range tags {
+	if s := c.setSlot[si]; s >= 0 {
+		ch, off := c.chunkAt(s)
+		for i, t := range ch.tags[off : off+c.ways] {
 			if t == base {
-				l := c.wayLine[off+i]
-				if l != nil && l.Valid {
+				if l := ch.lines[off+i]; l != nil && l.Valid {
 					return l
 				}
 			}
@@ -282,15 +333,14 @@ func (c *Cache) Insert(base mem.Addr, data []mem.Version) (*Line, *Victim) {
 	}
 	c.clock++
 	si := c.setIndex(base)
-	off := int(c.block(si)) * c.ways
+	s := c.block(si)
 	// Prefer an invalid (or never-filled) way, then the least-recently-used
 	// non-speculative way.
 	var victim *Line
-	vslot := int32(-1)
-	for i := 0; i < c.ways; i++ {
-		l := c.wayLine[off+i]
+	vway := -1
+	for i, l := range c.setLines(s) {
 		if l == nil {
-			victim, vslot = nil, int32(off+i)
+			victim, vway = nil, i
 			break
 		}
 		if !l.Valid {
@@ -305,14 +355,14 @@ func (c *Cache) Insert(base mem.Addr, data []mem.Version) (*Line, *Victim) {
 		}
 	}
 	full := bits.All(c.geom.WordsPerLine())
-	if victim == nil && vslot < 0 {
+	if victim == nil && vway < 0 {
 		// Every way pinned by speculative state: spill to the overflow area.
 		c.stats.Spills++
 		return c.ovInsert(base, data, full), nil
 	}
 	var out *Victim
 	if victim == nil {
-		victim = c.allocLine(si, vslot)
+		victim = c.allocLine(si, vway)
 	} else if victim.Valid {
 		c.stats.Evictions++
 		if victim.Dirty {
@@ -330,7 +380,7 @@ func (c *Cache) Insert(base mem.Addr, data []mem.Version) (*Line, *Victim) {
 	victim.lru = c.clock
 	victim.tracked = false
 	copy(victim.Data, data)
-	c.tags[victim.slot] = base
+	*c.tag(victim.slot) = base
 	return victim, out
 }
 
@@ -416,7 +466,7 @@ func (c *Cache) Recycle(data []mem.Version) {
 // clearLine empties a main-array slot, keeping its identity (idx/slot) and
 // its permanent data buffer, and clears the slot's tag-mirror entry.
 func (c *Cache) clearLine(l *Line) {
-	c.tags[l.slot] = invalidTag
+	*c.tag(l.slot) = invalidTag
 	d, idx, slot := l.Data, l.idx, l.slot
 	*l = Line{Data: d, idx: idx, slot: slot}
 }
@@ -443,14 +493,11 @@ func (c *Cache) Invalidate(base mem.Addr) *Line {
 			return l
 		}
 	}
-	si := c.setIndex(base)
-	b := c.setBlk[si]
-	if b < 0 {
+	s := c.setSlot[c.setIndex(base)]
+	if s < 0 {
 		return nil
 	}
-	off := int(b) * c.ways
-	for i := 0; i < c.ways; i++ {
-		l := c.wayLine[off+i]
+	for _, l := range c.setLines(s) {
 		if l != nil && l.Valid && l.Base == base {
 			c.stats.Invalidations++
 			// The snapshot lives in a per-cache scratch Line: the transient
@@ -468,14 +515,12 @@ func (c *Cache) Invalidate(base mem.Addr) *Line {
 // deterministic order (the simulator requires bit-identical replays).
 // fn must not insert or invalidate lines.
 func (c *Cache) ForEach(fn func(l *Line)) {
-	for si := 0; si < c.sets; si++ {
-		b := c.setBlk[si]
-		if b < 0 {
+	for _, s := range c.setSlot {
+		if s < 0 {
 			continue
 		}
-		off := int(b) * c.ways
-		for i := 0; i < c.ways; i++ {
-			if l := c.wayLine[off+i]; l != nil && l.Valid {
+		for _, l := range c.setLines(s) {
+			if l != nil && l.Valid {
 				fn(l)
 			}
 		}
@@ -532,7 +577,7 @@ func (c *Cache) Track(l *Line) {
 // ascending address). fn must not insert or invalidate lines.
 func (c *Cache) ForEachSpeculative(fn func(l *Line)) {
 	for _, r := range c.spec {
-		l := c.wayLine[r.slot]
+		l := c.wayLine(r.slot)
 		// Skip stale entries (slot invalidated since tracking — the reset
 		// cleared the flag).
 		if !l.tracked || !l.Valid {
@@ -567,7 +612,7 @@ func (c *Cache) overflowIter() []*Line {
 // O(1) by resetting its index and arena watermark.
 func (c *Cache) RollbackTx() {
 	for _, r := range c.spec {
-		l := c.wayLine[r.slot]
+		l := c.wayLine(r.slot)
 		if !l.tracked {
 			continue // slot invalidated (and possibly re-filled) since tracking
 		}
@@ -625,7 +670,7 @@ func (c *Cache) finishLine(l *Line, tid mem.Version, writeThrough bool) {
 func (c *Cache) commitTx(tid mem.Version, writeThrough bool) []Victim {
 	var spillOut []Victim
 	for _, r := range c.spec {
-		l := c.wayLine[r.slot]
+		l := c.wayLine(r.slot)
 		if !l.tracked {
 			continue // slot invalidated (and possibly re-filled) since tracking
 		}
@@ -639,13 +684,12 @@ func (c *Cache) commitTx(tid mem.Version, writeThrough bool) []Victim {
 		c.finishLine(l, tid, writeThrough)
 		// Try to re-home the line in its set now that pins are released.
 		si := c.setIndex(l.Base)
-		off := int(c.block(si)) * c.ways
+		s := c.block(si)
 		var slot *Line
-		sslot := int32(-1)
-		for i := 0; i < c.ways; i++ {
-			w := c.wayLine[off+i]
+		sway := -1
+		for i, w := range c.setLines(s) {
 			if w == nil {
-				slot, sslot = nil, int32(off+i)
+				slot, sway = nil, i
 				break
 			}
 			if !w.Valid {
@@ -659,13 +703,13 @@ func (c *Cache) commitTx(tid mem.Version, writeThrough bool) []Victim {
 				slot = w
 			}
 		}
-		if sslot < 0 && (slot == nil || slot.Speculative()) {
+		if sway < 0 && (slot == nil || slot.Speculative()) {
 			// Still no room: hand the line to the processor as a victim.
 			spillOut = append(spillOut, c.makeVictim(l.Base, l.Dirty, l.OW, l.Data))
 			continue
 		}
 		if slot == nil {
-			slot = c.allocLine(si, sslot)
+			slot = c.allocLine(si, sway)
 		} else if slot.Valid {
 			c.stats.Evictions++
 			if slot.Dirty {
@@ -679,7 +723,7 @@ func (c *Cache) commitTx(tid mem.Version, writeThrough bool) []Victim {
 		slot.lru = l.lru
 		slot.tracked = false
 		copy(slot.Data, l.Data)
-		c.tags[slot.slot] = l.Base
+		*c.tag(slot.slot) = l.Base
 	}
 	c.ovWipe()
 	return spillOut
@@ -723,8 +767,8 @@ func (c *Cache) Audit(atBoundary bool) error {
 				return fmt.Errorf("cache: overflow line %#x carries main-array slot %d", l.Base, l.idx)
 			}
 		} else {
-			if c.tags[l.slot] != l.Base {
-				return fmt.Errorf("cache: line %#x tag mirror holds %#x", l.Base, uint64(c.tags[l.slot]))
+			if t := *c.tag(l.slot); t != l.Base {
+				return fmt.Errorf("cache: line %#x tag mirror holds %#x", l.Base, uint64(t))
 			}
 			if l.Speculative() && !l.tracked {
 				return fmt.Errorf("cache: line %#x speculative (SR %#x SM %#x) but untracked — commit/rollback would miss it",
@@ -737,14 +781,11 @@ func (c *Cache) Audit(atBoundary bool) error {
 		}
 		return nil
 	}
-	for si := 0; si < c.sets; si++ {
-		b := c.setBlk[si]
-		if b < 0 {
+	for _, s := range c.setSlot {
+		if s < 0 {
 			continue
 		}
-		off := int(b) * c.ways
-		for i := 0; i < c.ways; i++ {
-			l := c.wayLine[off+i]
+		for _, l := range c.setLines(s) {
 			if l == nil || !l.Valid {
 				continue
 			}
@@ -760,7 +801,7 @@ func (c *Cache) Audit(atBoundary bool) error {
 	}
 	if atBoundary {
 		for _, r := range c.spec {
-			if l := c.wayLine[r.slot]; l != nil && l.tracked {
+			if l := c.wayLine(r.slot); l != nil && l.tracked {
 				return fmt.Errorf("cache: tracking list not drained at transaction boundary (line %#x)", l.Base)
 			}
 		}

@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"scalabletcc/internal/bits"
 	"scalabletcc/internal/mem"
@@ -625,5 +627,59 @@ func TestAuditCatchesDirtyOwnedMismatch(t *testing.T) {
 	l.OW = l.OW.Set(3) // owned words on a clean line
 	if err := c.Audit(false); err == nil {
 		t.Fatal("OW on clean line passed audit")
+	}
+}
+
+// With more than one chunk of touched sets, Line bodies and tag-mirror
+// slots never move as later sets claim blocks, the cache audits clean, and
+// a snapshot survives Restore into a fresh cache unchanged.
+func TestStorageStableAcrossSlotChunks(t *testing.T) {
+	c := New(g(), 64*1024, 4) // 512 sets, 4 ways
+	const first = 3 * chunkBlocks / 2
+	lines := make([]*Line, first)
+	tags := make([]*mem.Addr, first)
+	for i := range lines {
+		l, _ := c.Insert(mem.Addr(32*i), line0(mem.Version(i)))
+		lines[i], tags[i] = l, c.tag(l.slot)
+	}
+	for i := first; i < 5*chunkBlocks; i++ {
+		c.Insert(mem.Addr(32*i), line0(mem.Version(i)))
+	}
+	for i := 0; i < first; i += 7 {
+		c.Insert(mem.Addr(32*(i+c.sets)), line0(1)) // a second way in an early set
+	}
+	for i, l := range lines {
+		base := mem.Addr(32 * i)
+		if got := c.Peek(base); got != l {
+			t.Fatalf("line %#x moved: Peek = %p, first fill = %p", base, got, l)
+		}
+		if c.tag(l.slot) != tags[i] || *tags[i] != base {
+			t.Fatalf("line %#x tag slot moved or lost its tag", base)
+		}
+		if i%5 == 0 {
+			l.SR = l.SR.Set(2)
+			c.Track(l)
+		}
+	}
+	if err := c.Audit(false); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Snapshot()
+	r := New(g(), 64*1024, 4)
+	if err := r.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Audit(false); err != nil {
+		t.Fatal(err)
+	}
+	if again := r.Snapshot(); !reflect.DeepEqual(again, snap) {
+		t.Fatal("snapshot of the restored cache differs")
+	}
+	c.RollbackTx()
+	if err := c.Audit(true); err != nil {
+		t.Fatal(err)
+	}
+	if n := unsafe.Sizeof(Line{}); n != 88 {
+		t.Fatalf("Line is %d bytes, want 88", n)
 	}
 }

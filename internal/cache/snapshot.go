@@ -51,9 +51,11 @@ type CacheState struct {
 func (c *Cache) Snapshot() *CacheState {
 	s := &CacheState{Clock: c.clock, Stats: c.stats}
 	n := len(c.ovLines)
-	for _, l := range c.wayLine {
-		if l != nil && l.Valid {
-			n++
+	for _, ch := range c.chunks {
+		for _, l := range ch.lines {
+			if l != nil && l.Valid {
+				n++
+			}
 		}
 	}
 	wpl := c.geom.WordsPerLine()
@@ -65,14 +67,11 @@ func (c *Cache) Snapshot() *CacheState {
 	if n > len(c.ovLines) {
 		s.Lines = make([]LineState, 0, n-len(c.ovLines))
 	}
-	for si := 0; si < c.sets; si++ {
-		b := c.setBlk[si]
+	for si, b := range c.setSlot {
 		if b < 0 {
 			continue
 		}
-		off := int(b) * c.ways
-		for w := 0; w < c.ways; w++ {
-			l := c.wayLine[off+w]
+		for w, l := range c.setLines(b) {
 			if l == nil || !l.Valid {
 				continue
 			}
@@ -116,10 +115,10 @@ func (c *Cache) Restore(s *CacheState) error {
 			return fmt.Errorf("cache: restore lines not in ascending (set, way) order at %d", i)
 		}
 		prevSet, prevWay = ls.Set, ls.Way
-		slot := int32(int(c.block(ls.Set))*c.ways + ls.Way)
-		l := c.wayLine[slot]
+		slot := c.block(ls.Set) + int32(ls.Way)
+		l := c.wayLine(slot)
 		if l == nil {
-			l = c.allocLine(ls.Set, slot)
+			l = c.allocLine(ls.Set, ls.Way)
 		} else if l.Valid {
 			return fmt.Errorf("cache: restore set %d way %d filled twice", ls.Set, ls.Way)
 		}
@@ -128,7 +127,7 @@ func (c *Cache) Restore(s *CacheState) error {
 		l.lru = ls.LRU
 		l.tracked = ls.Tracked
 		copy(l.Data, ls.Data)
-		c.tags[slot] = ls.Base
+		*c.tag(slot) = ls.Base
 		if ls.Tracked {
 			// Lines arrive in ascending (set, way) = ascending logical idx
 			// order, so appending keeps the tracking list sorted.

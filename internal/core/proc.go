@@ -193,6 +193,15 @@ func (p *Processor) beginTx() {
 	}
 	tx := p.prog.Tx(p.id, p.progPhase, p.txIdx)
 	p.ops = tx.Ops
+	// Size the read set once for the transaction's loads, so no attempt
+	// regrows it.
+	loads := 0
+	for i := range tx.Ops {
+		if tx.Ops[i].Kind == workload.Load {
+			loads++
+		}
+	}
+	p.readSet.Reserve(loads)
 	p.startAttempt()
 }
 

@@ -161,3 +161,28 @@ func TestReadSetFirstRead(t *testing.T) {
 		}
 	}
 }
+
+// After Reserve(n), n first reads allocate nothing. Each measured run gets
+// its own freshly reserved set, so storage retained from an earlier run
+// cannot hide an allocation.
+func TestReadSetReserveAllocs(t *testing.T) {
+	const n, runs = 300, 5
+	sets := make([]ReadSet, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range sets {
+		sets[i].Reserve(n)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := &sets[next]
+		next++
+		for i := 0; i < n; i++ {
+			r.Add(Addr(4*i), Version(i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d Adds after Reserve(%d) allocate %.1f times, want 0", n, n, allocs)
+	}
+	if sets[0].Len() != n {
+		t.Fatalf("Len = %d, want %d", sets[0].Len(), n)
+	}
+}

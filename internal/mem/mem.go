@@ -109,11 +109,14 @@ func (m *Map) HomeIfMapped(a Addr) (int, bool) {
 func (m *Map) Pages() int { return m.home.Len() }
 
 // Memory is the versioned backing store for the lines homed at one node.
+// Lines live in fixed chunks of memChunkLines lines, indexed by line id
+// (first-touch order): a chunk is allocated whole and never moves, so a
+// slice Line returned stays live storage for the bank's lifetime, and the
+// bank keeps no per-line slice headers.
 type Memory struct {
-	geom Geometry
-	idx  AddrIndex   // line base -> position in data
-	data [][]Version // dense line storage, slices into slab carves
-	slab []Version   // backing store carved into lines on first touch
+	geom   Geometry
+	idx    AddrIndex   // line base -> line id
+	chunks [][]Version // chunks[id/memChunkLines] holds line id's words
 }
 
 // NewMemory returns an empty memory bank.
@@ -121,26 +124,30 @@ func NewMemory(g Geometry) *Memory {
 	return &Memory{geom: g}
 }
 
-// memorySlabLines is how many lines each backing slab holds; first-touch
-// line creation costs one allocation per slab rather than one per line.
-const memorySlabLines = 256
+// memChunkLines is how many lines each chunk holds; first-touch line
+// creation costs one allocation per chunk rather than one per line.
+const memChunkLines = 256
 
 // Line returns the version vector for the line at base, allocating the
 // all-zero initial line on first access. The returned slice is live; callers
 // may mutate it to model committed writes reaching memory.
 func (m *Memory) Line(base Addr) []Version {
 	if id, ok := m.idx.Get(base); ok {
-		return m.data[id]
+		return m.line(id)
 	}
+	id := int32(m.idx.Len())
+	if id%memChunkLines == 0 {
+		m.chunks = append(m.chunks, make([]Version, memChunkLines*m.geom.WordsPerLine()))
+	}
+	m.idx.Set(base, id)
+	return m.line(id)
+}
+
+// line returns line id's words in its chunk.
+func (m *Memory) line(id int32) []Version {
 	wpl := m.geom.WordsPerLine()
-	if len(m.slab) < wpl {
-		m.slab = make([]Version, wpl*memorySlabLines)
-	}
-	l := m.slab[:wpl:wpl]
-	m.slab = m.slab[wpl:]
-	m.idx.Set(base, int32(len(m.data)))
-	m.data = append(m.data, l)
-	return l
+	o := int(uint32(id)%memChunkLines) * wpl
+	return m.chunks[uint32(id)/memChunkLines][o : o+wpl : o+wpl]
 }
 
 // ReadLine returns a copy of the line at base.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,5 +176,55 @@ func TestMergeMonotonicMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A slice Line returned is live storage for the bank's lifetime: lines
+// created after it, across more than two chunks, never move it.
+func TestMemoryLineStaysLiveAcrossChunks(t *testing.T) {
+	m := NewMemory(DefaultGeometry())
+	first := m.Line(0x1000)
+	for i := 1; i <= 2*memChunkLines+10; i++ {
+		m.Line(0x1000 + Addr(32*i))
+	}
+	first[3] = 77
+	if got := m.ReadLine(0x1000)[3]; got != 77 {
+		t.Fatalf("write through the first Line slice reads back %d, want 77", got)
+	}
+	m.SetWords(0x1000, 1<<5, 9)
+	if first[5] != 9 {
+		t.Fatalf("first Line slice sees %d after SetWords, want 9", first[5])
+	}
+	if m.Lines() != 2*memChunkLines+11 {
+		t.Fatalf("Lines = %d, want %d", m.Lines(), 2*memChunkLines+11)
+	}
+}
+
+// Snapshot/Restore round-trips a bank whose lines span a chunk boundary,
+// in first-touch order.
+func TestMemorySnapshotAcrossChunkBoundary(t *testing.T) {
+	g := DefaultGeometry()
+	m := NewMemory(g)
+	n := memChunkLines + 7
+	for i := 0; i < n; i++ {
+		base := Addr(0x80000 - 32*i) // descending: first-touch order is not address order
+		m.SetWords(base, 1<<uint(i%8), Version(i+1))
+	}
+	snap := m.Snapshot()
+	r := NewMemory(g)
+	if err := r.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	again := r.Snapshot()
+	if len(again) != n {
+		t.Fatalf("restored bank has %d lines, want %d", len(again), n)
+	}
+	for i := range snap {
+		if again[i].Base != snap[i].Base || !slices.Equal(again[i].Words, snap[i].Words) {
+			t.Fatalf("line %d: restored %+v, want %+v", i, again[i], snap[i])
+		}
+	}
+	if got := r.ReadLine(Addr(0x80000 - 32*(n-1)))[(n-1)%8]; got != Version(n) {
+		t.Fatalf("last line's word reads %d after restore, want %d", got, n)
 	}
 }

@@ -23,6 +23,15 @@ func (r *ReadSet) Reset() {
 	r.list = r.list[:0]
 }
 
+// Reserve sizes the set so that n distinct addresses fit without growing
+// its index or sample list. Storage only grows; Reset keeps it.
+func (r *ReadSet) Reserve(n int) {
+	r.idx.Reserve(n)
+	if cap(r.list) < n {
+		r.list = append(make([]ReadSample, 0, n), r.list...)
+	}
+}
+
 // Len returns the number of distinct addresses read.
 func (r *ReadSet) Len() int { return len(r.list) }
 

@@ -67,7 +67,7 @@ func (m *Memory) Snapshot() []LineImage {
 	words := make([]Version, len(out)*wpl)
 	m.idx.ForEach(func(a Addr, id int32) {
 		w := words[int(id)*wpl : int(id+1)*wpl : int(id+1)*wpl]
-		copy(w, m.data[id])
+		copy(w, m.line(id))
 		out[id] = LineImage{Base: a, Words: w}
 	})
 	return out
@@ -78,8 +78,7 @@ func (m *Memory) Snapshot() []LineImage {
 func (m *Memory) Restore(lines []LineImage) error {
 	wpl := m.geom.WordsPerLine()
 	m.idx.Reset()
-	m.data = m.data[:0]
-	m.slab = nil
+	m.chunks = nil
 	for _, li := range lines {
 		if li.Base != m.geom.Line(li.Base) {
 			return fmt.Errorf("mem: restore line %#x is not line-aligned", li.Base)

@@ -50,7 +50,7 @@ type Thread struct {
 
 	// Mesh rivals only: the version of each cached line, and the attempt's
 	// lines in first-touch order.
-	LineVer map[mem.Addr]mem.Version
+	lineVer lineVers
 	Lines   TxLines
 
 	Phase, TxIdx int
@@ -79,7 +79,6 @@ func (t *Thread) Init(m *Machine, id int, p Protocol) {
 		p:       p,
 		Cache:   cache.New(c.Geometry, c.L2Size, c.L2Ways),
 		L1:      cache.NewTagArray(c.Geometry, c.L1Size, c.L1Ways),
-		LineVer: make(map[mem.Addr]mem.Version),
 		Waiting: true,
 		groupOf: make([]int32, m.Prog.Procs()),
 	}
@@ -332,6 +331,48 @@ func (x *TxLines) reset() {
 	x.L = x.L[:0]
 }
 
+// lineVers maps each cached line's base to the version this processor holds:
+// dense entries behind an address index, where a delete moves the last
+// entry into the gap.
+type lineVers struct {
+	idx mem.AddrIndex
+	e   []lineVer
+}
+
+type lineVer struct {
+	base mem.Addr
+	v    mem.Version
+}
+
+func (x *lineVers) get(base mem.Addr) (mem.Version, bool) {
+	if i, ok := x.idx.Get(base); ok {
+		return x.e[i].v, true
+	}
+	return 0, false
+}
+
+func (x *lineVers) set(base mem.Addr, v mem.Version) {
+	if i, ok := x.idx.Insert(base, int32(len(x.e))); ok {
+		x.e[i].v = v
+		return
+	}
+	x.e = append(x.e, lineVer{base, v})
+}
+
+func (x *lineVers) del(base mem.Addr) {
+	i, ok := x.idx.Get(base)
+	if !ok {
+		return
+	}
+	x.idx.Del(base)
+	last := len(x.e) - 1
+	if int(i) != last {
+		x.e[i] = x.e[last]
+		x.idx.Set(x.e[i].base, i)
+	}
+	x.e = x.e[:last]
+}
+
 // Lookup returns the attempt's state for line base, or nil if untouched. The
 // pointer is valid until the next Line call.
 func (x *TxLines) Lookup(base mem.Addr) *TxLine {
@@ -360,7 +401,7 @@ func (t *Thread) SendRead(kind uint8, a, base mem.Addr) {
 	home := m.Map.Home(base, t.ID)
 	i, r := m.newMsg(kind, t.ID, home)
 	r.Addr = a
-	cachedV, hasVer := t.LineVer[base]
+	cachedV, hasVer := t.lineVer.get(base)
 	r.CachedV, r.Valid = cachedV, hasVer && t.Cache.Peek(base) != nil
 	m.Net.SendEvent(t.ID, home, MsgHdr, mesh.ClassMiss, m, mArrive, uint64(i), 0)
 }
@@ -400,13 +441,13 @@ func (t *Thread) onReadData(a mem.Addr, data []mem.Version, v mem.Version) {
 				m.Emit(obs.Event{Kind: obs.KOverflow, Node: t.ID, Peer: -1, Addr: uint64(victim.Base)})
 			}
 			t.L1.Invalidate(victim.Base)
-			delete(t.LineVer, victim.Base)
+			t.lineVer.del(victim.Base)
 		}
 	} else {
 		copy(line.Data, data)
 	}
 	line.VW = bits.All(m.Cfg.Geometry.WordsPerLine())
-	t.LineVer[base] = v
+	t.lineVer.set(base, v)
 	t.Lines.Line(base).Read = true
 	if m.Obsv != nil {
 		m.Emit(obs.Event{Kind: obs.KFill, Node: t.ID, Peer: -1, Addr: uint64(base), TID: uint64(v)})
@@ -499,7 +540,7 @@ func (t *Thread) CommitLines(r *verify.Record, v mem.Version) {
 					line.Data[w] = v
 				}
 			}
-			t.LineVer[tl.Base] = v
+			t.lineVer.set(tl.Base, v)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -99,7 +100,9 @@ type JobContext struct {
 	CheckpointPath string
 	// Progress reports coarse completion (stage, done, total).
 	Progress func(stage string, done, total int)
-	// Logf receives human-readable progress lines (fuzz campaigns).
+	// Logf receives human-readable progress lines: fuzz campaign progress
+	// and run-checkpoint resume notes. A queued job's lines go to the
+	// daemon log, prefixed with the job ID.
 	Logf func(format string, args ...any)
 }
 
@@ -450,6 +453,9 @@ func (q *Queue) runJob(j *job) {
 			q.mu.Lock()
 			j.status.Stage, j.status.Done, j.status.Total = stage, done, total
 			q.mu.Unlock()
+		},
+		Logf: func(format string, args ...any) {
+			log.Printf("job %s: %s", j.id, fmt.Sprintf(format, args...))
 		},
 	}
 	jc.normalize()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -524,4 +525,39 @@ func TestQueueTerminalStateFollowsPersistence(t *testing.T) {
 			t.Fatalf("spilled log of %s: %q closed=%v", id, data, closed)
 		}
 	}
+}
+
+// A queued job's Logf lines reach the daemon log, prefixed with the job ID.
+func TestQueueLogfReachesDaemonLog(t *testing.T) {
+	var mu sync.Mutex
+	var buf strings.Builder
+	log.SetOutput(lockedWriter{&mu, &buf})
+	defer log.SetOutput(os.Stderr)
+	exec := func(ctx context.Context, spec *JobSpec, jc *JobContext) (*JobResult, error) {
+		jc.Logf("recomputing from scratch (%d)", 7)
+		return &JobResult{Kind: spec.Kind}, nil
+	}
+	q := NewQueue(Config{Capacity: 2, Workers: 1}, exec)
+	defer q.Shutdown()
+	st, err := q.Submit(runSpec("logged"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, st.ID, StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "job " + st.ID + ": recomputing from scratch (7)\n"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("daemon log %q lacks %q", buf.String(), want)
+	}
+}
+
+type lockedWriter struct {
+	mu *sync.Mutex
+	w  *strings.Builder
+}
+
+func (l lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -32,11 +32,12 @@ const (
 	Store               // speculatively write the word at Addr
 )
 
-// Op is one step of a transaction.
+// Op is one step of a transaction. The fields run widest first, so an Op
+// packs into 16 bytes.
 type Op struct {
-	Kind   Kind
 	Addr   mem.Addr // Load/Store
 	Cycles uint32   // Compute
+	Kind   Kind
 }
 
 // Tx is a generated transaction: the ops plus its instruction count
@@ -307,8 +308,16 @@ func (p *program) Tx(proc, phase, idx int) Tx {
 
 	// Build the memory-op address stream with spatial locality: runs of
 	// consecutive words starting at a drawn address. Buffers come from the
-	// proc's scratch so steady-state generation allocates nothing.
+	// proc's scratch, sized once from the drawn counts: the stream holds
+	// exactly memOps accesses, and the op list at most a compute op ahead
+	// of each access (or one compute op alone).
 	sc := &p.scratch[proc]
+	if cap(sc.acc) < memOps {
+		sc.acc = make([]txAccess, 0, memOps)
+	}
+	if cap(sc.ops) < 2*memOps+1 {
+		sc.ops = make([]Op, 0, 2*memOps+1)
+	}
 	accesses := sc.acc[:0]
 	run := p.runLen()
 	emit := func(n int, write bool) {
@@ -331,8 +340,6 @@ func (p *program) Tx(proc, phase, idx int) Tx {
 		j := rng.Intn(i + 1)
 		accesses[i], accesses[j] = accesses[j], accesses[i]
 	}
-
-	sc.acc = accesses
 
 	// Spread the compute budget across the memory ops.
 	ops := sc.ops[:0]
@@ -359,7 +366,6 @@ func (p *program) Tx(proc, phase, idx int) Tx {
 	if len(accesses) == 0 && computeBudget > 0 {
 		ops = append(ops, Op{Kind: Compute, Cycles: uint32(computeBudget)})
 	}
-	sc.ops = ops
 	return Tx{Ops: ops}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"scalabletcc/internal/mem"
 )
@@ -250,5 +251,19 @@ func TestTxWellFormedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Tx sizes its scratch once from the drawn counts, so regenerating a
+// transaction whose size the scratch has already held allocates nothing.
+func TestTxRegenerateAllocs(t *testing.T) {
+	p := Swim().Build(4, 3)
+	p.Tx(1, 0, 2) // warm proc 1's scratch
+	allocs := testing.AllocsPerRun(20, func() { p.Tx(1, 0, 2) })
+	if allocs != 0 {
+		t.Fatalf("regenerating a warmed Tx allocates %.1f times, want 0", allocs)
+	}
+	if n := unsafe.Sizeof(Op{}); n != 16 {
+		t.Fatalf("Op is %d bytes, want 16", n)
 	}
 }

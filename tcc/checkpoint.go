@@ -173,10 +173,11 @@ func (rc *runCheckpointer) stream(sink io.Writer) (*obs.JSONLStream, error) {
 }
 
 // loadLatest restores the manifest's newest snapshot, falling back to a
-// fresh start (rc untouched beyond what succeeded) on any defect.
+// fresh start (rc untouched beyond what succeeded) on any defect. It reports
+// the fallback's reason, or the cycle it resumed at, through logf.
 func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program,
 	path string, wantEvents bool, logf func(string, ...any)) {
-	_, eventBytes, raw, err := readEntry(entries[len(entries)-1])
+	cycle, eventBytes, raw, err := readEntry(entries[len(entries)-1])
 	if err != nil {
 		logf("checkpoint entry undecodable; recomputing from scratch")
 		return
@@ -201,6 +202,7 @@ func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program
 		return
 	}
 	rc.sys, rc.prefix, rc.resumed = sys, prefix, true
+	logf("resumed from the checkpoint at cycle %d", cycle)
 }
 
 // save appends one durable manifest entry for the snapshot at a cut. The

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -325,5 +326,48 @@ func TestResumeRecomputesPastTrailingBytes(t *testing.T) {
 	if out.Result.Resumed || !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("resumed=%v, stream of %d bytes; want a recompute giving the %d uninterrupted bytes",
 			out.Result.Resumed, got.Len(), len(want))
+	}
+}
+
+// A resume reports its outcome through Logf: the cycle it resumed at, or,
+// for a manifest whose newest entry has white space in its head, that the
+// run recomputes from scratch (and the job is then not resumed).
+func TestResumeOutcomeReachesLogf(t *testing.T) {
+	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
+	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+	if _, err := RunJob(context.Background(), spec,
+		&RunJobOptions{EventWriter: io.Discard, CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	resume := func() (*JobOutput, []string) {
+		var lines []string
+		out, err := RunJob(context.Background(), spec, &RunJobOptions{
+			EventWriter: io.Discard, CheckpointPath: path,
+			Logf: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, lines
+	}
+	manifest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, lines := resume()
+	if !out.Result.Resumed || len(lines) != 1 || !strings.HasPrefix(lines[0], "resumed from the checkpoint at cycle ") {
+		t.Fatalf("resume from save's entries: resumed=%v, Logf lines %q", out.Result.Resumed, lines)
+	}
+
+	last := bytes.LastIndexByte(manifest[:len(manifest)-1], '\n') + 1
+	loose := append(bytes.Clone(manifest[:last]),
+		bytes.Replace(manifest[last:], []byte(`"cycle":`), []byte(`"cycle": `), 1)...)
+	if err := os.WriteFile(path, loose, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, lines = resume()
+	if out.Result.Resumed || len(lines) != 1 || !strings.Contains(lines[0], "recomputing from scratch") {
+		t.Fatalf("resume from an entry with white space in its head: resumed=%v, Logf lines %q",
+			out.Result.Resumed, lines)
 	}
 }
