@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 
-	"scalabletcc/internal/bits"
 	"scalabletcc/internal/cache"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
@@ -19,14 +18,16 @@ import (
 // The kernel-checkpoint codec (DESIGN §34): json.Marshal's bytes for a
 // Checkpoint, written and read without reflection. Every field of every
 // snapshot type is an integer, a bool or a slice of them, apart from two
-// ASCII strings, so each type gets one append function and one read function,
-// side by side, that spell out its keys in field order.
+// ASCII strings, so each type gets one walk that names its keys in field
+// order, and that one walk serves both directions: a ckCodec either appends
+// the canonical bytes or reads them. The field helpers (u, optU, n, optN,
+// optTrue, str, arr, optArr, ptr, uints, optUints, fixed, bools) carry the
+// direction and the omitempty rule, so each key, its position and when it
+// is absent are written down once, and the encoder and the decoder cannot
+// drift apart.
 //
 // The encoder writes exactly what json.Marshal writes: keys in field order,
 // an omitempty field absent iff it is zero, null for a nil slice or pointer.
-// Strings go through obs.AppendString, which hands anything json.Marshal
-// would escape to json.Marshal; record sides go through verify.Words'
-// AppendJSON.
 //
 // The decoder reads only that canonical form. At the first byte that
 // json.Marshal could not have written there — white space, a key out of
@@ -37,6 +38,16 @@ import (
 // json.Unmarshal decodes to the same value, so DecodeCheckpoint equals
 // json.Unmarshal on every input, nil versus empty slices included.
 //
+// Three spots are not symmetric. Strings are written by obs.AppendString,
+// which hands anything json.Marshal would escape to json.Marshal, and read
+// only when they need no escape. Record sides are written by verify.Words'
+// AppendJSON and read by ckReader.words. port_state is written through
+// json.Marshal and refused on read.
+//
+// The walks are methods so that arr and ptr can take them as method values:
+// a method value binds the codec without moving it to the heap, where
+// passing it to a func value would cost AppendCheckpoint an allocation.
+//
 // These are functions, not MarshalJSON/UnmarshalJSON methods: json.Marshal
 // re-compacts and re-validates a method's output, and encoding/json stays
 // the oracle FuzzCheckpoint holds the codec to.
@@ -46,41 +57,9 @@ func AppendCheckpoint(b []byte, ck *Checkpoint) []byte {
 	if ck == nil {
 		return append(b, "null"...)
 	}
-	b = obs.AppendString(append(b, `{"schema":`...), ck.Schema)
-	b = appendN(b, `,"version":`, ck.Version)
-	b = appendN(b, `,"procs":`, ck.NumProcs)
-	b = appendOptTrue(b, `,"sharded":`, ck.Sharded)
-	b = appendOptTrue(b, `,"collect_log":`, ck.CollectLog)
-	b = appendArr(append(b, `,"kernels":`...), ck.Kernels, appendKernelClock)
-	b = appendArr(append(b, `,"events":`...), ck.Events, appendEvent)
-	b = appendArr(append(b, `,"addr_map":`...), ck.AddrMap, appendPageHome)
-	b = appendPtr(append(b, `,"net":`...), ck.Net, appendNet)
-	b = appendU(b, `,"vendor_next":`, uint64(ck.VendorNext))
-	b = appendOptArr(b, `,"vendor_out":`, ck.VendorOut, appendOutstanding)
-	b = appendOptN(b, `,"barrier_arrived":`, ck.BarrierArrived)
-	b = appendN(b, `,"running":`, ck.Running)
-	b = appendArr(append(b, `,"proc_state":`...), ck.Procs, appendProc)
-	b = appendArr(append(b, `,"dir_state":`...), ck.Dirs, appendDir)
-	if len(ck.Ports) > 0 {
-		// Only a retired-layout checkpoint, which Restore refuses, has one.
-		// json.Marshal compacts and escapes it as it does inside ck; bytes
-		// that are not JSON, which make json.Marshal(ck) fail, become null.
-		enc, err := json.Marshal(ck.Ports)
-		if err != nil {
-			enc = []byte("null")
-		}
-		b = append(append(b, `,"port_state":`...), enc...)
-	}
-	b = appendOptUints(b, `,"msg_counts":`, ck.MsgCounts)
-	b = appendOptU(b, `,"commits":`, ck.Commits)
-	b = appendOptU(b, `,"violations":`, ck.Violations)
-	b = appendOptU(b, `,"instr":`, ck.Instr)
-	b = appendOptUints(b, `,"tx_instr_h":`, ck.TxInstrH)
-	b = appendOptUints(b, `,"rd_set_h":`, ck.RdSetH)
-	b = appendOptUints(b, `,"wr_set_h":`, ck.WrSetH)
-	b = appendOptUints(b, `,"dirs_touched_h":`, ck.DirsTouchedH)
-	b = appendOptArr(b, `,"commit_log":`, ck.CommitLog, appendRecord)
-	return append(b, '}')
+	c := ckCodec{b: b}
+	c.walkCheckpoint(ck)
+	return c.b
 }
 
 // DecodeCheckpoint decodes a checkpoint as json.Unmarshal does: canonical
@@ -99,620 +78,351 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // decodeCanonical decodes data if it is in canonical form, reporting whether
 // it was.
 func decodeCanonical(data []byte) (*Checkpoint, bool) {
-	r := ckReader{b: data}
+	c := ckCodec{dec: true, r: ckReader{b: data}}
 	ck := new(Checkpoint)
-	readCheckpoint(&r, ck)
-	return ck, !r.bad && r.i == len(data)
+	c.walkCheckpoint(ck)
+	return ck, !c.r.bad && c.r.i == len(data)
 }
 
-func readCheckpoint(r *ckReader, ck *Checkpoint) {
-	r.lit(`{"schema":`)
-	ck.Schema = r.str()
-	ck.Version = r.n(`,"version":`)
-	ck.NumProcs = r.n(`,"procs":`)
-	ck.Sharded = r.optTrue(`,"sharded":`)
-	ck.CollectLog = r.optTrue(`,"collect_log":`)
-	r.lit(`,"kernels":`)
-	ck.Kernels = readArr(r, readKernelClock)
-	r.lit(`,"events":`)
-	ck.Events = readArr(r, readEvent)
-	r.lit(`,"addr_map":`)
-	ck.AddrMap = readArr(r, readPageHome)
-	r.lit(`,"net":`)
-	ck.Net = readPtr(r, readNet)
-	ck.VendorNext = tid.TID(r.u(`,"vendor_next":`))
-	ck.VendorOut = readOptArr(r, `,"vendor_out":`, readOutstanding)
-	ck.BarrierArrived = r.optN(`,"barrier_arrived":`)
-	ck.Running = r.n(`,"running":`)
-	r.lit(`,"proc_state":`)
-	ck.Procs = readArr(r, readProc)
-	r.lit(`,"dir_state":`)
-	ck.Dirs = readArr(r, readDir)
-	if r.has(`,"port_state":`) {
-		r.fail()
-	}
-	ck.MsgCounts = readOptUints[uint64](r, `,"msg_counts":`)
-	ck.Commits = r.optU(`,"commits":`)
-	ck.Violations = r.optU(`,"violations":`)
-	ck.Instr = r.optU(`,"instr":`)
-	ck.TxInstrH = readOptUints[uint64](r, `,"tx_instr_h":`)
-	ck.RdSetH = readOptUints[uint64](r, `,"rd_set_h":`)
-	ck.WrSetH = readOptUints[uint64](r, `,"wr_set_h":`)
-	ck.DirsTouchedH = readOptUints[uint64](r, `,"dirs_touched_h":`)
-	ck.CommitLog = readOptArr(r, `,"commit_log":`, readRecord)
-	r.lit("}")
+// ckCodec walks a checkpoint in one direction: it appends the canonical
+// bytes to b, or, with dec set, reads them through r into zero values.
+type ckCodec struct {
+	dec bool
+	b   []byte
+	r   ckReader
 }
 
-func appendKernelClock(b []byte, k *KernelClock) []byte {
-	b = appendU(b, `{"now":`, uint64(k.Now))
-	b = appendU(b, `,"seq":`, k.Seq)
-	b = appendU(b, `,"nrun":`, k.NRun)
-	return append(b, '}')
+// Each key argument carries its punctuation: the '{' or ',' before the
+// quoted name and the ':' after it.
+
+func (c *ckCodec) walkCheckpoint(ck *Checkpoint) {
+	str(c, `{"schema":`, &ck.Schema)
+	n(c, `,"version":`, &ck.Version)
+	n(c, `,"procs":`, &ck.NumProcs)
+	optTrue(c, `,"sharded":`, &ck.Sharded)
+	optTrue(c, `,"collect_log":`, &ck.CollectLog)
+	arr(c, `,"kernels":`, &ck.Kernels, c.walkKernelClock)
+	arr(c, `,"events":`, &ck.Events, c.walkEvent)
+	arr(c, `,"addr_map":`, &ck.AddrMap, c.walkPageHome)
+	ptr(c, `,"net":`, &ck.Net, c.walkNet)
+	u(c, `,"vendor_next":`, &ck.VendorNext)
+	optArr(c, `,"vendor_out":`, &ck.VendorOut, c.walkOutstanding)
+	optN(c, `,"barrier_arrived":`, &ck.BarrierArrived)
+	n(c, `,"running":`, &ck.Running)
+	arr(c, `,"proc_state":`, &ck.Procs, c.walkProc)
+	arr(c, `,"dir_state":`, &ck.Dirs, c.walkDir)
+	ports(c, `,"port_state":`, &ck.Ports)
+	optUints(c, `,"msg_counts":`, &ck.MsgCounts)
+	optU(c, `,"commits":`, &ck.Commits)
+	optU(c, `,"violations":`, &ck.Violations)
+	optU(c, `,"instr":`, &ck.Instr)
+	optUints(c, `,"tx_instr_h":`, &ck.TxInstrH)
+	optUints(c, `,"rd_set_h":`, &ck.RdSetH)
+	optUints(c, `,"wr_set_h":`, &ck.WrSetH)
+	optUints(c, `,"dirs_touched_h":`, &ck.DirsTouchedH)
+	optArr(c, `,"commit_log":`, &ck.CommitLog, c.walkRecord)
+	c.lit("}")
 }
 
-func readKernelClock(r *ckReader, k *KernelClock) {
-	k.Now = sim.Time(r.u(`{"now":`))
-	k.Seq = r.u(`,"seq":`)
-	k.NRun = r.u(`,"nrun":`)
-	r.lit("}")
+func (c *ckCodec) walkKernelClock(k *KernelClock) {
+	u(c, `{"now":`, &k.Now)
+	u(c, `,"seq":`, &k.Seq)
+	u(c, `,"nrun":`, &k.NRun)
+	c.lit("}")
 }
 
-func appendEvent(b []byte, e *EventState) []byte {
-	b = appendN(b, `{"kernel":`, e.Kernel)
-	b = appendU(b, `,"at":`, uint64(e.At))
-	b = appendU(b, `,"seq":`, e.Seq)
-	b = obs.AppendString(append(b, `,"handler":`...), e.Handler)
-	b = appendN(b, `,"node":`, e.Node)
-	b = appendU(b, `,"code":`, uint64(e.Code))
-	b = appendOptU(b, `,"a1":`, e.A1)
-	b = appendOptU(b, `,"a2":`, e.A2)
-	if e.Msg != nil {
-		b = appendMsg(append(b, `,"msg":`...), e.Msg)
-	}
-	return append(b, '}')
-}
-
-func readEvent(r *ckReader, e *EventState) {
-	e.Kernel = r.n(`{"kernel":`)
-	e.At = sim.Time(r.u(`,"at":`))
-	e.Seq = r.u(`,"seq":`)
-	r.lit(`,"handler":`)
-	e.Handler = r.str()
-	e.Node = r.n(`,"node":`)
-	e.Code = r.u32(`,"code":`)
-	e.A1 = r.optU(`,"a1":`)
-	e.A2 = r.optU(`,"a2":`)
-	if r.has(`,"msg":`) {
-		e.Msg = new(MsgState)
-		readMsg(r, e.Msg)
-	}
-	r.lit("}")
-}
-
-func appendMsg(b []byte, m *MsgState) []byte {
-	b = appendN(b, `{"kind":`, int(m.Kind))
-	b = appendN(b, `,"src":`, int(m.Src))
-	b = appendN(b, `,"dst":`, int(m.Dst))
-	b = appendOptU(b, `,"addr":`, uint64(m.Addr))
-	b = appendOptU(b, `,"t":`, uint64(m.T))
-	b = appendOptU(b, `,"t2":`, uint64(m.T2))
-	b = appendOptU(b, `,"words":`, uint64(m.Words))
-	b = appendOptU(b, `,"words2":`, uint64(m.Words2))
-	b = appendOptUints(b, `,"data":`, m.Data)
-	b = appendOptTrue(b, `,"flag":`, m.Flag)
-	return append(b, '}')
-}
-
-func readMsg(r *ckReader, m *MsgState) {
-	m.Kind = MsgKind(r.n(`{"kind":`))
-	m.Src = r.i32(`,"src":`)
-	m.Dst = r.i32(`,"dst":`)
-	m.Addr = mem.Addr(r.optU(`,"addr":`))
-	m.T = tid.TID(r.optU(`,"t":`))
-	m.T2 = tid.TID(r.optU(`,"t2":`))
-	m.Words = bits.WordMask(r.optU(`,"words":`))
-	m.Words2 = bits.WordMask(r.optU(`,"words2":`))
-	m.Data = readOptUints[mem.Version](r, `,"data":`)
-	m.Flag = r.optTrue(`,"flag":`)
-	r.lit("}")
-}
-
-func appendPageHome(b []byte, p *mem.PageHome) []byte {
-	b = appendU(b, `{"page":`, uint64(p.Page))
-	b = appendN(b, `,"node":`, p.Node)
-	return append(b, '}')
-}
-
-func readPageHome(r *ckReader, p *mem.PageHome) {
-	p.Page = mem.Addr(r.u(`{"page":`))
-	p.Node = r.n(`,"node":`)
-	r.lit("}")
-}
-
-func appendNet(b []byte, s *mesh.Snapshot) []byte {
-	b = append(b, `{"next_free":`...)
-	b = appendLinkClocks(b, &s.NextFree)
-	b = appendLinkClocks(append(b, `,"busy":`...), &s.Busy)
-	b = appendUints(append(b, `,"bytes_by_class":`...), s.BytesByClass[:])
-	b = appendUints(append(b, `,"msgs_by_class":`...), s.MsgsByClass[:])
-	b = appendUints(append(b, `,"per_node_bytes":`...), s.PerNodeBytes)
-	b = appendU(b, `,"hops_total":`, s.HopsTotal)
-	return append(b, '}')
-}
-
-func readNet(r *ckReader, s *mesh.Snapshot) {
-	r.lit(`{"next_free":`)
-	readLinkClocks(r, &s.NextFree)
-	r.lit(`,"busy":`)
-	readLinkClocks(r, &s.Busy)
-	r.lit(`,"bytes_by_class":`)
-	readFixed(r, s.BytesByClass[:])
-	r.lit(`,"msgs_by_class":`)
-	readFixed(r, s.MsgsByClass[:])
-	r.lit(`,"per_node_bytes":`)
-	s.PerNodeBytes = readUints[uint64](r)
-	s.HopsTotal = r.u(`,"hops_total":`)
-	r.lit("}")
-}
-
-func appendLinkClocks(b []byte, a *[4][]sim.Time) []byte {
-	b = append(b, '[')
-	for d := range a {
-		if d > 0 {
-			b = append(b, ',')
+func (c *ckCodec) walkEvent(e *EventState) {
+	n(c, `{"kernel":`, &e.Kernel)
+	u(c, `,"at":`, &e.At)
+	u(c, `,"seq":`, &e.Seq)
+	str(c, `,"handler":`, &e.Handler)
+	n(c, `,"node":`, &e.Node)
+	u(c, `,"code":`, &e.Code)
+	optU(c, `,"a1":`, &e.A1)
+	optU(c, `,"a2":`, &e.A2)
+	if c.opt(`,"msg":`, e.Msg != nil) {
+		if c.dec {
+			e.Msg = new(MsgState)
 		}
-		b = appendUints(b, a[d])
+		c.walkMsg(e.Msg)
 	}
-	return append(b, ']')
+	c.lit("}")
 }
 
-func readLinkClocks(r *ckReader, a *[4][]sim.Time) {
-	r.lit("[")
-	for d := range a {
-		if d > 0 {
-			r.lit(",")
-		}
-		a[d] = readUints[sim.Time](r)
+func (c *ckCodec) walkMsg(m *MsgState) {
+	n(c, `{"kind":`, &m.Kind)
+	n(c, `,"src":`, &m.Src)
+	n(c, `,"dst":`, &m.Dst)
+	optU(c, `,"addr":`, &m.Addr)
+	optU(c, `,"t":`, &m.T)
+	optU(c, `,"t2":`, &m.T2)
+	optU(c, `,"words":`, &m.Words)
+	optU(c, `,"words2":`, &m.Words2)
+	optUints(c, `,"data":`, &m.Data)
+	optTrue(c, `,"flag":`, &m.Flag)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkPageHome(p *mem.PageHome) {
+	u(c, `{"page":`, &p.Page)
+	n(c, `,"node":`, &p.Node)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkNet(s *mesh.Snapshot) {
+	linkClocks(c, `{"next_free":`, &s.NextFree)
+	linkClocks(c, `,"busy":`, &s.Busy)
+	fixed(c, `,"bytes_by_class":`, s.BytesByClass[:])
+	fixed(c, `,"msgs_by_class":`, s.MsgsByClass[:])
+	uints(c, `,"per_node_bytes":`, &s.PerNodeBytes)
+	u(c, `,"hops_total":`, &s.HopsTotal)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkOutstanding(o *tid.Outstanding) {
+	u(c, `{"tid":`, &o.TID)
+	n(c, `,"node":`, &o.Node)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkProc(p *ProcState) {
+	n(c, `{"prog_phase":`, &p.ProgPhase)
+	n(c, `,"tx_idx":`, &p.TxIdx)
+	n(c, `,"op_idx":`, &p.OpIdx)
+	n(c, `,"phase":`, &p.Phase)
+	u(c, `,"epoch":`, &p.Epoch)
+	u(c, `,"tx_start":`, &p.TxStart)
+	u(c, `,"miss_start":`, &p.MissStart)
+	u(c, `,"miss_line":`, &p.MissLine)
+	u(c, `,"pend_useful":`, &p.PendUseful)
+	u(c, `,"pend_miss":`, &p.PendMiss)
+	n(c, `,"attempt":`, &p.Attempt)
+	optArr(c, `,"read_set":`, &p.ReadSet, c.walkSample)
+	optUints(c, `,"sharing_vec":`, &p.SharingVec)
+	optUints(c, `,"writing_vec":`, &p.WritingVec)
+	u(c, `,"tid":`, &p.TID)
+	u(c, `,"last_tid":`, &p.LastTID)
+	optTrue(c, `,"waiting_tid":`, &p.WaitingTID)
+	optN(c, `,"tid_disposals":`, &p.TidDisposals)
+	optTrue(c, `,"keep_tid":`, &p.KeepTID)
+	u(c, `,"commit_start":`, &p.CommitStart)
+	optArr(c, `,"write_set":`, &p.WriteSet, c.walkWriteDir)
+	u(c, `,"val_tok":`, &p.ValTok)
+	optArr(c, `,"pend_w":`, &p.PendW, c.walkInt)
+	optArr(c, `,"pend_r":`, &p.PendR, c.walkInt)
+	optArr(c, `,"fills":`, &p.Fills, c.walkFill)
+	optN(c, `,"refill_count":`, &p.RefillCount)
+	u(c, `,"idle_start":`, &p.IdleStart)
+	c.walkProcStats(`,"stats":`, &p.Stats)
+	ptr(c, `,"cache":`, &p.Cache, c.walkCache)
+	ptr(c, `,"l1":`, &p.L1, c.walkTagArray)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkInt(v *int) { n(c, "", v) }
+
+func (c *ckCodec) walkSample(s *mem.ReadSample) {
+	u(c, `{"Addr":`, &s.Addr)
+	u(c, `,"Version":`, &s.Version)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkWriteDir(w *WriteDirState) {
+	n(c, `{"dir":`, &w.Dir)
+	arr(c, `,"lines":`, &w.Lines, c.walkWriteLine)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkWriteLine(w *WriteLineState) {
+	u(c, `{"base":`, &w.Base)
+	u(c, `,"words":`, &w.Words)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkFill(f *FillState) {
+	u(c, `{"base":`, &f.Base)
+	optN(c, `,"out":`, &f.Out)
+	optN(c, `,"kills":`, &f.Kills)
+	optTrue(c, `,"refill":`, &f.Refill)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkProcStats(key string, s *ProcStats) {
+	c.lit(key)
+	fixed(c, `{"Breakdown":`, s.Breakdown[:])
+	u(c, `,"Commits":`, &s.Commits)
+	u(c, `,"Violations":`, &s.Violations)
+	u(c, `,"CommittedInstr":`, &s.CommittedInstr)
+	u(c, `,"OverflowAborts":`, &s.OverflowAborts)
+	u(c, `,"MaxRetries":`, &s.MaxRetries)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkCache(s *cache.CacheState) {
+	arr(c, `{"lines":`, &s.Lines, c.walkLine)
+	optArr(c, `,"overflow":`, &s.Overflow, c.walkLine)
+	u(c, `,"clock":`, &s.Clock)
+	c.walkCacheStats(`,"stats":`, &s.Stats)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkLine(l *cache.LineState) {
+	n(c, `{"set":`, &l.Set)
+	n(c, `,"way":`, &l.Way)
+	u(c, `,"base":`, &l.Base)
+	u(c, `,"vw":`, &l.VW)
+	optTrue(c, `,"dirty":`, &l.Dirty)
+	optU(c, `,"ow":`, &l.OW)
+	optU(c, `,"sr":`, &l.SR)
+	optU(c, `,"sm":`, &l.SM)
+	u(c, `,"lru":`, &l.LRU)
+	optTrue(c, `,"tracked":`, &l.Tracked)
+	uints(c, `,"data":`, &l.Data)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkCacheStats(key string, s *cache.Stats) {
+	c.lit(key)
+	u(c, `{"Hits":`, &s.Hits)
+	u(c, `,"Misses":`, &s.Misses)
+	u(c, `,"Evictions":`, &s.Evictions)
+	u(c, `,"DirtyEvicts":`, &s.DirtyEvicts)
+	u(c, `,"Spills":`, &s.Spills)
+	n(c, `,"MaxOverflow":`, &s.MaxOverflow)
+	u(c, `,"Invalidations":`, &s.Invalidations)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkTagArray(t *cache.TagArrayState) {
+	uints(c, `{"tags":`, &t.Tags)
+	bools(c, `,"valid":`, &t.Valid)
+	uints(c, `,"lru":`, &t.LRU)
+	u(c, `,"clock":`, &t.Clock)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkDir(d *DirState) {
+	u(c, `{"nstid":`, &d.NSTID)
+	optUints(c, `,"done":`, &d.Done)
+	optArr(c, `,"entries":`, &d.Entries, c.walkDirEntry)
+	optArr(c, `,"memory":`, &d.Memory, c.walkLineImage)
+	optUints(c, `,"marked_lines":`, &d.MarkedLines)
+	n(c, `,"mark_owner":`, &d.MarkOwner)
+	optTrue(c, `,"commit_busy":`, &d.CommitBusy)
+	optN(c, `,"commit_acks":`, &d.CommitAcks)
+	optN(c, `,"commit_flushes":`, &d.CommitFlushes)
+	optU(c, `,"pending_commit_tid":`, &d.PendingCommitTID)
+	optArr(c, `,"probes":`, &d.Probes, c.walkProbe)
+	optU(c, `,"probe_min":`, &d.ProbeMin)
+	optArr(c, `,"stalls":`, &d.Stalls, c.walkStall)
+	u(c, `,"next_free":`, &d.NextFree)
+	optArr(c, `,"dir_cache":`, &d.DirCache, c.walkDirCacheStamp)
+	optU(c, `,"dir_cache_clock":`, &d.DirCacheClock)
+	optN(c, `,"remote_entries":`, &d.RemoteEntries)
+	c.walkDirStats(`,"stats":`, &d.Stats)
+	optUints(c, `,"occ_hist":`, &d.OccHist)
+	optUints(c, `,"ws_hist":`, &d.WsHist)
+	optU(c, `,"cur_busy":`, &d.CurBusy)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkDirEntry(e *DirEntryState) {
+	u(c, `{"base":`, &e.Base)
+	optUints(c, `,"sharers":`, &e.Sharers)
+	n(c, `,"owner":`, &e.Owner)
+	optU(c, `,"owner_tid":`, &e.OwnerTID)
+	optU(c, `,"owned_words":`, &e.OwnedWords)
+	optTrue(c, `,"marked":`, &e.Marked)
+	optU(c, `,"mark_words":`, &e.MarkWords)
+	optUints(c, `,"mark_data":`, &e.MarkData)
+	optArr(c, `,"pending_from":`, &e.PendingFrom, c.walkInt)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkLineImage(l *mem.LineImage) {
+	u(c, `{"base":`, &l.Base)
+	uints(c, `,"words":`, &l.Words)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkProbe(p *ProbeState) {
+	u(c, `{"t":`, &p.T)
+	optTrue(c, `,"write":`, &p.Write)
+	n(c, `,"from":`, &p.From)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkStall(s *StallState) {
+	u(c, `{"base":`, &s.Base)
+	arr(c, `,"loads":`, &s.Loads, c.walkPendingLoad)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkPendingLoad(l *PendingLoadState) {
+	u(c, `{"addr":`, &l.Addr)
+	n(c, `,"from":`, &l.From)
+	optU(c, `,"req_tid":`, &l.ReqTID)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkDirCacheStamp(s *DirCacheStamp) {
+	u(c, `{"addr":`, &s.Addr)
+	u(c, `,"stamp":`, &s.Stamp)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkDirStats(key string, s *DirStats) {
+	c.lit(key)
+	u(c, `{"DirCacheMisses":`, &s.DirCacheMisses)
+	u(c, `,"CommitsServiced":`, &s.CommitsServiced)
+	u(c, `,"SkipsProcessed":`, &s.SkipsProcessed)
+	u(c, `,"AbortsProcessed":`, &s.AbortsProcessed)
+	u(c, `,"LoadsServiced":`, &s.LoadsServiced)
+	u(c, `,"LoadsStalled":`, &s.LoadsStalled)
+	u(c, `,"Forwards":`, &s.Forwards)
+	u(c, `,"WriteBacks":`, &s.WriteBacks)
+	u(c, `,"DroppedWBs":`, &s.DroppedWBs)
+	u(c, `,"Invalidations":`, &s.Invalidations)
+	u(c, `,"BusyCycles":`, &s.BusyCycles)
+	c.lit("}")
+}
+
+func (c *ckCodec) walkRecord(rec *CommitRecord) {
+	u(c, `{"TID":`, &rec.TID)
+	n(c, `,"Proc":`, &rec.Proc)
+	words(c, `,"Reads":`, &rec.Reads)
+	words(c, `,"Writes":`, &rec.Writes)
+	c.lit("}")
+}
+
+// ports walks port_state, which only a retired-layout checkpoint has and
+// Restore refuses. The encoder has json.Marshal compact and escape it as it
+// does inside a Checkpoint, and writes null for bytes that are not JSON,
+// which make json.Marshal(ck) fail; the decoder leaves it to json.Unmarshal.
+func ports(c *ckCodec, key string, p *json.RawMessage) {
+	if !c.opt(key, len(*p) > 0) {
+		return
 	}
-	r.lit("]")
+	if c.dec {
+		c.r.fail()
+		return
+	}
+	enc, err := json.Marshal(*p)
+	if err != nil {
+		enc = []byte("null")
+	}
+	c.b = append(c.b, enc...)
 }
 
-func appendOutstanding(b []byte, o *tid.Outstanding) []byte {
-	b = appendU(b, `{"tid":`, uint64(o.TID))
-	b = appendN(b, `,"node":`, o.Node)
-	return append(b, '}')
-}
-
-func readOutstanding(r *ckReader, o *tid.Outstanding) {
-	o.TID = tid.TID(r.u(`{"tid":`))
-	o.Node = r.n(`,"node":`)
-	r.lit("}")
-}
-
-func appendProc(b []byte, p *ProcState) []byte {
-	b = appendN(b, `{"prog_phase":`, p.ProgPhase)
-	b = appendN(b, `,"tx_idx":`, p.TxIdx)
-	b = appendN(b, `,"op_idx":`, p.OpIdx)
-	b = appendN(b, `,"phase":`, p.Phase)
-	b = appendU(b, `,"epoch":`, p.Epoch)
-	b = appendU(b, `,"tx_start":`, uint64(p.TxStart))
-	b = appendU(b, `,"miss_start":`, uint64(p.MissStart))
-	b = appendU(b, `,"miss_line":`, uint64(p.MissLine))
-	b = appendU(b, `,"pend_useful":`, p.PendUseful)
-	b = appendU(b, `,"pend_miss":`, p.PendMiss)
-	b = appendN(b, `,"attempt":`, p.Attempt)
-	b = appendOptArr(b, `,"read_set":`, p.ReadSet, appendSample)
-	b = appendOptUints(b, `,"sharing_vec":`, p.SharingVec)
-	b = appendOptUints(b, `,"writing_vec":`, p.WritingVec)
-	b = appendU(b, `,"tid":`, uint64(p.TID))
-	b = appendU(b, `,"last_tid":`, uint64(p.LastTID))
-	b = appendOptTrue(b, `,"waiting_tid":`, p.WaitingTID)
-	b = appendOptN(b, `,"tid_disposals":`, p.TidDisposals)
-	b = appendOptTrue(b, `,"keep_tid":`, p.KeepTID)
-	b = appendU(b, `,"commit_start":`, uint64(p.CommitStart))
-	b = appendOptArr(b, `,"write_set":`, p.WriteSet, appendWriteDir)
-	b = appendU(b, `,"val_tok":`, p.ValTok)
-	b = appendOptArr(b, `,"pend_w":`, p.PendW, appendInt)
-	b = appendOptArr(b, `,"pend_r":`, p.PendR, appendInt)
-	b = appendOptArr(b, `,"fills":`, p.Fills, appendFill)
-	b = appendOptN(b, `,"refill_count":`, p.RefillCount)
-	b = appendU(b, `,"idle_start":`, uint64(p.IdleStart))
-	b = appendProcStats(append(b, `,"stats":`...), &p.Stats)
-	b = appendPtr(append(b, `,"cache":`...), p.Cache, appendCache)
-	b = appendPtr(append(b, `,"l1":`...), p.L1, appendTagArray)
-	return append(b, '}')
-}
-
-func readProc(r *ckReader, p *ProcState) {
-	p.ProgPhase = r.n(`{"prog_phase":`)
-	p.TxIdx = r.n(`,"tx_idx":`)
-	p.OpIdx = r.n(`,"op_idx":`)
-	p.Phase = r.n(`,"phase":`)
-	p.Epoch = r.u(`,"epoch":`)
-	p.TxStart = sim.Time(r.u(`,"tx_start":`))
-	p.MissStart = sim.Time(r.u(`,"miss_start":`))
-	p.MissLine = mem.Addr(r.u(`,"miss_line":`))
-	p.PendUseful = r.u(`,"pend_useful":`)
-	p.PendMiss = r.u(`,"pend_miss":`)
-	p.Attempt = r.n(`,"attempt":`)
-	p.ReadSet = readOptArr(r, `,"read_set":`, readSample)
-	p.SharingVec = readOptUints[uint64](r, `,"sharing_vec":`)
-	p.WritingVec = readOptUints[uint64](r, `,"writing_vec":`)
-	p.TID = tid.TID(r.u(`,"tid":`))
-	p.LastTID = tid.TID(r.u(`,"last_tid":`))
-	p.WaitingTID = r.optTrue(`,"waiting_tid":`)
-	p.TidDisposals = r.optN(`,"tid_disposals":`)
-	p.KeepTID = r.optTrue(`,"keep_tid":`)
-	p.CommitStart = sim.Time(r.u(`,"commit_start":`))
-	p.WriteSet = readOptArr(r, `,"write_set":`, readWriteDir)
-	p.ValTok = r.u(`,"val_tok":`)
-	p.PendW = readOptArr(r, `,"pend_w":`, readInt)
-	p.PendR = readOptArr(r, `,"pend_r":`, readInt)
-	p.Fills = readOptArr(r, `,"fills":`, readFill)
-	p.RefillCount = r.optN(`,"refill_count":`)
-	p.IdleStart = sim.Time(r.u(`,"idle_start":`))
-	r.lit(`,"stats":`)
-	readProcStats(r, &p.Stats)
-	r.lit(`,"cache":`)
-	p.Cache = readPtr(r, readCache)
-	r.lit(`,"l1":`)
-	p.L1 = readPtr(r, readTagArray)
-	r.lit("}")
-}
-
-func appendSample(b []byte, s *mem.ReadSample) []byte {
-	b = appendU(b, `{"Addr":`, uint64(s.Addr))
-	b = appendU(b, `,"Version":`, uint64(s.Version))
-	return append(b, '}')
-}
-
-func readSample(r *ckReader, s *mem.ReadSample) {
-	s.Addr = mem.Addr(r.u(`{"Addr":`))
-	s.Version = mem.Version(r.u(`,"Version":`))
-	r.lit("}")
-}
-
-func appendWriteDir(b []byte, w *WriteDirState) []byte {
-	b = appendN(b, `{"dir":`, w.Dir)
-	b = appendArr(append(b, `,"lines":`...), w.Lines, appendWriteLine)
-	return append(b, '}')
-}
-
-func readWriteDir(r *ckReader, w *WriteDirState) {
-	w.Dir = r.n(`{"dir":`)
-	r.lit(`,"lines":`)
-	w.Lines = readArr(r, readWriteLine)
-	r.lit("}")
-}
-
-func appendWriteLine(b []byte, w *WriteLineState) []byte {
-	b = appendU(b, `{"base":`, uint64(w.Base))
-	b = appendU(b, `,"words":`, uint64(w.Words))
-	return append(b, '}')
-}
-
-func readWriteLine(r *ckReader, w *WriteLineState) {
-	w.Base = mem.Addr(r.u(`{"base":`))
-	w.Words = bits.WordMask(r.u(`,"words":`))
-	r.lit("}")
-}
-
-func appendFill(b []byte, f *FillState) []byte {
-	b = appendU(b, `{"base":`, uint64(f.Base))
-	b = appendOptN(b, `,"out":`, f.Out)
-	b = appendOptN(b, `,"kills":`, f.Kills)
-	b = appendOptTrue(b, `,"refill":`, f.Refill)
-	return append(b, '}')
-}
-
-func readFill(r *ckReader, f *FillState) {
-	f.Base = mem.Addr(r.u(`{"base":`))
-	f.Out = r.optN(`,"out":`)
-	f.Kills = r.optN(`,"kills":`)
-	f.Refill = r.optTrue(`,"refill":`)
-	r.lit("}")
-}
-
-func appendProcStats(b []byte, s *ProcStats) []byte {
-	b = appendUints(append(b, `{"Breakdown":`...), s.Breakdown[:])
-	b = appendU(b, `,"Commits":`, s.Commits)
-	b = appendU(b, `,"Violations":`, s.Violations)
-	b = appendU(b, `,"CommittedInstr":`, s.CommittedInstr)
-	b = appendU(b, `,"OverflowAborts":`, s.OverflowAborts)
-	b = appendU(b, `,"MaxRetries":`, s.MaxRetries)
-	return append(b, '}')
-}
-
-func readProcStats(r *ckReader, s *ProcStats) {
-	r.lit(`{"Breakdown":`)
-	readFixed(r, s.Breakdown[:])
-	s.Commits = r.u(`,"Commits":`)
-	s.Violations = r.u(`,"Violations":`)
-	s.CommittedInstr = r.u(`,"CommittedInstr":`)
-	s.OverflowAborts = r.u(`,"OverflowAborts":`)
-	s.MaxRetries = r.u(`,"MaxRetries":`)
-	r.lit("}")
-}
-
-func appendCache(b []byte, c *cache.CacheState) []byte {
-	b = appendArr(append(b, `{"lines":`...), c.Lines, appendLine)
-	b = appendOptArr(b, `,"overflow":`, c.Overflow, appendLine)
-	b = appendU(b, `,"clock":`, c.Clock)
-	b = appendCacheStats(append(b, `,"stats":`...), &c.Stats)
-	return append(b, '}')
-}
-
-func readCache(r *ckReader, c *cache.CacheState) {
-	r.lit(`{"lines":`)
-	c.Lines = readArr(r, readLine)
-	c.Overflow = readOptArr(r, `,"overflow":`, readLine)
-	c.Clock = r.u(`,"clock":`)
-	r.lit(`,"stats":`)
-	readCacheStats(r, &c.Stats)
-	r.lit("}")
-}
-
-func appendLine(b []byte, l *cache.LineState) []byte {
-	b = appendN(b, `{"set":`, l.Set)
-	b = appendN(b, `,"way":`, l.Way)
-	b = appendU(b, `,"base":`, uint64(l.Base))
-	b = appendU(b, `,"vw":`, uint64(l.VW))
-	b = appendOptTrue(b, `,"dirty":`, l.Dirty)
-	b = appendOptU(b, `,"ow":`, uint64(l.OW))
-	b = appendOptU(b, `,"sr":`, uint64(l.SR))
-	b = appendOptU(b, `,"sm":`, uint64(l.SM))
-	b = appendU(b, `,"lru":`, l.LRU)
-	b = appendOptTrue(b, `,"tracked":`, l.Tracked)
-	b = appendUints(append(b, `,"data":`...), l.Data)
-	return append(b, '}')
-}
-
-func readLine(r *ckReader, l *cache.LineState) {
-	l.Set = r.n(`{"set":`)
-	l.Way = r.n(`,"way":`)
-	l.Base = mem.Addr(r.u(`,"base":`))
-	l.VW = bits.WordMask(r.u(`,"vw":`))
-	l.Dirty = r.optTrue(`,"dirty":`)
-	l.OW = bits.WordMask(r.optU(`,"ow":`))
-	l.SR = bits.WordMask(r.optU(`,"sr":`))
-	l.SM = bits.WordMask(r.optU(`,"sm":`))
-	l.LRU = r.u(`,"lru":`)
-	l.Tracked = r.optTrue(`,"tracked":`)
-	r.lit(`,"data":`)
-	l.Data = readUints[mem.Version](r)
-	r.lit("}")
-}
-
-func appendCacheStats(b []byte, s *cache.Stats) []byte {
-	b = appendU(b, `{"Hits":`, s.Hits)
-	b = appendU(b, `,"Misses":`, s.Misses)
-	b = appendU(b, `,"Evictions":`, s.Evictions)
-	b = appendU(b, `,"DirtyEvicts":`, s.DirtyEvicts)
-	b = appendU(b, `,"Spills":`, s.Spills)
-	b = appendN(b, `,"MaxOverflow":`, s.MaxOverflow)
-	b = appendU(b, `,"Invalidations":`, s.Invalidations)
-	return append(b, '}')
-}
-
-func readCacheStats(r *ckReader, s *cache.Stats) {
-	s.Hits = r.u(`{"Hits":`)
-	s.Misses = r.u(`,"Misses":`)
-	s.Evictions = r.u(`,"Evictions":`)
-	s.DirtyEvicts = r.u(`,"DirtyEvicts":`)
-	s.Spills = r.u(`,"Spills":`)
-	s.MaxOverflow = r.n(`,"MaxOverflow":`)
-	s.Invalidations = r.u(`,"Invalidations":`)
-	r.lit("}")
-}
-
-func appendTagArray(b []byte, t *cache.TagArrayState) []byte {
-	b = appendUints(append(b, `{"tags":`...), t.Tags)
-	b = appendBools(append(b, `,"valid":`...), t.Valid)
-	b = appendUints(append(b, `,"lru":`...), t.LRU)
-	b = appendU(b, `,"clock":`, t.Clock)
-	return append(b, '}')
-}
-
-func readTagArray(r *ckReader, t *cache.TagArrayState) {
-	r.lit(`{"tags":`)
-	t.Tags = readUints[mem.Addr](r)
-	r.lit(`,"valid":`)
-	t.Valid = readBools(r)
-	r.lit(`,"lru":`)
-	t.LRU = readUints[uint64](r)
-	t.Clock = r.u(`,"clock":`)
-	r.lit("}")
-}
-
-func appendDir(b []byte, d *DirState) []byte {
-	b = appendU(b, `{"nstid":`, uint64(d.NSTID))
-	b = appendOptUints(b, `,"done":`, d.Done)
-	b = appendOptArr(b, `,"entries":`, d.Entries, appendDirEntry)
-	b = appendOptArr(b, `,"memory":`, d.Memory, appendLineImage)
-	b = appendOptUints(b, `,"marked_lines":`, d.MarkedLines)
-	b = appendN(b, `,"mark_owner":`, d.MarkOwner)
-	b = appendOptTrue(b, `,"commit_busy":`, d.CommitBusy)
-	b = appendOptN(b, `,"commit_acks":`, d.CommitAcks)
-	b = appendOptN(b, `,"commit_flushes":`, d.CommitFlushes)
-	b = appendOptU(b, `,"pending_commit_tid":`, uint64(d.PendingCommitTID))
-	b = appendOptArr(b, `,"probes":`, d.Probes, appendProbe)
-	b = appendOptU(b, `,"probe_min":`, uint64(d.ProbeMin))
-	b = appendOptArr(b, `,"stalls":`, d.Stalls, appendStall)
-	b = appendU(b, `,"next_free":`, uint64(d.NextFree))
-	b = appendOptArr(b, `,"dir_cache":`, d.DirCache, appendDirCacheStamp)
-	b = appendOptU(b, `,"dir_cache_clock":`, d.DirCacheClock)
-	b = appendOptN(b, `,"remote_entries":`, d.RemoteEntries)
-	b = appendDirStats(append(b, `,"stats":`...), &d.Stats)
-	b = appendOptUints(b, `,"occ_hist":`, d.OccHist)
-	b = appendOptUints(b, `,"ws_hist":`, d.WsHist)
-	b = appendOptU(b, `,"cur_busy":`, d.CurBusy)
-	return append(b, '}')
-}
-
-func readDir(r *ckReader, d *DirState) {
-	d.NSTID = tid.TID(r.u(`{"nstid":`))
-	d.Done = readOptUints[uint64](r, `,"done":`)
-	d.Entries = readOptArr(r, `,"entries":`, readDirEntry)
-	d.Memory = readOptArr(r, `,"memory":`, readLineImage)
-	d.MarkedLines = readOptUints[mem.Addr](r, `,"marked_lines":`)
-	d.MarkOwner = r.n(`,"mark_owner":`)
-	d.CommitBusy = r.optTrue(`,"commit_busy":`)
-	d.CommitAcks = r.optN(`,"commit_acks":`)
-	d.CommitFlushes = r.optN(`,"commit_flushes":`)
-	d.PendingCommitTID = tid.TID(r.optU(`,"pending_commit_tid":`))
-	d.Probes = readOptArr(r, `,"probes":`, readProbe)
-	d.ProbeMin = tid.TID(r.optU(`,"probe_min":`))
-	d.Stalls = readOptArr(r, `,"stalls":`, readStall)
-	d.NextFree = sim.Time(r.u(`,"next_free":`))
-	d.DirCache = readOptArr(r, `,"dir_cache":`, readDirCacheStamp)
-	d.DirCacheClock = r.optU(`,"dir_cache_clock":`)
-	d.RemoteEntries = r.optN(`,"remote_entries":`)
-	r.lit(`,"stats":`)
-	readDirStats(r, &d.Stats)
-	d.OccHist = readOptUints[uint64](r, `,"occ_hist":`)
-	d.WsHist = readOptUints[uint64](r, `,"ws_hist":`)
-	d.CurBusy = r.optU(`,"cur_busy":`)
-	r.lit("}")
-}
-
-func appendDirEntry(b []byte, e *DirEntryState) []byte {
-	b = appendU(b, `{"base":`, uint64(e.Base))
-	b = appendOptUints(b, `,"sharers":`, e.Sharers)
-	b = appendN(b, `,"owner":`, e.Owner)
-	b = appendOptU(b, `,"owner_tid":`, uint64(e.OwnerTID))
-	b = appendOptU(b, `,"owned_words":`, uint64(e.OwnedWords))
-	b = appendOptTrue(b, `,"marked":`, e.Marked)
-	b = appendOptU(b, `,"mark_words":`, uint64(e.MarkWords))
-	b = appendOptUints(b, `,"mark_data":`, e.MarkData)
-	b = appendOptArr(b, `,"pending_from":`, e.PendingFrom, appendInt)
-	return append(b, '}')
-}
-
-func readDirEntry(r *ckReader, e *DirEntryState) {
-	e.Base = mem.Addr(r.u(`{"base":`))
-	e.Sharers = readOptUints[uint64](r, `,"sharers":`)
-	e.Owner = r.n(`,"owner":`)
-	e.OwnerTID = tid.TID(r.optU(`,"owner_tid":`))
-	e.OwnedWords = bits.WordMask(r.optU(`,"owned_words":`))
-	e.Marked = r.optTrue(`,"marked":`)
-	e.MarkWords = bits.WordMask(r.optU(`,"mark_words":`))
-	e.MarkData = readOptUints[mem.Version](r, `,"mark_data":`)
-	e.PendingFrom = readOptArr(r, `,"pending_from":`, readInt)
-	r.lit("}")
-}
-
-func appendLineImage(b []byte, l *mem.LineImage) []byte {
-	b = appendU(b, `{"base":`, uint64(l.Base))
-	b = appendUints(append(b, `,"words":`...), l.Words)
-	return append(b, '}')
-}
-
-func readLineImage(r *ckReader, l *mem.LineImage) {
-	l.Base = mem.Addr(r.u(`{"base":`))
-	r.lit(`,"words":`)
-	l.Words = readUints[mem.Version](r)
-	r.lit("}")
-}
-
-func appendProbe(b []byte, p *ProbeState) []byte {
-	b = appendU(b, `{"t":`, uint64(p.T))
-	b = appendOptTrue(b, `,"write":`, p.Write)
-	b = appendN(b, `,"from":`, p.From)
-	return append(b, '}')
-}
-
-func readProbe(r *ckReader, p *ProbeState) {
-	p.T = tid.TID(r.u(`{"t":`))
-	p.Write = r.optTrue(`,"write":`)
-	p.From = r.n(`,"from":`)
-	r.lit("}")
-}
-
-func appendStall(b []byte, s *StallState) []byte {
-	b = appendU(b, `{"base":`, uint64(s.Base))
-	b = appendArr(append(b, `,"loads":`...), s.Loads, appendPendingLoad)
-	return append(b, '}')
-}
-
-func readStall(r *ckReader, s *StallState) {
-	s.Base = mem.Addr(r.u(`{"base":`))
-	r.lit(`,"loads":`)
-	s.Loads = readArr(r, readPendingLoad)
-	r.lit("}")
-}
-
-func appendPendingLoad(b []byte, l *PendingLoadState) []byte {
-	b = appendU(b, `{"addr":`, uint64(l.Addr))
-	b = appendN(b, `,"from":`, l.From)
-	b = appendOptU(b, `,"req_tid":`, uint64(l.ReqTID))
-	return append(b, '}')
-}
-
-func readPendingLoad(r *ckReader, l *PendingLoadState) {
-	l.Addr = mem.Addr(r.u(`{"addr":`))
-	l.From = r.n(`,"from":`)
-	l.ReqTID = tid.TID(r.optU(`,"req_tid":`))
-	r.lit("}")
-}
-
-func appendDirCacheStamp(b []byte, s *DirCacheStamp) []byte {
-	b = appendU(b, `{"addr":`, uint64(s.Addr))
-	b = appendU(b, `,"stamp":`, s.Stamp)
-	return append(b, '}')
-}
-
-func readDirCacheStamp(r *ckReader, s *DirCacheStamp) {
-	s.Addr = mem.Addr(r.u(`{"addr":`))
-	s.Stamp = r.u(`,"stamp":`)
-	r.lit("}")
-}
-
-func appendDirStats(b []byte, s *DirStats) []byte {
-	b = appendU(b, `{"DirCacheMisses":`, s.DirCacheMisses)
-	b = appendU(b, `,"CommitsServiced":`, s.CommitsServiced)
-	b = appendU(b, `,"SkipsProcessed":`, s.SkipsProcessed)
-	b = appendU(b, `,"AbortsProcessed":`, s.AbortsProcessed)
-	b = appendU(b, `,"LoadsServiced":`, s.LoadsServiced)
-	b = appendU(b, `,"LoadsStalled":`, s.LoadsStalled)
-	b = appendU(b, `,"Forwards":`, s.Forwards)
-	b = appendU(b, `,"WriteBacks":`, s.WriteBacks)
-	b = appendU(b, `,"DroppedWBs":`, s.DroppedWBs)
-	b = appendU(b, `,"Invalidations":`, s.Invalidations)
-	b = appendU(b, `,"BusyCycles":`, s.BusyCycles)
-	return append(b, '}')
-}
-
-func readDirStats(r *ckReader, s *DirStats) {
-	s.DirCacheMisses = r.u(`{"DirCacheMisses":`)
-	s.CommitsServiced = r.u(`,"CommitsServiced":`)
-	s.SkipsProcessed = r.u(`,"SkipsProcessed":`)
-	s.AbortsProcessed = r.u(`,"AbortsProcessed":`)
-	s.LoadsServiced = r.u(`,"LoadsServiced":`)
-	s.LoadsStalled = r.u(`,"LoadsStalled":`)
-	s.Forwards = r.u(`,"Forwards":`)
-	s.WriteBacks = r.u(`,"WriteBacks":`)
-	s.DroppedWBs = r.u(`,"DroppedWBs":`)
-	s.Invalidations = r.u(`,"Invalidations":`)
-	s.BusyCycles = r.u(`,"BusyCycles":`)
-	r.lit("}")
-}
-
-func appendRecord(b []byte, c *CommitRecord) []byte {
-	b = appendU(b, `{"TID":`, uint64(c.TID))
-	b = appendN(b, `,"Proc":`, c.Proc)
-	b = c.Reads.AppendJSON(append(b, `,"Reads":`...))
-	b = c.Writes.AppendJSON(append(b, `,"Writes":`...))
-	return append(b, '}')
-}
-
-func readRecord(r *ckReader, c *CommitRecord) {
-	c.TID = tid.TID(r.u(`{"TID":`))
-	c.Proc = r.n(`,"Proc":`)
-	r.lit(`,"Reads":`)
-	c.Reads = r.words()
-	r.lit(`,"Writes":`)
-	c.Writes = r.words()
-	r.lit("}")
+// words walks a record side: verify.Words.AppendJSON writes it and
+// ckReader.words reads it.
+func words(c *ckCodec, key string, w *verify.Words) {
+	c.lit(key)
+	if c.dec {
+		*w = c.r.words()
+	} else {
+		c.b = w.AppendJSON(c.b)
+	}
 }
 
 // words reads a record side as verify.Words.AppendJSON writes it. An empty
@@ -741,103 +451,264 @@ func (r *ckReader) words() verify.Words {
 	return w
 }
 
-// Writers. Each key argument carries its punctuation: the '{' or ',' before
-// the quoted name and the ':' after it.
+// Field helpers. Each walks one field in c's direction; the opt ones are
+// omitempty fields, absent when zero, so a decoded one must not be zero.
 
-func appendU(b []byte, key string, v uint64) []byte {
-	return strconv.AppendUint(append(b, key...), v, 10)
-}
-
-func appendOptU(b []byte, key string, v uint64) []byte {
-	if v == 0 {
-		return b
+// lit writes s, or consumes it or fails.
+func (c *ckCodec) lit(s string) {
+	if c.dec {
+		c.r.lit(s)
+	} else {
+		c.b = append(c.b, s...)
 	}
-	return appendU(b, key, v)
 }
 
-func appendN(b []byte, key string, v int) []byte {
-	return strconv.AppendInt(append(b, key...), int64(v), 10)
-}
-
-func appendOptN(b []byte, key string, v int) []byte {
-	if v == 0 {
-		return b
+// opt reports whether an omitempty field is present: encoding, whether it is
+// set, writing key if so; decoding, whether key comes next.
+func (c *ckCodec) opt(key string, set bool) bool {
+	if c.dec {
+		return c.r.has(key)
 	}
-	return appendN(b, key, v)
+	if set {
+		c.b = append(c.b, key...)
+	}
+	return set
 }
 
-func appendOptTrue(b []byte, key string, v bool) []byte {
-	if !v {
-		return b
-	}
-	return append(append(b, key...), "true"...)
-}
+// null reports whether a slice or pointer is null: encoding, whether it is
+// nil, writing null if so; decoding, whether null comes next.
+func (c *ckCodec) null(isNil bool) bool { return c.opt("null", isNil) }
 
-func appendInt(b []byte, v *int) []byte { return strconv.AppendInt(b, int64(*v), 10) }
-
-// appendArr appends s as a JSON array, null when nil, each element by f.
-func appendArr[T any](b []byte, s []T, f func([]byte, *T) []byte) []byte {
-	if s == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i := range s {
-		if i > 0 {
-			b = append(b, ',')
+// more reports whether element i of an array follows, writing or consuming
+// the ',' before it, or else the ']' that ends the array: encoding, n
+// elements; decoding, as many as the input holds.
+func (c *ckCodec) more(i, n int) bool {
+	if !c.dec {
+		if i == n {
+			c.b = append(c.b, ']')
+			return false
 		}
-		b = f(b, &s[i])
-	}
-	return append(b, ']')
-}
-
-func appendOptArr[T any](b []byte, key string, s []T, f func([]byte, *T) []byte) []byte {
-	if len(s) == 0 {
-		return b
-	}
-	return appendArr(append(b, key...), s, f)
-}
-
-func appendPtr[T any](b []byte, p *T, f func([]byte, *T) []byte) []byte {
-	if p == nil {
-		return append(b, "null"...)
-	}
-	return f(b, p)
-}
-
-// appendUints is appendArr for the unsigned types, the bulk of a checkpoint.
-func appendUints[T ~uint64](b []byte, s []T) []byte {
-	if s == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, v := range s {
 		if i > 0 {
-			b = append(b, ',')
+			c.b = append(c.b, ',')
 		}
-		b = strconv.AppendUint(b, uint64(v), 10)
+		return true
 	}
-	return append(b, ']')
+	if i == 0 {
+		return !c.r.has("]") && !c.r.bad
+	}
+	if c.r.has(",") {
+		return true
+	}
+	c.r.lit("]")
+	return false
 }
 
-func appendOptUints[T ~uint64](b []byte, key string, s []T) []byte {
-	if len(s) == 0 {
-		return b
+// u walks an unsigned field. A decoded value must fit T.
+func u[T ~uint64 | ~uint32](c *ckCodec, key string, v *T) {
+	if c.dec {
+		c.r.lit(key)
+		x := c.r.u64()
+		if uint64(T(x)) != x {
+			c.r.fail()
+		}
+		*v = T(x)
+		return
 	}
-	return appendUints(append(b, key...), s)
+	c.b = appendUint(append(c.b, key...), uint64(*v))
 }
 
-func appendBools(b []byte, s []bool) []byte {
-	if s == nil {
-		return append(b, "null"...)
+// appendUint is strconv.AppendUint(b, v, 10). Most numbers in a checkpoint
+// are single digits, and it writes those without a call.
+func appendUint(b []byte, v uint64) []byte {
+	if v < 10 {
+		return append(b, byte('0'+v))
 	}
-	b = append(b, '[')
-	for i, v := range s {
+	return strconv.AppendUint(b, v, 10)
+}
+
+func optU[T ~uint64](c *ckCodec, key string, v *T) {
+	if c.opt(key, *v != 0) {
+		u(c, "", v)
+		if *v == 0 {
+			c.r.fail()
+		}
+	}
+}
+
+// n walks a signed field. A decoded value must fit T.
+func n[T ~int | ~int32](c *ckCodec, key string, v *T) {
+	if c.dec {
+		c.r.lit(key)
+		x := c.r.int()
+		if int(T(x)) != x {
+			c.r.fail()
+		}
+		*v = T(x)
+		return
+	}
+	c.b = strconv.AppendInt(append(c.b, key...), int64(*v), 10)
+}
+
+func optN(c *ckCodec, key string, v *int) {
+	if c.opt(key, *v != 0) {
+		n(c, "", v)
+		if *v == 0 {
+			c.r.fail()
+		}
+	}
+}
+
+// optTrue walks an omitempty bool, which json.Marshal writes only when true.
+func optTrue(c *ckCodec, key string, v *bool) {
+	if c.opt(key, *v) {
+		c.lit("true")
+		*v = true
+	}
+}
+
+// str walks a string field. Encoding goes through obs.AppendString;
+// decoding reads only a string that needs no escape.
+func str(c *ckCodec, key string, v *string) {
+	c.lit(key)
+	if c.dec {
+		*v = c.r.str()
+	} else {
+		c.b = obs.AppendString(c.b, *v)
+	}
+}
+
+// arr walks a slice field as a JSON array, each element by f. As
+// json.Unmarshal does, a decoded null is nil and [] is empty but not nil.
+func arr[T any](c *ckCodec, key string, s *[]T, f func(*T)) {
+	c.lit(key)
+	if c.null(*s == nil) {
+		return
+	}
+	c.lit("[")
+	if c.dec {
+		*s = []T{}
+	}
+	for i := 0; c.more(i, len(*s)); i++ {
+		if c.dec {
+			*s = append(*s, *new(T))
+		}
+		f(&(*s)[i])
+	}
+}
+
+func optArr[T any](c *ckCodec, key string, s *[]T, f func(*T)) {
+	if c.opt(key, len(*s) > 0) {
+		arr(c, "", s, f)
+		if len(*s) == 0 {
+			c.r.fail()
+		}
+	}
+}
+
+// ptr walks a pointer field, null when nil, the value it points to by f.
+func ptr[T any](c *ckCodec, key string, p **T, f func(*T)) {
+	c.lit(key)
+	if c.null(*p == nil) {
+		return
+	}
+	if c.dec {
+		*p = new(T)
+	}
+	f(*p)
+}
+
+// uints is arr for the unsigned types, the bulk of a checkpoint, with
+// tight loops of its own. A decoded slice is allocated once.
+func uints[T ~uint64](c *ckCodec, key string, s *[]T) {
+	c.lit(key)
+	if c.null(*s == nil) {
+		return
+	}
+	if !c.dec {
+		b := append(c.b, '[')
+		for i, v := range *s {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendUint(b, uint64(v))
+		}
+		c.b = append(b, ']')
+		return
+	}
+	r := &c.r
+	r.lit("[")
+	if r.has("]") {
+		*s = []T{}
+		return
+	}
+	d := make([]T, 0, r.flatLen())
+	for !r.bad {
+		d = append(d, T(r.u64()))
+		if !r.has(",") {
+			r.lit("]")
+			break
+		}
+	}
+	*s = d
+}
+
+func optUints[T ~uint64](c *ckCodec, key string, s *[]T) {
+	if c.opt(key, len(*s) > 0) {
+		uints(c, "", s)
+		if len(*s) == 0 {
+			c.r.fail()
+		}
+	}
+}
+
+// fixed walks a Go array of unsigned integers, which json.Marshal writes as
+// a JSON array of exactly len(a) elements.
+func fixed[T ~uint64](c *ckCodec, key string, a []T) {
+	c.lit(key)
+	c.lit("[")
+	for i := range a {
 		if i > 0 {
-			b = append(b, ',')
+			c.lit(",")
 		}
-		b = strconv.AppendBool(b, v)
+		u(c, "", &a[i])
 	}
-	return append(b, ']')
+	c.lit("]")
+}
+
+// linkClocks walks the mesh's per-direction link clocks.
+func linkClocks(c *ckCodec, key string, a *[4][]sim.Time) {
+	c.lit(key)
+	c.lit("[")
+	for d := range a {
+		if d > 0 {
+			c.lit(",")
+		}
+		uints(c, "", &a[d])
+	}
+	c.lit("]")
+}
+
+func bools(c *ckCodec, key string, s *[]bool) {
+	c.lit(key)
+	if c.null(*s == nil) {
+		return
+	}
+	c.lit("[")
+	if c.dec {
+		*s = make([]bool, 0, c.r.flatLen())
+	}
+	for i := 0; c.more(i, len(*s)); i++ {
+		switch {
+		case !c.dec:
+			c.b = strconv.AppendBool(c.b, (*s)[i])
+		case c.r.has("true"):
+			*s = append(*s, true)
+		case c.r.has("false"):
+			*s = append(*s, false)
+		default:
+			c.r.fail()
+		}
+	}
 }
 
 // ckReader scans canonical checkpoint bytes. The first deviation marks the
@@ -910,64 +781,6 @@ func (r *ckReader) int() int {
 	return 0
 }
 
-func (r *ckReader) u(key string) uint64 {
-	r.lit(key)
-	return r.u64()
-}
-
-// optU reads an omitempty unsigned field: absent is zero, present is not.
-func (r *ckReader) optU(key string) uint64 {
-	if !r.has(key) {
-		return 0
-	}
-	v := r.u64()
-	if v == 0 {
-		r.fail()
-	}
-	return v
-}
-
-func (r *ckReader) n(key string) int {
-	r.lit(key)
-	return r.int()
-}
-
-func (r *ckReader) optN(key string) int {
-	if !r.has(key) {
-		return 0
-	}
-	v := r.int()
-	if v == 0 {
-		r.fail()
-	}
-	return v
-}
-
-func (r *ckReader) i32(key string) int32 {
-	v := r.n(key)
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		r.fail()
-	}
-	return int32(v)
-}
-
-func (r *ckReader) u32(key string) uint32 {
-	v := r.u(key)
-	if v > math.MaxUint32 {
-		r.fail()
-	}
-	return uint32(v)
-}
-
-// optTrue reads an omitempty bool, which json.Marshal writes only when true.
-func (r *ckReader) optTrue(key string) bool {
-	if !r.has(key) {
-		return false
-	}
-	r.lit("true")
-	return true
-}
-
 // str reads a string that needs no escape, as obs.AppendString copies it.
 func (r *ckReader) str() string {
 	r.lit(`"`)
@@ -984,129 +797,15 @@ func (r *ckReader) str() string {
 	return ""
 }
 
-func readInt(r *ckReader, v *int) { *v = r.int() }
-
-// readArr reads a JSON array as json.Unmarshal does into a slice: null is
-// nil and [] is empty but not nil. f reads each element.
-func readArr[T any](r *ckReader, f func(*ckReader, *T)) []T {
-	if r.has("null") {
-		return nil
-	}
-	r.lit("[")
-	s := []T{}
-	if r.has("]") {
-		return s
-	}
-	for !r.bad {
-		var zero T
-		s = append(s, zero)
-		f(r, &s[len(s)-1])
-		if !r.has(",") {
-			r.lit("]")
-			break
-		}
-	}
-	return s
-}
-
-// readOptArr reads an omitempty slice field: absent is nil, present is not
-// empty.
-func readOptArr[T any](r *ckReader, key string, f func(*ckReader, *T)) []T {
-	if !r.has(key) {
-		return nil
-	}
-	s := readArr(r, f)
-	if len(s) == 0 {
-		r.fail()
-	}
-	return s
-}
-
-func readPtr[T any](r *ckReader, f func(*ckReader, *T)) *T {
-	if r.has("null") {
-		return nil
-	}
-	p := new(T)
-	f(r, p)
-	return p
-}
-
-// flatLen counts the elements of a non-empty array of scalars whose first
-// element is next, so the slice is allocated once.
+// flatLen counts the elements of the array of scalars whose first element,
+// or closing ']', is next, so the slice is allocated once.
 func (r *ckReader) flatLen() int {
 	rest := r.b[r.i:]
 	if end := bytes.IndexByte(rest, ']'); end >= 0 {
 		rest = rest[:end]
 	}
+	if len(rest) == 0 {
+		return 0
+	}
 	return bytes.Count(rest, []byte{','}) + 1
-}
-
-// readUints is readArr for the unsigned types.
-func readUints[T ~uint64](r *ckReader) []T {
-	if r.has("null") {
-		return nil
-	}
-	r.lit("[")
-	if r.has("]") {
-		return []T{}
-	}
-	s := make([]T, 0, r.flatLen())
-	for !r.bad {
-		s = append(s, T(r.u64()))
-		if !r.has(",") {
-			r.lit("]")
-			break
-		}
-	}
-	return s
-}
-
-func readOptUints[T ~uint64](r *ckReader, key string) []T {
-	if !r.has(key) {
-		return nil
-	}
-	s := readUints[T](r)
-	if len(s) == 0 {
-		r.fail()
-	}
-	return s
-}
-
-// readFixed reads a JSON array of exactly len(dst) unsigned integers, as
-// json.Marshal writes a Go array.
-func readFixed[T ~uint64](r *ckReader, dst []T) {
-	r.lit("[")
-	for i := range dst {
-		if i > 0 {
-			r.lit(",")
-		}
-		dst[i] = T(r.u64())
-	}
-	r.lit("]")
-}
-
-func readBools(r *ckReader) []bool {
-	if r.has("null") {
-		return nil
-	}
-	r.lit("[")
-	if r.has("]") {
-		return []bool{}
-	}
-	s := make([]bool, 0, r.flatLen())
-	for !r.bad {
-		switch {
-		case r.has("true"):
-			s = append(s, true)
-		case r.has("false"):
-			s = append(s, false)
-		default:
-			r.fail()
-		}
-		if !r.has(",") {
-			r.lit("]")
-			break
-		}
-	}
-	return s
 }

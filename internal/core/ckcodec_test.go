@@ -94,37 +94,47 @@ func TestCheckpointCodecMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestCheckpointCodecEveryField runs the codec over a checkpoint with every
-// field set, including those no seed run reaches, and over the zero
-// checkpoint, where every omitempty field is absent and every slice null.
+// TestCheckpointCodecEveryField runs the codec over three checkpoints: one
+// with every field set, including those no seed run reaches; the zero
+// checkpoint, where every top-level omitempty field is absent and every
+// slice null; and the zero shapes, where every slice holds one element and
+// every pointer is allocated but every scalar is zero, so every nested
+// omitempty field is absent.
 func TestCheckpointCodecEveryField(t *testing.T) {
-	full := new(Checkpoint)
-	fill(reflect.ValueOf(full).Elem(), 1)
-	full.Ports = nil // only a retired-layout checkpoint has one
-	for _, ck := range []*Checkpoint{full, new(Checkpoint)} {
+	full, shapes := new(Checkpoint), new(Checkpoint)
+	fill(reflect.ValueOf(full).Elem(), 1, true)
+	fill(reflect.ValueOf(shapes).Elem(), 1, false)
+	full.Ports, shapes.Ports = nil, nil // only a retired-layout checkpoint has one
+	for _, ck := range []*Checkpoint{full, new(Checkpoint), shapes} {
 		codecRoundTrip(t, ck)
 	}
 }
 
-// fill sets every field reachable from v to a value that is not zero:
-// numbers from a running counter, true, "s", one-element slices and
-// allocated pointers.
-func fill(v reflect.Value, next uint64) uint64 {
+// fill gives every slice reachable from v one element and allocates every
+// pointer. With set it sets every scalar to a value that is not zero:
+// numbers from a running counter, true and "s"; without, it leaves them
+// zero.
+func fill(v reflect.Value, next uint64, set bool) uint64 {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := range v.NumField() {
-			next = fill(v.Field(i), next)
+			next = fill(v.Field(i), next, set)
 		}
 	case reflect.Array:
 		for i := range v.Len() {
-			next = fill(v.Index(i), next)
+			next = fill(v.Index(i), next, set)
 		}
 	case reflect.Slice:
 		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
-		next = fill(v.Index(0), next)
+		next = fill(v.Index(0), next, set)
 	case reflect.Pointer:
 		v.Set(reflect.New(v.Type().Elem()))
-		next = fill(v.Elem(), next)
+		next = fill(v.Elem(), next, set)
+	}
+	if !set {
+		return next
+	}
+	switch v.Kind() {
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.String:
@@ -137,6 +147,20 @@ func fill(v reflect.Value, next uint64) uint64 {
 		next++
 	}
 	return next
+}
+
+// TestAppendCheckpointAllocs: encoding a mid-run checkpoint into a buffer
+// already grown to its size allocates nothing.
+func TestAppendCheckpointAllocs(t *testing.T) {
+	seeds, _, _ := fuzzSeedCheckpoints(t)
+	ck, err := DecodeCheckpoint(seeds[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := AppendCheckpoint(nil, ck)
+	if n := testing.AllocsPerRun(20, func() { buf = AppendCheckpoint(buf[:0], ck) }); n != 0 {
+		t.Fatalf("AppendCheckpoint allocates %v times per run", n)
+	}
 }
 
 // fuzzSeedCheckpoints returns one encoded mid-run checkpoint per resume

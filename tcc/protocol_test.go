@@ -269,7 +269,7 @@ func TestSummaryProtocolJSON(t *testing.T) {
 // TestRivalAllocationCeiling pins the rival protocols to allocation-free
 // typed event dispatch: on the BenchmarkProtocols workload (hotspot, 8
 // procs, scale 0.25, seed 1) each must allocate at least 10x less per run
-// than BENCH_protocols_gate.json recorded for it while it scheduled closures.
+// than the figure recorded below for it while it scheduled closures.
 func TestRivalAllocationCeiling(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Seed = 1
