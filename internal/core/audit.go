@@ -15,9 +15,8 @@ func (s *System) FinalMemoryView() map[mem.Addr]mem.Version {
 	g := s.cfg.Geometry
 	out := make(map[mem.Addr]mem.Version)
 	for _, d := range s.dirs {
-		for _, base := range d.entBases {
-			line := d.memory.ReadLine(base)
-			for w, v := range line {
+		for id, base := range d.lines.bases {
+			for w, v := range d.memLine(int32(id)) {
 				if v != 0 {
 					out[g.WordAddr(base, w)] = v
 				}
@@ -29,7 +28,7 @@ func (s *System) FinalMemoryView() map[mem.Addr]mem.Version {
 	// nominally "own" words whose latest data already reached memory via an
 	// earlier transfer; its stale copies never win.)
 	for _, d := range s.dirs {
-		for id, base := range d.entBases {
+		for id, base := range d.lines.bases {
 			e := d.entryAt(int32(id))
 			if e.owner < 0 {
 				continue

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"scalabletcc/internal/cache"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/tid"
@@ -48,6 +49,8 @@ type Auditor struct {
 	msgBusy []bool
 	msgLive int
 	bufLive int
+
+	seen map[mem.Addr]bool // onCommitPoint's scratch set of sampled words
 }
 
 func newAuditor(s *System) *Auditor {
@@ -117,7 +120,7 @@ func (a *Auditor) onDirExec(d *Directory, m *protoMsg) {
 	case MsgCommit:
 		// The commit mutated every previously-marked line; sweep the ones we
 		// can still name (answers arrive per line via the cases above).
-		for id, base := range d.entBases {
+		for id, base := range d.lines.bases {
 			e := d.entryAt(int32(id))
 			if e.marked || e.owner >= 0 {
 				a.checkEntry(d, base, e)
@@ -221,6 +224,39 @@ func (a *Auditor) onTxBoundary(p *Processor) {
 	}
 }
 
+// onCommitPoint runs at a transaction's commit point, before the cache
+// finalizes it: the read set must name each word the cache marks
+// speculatively read, across the main array and the overflow area, exactly
+// once. finishLoad appends a sample only when it sets a word's SR bit, with
+// no lookup of its own, so a dropped or doubled sample shows here.
+func (a *Auditor) onCommitPoint(p *Processor) {
+	a.checks++
+	g := a.sys.cfg.Geometry
+	sr := 0
+	p.cache.ForEachSpeculative(func(l *cache.Line) { sr += l.SR.Count() })
+	samples := p.readSet.Samples()
+	if sr != len(samples) {
+		a.fail(p.id, "read-set-sr", "%d words carry SR bits but the read set holds %d samples", sr, len(samples))
+		return
+	}
+	if a.seen == nil {
+		a.seen = make(map[mem.Addr]bool)
+	}
+	clear(a.seen)
+	for _, s := range samples {
+		l := p.cache.Peek(g.Line(s.Addr))
+		switch {
+		case l == nil || !l.SR.Has(g.WordIndex(s.Addr)):
+			a.fail(p.id, "read-set-sr", "read-set word %#x has no SR bit in the cache", s.Addr)
+			return
+		case a.seen[s.Addr]:
+			a.fail(p.id, "read-set-sr", "read-set word %#x sampled twice", s.Addr)
+			return
+		}
+		a.seen[s.Addr] = true
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Message-slab and buffer-pool accounting.
 
@@ -261,7 +297,7 @@ func (a *Auditor) final() *AuditError {
 		a.checks++
 		a.checkDir(d)
 		a.lastNSTID[d.node] = d.nstid
-		for id, base := range d.entBases {
+		for id, base := range d.lines.bases {
 			a.checkEntry(d, base, d.entryAt(int32(id)))
 			if a.err != nil {
 				break

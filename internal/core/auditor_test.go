@@ -85,6 +85,45 @@ func TestAuditorFaultDeterministic(t *testing.T) {
 	}
 }
 
+// The read set matches the cache's SR bits at every commit point, under
+// contention, with lines spilling to the overflow area, and with
+// line-granular conflict detection.
+func TestAuditorReadSetMatchesSR(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"small-cache", func(c *Config) { c.L1Size, c.L2Size = 512, 1<<10 }},
+		{"line-granularity", func(c *Config) { c.LineGranularity = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(8)
+			cfg.MaxCycles = 2_000_000_000
+			tc.mutate(&cfg)
+			sys, err := NewSystem(cfg, workload.Volrend().Scale(0.05).Build(8, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			aud := sys.EnableAuditor()
+			res, err := sys.Run()
+			if err != nil {
+				t.Fatalf("run failed under auditor: %v", err)
+			}
+			if res.Commits == 0 || aud.Checks() == 0 {
+				t.Fatal("no commit point was audited")
+			}
+			spills := uint64(0)
+			for _, p := range sys.procs {
+				spills += p.cache.Stats().Spills
+			}
+			if tc.name == "small-cache" && spills == 0 {
+				t.Fatal("no line spilled to the overflow area")
+			}
+		})
+	}
+}
+
 // Unit checks for the structural entry invariants, driven directly.
 func TestAuditorEntryInvariants(t *testing.T) {
 	newSys := func() *System {
@@ -144,6 +183,46 @@ func TestAuditorEntryInvariants(t *testing.T) {
 		a.onMsgFree(3) // never allocated
 		if a.Err() == nil || a.Err().Invariant != "msg-double-free" {
 			t.Fatalf("got %v", a.Err())
+		}
+	})
+
+	// The read set against the cache's SR bits: a word marked read with no
+	// sample, and a sample taken twice, both fail.
+	srLine := func(sys *System, words ...int) *Processor {
+		p := sys.procs[0]
+		l, _ := p.cache.Insert(0x100, make([]mem.Version, sys.cfg.Geometry.WordsPerLine()))
+		for _, w := range words {
+			l.SR = l.SR.Set(w)
+		}
+		p.cache.Track(l)
+		return p
+	}
+	t.Run("read-set-sr", func(t *testing.T) {
+		sys := newSys()
+		a := sys.EnableAuditor()
+		p := srLine(sys, 1, 2)
+		p.readSet.Append(0x104, 0)
+		p.readSet.Append(0x108, 0)
+		a.onCommitPoint(p)
+		if a.Err() != nil {
+			t.Fatalf("matching read set failed: %v", a.Err())
+		}
+		sys = newSys()
+		a = sys.EnableAuditor()
+		p = srLine(sys, 1, 2)
+		p.readSet.Append(0x104, 0) // the read of 0x108 went unrecorded
+		a.onCommitPoint(p)
+		if a.Err() == nil || a.Err().Invariant != "read-set-sr" {
+			t.Fatalf("dropped sample: got %v", a.Err())
+		}
+		sys = newSys()
+		a = sys.EnableAuditor()
+		p = srLine(sys, 1, 2)
+		p.readSet.Append(0x104, 0)
+		p.readSet.Append(0x104, 0)
+		a.onCommitPoint(p)
+		if a.Err() == nil || a.Err().Invariant != "read-set-sr" {
+			t.Fatalf("doubled sample: got %v", a.Err())
 		}
 	})
 

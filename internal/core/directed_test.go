@@ -147,7 +147,7 @@ func TestSharedReadScaling(t *testing.T) {
 	if res.Violations != 0 {
 		t.Fatalf("read-only sharing violated %d times", res.Violations)
 	}
-	e := sys.Directory(0).entry(sys.cfg.Geometry.Line(addrD0))
+	e := sys.Directory(0).lookupEntry(sys.cfg.Geometry.Line(addrD0))
 	if e.sharers.Count() != procs {
 		t.Fatalf("sharers = %d, want %d", e.sharers.Count(), procs)
 	}

@@ -22,6 +22,7 @@ type dirEntry struct {
 	ownerTID   tid.TID       // TID of the commit that produced the owned data
 	ownedWords bits.WordMask // the words whose latest data lives at the owner
 	marked     bool
+	inMem      bool // memory has served or merged the line (snapshot order)
 	markWords  bits.WordMask
 	markData   []mem.Version // write-through commit mode only; pooled buffer
 	// pendingFrom lists nodes whose committed data is known to be in flight
@@ -115,14 +116,16 @@ type Directory struct {
 	// the Skip-Vector shift of Figure 5.
 	done bits.BitVec
 
-	// Entry storage: entIdx resolves a line base to a dense entry id with
-	// one multiplicative hash (no map on the hot path); entBases lists bases
-	// in id (first-touch) order for deterministic sweeps; the entry bodies
-	// live in fixed-size chunks so pointers taken by callers never move.
-	entIdx    mem.AddrIndex
-	entBases  []mem.Addr
+	// Line storage: lines resolves a line base to a dense id (its bases
+	// list is the first-touch order sweeps and snapshots follow); the entry
+	// bodies and the lines' memory words live in fixed-size chunks indexed
+	// by id, so pointers and slices taken by callers never move. memOrder
+	// lists ids in the order memory first served or merged them, the order
+	// the memory bank snapshots in.
+	lines     lineTable
 	entChunks [][]dirEntry
-	memory    *mem.Memory
+	memChunks [][]mem.Version
+	memOrder  []int32
 
 	markedLines      []mem.Addr // lines marked by the currently-serviced TID
 	markOwner        int        // processor that sent the current marks
@@ -141,11 +144,10 @@ type Directory struct {
 	nextFree      sim.Time // occupancy: the directory pipeline's next free cycle
 	sharerScratch []int    // reusable snapshot of a line's sharers
 
-	// Directory-cache model: LRU over entry addresses when DirCacheEntries
-	// is bounded. A miss costs an extra MemLatency of occupancy (the full
-	// directory lives in DRAM).
-	dirCacheLRU   map[mem.Addr]uint64
-	dirCacheClock uint64
+	// Directory-cache model: an LRU list over entry ids when
+	// DirCacheEntries is bounded. A miss costs an extra MemLatency of
+	// occupancy (the full directory lives in DRAM).
+	dirCache dirCacheLRU
 
 	remoteEntries int
 
@@ -157,10 +159,10 @@ type Directory struct {
 
 func newDirectory(sys *System, node int) *Directory {
 	return &Directory{
-		sys:    sys,
-		node:   node,
-		nstid:  1,
-		memory: mem.NewMemory(sys.cfg.Geometry),
+		sys:   sys,
+		node:  node,
+		nstid: 1,
+		lines: newLineTable(sys.cfg.Geometry),
 	}
 }
 
@@ -183,65 +185,140 @@ func (d *Directory) entryAt(id int32) *dirEntry {
 }
 
 // entryCount returns the number of distinct lines this directory has seen.
-func (d *Directory) entryCount() int { return len(d.entBases) }
+func (d *Directory) entryCount() int { return d.lines.len() }
 
 // lookupEntry returns the entry for base without allocating one and without
 // charging a directory-cache access (the auditor's probe).
 func (d *Directory) lookupEntry(base mem.Addr) *dirEntry {
-	if id, ok := d.entIdx.Get(base); ok {
+	if id, ok := d.lines.lookup(base); ok {
 		return d.entryAt(id)
 	}
 	return nil
 }
 
-// entry returns (allocating) the directory entry for a line base, charging
-// a directory-cache miss when the bounded cache does not hold it.
-func (d *Directory) entry(base mem.Addr) *dirEntry {
-	var e *dirEntry
-	if id, ok := d.entIdx.Get(base); ok {
-		e = d.entryAt(id)
-	} else {
-		id := int32(len(d.entBases))
-		if id&(dirChunk-1) == 0 {
-			d.entChunks = append(d.entChunks, make([]dirEntry, dirChunk))
-		}
-		e = d.entryAt(id)
-		e.owner = -1
-		d.entIdx.Set(base, id)
-		d.entBases = append(d.entBases, base)
+// entry returns (allocating) the directory entry for a line base and its
+// id, charging a directory-cache miss when the bounded cache does not hold
+// it.
+func (d *Directory) entry(base mem.Addr) (*dirEntry, int32) {
+	id, fresh := d.lines.id(base)
+	if fresh {
+		d.newEntry(id)
 	}
-	d.touchDirCache(base)
-	return e
+	d.touchDirCache(id)
+	return d.entryAt(id), id
 }
 
-// touchDirCache models a finite directory cache: an LRU set of entry
-// addresses. A miss extends the directory pipeline's busy time by
-// MemLatency (fetching the entry from the DRAM-backed full directory).
-func (d *Directory) touchDirCache(base mem.Addr) {
+// newEntry initializes the storage of a line's first id, carving a chunk
+// of entries and of memory words when the last one is full.
+func (d *Directory) newEntry(id int32) {
+	if id&(dirChunk-1) == 0 {
+		d.entChunks = append(d.entChunks, make([]dirEntry, dirChunk))
+		d.memChunks = append(d.memChunks, make([]mem.Version, dirChunk*d.sys.cfg.Geometry.WordsPerLine()))
+		if d.sys.cfg.DirCacheEntries > 0 {
+			d.dirCache.grow()
+		}
+	}
+	d.entryAt(id).owner = -1
+}
+
+// memLine returns line id's memory words (live storage, all zero until a
+// commit reaches memory), recording the line's first touch of memory.
+func (d *Directory) memLine(id int32) []mem.Version {
+	if e := d.entryAt(id); !e.inMem {
+		e.inMem = true
+		d.memOrder = append(d.memOrder, id)
+	}
+	wpl := d.sys.cfg.Geometry.WordsPerLine()
+	o := int(id&(dirChunk-1)) * wpl
+	return d.memChunks[id>>dirChunkShift][o : o+wpl : o+wpl]
+}
+
+// touchDirCache models a finite directory cache: an LRU set of entries. A
+// miss extends the directory pipeline's busy time by MemLatency (fetching
+// the entry from the DRAM-backed full directory).
+func (d *Directory) touchDirCache(id int32) {
 	capacity := d.sys.cfg.DirCacheEntries
 	if capacity <= 0 {
 		return
 	}
-	if d.dirCacheLRU == nil {
-		d.dirCacheLRU = make(map[mem.Addr]uint64, capacity+1)
-	}
-	d.dirCacheClock++
-	if _, hit := d.dirCacheLRU[base]; !hit {
+	if !d.dirCache.touch(id, capacity) {
 		d.stats.DirCacheMisses++
 		d.nextFree += d.sys.cfg.MemLatency
 		d.stats.BusyCycles += uint64(d.sys.cfg.MemLatency)
-		if len(d.dirCacheLRU) >= capacity {
-			var victim mem.Addr
-			oldest := ^uint64(0)
-			for a, t := range d.dirCacheLRU {
-				if t < oldest {
-					oldest, victim = t, a
-				}
-			}
-			delete(d.dirCacheLRU, victim)
-		}
 	}
-	d.dirCacheLRU[base] = d.dirCacheClock
+}
+
+// dirCacheLRU is the bounded directory cache's residency: a doubly linked
+// list over entry ids, most recently touched first, each resident carrying
+// the clock stamp of its last touch. A touch moves its entry to the front,
+// so the back always holds the oldest stamp, and a miss at capacity evicts
+// it in O(1). The links live in chunks parallel to the entry chunks.
+type dirCacheLRU struct {
+	links      [][]dirCacheLink
+	head, tail int32 // valid while n > 0
+	n          int   // resident entries
+	clock      uint64
+}
+
+// dirCacheLink is one entry's place in the list.
+type dirCacheLink struct {
+	prev, next int32 // neighbours toward the front and the back; -1 at the ends
+	stamp      uint64
+	in         bool // resident
+}
+
+func (c *dirCacheLRU) link(id int32) *dirCacheLink {
+	return &c.links[id>>dirChunkShift][id&(dirChunk-1)]
+}
+
+// grow adds links for the next chunk of entry ids.
+func (c *dirCacheLRU) grow() { c.links = append(c.links, make([]dirCacheLink, dirChunk)) }
+
+// touch stamps entry id as the most recently used, evicting the least
+// recently used resident when id misses a full cache, and reports a hit.
+func (c *dirCacheLRU) touch(id int32, capacity int) bool {
+	c.clock++
+	l := c.link(id)
+	hit := l.in
+	if hit {
+		c.unlink(id)
+	} else if c.n >= capacity {
+		v := c.tail
+		c.unlink(v)
+		c.link(v).in = false
+	}
+	c.pushFront(id, c.clock)
+	return hit
+}
+
+func (c *dirCacheLRU) unlink(id int32) {
+	l := c.link(id)
+	if l.prev >= 0 {
+		c.link(l.prev).next = l.next
+	} else {
+		c.head = l.next
+	}
+	if l.next >= 0 {
+		c.link(l.next).prev = l.prev
+	} else {
+		c.tail = l.prev
+	}
+	c.n--
+}
+
+// pushFront makes id the resident at the front, stamped stamp.
+func (c *dirCacheLRU) pushFront(id int32, stamp uint64) {
+	l := c.link(id)
+	l.prev, l.next = -1, -1
+	if c.n == 0 {
+		c.tail = id
+	} else {
+		l.next = c.head
+		c.link(c.head).prev = id
+	}
+	c.head = id
+	c.n++
+	l.in, l.stamp = true, stamp
 }
 
 // enqueueMsg admits an arriving protocol message to the directory pipeline:
@@ -446,7 +523,7 @@ func (d *Directory) execMark(t tid.TID, base mem.Addr, words bits.WordMask, data
 	if d.sys.obsv != nil {
 		d.sys.emit(obs.Event{Kind: obs.KMark, Node: d.node, Peer: from, TID: uint64(t), Addr: uint64(base), Words: uint64(words)})
 	}
-	e := d.entry(base)
+	e, _ := d.entry(base)
 	if !e.marked {
 		d.markedLines = append(d.markedLines, base)
 	}
@@ -481,7 +558,7 @@ func (d *Directory) execCommit(t tid.TID, from int) {
 	g := d.sys.cfg.Geometry
 
 	for _, base := range d.markedLines {
-		e := d.entry(base)
+		e, id := d.entry(base)
 		words := e.markWords
 		invMask := words
 		if d.sys.cfg.LineGranularity {
@@ -522,7 +599,7 @@ func (d *Directory) execCommit(t tid.TID, from int) {
 			if d.sys.cfg.WriteThroughCommit {
 				// Data arrived with the marks: memory is updated now and
 				// no owner is recorded.
-				d.memory.MergeMonotonic(base, uint64(words), e.markData)
+				mem.MergeMonotonic(d.memLine(id), uint64(words), e.markData)
 				if e.markData != nil {
 					d.sys.releaseBuf(e.markData)
 					e.markData = nil
@@ -559,9 +636,9 @@ func (d *Directory) sendFlushInv(to int, base mem.Addr, committer tid.TID, words
 // data return was already in flight (as a write-back or an earlier flush
 // response), which retires the expectation instead.
 func (d *Directory) execFlushInvResp(base mem.Addr, oldOW bits.WordMask, data []mem.Version, from int) {
-	e := d.entry(base)
+	e, id := d.entry(base)
 	if data != nil {
-		d.memory.MergeMonotonic(base, uint64(oldOW), data)
+		mem.MergeMonotonic(d.memLine(id), uint64(oldOW), data)
 		e.dataArrivedFrom(from)
 		if !e.dataPending() {
 			d.wakeStalled(base)
@@ -619,7 +696,7 @@ func (d *Directory) execAbort(t tid.TID) {
 	}
 	if t == d.nstid {
 		for _, base := range d.markedLines {
-			e := d.entry(base)
+			e, _ := d.entry(base)
 			e.marked = false
 			e.markWords = 0
 			if e.markData != nil {
@@ -643,7 +720,7 @@ func (d *Directory) execAbort(t tid.TID) {
 func (d *Directory) serveLoad(addr mem.Addr, from int, reqTID tid.TID, first bool) {
 	g := d.sys.cfg.Geometry
 	base := g.Line(addr)
-	e := d.entry(base)
+	e, id := d.entry(base)
 
 	stall := func() {
 		if first {
@@ -687,16 +764,17 @@ func (d *Directory) serveLoad(addr mem.Addr, from int, reqTID tid.TID, first boo
 		// its partially-valid line is served from memory; the processor's
 		// fill merge never overwrites locally-valid (owned) words.
 		d.stats.LoadsServiced++
+		words := d.memLine(id)
 		if d.sys.obsv != nil {
 			d.sys.emit(obs.Event{Kind: obs.KLoad, Node: d.node, Peer: from, Addr: uint64(base),
-				Data: obsData(d.memory.ReadLine(base)), Set: e.sharers.String(), Arg: int64(e.owner)})
+				Data: obsData(words), Set: e.sharers.String(), Arg: int64(e.owner)})
 		}
 		d.trackRemote(e, func() { e.sharers.Set(from) })
 		// Snapshot memory now (the load's serialization point); the response
 		// leaves for the requester after the memory access latency.
 		i, m := d.sys.newMsg(MsgLoadResp, d.node, from)
 		m.addr = base
-		m.data = d.sys.copyLine(d.memory.Line(base))
+		m.data = d.sys.copyLine(words)
 		d.sys.kernel.PostAfter(d.sys.cfg.MemLatency, d, dirMemReady, uint64(i), 0)
 	}
 }
@@ -738,14 +816,14 @@ func (d *Directory) wakeStalled(base mem.Addr) {
 }
 
 func (d *Directory) execFlushResp(base mem.Addr, data []mem.Version, from int) {
-	e := d.entry(base)
+	e, id := d.entry(base)
 	if d.sys.obsv != nil {
 		d.sys.emit(obs.Event{Kind: obs.KFlushResp, Node: d.node, Peer: from, Addr: uint64(base),
 			Data: obsData(data), Arg: int64(e.owner)})
 	}
 	// Monotonic merge: stale words in the flushed line (the owner's
 	// partially-invalidated copies) can never roll memory back.
-	d.memory.MergeMonotonic(base, ^uint64(0), data)
+	mem.MergeMonotonic(d.memLine(id), ^uint64(0), data)
 	if e.owner == from {
 		d.trackRemote(e, func() {
 			e.owner = -1
@@ -763,7 +841,7 @@ func (d *Directory) execFlushResp(base mem.Addr, data []mem.Version, from int) {
 
 func (d *Directory) execFlushNack(base mem.Addr, from int) {
 	_ = from
-	e := d.entry(base)
+	e, _ := d.entry(base)
 	// The owner no longer holds the line: its data return is (or was) in
 	// flight as a write-back or an earlier flush response. The recorded
 	// expectation stays until that return lands; if it already did,
@@ -778,7 +856,7 @@ func (d *Directory) execFlushNack(base mem.Addr, from int) {
 // dirty-bit rule's flush before a speculative overwrite — Table 1's Flush
 // semantics), which decides whether the sender stays a sharer.
 func (d *Directory) execWriteBack(base mem.Addr, tag tid.TID, words bits.WordMask, data []mem.Version, from int, remove bool) {
-	e := d.entry(base)
+	e, id := d.entry(base)
 	// Word-granular form of the race-elimination rule: an out-of-order
 	// stale write-back never rolls memory back; a fully-stale one is
 	// counted as dropped (the paper's TID-tag drop).
@@ -790,7 +868,7 @@ func (d *Directory) execWriteBack(base mem.Addr, tag tid.TID, words bits.WordMas
 		}
 		d.sys.emit(ev)
 	}
-	if d.memory.MergeMonotonic(base, uint64(words), data) == 0 && e.ownerTID > tag {
+	if mem.MergeMonotonic(d.memLine(id), uint64(words), data) == 0 && e.ownerTID > tag {
 		d.stats.DroppedWBs++
 	} else {
 		d.stats.WriteBacks++

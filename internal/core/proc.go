@@ -193,15 +193,9 @@ func (p *Processor) beginTx() {
 	}
 	tx := p.prog.Tx(p.id, p.progPhase, p.txIdx)
 	p.ops = tx.Ops
-	// Size the read set once for the transaction's loads, so no attempt
-	// regrows it.
-	loads := 0
-	for i := range tx.Ops {
-		if tx.Ops[i].Kind == workload.Load {
-			loads++
-		}
-	}
-	p.readSet.Reserve(loads)
+	// Size the read set's samples once for the transaction's loads, so no
+	// attempt regrows them. Its index is built only if fillLine re-validates.
+	p.readSet.ReserveSamples(tx.Loads())
 	p.startAttempt()
 }
 
@@ -485,14 +479,20 @@ func (p *Processor) requestRefill(base mem.Addr) {
 }
 
 // finishLoad applies the architectural effects of a load: SR tracking and
-// the read log for the serializability oracle.
+// the read log for the serializability oracle. SR is set only here and is
+// cleared only with the read set (commit and rollback clear both; a line
+// holding SR bits is never dropped without a violation), so a clear SR bit
+// means the word is not in the read set yet: the bit is the read set's
+// first-read check (DESIGN §36).
 func (p *Processor) finishLoad(line *cache.Line, w int, a mem.Addr) {
-	if !line.SM.Has(w) {
-		line.SR = line.SR.Set(w)
-		p.cache.Track(line)
-		if p.readSet.Add(a, line.Data[w]) && p.sys.obsv != nil {
-			p.sys.emit(obs.Event{Kind: obs.KRead, Node: p.id, Peer: -1, Addr: uint64(a), Arg: int64(line.Data[w])})
-		}
+	if line.SM.Has(w) || line.SR.Has(w) {
+		return
+	}
+	line.SR = line.SR.Set(w)
+	p.cache.Track(line)
+	p.readSet.Append(a, line.Data[w])
+	if p.sys.obsv != nil {
+		p.sys.emit(obs.Event{Kind: obs.KRead, Node: p.id, Peer: -1, Addr: uint64(a), Arg: int64(line.Data[w])})
 	}
 }
 
@@ -763,6 +763,9 @@ func (p *Processor) checkCommitReady() {
 // doCommit is the commit point: after it, the transaction cannot violate.
 func (p *Processor) doCommit() {
 	t := p.tid
+	if p.sys.aud != nil {
+		p.sys.aud.onCommitPoint(p)
+	}
 	if p.sys.obsv != nil {
 		p.sys.emit(obs.Event{Kind: obs.KCommit, Node: p.id, Peer: -1, TID: uint64(t),
 			Set: fmt.Sprintf("%v", p.writeDirs), Arg: int64(p.readSet.Len())})

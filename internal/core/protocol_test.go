@@ -261,7 +261,12 @@ func TestDirtyBitWriteBack(t *testing.T) {
 	}
 	// Memory must hold the second transaction's version.
 	g := sys.cfg.Geometry
-	line := sys.Directory(0).memory.ReadLine(g.Line(addrD0))
+	d := sys.Directory(0)
+	id, ok := d.lines.lookup(g.Line(addrD0))
+	if !ok {
+		t.Fatal("directory 0 has no entry for the written line")
+	}
+	line := d.memLine(id)
 	w := g.WordIndex(addrD0)
 	// The line is still owned by the committer; memory has at least the
 	// first version from the dirty-rule write-back.

@@ -121,8 +121,8 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	}
 	// Corrupt: zero one committed word in some directory's memory.
 	for _, d := range sys.dirs {
-		for _, base := range d.entBases {
-			line := d.memory.Line(base)
+		for id := range d.lines.bases {
+			line := d.memLine(int32(id))
 			for w := range line {
 				if line[w] != 0 {
 					line[w] = 999999

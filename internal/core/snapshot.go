@@ -542,7 +542,7 @@ func (d *Directory) snapshotState() DirState {
 		NSTID: d.nstid,
 		Done:  d.done.Words(),
 
-		Memory: d.memory.Snapshot(),
+		Memory: d.memorySnapshot(),
 
 		MarkedLines:      append([]mem.Addr(nil), d.markedLines...),
 		MarkOwner:        d.markOwner,
@@ -554,7 +554,7 @@ func (d *Directory) snapshotState() DirState {
 		ProbeMin: d.probeMin,
 		NextFree: d.nextFree,
 
-		DirCacheClock: d.dirCacheClock,
+		DirCacheClock: d.dirCache.clock,
 		RemoteEntries: d.remoteEntries,
 
 		Stats:   d.stats,
@@ -562,10 +562,10 @@ func (d *Directory) snapshotState() DirState {
 		WsHist:  append([]uint64(nil), d.wsHist.Values()...),
 		CurBusy: d.curBusy,
 	}
-	if len(d.entBases) > 0 {
-		ds.Entries = make([]DirEntryState, 0, len(d.entBases))
+	if d.lines.len() > 0 {
+		ds.Entries = make([]DirEntryState, 0, d.lines.len())
 	}
-	for id, base := range d.entBases {
+	for id, base := range d.lines.bases {
 		e := d.entryAt(int32(id))
 		es := DirEntryState{
 			Base:       base,
@@ -594,31 +594,56 @@ func (d *Directory) snapshotState() DirState {
 		}
 		ds.Stalls = append(ds.Stalls, ss)
 	}
-	if len(d.dirCacheLRU) > 0 {
-		for a, t := range d.dirCacheLRU {
-			ds.DirCache = append(ds.DirCache, DirCacheStamp{Addr: a, Stamp: t})
+	// The list runs newest first, so walking it from the back gives stamp
+	// order, a canonical serialization order: stamps are unique (the clock
+	// increments per touch).
+	if c := &d.dirCache; c.n > 0 {
+		ds.DirCache = make([]DirCacheStamp, 0, c.n)
+		for id := c.tail; id >= 0; id = c.link(id).prev {
+			ds.DirCache = append(ds.DirCache, DirCacheStamp{Addr: d.lines.bases[id], Stamp: c.link(id).stamp})
 		}
-		// Stamps are unique (the clock increments per touch), so stamp order
-		// is a canonical serialization order.
-		sort.Slice(ds.DirCache, func(i, j int) bool { return ds.DirCache[i].Stamp < ds.DirCache[j].Stamp })
 	}
 	return ds
 }
 
-func (d *Directory) restoreState(ds *DirState) error {
-	if len(d.entBases) != 0 {
-		return fmt.Errorf("core: dir %d restore target is not fresh", d.node)
+// memorySnapshot returns the memory bank's touched lines in first-touch
+// order, their words sharing one allocation.
+func (d *Directory) memorySnapshot() []mem.LineImage {
+	if len(d.memOrder) == 0 {
+		return nil
 	}
 	wpl := d.sys.cfg.Geometry.WordsPerLine()
+	out := make([]mem.LineImage, len(d.memOrder))
+	words := make([]mem.Version, len(out)*wpl)
+	for i, id := range d.memOrder {
+		w := words[i*wpl : (i+1)*wpl : (i+1)*wpl]
+		copy(w, d.memLine(id))
+		out[i] = mem.LineImage{Base: d.lines.bases[id], Words: w}
+	}
+	return out
+}
+
+func (d *Directory) restoreState(ds *DirState) error {
+	if d.lines.len() != 0 {
+		return fmt.Errorf("core: dir %d restore target is not fresh", d.node)
+	}
+	g := d.sys.cfg.Geometry
+	wpl := g.WordsPerLine()
 	d.nstid = ds.NSTID
 	d.done.LoadWords(ds.Done)
 
+	// Replaying the entries' first touches in snapshot order rebuilds the
+	// same ids, so every later snapshot lists them in the same order.
 	for i := range ds.Entries {
 		es := &ds.Entries[i]
-		id := int32(i)
-		if id&(dirChunk-1) == 0 {
-			d.entChunks = append(d.entChunks, make([]dirEntry, dirChunk))
+		if es.Base != g.Line(es.Base) {
+			return fmt.Errorf("core: dir %d restore entry %#x is not line-aligned", d.node, es.Base)
 		}
+		id, fresh := d.lines.id(es.Base)
+		if !fresh {
+			return fmt.Errorf("core: dir %d restore entry %#x duplicated", d.node, es.Base)
+		}
+		d.newEntry(id)
 		e := d.entryAt(id)
 		e.sharers.LoadWords(es.Sharers)
 		e.owner = es.Owner
@@ -637,15 +662,25 @@ func (d *Directory) restoreState(ds *DirState) error {
 			e.pendingFrom = append([]int(nil), es.PendingFrom...)
 			e.pendingData = len(e.pendingFrom)
 		}
-		if _, dup := d.entIdx.Get(es.Base); dup {
-			return fmt.Errorf("core: dir %d restore entry %#x duplicated", d.node, es.Base)
-		}
-		d.entIdx.Set(es.Base, id)
-		d.entBases = append(d.entBases, es.Base)
 	}
 
-	if err := d.memory.Restore(ds.Memory); err != nil {
-		return fmt.Errorf("core: dir %d: %w", d.node, err)
+	for _, li := range ds.Memory {
+		if li.Base != g.Line(li.Base) {
+			return fmt.Errorf("core: dir %d restore memory line %#x is not line-aligned", d.node, li.Base)
+		}
+		if len(li.Words) != wpl {
+			return fmt.Errorf("core: dir %d restore memory line %#x has %d words, want %d", d.node, li.Base, len(li.Words), wpl)
+		}
+		// Memory is only touched through a line's entry, so every memory
+		// line has one.
+		id, ok := d.lines.lookup(li.Base)
+		if !ok {
+			return fmt.Errorf("core: dir %d restore memory line %#x has no directory entry", d.node, li.Base)
+		}
+		if d.entryAt(id).inMem {
+			return fmt.Errorf("core: dir %d restore memory line %#x duplicated", d.node, li.Base)
+		}
+		copy(d.memLine(id), li.Words)
 	}
 
 	d.markedLines = append(d.markedLines, ds.MarkedLines...)
@@ -668,19 +703,41 @@ func (d *Directory) restoreState(ds *DirState) error {
 	}
 	d.nextFree = ds.NextFree
 
-	if len(ds.DirCache) > 0 {
-		d.dirCacheLRU = make(map[mem.Addr]uint64, d.sys.cfg.DirCacheEntries+1)
-		for _, c := range ds.DirCache {
-			d.dirCacheLRU[c.Addr] = c.Stamp
-		}
+	if err := d.restoreDirCache(ds.DirCache); err != nil {
+		return err
 	}
-	d.dirCacheClock = ds.DirCacheClock
+	d.dirCache.clock = ds.DirCacheClock
 	d.remoteEntries = ds.RemoteEntries
 
 	d.stats = ds.Stats
 	d.occHist.Restore(ds.OccHist)
 	d.wsHist.Restore(ds.WsHist)
 	d.curBusy = ds.CurBusy
+	return nil
+}
+
+// restoreDirCache rebuilds the directory cache's list from its residents,
+// oldest stamp at the back.
+func (d *Directory) restoreDirCache(res []DirCacheStamp) error {
+	if len(res) == 0 {
+		return nil
+	}
+	c := &d.dirCache
+	for len(c.links) < len(d.entChunks) {
+		c.grow()
+	}
+	res = append([]DirCacheStamp(nil), res...)
+	sort.SliceStable(res, func(i, j int) bool { return res[i].Stamp < res[j].Stamp })
+	for _, r := range res {
+		id, ok := d.lines.lookup(r.Addr)
+		if !ok {
+			return fmt.Errorf("core: dir %d restore directory-cache line %#x has no entry", d.node, r.Addr)
+		}
+		if c.link(id).in {
+			return fmt.Errorf("core: dir %d restore directory-cache line %#x duplicated", d.node, r.Addr)
+		}
+		c.pushFront(id, r.Stamp)
+	}
 	return nil
 }
 

@@ -226,7 +226,7 @@ func (s *System) sampleTick() {
 		}
 		smp.Marks += len(d.markedLines)
 		if s.cfg.DirCacheEntries > 0 {
-			smp.DirEntries += len(d.dirCacheLRU)
+			smp.DirEntries += d.dirCache.n
 		} else {
 			smp.DirEntries += d.entryCount()
 		}

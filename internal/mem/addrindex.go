@@ -2,7 +2,7 @@ package mem
 
 // AddrIndex maps line/page addresses to small integer ids. It is the shared
 // replacement for the `map[Addr]T` lookups that used to sit on the simulator
-// hot path (directory entries, memory lines, page homes, cache overflow): the
+// hot path (page homes, the rivals' memory lines, cache overflow): the
 // caller keeps its values in a dense slice and this index resolves an address
 // to a slice position with one multiplicative hash and a short linear probe.
 //

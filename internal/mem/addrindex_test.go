@@ -186,3 +186,59 @@ func TestReadSetReserveAllocs(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", sets[0].Len(), n)
 	}
 }
+
+// Appended samples are found by Get once it indexes them, and an Add after
+// Appends still sees them as repeats.
+func TestReadSetAppendIndexesLazily(t *testing.T) {
+	var r ReadSet
+	for round := 0; round < 3; round++ {
+		r.Reset()
+		for i := 0; i < 100; i++ {
+			r.Append(Addr(4*i), Version(i+round))
+		}
+		if v, ok := r.Get(Addr(4 * 50)); !ok || v != Version(50+round) {
+			t.Fatalf("round %d: Get after Appends = %d,%v", round, v, ok)
+		}
+		for i := 100; i < 120; i++ {
+			r.Append(Addr(4*i), Version(i+round))
+		}
+		if r.Add(Addr(4*110), 999) {
+			t.Fatalf("round %d: Add of an appended address reported new", round)
+		}
+		if !r.Add(Addr(4*200), 7) {
+			t.Fatalf("round %d: Add of a new address reported a repeat", round)
+		}
+		for i, s := range r.Samples() {
+			if v, ok := r.Get(s.Addr); !ok || v != s.Version {
+				t.Fatalf("round %d: sample %d: Get = %d,%v, want %d", round, i, v, ok, s.Version)
+			}
+		}
+		if r.Len() != 121 {
+			t.Fatalf("round %d: Len = %d, want 121", round, r.Len())
+		}
+	}
+}
+
+// After ReserveSamples(n), n Appends allocate nothing: the unindexed path
+// never builds the index.
+func TestReadSetAppendAllocs(t *testing.T) {
+	const n, runs = 300, 5
+	sets := make([]ReadSet, runs+1) // AllocsPerRun adds one warm-up run
+	for i := range sets {
+		sets[i].ReserveSamples(n)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		r := &sets[next]
+		next++
+		for i := 0; i < n; i++ {
+			r.Append(Addr(4*i), Version(i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d Appends after ReserveSamples(%d) allocate %.1f times, want 0", n, n, allocs)
+	}
+	if sets[0].Len() != n || len(sets[0].idx.tab) != 0 {
+		t.Fatalf("Len = %d, index slots = %d; want %d samples and no index", sets[0].Len(), len(sets[0].idx.tab), n)
+	}
+}

@@ -108,8 +108,8 @@ func (m *Map) HomeIfMapped(a Addr) (int, bool) {
 // Pages returns the number of mapped pages.
 func (m *Map) Pages() int { return m.home.Len() }
 
-// Memory is the versioned backing store for the lines homed at one node.
-// Lines live in fixed chunks of memChunkLines lines, indexed by line id
+// Memory is a versioned backing store, the rival protocols' memory bank
+// (the TCC directory keeps its lines' words beside its entries). Lines live in fixed chunks of memChunkLines lines, indexed by line id
 // (first-touch order): a chunk is allocated whole and never moves, so a
 // slice Line returned stays live storage for the bank's lifetime, and the
 // bank keeps no per-line slice headers.
@@ -150,24 +150,6 @@ func (m *Memory) line(id int32) []Version {
 	return m.chunks[uint32(id)/memChunkLines][o : o+wpl : o+wpl]
 }
 
-// ReadLine returns a copy of the line at base.
-func (m *Memory) ReadLine(base Addr) []Version {
-	src := m.Line(base)
-	out := make([]Version, len(src))
-	copy(out, src)
-	return out
-}
-
-// WriteWords stores the masked words of data into the line at base.
-func (m *Memory) WriteWords(base Addr, mask uint64, data []Version) {
-	dst := m.Line(base)
-	for i := range dst {
-		if mask&(1<<uint(i)) != 0 {
-			dst[i] = data[i]
-		}
-	}
-}
-
 // SetWords stores version v into the masked words of the line at base: a
 // committed write-back whose data words all carry the committer's version.
 func (m *Memory) SetWords(base Addr, mask uint64, v Version) {
@@ -179,13 +161,12 @@ func (m *Memory) SetWords(base Addr, mask uint64, v Version) {
 	}
 }
 
-// MergeMonotonic stores each masked word only if it is at least as new as
-// what memory holds, and returns the number of words accepted. This is the
-// word-granular form of the paper's TID-tagged write-back rule: data
-// returning out of order over an unordered network must never roll memory
-// back to an older committed version.
-func (m *Memory) MergeMonotonic(base Addr, mask uint64, data []Version) int {
-	dst := m.Line(base)
+// MergeMonotonic stores each masked word of data into the memory line dst
+// only if it is at least as new as what dst holds, and returns the number
+// of words accepted. This is the word-granular form of the paper's
+// TID-tagged write-back rule: data returning out of order over an unordered
+// network must never roll memory back to an older committed version.
+func MergeMonotonic(dst []Version, mask uint64, data []Version) int {
 	n := 0
 	for i := range dst {
 		if mask&(1<<uint(i)) != 0 && data[i] >= dst[i] {
@@ -197,6 +178,3 @@ func (m *Memory) MergeMonotonic(base Addr, mask uint64, data []Version) int {
 	}
 	return n
 }
-
-// Lines returns the number of distinct lines ever touched.
-func (m *Memory) Lines() int { return m.idx.Len() }

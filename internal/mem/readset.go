@@ -6,9 +6,16 @@ package mem
 // execution allocates nothing: the samples live in a dense list in first-read
 // order, and an AddrIndex resolves an address to its position, so Reset is
 // O(1) and storage from earlier attempts is recycled.
+//
+// Add dedups through the index as it goes. Append is for a caller that
+// already knows the address is new (the TCC processor gates on the cache's
+// SR bit): it only appends, and the index catches up with the appended
+// samples on the next Get or Add, so a transaction that never re-validates
+// a read never hashes one.
 type ReadSet struct {
-	idx  AddrIndex
-	list []ReadSample
+	idx     AddrIndex
+	list    []ReadSample
+	indexed int // list[:indexed] is in idx
 }
 
 // ReadSample is one read-log entry.
@@ -21,12 +28,20 @@ type ReadSample struct {
 func (r *ReadSet) Reset() {
 	r.idx.Reset()
 	r.list = r.list[:0]
+	r.indexed = 0
 }
 
 // Reserve sizes the set so that n distinct addresses fit without growing
 // its index or sample list. Storage only grows; Reset keeps it.
 func (r *ReadSet) Reserve(n int) {
 	r.idx.Reserve(n)
+	r.ReserveSamples(n)
+}
+
+// ReserveSamples sizes the sample list alone, so that n Appends fit
+// without growing it: the index of an Append-only set is built only if Get
+// is called.
+func (r *ReadSet) ReserveSamples(n int) {
 	if cap(r.list) < n {
 		r.list = append(make([]ReadSample, 0, n), r.list...)
 	}
@@ -39,18 +54,34 @@ func (r *ReadSet) Len() int { return len(r.list) }
 // newly inserted; a repeated read of the same address leaves the original
 // sample in place, matching first-read semantics.
 func (r *ReadSet) Add(a Addr, v Version) bool {
+	r.catchUp()
 	if _, dup := r.idx.Insert(a, int32(len(r.list))); dup {
 		return false
 	}
 	r.list = append(r.list, ReadSample{Addr: a, Version: v})
+	r.indexed++
 	return true
+}
+
+// Append records the first-read version of a, which the caller guarantees
+// is not in the set yet.
+func (r *ReadSet) Append(a Addr, v Version) {
+	r.list = append(r.list, ReadSample{Addr: a, Version: v})
 }
 
 // Get returns the recorded version for a and whether a was read.
 func (r *ReadSet) Get(a Addr) (Version, bool) {
+	r.catchUp()
 	i, ok := r.idx.Get(a)
 	if !ok {
 		return 0, false
 	}
 	return r.list[i].Version, true
+}
+
+// catchUp indexes the samples Append left unindexed.
+func (r *ReadSet) catchUp() {
+	for ; r.indexed < len(r.list); r.indexed++ {
+		r.idx.Set(r.list[r.indexed].Addr, int32(r.indexed))
+	}
 }

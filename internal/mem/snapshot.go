@@ -6,8 +6,8 @@ import (
 )
 
 // Snapshot/restore support for kernel-level checkpoints. Each structure in
-// this package restores by replaying its own mutation path (Set, Line, Add)
-// in a canonical order, so a restored structure is behaviourally identical to
+// this package restores by replaying its own mutation path (Set, Add) in a
+// canonical order, so a restored structure is behaviourally identical to
 // the original: every lookup answers the same, and the internal growth
 // trajectory from the restored point matches the original's.
 
@@ -56,42 +56,6 @@ func (m *Map) Restore(pages []PageHome) error {
 type LineImage struct {
 	Base  Addr      `json:"base"`
 	Words []Version `json:"words"`
-}
-
-// Snapshot returns every touched line in first-touch (position) order, so
-// restoring replays the original allocation sequence. The lines' words share
-// one allocation.
-func (m *Memory) Snapshot() []LineImage {
-	out := make([]LineImage, m.idx.Len())
-	wpl := m.geom.WordsPerLine()
-	words := make([]Version, len(out)*wpl)
-	m.idx.ForEach(func(a Addr, id int32) {
-		w := words[int(id)*wpl : int(id+1)*wpl : int(id+1)*wpl]
-		copy(w, m.line(id))
-		out[id] = LineImage{Base: a, Words: w}
-	})
-	return out
-}
-
-// Restore resets the memory bank to a snapshot: lines are re-touched in the
-// snapshot's order and their version vectors installed.
-func (m *Memory) Restore(lines []LineImage) error {
-	wpl := m.geom.WordsPerLine()
-	m.idx.Reset()
-	m.chunks = nil
-	for _, li := range lines {
-		if li.Base != m.geom.Line(li.Base) {
-			return fmt.Errorf("mem: restore line %#x is not line-aligned", li.Base)
-		}
-		if len(li.Words) != wpl {
-			return fmt.Errorf("mem: restore line %#x has %d words, want %d", li.Base, len(li.Words), wpl)
-		}
-		if _, dup := m.idx.Get(li.Base); dup {
-			return fmt.Errorf("mem: restore line %#x duplicated", li.Base)
-		}
-		copy(m.Line(li.Base), li.Words)
-	}
-	return nil
 }
 
 // Samples returns the read log in insertion (first-read) order. The slice is

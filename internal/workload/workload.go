@@ -59,6 +59,18 @@ func (t *Tx) Instructions() uint64 {
 	return n
 }
 
+// Loads returns the transaction's load count: an upper bound on the words
+// its read set can hold.
+func (t *Tx) Loads() int {
+	n := 0
+	for i := range t.Ops {
+		if t.Ops[i].Kind == Load {
+			n++
+		}
+	}
+	return n
+}
+
 // Program is a transactional parallel program: per processor, Phases()
 // barrier-separated phases each containing TxCount transactions.
 type Program interface {
