@@ -393,6 +393,20 @@ func TestRestoreRefusesMalformedCheckpoint(t *testing.T) {
 			ck.Dirs[3].Stalls = append(ck.Dirs[3].Stalls, StallState{Loads: []PendingLoadState{{From: far}}})
 		},
 		"outstanding owner": func(ck *Checkpoint) { ck.VendorOut = append(ck.VendorOut, tid.Outstanding{TID: 1, Node: far}) },
+		"unaligned entry":   func(ck *Checkpoint) { ck.Dirs[0].Entries[0].Base++ },
+		"duplicate entry":   func(ck *Checkpoint) { ck.Dirs[0].Entries = append(ck.Dirs[0].Entries, ck.Dirs[0].Entries[0]) },
+		"memory line without entry": func(ck *Checkpoint) {
+			li := ck.Dirs[0].Memory[0]
+			li.Base += 1 << 30
+			ck.Dirs[0].Memory = append(ck.Dirs[0].Memory, li)
+		},
+		"dir-cache line without entry": func(ck *Checkpoint) {
+			ck.Dirs[0].DirCache = append(ck.Dirs[0].DirCache, DirCacheStamp{Addr: ck.Dirs[0].Entries[0].Base + 1<<30, Stamp: 1})
+		},
+		"duplicate dir-cache line": func(ck *Checkpoint) {
+			base := ck.Dirs[0].Entries[0].Base
+			ck.Dirs[0].DirCache = append(ck.Dirs[0].DirCache, DirCacheStamp{Addr: base, Stamp: 1}, DirCacheStamp{Addr: base, Stamp: 2})
+		},
 	} {
 		ck, err := DecodeCheckpoint(raw)
 		if err != nil {
