@@ -111,7 +111,7 @@ func (p *proc) Access(op workload.Op) {
 // onFill installs the line the current load or store missed on.
 func (p *proc) onFill(base mem.Addr) {
 	g := p.sys.Cfg.Geometry
-	data := p.sys.Memory.Line(base)
+	data := p.sys.Homes[0].Line(base)
 	line := p.Cache.Peek(base)
 	if line == nil {
 		var victim *cache.Victim
@@ -148,10 +148,12 @@ func (p *proc) finishAccess(line *cache.Line, w int, a mem.Addr, write bool) {
 		p.Cache.Track(line)
 		return
 	}
-	if !line.SM.Has(w) {
+	// SR is the read log's dedup, as in the TCC processor's finishLoad: a
+	// word's bit is set exactly when its sample is appended (DESIGN §37).
+	if !line.SM.Has(w) && !line.SR.Has(w) {
 		line.SR = line.SR.Set(w)
 		p.Cache.Track(line)
-		p.ReadSet.Add(a, line.Data[w])
+		p.ReadSet.Append(a, line.Data[w])
 	}
 }
 
@@ -193,7 +195,7 @@ func (p *proc) onCommit(seq mem.Version) {
 	record := p.NewRecord(seq)
 	for _, wl := range p.wset {
 		p.RecordWrites(record, wl.base, wl.words, seq)
-		s.Memory.SetWords(wl.base, uint64(wl.words), seq)
+		mem.SetWords(s.Homes[0].Line(wl.base), uint64(wl.words), seq)
 		if s.Obsv != nil {
 			s.Emit(obs.Event{Kind: obs.KCommitLine, Node: p.ID, Peer: -1, TID: uint64(seq),
 				Addr: uint64(wl.base), Words: uint64(wl.words)})

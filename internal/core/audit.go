@@ -15,7 +15,7 @@ func (s *System) FinalMemoryView() map[mem.Addr]mem.Version {
 	g := s.cfg.Geometry
 	out := make(map[mem.Addr]mem.Version)
 	for _, d := range s.dirs {
-		for id, base := range d.lines.bases {
+		for id, base := range d.lines.Bases() {
 			for w, v := range d.memLine(int32(id)) {
 				if v != 0 {
 					out[g.WordAddr(base, w)] = v
@@ -28,7 +28,7 @@ func (s *System) FinalMemoryView() map[mem.Addr]mem.Version {
 	// nominally "own" words whose latest data already reached memory via an
 	// earlier transfer; its stale copies never win.)
 	for _, d := range s.dirs {
-		for id, base := range d.lines.bases {
+		for id, base := range d.lines.Bases() {
 			e := d.entryAt(int32(id))
 			if e.owner < 0 {
 				continue

@@ -120,7 +120,7 @@ func (a *Auditor) onDirExec(d *Directory, m *protoMsg) {
 	case MsgCommit:
 		// The commit mutated every previously-marked line; sweep the ones we
 		// can still name (answers arrive per line via the cases above).
-		for id, base := range d.lines.bases {
+		for id, base := range d.lines.Bases() {
 			e := d.entryAt(int32(id))
 			if e.marked || e.owner >= 0 {
 				a.checkEntry(d, base, e)
@@ -297,7 +297,7 @@ func (a *Auditor) final() *AuditError {
 		a.checks++
 		a.checkDir(d)
 		a.lastNSTID[d.node] = d.nstid
-		for id, base := range d.lines.bases {
+		for id, base := range d.lines.Bases() {
 			a.checkEntry(d, base, d.entryAt(int32(id)))
 			if a.err != nil {
 				break

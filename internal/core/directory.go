@@ -117,14 +117,13 @@ type Directory struct {
 	done bits.BitVec
 
 	// Line storage: lines resolves a line base to a dense id (its bases
-	// list is the first-touch order sweeps and snapshots follow); the entry
-	// bodies and the lines' memory words live in fixed-size chunks indexed
-	// by id, so pointers and slices taken by callers never move. memOrder
-	// lists ids in the order memory first served or merged them, the order
-	// the memory bank snapshots in.
-	lines     lineTable
+	// are the first-touch order sweeps and snapshots follow) and holds the
+	// lines' memory words by id; the entry bodies live in fixed-size chunks
+	// under the same id, so pointers and slices taken by callers never move.
+	// memOrder lists ids in the order memory first served or merged them,
+	// the order the memory bank snapshots in.
+	lines     mem.LineStore
 	entChunks [][]dirEntry
-	memChunks [][]mem.Version
 	memOrder  []int32
 
 	markedLines      []mem.Addr // lines marked by the currently-serviced TID
@@ -162,7 +161,7 @@ func newDirectory(sys *System, node int) *Directory {
 		sys:   sys,
 		node:  node,
 		nstid: 1,
-		lines: newLineTable(sys.cfg.Geometry),
+		lines: mem.NewLineStore(sys.cfg.Geometry),
 	}
 }
 
@@ -185,12 +184,12 @@ func (d *Directory) entryAt(id int32) *dirEntry {
 }
 
 // entryCount returns the number of distinct lines this directory has seen.
-func (d *Directory) entryCount() int { return d.lines.len() }
+func (d *Directory) entryCount() int { return d.lines.Len() }
 
 // lookupEntry returns the entry for base without allocating one and without
 // charging a directory-cache access (the auditor's probe).
 func (d *Directory) lookupEntry(base mem.Addr) *dirEntry {
-	if id, ok := d.lines.lookup(base); ok {
+	if id, ok := d.lines.Lookup(base); ok {
 		return d.entryAt(id)
 	}
 	return nil
@@ -200,7 +199,7 @@ func (d *Directory) lookupEntry(base mem.Addr) *dirEntry {
 // id, charging a directory-cache miss when the bounded cache does not hold
 // it.
 func (d *Directory) entry(base mem.Addr) (*dirEntry, int32) {
-	id, fresh := d.lines.id(base)
+	id, fresh := d.lines.ID(base)
 	if fresh {
 		d.newEntry(id)
 	}
@@ -208,12 +207,11 @@ func (d *Directory) entry(base mem.Addr) (*dirEntry, int32) {
 	return d.entryAt(id), id
 }
 
-// newEntry initializes the storage of a line's first id, carving a chunk
-// of entries and of memory words when the last one is full.
+// newEntry initializes the entry of a line's first id, carving a chunk of
+// entries when the last one is full.
 func (d *Directory) newEntry(id int32) {
 	if id&(dirChunk-1) == 0 {
 		d.entChunks = append(d.entChunks, make([]dirEntry, dirChunk))
-		d.memChunks = append(d.memChunks, make([]mem.Version, dirChunk*d.sys.cfg.Geometry.WordsPerLine()))
 		if d.sys.cfg.DirCacheEntries > 0 {
 			d.dirCache.grow()
 		}
@@ -228,9 +226,7 @@ func (d *Directory) memLine(id int32) []mem.Version {
 		e.inMem = true
 		d.memOrder = append(d.memOrder, id)
 	}
-	wpl := d.sys.cfg.Geometry.WordsPerLine()
-	o := int(id&(dirChunk-1)) * wpl
-	return d.memChunks[id>>dirChunkShift][o : o+wpl : o+wpl]
+	return d.lines.Words(id)
 }
 
 // touchDirCache models a finite directory cache: an LRU set of entries. A

@@ -262,7 +262,7 @@ func TestDirtyBitWriteBack(t *testing.T) {
 	// Memory must hold the second transaction's version.
 	g := sys.cfg.Geometry
 	d := sys.Directory(0)
-	id, ok := d.lines.lookup(g.Line(addrD0))
+	id, ok := d.lines.Lookup(g.Line(addrD0))
 	if !ok {
 		t.Fatal("directory 0 has no entry for the written line")
 	}

@@ -121,7 +121,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	}
 	// Corrupt: zero one committed word in some directory's memory.
 	for _, d := range sys.dirs {
-		for id := range d.lines.bases {
+		for id := range d.lines.Bases() {
 			line := d.memLine(int32(id))
 			for w := range line {
 				if line[w] != 0 {

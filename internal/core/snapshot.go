@@ -478,7 +478,9 @@ func (p *Processor) restoreState(ps *ProcState) error {
 	p.pendMiss = ps.PendMiss
 	p.attempt = ps.Attempt
 
-	p.readSet.Restore(ps.ReadSet)
+	if err := p.readSet.Restore(ps.ReadSet); err != nil {
+		return fmt.Errorf("core: proc %d: %w", p.id, err)
+	}
 	p.sharingVec.LoadWords(ps.SharingVec)
 	p.writingVec.LoadWords(ps.WritingVec)
 
@@ -562,10 +564,10 @@ func (d *Directory) snapshotState() DirState {
 		WsHist:  append([]uint64(nil), d.wsHist.Values()...),
 		CurBusy: d.curBusy,
 	}
-	if d.lines.len() > 0 {
-		ds.Entries = make([]DirEntryState, 0, d.lines.len())
+	if d.lines.Len() > 0 {
+		ds.Entries = make([]DirEntryState, 0, d.lines.Len())
 	}
-	for id, base := range d.lines.bases {
+	for id, base := range d.lines.Bases() {
 		e := d.entryAt(int32(id))
 		es := DirEntryState{
 			Base:       base,
@@ -600,7 +602,7 @@ func (d *Directory) snapshotState() DirState {
 	if c := &d.dirCache; c.n > 0 {
 		ds.DirCache = make([]DirCacheStamp, 0, c.n)
 		for id := c.tail; id >= 0; id = c.link(id).prev {
-			ds.DirCache = append(ds.DirCache, DirCacheStamp{Addr: d.lines.bases[id], Stamp: c.link(id).stamp})
+			ds.DirCache = append(ds.DirCache, DirCacheStamp{Addr: d.lines.Bases()[id], Stamp: c.link(id).stamp})
 		}
 	}
 	return ds
@@ -618,13 +620,13 @@ func (d *Directory) memorySnapshot() []mem.LineImage {
 	for i, id := range d.memOrder {
 		w := words[i*wpl : (i+1)*wpl : (i+1)*wpl]
 		copy(w, d.memLine(id))
-		out[i] = mem.LineImage{Base: d.lines.bases[id], Words: w}
+		out[i] = mem.LineImage{Base: d.lines.Bases()[id], Words: w}
 	}
 	return out
 }
 
 func (d *Directory) restoreState(ds *DirState) error {
-	if d.lines.len() != 0 {
+	if d.lines.Len() != 0 {
 		return fmt.Errorf("core: dir %d restore target is not fresh", d.node)
 	}
 	g := d.sys.cfg.Geometry
@@ -639,7 +641,7 @@ func (d *Directory) restoreState(ds *DirState) error {
 		if es.Base != g.Line(es.Base) {
 			return fmt.Errorf("core: dir %d restore entry %#x is not line-aligned", d.node, es.Base)
 		}
-		id, fresh := d.lines.id(es.Base)
+		id, fresh := d.lines.ID(es.Base)
 		if !fresh {
 			return fmt.Errorf("core: dir %d restore entry %#x duplicated", d.node, es.Base)
 		}
@@ -673,7 +675,7 @@ func (d *Directory) restoreState(ds *DirState) error {
 		}
 		// Memory is only touched through a line's entry, so every memory
 		// line has one.
-		id, ok := d.lines.lookup(li.Base)
+		id, ok := d.lines.Lookup(li.Base)
 		if !ok {
 			return fmt.Errorf("core: dir %d restore memory line %#x has no directory entry", d.node, li.Base)
 		}
@@ -729,7 +731,7 @@ func (d *Directory) restoreDirCache(res []DirCacheStamp) error {
 	res = append([]DirCacheStamp(nil), res...)
 	sort.SliceStable(res, func(i, j int) bool { return res[i].Stamp < res[j].Stamp })
 	for _, r := range res {
-		id, ok := d.lines.lookup(r.Addr)
+		id, ok := d.lines.Lookup(r.Addr)
 		if !ok {
 			return fmt.Errorf("core: dir %d restore directory-cache line %#x has no entry", d.node, r.Addr)
 		}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalabletcc/internal/mem"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/tid"
@@ -406,6 +407,15 @@ func TestRestoreRefusesMalformedCheckpoint(t *testing.T) {
 		"duplicate dir-cache line": func(ck *Checkpoint) {
 			base := ck.Dirs[0].Entries[0].Base
 			ck.Dirs[0].DirCache = append(ck.Dirs[0].DirCache, DirCacheStamp{Addr: base, Stamp: 1}, DirCacheStamp{Addr: base, Stamp: 2})
+		},
+		"repeated read-set address": func(ck *Checkpoint) {
+			for i := range ck.Procs {
+				if rs := ck.Procs[i].ReadSet; len(rs) > 0 {
+					ck.Procs[i].ReadSet = append(rs, mem.ReadSample{Addr: rs[0].Addr, Version: rs[0].Version + 1})
+					return
+				}
+			}
+			t.Fatal("checkpoint holds no read set to repeat an address of")
 		},
 	} {
 		ck, err := DecodeCheckpoint(raw)

@@ -72,18 +72,11 @@ func (d *lineDir) readersOtherThan(id int) bool {
 	return n > 1 || (n == 1 && !d.readers.Has(id))
 }
 
-// homeDir is one home's registration table: dense entries behind an
-// address index.
-type homeDir struct {
-	idx   mem.AddrIndex
-	lines []lineDir
-}
-
 // System is the assembled eager machine.
 type System struct {
 	rival.Machine
 	procs []*proc
-	dirs  []homeDir
+	dirs  [][]lineDir // dirs[home][id]: the registrations of the home's line id
 
 	commitSeq mem.Version // the TID vendor at node 0
 	res       Results     // the NACK counters; Results adds the traffic
@@ -93,10 +86,15 @@ type System struct {
 // line's registrations cost cfg.DirLatency at its home; cfg.MemLatency is
 // charged when a reply carries line data.
 func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
-	s := &System{dirs: make([]homeDir, cfg.Procs)}
+	s := &System{dirs: make([][]lineDir, cfg.Procs)}
 	var err error
 	if s.Machine, err = rival.NewMachine("eager", cfg, prog, s); err != nil {
 		return nil, err
+	}
+	// A home's metadata starts with room for one word chunk of lines, as
+	// its store's id-to-base list does.
+	for i := range s.dirs {
+		s.dirs[i] = make([]lineDir, 0, mem.LineChunk)
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
@@ -104,16 +102,15 @@ func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
 	return s, nil
 }
 
-// dir returns (allocating if needed) the line's registration entry at home.
+// dir returns (allocating if needed) the line's registration entry at home
+// and the line's id in the home's store, which also holds its memory words.
 // The pointer is valid until the next dir call.
-func (s *System) dir(home int, base mem.Addr) *lineDir {
-	h := &s.dirs[home]
-	if i, ok := h.idx.Get(base); ok {
-		return &h.lines[i]
+func (s *System) dir(home int, base mem.Addr) (*lineDir, int32) {
+	id, fresh := s.Homes[home].ID(base)
+	if fresh {
+		s.dirs[home] = append(s.dirs[home], lineDir{writer: -1})
 	}
-	h.idx.Set(base, int32(len(h.lines)))
-	h.lines = append(h.lines, lineDir{writer: -1})
-	return &h.lines[len(h.lines)-1]
+	return &s.dirs[home][id], id
 }
 
 // System opcodes.
@@ -153,7 +150,7 @@ func (s *System) Serve(i int32) {
 		}
 	case reqWrite:
 		base := s.Cfg.Geometry.Line(m.Addr)
-		d := s.dir(m.Home, base)
+		d, _ := s.dir(m.Home, base)
 		if (d.writer >= 0 && d.writer != id) || d.readersOtherThan(id) {
 			s.res.NacksWrite++
 			if s.Obsv != nil {
@@ -169,9 +166,9 @@ func (s *System) Serve(i int32) {
 		s.Reply(m.Home, id, mesh.ClassCommit, prWriteAck, uint64(m.Addr))
 	case reqCommit:
 		for j, base := range m.Bases {
-			d := s.dir(m.Home, base)
+			d, lineID := s.dir(m.Home, base)
 			if w := m.Masks[j]; w.Any() {
-				s.Memory.SetWords(base, uint64(w), m.Version)
+				mem.SetWords(s.Homes[m.Home].Words(lineID), uint64(w), m.Version)
 				d.version = m.Version
 				if s.Obsv != nil {
 					s.Emit(obs.Event{Kind: obs.KCommitLine, Node: m.Home, Peer: id,
@@ -183,7 +180,8 @@ func (s *System) Serve(i int32) {
 		s.Reply(m.Home, id, mesh.ClassCommit, prCommitAck, 0)
 	case reqRelease:
 		for _, base := range m.Bases {
-			s.dir(m.Home, base).release(id)
+			d, _ := s.dir(m.Home, base)
+			d.release(id)
 		}
 	}
 	s.FreeMsg(i)
@@ -196,7 +194,7 @@ func (s *System) Serve(i int32) {
 func (s *System) serveRead(i int32, m *rival.Msg) bool {
 	id := m.Proc
 	base := s.Cfg.Geometry.Line(m.Addr)
-	d := s.dir(m.Home, base)
+	d, lineID := s.dir(m.Home, base)
 	if d.writer >= 0 && d.writer != id {
 		s.res.NacksRead++
 		if s.Obsv != nil {
@@ -215,7 +213,7 @@ func (s *System) serveRead(i int32, m *rival.Msg) bool {
 		s.Reply(m.Home, id, mesh.ClassMiss, rival.OpReadValid, uint64(m.Addr))
 		return false
 	}
-	s.ReplyData(i, base, d.version)
+	s.ReplyData(i, s.Homes[m.Home].Words(lineID), d.version)
 	return true
 }
 

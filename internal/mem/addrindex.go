@@ -2,9 +2,10 @@ package mem
 
 // AddrIndex maps line/page addresses to small integer ids. It is the shared
 // replacement for the `map[Addr]T` lookups that used to sit on the simulator
-// hot path (page homes, the rivals' memory lines, cache overflow): the
-// caller keeps its values in a dense slice and this index resolves an address
-// to a slice position with one multiplicative hash and a short linear probe.
+// hot path (page homes, cache overflow, read sets): the caller keeps its
+// values in a dense slice and this index resolves an address to a slice
+// position with one multiplicative hash and a short linear probe. Lines at
+// their home need no hash at all (LineStore).
 //
 // The table is generation-tagged open addressing: Reset is O(1) (bump the
 // generation and every slot is stale at once), so per-transaction indexes —

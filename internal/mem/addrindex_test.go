@@ -128,71 +128,16 @@ func TestAddrIndexGenerationWrap(t *testing.T) {
 	}
 }
 
-func TestReadSetFirstRead(t *testing.T) {
+// Appended samples stay in Append order and are found by Get once it
+// indexes them, also samples appended after an earlier Get; Reset empties
+// the set.
+func TestReadSetAppendIndexesLazily(t *testing.T) {
 	var r ReadSet
 	for round := 0; round < 3; round++ {
 		r.Reset()
 		if r.Len() != 0 {
 			t.Fatalf("round %d: Len after Reset = %d", round, r.Len())
 		}
-		for i := 0; i < 200; i++ {
-			if !r.Add(Addr(4*i), Version(i+round)) {
-				t.Fatalf("round %d: first Add(%d) reported a repeat", round, 4*i)
-			}
-		}
-		for i := 0; i < 200; i += 3 {
-			if r.Add(Addr(4*i), 999) {
-				t.Fatalf("round %d: repeated Add(%d) reported new", round, 4*i)
-			}
-		}
-		if r.Len() != 200 {
-			t.Fatalf("round %d: Len = %d, want 200", round, r.Len())
-		}
-		for i, s := range r.Samples() {
-			if s.Addr != Addr(4*i) || s.Version != Version(i+round) {
-				t.Fatalf("round %d: sample %d = %+v", round, i, s)
-			}
-			if v, ok := r.Get(s.Addr); !ok || v != s.Version {
-				t.Fatalf("round %d: Get(%d) = %d,%v, want %d,true", round, s.Addr, v, ok, s.Version)
-			}
-		}
-		if _, ok := r.Get(2); ok {
-			t.Fatalf("round %d: Get of an unread address succeeded", round)
-		}
-	}
-}
-
-// After Reserve(n), n first reads allocate nothing. Each measured run gets
-// its own freshly reserved set, so storage retained from an earlier run
-// cannot hide an allocation.
-func TestReadSetReserveAllocs(t *testing.T) {
-	const n, runs = 300, 5
-	sets := make([]ReadSet, runs+1) // AllocsPerRun adds one warm-up run
-	for i := range sets {
-		sets[i].Reserve(n)
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		r := &sets[next]
-		next++
-		for i := 0; i < n; i++ {
-			r.Add(Addr(4*i), Version(i))
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%d Adds after Reserve(%d) allocate %.1f times, want 0", n, n, allocs)
-	}
-	if sets[0].Len() != n {
-		t.Fatalf("Len = %d, want %d", sets[0].Len(), n)
-	}
-}
-
-// Appended samples are found by Get once it indexes them, and an Add after
-// Appends still sees them as repeats.
-func TestReadSetAppendIndexesLazily(t *testing.T) {
-	var r ReadSet
-	for round := 0; round < 3; round++ {
-		r.Reset()
 		for i := 0; i < 100; i++ {
 			r.Append(Addr(4*i), Version(i+round))
 		}
@@ -202,19 +147,19 @@ func TestReadSetAppendIndexesLazily(t *testing.T) {
 		for i := 100; i < 120; i++ {
 			r.Append(Addr(4*i), Version(i+round))
 		}
-		if r.Add(Addr(4*110), 999) {
-			t.Fatalf("round %d: Add of an appended address reported new", round)
-		}
-		if !r.Add(Addr(4*200), 7) {
-			t.Fatalf("round %d: Add of a new address reported a repeat", round)
-		}
 		for i, s := range r.Samples() {
+			if s.Addr != Addr(4*i) || s.Version != Version(i+round) {
+				t.Fatalf("round %d: sample %d = %+v", round, i, s)
+			}
 			if v, ok := r.Get(s.Addr); !ok || v != s.Version {
 				t.Fatalf("round %d: sample %d: Get = %d,%v, want %d", round, i, v, ok, s.Version)
 			}
 		}
-		if r.Len() != 121 {
-			t.Fatalf("round %d: Len = %d, want 121", round, r.Len())
+		if _, ok := r.Get(2); ok {
+			t.Fatalf("round %d: Get of an unread address succeeded", round)
+		}
+		if r.Len() != 120 {
+			t.Fatalf("round %d: Len = %d, want 120", round, r.Len())
 		}
 	}
 }

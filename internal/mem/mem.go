@@ -1,6 +1,7 @@
 // Package mem models the physical address space of the simulated machine:
 // line/word arithmetic, the first-touch page-to-home-node NUMA mapping the
-// paper uses, and a versioned main memory.
+// paper uses, the per-home line store that holds a home's memory words, and
+// the per-transaction read log.
 //
 // Memory words do not hold application data. They hold *versions*: the TID of
 // the transaction that last committed a write to the word (0 for the initial
@@ -103,78 +104,4 @@ func (m *Map) Home(a Addr, toucher int) int {
 func (m *Map) HomeIfMapped(a Addr) (int, bool) {
 	h, ok := m.home.Get(m.geom.Page(a))
 	return int(h), ok
-}
-
-// Pages returns the number of mapped pages.
-func (m *Map) Pages() int { return m.home.Len() }
-
-// Memory is a versioned backing store, the rival protocols' memory bank
-// (the TCC directory keeps its lines' words beside its entries). Lines live in fixed chunks of memChunkLines lines, indexed by line id
-// (first-touch order): a chunk is allocated whole and never moves, so a
-// slice Line returned stays live storage for the bank's lifetime, and the
-// bank keeps no per-line slice headers.
-type Memory struct {
-	geom   Geometry
-	idx    AddrIndex   // line base -> line id
-	chunks [][]Version // chunks[id/memChunkLines] holds line id's words
-}
-
-// NewMemory returns an empty memory bank.
-func NewMemory(g Geometry) *Memory {
-	return &Memory{geom: g}
-}
-
-// memChunkLines is how many lines each chunk holds; first-touch line
-// creation costs one allocation per chunk rather than one per line.
-const memChunkLines = 256
-
-// Line returns the version vector for the line at base, allocating the
-// all-zero initial line on first access. The returned slice is live; callers
-// may mutate it to model committed writes reaching memory.
-func (m *Memory) Line(base Addr) []Version {
-	if id, ok := m.idx.Get(base); ok {
-		return m.line(id)
-	}
-	id := int32(m.idx.Len())
-	if id%memChunkLines == 0 {
-		m.chunks = append(m.chunks, make([]Version, memChunkLines*m.geom.WordsPerLine()))
-	}
-	m.idx.Set(base, id)
-	return m.line(id)
-}
-
-// line returns line id's words in its chunk.
-func (m *Memory) line(id int32) []Version {
-	wpl := m.geom.WordsPerLine()
-	o := int(uint32(id)%memChunkLines) * wpl
-	return m.chunks[uint32(id)/memChunkLines][o : o+wpl : o+wpl]
-}
-
-// SetWords stores version v into the masked words of the line at base: a
-// committed write-back whose data words all carry the committer's version.
-func (m *Memory) SetWords(base Addr, mask uint64, v Version) {
-	dst := m.Line(base)
-	for i := range dst {
-		if mask&(1<<uint(i)) != 0 {
-			dst[i] = v
-		}
-	}
-}
-
-// MergeMonotonic stores each masked word of data into the memory line dst
-// only if it is at least as new as what dst holds, and returns the number
-// of words accepted. This is the word-granular form of the paper's
-// TID-tagged write-back rule: data returning out of order over an unordered
-// network must never roll memory back to an older committed version.
-func MergeMonotonic(dst []Version, mask uint64, data []Version) int {
-	n := 0
-	for i := range dst {
-		if mask&(1<<uint(i)) != 0 && data[i] >= dst[i] {
-			if data[i] > dst[i] {
-				n++
-			}
-			dst[i] = data[i]
-		}
-	}
-	return n
 }

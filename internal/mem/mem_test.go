@@ -73,9 +73,6 @@ func TestMapFirstTouch(t *testing.T) {
 	if h := m.Home(a+Addr(g.PageSize), 3); h != 3 {
 		t.Fatalf("new page home = %d, want 3", h)
 	}
-	if m.Pages() != 2 {
-		t.Fatalf("Pages = %d, want 2", m.Pages())
-	}
 	if _, ok := m.HomeIfMapped(a); !ok {
 		t.Fatal("HomeIfMapped missed a mapped page")
 	}
@@ -88,34 +85,6 @@ func TestMapHomeModulo(t *testing.T) {
 	m := NewMap(DefaultGeometry(), 4)
 	if h := m.Home(0x5000, 7); h != 3 {
 		t.Fatalf("home = %d, want toucher %% nodes = 3", h)
-	}
-}
-
-func TestMemoryZeroInitialized(t *testing.T) {
-	mm := NewMemory(DefaultGeometry())
-	line := mm.Line(0x40)
-	if len(line) != 8 {
-		t.Fatalf("line has %d words", len(line))
-	}
-	for _, v := range line {
-		if v != 0 {
-			t.Fatal("fresh line not zero")
-		}
-	}
-	if mm.idx.Len() != 1 {
-		t.Fatalf("%d lines after touching one", mm.idx.Len())
-	}
-}
-
-func TestMemorySetWords(t *testing.T) {
-	mm := NewMemory(DefaultGeometry())
-	mm.SetWords(0, 0b10100101, 9)
-	got := mm.Line(0)
-	want := []Version{9, 0, 9, 0, 0, 9, 0, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("word %d = %d, want %d", i, got[i], want[i])
-		}
 	}
 }
 
@@ -170,26 +139,5 @@ func TestMergeMonotonicMaxProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A slice Line returned is live storage for the bank's lifetime: lines
-// created after it, across more than two chunks, never move it.
-func TestMemoryLineStaysLiveAcrossChunks(t *testing.T) {
-	m := NewMemory(DefaultGeometry())
-	first := m.Line(0x1000)
-	for i := 1; i <= 2*memChunkLines+10; i++ {
-		m.Line(0x1000 + Addr(32*i))
-	}
-	first[3] = 77
-	if got := m.Line(0x1000)[3]; got != 77 {
-		t.Fatalf("write through the first Line slice reads back %d, want 77", got)
-	}
-	m.SetWords(0x1000, 1<<5, 9)
-	if first[5] != 9 {
-		t.Fatalf("first Line slice sees %d after SetWords, want 9", first[5])
-	}
-	if m.idx.Len() != 2*memChunkLines+11 {
-		t.Fatalf("%d lines, want %d", m.idx.Len(), 2*memChunkLines+11)
 	}
 }

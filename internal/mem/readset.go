@@ -7,11 +7,12 @@ package mem
 // order, and an AddrIndex resolves an address to its position, so Reset is
 // O(1) and storage from earlier attempts is recycled.
 //
-// Add dedups through the index as it goes. Append is for a caller that
-// already knows the address is new (the TCC processor gates on the cache's
-// SR bit): it only appends, and the index catches up with the appended
-// samples on the next Get or Add, so a transaction that never re-validates
-// a read never hashes one.
+// Append is the only way a sample enters the log, and it only appends: the
+// caller guarantees the address is new, from read bits it keeps per word
+// anyway (the cache's SR bits on the TCC and bus machines, rival.TxLine's
+// read-word mask on the mesh rivals). The index catches up with the
+// appended samples on the next Get, so a transaction that never
+// re-validates a read never hashes one.
 type ReadSet struct {
 	idx     AddrIndex
 	list    []ReadSample
@@ -31,16 +32,8 @@ func (r *ReadSet) Reset() {
 	r.indexed = 0
 }
 
-// Reserve sizes the set so that n distinct addresses fit without growing
-// its index or sample list. Storage only grows; Reset keeps it.
-func (r *ReadSet) Reserve(n int) {
-	r.idx.Reserve(n)
-	r.ReserveSamples(n)
-}
-
-// ReserveSamples sizes the sample list alone, so that n Appends fit
-// without growing it: the index of an Append-only set is built only if Get
-// is called.
+// ReserveSamples sizes the sample list so that n Appends fit without
+// growing it: the index is built only if Get is called.
 func (r *ReadSet) ReserveSamples(n int) {
 	if cap(r.list) < n {
 		r.list = append(make([]ReadSample, 0, n), r.list...)
@@ -49,19 +42,6 @@ func (r *ReadSet) ReserveSamples(n int) {
 
 // Len returns the number of distinct addresses read.
 func (r *ReadSet) Len() int { return len(r.list) }
-
-// Add records the first-read version of a. It reports whether the address was
-// newly inserted; a repeated read of the same address leaves the original
-// sample in place, matching first-read semantics.
-func (r *ReadSet) Add(a Addr, v Version) bool {
-	r.catchUp()
-	if _, dup := r.idx.Insert(a, int32(len(r.list))); dup {
-		return false
-	}
-	r.list = append(r.list, ReadSample{Addr: a, Version: v})
-	r.indexed++
-	return true
-}
 
 // Append records the first-read version of a, which the caller guarantees
 // is not in the set yet.

@@ -6,7 +6,7 @@ import (
 )
 
 // Snapshot/restore support for kernel-level checkpoints. Each structure in
-// this package restores by replaying its own mutation path (Set, Add) in a
+// this package restores by replaying its own mutation path (Set, Append) in a
 // canonical order, so a restored structure is behaviourally identical to
 // the original: every lookup answers the same, and the internal growth
 // trajectory from the restored point matches the original's.
@@ -62,10 +62,17 @@ type LineImage struct {
 // live; callers must not modify it.
 func (r *ReadSet) Samples() []ReadSample { return r.list }
 
-// Restore resets the read-set to the given samples, replayed in order.
-func (r *ReadSet) Restore(samples []ReadSample) {
+// Restore resets the read-set to the given samples, replayed in order. It
+// refuses a repeated address: the log samples each word once, and the read
+// bits that gate Append rely on it.
+func (r *ReadSet) Restore(samples []ReadSample) error {
 	r.Reset()
 	for _, s := range samples {
-		r.Add(s.Addr, s.Version)
+		if _, dup := r.idx.Insert(s.Addr, int32(len(r.list))); dup {
+			return fmt.Errorf("mem: restore read-set address %#x sampled twice", s.Addr)
+		}
+		r.Append(s.Addr, s.Version)
 	}
+	r.indexed = len(r.list)
+	return nil
 }

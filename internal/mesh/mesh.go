@@ -256,14 +256,6 @@ func (n *Network) SendEvent(src, dst, bytes int, class Class, h sim.Handler, cod
 	n.k.Post(n.RouteAt(n.k.Now(), src, dst, bytes, class), h, code, a1, a2)
 }
 
-// MulticastEvent sends an identical message to every destination in dsts,
-// delivering each as a typed event with a1 = destination node. Zero-alloc.
-func (n *Network) MulticastEvent(src int, dsts []int, bytes int, class Class, h sim.Handler, code uint32, a2 uint64) {
-	for _, dst := range dsts {
-		n.SendEvent(src, dst, bytes, class, h, code, uint64(dst), a2)
-	}
-}
-
 // LinkBusy returns each directed link's cumulative busy cycles, flattened as
 // [direction][node] (east, west, north, south) — the raw series behind a
 // per-link utilization time-series (successive snapshots differenced over

@@ -2,8 +2,6 @@ package mesh
 
 import (
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -213,7 +211,9 @@ func TestTrafficAccounting(t *testing.T) {
 	send(n, 0, 1, 100, ClassMiss, func() {})
 	send(n, 1, 2, 50, ClassWriteBack, func() {})
 	send(n, 2, 0, 25, ClassCommit, func() {})
-	n.MulticastEvent(3, []int{0, 1, 2}, 10, ClassCommit, &countHandler{}, 0, 0)
+	for dst := 0; dst < 3; dst++ {
+		n.SendEvent(3, dst, 10, ClassCommit, &countHandler{}, 0, uint64(dst), 0)
+	}
 	k.Run(0)
 	s := n.Stats()
 	if s.BytesByClass[ClassMiss] != 100 {
@@ -415,34 +415,6 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() { pump(16) })
 	if allocs != 0 {
 		t.Fatalf("typed mesh delivery allocated %v allocs/run, want 0", allocs)
-	}
-}
-
-// TestMulticastEventOrder: typed multicast is one send per destination in
-// dsts order, so each destination (a1) arrives at its RouteAt time for that
-// sequence, and same-time arrivals keep dsts order.
-func TestMulticastEventOrder(t *testing.T) {
-	dsts := []int{3, 12, 6, 1, 9, 15}
-	ref := New(&sim.Kernel{}, 16, DefaultConfig(16))
-	want := make(map[uint64]sim.Time)
-	for _, d := range dsts {
-		want[uint64(d)] = ref.RouteAt(0, 0, d, 16, ClassCommit)
-	}
-	k := &sim.Kernel{}
-	n := New(k, 16, DefaultConfig(16))
-	log := &arrivalLog{k: k, at: map[uint64]sim.Time{}}
-	n.MulticastEvent(0, dsts, 16, ClassCommit, log, 0, 0)
-	k.Run(0)
-	order := make([]uint64, len(dsts))
-	for i, d := range dsts {
-		order[i] = uint64(d)
-	}
-	sort.SliceStable(order, func(i, j int) bool { return want[order[i]] < want[order[j]] })
-	if !reflect.DeepEqual(log.order, order) {
-		t.Fatalf("delivery order %v, want %v", log.order, order)
-	}
-	if !reflect.DeepEqual(log.at, want) {
-		t.Fatalf("delivery times %v, RouteAt says %v", log.at, want)
 	}
 }
 

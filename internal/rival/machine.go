@@ -1,10 +1,10 @@
 // Package rival is the machinery the rival protocols — tl2, eager and
 // baseline — share, so each protocol package holds only what differs:
 //
-//   - Machine is the shell of a rival machine: kernel, program, memory,
-//     commit log, observer, phase barrier, run loop, run digest and
-//     final-memory audit, plus the pooled request records and home-side
-//     request pipeline of the mesh rivals (tl2 and eager).
+//   - Machine is the shell of a rival machine: kernel, program, the homes'
+//     line stores, commit log, observer, phase barrier, run loop, run
+//     digest and final-memory audit, plus the pooled request records and
+//     home-side request pipeline of the mesh rivals (tl2 and eager).
 //   - Thread is one processor's transaction driver: program position,
 //     attempt epochs, local hits, miss completion, retirement, violation
 //     accounting and backoff, plus the per-attempt line table and home
@@ -45,8 +45,12 @@ type Machine struct {
 	Cfg    core.Config // the shared machine: geometry, caches, latencies
 	Kernel *sim.Kernel
 	Prog   workload.Program
-	Memory *mem.Memory
 	Obsv   obs.Observer
+
+	// Homes holds each home's lines and their memory words (mem.LineStore):
+	// one store per node on a mesh rival, where Map homes the lines, and a
+	// single one for the bus machine's shared memory.
+	Homes []mem.LineStore
 
 	// Mesh rivals only: the network, first-touch line homes, and the
 	// Server that handles requests at their homes.
@@ -72,8 +76,9 @@ type Machine struct {
 }
 
 // NewMachine validates cfg and builds the shell of the rival machine name
-// running prog on it: the kernel and memory banks, plus, for a mesh rival
-// (server != nil), the network and the first-touch home map prog premaps.
+// running prog on it: the kernel and the homes' line stores, plus, for a
+// mesh rival (server != nil), the network and the first-touch home map prog
+// premaps.
 func NewMachine(name string, cfg core.Config, prog workload.Program, server Server) (Machine, error) {
 	if err := cfg.ValidateFor(name); err != nil {
 		return Machine{}, err
@@ -81,12 +86,17 @@ func NewMachine(name string, cfg core.Config, prog workload.Program, server Serv
 	if prog.Procs() != cfg.Procs {
 		return Machine{}, fmt.Errorf("%s: program built for %d procs, config has %d", name, prog.Procs(), cfg.Procs)
 	}
-	m := Machine{Name: name, Cfg: cfg, Kernel: &sim.Kernel{}, Prog: prog,
-		Memory: mem.NewMemory(cfg.Geometry), Server: server}
+	m := Machine{Name: name, Cfg: cfg, Kernel: &sim.Kernel{}, Prog: prog, Server: server}
+	homes := 1
 	if server != nil {
 		m.Net = mesh.New(m.Kernel, cfg.Procs, cfg.Mesh)
 		m.Map = mem.NewMap(cfg.Geometry, cfg.Procs)
 		prog.PreMap(m.Map)
+		homes = cfg.Procs
+	}
+	m.Homes = make([]mem.LineStore, homes)
+	for i := range m.Homes {
+		m.Homes[i] = mem.NewLineStore(cfg.Geometry)
 	}
 	return m, nil
 }
@@ -163,7 +173,7 @@ func (m *Machine) Log(r *verify.Record) {
 
 // AuditFinalMemory cross-checks memory against the TID-serial replay of the
 // commit log: every rival commits write-through, so every word the replay
-// says was written must hold that version in the memory banks. Requires
+// says was written must hold that version at its home. Requires
 // CollectCommitLog.
 func (m *Machine) AuditFinalMemory() error {
 	if !m.CollectLog {
@@ -171,7 +181,15 @@ func (m *Machine) AuditFinalMemory() error {
 	}
 	g := m.Cfg.Geometry
 	for _, w := range verify.FinalMemory(m.CommitLog) {
-		got := m.Memory.Line(g.Line(w.Addr))[g.WordIndex(w.Addr)]
+		home := 0
+		if m.Map != nil {
+			// An unmapped page has no line in any store: got stays 0.
+			home, _ = m.Map.HomeIfMapped(w.Addr)
+		}
+		var got mem.Version
+		if id, ok := m.Homes[home].Lookup(g.Line(w.Addr)); ok {
+			got = m.Homes[home].Words(id)[g.WordIndex(w.Addr)]
+		}
 		if got != w.Version {
 			return fmt.Errorf("%s: final memory mismatch at %#x: memory has version %d, replay requires %d",
 				m.Name, uint64(w.Addr), uint64(got), uint64(w.Version))
@@ -260,13 +278,13 @@ func (m *Machine) Reply(from, proc int, class mesh.Class, code uint32, arg uint6
 	m.Net.SendEvent(from, proc, MsgHdr, class, t.p, code, t.Epoch, arg)
 }
 
-// ReplyData answers read request i with the line at base and its version
-// v: the line is snapshotted now, together with v, so a later write-back
+// ReplyData answers read request i with a line's words and its version v:
+// the words are snapshotted now, together with v, so a later write-back
 // cannot slip between the check and the read, and the data reply leaves
 // after the memory access. The record lives on as the reply.
-func (m *Machine) ReplyData(i int32, base mem.Addr, v mem.Version) {
+func (m *Machine) ReplyData(i int32, words []mem.Version, v mem.Version) {
 	r := &m.msgs[i]
-	r.Data = append(r.Data[:0], m.Memory.Line(base)...)
+	r.Data = append(r.Data[:0], words...)
 	r.Version = v
 	m.Kernel.PostAfter(m.Cfg.MemLatency, m, mData, uint64(i), 0)
 }

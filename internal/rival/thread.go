@@ -145,7 +145,8 @@ func (t *Thread) beginTx() {
 }
 
 // ResetAttempt clears the speculative bookkeeping at the start of an
-// attempt.
+// attempt: the read set, and with the attempt's lines their read-word
+// masks.
 func (t *Thread) ResetAttempt() {
 	t.OpIdx = 0
 	t.TxStart = t.M.Kernel.Now()
@@ -206,9 +207,17 @@ func (t *Thread) FinishRemote(base mem.Addr) {
 	t.FinishMiss()
 }
 
-// LogRead records the first-read version of a word.
-func (t *Thread) LogRead(a mem.Addr, v mem.Version) {
-	if t.ReadSet.Add(a, v) && t.M.Obsv != nil {
+// logRead records the first-read version v of word a of the attempt's line
+// tl. tl.ReadWords is the read log's dedup, as the cache's SR bits are on
+// the TCC and bus machines: a word enters the log once per attempt.
+func (t *Thread) logRead(tl *TxLine, a mem.Addr, v mem.Version) {
+	w := t.M.Cfg.Geometry.WordIndex(a)
+	if tl.ReadWords.Has(w) {
+		return
+	}
+	tl.ReadWords = tl.ReadWords.Set(w)
+	t.ReadSet.Append(a, v)
+	if t.M.Obsv != nil {
 		t.M.Emit(obs.Event{Kind: obs.KRead, Node: t.ID, Peer: -1, Addr: uint64(a), Arg: int64(v)})
 	}
 }
@@ -312,10 +321,11 @@ func (t *Thread) Retire(commit sim.Time) {
 
 // TxLine is one line's per-attempt state in a mesh rival.
 type TxLine struct {
-	Base    mem.Addr
-	Read    bool          // the home confirmed this attempt's read of the line
-	Write   bool          // registered as the line's writer (eager)
-	Written bits.WordMask // locally buffered writes
+	Base      mem.Addr
+	Read      bool          // the home confirmed this attempt's read of the line
+	Write     bool          // registered as the line's writer (eager)
+	Written   bits.WordMask // locally buffered writes
+	ReadWords bits.WordMask // words in the attempt's read log
 }
 
 // TxLines is an attempt's line table: dense entries in first-touch order
@@ -421,9 +431,10 @@ func (t *Thread) SendWord(kind uint8, a mem.Addr, class mesh.Class) {
 // current.
 func (t *Thread) onReadValid(a mem.Addr) {
 	base := t.M.Cfg.Geometry.Line(a)
-	t.Lines.Line(base).Read = true
+	tl := t.Lines.Line(base)
+	tl.Read = true
 	line := t.Cache.Lookup(base)
-	t.LogRead(a, line.Data[t.M.Cfg.Geometry.WordIndex(a)])
+	t.logRead(tl, a, line.Data[t.M.Cfg.Geometry.WordIndex(a)])
 	t.FinishRemote(base)
 }
 
@@ -448,11 +459,12 @@ func (t *Thread) onReadData(a mem.Addr, data []mem.Version, v mem.Version) {
 	}
 	line.VW = bits.All(m.Cfg.Geometry.WordsPerLine())
 	t.lineVer.set(base, v)
-	t.Lines.Line(base).Read = true
+	tl := t.Lines.Line(base)
+	tl.Read = true
 	if m.Obsv != nil {
 		m.Emit(obs.Event{Kind: obs.KFill, Node: t.ID, Peer: -1, Addr: uint64(base), TID: uint64(v)})
 	}
-	t.LogRead(a, line.Data[m.Cfg.Geometry.WordIndex(a)])
+	t.logRead(tl, a, line.Data[m.Cfg.Geometry.WordIndex(a)])
 	t.FinishRemote(base)
 }
 
@@ -562,7 +574,7 @@ func (t *Thread) ReadLocal(a, base mem.Addr, drop bool) bool {
 	}
 	if tl.Read {
 		if line := t.Cache.Lookup(base); line != nil {
-			t.LogRead(a, line.Data[w])
+			t.logRead(tl, a, line.Data[w])
 			t.FinishLocal(base)
 			return true
 		}

@@ -5,8 +5,4 @@ package stats
 func (h *Histogram) Restore(vals []uint64) {
 	h.vals = append(h.vals[:0], vals...)
 	h.sorted = false
-	h.sum = 0
-	for _, v := range vals {
-		h.sum += v
-	}
 }

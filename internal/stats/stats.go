@@ -76,28 +76,12 @@ func (b Breakdown) Fraction(c Component) float64 {
 type Histogram struct {
 	vals   []uint64
 	sorted bool
-	sum    uint64
 }
 
 // Add records one sample.
 func (h *Histogram) Add(v uint64) {
 	h.vals = append(h.vals, v)
-	h.sum += v
 	h.sorted = false
-}
-
-// N returns the sample count.
-func (h *Histogram) N() int { return len(h.vals) }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() uint64 { return h.sum }
-
-// Mean returns the sample mean (0 for an empty histogram).
-func (h *Histogram) Mean() float64 {
-	if len(h.vals) == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(len(h.vals))
 }
 
 func (h *Histogram) ensureSorted() {
@@ -136,12 +120,3 @@ func (h *Histogram) Max() uint64 {
 // Values returns the raw samples (order unspecified). The slice is live;
 // callers must not modify it.
 func (h *Histogram) Values() []uint64 { return h.vals }
-
-// Min returns the smallest sample (0 for an empty histogram).
-func (h *Histogram) Min() uint64 {
-	if len(h.vals) == 0 {
-		return 0
-	}
-	h.ensureSorted()
-	return h.vals[0]
-}

@@ -42,17 +42,14 @@ func TestComponentNames(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Percentile(90) != 0 || h.Max() != 0 || h.Mean() != 0 {
+	if h.Percentile(90) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 	for _, v := range []uint64{5, 1, 9, 3, 7} {
 		h.Add(v)
 	}
-	if h.N() != 5 || h.Sum() != 25 || h.Mean() != 5 {
-		t.Fatalf("N=%d Sum=%d Mean=%v", h.N(), h.Sum(), h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 9 {
-		t.Fatalf("Min=%d Max=%d", h.Min(), h.Max())
+	if h.Max() != 9 {
+		t.Fatalf("Max=%d", h.Max())
 	}
 	if p := h.Percentile(50); p != 5 {
 		t.Fatalf("P50 = %d, want 5", p)
@@ -80,7 +77,7 @@ func TestHistogramAddAfterQuery(t *testing.T) {
 	h.Add(10)
 	_ = h.Percentile(50)
 	h.Add(1) // must re-sort lazily
-	if h.Min() != 1 {
+	if h.Percentile(1) != 1 {
 		t.Fatal("Add after query broke sorting")
 	}
 }

@@ -51,9 +51,3 @@ func (v *Vendor) Outstanding() int { return len(v.outstanding) }
 
 // Issued returns how many TIDs have been issued.
 func (v *Vendor) Issued() uint64 { return uint64(v.next - 1) }
-
-// Holder returns the node holding t, if outstanding.
-func (v *Vendor) Holder(t TID) (int, bool) {
-	n, ok := v.outstanding[t]
-	return n, ok
-}

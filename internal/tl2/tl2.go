@@ -55,18 +55,11 @@ type lineMeta struct {
 	lockedBy int // locking processor, -1 when free
 }
 
-// homeMeta is one home's metadata table: dense entries behind an address
-// index.
-type homeMeta struct {
-	idx   mem.AddrIndex
-	lines []lineMeta
-}
-
 // System is the assembled TL2 machine.
 type System struct {
 	rival.Machine
 	procs []*proc
-	dirs  []homeMeta
+	metas [][]lineMeta // metas[home][id]: the metadata of the home's line id
 
 	clock mem.Version // the global version clock, hosted at node 0
 	res   Results     // the clock counters; Results adds the traffic
@@ -76,10 +69,15 @@ type System struct {
 // line's timestamp and lock cost cfg.DirLatency at its home; cfg.MemLatency
 // is charged when a reply carries line data.
 func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
-	s := &System{dirs: make([]homeMeta, cfg.Procs)}
+	s := &System{metas: make([][]lineMeta, cfg.Procs)}
 	var err error
 	if s.Machine, err = rival.NewMachine("tl2", cfg, prog, s); err != nil {
 		return nil, err
+	}
+	// A home's metadata starts with room for one word chunk of lines, as
+	// its store's id-to-base list does.
+	for i := range s.metas {
+		s.metas[i] = make([]lineMeta, 0, mem.LineChunk)
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
@@ -87,16 +85,15 @@ func NewSystem(cfg core.Config, prog workload.Program) (*System, error) {
 	return s, nil
 }
 
-// meta returns (allocating if needed) the line's metadata entry at home. The
+// meta returns (allocating if needed) the line's metadata entry at home and
+// the line's id in the home's store, which also holds its memory words. The
 // pointer is valid until the next meta call.
-func (s *System) meta(home int, base mem.Addr) *lineMeta {
-	h := &s.dirs[home]
-	if i, ok := h.idx.Get(base); ok {
-		return &h.lines[i]
+func (s *System) meta(home int, base mem.Addr) (*lineMeta, int32) {
+	id, fresh := s.Homes[home].ID(base)
+	if fresh {
+		s.metas[home] = append(s.metas[home], lineMeta{lockedBy: -1})
 	}
-	h.idx.Set(base, int32(len(h.lines)))
-	h.lines = append(h.lines, lineMeta{lockedBy: -1})
-	return &h.lines[len(h.lines)-1]
+	return &s.metas[home][id], id
 }
 
 // System opcodes: the global version clock at node 0.
@@ -159,14 +156,15 @@ func (s *System) Serve(i int32) {
 	case reqLock:
 		ok := true
 		for _, base := range m.Bases {
-			if lm := s.meta(m.Home, base); lm.lockedBy >= 0 && lm.lockedBy != p.ID {
+			if lm, _ := s.meta(m.Home, base); lm.lockedBy >= 0 && lm.lockedBy != p.ID {
 				ok = false
 				break
 			}
 		}
 		if ok {
 			for _, base := range m.Bases {
-				s.meta(m.Home, base).lockedBy = p.ID
+				lm, _ := s.meta(m.Home, base)
+				lm.lockedBy = p.ID
 				if s.Obsv != nil {
 					s.Emit(obs.Event{Kind: obs.KMark, Node: m.Home, Peer: p.ID, Addr: uint64(base)})
 				}
@@ -178,14 +176,14 @@ func (s *System) Serve(i int32) {
 		s.Reply(m.Home, p.ID, mesh.ClassCommit, prLockResp, b2u(ok))
 	case reqRelease:
 		for _, base := range m.Bases {
-			if lm := s.meta(m.Home, base); lm.lockedBy == p.ID {
+			if lm, _ := s.meta(m.Home, base); lm.lockedBy == p.ID {
 				lm.lockedBy = -1
 			}
 		}
 	case reqValidate:
 		ok := true
 		for _, base := range m.Bases {
-			lm := s.meta(m.Home, base)
+			lm, _ := s.meta(m.Home, base)
 			if lm.version > p.rv || (lm.lockedBy >= 0 && lm.lockedBy != p.ID) {
 				ok = false
 				break
@@ -198,8 +196,8 @@ func (s *System) Serve(i int32) {
 		s.Reply(m.Home, p.ID, mesh.ClassCommit, prValidateResp, b2u(ok))
 	case reqWriteBack:
 		for j, base := range m.Bases {
-			s.Memory.SetWords(base, uint64(m.Masks[j]), m.Version)
-			lm := s.meta(m.Home, base)
+			lm, id := s.meta(m.Home, base)
+			mem.SetWords(s.Homes[m.Home].Words(id), uint64(m.Masks[j]), m.Version)
 			lm.version = m.Version
 			lm.lockedBy = -1
 			if s.Obsv != nil {
@@ -216,7 +214,7 @@ func (s *System) Serve(i int32) {
 // reports whether record i lives on as the data reply.
 func (s *System) serveRead(i int32, m *rival.Msg, p *proc) bool {
 	base := s.Cfg.Geometry.Line(m.Addr)
-	lm := s.meta(m.Home, base)
+	lm, id := s.meta(m.Home, base)
 	if lm.lockedBy >= 0 && lm.lockedBy != p.ID {
 		if s.Obsv != nil {
 			s.Emit(obs.Event{Kind: obs.KAbort, Node: m.Home, Peer: p.ID, Addr: uint64(base)})
@@ -241,7 +239,7 @@ func (s *System) serveRead(i int32, m *rival.Msg, p *proc) bool {
 		s.Reply(m.Home, p.ID, mesh.ClassMiss, rival.OpReadValid, uint64(m.Addr))
 		return false
 	}
-	s.ReplyData(i, base, lm.version)
+	s.ReplyData(i, s.Homes[m.Home].Words(id), lm.version)
 	return true
 }
 
