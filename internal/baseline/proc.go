@@ -3,6 +3,7 @@ package baseline
 import (
 	"scalabletcc/internal/bits"
 	"scalabletcc/internal/cache"
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/rival"
@@ -262,5 +263,5 @@ func (p *proc) violate() {
 	p.EndAttempt()
 	p.Cache.RollbackTx()
 	p.state = stRunning
-	p.Retry(p.sys.Cfg.ViolationRestartCost)
+	p.Retry(core.ViolationRestartCost)
 }

@@ -193,9 +193,6 @@ func (a *Auditor) checkEntry(d *Directory, base mem.Addr, e *dirEntry) {
 	if !e.marked && e.markData != nil {
 		a.fail(d.node, "mark-data-leak", "line %#x holds mark data without being marked", base)
 	}
-	if len(e.pendingFrom) != e.pendingData {
-		a.fail(d.node, "pending-count", "line %#x pendingData %d but %d pending nodes", base, e.pendingData, len(e.pendingFrom))
-	}
 	for i, n := range e.pendingFrom {
 		if n < 0 || n >= procs {
 			a.fail(d.node, "pending-range", "line %#x pending node %d out of range", base, n)

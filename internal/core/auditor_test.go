@@ -167,12 +167,22 @@ func TestAuditorEntryInvariants(t *testing.T) {
 		}
 	})
 
-	t.Run("pending-count", func(t *testing.T) {
+	t.Run("pending-range", func(t *testing.T) {
 		sys := newSys()
 		a := sys.EnableAuditor()
-		e := &dirEntry{owner: -1, pendingFrom: []int{1}, pendingData: 2}
+		e := &dirEntry{owner: -1, pendingFrom: []int{5}} // only 2 procs exist
 		a.checkEntry(sys.dirs[0], 0x100, e)
-		if a.Err() == nil || a.Err().Invariant != "pending-count" {
+		if a.Err() == nil || a.Err().Invariant != "pending-range" {
+			t.Fatalf("got %v", a.Err())
+		}
+	})
+
+	t.Run("pending-dup", func(t *testing.T) {
+		sys := newSys()
+		a := sys.EnableAuditor()
+		e := &dirEntry{owner: -1, pendingFrom: []int{1, 1}}
+		a.checkEntry(sys.dirs[0], 0x100, e)
+		if a.Err() == nil || a.Err().Invariant != "pending-dup" {
 			t.Fatalf("got %v", a.Err())
 		}
 	})

@@ -18,6 +18,18 @@ import (
 	"scalabletcc/internal/sim"
 )
 
+// Fixed latencies of the simulated machine, in cycles.
+const (
+	L1Latency sim.Time = 1 // L1 hit (Table 2)
+	L2Latency sim.Time = 6 // L2 hit (Table 2)
+	// ViolationRestartCost models the checkpoint-restore latency on abort.
+	// Lazy versioning makes this small (the write buffer is just dropped).
+	ViolationRestartCost sim.Time = 5
+	// reprobeDelay is the processor back-off between repeated probes when
+	// Config.DeferredProbes is false.
+	reprobeDelay sim.Time = 20
+)
+
 // Config parameterizes a simulated machine. DefaultConfig reproduces the
 // paper's Table 2.
 type Config struct {
@@ -25,11 +37,9 @@ type Config struct {
 
 	Geometry mem.Geometry
 
-	// Caches (Table 2: 32 KB 4-way 1-cycle L1; 512 KB 8-way 6-cycle L2).
+	// Caches (Table 2: 32 KB 4-way L1; 512 KB 8-way L2).
 	L1Size, L1Ways int
-	L1Latency      sim.Time
 	L2Size, L2Ways int
-	L2Latency      sim.Time
 
 	Mesh mesh.Config
 
@@ -60,18 +70,10 @@ type Config struct {
 	// answer immediately with the current NSTID and processors re-probe.
 	DeferredProbes bool
 
-	// ReprobeDelay is the processor back-off between repeated probes when
-	// DeferredProbes is false.
-	ReprobeDelay sim.Time
-
 	// WriteThroughCommit ships line data with Mark messages and updates
 	// memory at commit (the design the paper's write-back protocol
 	// replaces); used for the traffic ablation.
 	WriteThroughCommit bool
-
-	// ViolationRestartCost models the checkpoint-restore latency on abort.
-	// Lazy versioning makes this small (the write buffer is just dropped).
-	ViolationRestartCost sim.Time
 
 	Seed uint64
 
@@ -95,22 +97,18 @@ type Config struct {
 // count.
 func DefaultConfig(procs int) Config {
 	return Config{
-		Procs:                procs,
-		Geometry:             mem.DefaultGeometry(),
-		L1Size:               32 << 10,
-		L1Ways:               4,
-		L1Latency:            1,
-		L2Size:               512 << 10,
-		L2Ways:               8,
-		L2Latency:            6,
-		Mesh:                 mesh.DefaultConfig(procs),
-		MemLatency:           100,
-		DirLatency:           10,
-		DeferredProbes:       true,
-		ReprobeDelay:         20,
-		StarveRetainAfter:    8,
-		ViolationRestartCost: 5,
-		Seed:                 1,
+		Procs:             procs,
+		Geometry:          mem.DefaultGeometry(),
+		L1Size:            32 << 10,
+		L1Ways:            4,
+		L2Size:            512 << 10,
+		L2Ways:            8,
+		Mesh:              mesh.DefaultConfig(procs),
+		MemLatency:        100,
+		DirLatency:        10,
+		DeferredProbes:    true,
+		StarveRetainAfter: 8,
+		Seed:              1,
 	}
 }
 
@@ -155,10 +153,6 @@ func (c Config) ValidateFor(model string) error {
 		if f.v < 0 {
 			return fmt.Errorf("%s: Config.%s must be non-negative, got %d", model, f.name, f.v)
 		}
-	}
-	if !c.DeferredProbes && c.ReprobeDelay == 0 {
-		return fmt.Errorf("%s: Config.ReprobeDelay must be positive with repeated probing, got %d", model,
-			c.ReprobeDelay)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("%s: Config.Shards must be >= 0, got %d", model, c.Shards)

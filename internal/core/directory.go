@@ -31,7 +31,6 @@ type dirEntry struct {
 	// either when the owner evicted first). While non-empty, loads must not
 	// be served from memory: it may lack committed words.
 	pendingFrom []int
-	pendingData int // == len(pendingFrom); kept for the deadlock report
 }
 
 // expectDataFrom records that node owes this line's memory a data return
@@ -44,7 +43,6 @@ func (e *dirEntry) expectDataFrom(node int) {
 		}
 	}
 	e.pendingFrom = append(e.pendingFrom, node)
-	e.pendingData = len(e.pendingFrom)
 }
 
 // dataArrivedFrom retires node's expectation, if any.
@@ -52,7 +50,6 @@ func (e *dirEntry) dataArrivedFrom(node int) {
 	for i, n := range e.pendingFrom {
 		if n == node {
 			e.pendingFrom = append(e.pendingFrom[:i], e.pendingFrom[i+1:]...)
-			e.pendingData = len(e.pendingFrom)
 			return
 		}
 	}

@@ -280,9 +280,9 @@ func (p *Processor) doLoad(a mem.Addr) {
 
 	line := p.cache.Lookup(base)
 	if line != nil && line.VW.Has(w) {
-		lat := p.sys.cfg.L2Latency
+		lat := L2Latency
 		if p.l1.Access(base) {
-			lat = p.sys.cfg.L1Latency
+			lat = L1Latency
 		}
 		p.finishLoad(line, w, a)
 		p.pendUseful++
@@ -525,7 +525,7 @@ func (p *Processor) doStore(a mem.Addr) {
 	p.cache.Track(line)
 	p.pendUseful++
 	p.opIdx++
-	p.sys.kernel.PostAfter(p.sys.cfg.L1Latency, p, prStep, p.epoch, 0)
+	p.sys.kernel.PostAfter(L1Latency, p, prStep, p.epoch, 0)
 }
 
 // disposeVictim handles a line evicted by a fill: committed-dirty data is
@@ -708,7 +708,7 @@ func (p *Processor) reprobe(d int, write bool) {
 	if write {
 		a2 |= 1
 	}
-	p.sys.kernel.PostAfter(p.sys.cfg.ReprobeDelay, p, prReprobe, p.epoch, a2)
+	p.sys.kernel.PostAfter(reprobeDelay, p, prReprobe, p.epoch, a2)
 }
 
 // sendMarks pre-commits the write-set lines homed at directory d.
@@ -971,7 +971,7 @@ func (p *Processor) violateOn(cause mem.Addr, committer tid.TID) {
 	if !p.keepTID {
 		p.tid = tid.None
 	}
-	p.sys.kernel.PostAfter(p.sys.cfg.ViolationRestartCost, p, prStartAttempt, p.epoch, 0)
+	p.sys.kernel.PostAfter(ViolationRestartCost, p, prStartAttempt, p.epoch, 0)
 }
 
 // onFlushReq serves a directory's data request for an owned line: flush the

@@ -64,7 +64,7 @@ func TestRandomScriptGauntlet(t *testing.T) {
 		{"line-granularity", func(c *Config) { c.LineGranularity = true }},
 		{"write-through", func(c *Config) { c.WriteThroughCommit = true }},
 		{"tiny-cache", func(c *Config) { c.L2Size = 2 << 10; c.L1Size = 512 }},
-		{"repeated-probes", func(c *Config) { c.DeferredProbes = false; c.ReprobeDelay = 15 }},
+		{"repeated-probes", func(c *Config) { c.DeferredProbes = false }},
 		{"fast-net", func(c *Config) { c.Mesh.HopLatency = 1; c.MemLatency = 10; c.DirLatency = 1 }},
 	}
 	for _, v := range variants {

@@ -25,7 +25,7 @@ import (
 //     order is commutative; only the counts and the set matter).
 //
 // Node-local messages take the sequential path: the mesh only counts their
-// traffic and delivers them LocalLatency later. Statistics and the commit
+// traffic and delivers them one cycle later. Statistics and the commit
 // log go straight into the System aggregates; the log is sorted by TID,
 // the protocol's own serialization order, when the run ends.
 //

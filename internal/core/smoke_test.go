@@ -88,7 +88,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Geometry.LineSize = 48 },
 		func(c *Config) { c.Mesh.Width = 1; c.Mesh.Height = 1 },
 		func(c *Config) { c.L2Size = 8 },
-		func(c *Config) { c.DeferredProbes = false; c.ReprobeDelay = 0 },
 		func(c *Config) { c.L2Ways = 3 },                     // 5461.33 sets
 		func(c *Config) { c.L1Size = 100 },                   // not a whole line
 		func(c *Config) { c.L1Size = 32<<10 + 4*32 },         // 257 sets

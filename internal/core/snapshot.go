@@ -662,7 +662,6 @@ func (d *Directory) restoreState(ds *DirState) error {
 		}
 		if len(es.PendingFrom) > 0 {
 			e.pendingFrom = append([]int(nil), es.PendingFrom...)
-			e.pendingData = len(e.pendingFrom)
 		}
 	}
 

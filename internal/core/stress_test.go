@@ -63,7 +63,6 @@ func TestWriteThroughSerializable(t *testing.T) {
 func TestRepeatedProbingSerializable(t *testing.T) {
 	res := runProfile(t, workload.Hotspot().Scale(0.25), 8, func(c *Config) {
 		c.DeferredProbes = false
-		c.ReprobeDelay = 20
 	})
 	if res.Commits == 0 {
 		t.Fatal("no commits")
@@ -77,7 +76,6 @@ func TestRepeatedProbingSlower(t *testing.T) {
 	deferred := runProfile(t, prof, 8, nil)
 	repeated := runProfile(t, prof, 8, func(c *Config) {
 		c.DeferredProbes = false
-		c.ReprobeDelay = 20
 	})
 	// Cycle counts can tie on small runs; the robust invariant is message
 	// volume: re-probing must send at least as many commit-class messages.

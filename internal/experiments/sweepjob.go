@@ -34,8 +34,8 @@ func init() {
 // the paper, with where each measurement lives now (DESIGN.md §32). A spec
 // that still asks for one is refused by name rather than as unknown.
 var retired = map[string]string{
-	"scaling": "the epoch engine's cost is measured by BenchmarkShardedKernel (BENCH_shard.json) and perfbench's sim.shard_overhead, and shard-count independence is pinned by testdata/golden_shard.json",
-	"hotpath": "its gate benches run under go test -bench against BENCH_soa.json",
+	"scaling": "the epoch engine's cost is measured by BenchmarkShardedKernel (gated by scripts/bench_gate.py) and perfbench's sim.shard_overhead, and shard-count independence is pinned by testdata/golden_shard.json",
+	"hotpath": "its gate benches (BenchmarkSimulatorThroughput, BenchmarkAbortPath, BenchmarkKernelPostStep, BenchmarkMeshSendEvent) run under go test -bench, gated against the base revision by scripts/bench_gate.py",
 }
 
 // sweepNames resolves the spec's experiment list: empty (or the single

@@ -167,12 +167,12 @@ func TestSweepRefusesRetiredInputs(t *testing.T) {
 	}
 	err = validateSweepSpec(spec)
 	if err == nil || !strings.Contains(err.Error(), `"scaling"`) ||
-		!strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "BENCH_shard.json") {
+		!strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "BenchmarkShardedKernel (gated by scripts/bench_gate.py)") {
 		t.Fatalf("want the named scaling refusal, got %v", err)
 	}
 	spec.Sweep.Experiments = []string{"hotpath"}
 	if err = validateSweepSpec(spec); err == nil || !strings.Contains(err.Error(), `"hotpath"`) ||
-		!strings.Contains(err.Error(), "BENCH_soa.json") {
+		!strings.Contains(err.Error(), "BenchmarkSimulatorThroughput") || !strings.Contains(err.Error(), "scripts/bench_gate.py") {
 		t.Fatalf("want the named hotpath refusal, got %v", err)
 	}
 	spec.Sweep.Experiments = []string{"fig7"}

@@ -47,12 +47,14 @@ func (c Class) String() string {
 // NumClasses is the number of traffic classes.
 const NumClasses = int(numClasses)
 
+// localLatency is the latency of a node-local (src == dst) delivery.
+const localLatency sim.Time = 1
+
 // Config parameterizes the network.
 type Config struct {
 	Width, Height int      // grid dimensions; Width*Height >= node count
 	HopLatency    sim.Time // cycles for a message head to traverse one link
 	LinkBytes     int      // bytes a link moves per cycle (bandwidth)
-	LocalLatency  sim.Time // latency for src == dst delivery
 	// Torus adds wraparound links in both dimensions, halving worst-case
 	// hop counts (an alternative the paper's "2-D grid" row invites
 	// exploring).
@@ -68,7 +70,7 @@ type Config struct {
 // 8 bytes/cycle per link.
 func DefaultConfig(nodes int) Config {
 	w, h := Dimensions(nodes)
-	return Config{Width: w, Height: h, HopLatency: 3, LinkBytes: 8, LocalLatency: 1}
+	return Config{Width: w, Height: h, HopLatency: 3, LinkBytes: 8}
 }
 
 // Dimensions returns near-square grid dimensions for the node count.
@@ -188,7 +190,7 @@ func abs(v int) int {
 // canonical order after the kernel has already advanced past their send
 // times; with messages replayed in nondecreasing time order the link
 // reservations are identical to an inline walk. A node-local message
-// (src == dst) only counts traffic and arrives LocalLatency later.
+// (src == dst) only counts traffic and arrives localLatency later.
 //
 // The per-hop direction is computed arithmetically (XY order, shortest way
 // around on a torus) rather than from a precomputed (position, destination)
@@ -201,7 +203,7 @@ func (n *Network) RouteAt(now sim.Time, src, dst, bytes int, class Class) sim.Ti
 	n.perNodeBytes[src] += uint64(bytes)
 
 	if src == dst {
-		return now + n.cfg.LocalLatency
+		return now + localLatency
 	}
 
 	occupancy := sim.Time((bytes + n.cfg.LinkBytes - 1) / n.cfg.LinkBytes)

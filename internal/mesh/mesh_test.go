@@ -79,7 +79,7 @@ func TestLocalDelivery(t *testing.T) {
 	send(n, 2, 2, 100, ClassCommit, func() { at = k.Now() })
 	k.Run(0)
 	if at != 1 {
-		t.Fatalf("local delivery at %d, want LocalLatency=1", at)
+		t.Fatalf("local delivery at %d, want localLatency=1", at)
 	}
 }
 

@@ -3,6 +3,7 @@ package rival
 import (
 	"scalabletcc/internal/bits"
 	"scalabletcc/internal/cache"
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
@@ -180,9 +181,9 @@ func (t *Thread) Continue(d sim.Time) {
 // FinishLocal completes an access served by the local caches: an L1 hit,
 // or an L2 hit whose extra latency counts as miss time.
 func (t *Thread) FinishLocal(base mem.Addr) {
-	lat := t.M.Cfg.L2Latency
+	lat := core.L2Latency
 	if t.L1.Access(base) {
-		lat = t.M.Cfg.L1Latency
+		lat = core.L1Latency
 	}
 	t.PendUseful++
 	if lat > 1 {
