@@ -116,7 +116,7 @@ func main() {
 
 // executeJob is the daemon's executor: tcc.ExecuteJob with the service-side
 // watchdog default for run jobs. Checkpointed run jobs keep their spec
-// verbatim — the checkpoint manifest header binds the spec hash, so editing
+// verbatim — the checkpoint file's header binds the spec hash, so editing
 // the spec here would orphan the job's own snapshots on resume and fork —
 // and they are interruptible by construction, which is what the watchdog
 // exists to guarantee.

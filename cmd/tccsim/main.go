@@ -15,11 +15,12 @@
 //	tccsim -app barnes -procs 32 -checkpoint run.ckpt -checkpoint-every 100000
 //
 // With -checkpoint/-checkpoint-every the run snapshots its full simulator
-// state into a crash-safe manifest every N cycles; rerunning the same
-// command after an interruption resumes from the latest snapshot and
-// produces byte-identical output to an uninterrupted run. A resumed run says
-// on stderr at which cycle it resumed; a manifest it cannot resume from is
-// started over, with the reason on stderr.
+// state every N cycles into a crash-safe file that holds the newest
+// snapshot, replaced atomically at each cut; rerunning the same command
+// after an interruption resumes from that snapshot and produces
+// byte-identical output to an uninterrupted run. A resumed run says on
+// stderr at which cycle it resumed; a snapshot it cannot resume from is
+// recomputed, with the reason on stderr.
 package main
 
 import (
@@ -52,7 +53,7 @@ func main() {
 		tape     = flag.Bool("tape", false, "profile conflicts (TAPE): print the most damaging lines")
 		traceOut = flag.String("trace-json", "", "write every protocol event as JSON Lines to this file (- for stdout)")
 		sample   = flag.Uint64("sample", 0, "with -trace-json: emit a machine-occupancy sample every N cycles")
-		ckpt     = flag.String("checkpoint", "", "checkpoint manifest path: snapshot into it as the run progresses, resume from it when rerun")
+		ckpt     = flag.String("checkpoint", "", "checkpoint file path: holds the run's newest snapshot, replaced every -checkpoint-every cycles; a rerun resumes from it")
 		ckptN    = flag.Uint64("checkpoint-every", 0, "with -checkpoint: snapshot the full simulator state every N cycles")
 	)
 	flag.Parse()
@@ -101,8 +102,8 @@ func main() {
 			Shards:          *shards,
 		},
 	}
-	// Resume notes (the cycle resumed at, or why a manifest was started
-	// over) go to stderr, so stdout stays the run's digest.
+	// Resume notes (the cycle resumed at, or why the run recomputes from
+	// scratch) go to stderr, so stdout stays the run's digest.
 	opts := &tcc.RunJobOptions{EventWriter: sink, Logf: func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "tccsim: "+format+"\n", args...)
 	}}

@@ -6,20 +6,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
-// Checkpoint manifests make long jobs survive a daemon restart: a producer
-// (the sweep executor per completed cell, the run executor per kernel
-// snapshot) appends one opaque JSONL entry per completed unit of work, and
-// on resume reads the entries back instead of recomputing them. The file is
-// line-oriented so a crash mid-write loses at most the final partial line —
-// every complete line is a durable unit.
+// Checkpoint files make long jobs survive a daemon restart. They come in
+// two shapes that share one header:
 //
-// The first line is a versioned header binding the manifest to one job spec
-// (by hash): a manifest recorded under a different spec is ignored rather
-// than replayed, so an edited job recomputes from scratch instead of mixing
-// stale cells in. OpenCheckpoint enforces the same binding on reopen.
+//   - A sweep's manifest is append-only: the sweep executor appends one
+//     opaque JSONL entry per completed cell, and on resume reads every entry
+//     back instead of recomputing it. A crash mid-write loses at most the
+//     final partial line — every complete line is a durable unit.
+//   - A run's snapshot file holds one entry, the newest kernel snapshot:
+//     resume and fork read nothing older. WriteSnapshot replaces the whole
+//     file atomically at each cut, so a reader sees the old snapshot or the
+//     new one, never a mix.
+//
+// The first line is a versioned header binding the file to one job spec
+// (by hash): a file recorded under a different spec is ignored rather than
+// replayed, so an edited job recomputes from scratch instead of mixing
+// stale cells in. OpenCheckpoint and ReadSnapshot enforce the binding.
 const (
 	// CheckpointSchema identifies the manifest document type.
 	CheckpointSchema = "scalabletcc/job-checkpoint"
@@ -52,11 +58,7 @@ func scanCheckpoint(data []byte, specHash string) (entries [][]byte, validLen in
 		}
 		ln := rest[:nl]
 		if first {
-			var hdr checkpointHeader
-			if err := json.Unmarshal(ln, &hdr); err != nil {
-				return nil, 0, false
-			}
-			if hdr.Schema != CheckpointSchema || hdr.Version != CheckpointVersion || hdr.SpecHash != specHash {
+			if !headerMatches(ln, specHash) {
 				return nil, 0, false
 			}
 			first = false
@@ -75,29 +77,12 @@ func scanCheckpoint(data []byte, specHash string) (entries [][]byte, validLen in
 	return entries, validLen, true
 }
 
-// LoadCheckpoint reads the manifest at path and returns its entry lines
-// (without the header). A missing file returns (nil, nil): nothing to
-// resume. A manifest whose header fails validation or whose spec hash
-// differs from specHash also returns (nil, nil) — stale state is skipped,
-// not trusted — while an unreadable file is a real error. A trailing
-// partial line (crash mid-append) is dropped, and a corrupt line drops it
-// and everything after it: only the valid prefix is replayed. It never
-// writes the file, so it can read a manifest another job is still
-// appending to (a fork's parent); a job resuming from its own manifest
-// opens it once with OpenCheckpoint instead.
-func LoadCheckpoint(path, specHash string) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("runner: read checkpoint: %w", err)
-	}
-	entries, _, ok := scanCheckpoint(data, specHash)
-	if !ok {
-		return nil, nil
-	}
-	return entries, nil
+// headerMatches reports whether line is a header binding its file to
+// specHash under this package's schema and version.
+func headerMatches(line []byte, specHash string) bool {
+	var hdr checkpointHeader
+	return json.Unmarshal(line, &hdr) == nil &&
+		hdr.Schema == CheckpointSchema && hdr.Version == CheckpointVersion && hdr.SpecHash == specHash
 }
 
 // CheckpointWriter appends entries to a manifest. Append is safe for
@@ -129,8 +114,8 @@ func CreateCheckpoint(path, jobID, specHash string) (*CheckpointWriter, error) {
 }
 
 // OpenCheckpoint opens the manifest at path to resume a job from it: it
-// returns the entry lines LoadCheckpoint would (sub-slices of one read of
-// the file) and a writer that appends after them. The header must bind the
+// returns the entry lines of the file's valid prefix (sub-slices of one read
+// of the file) and a writer that appends after them. The header must bind the
 // file to specHash: a missing manifest, one recorded under a different spec,
 // or one with an unreadable header is recreated and yields no entries. A
 // matching manifest is truncated to its valid prefix, so entries never land
@@ -169,17 +154,6 @@ func (cw *CheckpointWriter) Append(entry any) error {
 	return cw.appendJSON(entry)
 }
 
-// AppendRaw writes one pre-encoded entry line — the concatenation of pieces,
-// which must be one compact JSON value holding no newline — and fsyncs it.
-// A producer that already holds encoded bytes frames them around its own
-// fields and passes the pieces, sparing Append's second encoding pass and
-// any copy into a joined line.
-func (cw *CheckpointWriter) AppendRaw(pieces ...[]byte) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.writeLine(pieces...)
-}
-
 // appendJSON marshals, writes, and syncs one line; callers hold cw.mu (or
 // own the writer exclusively, as CreateCheckpoint does).
 func (cw *CheckpointWriter) appendJSON(v any) error {
@@ -194,16 +168,14 @@ func (cw *CheckpointWriter) appendJSON(v any) error {
 	return cw.writeLine(data)
 }
 
-// writeLine writes pieces and a newline, flushes and syncs; callers hold
-// cw.mu. bufio.Writer errors are sticky, so the Flush reports any failed
-// piece write.
-func (cw *CheckpointWriter) writeLine(pieces ...[]byte) error {
+// writeLine writes data and a newline, flushes and syncs; callers hold
+// cw.mu. bufio.Writer errors are sticky, so the Flush reports a failed
+// write.
+func (cw *CheckpointWriter) writeLine(data []byte) error {
 	if cw.err != nil {
 		return cw.err
 	}
-	for _, p := range pieces {
-		cw.w.Write(p)
-	}
+	cw.w.Write(data)
 	cw.w.WriteByte('\n')
 	err := cw.w.Flush()
 	if err == nil {
@@ -231,4 +203,100 @@ func (cw *CheckpointWriter) Close() error {
 		}
 	}
 	return nil
+}
+
+// ReadSnapshot reads the snapshot file at path (see WriteSnapshot) and
+// returns its entry line without the newline, a sub-slice of one read of
+// the file. It checks only the header (schema, version, spec hash) and that
+// the rest of the file is exactly one non-empty, newline-terminated line;
+// the entry's bytes are the caller's to validate. A missing file, a header
+// bound to another spec, and a file of any other shape return (nil, nil):
+// there is no snapshot to resume from. Only a failed read is an error. It
+// never writes the file, so it can read one another job is still replacing
+// (a fork's parent).
+func ReadSnapshot(path, specHash string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runner: read checkpoint: %w", err)
+	}
+	return snapshotEntry(data, specHash), nil
+}
+
+// snapshotEntry is ReadSnapshot's check on the bytes of a snapshot file.
+func snapshotEntry(data []byte, specHash string) []byte {
+	hdr, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok || !headerMatches(hdr, specHash) {
+		return nil
+	}
+	n := len(rest) - 1
+	if n < 1 || bytes.IndexByte(rest, '\n') != n {
+		return nil
+	}
+	return rest[:n:n]
+}
+
+// WriteSnapshot replaces the snapshot file at path with the header binding
+// it to (jobID, specHash) and one entry line, the concatenation of entry,
+// which must be non-empty and hold no newline. The file is replaced
+// atomically (see writeAtomic): a crash or a concurrent ReadSnapshot sees
+// the previous snapshot or this one, never a partial file.
+func WriteSnapshot(path, jobID, specHash string, entry ...[]byte) error {
+	hdr, err := json.Marshal(checkpointHeader{
+		Schema: CheckpointSchema, Version: CheckpointVersion, Job: jobID, SpecHash: specHash,
+	})
+	if err != nil {
+		return fmt.Errorf("runner: encode checkpoint header: %w", err)
+	}
+	pieces := make([][]byte, 0, len(entry)+2)
+	pieces = append(pieces, append(hdr, '\n'))
+	pieces = append(pieces, entry...)
+	pieces = append(pieces, []byte{'\n'})
+	if err := writeAtomic(path, pieces...); err != nil {
+		return fmt.Errorf("runner: write checkpoint: %w", err)
+	}
+	return nil
+}
+
+// writeAtomic replaces the file at path with the concatenation of pieces so
+// that a crash at any point leaves either the old file or the new one: it
+// writes <path>.tmp, fsyncs it, renames it over path, and fsyncs the
+// directory so the rename itself is durable. A stray temp file from an
+// earlier crash is overwritten. A failure before the rename leaves path
+// untouched and removes the temp file this call created.
+func writeAtomic(path string, pieces ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	for _, p := range pieces {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

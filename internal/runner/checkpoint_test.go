@@ -21,6 +21,18 @@ func manifestBytes(lines ...string) []byte {
 	return b.Bytes()
 }
 
+// loadManifest reads the manifest at path as a resume sees it: the entries
+// of its valid prefix under specHash, nil when it has none to trust.
+func loadManifest(t *testing.T, path, specHash string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	entries, _, _ := scanCheckpoint(data, specHash)
+	return entries
+}
+
 func validHeader(job, hash string) string {
 	h, _ := json.Marshal(checkpointHeader{
 		Schema: CheckpointSchema, Version: CheckpointVersion, Job: job, SpecHash: hash,
@@ -33,7 +45,7 @@ func validHeader(job, hash string) string {
 type edgeCase struct {
 	name    string
 	data    []byte
-	want    int  // entry count from LoadCheckpoint
+	want    int  // entry count in the valid prefix
 	wantNil bool // loader must report "nothing to resume"
 }
 
@@ -71,10 +83,7 @@ func TestCheckpointEdgeMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			entries, err := LoadCheckpoint(path, "h1")
-			if err != nil {
-				t.Fatal(err)
-			}
+			entries := loadManifest(t, path, "h1")
 			if tc.wantNil {
 				if entries != nil {
 					t.Fatalf("want nothing to resume, got %q", entries)
@@ -92,8 +101,8 @@ func TestCheckpointEdgeMatrix(t *testing.T) {
 // bytes: every entry it returns is JSON, the valid prefix ends on a newline,
 // reopening the manifest for appending (which truncates it to that prefix,
 // or recreates it under a foreign or broken header) returns exactly the
-// entries LoadCheckpoint returns, and appending one entry reloads as the
-// old entries plus the new one.
+// entries scanCheckpoint finds, and appending one entry reloads as the old
+// entries plus the new one.
 func FuzzManifest(f *testing.F) {
 	for _, tc := range edgeMatrix() {
 		f.Add(tc.data)
@@ -115,16 +124,12 @@ func FuzzManifest(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadCheckpoint(path, "h1")
-		if err != nil {
-			t.Fatal(err)
-		}
 		opened, cw, err := OpenCheckpoint(path, "j000001", "h1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalEntries(opened, loaded) {
-			t.Fatalf("OpenCheckpoint returned %q, LoadCheckpoint %q", opened, loaded)
+		if !equalEntries(opened, entries) {
+			t.Fatalf("OpenCheckpoint returned %q, scanCheckpoint %q", opened, entries)
 		}
 		if err := cw.Append(map[string]int{"new": 1}); err != nil {
 			t.Fatal(err)
@@ -132,10 +137,7 @@ func FuzzManifest(f *testing.F) {
 		if err := cw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadCheckpoint(path, "h1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := loadManifest(t, path, "h1")
 		if want := append(entries, []byte(`{"new":1}`)); !equalEntries(got, want) {
 			t.Fatalf("reload is %q, want %q", got, want)
 		}
@@ -176,12 +178,11 @@ func TestOpenCheckpointValidatesHeader(t *testing.T) {
 		}
 		cw.Close()
 		// The stale entry recorded under "other" must be gone.
-		if e, _ := LoadCheckpoint(path, "other"); e != nil {
+		if e := loadManifest(t, path, "other"); e != nil {
 			t.Fatalf("stale manifest survived recreation: %q", e)
 		}
-		e, err = LoadCheckpoint(path, "h1")
-		if err != nil || len(e) != 1 || string(e[0]) != `{"i":1}` {
-			t.Fatalf("recreated manifest: %q err=%v", e, err)
+		if e = loadManifest(t, path, "h1"); len(e) != 1 || string(e[0]) != `{"i":1}` {
+			t.Fatalf("recreated manifest: %q", e)
 		}
 	})
 
@@ -195,9 +196,8 @@ func TestOpenCheckpointValidatesHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		cw.Close()
-		e, err = LoadCheckpoint(path, "h2")
-		if err != nil || len(e) != 1 {
-			t.Fatalf("created manifest: %q err=%v", e, err)
+		if e = loadManifest(t, path, "h2"); len(e) != 1 {
+			t.Fatalf("created manifest: %q", e)
 		}
 	})
 
@@ -215,10 +215,7 @@ func TestOpenCheckpointValidatesHeader(t *testing.T) {
 			t.Fatal(err)
 		}
 		cw.Close()
-		e, err = LoadCheckpoint(path, "h3")
-		if err != nil {
-			t.Fatal(err)
-		}
+		e = loadManifest(t, path, "h3")
 		if len(e) != 2 || string(e[0]) != `{"i":0}` || string(e[1]) != `{"i":3}` {
 			t.Fatalf("append after corruption must extend the valid prefix: %q", e)
 		}
@@ -266,10 +263,7 @@ func TestCheckpointCrashMidAppendRoundTrip(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e, err = LoadCheckpoint(path, "h5")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e = loadManifest(t, path, "h5")
 	if len(e) != 7 {
 		t.Fatalf("want 7 entries after crash+resume, got %d: %q", len(e), e)
 	}
@@ -307,10 +301,7 @@ func TestCheckpointConcurrentAppend(t *testing.T) {
 	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e, err := LoadCheckpoint(path, "h6")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := loadManifest(t, path, "h6")
 	seen := make(map[int]bool)
 	for _, ln := range e {
 		var v struct {
@@ -327,4 +318,129 @@ func TestCheckpointConcurrentAppend(t *testing.T) {
 	if len(seen) != writers*perWriter {
 		t.Fatalf("want %d entries, got %d", writers*perWriter, len(seen))
 	}
+}
+
+// snapshotCase is one snapshot-file image and the entry ReadSnapshot must
+// return for it under spec hash "h1" ("" = no snapshot).
+type snapshotCase struct {
+	name  string
+	data  []byte
+	entry string
+}
+
+func snapshotMatrix() []snapshotCase {
+	hdr := validHeader("j000001", "h1")
+	return []snapshotCase{
+		{name: "one-entry", data: manifestBytes(hdr, `{"i":0}`), entry: `{"i":0}`},
+		{name: "empty", data: nil},
+		{name: "header-only", data: manifestBytes(hdr)},
+		{name: "partial-header", data: []byte(hdr[:10])},
+		{name: "non-json-header", data: manifestBytes("not json", `{"i":0}`)},
+		{name: "foreign-spec", data: manifestBytes(validHeader("j000001", "other"), `{"i":0}`)},
+		{name: "two-entries", data: manifestBytes(hdr, `{"i":0}`, `{"i":1}`)},
+		{name: "no-final-newline", data: append(manifestBytes(hdr), `{"i":0}`...)},
+		{name: "blank-entry", data: manifestBytes(hdr, ``)},
+		{name: "trailing-blank-line", data: manifestBytes(hdr, `{"i":0}`, ``)},
+	}
+}
+
+// ReadSnapshot returns the entry of a file holding a matching header and
+// exactly one non-empty, newline-terminated line, and nothing for any other
+// image (a missing file included); the entry is not parsed.
+func TestReadSnapshotShapes(t *testing.T) {
+	dir := t.TempDir()
+	if e, err := ReadSnapshot(filepath.Join(dir, "missing"), "h1"); e != nil || err != nil {
+		t.Fatalf("missing file: %q err=%v", e, err)
+	}
+	for _, tc := range snapshotMatrix() {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := ReadSnapshot(path, "h1")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.entry == "" && e != nil || string(e) != tc.entry {
+			t.Errorf("%s: read %q, want %q", tc.name, e, tc.entry)
+		}
+	}
+}
+
+// A failed atomic write leaves the final path as it was, and a stray temp
+// file from an earlier crash is overwritten by the next write.
+func TestWriteAtomicKeepsFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j000001.ckpt.jsonl")
+	if err := WriteSnapshot(path, "j000001", "h1", []byte(`{"i":`), []byte(`0}`)); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshot(path, "j000001", "h1", []byte(`{"i":1}`)); err == nil {
+		t.Fatal("write through a temp path blocked by a directory succeeded")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("failed write changed the file: %q err=%v, want %q", got, err, old)
+	}
+	if e, _ := ReadSnapshot(path, "h1"); string(e) != `{"i":0}` {
+		t.Fatalf("snapshot after the failed write: %q", e)
+	}
+
+	if err := os.Remove(path + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".tmp", []byte(`{"schema":"scalabletcc/job-check`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSnapshot(path, "j000001", "h1", []byte(`{"i":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("stray temp file survived the next write: %v", err)
+	}
+	if e, _ := ReadSnapshot(path, "h1"); string(e) != `{"i":2}` {
+		t.Fatalf("snapshot after overwriting the stray temp file: %q", e)
+	}
+}
+
+// FuzzSnapshotFile holds the snapshot reader to its contract on arbitrary
+// bytes: it never panics, it returns an entry exactly when the file is a
+// header bound to the spec plus one non-empty, newline-terminated line (and
+// then that line), and whatever WriteSnapshot writes reads back
+// byte-identical.
+func FuzzSnapshotFile(f *testing.F) {
+	for _, tc := range snapshotMatrix() {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got := snapshotEntry(data, "h1")
+		var want []byte
+		if lines := bytes.Split(data, []byte("\n")); len(lines) == 3 && len(lines[1]) > 0 &&
+			len(lines[2]) == 0 && headerMatches(lines[0], "h1") {
+			want = lines[1]
+		}
+		if (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("read %q, want %q", got, want)
+		}
+
+		entry := bytes.ReplaceAll(data, []byte("\n"), nil)
+		if len(entry) == 0 {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "s.ckpt.jsonl")
+		job := string(data[:len(data)/3])
+		if err := WriteSnapshot(path, job, "h1", entry[:len(entry)/2], entry[len(entry)/2:]); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadSnapshot(path, "h1")
+		if err != nil || !bytes.Equal(back, entry) {
+			t.Fatalf("wrote %q, read back %q (err=%v)", entry, back, err)
+		}
+	})
 }

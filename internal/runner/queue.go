@@ -95,7 +95,7 @@ type JobContext struct {
 	// Log captures the job's event stream for SSE subscribers; nil when no
 	// one is streaming.
 	Log *StreamLog
-	// CheckpointPath is the job's manifest file ("" disables
+	// CheckpointPath is the job's checkpoint file ("" disables
 	// checkpointing).
 	CheckpointPath string
 	// Progress reports coarse completion (stage, done, total).
@@ -245,7 +245,7 @@ func (q *Queue) Fork(parentID string, child *JobSpec) (*JobStatus, error) {
 	return q.submit(child, id, false, parentID)
 }
 
-// checkpointPath is the manifest file for one job ID under the state dir.
+// checkpointPath is the checkpoint file for one job ID under the state dir.
 func (q *Queue) checkpointPath(id string) string {
 	return filepath.Join(q.cfg.StateDir, id+".ckpt.jsonl")
 }
@@ -577,7 +577,9 @@ func (q *Queue) finish(j *job, state string, res *JobResult, err error) {
 // Persistence: <state>/<id>.spec.json, <id>.ckpt.jsonl, <id>.outcome.json,
 // and <id>.events.jsonl — a finished job's event stream, spilled out of
 // memory; it is read only by the process that ran the job, to serve later
-// event-stream reads.
+// event-stream reads. The spec and the outcome are replaced atomically
+// (writeAtomic): Recover takes an outcome file's existence to mean the job
+// finished, so it must never see a torn one.
 
 type persistedOutcome struct {
 	Status JobStatus  `json:"status"`
@@ -593,7 +595,7 @@ func (q *Queue) persistSpec(j *job) error {
 		return fmt.Errorf("runner: state dir: %w", err)
 	}
 	path := filepath.Join(q.cfg.StateDir, j.id+".spec.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeAtomic(path, data); err != nil {
 		return fmt.Errorf("runner: persist spec: %w", err)
 	}
 	return nil
@@ -610,7 +612,7 @@ func (q *Queue) persistOutcome(id string, st JobStatus, res *JobResult) error {
 		return fmt.Errorf("runner: persist outcome: %w", err)
 	}
 	path := filepath.Join(q.cfg.StateDir, id+".outcome.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeAtomic(path, data, []byte{'\n'}); err != nil {
 		return fmt.Errorf("runner: persist outcome: %w", err)
 	}
 	return nil

@@ -296,6 +296,48 @@ func TestRecoverSkipsUnadmittableSpecs(t *testing.T) {
 	}
 }
 
+// A crash while an outcome was being written leaves only its temp file:
+// the job has no outcome, so Recover runs it again, and its result then
+// replaces the temp file. A spec whose own write was cut short (only
+// <id>.spec.json.tmp) names no job.
+func TestRecoverRerunsTornOutcome(t *testing.T) {
+	dir := t.TempDir()
+	data, err := runSpec("torn").Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		"j000001.spec.json":        data,
+		"j000001.outcome.json.tmp": []byte(`{"status":{"id":"j000001","state":"do`),
+		"j000002.spec.json.tmp":    data[:len(data)/2],
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec := func(ctx context.Context, spec *JobSpec, jc *JobContext) (*JobResult, error) {
+		return &JobResult{Kind: spec.Kind}, nil
+	}
+	q := NewQueue(Config{Capacity: 4, Workers: 1, StateDir: dir}, exec)
+	defer q.Shutdown()
+	ids, err := q.Recover()
+	if err != nil || len(ids) != 1 || ids[0] != "j000001" {
+		t.Fatalf("recovered %v (err %v), want [j000001]", ids, err)
+	}
+	waitState(t, q, "j000001", StateDone)
+	out, err := os.ReadFile(filepath.Join(dir, "j000001.outcome.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var po persistedOutcome
+	if err := json.Unmarshal(out, &po); err != nil || po.Status.State != StateDone {
+		t.Fatalf("rerun outcome %q (err %v), want state done", out, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "j000001.outcome.json.tmp")); !os.IsNotExist(err) {
+		t.Fatalf("torn outcome temp file survived the rerun's write: %v", err)
+	}
+}
+
 // TestQueuePanicFailsJob: a panicking executor fails its job and leaves
 // the queue serving the next one, and the failure is persisted, so a
 // queue restarted over the same state dir does not run the job again.
@@ -399,21 +441,18 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := LoadCheckpoint(path, "abc123")
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := loadManifest(t, path, "abc123")
 	if len(entries) != 3 || string(entries[1]) != `{"index":1}` {
 		t.Fatalf("entries: %q", entries)
 	}
 
 	// Wrong spec hash: stale manifest is ignored, not replayed.
-	if e, err := LoadCheckpoint(path, "different"); err != nil || e != nil {
-		t.Fatalf("stale manifest must be skipped, got %q err=%v", e, err)
+	if e := loadManifest(t, path, "different"); e != nil {
+		t.Fatalf("stale manifest must be skipped, got %q", e)
 	}
 	// Missing file: nothing to resume.
-	if e, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope"), "x"); err != nil || e != nil {
-		t.Fatalf("missing manifest: %q err=%v", e, err)
+	if e := loadManifest(t, filepath.Join(t.TempDir(), "nope"), "x"); e != nil {
+		t.Fatalf("missing manifest: %q", e)
 	}
 
 	// Crash mid-append: trailing partial line is dropped.
@@ -421,9 +460,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, append(data, []byte(`{"index":3`)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, err = LoadCheckpoint(path, "abc123")
-	if err != nil || len(entries) != 3 {
-		t.Fatalf("partial tail must be dropped: %d entries err=%v", len(entries), err)
+	if entries = loadManifest(t, path, "abc123"); len(entries) != 3 {
+		t.Fatalf("partial tail must be dropped: %d entries", len(entries))
 	}
 
 	// Resume path truncates the partial tail and appends to the same
@@ -437,7 +475,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cw.Close()
-	entries, _ = LoadCheckpoint(path, "abc123")
+	entries = loadManifest(t, path, "abc123")
 	if len(entries) != 4 || string(entries[3]) != `{"index":4}` {
 		t.Fatalf("append after crash must extend the valid prefix, got %q", entries)
 	}

@@ -2,7 +2,9 @@
 // three CLIs: a versioned JobSpec wire schema, typed job status/results, a
 // bounded job queue with admission control and per-job cancellation, an
 // append-only event stream log for SSE subscribers, and crash-safe
-// checkpoint manifests for resumable sweep jobs.
+// checkpoint files: an append-only manifest for a resumable sweep job, and
+// for a run job one file holding its newest snapshot, replaced atomically at
+// each cut.
 //
 // The package is deliberately a leaf: it never imports the tcc package or
 // the simulation stack. Job execution is injected as an Executor — the tcc

@@ -1,32 +1,35 @@
 // Run-job checkpointing: the glue between the kernel snapshots of
-// System.RunCheckpointed and the runner's crash-safe manifest machinery.
-// Each manifest entry is one kernel checkpoint plus the byte offset of the
-// event stream at the cut; a sidecar file next to the manifest retains the
-// emitted stream so a resumed job can replay the prefix and continue the
-// stream byte-identically. Stale or unusable state is never trusted: any
-// defect in the manifest, sidecar, or snapshot falls back to recomputing
-// from scratch, which is always correct, just slower.
+// System.RunCheckpointed and the runner's crash-safe snapshot file. The file
+// holds one entry, the newest kernel checkpoint plus the byte offset of the
+// event stream at its cut, and each cut replaces it atomically; a sidecar
+// file next to it retains the emitted stream so a resumed job can replay
+// the prefix and continue the stream byte-identically. Stale or unusable
+// state is never trusted: any defect in the snapshot file, sidecar, or
+// snapshot falls back to recomputing from scratch, which is always correct,
+// just slower.
 
 package tcc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
+	"sync"
 
 	"scalabletcc/internal/core"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/runner"
 )
 
-// appendEntryHead appends the bytes of a manifest entry that precede its
-// checkpoint. An entry is one line of a run job's checkpoint manifest:
-// {"cycle":N,"event_bytes":M,"checkpoint":{…}}, the cycle of the quiescent
-// cut, the number of event-stream bytes emitted before it, and the kernel
-// snapshot itself. save and PrepareForkJob write this frame and nothing
+// appendEntryHead appends the bytes of a snapshot entry that precede its
+// checkpoint. An entry is the line after a run job's checkpoint-file
+// header, {"cycle":N,"event_bytes":M,"checkpoint":{…}}: the cycle of the
+// quiescent cut, the number of event-stream bytes emitted before it, and
+// the kernel snapshot itself. save and PrepareForkJob write this frame and nothing
 // else, and readEntry reads only it.
 func appendEntryHead(b []byte, cycle uint64, eventBytes int64) []byte {
 	b = append(b, `{"cycle":`...)
@@ -38,7 +41,7 @@ func appendEntryHead(b []byte, cycle uint64, eventBytes int64) []byte {
 
 var closeBrace = []byte("}")
 
-// readEntry reads one manifest entry in the frame appendEntryHead starts:
+// readEntry reads one snapshot entry in the frame appendEntryHead starts:
 // the head with plain decimal numbers, then the checkpoint, which runs to
 // the line's final '}' and must start with '{'. The checkpoint comes back
 // unread, as a sub-slice of line: core.DecodeCheckpoint validates it on
@@ -54,7 +57,7 @@ func readEntry(line []byte) (cycle uint64, eventBytes int64, ck []byte, err erro
 		n, rest, ok = cutDecimal(rest, `,"checkpoint":`)
 	}
 	if !ok || n > math.MaxInt64 || len(rest) < 2 || rest[0] != '{' || rest[len(rest)-1] != '}' {
-		return 0, 0, nil, fmt.Errorf("tcc: checkpoint entry is not in the manifest entry frame")
+		return 0, 0, nil, fmt.Errorf("tcc: checkpoint entry is not in the snapshot entry frame")
 	}
 	return cycle, int64(n), rest[:len(rest)-1], nil
 }
@@ -74,7 +77,7 @@ func cutDecimal(b []byte, sep string) (uint64, []byte, bool) {
 }
 
 // countingWriter tracks the logical event-stream offset (replayed prefix
-// plus everything written since) so each manifest entry can record where in
+// plus everything written since) so each snapshot entry can record where in
 // the stream its cut lies.
 type countingWriter struct {
 	w io.Writer
@@ -88,55 +91,53 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // runCheckpointer owns one run job's checkpoint lifecycle: resuming from the
-// manifest's latest snapshot, replaying the event-stream prefix, and
-// appending a durable entry at each cut.
+// snapshot file, replaying the event-stream prefix, and replacing the
+// snapshot at each cut.
 type runCheckpointer struct {
 	every   uint64
 	resumed bool
 	sys     *System // restored machine; nil = start fresh
 	prefix  []byte  // event-stream bytes emitted before the resumed cut
 
-	cw *runner.CheckpointWriter
-	// appendEntry makes one manifest line durable: cw.AppendRaw, or in a
-	// test a wrapper that inspects the files at that instant.
-	appendEntry func(pieces ...[]byte) error
+	path, jobID, specHash string
+	// writeEntry makes one snapshot entry durable in place of the last:
+	// rc.put, or in a test a wrapper that inspects the files at that
+	// instant.
+	writeEntry func(pieces ...[]byte) error
+	// mu orders put against close: once close returns, a run abandoned by
+	// runGuarded writes no further snapshot and stops at its next cut.
+	mu     sync.Mutex
+	closed bool
 	// sidecar holds the stream copy. It takes the stream's blocks as they
-	// are written, and save flushes the stream before each manifest append,
+	// are written, and save flushes the stream before each snapshot write,
 	// so a durable entry's event_bytes are on disk. An *os.File is safe
 	// under a Write from an abandoned run racing close.
 	sidecar *os.File
 	counter *countingWriter
 	events  *obs.JSONLStream
-	head    []byte // reused manifest-entry framing
+	head    []byte // reused snapshot-entry framing
 }
 
-// newRunCheckpointer opens the manifest at jc.CheckpointPath, restores its
-// newest snapshot if it has one, and opens the sidecar when the job
-// streams events. A manifest whose newest snapshot does not restore is
-// started over. wantEvents says whether the job has an event sink attached
-// — without one there is no stream to preserve and the sidecar is skipped.
+// newRunCheckpointer reads the snapshot file at jc.CheckpointPath, restores
+// its snapshot if it has one, and opens the sidecar when the job streams
+// events. A snapshot that does not restore is left for the first save to
+// replace. wantEvents says whether the job has an event sink attached —
+// without one there is no stream to preserve and the sidecar is skipped.
 func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext, wantEvents bool) (*runCheckpointer, error) {
 	specHash, err := spec.Hash()
 	if err != nil {
 		return nil, err
 	}
 	path := jc.CheckpointPath
-	rc := &runCheckpointer{every: spec.Run.CheckpointEvery}
-	entries, cw, err := runner.OpenCheckpoint(path, jc.ID, specHash)
+	rc := &runCheckpointer{every: spec.Run.CheckpointEvery, path: path, jobID: jc.ID, specHash: specHash}
+	rc.writeEntry = rc.put
+	entry, err := runner.ReadSnapshot(path, specHash)
 	if err != nil {
 		return nil, err
 	}
-	if len(entries) > 0 {
-		rc.loadLatest(entries, cfg, prog, path, wantEvents, jc.Logf)
-		if !rc.resumed {
-			cw.Close()
-			if cw, err = runner.CreateCheckpoint(path, jc.ID, specHash); err != nil {
-				return nil, err
-			}
-		}
+	if entry != nil {
+		rc.loadLatest(entry, cfg, prog, path, wantEvents, jc.Logf)
 	}
-	rc.cw = cw
-	rc.appendEntry = rc.cw.AppendRaw
 	if wantEvents {
 		f, err := os.OpenFile(eventSidecar(path), os.O_WRONLY|os.O_CREATE, 0o644)
 		if err == nil {
@@ -147,7 +148,6 @@ func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext,
 			}
 		}
 		if err != nil {
-			rc.cw.Close()
 			return nil, fmt.Errorf("tcc: event sidecar: %w", err)
 		}
 		rc.sidecar = f
@@ -172,12 +172,12 @@ func (rc *runCheckpointer) stream(sink io.Writer) (*obs.JSONLStream, error) {
 	return rc.events, nil
 }
 
-// loadLatest restores the manifest's newest snapshot, falling back to a
-// fresh start (rc untouched beyond what succeeded) on any defect. It reports
-// the fallback's reason, or the cycle it resumed at, through logf.
-func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program,
+// loadLatest restores the snapshot in entry, falling back to a fresh start
+// (rc untouched beyond what succeeded) on any defect. It reports the
+// fallback's reason, or the cycle it resumed at, through logf.
+func (rc *runCheckpointer) loadLatest(entry []byte, cfg Config, prog Program,
 	path string, wantEvents bool, logf func(string, ...any)) {
-	cycle, eventBytes, raw, err := readEntry(entries[len(entries)-1])
+	cycle, eventBytes, raw, err := readEntry(entry)
 	if err != nil {
 		logf("checkpoint entry undecodable; recomputing from scratch")
 		return
@@ -205,14 +205,14 @@ func (rc *runCheckpointer) loadLatest(entries [][]byte, cfg Config, prog Program
 	logf("resumed from the checkpoint at cycle %d", cycle)
 }
 
-// save appends one durable manifest entry for the snapshot at a cut. The
-// line is framed by hand around the snapshot, which is encoded into a
-// recycled buffer.
+// save replaces the snapshot file with a durable entry for the snapshot at
+// a cut. The line is framed by hand around the snapshot, which is encoded
+// into a recycled buffer.
 func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	var n int64
 	if rc.events != nil {
 		// The resume path trusts a durable entry's event_bytes to be in the
-		// sidecar, so the stream is flushed before the entry is appended.
+		// sidecar, so the stream is flushed before the entry is written.
 		if err := rc.events.Flush(); err != nil {
 			return fmt.Errorf("tcc: event stream: %w", err)
 		}
@@ -225,7 +225,7 @@ func (rc *runCheckpointer) save(ck *Checkpoint) error {
 	default:
 	}
 	buf = core.AppendCheckpoint(buf[:0], ck)
-	err := rc.appendEntry(rc.head, buf, closeBrace)
+	err := rc.writeEntry(rc.head, buf, closeBrace)
 	select {
 	case ckBufs <- buf:
 	default:
@@ -243,17 +243,31 @@ func (rc *runCheckpointer) save(ck *Checkpoint) error {
 // buffer returned when four wait is dropped.
 var ckBufs = make(chan []byte, 4)
 
-// close closes the manifest and the sidecar. Errors are dropped: a resume
-// trusts the sidecar only up to a durable entry's event_bytes, which save
-// flushed before appending the entry.
-func (rc *runCheckpointer) close() {
-	if rc.cw != nil {
-		rc.cw.Close()
+// put writes one snapshot entry, the concatenation of pieces, in place of
+// the last, unless the checkpointer is closed.
+func (rc *runCheckpointer) put(pieces ...[]byte) error {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.closed {
+		return errCheckpointerClosed
 	}
+	return runner.WriteSnapshot(rc.path, rc.jobID, rc.specHash, pieces...)
+}
+
+var errCheckpointerClosed = errors.New("tcc: checkpoint closed (the job was abandoned)")
+
+// close stops further snapshot writes and closes the sidecar. Errors are
+// dropped: a resume trusts the sidecar only up to a durable entry's
+// event_bytes, which save flushed before writing the entry.
+func (rc *runCheckpointer) close() {
+	rc.mu.Lock()
+	rc.closed = true
+	rc.mu.Unlock()
 	if rc.sidecar != nil {
 		rc.sidecar.Close()
 	}
 }
 
-// eventSidecar is the stream-retention file next to a run job's manifest.
+// eventSidecar is the stream-retention file next to a run job's snapshot
+// file.
 func eventSidecar(ckptPath string) string { return ckptPath + ".events" }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -31,9 +32,9 @@ func (m *marshalObserver) Event(e Event) {
 
 const streamHeaderLine = `{"schema":"scalabletcc/events","version":1}` + "\n"
 
-// manifestEntry is the reference encoding of a run job's manifest entry:
+// snapshotEntry is the reference encoding of a run job's snapshot entry:
 // save's frame is json.Marshal of it.
-type manifestEntry struct {
+type snapshotEntry struct {
 	Cycle      uint64          `json:"cycle"`
 	EventBytes int64           `json:"event_bytes"`
 	Checkpoint json.RawMessage `json:"checkpoint"`
@@ -54,42 +55,43 @@ func checkpointedSpec(t *testing.T, app string, procs int, scale float64) (*JobS
 	return spec, stream.Bytes()
 }
 
-// The event encoder's contract end to end: a checkpointed, verified job's
-// stream is byte-identical to json.Marshal of the same events.
-func TestCheckpointedStreamMatchesMarshal(t *testing.T) {
-	spec, _ := checkpointedSpec(t, "barnes", 8, 0.02)
-	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
-	ref := &marshalObserver{}
+// runWithSnapshotHook runs spec's checkpointed job from scratch the way
+// executeRun does, with the checkpoint file at path, ref (if not nil)
+// observing beside the stream, and every snapshot write passing through
+// hook, which makes it durable by calling write. It returns the run's
+// results and the stream it emitted.
+func runWithSnapshotHook(t *testing.T, spec *JobSpec, path string, ref Observer,
+	hook func(write func(...[]byte) error, pieces ...[]byte) error) (*Results, []byte) {
+	t.Helper()
+	rc, cfg, prog := openCheckpointer(t, spec, path, true)
+	defer rc.close()
+	write := rc.writeEntry
+	rc.writeEntry = func(pieces ...[]byte) error { return hook(write, pieces...) }
 	var live bytes.Buffer
-	out, err := RunJob(context.Background(), spec,
-		&RunJobOptions{EventWriter: &live, Observer: ref, CheckpointPath: path})
+	stream, err := rc.stream(&live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := out.Result.Serializable; s == nil || !*s {
-		t.Fatal("checkpointed run failed the serializability oracle")
-	}
-	manifest, err := os.ReadFile(path)
+	sys, err := NewSystem(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(manifest, []byte("\n")) - 1; n < 2 {
-		t.Fatalf("manifest holds %d snapshots, want at least 2", n)
+	sys.Observe(TeeObservers(ref, stream))
+	res, err := sys.RunCheckpointed(rc.every, rc.save)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := append([]byte(streamHeaderLine), ref.buf.Bytes()...)
-	if !bytes.Equal(live.Bytes(), want) {
-		t.Fatalf("stream (%d bytes) differs from json.Marshal lines (%d bytes)", live.Len(), len(want))
+	// executeRun flushes the stream's last block when the run ends.
+	if err := stream.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	return res, live.Bytes()
 }
 
-// At the instant each manifest entry is appended, the sidecar on disk must
-// already hold the entry's event_bytes; a resume from the files as they
-// stand right after each append (a crash image) must reproduce the
-// uninterrupted stream byte for byte.
-func TestSidecarCoversEveryManifestEntry(t *testing.T) {
-	spec, want := checkpointedSpec(t, "hotspot", 4, 0.1)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt.jsonl")
+// openCheckpointer opens spec's run checkpointer on the file at path, as
+// executeRun does, and returns it with the machine config and program.
+func openCheckpointer(t *testing.T, spec *JobSpec, path string, wantEvents bool) (*runCheckpointer, Config, Program) {
+	t.Helper()
 	jc := runner.NewJobContext()
 	jc.ID, jc.CheckpointPath = "run", path
 	cfg := runConfig(spec.Run)
@@ -98,19 +100,103 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := prof.Scale(spec.Run.Scale).Build(spec.Run.Procs, cfg.Seed)
-
-	rc, err := newRunCheckpointer(spec, cfg, prog, jc, true)
+	rc, err := newRunCheckpointer(spec, cfg, prog, jc, wantEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type crashImage struct{ manifest, sidecar []byte }
+	return rc, cfg, prog
+}
+
+// checkStateDir fails unless dir holds the checkpoint file at path (when
+// saved says a snapshot was written), its event sidecar, and at most its
+// one temp file: a run keeps one snapshot, however many cuts it takes.
+func checkStateDir(t *testing.T, dir, path string, saved bool) {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshots := 0
+	for _, f := range files {
+		switch filepath.Join(dir, f.Name()) {
+		case path:
+			snapshots++
+		case path + ".tmp", eventSidecar(path):
+		default:
+			t.Fatalf("state dir holds %s besides the snapshot, its temp file and the sidecar", f.Name())
+		}
+	}
+	if want := map[bool]int{false: 0, true: 1}[saved]; snapshots != want {
+		t.Fatalf("state dir holds %d snapshot files, want %d", snapshots, want)
+	}
+}
+
+// The event encoder's contract end to end: a checkpointed, verified job's
+// stream is byte-identical to json.Marshal of the same events. At every
+// save, the state dir holds one snapshot file (none before the first) plus
+// at most one temp file, and right after it the file holds exactly the
+// entry just written.
+func TestCheckpointedStreamMatchesMarshal(t *testing.T) {
+	spec, _ := checkpointedSpec(t, "barnes", 8, 0.02)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt.jsonl")
+	ref := &marshalObserver{}
+	saves := 0
+	res, live := runWithSnapshotHook(t, spec, path, ref, func(write func(...[]byte) error, pieces ...[]byte) error {
+		checkStateDir(t, dir, path, saves > 0)
+		if err := write(pieces...); err != nil {
+			return err
+		}
+		saves++
+		checkStateDir(t, dir, path, true)
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("save %d left its temp file behind (%v)", saves, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, entry, _ := bytes.Cut(data, []byte("\n"))
+		if !bytes.Equal(entry, append(bytes.Join(pieces, nil), '\n')) {
+			t.Fatalf("after save %d the file does not hold exactly the entry just written", saves)
+		}
+		return nil
+	})
+	if saves < 2 {
+		t.Fatalf("%d saves, want at least 2", saves)
+	}
+	if v := Verify(res); len(v) != 0 {
+		t.Fatalf("checkpointed run failed the serializability oracle: %d violations", len(v))
+	}
+	want := append([]byte(streamHeaderLine), ref.buf.Bytes()...)
+	if !bytes.Equal(live, want) {
+		t.Fatalf("stream (%d bytes) differs from json.Marshal lines (%d bytes)", len(live), len(want))
+	}
+}
+
+// At the instant each snapshot is written, the sidecar on disk must already
+// hold the entry's event_bytes; a resume from the files as they stand right
+// after each write (a crash image), with a torn temp file from a later save
+// beside them, must reproduce the uninterrupted summary and stream byte for
+// byte, and its own next save overwrites that temp file.
+func TestSidecarCoversEveryManifestEntry(t *testing.T) {
+	spec, want := checkpointedSpec(t, "hotspot", 4, 0.1)
+	plainSpec := *spec
+	plainRun := *spec.Run
+	plainRun.CheckpointEvery = 0
+	plainSpec.Run = &plainRun
+	plain, err := RunJob(context.Background(), &plainSpec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+	type crashImage struct{ snapshot, sidecar []byte }
 	var images []crashImage
-	durable := rc.appendEntry
-	rc.appendEntry = func(pieces ...[]byte) error {
+	_, live := runWithSnapshotHook(t, spec, path, nil, func(write func(...[]byte) error, pieces ...[]byte) error {
 		line := bytes.Join(pieces, nil)
-		var e manifestEntry
+		var e snapshotEntry
 		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("manifest entry is not JSON: %v", err)
+			t.Fatalf("snapshot entry is not JSON: %v", err)
 		}
 		if enc, err := json.Marshal(e); err != nil || !bytes.Equal(enc, line) {
 			t.Fatalf("framed entry differs from json.Marshal of the same entry (%v)", err)
@@ -120,10 +206,10 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if fi.Size() < e.EventBytes {
-			t.Fatalf("entry %d appended with event_bytes %d but the sidecar holds %d",
+			t.Fatalf("entry %d written with event_bytes %d but the sidecar holds %d",
 				len(images), e.EventBytes, fi.Size())
 		}
-		if err := durable(pieces...); err != nil {
+		if err := write(pieces...); err != nil {
 			return err
 		}
 		m, err := os.ReadFile(path)
@@ -136,40 +222,21 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 		}
 		images = append(images, crashImage{m, s})
 		return nil
-	}
-	var live bytes.Buffer
-	stream, err := rc.stream(&live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewSystem(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Observe(stream)
-	if _, err := sys.RunCheckpointed(rc.every, rc.save); err != nil {
-		t.Fatal(err)
-	}
-	// executeRun flushes the stream's last block when the run ends.
-	if err := stream.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rc.close()
-	if !bytes.Equal(live.Bytes(), want) {
+	})
+	if !bytes.Equal(live, want) {
 		t.Fatal("checkpointed stream differs from the uninterrupted one")
 	}
 	if len(images) < 2 {
-		t.Fatalf("%d manifest entries, want at least 2", len(images))
+		t.Fatalf("%d snapshot writes, want at least 2", len(images))
 	}
 
 	for i, img := range images {
-		resumeDir := t.TempDir()
-		ck := filepath.Join(resumeDir, "run.ckpt.jsonl")
-		if err := os.WriteFile(ck, img.manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(eventSidecar(ck), img.sidecar, 0o644); err != nil {
-			t.Fatal(err)
+		ck := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+		torn := img.snapshot[:len(img.snapshot)/2]
+		for name, data := range map[string][]byte{ck: img.snapshot, eventSidecar(ck): img.sidecar, ck + ".tmp": torn} {
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var got bytes.Buffer
 		out, err := RunJob(context.Background(), spec, &RunJobOptions{EventWriter: &got, CheckpointPath: ck})
@@ -182,6 +249,14 @@ func TestSidecarCoversEveryManifestEntry(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("resume from entry %d: stream (%d bytes) differs from the uninterrupted one (%d bytes)",
 				i, got.Len(), len(want))
+		}
+		if !bytes.Equal(out.Result.Summary, plain.Result.Summary) {
+			t.Fatalf("resume from entry %d: summary differs from the uninterrupted one", i)
+		}
+		if i < len(images)-1 {
+			if _, err := os.Stat(ck + ".tmp"); !os.IsNotExist(err) {
+				t.Fatalf("resume from entry %d saved again but left the torn temp file (%v)", i, err)
+			}
 		}
 	}
 }
@@ -204,7 +279,7 @@ func TestForkCopiesParentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSuffix(manifest, []byte("\n")), []byte("\n"))
-	var e manifestEntry
+	var e snapshotEntry
 	if err := json.Unmarshal(lines[len(lines)-1], &e); err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +313,132 @@ func TestForkCopiesParentCheckpoint(t *testing.T) {
 	}
 	if err := fork(); err == nil || !strings.Contains(err.Error(), "not a kernel snapshot") {
 		t.Fatalf("fork from an entry outside save's frame: %v, want a refusal", err)
+	}
+}
+
+// Once close returns, a run that runGuarded abandoned writes no snapshot:
+// its next save fails, which ends it, and cannot replace the file a resumed
+// job in the same process now owns.
+func TestClosedCheckpointerWritesNothing(t *testing.T) {
+	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
+	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+	rc, _, _ := openCheckpointer(t, spec, path, false)
+	rc.close()
+	if err := rc.writeEntry([]byte(`{"cycle":1,"event_bytes":0,"checkpoint":{}}`)); !errors.Is(err, errCheckpointerClosed) {
+		t.Fatalf("write after close: %v, want errCheckpointerClosed", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("write after close reached the file (%v)", err)
+	}
+}
+
+// A fork of a parent that keeps saving copies a whole snapshot every time:
+// the parent's file is replaced atomically, so the child's entry is always
+// one of the parent's entries with event_bytes 0, never a mix of two.
+func TestForkReadsWholeSnapshotsWhileParentSaves(t *testing.T) {
+	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
+	dir := t.TempDir()
+	parentCk := filepath.Join(dir, "parent.ckpt.jsonl")
+	var entries [][]byte
+	runWithSnapshotHook(t, spec, parentCk, nil, func(write func(...[]byte) error, pieces ...[]byte) error {
+		entries = append(entries, bytes.Join(pieces, nil))
+		return write(pieces...)
+	})
+	if len(entries) < 2 {
+		t.Fatalf("%d parent snapshots, want at least 2", len(entries))
+	}
+	want := make(map[string]bool)
+	for _, e := range entries {
+		cycle, _, raw, err := readEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[string(appendEntryHead(nil, cycle, 0))+string(raw)+"}"] = true
+	}
+	parentHash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := *spec
+	childRun := *spec.Run
+	child.Run = &childRun
+	childHash, err := child.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	saved := make(chan struct{})
+	go func() {
+		defer close(saved)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := runner.WriteSnapshot(parentCk, "parent", parentHash, entries[i%len(entries)]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	childCk := filepath.Join(dir, "child.ckpt.jsonl")
+	for i := 0; i < 50; i++ {
+		if err := PrepareForkJob(spec, &child, parentCk, childCk, "child"); err != nil {
+			t.Error(err)
+			break
+		}
+		got, err := runner.ReadSnapshot(childCk, childHash)
+		if err != nil || !want[string(got)] {
+			t.Errorf("fork %d copied %d bytes that are none of the parent's snapshots (err %v)", i, len(got), err)
+			break
+		}
+	}
+	close(stop)
+	<-saved
+}
+
+// A checkpoint file that does not hold exactly one snapshot for this spec —
+// a header bound to another spec, two entry lines, a last line cut short —
+// is not resumed from: the run recomputes to the uninterrupted stream, and
+// its first save replaces the file with one whole snapshot.
+func TestResumeRecomputesWithoutOneSnapshot(t *testing.T) {
+	spec, want := checkpointedSpec(t, "hotspot", 4, 0.1)
+	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+	if _, err := RunJob(context.Background(), spec,
+		&RunJobOptions{EventWriter: io.Discard, CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, entry, _ := bytes.Cut(data, []byte("\n"))
+	for name, file := range map[string][]byte{
+		"foreign-spec":     append(bytes.Replace(hdr, []byte(hash), []byte("0000"), 1), append([]byte("\n"), entry...)...),
+		"two-entries":      append(bytes.Clone(data), entry...),
+		"no-final-newline": data[:len(data)-1],
+	} {
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		out, err := RunJob(context.Background(), spec, &RunJobOptions{EventWriter: &got, CheckpointPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Result.Resumed || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: resumed=%v, stream of %d bytes; want a recompute giving the %d uninterrupted bytes",
+				name, out.Result.Resumed, got.Len(), len(want))
+		}
+		if e, err := runner.ReadSnapshot(path, hash); err != nil || e == nil {
+			t.Fatalf("%s: the recompute left no whole snapshot (err %v)", name, err)
+		}
 	}
 }
 

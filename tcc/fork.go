@@ -16,12 +16,12 @@ import (
 )
 
 // PrepareForkJob is the canonical runner.Config.ForkPrep hook: it validates
-// that child's edits keep the parent's latest snapshot valid and seeds the
-// child's checkpoint manifest with that snapshot. The child inherits the
-// parent's checkpoint cadence when it does not set its own; its event stream
-// starts at the fork point (the parent's prefix is not replayed into it).
-// Forking a running parent is legal — it forks from the most recent durable
-// snapshot.
+// that child's edits keep the parent's snapshot valid and seeds the child's
+// checkpoint file with that snapshot. The child inherits the parent's
+// checkpoint cadence when it does not set its own; its event stream starts
+// at the fork point (the parent's prefix is not replayed into it). Forking a
+// running parent is legal — it forks from the most recent durable snapshot,
+// which the parent replaces atomically, so the fork copies a whole one.
 func PrepareForkJob(parent, child *JobSpec, parentCk, childCk, childID string) error {
 	if parent.Kind != JobKindRun || child.Kind != JobKindRun {
 		return fmt.Errorf("tcc: only run jobs fork (parent kind %q, child kind %q)", parent.Kind, child.Kind)
@@ -40,14 +40,14 @@ func PrepareForkJob(parent, child *JobSpec, parentCk, childCk, childID string) e
 	if err != nil {
 		return err
 	}
-	entries, err := runner.LoadCheckpoint(parentCk, parentHash)
+	entry, err := runner.ReadSnapshot(parentCk, parentHash)
 	if err != nil {
 		return err
 	}
-	if len(entries) == 0 {
+	if entry == nil {
 		return fmt.Errorf("tcc: parent job has no checkpoint snapshot to fork from yet")
 	}
-	cycle, _, raw, err := readEntry(entries[len(entries)-1])
+	cycle, _, raw, err := readEntry(entry)
 	if err != nil {
 		return fmt.Errorf("tcc: parent checkpoint entry is not a kernel snapshot")
 	}
@@ -56,17 +56,9 @@ func PrepareForkJob(parent, child *JobSpec, parentCk, childCk, childID string) e
 	if err != nil {
 		return err
 	}
-	cw, err := runner.CreateCheckpoint(childCk, childID, childHash)
-	if err != nil {
-		return err
-	}
 	// The parent's snapshot bytes are copied, not decoded; the child's stream
 	// starts at the fork point, so its event_bytes is 0.
-	if err := cw.AppendRaw(appendEntryHead(nil, cycle, 0), raw, closeBrace); err != nil {
-		cw.Close()
-		return err
-	}
-	return cw.Close()
+	return runner.WriteSnapshot(childCk, childID, childHash, appendEntryHead(nil, cycle, 0), raw, closeBrace)
 }
 
 // validateForkEdits enforces the legal-edit whitelist: timing and

@@ -177,8 +177,9 @@ type RunJobOptions struct {
 	// Logf receives human-readable progress lines (fuzz jobs).
 	Logf func(format string, args ...any)
 	// CheckpointPath points sweep jobs — and run jobs with a non-zero
-	// CheckpointEvery — at a checkpoint manifest to create or resume from.
-	// Run jobs keep an event-stream sidecar next to the manifest so a
+	// CheckpointEvery — at a checkpoint file to create or resume from: a
+	// sweep's append-only manifest, or the file holding a run's newest
+	// snapshot. Run jobs keep an event-stream sidecar next to it so a
 	// resumed stream is byte-identical to an uninterrupted one.
 	CheckpointPath string
 }
