@@ -45,11 +45,6 @@ import (
 	"scalabletcc/tcc"
 )
 
-// runWatchdogCycles is the deadlock guard applied to daemon-submitted run
-// jobs that set no MaxCycles of their own: a service must not let one
-// wedged simulation pin a worker forever. CLI runs are not subject to it.
-const runWatchdogCycles = 50_000_000_000
-
 func main() {
 	var (
 		addr = flag.String("addr", "127.0.0.1:8077", "listen address")
@@ -61,7 +56,7 @@ func main() {
 		// its cells across cores.
 		capacity   = flag.Int("queue", 64, "max queued (not yet running) jobs; beyond it POST /v1/jobs answers 429")
 		workers    = flag.Int("workers", 4, "jobs run concurrently (each sweep still fans its cells across cores)")
-		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock guard per job, e.g. 2h (0 = none)")
+		jobTimeout = flag.Duration("job-timeout", 0, "wall-clock limit per job, e.g. 2h (0 = none); a job past it stops and fails")
 		stateDir   = flag.String("state", "", "state directory: persists specs, checkpoints, and results; enables restart resume")
 	)
 	flag.Parse()
@@ -79,7 +74,7 @@ func main() {
 		StateDir:   *stateDir,
 		Validate:   tcc.ValidateJobSpec,
 		ForkPrep:   tcc.PrepareForkJob,
-	}, executeJob)
+	}, tcc.ExecuteJob)
 
 	if *stateDir != "" {
 		resumed, err := q.Recover()
@@ -112,23 +107,6 @@ func main() {
 	defer cancel()
 	srv.Shutdown(ctx)
 	q.Shutdown()
-}
-
-// executeJob is the daemon's executor: tcc.ExecuteJob with the service-side
-// watchdog default for run jobs. Checkpointed run jobs keep their spec
-// verbatim — the checkpoint file's header binds the spec hash, so editing
-// the spec here would orphan the job's own snapshots on resume and fork —
-// and they are interruptible by construction, which is what the watchdog
-// exists to guarantee.
-func executeJob(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
-	if spec.Kind == runner.KindRun && spec.Run != nil && spec.Run.MaxCycles == 0 && spec.Run.CheckpointEvery == 0 {
-		guarded := *spec
-		run := *spec.Run
-		run.MaxCycles = runWatchdogCycles
-		guarded.Run = &run
-		spec = &guarded
-	}
-	return tcc.ExecuteJob(ctx, spec, jc)
 }
 
 func serveProtocols(w http.ResponseWriter, _ *http.Request) {

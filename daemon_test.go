@@ -219,7 +219,11 @@ func TestDaemonSpilledStreamReplays(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
 	exec := func(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
-		<-release
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 		return tcc.ExecuteJob(ctx, spec, jc)
 	}
 	q := runner.NewQueue(runner.Config{Capacity: 4, Workers: 1, StateDir: dir, Validate: tcc.ValidateJobSpec}, exec)

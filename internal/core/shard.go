@@ -116,6 +116,9 @@ func (s *System) runSharded() (*Results, error) {
 			return nil, fmt.Errorf("core: watchdog expired at cycle %d (%d procs still running)",
 				start, s.running)
 		}
+		if s.kernel.Interrupted() {
+			return nil, fmt.Errorf("core: %w at cycle %d", sim.ErrInterrupted, start)
+		}
 		if err := s.maybeCheckpoint(start); err != nil {
 			return nil, err
 		}

@@ -422,8 +422,9 @@ func (r *Results) ClassBytesPerInstr(c mesh.Class) float64 {
 }
 
 // Run executes the program to completion and gathers results. It fails if
-// the watchdog expires or the simulation wedges (an event-drained kernel
-// with unfinished processors indicates a protocol deadlock).
+// the watchdog expires, Interrupt is called, or the simulation wedges (an
+// event-drained kernel with unfinished processors indicates a protocol
+// deadlock).
 func (s *System) Run() (*Results, error) {
 	if s.win != nil {
 		return s.runSharded()
@@ -438,12 +439,16 @@ func (s *System) Run() (*Results, error) {
 		}
 	}
 	// Batch dispatch: StepCycle drains each simulated cycle's events in one
-	// pass, so the watchdog check runs per cycle rather than per event. The
-	// loop boundary is a quiescent cut — where checkpoints are taken.
+	// pass, so the watchdog and interrupt checks run per cycle rather than
+	// per event. The loop boundary is a quiescent cut — where checkpoints
+	// are taken.
 	for s.kernel.Pending() > 0 {
 		if s.cfg.MaxCycles > 0 && s.kernel.Now() > s.cfg.MaxCycles {
 			return nil, fmt.Errorf("core: watchdog expired at cycle %d (%d procs still running)",
 				s.kernel.Now(), s.running)
+		}
+		if s.kernel.Interrupted() {
+			return nil, fmt.Errorf("core: %w at cycle %d", sim.ErrInterrupted, s.kernel.Now())
 		}
 		s.kernel.StepCycle()
 		if s.aud != nil && s.aud.err != nil {
@@ -468,6 +473,11 @@ func (s *System) Run() (*Results, error) {
 	s.endTime = s.kernel.Now()
 	return s.results(), nil
 }
+
+// Interrupt stops a run in progress at its next cycle boundary; Run then
+// returns an error wrapping sim.ErrInterrupted. It is safe to call from any
+// goroutine, and a call before Run stops it at its first cut.
+func (s *System) Interrupt() { s.kernel.Interrupt() }
 
 // deadlockReport renders processor and directory state for debugging a
 // wedged simulation.

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -49,7 +50,9 @@ type Options struct {
 	// are fanned across; 1 runs the matrix sequentially.
 	Parallel int
 
-	// JobTimeout bounds each simulation's wall-clock time (0 = none).
+	// JobTimeout bounds each simulation's wall-clock time (0 = none): a
+	// cell still running when it expires stops at its next cycle boundary
+	// and fails the matrix.
 	JobTimeout time.Duration
 
 	// Progress, if non-nil, is called after each completed simulation with
@@ -62,10 +65,9 @@ type Options struct {
 	// unchanged.
 	CountEvents bool
 
-	// Ctx, if non-nil, is checked before each simulation starts; a canceled
-	// context fails the matrix with the context's error. In-flight
-	// simulations are not preempted (they are pure compute) — cancellation
-	// takes effect at the next cell boundary.
+	// Ctx, if non-nil, stops the matrix once it is done: every running
+	// simulation stops at its next cycle boundary, no further one runs,
+	// and the matrix fails with an error wrapping the context's error.
 	Ctx context.Context
 
 	// OnCell, if non-nil, is called from the worker goroutine the moment one
@@ -199,10 +201,20 @@ type RunResult struct {
 	Events map[string]uint64
 }
 
-// runJob executes one matrix cell. The config is validated after the
-// mutate hook so a bad sweep knob fails with a config error instead of
-// deep inside core.
+// runJob executes one matrix cell under o.Ctx and the cell's JobTimeout.
+// The config is validated after the mutate hook so a bad sweep knob fails
+// with a config error instead of deep inside core.
 func (o Options) runJob(j Job) (RunResult, error) {
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cellCtx := ctx
+	if o.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		cellCtx, cancel = context.WithTimeout(ctx, o.JobTimeout)
+		defer cancel()
+	}
 	prof, err := tcc.ProfileByNameErr(j.App)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("experiments: %w", err)
@@ -224,7 +236,10 @@ func (o Options) runJob(j Job) (RunResult, error) {
 		counter = tcc.NewCountingObserver()
 		sys.Observe(counter)
 	}
-	res, err := sys.Run()
+	res, err := tcc.RunCancelable(cellCtx, sys, sys.Run)
+	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		return RunResult{}, fmt.Errorf("experiments: %s: timed out after %v", cell, o.JobTimeout)
+	}
 	if err != nil {
 		return RunResult{}, fmt.Errorf("experiments: %s: %w", cell, err)
 	}
@@ -272,16 +287,8 @@ func (p plan) prepare(o Options) (Options, []Job, error) {
 func (o Options) runMatrix(name string, jobs []Job, todo []int) ([]RunResult, error) {
 	return harness.Map(harness.Config{
 		Workers:    o.Parallel,
-		Timeout:    o.JobTimeout,
 		OnProgress: o.Progress,
 	}, todo, func(_ int, i int) (RunResult, error) {
-		if o.Ctx != nil {
-			select {
-			case <-o.Ctx.Done():
-				return RunResult{}, o.Ctx.Err()
-			default:
-			}
-		}
 		out, err := o.runJob(jobs[i])
 		if err != nil {
 			return RunResult{}, err

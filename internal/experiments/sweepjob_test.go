@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"scalabletcc/internal/runner"
 	"scalabletcc/tcc"
@@ -151,7 +152,26 @@ func TestSweepTimeout(t *testing.T) {
 	jc := runner.NewJobContext()
 	_, err := executeSweep(context.Background(), spec, jc)
 	if err == nil || !strings.Contains(err.Error(), "timed out after 1ms") {
-		t.Fatalf("want the harness timeout error, got %v", err)
+		t.Fatalf("want the cell timeout error, got %v", err)
+	}
+}
+
+// A cell still running at its timeout stops at its next cycle boundary, so
+// the matrix fails as soon as the timeout expires instead of when the
+// simulation would have finished, and of several cells that timed out the
+// lowest-index one is reported.
+func TestCellTimeoutStopsRunningCells(t *testing.T) {
+	o := DefaultOptions()
+	o.Parallel = 2
+	o.JobTimeout = 50 * time.Millisecond
+	jobs := []Job{{App: "barnes", Procs: 16}, {App: "hotspot", Procs: 16}}
+	start := time.Now()
+	_, err := o.runMatrix("timeout", jobs, every(len(jobs)))
+	if err == nil || !strings.Contains(err.Error(), "tcc barnes on 16 procs: timed out after 50ms") {
+		t.Fatalf("want cell 0's timeout, got %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("matrix took %v to fail after a 50ms cell timeout", d)
 	}
 }
 
@@ -222,7 +242,7 @@ func TestSweepSpecResolution(t *testing.T) {
 }
 
 // The sweep kind is registered with the tcc job registry on import, and a
-// canceled context stops the sweep at a cell boundary.
+// canceled context stops the sweep.
 func TestSweepRegisteredAndCancelable(t *testing.T) {
 	spec := sweepSpec(t)
 	spec.Sweep.Tables = false

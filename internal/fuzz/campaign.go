@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,9 +20,9 @@ type Options struct {
 	Seed     uint64        // generator seed (campaigns are repeatable up to the time budget)
 	Jobs     int           // parallel workers; <1 = GOMAXPROCS
 
-	// CaseTimeout is the wall-clock guard per case. A case that produces no
-	// result within it is classed "hang" (its goroutine is abandoned, as the
-	// harness does for timed-out jobs). 0 = 2 minutes.
+	// CaseTimeout is the wall-clock deadline per case. A case still running
+	// when it expires stops at its next cycle boundary and is classed
+	// "hang". 0 = 2 minutes.
 	CaseTimeout time.Duration
 
 	// ShrinkBudget bounds the simulations spent shrinking one failure.
@@ -70,9 +71,10 @@ type outcome struct {
 
 // Campaign generates and runs adversarial cases until the time budget is
 // spent or MaxFailures failures have been found, shrinking and taping each
-// failure. The returned error covers campaign-infrastructure problems only;
-// protocol failures are reported in the Report.
-func Campaign(opts Options) (*Report, error) {
+// failure. The returned error covers campaign-infrastructure problems and
+// ctx being done, which stops the running cases at their next cycle
+// boundary; protocol failures are reported in the Report.
+func Campaign(ctx context.Context, opts Options) (*Report, error) {
 	jobs := opts.Jobs
 	if jobs < 1 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -104,8 +106,21 @@ func Campaign(opts Options) (*Report, error) {
 		}
 	}
 
+	// runCase runs one case under the case deadline and classifies it.
+	runCase := func(c *Case) (class, detail string) {
+		cctx, cancel := context.WithTimeout(ctx, caseTimeout)
+		defer cancel()
+		err := Run(cctx, c)
+		switch class = Class(err); class {
+		case "":
+			return "", ""
+		case "hang":
+			return class, fmt.Sprintf("no result within %v", caseTimeout)
+		}
+		return class, err.Error()
+	}
 	classify := func(c *Case) string {
-		cl, _ := runGuarded(c, caseTimeout)
+		cl, _ := runCase(c)
 		return cl
 	}
 
@@ -124,11 +139,14 @@ func Campaign(opts Options) (*Report, error) {
 		// must not discard its batch.
 		outs, err := harness.Map(harness.Config{Workers: jobs}, cases,
 			func(_ int, c Case) (outcome, error) {
-				cl, detail := runGuarded(&c, caseTimeout)
+				cl, detail := runCase(&c)
 				return outcome{c: c, class: cl, detail: detail}, nil
 			})
 		if err != nil {
 			return nil, fmt.Errorf("fuzz: worker pool: %w", err)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		rep.Cases += n
 		for _, o := range outs {
@@ -139,6 +157,9 @@ func Campaign(opts Options) (*Report, error) {
 			logf("case %s failed [%s]: %s", o.c.Name, o.class, o.detail)
 			f := Failure{Class: o.class, Detail: o.detail, Original: o.c}
 			sr := Shrink(o.c, o.class, shrinkBudget, classify)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			f.Shrunk, f.ShrinkRuns = sr.Case, sr.Runs
 			logf("shrunk to %s in %d runs (%d reductions accepted)", sr.Case.Name, sr.Runs, sr.Steps)
 			if opts.OutDir != "" {
@@ -158,23 +179,6 @@ func Campaign(opts Options) (*Report, error) {
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// runGuarded runs one case under a wall-clock guard. On timeout the case is
-// classed "hang" and its goroutine is abandoned — a pure-compute simulation
-// cannot be cancelled from outside (same policy as harness timeouts).
-func runGuarded(c *Case, timeout time.Duration) (class, detail string) {
-	done := make(chan error, 1)
-	go func() { done <- Run(c) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return Class(err), err.Error()
-		}
-		return "", ""
-	case <-time.After(timeout):
-		return "hang", fmt.Sprintf("no result within %v", timeout)
-	}
 }
 
 // writeTape records a shrunken failure as a repro tape in dir.
@@ -204,7 +208,7 @@ func ReplayTape(path string) error {
 	if err := r.Payload(&c); err != nil {
 		return err
 	}
-	got := Class(Run(&c))
+	got := Class(Run(context.Background(), &c))
 	if got != r.Expect {
 		return fmt.Errorf("fuzz: tape %s: replay produced class %q, tape expects %q", path, got, r.Expect)
 	}

@@ -10,6 +10,7 @@
 package fuzz
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -180,8 +181,10 @@ func (e *panicError) Error() string { return fmt.Sprintf("fuzz: simulator panick
 
 // Run executes one case to completion under the continuous invariant
 // auditor, then applies the end-of-run oracles (serializability check,
-// final-memory audit). A nil return means the case ran clean.
-func Run(c *Case) (err error) {
+// final-memory audit). A nil return means the case ran clean. Once ctx is
+// done the simulation stops at its next cycle boundary and Run returns
+// ctx.Err(); a case deadline (context.DeadlineExceeded) is class "hang".
+func Run(ctx context.Context, c *Case) (err error) {
 	if verr := c.Validate(); verr != nil {
 		return fmt.Errorf("fuzz: invalid case: %w", verr)
 	}
@@ -191,7 +194,7 @@ func Run(c *Case) (err error) {
 		}
 	}()
 	if p := c.protocol(); p != "tcc" {
-		return runProtocol(c, p)
+		return runProtocol(ctx, c, p)
 	}
 	sys, err := core.NewSystem(c.Config(), c.Program())
 	if err != nil {
@@ -202,7 +205,7 @@ func Run(c *Case) (err error) {
 	if c.Fault == FaultSkipVector {
 		sys.InjectSkipVectorFault(sim.Time(c.FaultCycle), c.FaultDir)
 	}
-	res, err := sys.Run()
+	res, err := tcc.RunCancelable(ctx, sys, sys.Run)
 	if err != nil {
 		return err
 	}
@@ -221,12 +224,12 @@ func Run(c *Case) (err error) {
 // applies the same end-of-run oracles. The continuous auditor and fault
 // injection are core-machine instruments; the rival models are checked by
 // the protocol-independent oracles alone.
-func runProtocol(c *Case, protocol string) error {
+func runProtocol(ctx context.Context, c *Case, protocol string) error {
 	sys, err := tcc.NewSystemFor(protocol, c.ProtoConfig(), c.Program())
 	if err != nil {
 		return fmt.Errorf("fuzz: building %s system: %w", protocol, err)
 	}
-	res, err := sys.Run()
+	res, err := tcc.RunCancelable(ctx, sys, sys.Run)
 	if err != nil {
 		return err
 	}
@@ -255,6 +258,9 @@ func Class(err error) string {
 	var pe *panicError
 	if errors.As(err, &pe) {
 		return "panic"
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		return "hang"
 	}
 	msg := err.Error()
 	switch {

@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 	"time"
@@ -65,7 +67,7 @@ func TestRunCleanAcrossProtocols(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			c := smallCase(17)
 			c.Protocol = proto
-			if err := Run(&c); err != nil {
+			if err := Run(context.Background(), &c); err != nil {
 				t.Fatalf("[%s] %v", Class(err), err)
 			}
 		})
@@ -121,17 +123,45 @@ func TestRunCleanAdversarialCases(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			if err := Run(&c); err != nil {
+			if err := Run(context.Background(), &c); err != nil {
 				t.Fatalf("[%s] %v", Class(err), err)
 			}
 		})
 	}
 }
 
+// A case whose deadline passes is class "hang", on every protocol.
+func TestCaseDeadlineIsHang(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	for _, proto := range []string{"tcc", "tl2"} {
+		c := smallCase(17)
+		c.Protocol = proto
+		if err := Run(ctx, &c); Class(err) != "hang" {
+			t.Fatalf("%s: a case past its deadline: [%s] %v, want class hang", proto, Class(err), err)
+		}
+	}
+}
+
+// A campaign whose context is done stops with the context's error instead
+// of spending its time budget.
+func TestCampaignStopsWhenCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := Campaign(ctx, Options{Duration: time.Minute, Seed: 1, Jobs: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled campaign: %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("canceled campaign took %v", d)
+	}
+}
+
 // Run is deterministic: identical cases produce identical outcomes.
 func TestRunDeterministic(t *testing.T) {
 	c1, c2 := smallCase(11), smallCase(11)
-	e1, e2 := Run(&c1), Run(&c2)
+	e1, e2 := Run(context.Background(), &c1), Run(context.Background(), &c2)
 	s1, s2 := "", ""
 	if e1 != nil {
 		s1 = e1.Error()
@@ -156,14 +186,14 @@ func TestInjectedFaultCaughtShrunkReplayed(t *testing.T) {
 
 	// (1) Caught mid-run with the expected class.
 	const wantClass = "audit:skip-vector-bounds"
-	err := Run(&c)
+	err := Run(context.Background(), &c)
 	if got := Class(err); got != wantClass {
 		t.Fatalf("fault class %q (err %v), want %q", got, err, wantClass)
 	}
 
 	// (2) Shrinking preserves the class and only removes structure.
 	sr := Shrink(c, wantClass, 80, nil)
-	if got := Class(Run(&sr.Case)); got != wantClass {
+	if got := Class(Run(context.Background(), &sr.Case)); got != wantClass {
 		t.Fatalf("shrunk case fails with %q, want %q", got, wantClass)
 	}
 	if sr.Case.Procs > c.Procs || sr.Case.TxPerProc > c.TxPerProc {
@@ -236,7 +266,7 @@ func TestCampaignSmoke(t *testing.T) {
 		t.Skip("campaign smoke runs full simulations")
 	}
 	dir := t.TempDir()
-	rep, err := Campaign(Options{
+	rep, err := Campaign(context.Background(), Options{
 		Duration:    3 * time.Second,
 		Seed:        1,
 		Jobs:        2,

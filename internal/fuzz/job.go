@@ -58,10 +58,10 @@ type jobReport struct {
 	Failures   []jobFailure `json:"failures,omitempty"`
 }
 
-// executeFuzz is the "fuzz" job executor. A campaign honors its own
-// duration budget rather than ctx — the queue's wall-clock guard abandons
-// it if it wedges — and streams progress through jc.Logf.
-func executeFuzz(_ context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
+// executeFuzz is the "fuzz" job executor. A campaign runs until its
+// duration budget is spent or ctx is done, and streams progress through
+// jc.Logf.
+func executeFuzz(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
 	fz := spec.Fuzz
 	opts := Options{
 		Duration:     time.Duration(fz.DurationSec) * time.Second,
@@ -83,7 +83,7 @@ func executeFuzz(_ context.Context, spec *runner.JobSpec, jc *runner.JobContext)
 	if opts.OutDir != "" && !filepath.IsAbs(opts.OutDir) && jc.CheckpointPath != "" {
 		opts.OutDir = filepath.Join(filepath.Dir(jc.CheckpointPath), opts.OutDir)
 	}
-	rep, err := Campaign(opts)
+	rep, err := Campaign(ctx, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package fuzz
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Shrinking. A failing fuzz case is usually huge — tens of processors,
 // thousands of operations. The shrinker greedily applies reductions (halve
@@ -25,11 +28,12 @@ var reseedTries = []uint64{0 /* own */, 1, 2, 3}
 
 // Shrink reduces c to a minimal case that still fails with class. budget
 // bounds the number of simulations. classify maps a case to its failure
-// class; nil means Class(Run(c)) — campaigns pass a wall-clock-guarded
-// classifier so a hang-class case can still shrink.
+// class; nil means Class(Run(c)) with no deadline — campaigns pass one
+// that runs each case under the case deadline, so a hang-class case can
+// still shrink.
 func Shrink(c Case, class string, budget int, classify func(*Case) string) ShrinkResult {
 	if classify == nil {
-		classify = func(c *Case) string { return Class(Run(c)) }
+		classify = func(c *Case) string { return Class(Run(context.Background(), c)) }
 	}
 	runs, steps := 0, 0
 	try := func(cand Case) (Case, bool) {

@@ -13,8 +13,10 @@
 //     degenerates to exactly the sequential loop (jobs run in index order
 //     and execution stops at the first error);
 //   - panics inside a job are recovered and surfaced as that job's error
-//     (with the stack), so one bad cell cannot take down a whole sweep;
-//   - an optional per-job wall-clock timeout bounds wedged simulations.
+//     (with the stack), so one bad cell cannot take down a whole sweep.
+//
+// A job that must stop early stops itself (a simulation cell at a cycle
+// boundary), so the pool never leaves a job running behind it.
 //
 // The progress callback is the one deliberately non-deterministic output:
 // it fires in completion order, which is the quantity a progress meter
@@ -27,7 +29,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Config parameterizes one Run.
@@ -36,12 +37,6 @@ type Config struct {
 	// Values < 1 mean runtime.GOMAXPROCS(0); the pool never exceeds the
 	// number of jobs. Workers = 1 reproduces the sequential loop exactly.
 	Workers int
-
-	// Timeout bounds each job's wall-clock time (0 = unbounded). A job
-	// that exceeds it fails with a timeout error; its goroutine is left
-	// to finish in the background, since a pure-compute job cannot be
-	// cancelled from outside.
-	Timeout time.Duration
 
 	// OnProgress, if non-nil, is called after each job completes with
 	// (completed, total). Calls are serialized and completed counts up
@@ -83,7 +78,7 @@ func Run[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 				if i >= n || failed.Load() {
 					return
 				}
-				results[i], errs[i] = runOne(cfg.Timeout, i, fn)
+				results[i], errs[i] = protect(i, fn)
 				if errs[i] != nil {
 					failed.Store(true)
 				}
@@ -110,31 +105,6 @@ func Run[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 // Map is Run over a slice of inputs: out[i] = fn(i, in[i]).
 func Map[I, O any](cfg Config, in []I, fn func(i int, item I) (O, error)) ([]O, error) {
 	return Run(cfg, len(in), func(i int) (O, error) { return fn(i, in[i]) })
-}
-
-// runOne executes one job with panic recovery and the optional timeout.
-func runOne[T any](timeout time.Duration, i int, fn func(int) (T, error)) (T, error) {
-	if timeout <= 0 {
-		return protect(i, fn)
-	}
-	type outcome struct {
-		val T
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, err := protect(i, fn)
-		ch <- outcome{v, err}
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.val, o.err
-	case <-timer.C:
-		var zero T
-		return zero, fmt.Errorf("harness: job %d timed out after %v", i, timeout)
-	}
 }
 
 // protect runs fn(i), converting a panic into an error carrying the stack.

@@ -48,25 +48,6 @@ func TestPanicRecovered(t *testing.T) {
 	}
 }
 
-func TestTimeout(t *testing.T) {
-	start := time.Now()
-	_, err := Run(Config{Workers: 2, Timeout: 20 * time.Millisecond}, 3, func(i int) (int, error) {
-		if i == 1 {
-			time.Sleep(2 * time.Second)
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("timed-out job did not fail the run")
-	}
-	if !strings.Contains(err.Error(), "job 1 timed out after 20ms") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("Run waited %v for the wedged job instead of timing out", elapsed)
-	}
-}
-
 // TestSequentialStopsAtFirstError: with one worker the schedule must
 // degenerate to the sequential loop — jobs after the first failure never
 // start.
@@ -150,74 +131,4 @@ func TestMap(t *testing.T) {
 	if fmt.Sprint(out) != "[1 2 3]" {
 		t.Fatalf("Map out = %v", out)
 	}
-}
-
-// The timeout path routes jobs through a watcher goroutine (runOne); a panic
-// inside that goroutine must still be captured and attributed, not crash the
-// pool or vanish.
-func TestTimeoutPathCapturesPanic(t *testing.T) {
-	_, err := Run(Config{Workers: 2, Timeout: time.Second}, 4, func(i int) (int, error) {
-		if i == 2 {
-			panic("boom under timeout")
-		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("panic did not surface as an error")
-	}
-	if !strings.Contains(err.Error(), "job 2 panicked: boom under timeout") {
-		t.Fatalf("error does not identify the panicking job: %v", err)
-	}
-	if !strings.Contains(err.Error(), "harness_test.go") {
-		t.Fatalf("error lacks a stack trace: %v", err)
-	}
-}
-
-// When several jobs exceed the timeout, the reported error is the
-// lowest-index one — the same determinism contract as ordinary errors.
-func TestTimeoutLowestIndexWins(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	_, err := Run(Config{Workers: 4, Timeout: 15 * time.Millisecond}, 4, func(i int) (int, error) {
-		if i == 1 || i == 3 {
-			<-release // wedge until the test ends
-		}
-		return i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "job 1 timed out after 15ms") {
-		t.Fatalf("err = %v, want the job-1 timeout", err)
-	}
-}
-
-// A timeout config must not disturb successful runs: staggered sub-timeout
-// jobs complete out of order, results still come back keyed by index.
-func TestTimeoutKeepsIndexOrderedResults(t *testing.T) {
-	const n = 16
-	out, err := Run(Config{Workers: 4, Timeout: 5 * time.Second}, n, func(i int) (int, error) {
-		time.Sleep(time.Duration((n-i)%4) * time.Millisecond)
-		return i * 7, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*7 {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*7)
-		}
-	}
-}
-
-// A timed-out job's abandoned goroutine finishing later must not overwrite
-// the recorded timeout with a success.
-func TestTimeoutResultNotOverwrittenByLateFinish(t *testing.T) {
-	done := make(chan struct{})
-	_, err := Run(Config{Workers: 1, Timeout: 10 * time.Millisecond}, 1, func(i int) (int, error) {
-		defer close(done)
-		time.Sleep(50 * time.Millisecond)
-		return 42, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "job 0 timed out") {
-		t.Fatalf("err = %v, want timeout", err)
-	}
-	<-done // let the abandoned goroutine finish before the test exits
 }

@@ -115,9 +115,14 @@ func (m *Machine) Emit(e obs.Event) {
 	m.Obsv.Event(e)
 }
 
+// Interrupt stops Simulate at its next cycle boundary; it is safe to call
+// from any goroutine.
+func (m *Machine) Interrupt() { m.Kernel.Interrupt() }
+
 // Simulate starts every processor at cycle 0 and runs the kernel dry. It
-// fails if the Cfg.MaxCycles watchdog expires, a processor never finishes,
-// or a request record was never freed.
+// fails if the Cfg.MaxCycles watchdog expires, Interrupt is called (the
+// error wraps sim.ErrInterrupted), a processor never finishes, or a request
+// record was never freed.
 func (m *Machine) Simulate() error {
 	maxCycles := m.Cfg.MaxCycles
 	m.running = len(m.threads)
@@ -127,6 +132,9 @@ func (m *Machine) Simulate() error {
 	for m.Kernel.Pending() > 0 {
 		if maxCycles > 0 && m.Kernel.Now() > maxCycles {
 			return fmt.Errorf("%s: watchdog expired at cycle %d", m.Name, m.Kernel.Now())
+		}
+		if m.Kernel.Interrupted() {
+			return fmt.Errorf("%s: %w at cycle %d", m.Name, sim.ErrInterrupted, m.Kernel.Now())
 		}
 		m.Kernel.StepCycle()
 	}

@@ -184,8 +184,8 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 			return // client went away, or the spilled log is unreadable
 		}
 		if closed {
-			// A trailing partial line means the writer was abandoned
-			// mid-line; it is not a valid events line, so drop it.
+			// A trailing partial line (an executor that did not end its
+			// stream on a line) is not a valid events line, so drop it.
 			st, _ := q.Status(r.PathValue("id"))
 			state := StateDone
 			if st != nil {

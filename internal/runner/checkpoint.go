@@ -260,6 +260,16 @@ func WriteSnapshot(path, jobID, specHash string, entry ...[]byte) error {
 	return nil
 }
 
+// RemoveStaleTemp removes the temp file that a crash in the middle of
+// replacing path (writeAtomic) left behind, if there is one. A job whose
+// file is never replaced again would otherwise keep it forever.
+func RemoveStaleTemp(path string) error {
+	if err := os.Remove(path + ".tmp"); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("runner: remove stale temp file: %w", err)
+	}
+	return nil
+}
+
 // writeAtomic replaces the file at path with the concatenation of pieces so
 // that a crash at any point leaves either the old file or the new one: it
 // writes <path>.tmp, fsyncs it, renames it over path, and fsyncs the

@@ -124,10 +124,11 @@ func NewJobContext() *JobContext {
 	return jc
 }
 
-// Executor runs one job. It must honor ctx cancellation where it can check
-// it (between sweep cells); the queue additionally guards every job with
-// the fuzz-watchdog pattern, abandoning the executor goroutine if it cannot
-// stop — a pure-compute simulation is not preemptible from outside.
+// Executor runs one job. It runs on a queue worker, which waits for it, so
+// it must return promptly once ctx is done, with ctx.Err() or an error
+// wrapping it: a simulation stops at its next cycle boundary
+// (tcc.RunCancelable), a sweep stops every running cell, and a fuzz
+// campaign stops its running cases.
 type Executor func(ctx context.Context, spec *JobSpec, jc *JobContext) (*JobResult, error)
 
 // Config parameterizes a Queue.
@@ -358,9 +359,8 @@ func (q *Queue) Events(id string) (*StreamLog, bool) {
 }
 
 // Cancel stops a queued or running job. Queued jobs retire immediately;
-// running jobs have their context canceled and are abandoned if the
-// executor cannot stop (the wall-clock-guard policy). Canceling a finished
-// job is a no-op.
+// running jobs have their context canceled, and their executor stops and
+// returns, which retires them. Canceling a finished job is a no-op.
 func (q *Queue) Cancel(id string) error {
 	q.mu.Lock()
 	j, ok := q.jobs[id]
@@ -388,9 +388,9 @@ func (q *Queue) Cancel(id string) error {
 
 // Shutdown stops the queue: no new submissions, running jobs are
 // interrupted (left resumable, not marked canceled), queued jobs stay
-// queued on disk, and all workers exit before Shutdown returns. With a
-// StateDir, a new Queue over the same directory picks everything up via
-// Recover — the daemon-restart path.
+// queued on disk, and all workers, with the executors they ran, exit
+// before Shutdown returns. With a StateDir, a new Queue over the same
+// directory picks everything up via Recover — the daemon-restart path.
 func (q *Queue) Shutdown() {
 	q.shutdown.Do(func() {
 		close(q.done)
@@ -422,7 +422,8 @@ func (q *Queue) worker() {
 	}
 }
 
-// runJob executes one job under the cancellation/timeout guard.
+// runJob executes one job under its cancellation context, which Cancel,
+// Shutdown and the JobTimeout deadline end.
 func (q *Queue) runJob(j *job) {
 	q.mu.Lock()
 	if j.status.State != StateQueued || j.userCanceled {
@@ -469,42 +470,15 @@ func (q *Queue) runJob(j *job) {
 		}
 	}
 
-	// The fuzz-watchdog pattern: the executor runs in its own goroutine and
-	// is abandoned on cancellation or timeout — a wedged simulation cannot
-	// be preempted, only outwaited by its MaxCycles watchdog. A panicking
-	// executor fails its job (persisted like any failure, so Recover does
-	// not replay it) instead of taking the daemon down.
-	type outcome struct {
-		res *JobResult
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{nil, fmt.Errorf("runner: executor panicked: %v", r)}
-			}
-		}()
-		res, err := q.exec(ctx, j.spec, jc)
-		ch <- outcome{res, err}
-	}()
-
+	res, err := q.execute(ctx, j.spec, jc)
 	var state string
-	var res *JobResult
-	var err error
-	select {
-	case o := <-ch:
-		res, err = o.res, o.err
-		switch {
-		case err == nil:
-			state = StateDone
-		case ctx.Err() != nil:
-			state, err = q.interruptState(j, ctx, err)
-		default:
-			state = StateFailed
-		}
-	case <-ctx.Done():
-		state, err = q.interruptState(j, ctx, ctx.Err())
+	switch {
+	case err == nil:
+		state = StateDone
+	case ctx.Err() != nil:
+		state, err = q.interruptState(j, ctx, err)
+	default:
+		state = StateFailed
 	}
 	if state == "" {
 		// Queue shutdown: leave the job resumable. Re-mark it queued so an
@@ -517,6 +491,18 @@ func (q *Queue) runJob(j *job) {
 		return
 	}
 	q.finish(j, state, res, err)
+}
+
+// execute runs the executor on the worker goroutine. A panicking executor
+// fails its job (persisted like any failure, so Recover does not replay it)
+// instead of taking the daemon down.
+func (q *Queue) execute(ctx context.Context, spec *JobSpec, jc *JobContext) (res *JobResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("runner: executor panicked: %v", r)
+		}
+	}()
+	return q.exec(ctx, spec, jc)
 }
 
 // interruptState classifies a context interruption: user cancel, wall-clock
@@ -620,11 +606,13 @@ func (q *Queue) persistOutcome(id string, st JobStatus, res *JobResult) error {
 
 // Recover re-enqueues every persisted job that has a spec but no recorded
 // outcome — jobs that were queued or running when the previous daemon
-// stopped. Sweep jobs find their checkpoint manifest (same ID, same state
-// directory) and resume instead of recomputing. A stored spec that no
-// longer decodes or passes admission (it names something since removed,
-// say) gets a failed outcome naming the reason, so it is reported once and
-// never retried, and recovery goes on with the rest. Returns the recovered
+// stopped. First it removes every temp file (*.tmp) a crash left in the
+// middle of an atomic replace: none is ever read, and nothing is running
+// yet to be writing one. Sweep jobs find their checkpoint manifest (same
+// ID, same state directory) and resume instead of recomputing. A stored
+// spec that no longer decodes or passes admission (it names something
+// since removed, say) gets a failed outcome naming the reason, so it is
+// reported once and never retried, and recovery goes on with the rest. Returns the recovered
 // IDs in order, and every job that could not be recovered as one error.
 func (q *Queue) Recover() ([]string, error) {
 	if q.cfg.StateDir == "" {
@@ -638,8 +626,15 @@ func (q *Queue) Recover() ([]string, error) {
 		return nil, fmt.Errorf("runner: scan state dir: %w", err)
 	}
 	var ids []string
+	var errs []error
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasSuffix(name, ".tmp") {
+			if err := os.Remove(filepath.Join(q.cfg.StateDir, name)); err != nil {
+				errs = append(errs, fmt.Errorf("runner: remove stale temp file: %w", err))
+			}
+			continue
+		}
 		if !strings.HasSuffix(name, ".spec.json") {
 			continue
 		}
@@ -647,7 +642,6 @@ func (q *Queue) Recover() ([]string, error) {
 	}
 	sort.Strings(ids)
 	var recovered []string
-	var errs []error
 	for _, id := range ids {
 		// Keep the sequence counter ahead of every stored ID, so a new job
 		// never takes over a stored job's files.

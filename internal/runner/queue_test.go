@@ -338,6 +338,48 @@ func TestRecoverRerunsTornOutcome(t *testing.T) {
 	}
 }
 
+// A crash image: temp files of interrupted atomic replaces, for a finished
+// job, an unfinished one and a spec that was never written. Recover removes
+// every one of them before any job runs, and leaves the rest alone.
+func TestRecoverRemovesStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	spec, err := runSpec("crashed").Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{
+		"j000001.spec.json":         spec,
+		"j000001.outcome.json":      []byte(`{"status":{"id":"j000001","state":"done"}}`),
+		"j000001.ckpt.jsonl.tmp":    []byte("torn snapshot"),
+		"j000002.spec.json":         spec,
+		"j000002.ckpt.jsonl.tmp":    []byte("torn snapshot"),
+		"j000002.outcome.json.tmp":  []byte(`{"status":`),
+		"j000003.spec.json.tmp":     spec[:10],
+		"j000002.ckpt.jsonl.events": []byte("kept\n"),
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex := newBlockingExecutor()
+	q := NewQueue(Config{Capacity: 4, Workers: 1, StateDir: dir}, ex.exec)
+	defer q.Shutdown()
+	ids, err := q.Recover()
+	if err != nil || len(ids) != 1 || ids[0] != "j000002" {
+		t.Fatalf("recovered %v (err %v), want [j000002]", ids, err)
+	}
+	<-ex.started
+	for name := range files {
+		_, err := os.Stat(filepath.Join(dir, name))
+		if stale := strings.HasSuffix(name, ".tmp"); stale != os.IsNotExist(err) {
+			t.Errorf("%s: stat error %v after Recover", name, err)
+		}
+	}
+	close(ex.gate("j000002"))
+	waitState(t, q, "j000002", StateDone)
+}
+
 // TestQueuePanicFailsJob: a panicking executor fails its job and leaves
 // the queue serving the next one, and the failure is persisted, so a
 // queue restarted over the same state dir does not run the job again.

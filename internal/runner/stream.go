@@ -28,9 +28,9 @@ const blockSize = 64 << 10
 // on its way in, and a reader's view of a block stays valid however much
 // is appended after it.
 //
-// Close marks the end of the stream; writes after Close are silently
-// dropped (an abandoned job goroutine may still be running — same policy
-// as harness and fuzz wall-clock guards).
+// Close marks the end of the stream. The queue closes a job's log only
+// after its executor has returned, so no writer is left; a write after
+// Close or Spill is dropped, which keeps a spilled log equal to its file.
 //
 // A finished log can be spilled to a file (Spill): the in-memory blocks are
 // dropped and every later read is served from the file, so a daemon does

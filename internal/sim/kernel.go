@@ -36,7 +36,11 @@
 // sequence order, and the wheel pops exactly the order the old heap did.
 package sim
 
-import "math/bits"
+import (
+	"errors"
+	"math/bits"
+	"sync/atomic"
+)
 
 // Time is the simulation clock in cycles.
 type Time uint64
@@ -111,7 +115,26 @@ type Kernel struct {
 	now  Time
 	seq  uint64
 	nRun uint64
+
+	// stop is set by Interrupt, from any goroutine, and read by the run
+	// loop once per cycle.
+	stop atomic.Bool
 }
+
+// ErrInterrupted is the error a run loop wraps when it stops because
+// Interrupt was called.
+var ErrInterrupted = errors.New("run interrupted")
+
+// Interrupt asks the loop running k to stop at its next cycle boundary,
+// the quiescent cut between two cycles. It is safe to call from any
+// goroutine, before or during a run, any number of times; the request
+// stays set.
+func (k *Kernel) Interrupt() { k.stop.Store(true) }
+
+// Interrupted reports whether Interrupt has been called. A run loop checks
+// it beside its MaxCycles watchdog and returns an error wrapping
+// ErrInterrupted.
+func (k *Kernel) Interrupted() bool { return k.stop.Load() }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }

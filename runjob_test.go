@@ -3,10 +3,13 @@ package scalabletcc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
+	_ "scalabletcc/internal/fuzz" // registers the "fuzz" job kind
 	"scalabletcc/tcc"
 )
 
@@ -136,5 +139,38 @@ func TestRunJobSummaryMatchesProto(t *testing.T) {
 	}
 	if sum.Cycles != out.Proto.Summary.Cycles || sum.Commits != out.Proto.Summary.Commits {
 		t.Fatalf("wire summary %+v disagrees with typed summary %+v", sum, out.Proto.Summary)
+	}
+}
+
+// A job whose context is done stops: a run, a sweep and a fuzz campaign,
+// canceled before they start or while they run, each return
+// context.Canceled promptly, because every simulation in them stops at its
+// next cycle boundary.
+func TestRunJobHonorsCancellation(t *testing.T) {
+	// The run and the sweep's 16p cell each take seconds uncanceled.
+	run := tcc.NewJobSpec(tcc.JobKindRun)
+	run.Run = &tcc.RunSpec{App: "barnes", Procs: 16, Scale: 8, Seed: 3}
+	sweep := tcc.NewJobSpec(tcc.JobKindSweep)
+	sweep.Sweep = &tcc.SweepSpec{Experiments: []string{"fig7"}, Apps: []string{"barnes"}, Procs: []int{16}, Scale: 8, Parallel: 1}
+	fuzz := tcc.NewJobSpec(tcc.JobKindFuzz)
+	fuzz.Fuzz = &tcc.FuzzSpec{DurationSec: 600, Seed: 1, Jobs: 1}
+	for _, spec := range []*tcc.JobSpec{run, sweep, fuzz} {
+		for _, after := range []time.Duration{0, 300 * time.Millisecond} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if after == 0 {
+				cancel()
+			} else {
+				time.AfterFunc(after, cancel)
+			}
+			start := time.Now()
+			_, err := tcc.RunJob(ctx, spec, nil)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s job canceled after %v: want context.Canceled, got %v", spec.Kind, after, err)
+			}
+			if d := time.Since(start); d > after+5*time.Second {
+				t.Fatalf("%s job canceled after %v returned after %v", spec.Kind, after, d)
+			}
+		}
 	}
 }

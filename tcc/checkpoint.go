@@ -12,13 +12,11 @@ package tcc
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
-	"sync"
 
 	"scalabletcc/internal/core"
 	"scalabletcc/internal/obs"
@@ -99,38 +97,38 @@ type runCheckpointer struct {
 	sys     *System // restored machine; nil = start fresh
 	prefix  []byte  // event-stream bytes emitted before the resumed cut
 
-	path, jobID, specHash string
-	// writeEntry makes one snapshot entry durable in place of the last:
-	// rc.put, or in a test a wrapper that inspects the files at that
-	// instant.
+	// writeEntry makes one snapshot entry, the concatenation of pieces,
+	// durable in place of the last: runner.WriteSnapshot, or in a test a
+	// wrapper that inspects the files at that instant.
 	writeEntry func(pieces ...[]byte) error
-	// mu orders put against close: once close returns, a run abandoned by
-	// runGuarded writes no further snapshot and stops at its next cut.
-	mu     sync.Mutex
-	closed bool
 	// sidecar holds the stream copy. It takes the stream's blocks as they
 	// are written, and save flushes the stream before each snapshot write,
-	// so a durable entry's event_bytes are on disk. An *os.File is safe
-	// under a Write from an abandoned run racing close.
+	// so a durable entry's event_bytes are on disk.
 	sidecar *os.File
 	counter *countingWriter
 	events  *obs.JSONLStream
 	head    []byte // reused snapshot-entry framing
 }
 
-// newRunCheckpointer reads the snapshot file at jc.CheckpointPath, restores
-// its snapshot if it has one, and opens the sidecar when the job streams
-// events. A snapshot that does not restore is left for the first save to
-// replace. wantEvents says whether the job has an event sink attached —
-// without one there is no stream to preserve and the sidecar is skipped.
+// newRunCheckpointer removes the snapshot file's stale temp file, reads
+// the file at jc.CheckpointPath, restores its snapshot if it has one, and
+// opens the sidecar when the job streams events. A snapshot that does not
+// restore is left for the first save to replace. wantEvents says whether
+// the job has an event sink attached — without one there is no stream to
+// preserve and the sidecar is skipped.
 func newRunCheckpointer(spec *JobSpec, cfg Config, prog Program, jc *JobContext, wantEvents bool) (*runCheckpointer, error) {
 	specHash, err := spec.Hash()
 	if err != nil {
 		return nil, err
 	}
 	path := jc.CheckpointPath
-	rc := &runCheckpointer{every: spec.Run.CheckpointEvery, path: path, jobID: jc.ID, specHash: specHash}
-	rc.writeEntry = rc.put
+	if err := runner.RemoveStaleTemp(path); err != nil {
+		return nil, err
+	}
+	rc := &runCheckpointer{every: spec.Run.CheckpointEvery}
+	rc.writeEntry = func(pieces ...[]byte) error {
+		return runner.WriteSnapshot(path, jc.ID, specHash, pieces...)
+	}
 	entry, err := runner.ReadSnapshot(path, specHash)
 	if err != nil {
 		return nil, err
@@ -238,31 +236,15 @@ func (rc *runCheckpointer) save(ck *Checkpoint) error {
 // size for every job copies about as many bytes as the encoding writes. (A
 // sync.Pool would not keep them: the collector empties it every cycle or
 // two, and a job collects several times.) A buffer is held only inside
-// save, so a run abandoned by runGuarded never shares one. The capacity
-// bounds what idle buffers keep alive; saves run one per busy worker, and a
-// buffer returned when four wait is dropped.
+// save, so no two saves share one. The capacity bounds what idle buffers
+// keep alive; saves run one per busy worker, and a buffer returned when
+// four wait is dropped.
 var ckBufs = make(chan []byte, 4)
 
-// put writes one snapshot entry, the concatenation of pieces, in place of
-// the last, unless the checkpointer is closed.
-func (rc *runCheckpointer) put(pieces ...[]byte) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.closed {
-		return errCheckpointerClosed
-	}
-	return runner.WriteSnapshot(rc.path, rc.jobID, rc.specHash, pieces...)
-}
-
-var errCheckpointerClosed = errors.New("tcc: checkpoint closed (the job was abandoned)")
-
-// close stops further snapshot writes and closes the sidecar. Errors are
-// dropped: a resume trusts the sidecar only up to a durable entry's
-// event_bytes, which save flushed before writing the entry.
+// close closes the sidecar once the run has returned. Errors are dropped:
+// a resume trusts the sidecar only up to a durable entry's event_bytes,
+// which save flushed before writing the entry.
 func (rc *runCheckpointer) close() {
-	rc.mu.Lock()
-	rc.closed = true
-	rc.mu.Unlock()
 	if rc.sidecar != nil {
 		rc.sidecar.Close()
 	}

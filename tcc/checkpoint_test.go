@@ -10,8 +10,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"scalabletcc/internal/core"
 	"scalabletcc/internal/runner"
@@ -316,19 +318,66 @@ func TestForkCopiesParentCheckpoint(t *testing.T) {
 	}
 }
 
-// Once close returns, a run that runGuarded abandoned writes no snapshot:
-// its next save fails, which ends it, and cannot replace the file a resumed
-// job in the same process now owns.
-func TestClosedCheckpointerWritesNothing(t *testing.T) {
+// A checkpointed run canceled during a save stops at its next cut: it
+// returns context.Canceled, and the snapshot file keeps the entry that save
+// wrote, with nothing written after it, then or later.
+func TestCanceledCheckpointedRunStopsAtNextCut(t *testing.T) {
+	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt.jsonl")
+	rc, cfg, prog := openCheckpointer(t, spec, path, false)
+	defer rc.close()
+	sys, err := NewSystem(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	writes := 0
+	write := rc.writeEntry
+	rc.writeEntry = func(pieces ...[]byte) error {
+		writes++
+		cancel()
+		for !sys.inner.Kernel().Interrupted() {
+			runtime.Gosched()
+		}
+		return write(pieces...)
+	}
+	_, err = RunCancelable(ctx, sys, func() (*Results, error) { return sys.RunCheckpointed(rc.every, rc.save) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: %v, want context.Canceled", err)
+	}
+	if writes != 1 {
+		t.Fatalf("canceled run wrote %d snapshots, want only the one it was canceled in", writes)
+	}
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := sys.inner.Kernel().Events()
+	time.Sleep(100 * time.Millisecond)
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, saved) {
+		t.Fatalf("snapshot file changed after the canceled run returned (err %v)", err)
+	}
+	if n := sys.inner.Kernel().Events(); n != events {
+		t.Fatalf("kernel ran %d events after the canceled run returned", n-events)
+	}
+	checkStateDir(t, dir, path, true)
+}
+
+// Opening a run's checkpoint removes the temp file a crash in the middle
+// of a save left behind: a resumed run that takes no further cut would
+// otherwise keep it forever.
+func TestCheckpointerRemovesStaleTemp(t *testing.T) {
 	spec, _ := checkpointedSpec(t, "hotspot", 4, 0.1)
 	path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+	if err := os.WriteFile(path+".tmp", []byte("torn snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	rc, _, _ := openCheckpointer(t, spec, path, false)
 	rc.close()
-	if err := rc.writeEntry([]byte(`{"cycle":1,"event_bytes":0,"checkpoint":{}}`)); !errors.Is(err, errCheckpointerClosed) {
-		t.Fatalf("write after close: %v, want errCheckpointerClosed", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("write after close reached the file (%v)", err)
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived opening the checkpoint: %v", err)
 	}
 }
 

@@ -11,6 +11,7 @@ package tcc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -385,18 +386,14 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 			return scalableResults(scal.RunCheckpointed(rc.every, rc.save))
 		}
 	}
-	// The stream's last block is flushed on the goroutine that ran the
-	// simulation, whether or not the run failed: a failed run keeps its
-	// stream, and an abandoned one never shares the stream with this one.
-	res, err := runGuarded(ctx, func() (*ProtocolResults, error) {
-		res, err := run()
-		if stream != nil {
-			if ferr := stream.Flush(); ferr != nil && err == nil {
-				err = fmt.Errorf("tcc: event stream: %w", ferr)
-			}
+	res, err := RunCancelable(ctx, sys, run)
+	// A failed or interrupted run keeps its stream up to the cut it
+	// stopped at.
+	if stream != nil {
+		if ferr := stream.Flush(); ferr != nil && err == nil {
+			err = fmt.Errorf("tcc: event stream: %w", ferr)
 		}
-		return res, err
-	})
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -416,34 +413,21 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 	return &JobOutput{Result: result, Proto: res, Profiler: profiler}, nil
 }
 
-// runGuarded executes the system, honoring ctx cancellation with the
-// wall-clock-guard policy: a pure-compute simulation cannot be preempted, so
-// on cancellation the goroutine is abandoned (its MaxCycles watchdog bounds
-// how long it lingers) and the caller moves on. A panic on that goroutine
-// becomes the run's error, since nothing could recover it upstream. A
-// background context runs inline with zero overhead.
-func runGuarded(ctx context.Context, run func() (*ProtocolResults, error)) (*ProtocolResults, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return run()
+// RunCancelable calls run, a Run of sys, and interrupts sys once ctx is
+// done, so the run stops at its next cycle boundary. A run the interrupt
+// stopped, or never started because ctx was already done, reports
+// ctx.Err(); a run that ended first keeps its own result or error. Under a
+// context that is never done it is just run().
+func RunCancelable[T any](ctx context.Context, sys interface{ Interrupt() }, run func() (T, error)) (T, error) {
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
 	}
-	type outcome struct {
-		res *ProtocolResults
-		err error
+	stop := context.AfterFunc(ctx, sys.Interrupt)
+	defer stop()
+	res, err := run()
+	if errors.Is(err, ErrInterrupted) && ctx.Err() != nil {
+		return res, ctx.Err()
 	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- outcome{nil, fmt.Errorf("tcc: simulation panicked: %v", r)}
-			}
-		}()
-		res, err := run()
-		ch <- outcome{res, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return res, err
 }

@@ -173,16 +173,6 @@ func TestExecuteJobStreamsToJobContext(t *testing.T) {
 	}
 }
 
-func TestRunJobHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	spec := hotspotSpec(8)
-	spec.Run.Scale = 1.0
-	if _, err := tcc.RunJob(ctx, spec, nil); err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
 // A run the max_cycles watchdog stops keeps its stream: the last block is
 // flushed on the error path too. Both the CLI's EventWriter and the
 // daemon's StreamLog must end on a line and equal a direct run with the

@@ -39,10 +39,13 @@ type ProtocolInfo struct {
 }
 
 // ProtocolSystem is an assembled machine of any registered protocol, ready
-// to run one program. All models support passive event observation and the
-// final-memory audit (the latter requires Config.CollectCommitLog).
+// to run one program. All models support passive event observation, the
+// final-memory audit (the latter requires Config.CollectCommitLog), and
+// Interrupt, which stops a run at its next cycle boundary from any
+// goroutine.
 type ProtocolSystem interface {
 	Run() (*ProtocolResults, error)
+	Interrupt()
 	Observe(o Observer)
 	AuditFinalMemory() error
 }
@@ -201,6 +204,7 @@ func buildScalable(cc core.Config, prog Program, collectLog bool) (ProtocolSyste
 
 func (p *protoScalable) Run() (*ProtocolResults, error) { return scalableResults(p.sys.Run()) }
 
+func (p *protoScalable) Interrupt()              { p.sys.Interrupt() }
 func (p *protoScalable) Observe(o Observer)      { p.sys.Observe(o) }
 func (p *protoScalable) AuditFinalMemory() error { return p.sys.AuditFinalMemory() }
 
@@ -220,8 +224,8 @@ func scalableResults(res *Results, err error) (*ProtocolResults, error) {
 // --- the rivals: baseline, tl2 and eager ---
 
 // protoRival runs any rival machine. The embedded Machine supplies
-// Observe, AuditFinalMemory, the run and its digest; detail attaches the
-// protocol's own counters to the results.
+// Observe, Interrupt, AuditFinalMemory, the run and its digest; detail
+// attaches the protocol's own counters to the results.
 type protoRival struct {
 	*rival.Machine
 	detail func(*ProtocolResults)

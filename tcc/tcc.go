@@ -232,6 +232,15 @@ func newSystem(cc core.Config, prog Program, collectLog bool) (*System, error) {
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) { return s.inner.Run() }
 
+// Interrupt stops a run in progress at its next cycle boundary, the
+// quiescent cut between two cycles; Run then returns an error wrapping
+// ErrInterrupted. It is safe to call from any goroutine. RunCancelable
+// wires it to a context.
+func (s *System) Interrupt() { s.inner.Interrupt() }
+
+// ErrInterrupted is wrapped by the error of a run that Interrupt stopped.
+var ErrInterrupted = sim.ErrInterrupted
+
 // Checkpoint is a versioned snapshot of the full simulator state
 // (scalabletcc/kernel-checkpoint v1), taken at a quiescent cut: pending
 // kernel events, cache tags and line bodies, directory and NSTID state, the
