@@ -629,9 +629,9 @@ func (q *Queue) Recover() ([]string, error) {
 	var errs []error
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			if err := os.Remove(filepath.Join(q.cfg.StateDir, name)); err != nil {
-				errs = append(errs, fmt.Errorf("runner: remove stale temp file: %w", err))
+		if path, ok := strings.CutSuffix(name, ".tmp"); ok {
+			if err := RemoveStaleTemp(filepath.Join(q.cfg.StateDir, path)); err != nil {
+				errs = append(errs, err)
 			}
 			continue
 		}
