@@ -25,7 +25,7 @@ import (
 // package's own tests use stub executors; here the simulator is real, so the
 // end-to-end contracts hold: SSE reconstructs the exact event stream a CLI
 // run writes, and a sweep interrupted by a daemon restart resumes from its
-// checkpoint manifest into the byte-identical report.
+// checkpoint file into the byte-identical report.
 
 func newDaemon(t *testing.T, cfg runner.Config) (*runner.Queue, *httptest.Server) {
 	t.Helper()
@@ -309,7 +309,7 @@ func TestDaemonCancel(t *testing.T) {
 
 // TestDaemonRestartResumesSweep is the restart-resume acceptance check: a
 // sweep job interrupted by a queue shutdown mid-run is recovered by a new
-// queue over the same state directory, resumes from its checkpoint manifest,
+// queue over the same state directory, resumes from its checkpoint file,
 // and produces the byte-identical bench-sweep v2 report an uninterrupted run
 // produces.
 func TestDaemonRestartResumesSweep(t *testing.T) {
@@ -341,21 +341,26 @@ func TestDaemonRestartResumesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for the manifest to accumulate a couple of completed cells, then
-	// pull the plug. (If the sweep somehow outruns the poll, the resume leg
+	// Wait for the checkpoint file to hold a couple of completed cells,
+	// then pull the plug. (If the sweep somehow outruns the poll, the resume leg
 	// below degrades to recovering a queued-but-done job, which Recover
 	// skips; guard against that by requiring an interruption.)
 	ckpt := filepath.Join(dir, st.ID+".ckpt.jsonl")
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
-		if data, err := os.ReadFile(ckpt); err == nil && bytes.Count(data, []byte("\n")) >= 3 {
+		var cells []json.RawMessage
+		if line, err := runner.ReadSnapshot(ckpt, hash); err == nil && json.Unmarshal(line, &cells) == nil && len(cells) >= 2 {
 			break
 		}
 		if cur, _ := q1.Status(st.ID); cur != nil && cur.State != runner.StateQueued && cur.State != runner.StateRunning {
 			t.Fatalf("sweep finished (%s) before it could be interrupted; enlarge the matrix", cur.State)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("checkpoint manifest never grew")
+			t.Fatal("checkpoint file never held two cells")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -73,8 +73,9 @@ type Options struct {
 	// OnCell, if non-nil, is called from the worker goroutine the moment one
 	// matrix cell completes successfully, with the experiment name and the
 	// cell's job index. The sweep executor uses it to collect the report's
-	// cells and to append checkpoint entries, making each finished cell
-	// durable immediately. Implementations must be safe for concurrent use.
+	// cells and, on a checkpointed sweep, to rewrite the checkpoint file
+	// with every cell finished so far, making each finished cell durable
+	// immediately. Implementations must be safe for concurrent use.
 	OnCell func(experiment string, index int, j Job, out RunResult)
 }
 

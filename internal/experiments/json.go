@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"sync"
 
 	"scalabletcc/internal/mesh"
@@ -91,9 +93,10 @@ func (rep *Report) Write(w io.Writer) error {
 }
 
 // entry is one finished cell as a sweep keeps it, in memory and as one
-// checkpoint-manifest line: everything the report needs except the speedup,
-// which depends on the series base. Cycles is duplicated as a number so
-// the speedup is computed from it, never from the raw summary.
+// element of its checkpoint file's entry: everything the report needs
+// except the speedup, which depends on the series base. Cycles is
+// duplicated as a number so the speedup is computed from it, never from
+// the raw summary.
 type entry struct {
 	Experiment string          `json:"experiment"`
 	Index      int             `json:"index"`
@@ -171,18 +174,44 @@ func traffic(pr *tcc.ProtocolResults) *Traffic {
 	return t
 }
 
-// entries holds a sweep's finished cells by experiment and job index. A
-// resume pre-loads it from the manifest; Options.OnCell adds to it from the
-// worker goroutines.
+// entries holds a sweep's finished cells, sorted by experiment and job
+// index. A resume pre-loads them from the checkpoint file (load);
+// Options.OnCell adds to them from the worker goroutines (put).
 type entries struct {
-	mu  sync.Mutex
-	m   map[string]map[int]entry
-	err error // the first cell that failed to render
+	mu   sync.Mutex
+	kept []keptEntry
+	err  error // the first cell that failed to render
+	// save, set when the sweep is checkpointed, replaces the checkpoint
+	// file's entry with the concatenation of pieces (runner.WriteSnapshot)
+	// and logs a failure.
+	save func(pieces ...[]byte)
 }
 
+// keptEntry is one finished cell and, when the sweep is checkpointed, its
+// JSON encoding.
+type keptEntry struct {
+	entry
+	raw []byte
+}
+
+var (
+	openBracket  = []byte("[")
+	comma        = []byte(",")
+	closeBracket = []byte("]")
+)
+
 // put keeps one finished cell; a cell that failed to render (err != nil)
-// fails the report instead.
+// fails the report instead. On a checkpointed sweep it then replaces the
+// checkpoint file's entry with a JSON array of every cell kept so far,
+// under the same lock, so each write holds exactly the cells finished
+// before it. A failed write is not retried: the next cell's write carries
+// every finished cell, and a resume reruns only the cells no write
+// reached.
 func (s *entries) put(e entry, err error) {
+	var raw []byte
+	if err == nil && s.save != nil {
+		raw, err = json.Marshal(e)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -191,19 +220,62 @@ func (s *entries) put(e entry, err error) {
 		}
 		return
 	}
-	if s.m == nil {
-		s.m = make(map[string]map[int]entry)
+	s.add(e, raw)
+	if s.save == nil {
+		return
 	}
-	if s.m[e.Experiment] == nil {
-		s.m[e.Experiment] = make(map[int]entry)
+	pieces := make([][]byte, 0, 2*len(s.kept)+1)
+	sep := openBracket
+	for _, k := range s.kept {
+		pieces = append(pieces, sep, k.raw)
+		sep = comma
 	}
-	s.m[e.Experiment][e.Index] = e
+	s.save(append(pieces, closeBracket)...)
+}
+
+// load keeps the cells of a checkpoint entry, the JSON array put writes.
+// If any of it does not decode, it keeps none and returns the error.
+func (s *entries) load(line []byte) error {
+	var raws []json.RawMessage
+	if err := json.Unmarshal(line, &raws); err != nil {
+		return err
+	}
+	for _, raw := range raws {
+		var e entry
+		if err := json.Unmarshal(raw, &e); err != nil {
+			s.kept = nil
+			return err
+		}
+		s.add(e, raw)
+	}
+	return nil
+}
+
+// add keeps e, encoded as raw, at its place in the order, in place of a
+// cell already kept there; callers hold s.mu or own s.
+func (s *entries) add(e entry, raw []byte) {
+	i, ok := s.find(e.Experiment, e.Index)
+	if ok {
+		s.kept[i] = keptEntry{e, raw}
+		return
+	}
+	s.kept = slices.Insert(s.kept, i, keptEntry{e, raw})
+}
+
+// find returns where (experiment, index) is kept, or where it would go,
+// and whether it is kept; callers hold s.mu or own s.
+func (s *entries) find(experiment string, index int) (int, bool) {
+	i := sort.Search(len(s.kept), func(i int) bool {
+		k := s.kept[i]
+		return k.Experiment > experiment || k.Experiment == experiment && k.Index >= index
+	})
+	return i, i < len(s.kept) && s.kept[i].Experiment == experiment && s.kept[i].Index == index
 }
 
 func (s *entries) has(experiment string, index int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.m[experiment][index]
+	_, ok := s.find(experiment, index)
 	return ok
 }
 
@@ -218,10 +290,11 @@ func (s *entries) cells(experiment string, n int) ([]Cell, error) {
 	out := make([]Cell, n)
 	base := make(map[string]uint64)
 	for i := range out {
-		e, ok := s.m[experiment][i]
+		j, ok := s.find(experiment, i)
 		if !ok {
 			return nil, fmt.Errorf("experiments: cell %d of %s is missing", i, experiment)
 		}
+		e := s.kept[j].entry
 		key := e.App + "\x00" + e.Protocol
 		b, seen := base[key]
 		if !seen {

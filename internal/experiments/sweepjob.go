@@ -3,21 +3,21 @@
 // the daemon and tccbench both execute sweeps through tcc.RunJob.
 //
 // A sweep job is checkpointable: when the runner provides a checkpoint
-// path, every completed matrix cell is appended to the manifest the moment
-// it finishes, and a restarted job resumes from the manifest instead of
+// path, each matrix cell that finishes replaces the checkpoint file's one
+// entry, through runner.WriteSnapshot, with a JSON array of every cell
+// finished so far, and a restarted job resumes from that array instead of
 // recomputing. A fresh and a resumed sweep build the report the same way:
 // from the per-cell entries OnCell produces, collected in memory as they
-// finish and, on a resume, pre-loaded from the manifest. Entries carry each
-// cell's components as raw JSON (the Summary wire form is lossy to decode,
-// so it is never round-tripped through structs), and the series-relative
-// speedups are computed from the entries' cycle counts.
+// finish and, on a resume, pre-loaded from the checkpoint file. Entries
+// carry each cell's components as raw JSON (the Summary wire form is lossy
+// to decode, so it is never round-tripped through structs), and the
+// series-relative speedups are computed from the entries' cycle counts.
 
 package experiments
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -124,11 +124,58 @@ func sweepOptions(sw *runner.SweepSpec) Options {
 
 // executeSweep is the "sweep" job executor: tccbench's experiment loop in
 // job form, with optional checkpointing when the runner provides a path.
-// Every experiment runs its missing cells through the one runner — on a
-// fresh sweep, all of them — and the report is assembled from the entries.
-// Tables need the whole matrix's results, so a resumed sweep (one that
-// found entries in its manifest) has Resumed set and no Tables.
 func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext) (*runner.JobResult, error) {
+	done, err := openCheckpoint(spec, jc)
+	if err != nil {
+		return nil, err
+	}
+	return sweepFrom(ctx, spec, jc, done)
+}
+
+// openCheckpoint returns the cells the sweep starts from: none without a
+// checkpoint path, else those of the checkpoint file, whose every later
+// cell then rewrites it. It first removes the temp file a crash in the
+// middle of a write left. A checkpoint entry that does not decode (a
+// manifest of the old append-only shape, say) is logged and dropped, and
+// the sweep recomputes from scratch, which is always correct.
+func openCheckpoint(spec *runner.JobSpec, jc *runner.JobContext) (*entries, error) {
+	done := &entries{}
+	path := jc.CheckpointPath
+	if path == "" {
+		return done, nil
+	}
+	hash, err := spec.Hash()
+	if err != nil {
+		return nil, err
+	}
+	if err := runner.RemoveStaleTemp(path); err != nil {
+		return nil, err
+	}
+	line, err := runner.ReadSnapshot(path, hash)
+	if err != nil {
+		return nil, err
+	}
+	if line != nil {
+		if err := done.load(line); err != nil {
+			jc.Logf("sweep checkpoint undecodable (%v); recomputing from scratch", err)
+		} else {
+			jc.Logf("resumed %d finished cells from the checkpoint", len(done.kept))
+		}
+	}
+	done.save = func(pieces ...[]byte) {
+		if err := runner.WriteSnapshot(path, jc.ID, hash, pieces...); err != nil {
+			jc.Logf("sweep checkpoint not written (%v); the next finished cell's write carries its cells", err)
+		}
+	}
+	return done, nil
+}
+
+// sweepFrom runs the sweep's missing cells, the ones done does not hold,
+// and assembles the report from the entries. Every experiment runs them
+// through the one runner — on a fresh sweep, all of them. Tables need the
+// whole matrix's results, so a resumed sweep (one that started from
+// checkpointed cells) has Resumed set and no Tables.
+func sweepFrom(ctx context.Context, spec *runner.JobSpec, jc *runner.JobContext, done *entries) (*runner.JobResult, error) {
 	sw := spec.Sweep
 	names, err := sweepNames(sw)
 	if err != nil {
@@ -139,29 +186,7 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 		progress = func(string, int, int) {}
 	}
 	base := sweepOptions(sw)
-
-	var done entries
-	var cw *runner.CheckpointWriter
-	resumed := false
-	if jc.CheckpointPath != "" {
-		hash, err := spec.Hash()
-		if err != nil {
-			return nil, err
-		}
-		var lines [][]byte
-		if lines, cw, err = runner.OpenCheckpoint(jc.CheckpointPath, jc.ID, hash); err != nil {
-			return nil, err
-		}
-		defer cw.Close()
-		for _, line := range lines {
-			var e entry
-			if json.Unmarshal(line, &e) != nil {
-				continue // the spec-hash header vouched for the file; skip a bad line, don't trust it
-			}
-			done.put(e, nil)
-		}
-		resumed = len(lines) > 0
-	}
+	resumed := len(done.kept) > 0
 
 	var cells []Cell
 	var tables bytes.Buffer
@@ -185,11 +210,7 @@ func executeSweep(ctx context.Context, spec *runner.JobSpec, jc *runner.JobConte
 		o.Ctx = ctx
 		o.Progress = func(d, _ int) { progress(name, skipped+d, len(jobs)) }
 		o.OnCell = func(experiment string, i int, j Job, out RunResult) {
-			ent, err := newEntry(experiment, i, j, out)
-			done.put(ent, err)
-			if err == nil && cw != nil {
-				_ = cw.Append(ent) // a lost entry only makes a resume rerun the cell
-			}
+			done.put(newEntry(experiment, i, j, out))
 		}
 		if len(todo) == 0 && len(jobs) > 0 {
 			progress(name, len(jobs), len(jobs))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,11 +75,37 @@ func runSweep(t *testing.T, spec *runner.JobSpec, ckpt string) *runner.JobResult
 	return res
 }
 
-// A sweep resumed from a partial checkpoint manifest must produce the
-// report an uninterrupted run produces — the pinned one — on every
-// experiment: the manifest is cut after dircache's first cell, so the
-// resume replays the experiments before it, reruns dircache's missing
-// cells, and runs the rest.
+// checkpointCells decodes the cells in a sweep's checkpoint file, in file
+// order, each with its raw JSON.
+func checkpointCells(t *testing.T, path string, spec *runner.JobSpec) []keptEntry {
+	t.Helper()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := runner.ReadSnapshot(path, hash)
+	if err != nil || line == nil {
+		t.Fatalf("no checkpoint entry in %s (err=%v)", path, err)
+	}
+	var raws []json.RawMessage
+	if err := json.Unmarshal(line, &raws); err != nil {
+		t.Fatalf("checkpoint entry is not a JSON array: %v", err)
+	}
+	cells := make([]keptEntry, len(raws))
+	for i, raw := range raws {
+		if err := json.Unmarshal(raw, &cells[i].entry); err != nil {
+			t.Fatalf("checkpoint cell %d: %v", i, err)
+		}
+		cells[i].raw = raw
+	}
+	return cells
+}
+
+// A sweep resumed from a partial checkpoint must produce the report an
+// uninterrupted run produces — the pinned one — on every experiment: the
+// checkpoint is cut to the cells of the experiments before dircache and
+// dircache's first cell, so the resume replays those, reruns dircache's
+// missing cells, and runs the rest.
 func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	spec := pinSpec(t)
 	want, err := os.ReadFile(pinReportPath)
@@ -86,9 +113,9 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Run once with checkpointing to record a full manifest, then emulate a
-	// daemon killed mid-sweep by truncating it. (Deterministic, unlike
-	// racing a real cancellation.)
+	// Run once with checkpointing to record every cell, then emulate a
+	// daemon killed mid-sweep by rewriting the checkpoint with part of
+	// them. (Deterministic, unlike racing a real cancellation.)
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt.jsonl")
 	full := runSweep(t, spec, ckpt)
 	if full.Resumed || !strings.Contains(full.Tables, "== fig7 ==") {
@@ -97,28 +124,35 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 	if !bytes.Equal(full.Report, want) {
 		t.Fatal("checkpointed fresh run must not change the report")
 	}
-	data, err := os.ReadFile(ckpt)
+	cells := checkpointCells(t, ckpt, spec)
+	if len(cells) != full.Cells {
+		t.Fatalf("checkpoint holds %d cells, the report %d", len(cells), full.Cells)
+	}
+	pos := make(map[string]int)
+	for i, n := range Names() {
+		pos[n] = i
+	}
+	var keep [][]byte
+	for _, c := range cells {
+		if pos[c.Experiment] < pos["dircache"] || c.Experiment == "dircache" && c.Index == 0 {
+			keep = append(keep, c.raw)
+		}
+	}
+	if len(keep) == 0 || len(keep) >= len(cells) {
+		t.Fatalf("cut keeps %d of %d cells", len(keep), len(cells))
+	}
+	hash, err := spec.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	cut := 0
-	for i, ln := range lines[1:] {
-		if bytes.Contains(ln, []byte(`"experiment":"dircache"`)) {
-			cut = i + 2 // the header, every cell before dircache, and dircache's first cell
-			break
-		}
-	}
-	if cut == 0 || cut >= len(lines) || !bytes.Contains(lines[cut], []byte(`"experiment":"dircache"`)) {
-		t.Fatal("manifest has no second dircache cell to cut before")
-	}
-	if err := os.WriteFile(ckpt, bytes.Join(lines[:cut], nil), 0o644); err != nil {
+	if err := runner.WriteSnapshot(ckpt, "j000000", hash,
+		[]byte("["), bytes.Join(keep, []byte(",")), []byte("]")); err != nil {
 		t.Fatal(err)
 	}
 
 	resumed := runSweep(t, spec, ckpt)
 	if !resumed.Resumed {
-		t.Fatal("run from a non-empty manifest must report Resumed")
+		t.Fatal("run from a non-empty checkpoint must report Resumed")
 	}
 	if resumed.Tables != "" {
 		t.Fatal("resumed runs drop tables (checkpoints carry cells, not rows)")
@@ -130,12 +164,194 @@ func TestSweepResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("resumed report differs from uninterrupted:\n--- uninterrupted\n%s\n--- resumed\n%s", want, resumed.Report)
 	}
 
-	// A manifest recorded under a different spec must be ignored, not
+	// A checkpoint recorded under a different spec must be ignored, not
 	// replayed: the edited job recomputes from scratch.
 	edited := runner.NewJobSpec(runner.KindSweep)
 	edited.Sweep = tinySweep("fig6")
 	if res := runSweep(t, edited, ckpt); res.Resumed {
-		t.Fatal("a spec change must invalidate the manifest")
+		t.Fatal("a spec change must invalidate the checkpoint")
+	}
+}
+
+// With cells finishing on two workers, every write of the checkpoint file
+// holds exactly the cells finished before it: the n-th holds n distinct
+// cells in (experiment, index) order, all those of the write before plus
+// one, and the last holds the whole report's. A sweep resumed from any of
+// those images, with the temp file of a write torn by a crash beside it,
+// reports byte for byte what an uninterrupted sweep reports.
+func TestSweepCheckpointHoldsFinishedCells(t *testing.T) {
+	spec := sweepSpec(t)
+	spec.Sweep.Tables = false
+	if spec.Sweep.Parallel < 2 {
+		t.Fatal("the sweep must finish cells on more than one worker")
+	}
+	want := runSweep(t, spec, "")
+
+	dir := t.TempDir()
+	jc := runner.NewJobContext()
+	jc.ID = "j000000"
+	jc.CheckpointPath = filepath.Join(dir, "sweep.ckpt.jsonl")
+	done, err := openCheckpoint(spec, jc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The hook runs on the workers, so it only records each image; the
+	// checks run on the test goroutine.
+	var images [][]byte
+	save := done.save
+	done.save = func(pieces ...[]byte) { // called by put, under done.mu
+		save(pieces...)
+		data, err := os.ReadFile(jc.CheckpointPath)
+		if err != nil {
+			t.Error(err)
+		}
+		images = append(images, data)
+	}
+	res, err := sweepFrom(context.Background(), spec, jc, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Resumed || !bytes.Equal(res.Report, want.Report) {
+		t.Fatalf("checkpointed sweep: resumed=%v, report equal %v", res.Resumed, bytes.Equal(res.Report, want.Report))
+	}
+	if len(images) != res.Cells {
+		t.Fatalf("%d writes for a %d-cell report", len(images), res.Cells)
+	}
+
+	var prev []keptEntry
+	for n, img := range images {
+		path := filepath.Join(dir, fmt.Sprintf("resume%d.ckpt.jsonl", n))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cells := checkpointCells(t, path, spec)
+		if len(cells) != n+1 {
+			t.Fatalf("write %d holds %d cells", n+1, len(cells))
+		}
+		for i := 1; i < len(cells); i++ {
+			a, b := cells[i-1], cells[i]
+			if a.Experiment > b.Experiment || a.Experiment == b.Experiment && a.Index >= b.Index {
+				t.Fatalf("write %d: cell %d (%s %d) is not after cell %d (%s %d)",
+					n+1, i, b.Experiment, b.Index, i-1, a.Experiment, a.Index)
+			}
+		}
+		for _, p := range prev {
+			j, ok := (&entries{kept: cells}).find(p.Experiment, p.Index)
+			if !ok || !bytes.Equal(cells[j].raw, p.raw) {
+				t.Fatalf("write %d dropped or changed %s cell %d", n+1, p.Experiment, p.Index)
+			}
+		}
+		prev = cells
+
+		next := images[min(n+1, len(images)-1)]
+		if err := os.WriteFile(path+".tmp", next[:len(next)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got := runSweep(t, spec, path)
+		if !got.Resumed || !bytes.Equal(got.Report, want.Report) {
+			t.Fatalf("resume from write %d: resumed=%v, report\n%s", n+1, got.Resumed, got.Report)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("resume from write %d left the torn temp file (%v)", n+1, err)
+		}
+	}
+}
+
+// A checkpoint write that fails is logged and not kept: the next finished
+// cell's write carries every cell, the one that failed to land included.
+func TestSweepCheckpointWriteFailureIsNotSticky(t *testing.T) {
+	spec := sweepSpec(t)
+	spec.Sweep.Tables = false
+	var logged []string
+	jc := runner.NewJobContext()
+	jc.ID = "j000000"
+	jc.CheckpointPath = filepath.Join(t.TempDir(), "sweep.ckpt.jsonl")
+	jc.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	done, err := openCheckpoint(spec, jc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var images [][]byte
+	save := done.save
+	done.save = func(pieces ...[]byte) { // called by put, under done.mu
+		tmp := jc.CheckpointPath + ".tmp"
+		if len(images) == 1 {
+			// A directory in the temp file's place makes this write fail.
+			if err := os.Mkdir(tmp, 0o755); err != nil {
+				t.Error(err)
+			}
+			defer os.Remove(tmp)
+		}
+		save(pieces...)
+		data, err := os.ReadFile(jc.CheckpointPath)
+		if err != nil {
+			t.Error(err)
+		}
+		images = append(images, data)
+	}
+	res, err := sweepFrom(context.Background(), spec, jc, done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(images) < 3 {
+		t.Fatalf("only %d writes; the failed one must be followed by another", len(images))
+	}
+	if !bytes.Equal(images[1], images[0]) {
+		t.Fatal("the failed write changed the file")
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "sweep checkpoint not written") {
+		t.Fatalf("logged %q, want one failed write", logged)
+	}
+	if got := checkpointCells(t, jc.CheckpointPath, spec); len(got) != res.Cells {
+		t.Fatalf("checkpoint holds %d cells after the sweep, want all %d", len(got), res.Cells)
+	}
+}
+
+// A checkpoint file of the shape sweeps once wrote, the header and one
+// appended line per finished cell, holds nothing a sweep resumes from: the
+// sweep recomputes from scratch (Resumed false, tables kept), reports what
+// an uninterrupted sweep reports, and leaves the file in the one-entry
+// shape. A file with one such line says why it recomputed.
+func TestSweepOldManifestRecomputes(t *testing.T) {
+	spec := sweepSpec(t)
+	want := runSweep(t, spec, "")
+	path := filepath.Join(t.TempDir(), "sweep.ckpt.jsonl")
+	runSweep(t, spec, path)
+	cells := checkpointCells(t, path, spec)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, _, _ := bytes.Cut(data, []byte("\n"))
+
+	for _, n := range []int{1, len(cells)} {
+		manifest := append(append([]byte(nil), hdr...), '\n')
+		for _, c := range cells[:n] {
+			manifest = append(append(manifest, c.raw...), '\n')
+		}
+		if err := os.WriteFile(path, manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged []string
+		jc := runner.NewJobContext()
+		jc.ID = "j000000"
+		jc.CheckpointPath = path
+		jc.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		res, err := executeSweep(context.Background(), spec, jc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Resumed || res.Tables != want.Tables || !bytes.Equal(res.Report, want.Report) {
+			t.Fatalf("%d-line manifest: resumed=%v, tables equal %v, report equal %v",
+				n, res.Resumed, res.Tables == want.Tables, bytes.Equal(res.Report, want.Report))
+		}
+		recomputing := len(logged) == 1 && strings.HasSuffix(logged[0], "recomputing from scratch")
+		if n == 1 && !recomputing || n > 1 && len(logged) != 0 {
+			t.Fatalf("%d-line manifest logged %q", n, logged)
+		}
+		if got := checkpointCells(t, path, spec); len(got) != res.Cells {
+			t.Fatalf("%d-line manifest rewritten with %d cells, want %d", n, len(got), res.Cells)
+		}
 	}
 }
 

@@ -33,24 +33,13 @@ const MaxSpecBytes = 1 << 20
 func NewServer(q *Queue) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
-			return
-		}
-		if len(body) > MaxSpecBytes {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("job spec exceeds %d bytes", MaxSpecBytes))
-			return
-		}
-		spec, err := DecodeJobSpec(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+		spec, ok := readSpec(w, r)
+		if !ok {
 			return
 		}
 		st, err := q.Submit(spec)
 		switch {
-		case err == ErrQueueFull:
+		case errors.Is(err, ErrQueueFull):
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusTooManyRequests, err.Error())
 		case err != nil:
@@ -99,19 +88,8 @@ func NewServer(q *Queue) *http.ServeMux {
 		writeJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("POST /v1/jobs/{id}/fork", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
-			return
-		}
-		if len(body) > MaxSpecBytes {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("job spec exceeds %d bytes", MaxSpecBytes))
-			return
-		}
-		spec, err := DecodeJobSpec(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+		spec, ok := readSpec(w, r)
+		if !ok {
 			return
 		}
 		st, err := q.Fork(r.PathValue("id"), spec)
@@ -137,6 +115,28 @@ func NewServer(q *Queue) *http.ServeMux {
 		}{true, q.QueueDepth()})
 	})
 	return mux
+}
+
+// readSpec decodes the job document in r's body. On a body over
+// MaxSpecBytes (413), an unreadable one or a spec that does not decode
+// (400) it writes the error response and returns false.
+func readSpec(w http.ResponseWriter, r *http.Request) (*JobSpec, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		return nil, false
+	}
+	if len(body) > MaxSpecBytes {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("job spec exceeds %d bytes", MaxSpecBytes))
+		return nil, false
+	}
+	spec, err := DecodeJobSpec(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return nil, false
+	}
+	return spec, true
 }
 
 // serveEvents streams a job's event log as SSE. Each complete JSONL line

@@ -78,7 +78,7 @@ type JobResult struct {
 	Report json.RawMessage `json:"report,omitempty"`
 	// Cells is the number of report cells (sweep jobs).
 	Cells int `json:"cells,omitempty"`
-	// Resumed marks a job that continued from a checkpoint manifest rather
+	// Resumed marks a job that continued from a checkpoint file rather
 	// than starting fresh (sweeps, and run jobs with checkpoint_every set).
 	Resumed bool `json:"resumed,omitempty"`
 	// Fuzz is the campaign report (fuzz jobs).
@@ -96,7 +96,9 @@ type JobContext struct {
 	// one is streaming.
 	Log *StreamLog
 	// CheckpointPath is the job's checkpoint file ("" disables
-	// checkpointing).
+	// checkpointing): one entry, replaced atomically at each write
+	// (WriteSnapshot), holding a run's newest snapshot or every cell a
+	// sweep has finished.
 	CheckpointPath string
 	// Progress reports coarse completion (stage, done, total).
 	Progress func(stage string, done, total int)
@@ -140,7 +142,7 @@ type Config struct {
 	Workers int
 	// JobTimeout bounds each job's wall-clock time (0 = none).
 	JobTimeout time.Duration
-	// StateDir, when set, persists specs, checkpoint manifests, and final
+	// StateDir, when set, persists specs, checkpoint files, and final
 	// results so jobs survive a daemon restart (see Recover), and holds
 	// finished jobs' event streams spilled out of memory.
 	StateDir string
@@ -150,7 +152,7 @@ type Config struct {
 	// ForkPrep, when set, enables POST /v1/jobs/{id}/fork: it validates the
 	// edited child spec against the parent's (rejecting edits that would
 	// invalidate the parent's snapshot) and seeds the child's checkpoint
-	// manifest from the parent's latest entry. The child spec may be
+	// file from the parent's latest entry. The child spec may be
 	// normalized in place (e.g. inheriting the parent's checkpoint cadence)
 	// before the queue persists it. tcc.PrepareForkJob is the canonical
 	// implementation; nil disables forking.
@@ -218,9 +220,11 @@ func (q *Queue) Submit(spec *JobSpec) (*JobStatus, error) {
 }
 
 // Fork submits child as a new job continuing parentID's latest kernel
-// checkpoint. The Config.ForkPrep hook owns edit legality and manifest
-// seeding; the queue owns ID reservation and admission. The parent may be in
-// any state — running parents fork from their most recent durable snapshot.
+// checkpoint. The Config.ForkPrep hook owns edit legality and seeding the
+// child's checkpoint file; the queue owns ID reservation and admission. The
+// parent may be in any state — running parents fork from their most recent
+// durable snapshot. A child the queue refuses (full, not admitted, shut
+// down) has its seeded checkpoint file removed: no spec points at it.
 func (q *Queue) Fork(parentID string, child *JobSpec) (*JobStatus, error) {
 	if q.cfg.ForkPrep == nil {
 		return nil, errors.New("runner: forking is not enabled (no ForkPrep hook)")
@@ -243,7 +247,12 @@ func (q *Queue) Fork(parentID string, child *JobSpec) (*JobStatus, error) {
 	if err := q.cfg.ForkPrep(parentSpec, child, parentCk, childCk, id); err != nil {
 		return nil, err
 	}
-	return q.submit(child, id, false, parentID)
+	st, err := q.submit(child, id, false, parentID)
+	if err != nil {
+		os.Remove(childCk)
+		return nil, err
+	}
+	return st, nil
 }
 
 // checkpointPath is the checkpoint file for one job ID under the state dir.
@@ -563,9 +572,9 @@ func (q *Queue) finish(j *job, state string, res *JobResult, err error) {
 // Persistence: <state>/<id>.spec.json, <id>.ckpt.jsonl, <id>.outcome.json,
 // and <id>.events.jsonl — a finished job's event stream, spilled out of
 // memory; it is read only by the process that ran the job, to serve later
-// event-stream reads. The spec and the outcome are replaced atomically
-// (writeAtomic): Recover takes an outcome file's existence to mean the job
-// finished, so it must never see a torn one.
+// event-stream reads. Every one of them is written through writeAtomic, so
+// a crash leaves each whole or absent: Recover takes an outcome file's
+// existence to mean the job finished, so it must never see a torn one.
 
 type persistedOutcome struct {
 	Status JobStatus  `json:"status"`
@@ -608,12 +617,14 @@ func (q *Queue) persistOutcome(id string, st JobStatus, res *JobResult) error {
 // outcome — jobs that were queued or running when the previous daemon
 // stopped. First it removes every temp file (*.tmp) a crash left in the
 // middle of an atomic replace: none is ever read, and nothing is running
-// yet to be writing one. Sweep jobs find their checkpoint manifest (same
-// ID, same state directory) and resume instead of recomputing. A stored
-// spec that no longer decodes or passes admission (it names something
-// since removed, say) gets a failed outcome naming the reason, so it is
-// reported once and never retried, and recovery goes on with the rest. Returns the recovered
-// IDs in order, and every job that could not be recovered as one error.
+// yet to be writing one. A recovered job finds its checkpoint file (same
+// ID, same state directory): a sweep resumes from its finished cells and
+// a checkpointed run from its newest snapshot, instead of recomputing. A
+// stored spec that no longer decodes or passes admission (it names
+// something since removed, say) gets a failed outcome naming the reason,
+// so it is reported once and never retried, and recovery goes on with the
+// rest. Returns the recovered IDs in order, and every job that could not
+// be recovered as one error.
 func (q *Queue) Recover() ([]string, error) {
 	if q.cfg.StateDir == "" {
 		return nil, nil

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -170,6 +171,81 @@ func TestQueueValidateHook(t *testing.T) {
 	bad.Run.App = "nope"
 	if _, err := q.Submit(bad); err == nil || !strings.Contains(err.Error(), "unknown profile") {
 		t.Fatalf("validator must gate admission, got %v", err)
+	}
+}
+
+// A fork the queue refuses (not admitted, queue full, shut down) leaves no
+// checkpoint file behind: ForkPrep has already seeded the child's, and no
+// stored spec would ever point at it. An admitted fork keeps its file.
+func TestForkRefusedRemovesSeededCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ex := newBlockingExecutor()
+	q := NewQueue(Config{
+		Capacity: 1, Workers: 1, StateDir: dir,
+		Validate: func(s *JobSpec) error {
+			if s.Run.App == "nope" {
+				return fmt.Errorf("unknown profile %q", s.Run.App)
+			}
+			return nil
+		},
+		ForkPrep: func(_, _ *JobSpec, _, childCk, _ string) error {
+			return os.WriteFile(childCk, []byte("seeded\n"), 0o644)
+		},
+	}, ex.exec)
+	defer q.Shutdown()
+	checkpoints := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "*.ckpt.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	parent, err := q.Submit(runSpec("parent"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-ex.started
+	bad := runSpec("not-admitted")
+	bad.Run.App = "nope"
+	if _, err := q.Fork(parent.ID, bad); err == nil || !strings.Contains(err.Error(), "unknown profile") {
+		t.Fatalf("want the admission error, got %v", err)
+	}
+	if got := checkpoints(); len(got) != 0 {
+		t.Fatalf("a fork refused at admission left %v", got)
+	}
+
+	filler, err := q.Submit(runSpec("filler"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Fork(parent.ID, runSpec("overflow")); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("want ErrQueueFull, got %v", err)
+	}
+	if got := checkpoints(); len(got) != 0 {
+		t.Fatalf("a fork refused by the full queue left %v", got)
+	}
+
+	close(ex.gate(parent.ID))
+	waitState(t, q, parent.ID, StateDone)
+	<-ex.started // the filler runs, so the queue has room
+	child, err := q.Fork(parent.ID, runSpec("child"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := checkpoints(); len(got) != 1 || filepath.Base(got[0]) != child.ID+".ckpt.jsonl" {
+		t.Fatalf("an admitted fork must keep its seeded checkpoint, found %v", got)
+	}
+	close(ex.gate(filler.ID))
+	close(ex.gate(child.ID))
+
+	q.Shutdown()
+	if _, err := q.Fork(parent.ID, runSpec("late")); err == nil {
+		t.Fatal("a fork after shutdown was admitted")
+	}
+	if got := checkpoints(); len(got) != 1 {
+		t.Fatalf("a fork refused after shutdown left a checkpoint: %v", got)
 	}
 }
 
@@ -462,64 +538,6 @@ func TestStreamLogFollowsAndCloses(t *testing.T) {
 	defer cancel()
 	if _, closed, err := l.Wait(ctx, l.Len()); err != nil || !closed {
 		t.Fatalf("closed-stream wait: closed=%v err=%v", closed, err)
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "job.ckpt.jsonl")
-	cw, err := CreateCheckpoint(path, "j000001", "abc123")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type entry struct {
-		Index int `json:"index"`
-	}
-	for i := 0; i < 3; i++ {
-		if err := cw.Append(entry{i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	entries := loadManifest(t, path, "abc123")
-	if len(entries) != 3 || string(entries[1]) != `{"index":1}` {
-		t.Fatalf("entries: %q", entries)
-	}
-
-	// Wrong spec hash: stale manifest is ignored, not replayed.
-	if e := loadManifest(t, path, "different"); e != nil {
-		t.Fatalf("stale manifest must be skipped, got %q", e)
-	}
-	// Missing file: nothing to resume.
-	if e := loadManifest(t, filepath.Join(t.TempDir(), "nope"), "x"); e != nil {
-		t.Fatalf("missing manifest: %q", e)
-	}
-
-	// Crash mid-append: trailing partial line is dropped.
-	data, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, append(data, []byte(`{"index":3`)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if entries = loadManifest(t, path, "abc123"); len(entries) != 3 {
-		t.Fatalf("partial tail must be dropped: %d entries", len(entries))
-	}
-
-	// Resume path truncates the partial tail and appends to the same
-	// manifest; the new entry extends the valid prefix instead of landing
-	// after the corruption.
-	entries, cw, err = OpenCheckpoint(path, "j000001", "abc123")
-	if err != nil || len(entries) != 3 {
-		t.Fatalf("reopen: %d entries err=%v", len(entries), err)
-	}
-	if err := cw.Append(entry{4}); err != nil {
-		t.Fatal(err)
-	}
-	cw.Close()
-	entries = loadManifest(t, path, "abc123")
-	if len(entries) != 4 || string(entries[3]) != `{"index":4}` {
-		t.Fatalf("append after crash must extend the valid prefix, got %q", entries)
 	}
 }
 

@@ -2,9 +2,9 @@
 // three CLIs: a versioned JobSpec wire schema, typed job status/results, a
 // bounded job queue with admission control and per-job cancellation, an
 // append-only event stream log for SSE subscribers, and crash-safe
-// checkpoint files: an append-only manifest for a resumable sweep job, and
-// for a run job one file holding its newest snapshot, replaced atomically at
-// each cut.
+// checkpoint files: one file per job holding its newest durable state (a
+// sweep's finished cells, a run's newest snapshot), replaced atomically at
+// each write.
 //
 // The package is deliberately a leaf: it never imports the tcc package or
 // the simulation stack. Job execution is injected as an Executor — the tcc
@@ -88,7 +88,7 @@ type RunSpec struct {
 	// MaxCycles aborts a run that exceeds it (deadlock watchdog; 0 = off).
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// CheckpointEvery snapshots the full simulator state into the job's
-	// checkpoint manifest every N cycles (scalable machine only; 0 = off).
+	// checkpoint file every N cycles (scalable machine only; 0 = off).
 	// An interrupted job resumes from its latest snapshot instead of
 	// recomputing, replaying to byte-identical results, and a finished or
 	// running job can be forked from its latest snapshot with edited knobs.
@@ -265,7 +265,7 @@ func (s *JobSpec) Encode() ([]byte, error) {
 }
 
 // Hash is a stable fingerprint of the spec's compact JSON form, used to
-// guard checkpoint manifests against being replayed under a different spec.
+// guard checkpoint files against being replayed under a different spec.
 func (s *JobSpec) Hash() (string, error) {
 	data, err := json.Marshal(s)
 	if err != nil {

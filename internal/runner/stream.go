@@ -96,10 +96,11 @@ func (l *StreamLog) wake() {
 
 // Spill seals the log against further appends, writes its blocks in order
 // to path and drops them; reads from any offset are then served from the
-// file and Len is unchanged. Readers are not woken: the stream is only
-// complete once Close is called. An empty log writes no file. On a write
-// error the bytes stay in memory, still readable, and the error is
-// returned.
+// file and Len is unchanged. The file is written like every other file the
+// runner keeps (writeAtomic), so a crash leaves it whole or absent, never
+// a prefix. Readers are not woken: the stream is only complete once Close
+// is called. An empty log writes no file. On a write error the bytes stay
+// in memory, still readable, and the error is returned.
 func (l *StreamLog) Spill(path string) error {
 	l.mu.Lock()
 	l.sealed = true
@@ -110,30 +111,13 @@ func (l *StreamLog) Spill(path string) error {
 	}
 	// Sealed, so the blocks are final and no one appends to them while
 	// they are written.
-	if err := writeBlocks(path, blocks); err != nil {
+	if err := writeAtomic(path, blocks...); err != nil {
 		return fmt.Errorf("runner: spill event log: %w", err)
 	}
 	l.mu.Lock()
 	l.path, l.blocks = path, nil
 	l.mu.Unlock()
 	return nil
-}
-
-// writeBlocks writes the blocks' bytes, in order, to a new file at path.
-func writeBlocks(path string, blocks [][]byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	for _, b := range blocks {
-		if _, err = f.Write(b); err != nil {
-			break
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Len returns the number of bytes appended so far.

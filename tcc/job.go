@@ -178,10 +178,11 @@ type RunJobOptions struct {
 	// Logf receives human-readable progress lines (fuzz jobs).
 	Logf func(format string, args ...any)
 	// CheckpointPath points sweep jobs — and run jobs with a non-zero
-	// CheckpointEvery — at a checkpoint file to create or resume from: a
-	// sweep's append-only manifest, or the file holding a run's newest
-	// snapshot. Run jobs keep an event-stream sidecar next to it so a
-	// resumed stream is byte-identical to an uninterrupted one.
+	// CheckpointEvery — at a checkpoint file to create or resume from. It
+	// holds one entry, replaced atomically at each write: every cell a
+	// sweep has finished, or a run's newest snapshot. Run jobs keep an
+	// event-stream sidecar next to it so a resumed stream is byte-identical
+	// to an uninterrupted one.
 	CheckpointPath string
 }
 
@@ -316,7 +317,7 @@ func executeRun(ctx context.Context, spec *JobSpec, jc *JobContext, opts *RunJob
 			return nil, fmt.Errorf("tcc: checkpointing and conflict profiling are mutually exclusive (the profiler's tallies are not part of the snapshot)")
 		}
 		if jc.CheckpointPath == "" {
-			return nil, fmt.Errorf("tcc: checkpoint_every requires a checkpoint manifest path (daemon -state, or tccsim -checkpoint)")
+			return nil, fmt.Errorf("tcc: checkpoint_every requires a checkpoint file path (daemon -state, or tccsim -checkpoint)")
 		}
 		var err error
 		rc, err = newRunCheckpointer(spec, cfg, prog, jc, sink != nil)
