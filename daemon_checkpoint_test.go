@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -283,6 +284,46 @@ func TestDaemonForkRun(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("fork of unknown job: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDaemonForkRefusesV1Parent: a fork of a job whose checkpoint file
+// holds a snapshot of kernel-checkpoint layout version 1 (a file an older
+// build left for the same spec) answers 400 naming the version.
+func TestDaemonForkRefusesV1Parent(t *testing.T) {
+	fixture, err := os.ReadFile("tcc/testdata/v1-hotspot4p.ckpt.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tcc.NewJobSpec(tcc.JobKindRun)
+	spec.Run = &tcc.RunSpec{App: "hotspot", Procs: 4, Scale: 0.05, Seed: 3,
+		Machine: &runner.MachineSpec{L1Size: 1024}, CheckpointEvery: 9274}
+	stateDir := t.TempDir()
+	q, srv := newDaemon(t, runner.Config{
+		Capacity: 4, Workers: 1, StateDir: stateDir, ForkPrep: tcc.PrepareForkJob,
+	})
+	st, code := postSpec(t, srv, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	if waitTerminal(t, q, st.ID).State != runner.StateDone {
+		t.Fatal("parent did not finish")
+	}
+	if err := os.WriteFile(filepath.Join(stateDir, st.ID+".ckpt.jsonl"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body, err := spec.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs/"+st.ID+"/fork", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(msg, []byte("checkpoint version 1, this build reads")) {
+		t.Fatalf("fork of a version-1 parent: %d %s, want 400 naming the version", resp.StatusCode, msg)
 	}
 }
 

@@ -21,10 +21,11 @@ import (
 // ASCII strings, so each type gets one walk that names its keys in field
 // order, and that one walk serves both directions: a ckCodec either appends
 // the canonical bytes or reads them. The field helpers (u, optU, n, optN,
-// optTrue, str, arr, optArr, ptr, uints, optUints, fixed, bools) carry the
+// optTrue, str, arr, optArr, ptr, nums, optNums, fixed) carry the
 // direction and the omitempty rule, so each key, its position and when it
 // is absent are written down once, and the encoder and the decoder cannot
-// drift apart.
+// drift apart. A key carries the punctuation before it, so the first field
+// of every type is one json.Marshal always writes.
 //
 // The encoder writes exactly what json.Marshal writes: keys in field order,
 // an omitempty field absent iff it is zero, null for a nil slice or pointer.
@@ -112,14 +113,14 @@ func (c *ckCodec) walkCheckpoint(ck *Checkpoint) {
 	arr(c, `,"proc_state":`, &ck.Procs, c.walkProc)
 	arr(c, `,"dir_state":`, &ck.Dirs, c.walkDir)
 	ports(c, `,"port_state":`, &ck.Ports)
-	optUints(c, `,"msg_counts":`, &ck.MsgCounts)
+	optNums(c, `,"msg_counts":`, &ck.MsgCounts)
 	optU(c, `,"commits":`, &ck.Commits)
 	optU(c, `,"violations":`, &ck.Violations)
 	optU(c, `,"instr":`, &ck.Instr)
-	optUints(c, `,"tx_instr_h":`, &ck.TxInstrH)
-	optUints(c, `,"rd_set_h":`, &ck.RdSetH)
-	optUints(c, `,"wr_set_h":`, &ck.WrSetH)
-	optUints(c, `,"dirs_touched_h":`, &ck.DirsTouchedH)
+	optNums(c, `,"tx_instr_h":`, &ck.TxInstrH)
+	optNums(c, `,"rd_set_h":`, &ck.RdSetH)
+	optNums(c, `,"wr_set_h":`, &ck.WrSetH)
+	optNums(c, `,"dirs_touched_h":`, &ck.DirsTouchedH)
 	optArr(c, `,"commit_log":`, &ck.CommitLog, c.walkRecord)
 	c.lit("}")
 }
@@ -158,7 +159,7 @@ func (c *ckCodec) walkMsg(m *MsgState) {
 	optU(c, `,"t2":`, &m.T2)
 	optU(c, `,"words":`, &m.Words)
 	optU(c, `,"words2":`, &m.Words2)
-	optUints(c, `,"data":`, &m.Data)
+	optNums(c, `,"data":`, &m.Data)
 	optTrue(c, `,"flag":`, &m.Flag)
 	c.lit("}")
 }
@@ -174,7 +175,7 @@ func (c *ckCodec) walkNet(s *mesh.Snapshot) {
 	linkClocks(c, `,"busy":`, &s.Busy)
 	fixed(c, `,"bytes_by_class":`, s.BytesByClass[:])
 	fixed(c, `,"msgs_by_class":`, s.MsgsByClass[:])
-	uints(c, `,"per_node_bytes":`, &s.PerNodeBytes)
+	nums(c, `,"per_node_bytes":`, &s.PerNodeBytes)
 	u(c, `,"hops_total":`, &s.HopsTotal)
 	c.lit("}")
 }
@@ -198,8 +199,8 @@ func (c *ckCodec) walkProc(p *ProcState) {
 	u(c, `,"pend_miss":`, &p.PendMiss)
 	n(c, `,"attempt":`, &p.Attempt)
 	optArr(c, `,"read_set":`, &p.ReadSet, c.walkSample)
-	optUints(c, `,"sharing_vec":`, &p.SharingVec)
-	optUints(c, `,"writing_vec":`, &p.WritingVec)
+	optNums(c, `,"sharing_vec":`, &p.SharingVec)
+	optNums(c, `,"writing_vec":`, &p.WritingVec)
 	u(c, `,"tid":`, &p.TID)
 	u(c, `,"last_tid":`, &p.LastTID)
 	optTrue(c, `,"waiting_tid":`, &p.WaitingTID)
@@ -208,8 +209,8 @@ func (c *ckCodec) walkProc(p *ProcState) {
 	u(c, `,"commit_start":`, &p.CommitStart)
 	optArr(c, `,"write_set":`, &p.WriteSet, c.walkWriteDir)
 	u(c, `,"val_tok":`, &p.ValTok)
-	optArr(c, `,"pend_w":`, &p.PendW, c.walkInt)
-	optArr(c, `,"pend_r":`, &p.PendR, c.walkInt)
+	optNums(c, `,"pend_w":`, &p.PendW)
+	optNums(c, `,"pend_r":`, &p.PendR)
 	optArr(c, `,"fills":`, &p.Fills, c.walkFill)
 	optN(c, `,"refill_count":`, &p.RefillCount)
 	u(c, `,"idle_start":`, &p.IdleStart)
@@ -218,8 +219,6 @@ func (c *ckCodec) walkProc(p *ProcState) {
 	ptr(c, `,"l1":`, &p.L1, c.walkTagArray)
 	c.lit("}")
 }
-
-func (c *ckCodec) walkInt(v *int) { n(c, "", v) }
 
 func (c *ckCodec) walkSample(s *mem.ReadSample) {
 	u(c, `{"Addr":`, &s.Addr)
@@ -259,25 +258,18 @@ func (c *ckCodec) walkProcStats(key string, s *ProcStats) {
 }
 
 func (c *ckCodec) walkCache(s *cache.CacheState) {
-	arr(c, `{"lines":`, &s.Lines, c.walkLine)
-	optArr(c, `,"overflow":`, &s.Overflow, c.walkLine)
-	u(c, `,"clock":`, &s.Clock)
+	u(c, `{"clock":`, &s.Clock)
 	c.walkCacheStats(`,"stats":`, &s.Stats)
-	c.lit("}")
-}
-
-func (c *ckCodec) walkLine(l *cache.LineState) {
-	n(c, `{"set":`, &l.Set)
-	n(c, `,"way":`, &l.Way)
-	u(c, `,"base":`, &l.Base)
-	u(c, `,"vw":`, &l.VW)
-	optTrue(c, `,"dirty":`, &l.Dirty)
-	optU(c, `,"ow":`, &l.OW)
-	optU(c, `,"sr":`, &l.SR)
-	optU(c, `,"sm":`, &l.SM)
-	u(c, `,"lru":`, &l.LRU)
-	optTrue(c, `,"tracked":`, &l.Tracked)
-	uints(c, `,"data":`, &l.Data)
+	optNums(c, `,"way":`, &s.Way)
+	optNums(c, `,"base":`, &s.Base)
+	optNums(c, `,"vw":`, &s.VW)
+	optNums(c, `,"lru":`, &s.LRU)
+	optNums(c, `,"data":`, &s.Data)
+	optNums(c, `,"flagged":`, &s.Flagged)
+	optNums(c, `,"flags":`, &s.Flags)
+	optNums(c, `,"ow":`, &s.OW)
+	optNums(c, `,"sr":`, &s.SR)
+	optNums(c, `,"sm":`, &s.SM)
 	c.lit("}")
 }
 
@@ -294,19 +286,20 @@ func (c *ckCodec) walkCacheStats(key string, s *cache.Stats) {
 }
 
 func (c *ckCodec) walkTagArray(t *cache.TagArrayState) {
-	uints(c, `{"tags":`, &t.Tags)
-	bools(c, `,"valid":`, &t.Valid)
-	uints(c, `,"lru":`, &t.LRU)
-	u(c, `,"clock":`, &t.Clock)
+	u(c, `{"clock":`, &t.Clock)
+	optNums(c, `,"way":`, &t.Way)
+	optNums(c, `,"tag":`, &t.Tag)
+	optNums(c, `,"lru":`, &t.LRU)
+	optNums(c, `,"invalid":`, &t.Invalid)
 	c.lit("}")
 }
 
 func (c *ckCodec) walkDir(d *DirState) {
 	u(c, `{"nstid":`, &d.NSTID)
-	optUints(c, `,"done":`, &d.Done)
-	optArr(c, `,"entries":`, &d.Entries, c.walkDirEntry)
-	optArr(c, `,"memory":`, &d.Memory, c.walkLineImage)
-	optUints(c, `,"marked_lines":`, &d.MarkedLines)
+	optNums(c, `,"done":`, &d.Done)
+	c.walkDirEntries(`,"entries":`, &d.Entries)
+	c.walkDirMemory(`,"memory":`, &d.Memory)
+	optNums(c, `,"marked_lines":`, &d.MarkedLines)
 	n(c, `,"mark_owner":`, &d.MarkOwner)
 	optTrue(c, `,"commit_busy":`, &d.CommitBusy)
 	optN(c, `,"commit_acks":`, &d.CommitAcks)
@@ -320,28 +313,33 @@ func (c *ckCodec) walkDir(d *DirState) {
 	optU(c, `,"dir_cache_clock":`, &d.DirCacheClock)
 	optN(c, `,"remote_entries":`, &d.RemoteEntries)
 	c.walkDirStats(`,"stats":`, &d.Stats)
-	optUints(c, `,"occ_hist":`, &d.OccHist)
-	optUints(c, `,"ws_hist":`, &d.WsHist)
+	optNums(c, `,"occ_hist":`, &d.OccHist)
+	optNums(c, `,"ws_hist":`, &d.WsHist)
 	optU(c, `,"cur_busy":`, &d.CurBusy)
 	c.lit("}")
 }
 
-func (c *ckCodec) walkDirEntry(e *DirEntryState) {
-	u(c, `{"base":`, &e.Base)
-	optUints(c, `,"sharers":`, &e.Sharers)
-	n(c, `,"owner":`, &e.Owner)
-	optU(c, `,"owner_tid":`, &e.OwnerTID)
-	optU(c, `,"owned_words":`, &e.OwnedWords)
-	optTrue(c, `,"marked":`, &e.Marked)
-	optU(c, `,"mark_words":`, &e.MarkWords)
-	optUints(c, `,"mark_data":`, &e.MarkData)
-	optArr(c, `,"pending_from":`, &e.PendingFrom, c.walkInt)
+func (c *ckCodec) walkDirEntries(key string, e *DirEntries) {
+	c.lit(key)
+	nums(c, `{"base":`, &e.Base)
+	optNums(c, `,"owner":`, &e.Owner)
+	optNums(c, `,"owner_tid":`, &e.OwnerTID)
+	optNums(c, `,"owned_words":`, &e.OwnedWords)
+	optNums(c, `,"sharer_of":`, &e.SharerOf)
+	optNums(c, `,"sharer":`, &e.Sharer)
+	optNums(c, `,"pending_of":`, &e.PendingOf)
+	optNums(c, `,"pending":`, &e.Pending)
+	optNums(c, `,"marked":`, &e.Marked)
+	optNums(c, `,"mark_words":`, &e.MarkWords)
+	optNums(c, `,"mark_data_of":`, &e.MarkDataOf)
+	optNums(c, `,"mark_data":`, &e.MarkData)
 	c.lit("}")
 }
 
-func (c *ckCodec) walkLineImage(l *mem.LineImage) {
-	u(c, `{"base":`, &l.Base)
-	uints(c, `,"words":`, &l.Words)
+func (c *ckCodec) walkDirMemory(key string, m *DirMemory) {
+	c.lit(key)
+	nums(c, `{"id":`, &m.ID)
+	optNums(c, `,"words":`, &m.Words)
 	c.lit("}")
 }
 
@@ -617,20 +615,25 @@ func ptr[T any](c *ckCodec, key string, p **T, f func(*T)) {
 	f(*p)
 }
 
-// uints is arr for the unsigned types, the bulk of a checkpoint, with
-// tight loops of its own. A decoded slice is allocated once.
-func uints[T ~uint64](c *ckCodec, key string, s *[]T) {
+// nums is arr for the integer types, the bulk of a checkpoint, with tight
+// loops of its own. A decoded slice is allocated once.
+func nums[T ~int | ~uint64](c *ckCodec, key string, s *[]T) {
 	c.lit(key)
 	if c.null(*s == nil) {
 		return
 	}
+	signed := T(0)-1 < 0 // it wraps for the unsigned types
 	if !c.dec {
 		b := append(c.b, '[')
 		for i, v := range *s {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendUint(b, uint64(v))
+			if signed && v < 0 {
+				b = strconv.AppendInt(b, int64(v), 10)
+			} else {
+				b = appendUint(b, uint64(v))
+			}
 		}
 		c.b = append(b, ']')
 		return
@@ -643,7 +646,11 @@ func uints[T ~uint64](c *ckCodec, key string, s *[]T) {
 	}
 	d := make([]T, 0, r.flatLen())
 	for !r.bad {
-		d = append(d, T(r.u64()))
+		if signed {
+			d = append(d, T(r.int()))
+		} else {
+			d = append(d, T(r.u64()))
+		}
 		if !r.has(",") {
 			r.lit("]")
 			break
@@ -652,9 +659,9 @@ func uints[T ~uint64](c *ckCodec, key string, s *[]T) {
 	*s = d
 }
 
-func optUints[T ~uint64](c *ckCodec, key string, s *[]T) {
+func optNums[T ~int | ~uint64](c *ckCodec, key string, s *[]T) {
 	if c.opt(key, len(*s) > 0) {
-		uints(c, "", s)
+		nums(c, "", s)
 		if len(*s) == 0 {
 			c.r.fail()
 		}
@@ -683,32 +690,9 @@ func linkClocks(c *ckCodec, key string, a *[4][]sim.Time) {
 		if d > 0 {
 			c.lit(",")
 		}
-		uints(c, "", &a[d])
+		nums(c, "", &a[d])
 	}
 	c.lit("]")
-}
-
-func bools(c *ckCodec, key string, s *[]bool) {
-	c.lit(key)
-	if c.null(*s == nil) {
-		return
-	}
-	c.lit("[")
-	if c.dec {
-		*s = make([]bool, 0, c.r.flatLen())
-	}
-	for i := 0; c.more(i, len(*s)); i++ {
-		switch {
-		case !c.dec:
-			c.b = strconv.AppendBool(c.b, (*s)[i])
-		case c.r.has("true"):
-			*s = append(*s, true)
-		case c.r.has("false"):
-			*s = append(*s, false)
-		default:
-			c.r.fail()
-		}
-	}
 }
 
 // ckReader scans canonical checkpoint bytes. The first deviation marks the

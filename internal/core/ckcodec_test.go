@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"scalabletcc/internal/workload"
@@ -99,7 +101,9 @@ func TestCheckpointCodecMatchesMarshal(t *testing.T) {
 // checkpoint, where every top-level omitempty field is absent and every
 // slice null; and the zero shapes, where every slice holds one element and
 // every pointer is allocated but every scalar is zero, so every nested
-// omitempty field is absent.
+// omitempty field is absent. The full one writes every key of every type
+// a checkpoint holds, the columns of the caches, L1 filters, directory
+// entries and memory banks included.
 func TestCheckpointCodecEveryField(t *testing.T) {
 	full, shapes := new(Checkpoint), new(Checkpoint)
 	fill(reflect.ValueOf(full).Elem(), 1, true)
@@ -107,6 +111,38 @@ func TestCheckpointCodecEveryField(t *testing.T) {
 	full.Ports, shapes.Ports = nil, nil // only a retired-layout checkpoint has one
 	for _, ck := range []*Checkpoint{full, new(Checkpoint), shapes} {
 		codecRoundTrip(t, ck)
+	}
+	enc := AppendCheckpoint(nil, full)
+	keys := make(map[string]bool)
+	jsonKeys(reflect.TypeOf(full).Elem(), keys)
+	delete(keys, "port_state")
+	for _, key := range []string{"flagged", "flags", "invalid", "sharer_of", "pending_of", "mark_data_of", "id", "words"} {
+		if !keys[key] {
+			t.Fatalf("the checkpoint types have no key %q", key)
+		}
+	}
+	for key := range keys {
+		if !bytes.Contains(enc, []byte(`"`+key+`":`)) {
+			t.Errorf("the full checkpoint does not write %q", key)
+		}
+	}
+}
+
+// jsonKeys adds the JSON keys of every struct field reachable from t.
+func jsonKeys(t reflect.Type, keys map[string]bool) {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array:
+		jsonKeys(t.Elem(), keys)
+	case reflect.Struct:
+		for i := range t.NumField() {
+			f := t.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "" {
+				name = f.Name
+			}
+			keys[name] = true
+			jsonKeys(f.Type, keys)
+		}
 	}
 }
 
@@ -200,7 +236,7 @@ func fuzzSeedCheckpoints(tb testing.TB) ([][]byte, []Config, workload.Program) {
 			_, err = sys.RunCheckpointed(250, func(ck *Checkpoint) error {
 				seed = AppendCheckpoint(seed[:0], ck)
 				if collect && len(ck.CommitLog) == 0 ||
-					rc.name == "small-cache" && !bytes.Contains(seed, []byte(`"overflow"`)) {
+					rc.name == "small-cache" && !overflowed(ck) {
 					return nil
 				}
 				return errSeedTaken
@@ -215,6 +251,16 @@ func fuzzSeedCheckpoints(tb testing.TB) ([][]byte, []Config, workload.Program) {
 }
 
 var errSeedTaken = errors.New("seed taken")
+
+// overflowed reports whether a processor's cache holds an overflow line.
+func overflowed(ck *Checkpoint) bool {
+	for _, p := range ck.Procs {
+		if slices.Contains(p.Cache.Way, -1) {
+			return true
+		}
+	}
+	return false
+}
 
 // ckEdit replaces cut bytes at offset at of a seed checkpoint with ins. The
 // fuzzer searches edits rather than whole checkpoints, so its inputs stay a
@@ -237,14 +283,14 @@ func (e ckEdit) apply(base []byte) []byte {
 func nonCanonical(ck []byte) []ckEdit {
 	subs := [][2]string{
 		{`{"schema":`, `{ "schema" :`},                             // white space
-		{`,"version":1,"procs":2`, `,"procs":2,"version":1`},       // reordered
-		{`,"version":1`, `,"version":1,"zzz":[1,{"a":null}]`},      // unknown
-		{`,"version":1`, `,"version":1,"version":1`},               // repeated
+		{`,"version":2,"procs":2`, `,"procs":2,"version":2`},       // reordered
+		{`,"version":2`, `,"version":2,"zzz":[1,{"a":null}]`},      // unknown
+		{`,"version":2`, `,"version":2,"version":2`},               // repeated
 		{`,"running":`, `,"commits":0,"running":`},                 // zero omitempty
 		{`,"running":`, `,"barrier_arrived":-0,"running":`},        // negative zero
 		{`{"now":`, `{"now":0`},                                    // leading zero
-		{`,"version":1`, `,"version":1e0`},                         // exponent
-		{`,"version":1`, `,"version":1.0`},                         // fraction
+		{`,"version":2`, `,"version":2e0`},                         // exponent
+		{`,"version":2`, `,"version":2.0`},                         // fraction
 		{`"scalabletcc/`, `"scalabletcc\/`},                        // escape
 		{`"handler":"sys"`, `"handler":"\u0073ys"`},                // escape
 		{`,"vendor_next":`, `,"vendor_next":99999999999999999999`}, // overflow
@@ -254,7 +300,7 @@ func nonCanonical(ck []byte) []ckEdit {
 		{`,"net":{`, `,"net":null,"zz":{`},     // no network state
 		{`"Reads":{`, `"Reads":{"8":1,"8":2,`}, // repeated record address
 		{`"Reads":{`, `"Reads":null,"zz":{`},   // null record side
-		{`"valid":[`, `"valid":[0,`},           // number for a bool
+		{`"way":[`, `"way":[-0,`},              // negative zero in a column
 	}
 	var out []ckEdit
 	for _, sub := range subs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -38,11 +39,35 @@ import (
 // profiling, the periodic sampler's link-busy baseline) are rejected for
 // checkpointable runs.
 
-// Checkpoint schema identification.
+// Checkpoint schema identification. Version 2 writes the caches, L1 tag
+// filters, directory entries and memory banks column by column (DESIGN
+// §42); this build refuses version 1 by name.
 const (
 	KernelCheckpointSchema  = "scalabletcc/kernel-checkpoint"
-	KernelCheckpointVersion = 1
+	KernelCheckpointVersion = 2
 )
+
+// versionError refuses a kernel checkpoint of layout version v.
+func versionError(v int) error {
+	return fmt.Errorf("core: checkpoint version %d, this build reads %d", v, KernelCheckpointVersion)
+}
+
+// CheckVersion refuses data if it starts with the head AppendCheckpoint
+// writes and that head names another layout version, so a stored
+// checkpoint of an older layout is refused by its version, whether or not
+// its body decodes into this one. Anything else passes: the decoder and
+// Restore judge it.
+func CheckVersion(data []byte) error {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"schema":"`+KernelCheckpointSchema+`","version":`))
+	if !ok {
+		return nil
+	}
+	r := ckReader{b: rest}
+	if v := r.int(); !r.bad && v != KernelCheckpointVersion {
+		return versionError(v)
+	}
+	return nil
+}
 
 // KernelClock is the kernel's clock state.
 type KernelClock struct {
@@ -148,17 +173,36 @@ type ProcState struct {
 	L1    *cache.TagArrayState `json:"l1"`
 }
 
-// DirEntryState is one directory entry, in dense-id (first-touch) order.
-type DirEntryState struct {
-	Base        mem.Addr      `json:"base"`
-	Sharers     []uint64      `json:"sharers,omitempty"`
-	Owner       int           `json:"owner"`
-	OwnerTID    tid.TID       `json:"owner_tid,omitempty"`
-	OwnedWords  bits.WordMask `json:"owned_words,omitempty"`
-	Marked      bool          `json:"marked,omitempty"`
-	MarkWords   bits.WordMask `json:"mark_words,omitempty"`
-	MarkData    []mem.Version `json:"mark_data,omitempty"`
-	PendingFrom []int         `json:"pending_from,omitempty"`
+// DirEntries is a directory's entries column by column, in dense-id
+// (first-touch) order: entry i is the line Base[i], with owner Owner[i] (-1
+// for none), OwnerTID[i] and OwnedWords[i]. Its lists are kept sparsely, a
+// row per member keyed by the entry's index i: the sharers (node Sharer[k]
+// of entry SharerOf[k]) and the nodes whose data is in flight to memory
+// (Pending[k] of PendingOf[k], each entry's in list order). Marked lists
+// the marked entries, ascending, with their MarkWords; MarkDataOf lists
+// those holding write-through mark data, whose words are MarkData, a line
+// each.
+type DirEntries struct {
+	Base       []mem.Addr      `json:"base"`
+	Owner      []int           `json:"owner,omitempty"`
+	OwnerTID   []tid.TID       `json:"owner_tid,omitempty"`
+	OwnedWords []bits.WordMask `json:"owned_words,omitempty"`
+	SharerOf   []int           `json:"sharer_of,omitempty"`
+	Sharer     []int           `json:"sharer,omitempty"`
+	PendingOf  []int           `json:"pending_of,omitempty"`
+	Pending    []int           `json:"pending,omitempty"`
+	Marked     []int           `json:"marked,omitempty"`
+	MarkWords  []bits.WordMask `json:"mark_words,omitempty"`
+	MarkDataOf []int           `json:"mark_data_of,omitempty"`
+	MarkData   []mem.Version   `json:"mark_data,omitempty"`
+}
+
+// DirMemory is a directory's memory bank: its touched lines in first-touch
+// order, line k being entry ID[k]'s with words Words[k*wpl:(k+1)*wpl]. Every
+// memory line has an entry, so the entry's index names it.
+type DirMemory struct {
+	ID    []int         `json:"id"`
+	Words []mem.Version `json:"words,omitempty"`
 }
 
 // ProbeState is one deferred NSTID probe.
@@ -193,8 +237,8 @@ type DirState struct {
 	NSTID tid.TID  `json:"nstid"`
 	Done  []uint64 `json:"done,omitempty"`
 
-	Entries []DirEntryState `json:"entries,omitempty"`
-	Memory  []mem.LineImage `json:"memory,omitempty"`
+	Entries DirEntries `json:"entries"`
+	Memory  DirMemory  `json:"memory"`
 
 	MarkedLines      []mem.Addr `json:"marked_lines,omitempty"`
 	MarkOwner        int        `json:"mark_owner"`
@@ -544,7 +588,8 @@ func (d *Directory) snapshotState() DirState {
 		NSTID: d.nstid,
 		Done:  d.done.Words(),
 
-		Memory: d.memorySnapshot(),
+		Entries: d.entriesSnapshot(),
+		Memory:  d.memorySnapshot(),
 
 		MarkedLines:      append([]mem.Addr(nil), d.markedLines...),
 		MarkOwner:        d.markOwner,
@@ -563,28 +608,6 @@ func (d *Directory) snapshotState() DirState {
 		OccHist: append([]uint64(nil), d.occHist.Values()...),
 		WsHist:  append([]uint64(nil), d.wsHist.Values()...),
 		CurBusy: d.curBusy,
-	}
-	if d.lines.Len() > 0 {
-		ds.Entries = make([]DirEntryState, 0, d.lines.Len())
-	}
-	for id, base := range d.lines.Bases() {
-		e := d.entryAt(int32(id))
-		es := DirEntryState{
-			Base:       base,
-			Sharers:    e.sharers.Words(),
-			Owner:      e.owner,
-			OwnerTID:   e.ownerTID,
-			OwnedWords: e.ownedWords,
-			Marked:     e.marked,
-			MarkWords:  e.markWords,
-		}
-		if e.markData != nil {
-			es.MarkData = append([]mem.Version(nil), e.markData...)
-		}
-		if len(e.pendingFrom) > 0 {
-			es.PendingFrom = append([]int(nil), e.pendingFrom...)
-		}
-		ds.Entries = append(ds.Entries, es)
 	}
 	for _, pr := range d.probes {
 		ds.Probes = append(ds.Probes, ProbeState{T: pr.t, Write: pr.write, From: pr.from})
@@ -608,80 +631,89 @@ func (d *Directory) snapshotState() DirState {
 	return ds
 }
 
+// entriesSnapshot returns the entries' columns. The mark words of an
+// unmarked entry need no row: marking sets them and unmarking clears them.
+func (d *Directory) entriesSnapshot() DirEntries {
+	n := d.lines.Len()
+	if n == 0 {
+		return DirEntries{}
+	}
+	es := DirEntries{
+		Base:       append([]mem.Addr(nil), d.lines.Bases()...),
+		Owner:      make([]int, n),
+		OwnerTID:   make([]tid.TID, n),
+		OwnedWords: make([]bits.WordMask, n),
+		SharerOf:   make([]int, 0, n),
+		Sharer:     make([]int, 0, n),
+	}
+	for i := range n {
+		e := d.entryAt(int32(i))
+		es.Owner[i], es.OwnerTID[i], es.OwnedWords[i] = e.owner, e.ownerTID, e.ownedWords
+		e.sharers.ForEach(func(node int) {
+			es.SharerOf = append(es.SharerOf, i)
+			es.Sharer = append(es.Sharer, node)
+		})
+		for _, p := range e.pendingFrom {
+			es.PendingOf = append(es.PendingOf, i)
+			es.Pending = append(es.Pending, p)
+		}
+		if e.marked {
+			es.Marked = append(es.Marked, i)
+			es.MarkWords = append(es.MarkWords, e.markWords)
+		}
+		if e.markData != nil {
+			es.MarkDataOf = append(es.MarkDataOf, i)
+			es.MarkData = append(es.MarkData, e.markData...)
+		}
+	}
+	return es
+}
+
 // memorySnapshot returns the memory bank's touched lines in first-touch
-// order, their words sharing one allocation.
-func (d *Directory) memorySnapshot() []mem.LineImage {
+// order.
+func (d *Directory) memorySnapshot() DirMemory {
 	if len(d.memOrder) == 0 {
-		return nil
+		return DirMemory{}
 	}
 	wpl := d.sys.cfg.Geometry.WordsPerLine()
-	out := make([]mem.LineImage, len(d.memOrder))
-	words := make([]mem.Version, len(out)*wpl)
-	for i, id := range d.memOrder {
-		w := words[i*wpl : (i+1)*wpl : (i+1)*wpl]
-		copy(w, d.memLine(id))
-		out[i] = mem.LineImage{Base: d.lines.Bases()[id], Words: w}
+	m := DirMemory{ID: make([]int, len(d.memOrder)), Words: make([]mem.Version, 0, len(d.memOrder)*wpl)}
+	for k, id := range d.memOrder {
+		m.ID[k] = int(id)
+		m.Words = append(m.Words, d.lines.Words(id)...)
 	}
-	return out
+	return m
 }
 
 func (d *Directory) restoreState(ds *DirState) error {
 	if d.lines.Len() != 0 {
 		return fmt.Errorf("core: dir %d restore target is not fresh", d.node)
 	}
-	g := d.sys.cfg.Geometry
-	wpl := g.WordsPerLine()
+	wpl := d.sys.cfg.Geometry.WordsPerLine()
 	d.nstid = ds.NSTID
 	d.done.LoadWords(ds.Done)
 
-	// Replaying the entries' first touches in snapshot order rebuilds the
-	// same ids, so every later snapshot lists them in the same order.
-	for i := range ds.Entries {
-		es := &ds.Entries[i]
-		if es.Base != g.Line(es.Base) {
-			return fmt.Errorf("core: dir %d restore entry %#x is not line-aligned", d.node, es.Base)
-		}
-		id, fresh := d.lines.ID(es.Base)
-		if !fresh {
-			return fmt.Errorf("core: dir %d restore entry %#x duplicated", d.node, es.Base)
-		}
-		d.newEntry(id)
-		e := d.entryAt(id)
-		e.sharers.LoadWords(es.Sharers)
-		e.owner = es.Owner
-		e.ownerTID = es.OwnerTID
-		e.ownedWords = es.OwnedWords
-		e.marked = es.Marked
-		e.markWords = es.MarkWords
-		if es.MarkData != nil {
-			if len(es.MarkData) != wpl {
-				return fmt.Errorf("core: dir %d restore mark data for %#x has %d words, want %d",
-					d.node, es.Base, len(es.MarkData), wpl)
-			}
-			e.markData = d.sys.copyLine(es.MarkData)
-		}
-		if len(es.PendingFrom) > 0 {
-			e.pendingFrom = append([]int(nil), es.PendingFrom...)
-		}
+	if err := d.restoreEntries(&ds.Entries); err != nil {
+		return err
 	}
-
-	for _, li := range ds.Memory {
-		if li.Base != g.Line(li.Base) {
-			return fmt.Errorf("core: dir %d restore memory line %#x is not line-aligned", d.node, li.Base)
-		}
-		if len(li.Words) != wpl {
-			return fmt.Errorf("core: dir %d restore memory line %#x has %d words, want %d", d.node, li.Base, len(li.Words), wpl)
-		}
+	m := &ds.Memory
+	switch {
+	case len(m.Words)%wpl != 0:
+		return fmt.Errorf("core: dir %d restore memory column of %d words is not a whole number of %d-word lines",
+			d.node, len(m.Words), wpl)
+	case len(m.Words)/wpl != len(m.ID):
+		return fmt.Errorf("core: dir %d restore memory columns of unequal length (%d ids, %d lines)",
+			d.node, len(m.ID), len(m.Words)/wpl)
+	}
+	for k, id := range m.ID {
 		// Memory is only touched through a line's entry, so every memory
 		// line has one.
-		id, ok := d.lines.Lookup(li.Base)
-		if !ok {
-			return fmt.Errorf("core: dir %d restore memory line %#x has no directory entry", d.node, li.Base)
+		if id < 0 || id >= d.lines.Len() {
+			return fmt.Errorf("core: dir %d restore memory id %d has no entry (%d entries)", d.node, id, d.lines.Len())
 		}
-		if d.entryAt(id).inMem {
-			return fmt.Errorf("core: dir %d restore memory line %#x duplicated", d.node, li.Base)
+		if d.entryAt(int32(id)).inMem {
+			return fmt.Errorf("core: dir %d restore memory id %d duplicated", d.node, id)
 		}
-		copy(d.memLine(id), li.Words)
+		copy(d.memLine(int32(id)), m.Words[k*wpl:(k+1)*wpl])
 	}
 
 	d.markedLines = append(d.markedLines, ds.MarkedLines...)
@@ -714,6 +746,65 @@ func (d *Directory) restoreState(ds *DirState) error {
 	d.occHist.Restore(ds.OccHist)
 	d.wsHist.Restore(ds.WsHist)
 	d.curBusy = ds.CurBusy
+	return nil
+}
+
+// restoreEntries rebuilds the entries from their columns. Replaying their
+// first touches in snapshot order rebuilds the same ids, so every later
+// snapshot lists them in the same order.
+func (d *Directory) restoreEntries(es *DirEntries) error {
+	g := d.sys.cfg.Geometry
+	wpl := g.WordsPerLine()
+	n := len(es.Base)
+	switch {
+	case len(es.Owner) != n || len(es.OwnerTID) != n || len(es.OwnedWords) != n ||
+		len(es.Sharer) != len(es.SharerOf) || len(es.Pending) != len(es.PendingOf) ||
+		len(es.MarkWords) != len(es.Marked):
+		return fmt.Errorf("core: dir %d restore entry columns of unequal length", d.node)
+	case len(es.MarkData)%wpl != 0:
+		return fmt.Errorf("core: dir %d restore mark data column of %d words is not a whole number of %d-word lines",
+			d.node, len(es.MarkData), wpl)
+	case len(es.MarkData)/wpl != len(es.MarkDataOf):
+		return fmt.Errorf("core: dir %d restore mark data columns of unequal length (%d entries, %d lines)",
+			d.node, len(es.MarkDataOf), len(es.MarkData)/wpl)
+	}
+	for i, base := range es.Base {
+		if base != g.Line(base) {
+			return fmt.Errorf("core: dir %d restore entry %#x is not line-aligned", d.node, base)
+		}
+		id, fresh := d.lines.ID(base)
+		if !fresh {
+			return fmt.Errorf("core: dir %d restore entry %#x duplicated", d.node, base)
+		}
+		d.newEntry(id)
+		e := d.entryAt(id)
+		e.owner, e.ownerTID, e.ownedWords = es.Owner[i], es.OwnerTID[i], es.OwnedWords[i]
+	}
+	for _, rows := range [][]int{es.SharerOf, es.PendingOf, es.Marked, es.MarkDataOf} {
+		for _, i := range rows {
+			if i < 0 || i >= n {
+				return fmt.Errorf("core: dir %d restore list row names entry %d of %d", d.node, i, n)
+			}
+		}
+	}
+	for k, i := range es.SharerOf {
+		d.entryAt(int32(i)).sharers.Set(es.Sharer[k])
+	}
+	for k, i := range es.PendingOf {
+		e := d.entryAt(int32(i))
+		e.pendingFrom = append(e.pendingFrom, es.Pending[k])
+	}
+	for k, i := range es.Marked {
+		e := d.entryAt(int32(i))
+		e.marked, e.markWords = true, es.MarkWords[k]
+	}
+	for k, i := range es.MarkDataOf {
+		e := d.entryAt(int32(i))
+		if e.markData != nil {
+			return fmt.Errorf("core: dir %d restore mark data for entry %d duplicated", d.node, i)
+		}
+		e.markData = d.sys.copyLine(es.MarkData[k*wpl : (k+1)*wpl])
+	}
 	return nil
 }
 
@@ -788,18 +879,19 @@ func checkNodes(ck *Checkpoint) error {
 		if ds.MarkOwner < 0 || ds.MarkOwner >= n {
 			return bad(fmt.Sprintf("dir %d mark owner", i), ds.MarkOwner)
 		}
-		for j := range ds.Entries {
-			es := &ds.Entries[j]
-			if es.Owner < -1 || es.Owner >= n {
-				return bad(fmt.Sprintf("dir %d entry %#x owner", i, es.Base), es.Owner)
+		for _, owner := range ds.Entries.Owner {
+			if owner < -1 || owner >= n {
+				return bad(fmt.Sprintf("dir %d entry owner", i), owner)
 			}
-			if !nodeSetWithin(es.Sharers, n) {
-				return fmt.Errorf("core: checkpoint dir %d entry %#x sharers name a node outside %d", i, es.Base, n)
+		}
+		for _, node := range ds.Entries.Sharer {
+			if node < 0 || node >= n {
+				return bad(fmt.Sprintf("dir %d entry sharer", i), node)
 			}
-			for _, from := range es.PendingFrom {
-				if from < 0 || from >= n {
-					return bad(fmt.Sprintf("dir %d entry %#x pending sender", i, es.Base), from)
-				}
+		}
+		for _, from := range ds.Entries.Pending {
+			if from < 0 || from >= n {
+				return bad(fmt.Sprintf("dir %d entry pending sender", i), from)
 			}
 		}
 		for _, pr := range ds.Probes {
@@ -859,7 +951,7 @@ func (s *System) Restore(ck *Checkpoint) error {
 		return fmt.Errorf("core: checkpoint schema %q, want %q", ck.Schema, KernelCheckpointSchema)
 	}
 	if ck.Version != KernelCheckpointVersion {
-		return fmt.Errorf("core: checkpoint version %d, this build reads %d", ck.Version, KernelCheckpointVersion)
+		return versionError(ck.Version)
 	}
 	if ck.NumProcs != s.cfg.Procs {
 		return fmt.Errorf("core: checkpoint of a %d-proc machine, config has %d", ck.NumProcs, s.cfg.Procs)

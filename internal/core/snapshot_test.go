@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"scalabletcc/internal/cache"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/sim"
@@ -384,28 +385,30 @@ func TestRestoreRefusesMalformedCheckpoint(t *testing.T) {
 		"message src":     func(ck *Checkpoint) { event(ck, true).Msg.Src = -2 },
 		"sys event node":  func(ck *Checkpoint) { sysEvent(ck, sysSample, far, 0) },
 		"fault directory": func(ck *Checkpoint) { sysEvent(ck, sysFault, -1, far) },
-		"owner":           func(ck *Checkpoint) { ck.Dirs[0].Entries[0].Owner = far },
-		"sharers":         func(ck *Checkpoint) { ck.Dirs[0].Entries[0].Sharers = []uint64{1 << 40} },
+		"owner":           func(ck *Checkpoint) { ck.Dirs[0].Entries.Owner[0] = far },
+		"sharers":         func(ck *Checkpoint) { ck.Dirs[0].Entries.Sharer[0] = far },
 		"sharing vector":  func(ck *Checkpoint) { ck.Procs[1].SharingVec = []uint64{0, 1} },
 		"mark owner":      func(ck *Checkpoint) { ck.Dirs[1].MarkOwner = far },
-		"pending sender":  func(ck *Checkpoint) { ck.Dirs[0].Entries[0].PendingFrom = []int{0, far} },
-		"probe sender":    func(ck *Checkpoint) { ck.Dirs[2].Probes = append(ck.Dirs[2].Probes, ProbeState{T: 1, From: far}) },
+		"pending sender": func(ck *Checkpoint) {
+			es := &ck.Dirs[0].Entries
+			es.PendingOf, es.Pending = append(es.PendingOf, 0, 0), append(es.Pending, 0, far)
+		},
+		"probe sender": func(ck *Checkpoint) { ck.Dirs[2].Probes = append(ck.Dirs[2].Probes, ProbeState{T: 1, From: far}) },
 		"stalled load": func(ck *Checkpoint) {
 			ck.Dirs[3].Stalls = append(ck.Dirs[3].Stalls, StallState{Loads: []PendingLoadState{{From: far}}})
 		},
 		"outstanding owner": func(ck *Checkpoint) { ck.VendorOut = append(ck.VendorOut, tid.Outstanding{TID: 1, Node: far}) },
-		"unaligned entry":   func(ck *Checkpoint) { ck.Dirs[0].Entries[0].Base++ },
-		"duplicate entry":   func(ck *Checkpoint) { ck.Dirs[0].Entries = append(ck.Dirs[0].Entries, ck.Dirs[0].Entries[0]) },
-		"memory line without entry": func(ck *Checkpoint) {
-			li := ck.Dirs[0].Memory[0]
-			li.Base += 1 << 30
-			ck.Dirs[0].Memory = append(ck.Dirs[0].Memory, li)
+		"unaligned entry":   func(ck *Checkpoint) { ck.Dirs[0].Entries.Base[0]++ },
+		"duplicate entry": func(ck *Checkpoint) {
+			es := &ck.Dirs[0].Entries
+			es.Base, es.Owner = append(es.Base, es.Base[0]), append(es.Owner, -1)
+			es.OwnerTID, es.OwnedWords = append(es.OwnerTID, 0), append(es.OwnedWords, 0)
 		},
 		"dir-cache line without entry": func(ck *Checkpoint) {
-			ck.Dirs[0].DirCache = append(ck.Dirs[0].DirCache, DirCacheStamp{Addr: ck.Dirs[0].Entries[0].Base + 1<<30, Stamp: 1})
+			ck.Dirs[0].DirCache = append(ck.Dirs[0].DirCache, DirCacheStamp{Addr: ck.Dirs[0].Entries.Base[0] + 1<<30, Stamp: 1})
 		},
 		"duplicate dir-cache line": func(ck *Checkpoint) {
-			base := ck.Dirs[0].Entries[0].Base
+			base := ck.Dirs[0].Entries.Base[0]
 			ck.Dirs[0].DirCache = append(ck.Dirs[0].DirCache, DirCacheStamp{Addr: base, Stamp: 1}, DirCacheStamp{Addr: base, Stamp: 2})
 		},
 		"repeated read-set address": func(ck *Checkpoint) {
@@ -442,5 +445,97 @@ func TestRestoreRefusesMalformedCheckpoint(t *testing.T) {
 	}
 	if _, err := RestoreSystem(cfg, prog, ck); err == nil {
 		t.Error("a checkpoint without \"net\" restored")
+	}
+}
+
+// TestRestoreRefusesMalformedColumns: each way the column-by-column
+// sections of a checkpoint can disagree with themselves fails the restore
+// with its own message, not a panic and not a silently wrong machine.
+func TestRestoreRefusesMalformedColumns(t *testing.T) {
+	prof := workload.Hotspot().Scale(0.1)
+	const procs = 4
+	ref, _, _, _ := ckRun(t, prof, procs, nil, 0)
+	_, _, cks, _ := ckRun(t, prof, procs, nil, ref.Cycles/3)
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints taken")
+	}
+	raw := AppendCheckpoint(nil, cks[0])
+	cfg := DefaultConfig(procs)
+	cfg.MaxCycles = 2_000_000_000
+	prog := prof.Build(procs, cfg.Seed)
+
+	cases := []struct {
+		name, want string
+		doctor     func(*Checkpoint)
+	}{
+		{"cache columns of unequal length", "restore line columns of unequal length",
+			func(ck *Checkpoint) { c := ck.Procs[0].Cache; c.VW = c.VW[:len(c.VW)-1] }},
+		{"flag columns of unequal length", "restore flag columns of unequal length",
+			func(ck *Checkpoint) { c := ck.Procs[0].Cache; c.Flagged = append(c.Flagged, 0) }},
+		{"L1 columns of unequal length", "restore L1 columns of unequal length",
+			func(ck *Checkpoint) { l := ck.Procs[0].L1; l.Tag = l.Tag[:len(l.Tag)-1] }},
+		{"entry columns of unequal length", "restore entry columns of unequal length",
+			func(ck *Checkpoint) { e := &ck.Dirs[0].Entries; e.Owner = e.Owner[:len(e.Owner)-1] }},
+		{"memory columns of unequal length", "restore memory columns of unequal length",
+			func(ck *Checkpoint) { m := &ck.Dirs[0].Memory; m.ID = m.ID[:len(m.ID)-1] }},
+		{"way out of range", "at way 99 outside",
+			func(ck *Checkpoint) { ck.Procs[0].Cache.Way[0] = 99 }},
+		{"(set, way) repeated", "out of order or repeated",
+			func(ck *Checkpoint) {
+				c := ck.Procs[0].Cache
+				c.Way[1], c.Base[1] = c.Way[0], c.Base[0]
+			}},
+		{"(set, way) out of order", "out of order or repeated",
+			func(ck *Checkpoint) {
+				c := ck.Procs[0].Cache
+				n := len(c.Base) - 1
+				c.Way[0], c.Way[n] = c.Way[n], c.Way[0]
+				c.Base[0], c.Base[n] = c.Base[n], c.Base[0]
+			}},
+		{"flagged line past the lines", "flagged line",
+			func(ck *Checkpoint) {
+				c := ck.Procs[0].Cache
+				c.Flagged, c.Flags = append(c.Flagged, len(c.Base)), append(c.Flags, cache.FlagDirty)
+				c.OW, c.SR, c.SM = append(c.OW, 0), append(c.SR, 0), append(c.SM, 0)
+			}},
+		{"L1 way listed twice", "L1 way",
+			func(ck *Checkpoint) { l := ck.Procs[0].L1; l.Way[1] = l.Way[0] }},
+		{"L1 invalid way not listed", "L1 invalid way",
+			func(ck *Checkpoint) { l := ck.Procs[0].L1; l.Invalid = append(l.Invalid, l.Way[len(l.Way)-1]+1) }},
+		{"memory id with no entry", "has no entry",
+			func(ck *Checkpoint) { ck.Dirs[0].Memory.ID[0] = len(ck.Dirs[0].Entries.Base) }},
+		{"sharer row past the entries", "list row names entry",
+			func(ck *Checkpoint) { e := &ck.Dirs[0].Entries; e.SharerOf[0] = len(e.Base) }},
+		{"cache data not whole lines", "restore data column of",
+			func(ck *Checkpoint) { c := ck.Procs[0].Cache; c.Data = c.Data[:len(c.Data)-1] }},
+		{"memory words not whole lines", "restore memory column of",
+			func(ck *Checkpoint) { m := &ck.Dirs[0].Memory; m.Words = m.Words[:len(m.Words)-1] }},
+		{"mark data not whole lines", "restore mark data column of",
+			func(ck *Checkpoint) {
+				e := &ck.Dirs[0].Entries
+				e.MarkDataOf, e.MarkData = []int{0}, []mem.Version{1}
+			}},
+	}
+	seen := make(map[string]string)
+	for _, tc := range cases {
+		ck, err := DecodeCheckpoint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, l := ck.Procs[0].Cache, ck.Procs[0].L1; len(c.Base) < 2 || len(l.Way) < 2 {
+			t.Fatalf("proc 0 holds %d lines and %d L1 ways, want at least two of each", len(c.Base), len(l.Way))
+		}
+		tc.doctor(ck)
+		_, err = RestoreSystem(cfg, prog, ck)
+		switch {
+		case err == nil:
+			t.Errorf("%s: RestoreSystem accepted the checkpoint", tc.name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		case seen[err.Error()] != "":
+			t.Errorf("%s fails with the message of %s: %v", tc.name, seen[err.Error()], err)
+		default:
+			seen[err.Error()] = tc.name
+		}
 	}
 }

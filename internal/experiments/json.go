@@ -180,11 +180,15 @@ func traffic(pr *tcc.ProtocolResults) *Traffic {
 type entries struct {
 	mu   sync.Mutex
 	kept []keptEntry
-	err  error // the first cell that failed to render
+	err  error  // the first cell that failed to render
+	gen  uint64 // checkpoint images built
 	// save, set when the sweep is checkpointed, replaces the checkpoint
 	// file's entry with the concatenation of pieces (runner.WriteSnapshot)
-	// and logs a failure.
+	// and logs a failure. Calls hold wmu, never mu.
 	save func(pieces ...[]byte)
+
+	wmu     sync.Mutex
+	written uint64 // the newest image generation save was called with
 }
 
 // keptEntry is one finished cell and, when the sweep is checkpointed, its
@@ -202,35 +206,58 @@ var (
 
 // put keeps one finished cell; a cell that failed to render (err != nil)
 // fails the report instead. On a checkpointed sweep it then replaces the
-// checkpoint file's entry with a JSON array of every cell kept so far,
-// under the same lock, so each write holds exactly the cells finished
-// before it. A failed write is not retried: the next cell's write carries
-// every finished cell, and a resume reruns only the cells no write
-// reached.
+// checkpoint file's entry with a JSON array of every cell kept so far: the
+// image is built under mu and written outside it (write), so one worker's
+// write does not hold up another's cell. A failed write is not retried:
+// the next cell's write carries every finished cell, and a resume reruns
+// only the cells no write reached.
 func (s *entries) put(e entry, err error) {
 	var raw []byte
 	if err == nil && s.save != nil {
 		raw, err = json.Marshal(e)
 	}
+	if gen, pieces := s.keep(e, raw, err); pieces != nil {
+		s.write(gen, pieces)
+	}
+}
+
+// keep records a finished cell or the first error and, on a checkpointed
+// sweep, returns the checkpoint image of every cell kept so far with its
+// generation number.
+func (s *entries) keep(e entry, raw []byte, err error) (uint64, [][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
 		if s.err == nil {
 			s.err = err
 		}
-		return
+		return 0, nil
 	}
 	s.add(e, raw)
 	if s.save == nil {
-		return
+		return 0, nil
 	}
+	s.gen++
 	pieces := make([][]byte, 0, 2*len(s.kept)+1)
 	sep := openBracket
 	for _, k := range s.kept {
 		pieces = append(pieces, sep, k.raw)
 		sep = comma
 	}
-	s.save(append(pieces, closeBracket)...)
+	return s.gen, append(pieces, closeBracket)
+}
+
+// write saves the image of generation gen unless a newer one was already
+// saved, so an older array never lands after a newer one and the file only
+// ever gains cells.
+func (s *entries) write(gen uint64, pieces [][]byte) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if gen < s.written {
+		return
+	}
+	s.written = gen
+	s.save(pieces...)
 }
 
 // load keeps the cells of a checkpoint entry, the JSON array put writes.

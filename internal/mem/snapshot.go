@@ -52,12 +52,6 @@ func (m *Map) Restore(pages []PageHome) error {
 	return nil
 }
 
-// LineImage is one memory line's base address and version vector.
-type LineImage struct {
-	Base  Addr      `json:"base"`
-	Words []Version `json:"words"`
-}
-
 // Samples returns the read log in insertion (first-read) order. The slice is
 // live; callers must not modify it.
 func (r *ReadSet) Samples() []ReadSample { return r.list }

@@ -37,6 +37,7 @@ ROWS = [
     (".", "BenchmarkAbortPath$", "5x"),
     (".", "BenchmarkProtocols$", None),
     (".", "BenchmarkShardedKernel$", "5x"),
+    ("./internal/core", "BenchmarkCheckpointCodec/(append|decode)$", None),
 ]
 
 # `BenchmarkName-8   123  456 ns/op  ... 0 allocs/op` (GOMAXPROCS suffix and

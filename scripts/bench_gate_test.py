@@ -5,6 +5,7 @@ Usage: python3 scripts/bench_gate_test.py
 """
 
 import os
+import re
 import sys
 import unittest
 
@@ -16,6 +17,8 @@ NS = {
     "BenchmarkMeshSendEvent": 31.4,
     "BenchmarkSimulatorThroughput": 55_300_000,
     "BenchmarkProtocols/tl2": 4_190_000,
+    "BenchmarkCheckpointCodec/append": 766_000,
+    "BenchmarkCheckpointCodec/decode": 2_110_000,
 }
 
 
@@ -106,6 +109,19 @@ class CompareTest(unittest.TestCase):
             self.assertEqual(ns, NS, suffix)
             self.assertEqual(allocs["BenchmarkProtocols/tl2"], 640)
             self.assertEqual(allocs["BenchmarkKernelPostStep"], 0)
+
+    def test_codec_row_gates_append_and_decode(self):
+        # `go test -bench` splits the pattern at '/' and matches each level
+        # unanchored against that level of the name.
+        rows = [row for row in bench_gate.ROWS if row[0] == "./internal/core"]
+        self.assertEqual(len(rows), 1)
+        top, sub = rows[0][1].split("/")
+        for name, gated in (("append", True), ("decode", True), ("marshal", False), ("unmarshal", False)):
+            hit = bool(re.search(top, "BenchmarkCheckpointCodec") and re.search(sub, name))
+            self.assertEqual(hit, gated, name)
+        report, failed = self.gate(output(), output(slower("BenchmarkCheckpointCodec/decode", 1.25)))
+        self.assertTrue(failed)
+        self.assertIn("BenchmarkCheckpointCodec/decode: median ratio 1.250", report)
 
     def test_empty_input_fails(self):
         for base, head in (("", output()), (output(), ""), ("", ""), ("PASS\n", "PASS\n"), ([], [])):

@@ -180,6 +180,10 @@ func (rc *runCheckpointer) loadLatest(entry []byte, cfg Config, prog Program,
 		logf("checkpoint entry undecodable; recomputing from scratch")
 		return
 	}
+	if err := core.CheckVersion(raw); err != nil {
+		logf("kernel snapshot refused (%v); recomputing from scratch", err)
+		return
+	}
 	var prefix []byte
 	if wantEvents && eventBytes > 0 {
 		data, err := os.ReadFile(eventSidecar(path))

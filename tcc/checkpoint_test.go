@@ -621,3 +621,98 @@ func TestResumeOutcomeReachesLogf(t *testing.T) {
 			out.Result.Resumed, lines)
 	}
 }
+
+// v1Fixture is a checkpoint file that a build writing kernel-checkpoint
+// layout version 1 left for v1Spec: its one snapshot is hotspot 4p's cut at
+// cycle 9278, with no event stream.
+const v1Fixture = "testdata/v1-hotspot4p.ckpt.jsonl"
+
+func v1Spec() *JobSpec {
+	spec := NewJobSpec(JobKindRun)
+	spec.Run = &RunSpec{App: "hotspot", Procs: 4, Scale: 0.05, Seed: 3,
+		Machine: &MachineSpec{L1Size: 1024}, CheckpointEvery: 9274}
+	return spec
+}
+
+// A stored checkpoint of layout version 1 is refused by its version, never
+// as undecodable. A daemon resume and a tccsim rerun log the version,
+// recompute to the uninterrupted summary and replace the file with a
+// snapshot of this build's version; a fork of it fails naming the version
+// and seeds no child file.
+func TestV1CheckpointRefusedByVersion(t *testing.T) {
+	spec := v1Spec()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := os.ReadFile(v1Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry, err := runner.ReadSnapshot(v1Fixture, hash); err != nil || entry == nil {
+		t.Fatalf("the fixture holds no snapshot bound to the spec (%v)", err)
+	}
+	plainSpec := *spec
+	plainRun := *spec.Run
+	plainRun.CheckpointEvery = 0
+	plainSpec.Run = &plainRun
+	plain, err := RunJob(context.Background(), &plainSpec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusal := fmt.Sprintf("checkpoint version 1, this build reads %d", core.KernelCheckpointVersion)
+	fixtureCopy := func(t *testing.T) string {
+		path := filepath.Join(t.TempDir(), "run.ckpt.jsonl")
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	recomputed := func(t *testing.T, path string, logged []string, res *JobResult) {
+		t.Helper()
+		if len(logged) != 1 || !strings.Contains(logged[0], refusal) || !strings.Contains(logged[0], "recomputing from scratch") {
+			t.Fatalf("logged %q, want one line naming %q", logged, refusal)
+		}
+		if res.Resumed || !bytes.Equal(res.Summary, plain.Result.Summary) {
+			t.Fatalf("resumed=%v, summary equal %v", res.Resumed, bytes.Equal(res.Summary, plain.Result.Summary))
+		}
+		entry, err := runner.ReadSnapshot(path, hash)
+		if err != nil || entry == nil {
+			t.Fatalf("no snapshot after the rerun (%v)", err)
+		}
+		if _, _, raw, err := readEntry(entry); err != nil || core.CheckVersion(raw) != nil {
+			t.Fatalf("the rerun left a snapshot this build refuses (%v)", err)
+		}
+	}
+	t.Run("daemon resume", func(t *testing.T) {
+		var logged []string
+		jc := runner.NewJobContext()
+		jc.ID, jc.CheckpointPath = "j000001", fixtureCopy(t)
+		jc.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		res, err := ExecuteJob(context.Background(), spec, jc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recomputed(t, jc.CheckpointPath, logged, res)
+	})
+	t.Run("tccsim rerun", func(t *testing.T) {
+		var logged []string
+		path := fixtureCopy(t)
+		out, err := RunJob(context.Background(), spec, &RunJobOptions{CheckpointPath: path,
+			Logf: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recomputed(t, path, logged, out.Result)
+	})
+	t.Run("fork", func(t *testing.T) {
+		child := *spec
+		childCk := filepath.Join(t.TempDir(), "child.ckpt.jsonl")
+		if err := PrepareForkJob(spec, &child, fixtureCopy(t), childCk, "child"); err == nil || !strings.Contains(err.Error(), refusal) {
+			t.Fatalf("fork of a version-1 snapshot: %v, want an error naming %q", err, refusal)
+		}
+		if _, err := os.Stat(childCk); !os.IsNotExist(err) {
+			t.Fatalf("a refused fork seeded the child's file (%v)", err)
+		}
+	})
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"scalabletcc/internal/core"
 	"scalabletcc/internal/runner"
 )
 
@@ -50,6 +51,9 @@ func PrepareForkJob(parent, child *JobSpec, parentCk, childCk, childID string) e
 	cycle, _, raw, err := readEntry(entry)
 	if err != nil {
 		return fmt.Errorf("tcc: parent checkpoint entry is not a kernel snapshot")
+	}
+	if err := core.CheckVersion(raw); err != nil {
+		return fmt.Errorf("tcc: parent checkpoint cannot be forked: %w", err)
 	}
 
 	childHash, err := child.Hash()

@@ -242,7 +242,7 @@ func (s *System) Interrupt() { s.inner.Interrupt() }
 var ErrInterrupted = sim.ErrInterrupted
 
 // Checkpoint is a versioned snapshot of the full simulator state
-// (scalabletcc/kernel-checkpoint v1), taken at a quiescent cut: pending
+// (scalabletcc/kernel-checkpoint v2), taken at a quiescent cut: pending
 // kernel events, cache tags and line bodies, directory and NSTID state, the
 // memory image, per-processor transaction state, and workload cursors. A
 // Checkpoint round-trips through JSON and restores (RestoreSystem) into a
